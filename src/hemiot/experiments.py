@@ -14,7 +14,7 @@ from .domains import (DiskDomain, boundary_geometry, constant_density,
                       cone_memberships, d0_threshold, distance_to_boundary,
                       lambda_constant, make_cone_spec, total_mass,
                       unit_ball_volume)
-from .solver import active_site, solve
+from .solver import active_site, potential, solve
 from .targets import (chart_disk, discretize, full_hemisphere, region_mass,
                       truncation_radius_for)
 
@@ -71,9 +71,9 @@ def sphere_benchmark(r, N, tol=1e-6, max_iter=50, n_eval=20000, seed=0,
     p_true = pts / denom[:, None]
     grad_error = float(np.linalg.norm(p_num - p_true, axis=1).max())
 
-    u_num = (pts @ target.sites.T - sol.psi).max(axis=1)
+    u_num = potential(sol, pts)
     u_true = -denom
-    shift = -1.0 - float((np.zeros(2) @ target.sites.T - sol.psi).max())
+    shift = -1.0 - potential(sol, np.zeros(2))
     height_error = float(np.abs(u_num + shift - u_true).max())
 
     d2 = ((target.sites[:, None, :] - target.sites[None, :, :]) ** 2).sum(-1)

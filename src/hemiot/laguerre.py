@@ -39,6 +39,7 @@ class LaguerreDiagram:
     sites: np.ndarray
     psi: np.ndarray
     cells: list
+    route: str    # "hull", "flat" or "brute": how the clip neighbours were found
 
     def total_area(self):
         return sum(c.area for c in self.cells)
@@ -83,8 +84,9 @@ def _validate_sites(sites):
 def _lower_hull_candidates(sites, psi):
     """Neighbor candidates from the regular triangulation: lift sites to
     (p, psi) and read the lower convex hull. Sites lifted strictly above the
-    hull are dominated everywhere (empty cells). Raises on degenerate input
-    (e.g. coplanar lifts); callers fall back to all-pairs clipping."""
+    hull are dominated everywhere (empty cells). A flat lift (psi affine over
+    the sites) or collinear sites make qhull raise; `laguerre_diagram` sends
+    both elsewhere before calling this."""
     from scipy.spatial import ConvexHull
 
     pts = np.column_stack([sites, psi])
@@ -105,13 +107,58 @@ def _lower_hull_candidates(sites, psi):
     return [sorted(c) for c in cand], on_hull
 
 
+def _flat_candidates(sites):
+    """Neighbor candidates when psi is affine over the sites. Then
+    <x, p_i> - psi_i = <x - a, p_i> - b, so the diagram is the normal fan of
+    the sites' convex hull shifted by a (Aurenhammer 1987): only hull
+    vertices own cells, and each is cut by its two hull neighbours alone."""
+    from scipy.spatial import ConvexHull
+
+    ring = ConvexHull(sites).vertices      # CCW in 2D
+    n = len(sites)
+    cand = [[] for _ in range(n)]
+    on_hull = np.zeros(n, dtype=bool)
+    on_hull[ring] = True
+    h = len(ring)
+    for k in range(h):
+        cand[ring[k]] = sorted({int(ring[k - 1]), int(ring[(k + 1) % h])})
+    return cand, on_hull
+
+
+def _is_collinear(sites):
+    """Rank-1 sites: every lift lies in a vertical plane and has no 2D hull."""
+    s = np.linalg.svd(sites - sites.mean(axis=0), compute_uv=False)
+    return s[1] <= 1e-12 * s[0]
+
+
+def _is_affine(sites, psi):
+    """psi = a·p + b over the sites up to rounding: the residual of the
+    least-squares fit, against the largest lifted coordinate. In random
+    trials qhull rejected lifts as flat up to a residual of about 2e-12 of
+    that coordinate; the bound leaves a wide margin above it."""
+    A = np.column_stack([sites, np.ones(len(sites))])
+    coef = np.linalg.lstsq(A, psi, rcond=None)[0]
+    resid = float(np.abs(psi - A @ coef).max())
+    scale = max(float(np.abs(sites).max()), float(np.abs(psi).max()))
+    return resid <= 1e-10 * scale
+
+
 def laguerre_diagram(domain, sites, psi, method="auto"):
     """Partition of the domain into the cells of max_i(<x, p_i> - psi_i).
 
-    method: "hull" uses regular-triangulation neighbors for the half-plane
-    clips, "brute" clips every cell against all other sites, "auto" picks hull
-    for N > 8 and falls back to brute on degenerate lifts. Both routes produce
-    identical cells; brute is kept as an independent oracle."""
+    Each cell is the domain clipped by the bisector half-planes of its
+    candidate neighbours; `method` decides how the candidates are found, and
+    the diagram records the route taken in `route`:
+      "hull"  regular-triangulation neighbours from the lower hull of the
+              lifted sites (p, psi); qhull errors propagate.
+      "flat"  psi affine over the sites (psi = 0 included): the two
+              neighbours along the sites' 2D convex hull, whose vertices
+              are the only sites with cells.
+      "brute" every other site; kept as an independent oracle.
+    method "auto" takes brute for N <= 8 and for collinear sites, flat when
+    psi is affine, and hull otherwise. All routes produce the same cells."""
+    if method not in ("auto", "hull", "brute"):
+        raise ValueError(f"unknown method {method!r}")
     sites = _validate_sites(sites)
     psi = np.asarray(psi, dtype=float)
     if len(psi) != len(sites):
@@ -124,18 +171,21 @@ def laguerre_diagram(domain, sites, psi, method="auto"):
                                            _geom_eps(domain))
         area, cen = cell_area_centroid(verts, labels)
         cell = LaguerreCell(0, verts, labels, [], area, cen)
-        return LaguerreDiagram(domain, sites, psi, [cell])
+        return LaguerreDiagram(domain, sites, psi, [cell], "brute")
 
-    use_hull = method == "hull" or (method == "auto" and n > 8)
-    cand = on_hull = None
-    if use_hull:
-        try:
-            cand, on_hull = _lower_hull_candidates(sites, psi)
-        except Exception:
-            if method == "hull":
-                raise
-            cand = None
-    if cand is None:
+    route = method
+    if method == "auto":
+        if n <= 8 or _is_collinear(sites):
+            route = "brute"
+        elif _is_affine(sites, psi):
+            route = "flat"
+        else:
+            route = "hull"
+    if route == "hull":
+        cand, on_hull = _lower_hull_candidates(sites, psi)
+    elif route == "flat":
+        cand, on_hull = _flat_candidates(sites)
+    else:
         cand = [[j for j in range(n) if j != i] for i in range(n)]
         on_hull = np.ones(n, dtype=bool)
 
@@ -162,7 +212,7 @@ def laguerre_diagram(domain, sites, psi, method="auto"):
         nbrs = sorted({lab[1] for lab in labels if lab[0] == "nbr"})
         area, cen = cell_area_centroid(verts, labels)
         cells.append(LaguerreCell(i, verts, labels, nbrs, area, cen))
-    return LaguerreDiagram(domain, sites, psi, cells)
+    return LaguerreDiagram(domain, sites, psi, cells, route)
 
 
 def _geom_eps(domain):

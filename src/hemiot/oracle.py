@@ -409,7 +409,7 @@ def _membership(domain, K, target, grid_m, sol):
     return atoms, _overlap_table(domain, sol, atoms)
 
 
-def semidiscrete_agreement(domain, K, target, grid_m, tol=1e-7, seed=0):
+def semidiscrete_agreement(domain, K, target, grid_m, tol=1e-7):
     """Fraction of source mass that the exact LP on the m×m grid atoms sends
     to a site whose Laguerre cell overlaps the atom's grid piece.
 

@@ -186,19 +186,32 @@ def solve(domain, K, target, tol=1e-6, max_iter=100):
     return Solution(domain, K, target, psi, diagram, G, rep)
 
 
+# rows of points per score block in potential/active_site: a block's
+# scores take 1024 * N * 8 bytes instead of a points x sites matrix
+_EVAL_BLOCK = 1024
+
+
+def _reduce_scores(solution, x, reduce, dtype):
+    """reduce(<x, p_i> - psi_i, axis=1) over blocks of points."""
+    pts = np.atleast_2d(x)
+    out = np.empty(len(pts), dtype=dtype)
+    for s in range(0, len(pts), _EVAL_BLOCK):
+        vals = pts[s:s + _EVAL_BLOCK] @ solution.sites.T - solution.psi
+        out[s:s + _EVAL_BLOCK] = reduce(vals, axis=1)
+    return out
+
+
 def potential(solution, x):
     """u(x) = max_i <x, p_i> - psi_i, the restriction of the solution's
     support function; ties resolve to the lowest site index."""
     x = np.asarray(x, dtype=float)
-    vals = np.atleast_2d(x) @ solution.sites.T - solution.psi
-    out = vals.max(axis=1)
+    out = _reduce_scores(solution, x, np.max, float)
     return float(out[0]) if x.ndim == 1 else out
 
 
 def active_site(solution, x):
     x = np.asarray(x, dtype=float)
-    vals = np.atleast_2d(x) @ solution.sites.T - solution.psi
-    idx = vals.argmax(axis=1)
+    idx = _reduce_scores(solution, x, np.argmax, np.intp)
     return int(idx[0]) if x.ndim == 1 else idx
 
 

@@ -67,15 +67,73 @@ def test_gauge_invariance():
         assert ca.area == pytest.approx(cb.area, abs=1e-13)
 
 
+def _assert_same_cells(a, b):
+    for ca, cb in zip(a.cells, b.cells):
+        assert ca.area == pytest.approx(cb.area, abs=1e-12)
+        if not ca.is_empty:
+            assert np.allclose(ca.centroid, cb.centroid, atol=1e-10)
+
+
 def test_hull_and_brute_routes_agree():
     for seed in range(12):
         domain, sites, psi = _random_instance(seed, n=10)
         a = laguerre_diagram(domain, sites, psi, method="hull")
         b = laguerre_diagram(domain, sites, psi, method="brute")
-        for ca, cb in zip(a.cells, b.cells):
-            assert ca.area == pytest.approx(cb.area, abs=1e-12)
-            if not ca.is_empty:
-                assert np.allclose(ca.centroid, cb.centroid, atol=1e-10)
+        assert (a.route, b.route) == ("hull", "brute")
+        _assert_same_cells(a, b)
+    # flat lifts: psi = 0 and psi = a·p + b, where auto takes the convex
+    # hull of the sites
+    for seed in range(12):
+        rng = np.random.default_rng(100 + seed)
+        n = int(rng.integers(10, 41))
+        domain, sites, _ = _random_instance(seed, n=n)
+        slope, offset = rng.normal(0.0, 0.3, size=2), rng.normal()
+        for psi in (np.zeros(n), sites @ slope + offset):
+            a = laguerre_diagram(domain, sites, psi)
+            b = laguerre_diagram(domain, sites, psi, method="brute")
+            assert a.route == "flat"
+            _assert_same_cells(a, b)
+
+
+def test_flat_lift_clips_only_against_hull_neighbours(monkeypatch):
+    import hemiot.laguerre as lag
+    from scipy.spatial import ConvexHull
+    from hemiot.targets import chart_disk, discretize
+    domain = DiskDomain(np.zeros(2), 0.6)
+    target = discretize(chart_disk(np.zeros(2), 0.9), 500,
+                        domain_area(domain), seed=0)
+    n = len(target.sites)
+    h = len(ConvexHull(target.sites).vertices)
+    clip = lag.clip_halfplane
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return clip(*args)
+    monkeypatch.setattr(lag, "clip_halfplane", counted)
+    diag = laguerre_diagram(domain, target.sites, np.zeros(n))
+    assert diag.route == "flat"
+    assert len(calls) <= 2 * h + n
+    assert sum(c.is_empty for c in diag.cells) >= n - h
+    assert diag.total_area() == pytest.approx(domain_area(domain), rel=1e-12)
+
+
+def test_collinear_sites_take_the_brute_route():
+    sites = np.column_stack([np.linspace(-1.0, 1.0, 11), np.zeros(11)])
+    psi = np.random.default_rng(3).normal(0.0, 0.1, size=11)
+    diag = laguerre_diagram(SQUARE, sites, psi)
+    assert diag.route == "brute"
+    assert diag.total_area() == pytest.approx(1.0, rel=1e-12)
+
+
+def test_hull_route_reports_qhull_errors():
+    # the explicit hull route on a flat lift names qhull's complaint
+    from scipy.spatial import QhullError
+    domain, sites, _ = _random_instance(4, n=12)
+    with pytest.raises(QhullError, match="flat"):
+        laguerre_diagram(domain, sites, np.zeros(12), method="hull")
+    with pytest.raises(ValueError, match="unknown method"):
+        laguerre_diagram(domain, sites, np.zeros(12), method="fast")
 
 
 def test_coplanar_lift_falls_back_cleanly():

@@ -87,6 +87,18 @@ def test_potential_and_active_site_agree():
     assert potential(sol, x[0]) == pytest.approx(float(u[0]))
 
 
+def test_blockwise_evaluation_matches_the_whole_matrix():
+    # more points than one score block, with a ragged last block
+    from hemiot.solver import _EVAL_BLOCK
+    target = discretize(chart_disk(np.zeros(2), 0.8), 60, 1.0, seed=4)
+    sol = solve(SQUARE, K1, target)
+    rng = np.random.default_rng(5)
+    x = rng.uniform(-0.5, 0.5, size=(2 * _EVAL_BLOCK + 37, 2))
+    whole = x @ sol.sites.T - sol.psi
+    assert np.array_equal(potential(sol, x), whole.max(axis=1))
+    assert np.array_equal(active_site(sol, x), whole.argmax(axis=1))
+
+
 def test_gauss_map_lands_on_hemisphere():
     target = discretize(chart_disk(np.zeros(2), 0.8), 12, 1.0, seed=3)
     sol = solve(SQUARE, K1, target)
