@@ -695,7 +695,8 @@ def main(argv=None):
     ap.add_argument("--config", required=True, help="path to a JSON config")
     ap.add_argument("--out", help="output directory (overrides config)")
     ap.add_argument("--threads", type=int,
-                    help="worker cap (orchestration is sequential)")
+                    help="accepted and echoed into report.json, but unused: "
+                         "every pipeline runs in one thread")
     ap.add_argument("--seed", type=int, help="seed override")
     ap.add_argument("--tol", type=float, help="solver tolerance override")
     args = ap.parse_args(argv)

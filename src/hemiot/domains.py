@@ -1,26 +1,24 @@
 # Source-side geometry and measure: convex domains, curvature densities,
 # mass classification, boundary chart constants, erosions, distance functions,
 # and the boundary-cone constructions used by the gradient-blowup experiment.
-import heapq
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (
-    clip_halfplane,
+from .geometry import (  # QuadratureError is re-exported for the CLI
+    QuadratureError,
+    _PATCH_NODES,
+    _TRI_NODES,
+    clip_to_halfplanes,
+    disk_patch,
+    fan_triangles,
+    integrate_panels,
     polygon_area,
     polygon_centroid,
-    _TRI_PTS,
-    _TRI_WTS,
-    gauss_legendre,
+    polygon_halfplanes,
 )
-
-
-class QuadratureError(RuntimeError):
-    """Raised when adaptive quadrature cannot reach the requested tolerance."""
-
 
 OMEGA_2 = math.pi  # Lebesgue measure of the planar unit ball
 
@@ -62,12 +60,7 @@ class ConvexPolygonDomain:
 
     def edge_normals(self):
         """Outward unit normals and offsets: edge i is {x : n_i . x = b_i}."""
-        v = self.vertices
-        e = np.roll(v, -1, axis=0) - v
-        n = np.stack([e[:, 1], -e[:, 0]], axis=1)
-        n /= np.linalg.norm(n, axis=1, keepdims=True)
-        b = np.sum(n * v, axis=1)
-        return n, b
+        return polygon_halfplanes(self.vertices)
 
     def bounding_box(self):
         v = self.vertices
@@ -206,11 +199,9 @@ def erode(domain, t):
     verts = [tuple(p) for p in domain.vertices]
     labels = [("wall", i) for i in range(len(verts))]
     scale = float(np.max(np.abs(domain.vertices))) + 1.0
-    for i in range(len(n)):
-        verts, labels = clip_halfplane(verts, labels, n[i], b[i] - t,
-                                       ("wall", i), 1e-12 * scale)
-        if not verts:
-            return None
+    verts, labels = clip_to_halfplanes(verts, labels, n, b - t, 1e-12 * scale)
+    if not verts:
+        return None
     cleaned = _strictly_convex_cleanup(np.array(verts), 1e-10 * scale)
     if cleaned is None or polygon_area(cleaned) <= (1e-10 * scale) ** 2:
         return None
@@ -302,25 +293,9 @@ def constant_density(c, **kw):
 
 
 # ---------------------------------------------------------------------------
-# total mass (global adaptive quadrature)
+# total mass
 
-def _tri_value(f, tri):
-    pts = _TRI_PTS @ tri
-    return polygon_area(tri) * float(np.dot(f(pts), _TRI_WTS))
-
-
-def _rect_value(f, c, t0, t1, r0, r1, xw):
-    xs, ws = xw
-    th = t0 + (t1 - t0) * xs
-    out = 0.0
-    for i in range(len(th)):
-        rr = r0 + (r1 - r0) * xs
-        pts = np.stack([c[0] + rr * np.cos(th[i]), c[1] + rr * np.sin(th[i])], axis=1)
-        out += ws[i] * float(np.dot(f(pts) * rr, ws))
-    return out * (t1 - t0) * (r1 - r0)
-
-
-def total_mass(domain, K, tol=1e-8, max_panels=100000):
+def total_mass(domain, K, tol=1e-8):
     """Integral of the density over the domain by globally adaptive quadrature,
     classified against the critical value pi (the planar unit-ball measure).
 
@@ -332,21 +307,23 @@ def total_mass(domain, K, tol=1e-8, max_panels=100000):
         nodes = domain.centroid[None, :]
         K.validate(domain, nodes)
         return mass, _classify(mass, tol)
-    zero_patch = [False]
-    fn = K
+    if isinstance(domain, ConvexPolygonDomain):
+        tris = fan_triangles(domain.vertices, domain.centroid)
+        patches, panel_nodes = np.zeros((0, 9)), _TRI_NODES
+    else:
+        tris, panel_nodes = np.zeros((0, 3, 2)), _PATCH_NODES
+        patches = disk_patch(domain.center, domain.radius)[None, :]
+    zero_panel = [False]
 
     def f(pts):
-        v = fn(pts)
-        if len(v) and v.max() == 0.0:
-            zero_patch[0] = True
+        v = K(pts)
+        if not zero_panel[0] and np.any(v.reshape(-1, panel_nodes).max(axis=1) == 0.0):
+            zero_panel[0] = True
         return v
 
-    if isinstance(domain, ConvexPolygonDomain):
-        mass = _adaptive_triangles(domain, f, tol, max_panels)
-    else:
-        mass = _adaptive_polar(domain, f, tol, max_panels)
+    mass = float(integrate_panels(f, tris, patches, tol)[0])
     K.validate(domain, _sample_nodes(domain))
-    if zero_patch[0]:
+    if zero_panel[0]:
         warnings.warn("density vanishes on part of the domain; empty cells may "
                       "appear in the transport problem", RuntimeWarning)
     return mass, _classify(mass, tol)
@@ -358,79 +335,6 @@ def _classify(mass, tol):
     if mass > OMEGA_2 + tol:
         return "infeasible"
     return "subcritical"
-
-
-def _adaptive_triangles(domain, f, tol, max_panels):
-    c = domain.centroid
-    v = domain.vertices
-    heap = []
-    total = 0.0
-    count = 0
-
-    def push(tri):
-        nonlocal total, count
-        coarse = _tri_value(f, tri)
-        a, b, cc = tri
-        ab, bc, ca = 0.5 * (a + b), 0.5 * (b + cc), 0.5 * (cc + a)
-        subs = [np.array([a, ab, ca]), np.array([ab, b, bc]),
-                np.array([ca, bc, cc]), np.array([ab, bc, ca])]
-        fine = sum(_tri_value(f, t) for t in subs)
-        err = abs(fine - coarse)
-        total += fine
-        count += 1
-        heapq.heappush(heap, (-err, count, tri, fine, subs))
-        return err
-
-    err_sum = 0.0
-    for i in range(len(v)):
-        err_sum += push(np.array([c, v[i], v[(i + 1) % len(v)]]))
-    panels = len(v)
-    while err_sum > tol:
-        if panels >= max_panels or not heap:
-            raise QuadratureError(
-                f"triangle quadrature stalled: error ~{err_sum:.2e} > tol {tol:.2e}")
-        neg_err, _, tri, fine, subs = heapq.heappop(heap)
-        err_sum += neg_err  # remove this panel's error
-        total -= fine
-        for t in subs:
-            err_sum += push(t)
-        panels += 4
-    return total
-
-
-def _adaptive_polar(domain, f, tol, max_panels):
-    xw = gauss_legendre(8)
-    c = domain.center
-    R = domain.radius
-    heap = []
-    total = 0.0
-    count = 0
-
-    def push(t0, t1, r0, r1):
-        nonlocal total, count
-        coarse = _rect_value(f, c, t0, t1, r0, r1, xw)
-        tm, rm = 0.5 * (t0 + t1), 0.5 * (r0 + r1)
-        subs = [(t0, tm, r0, rm), (tm, t1, r0, rm), (t0, tm, rm, r1), (tm, t1, rm, r1)]
-        fine = sum(_rect_value(f, c, *s, xw) for s in subs)
-        err = abs(fine - coarse)
-        total += fine
-        count += 1
-        heapq.heappush(heap, (-err, count, (t0, t1, r0, r1), fine, subs))
-        return err
-
-    err_sum = push(0.0, 2.0 * math.pi, 0.0, R)
-    panels = 1
-    while err_sum > tol:
-        if panels >= max_panels or not heap:
-            raise QuadratureError(
-                f"polar quadrature stalled: error ~{err_sum:.2e} > tol {tol:.2e}")
-        neg_err, _, _, fine, subs = heapq.heappop(heap)
-        err_sum += neg_err
-        total -= fine
-        for s in subs:
-            err_sum += push(*s)
-        panels += 4
-    return total
 
 
 def _sample_nodes(domain, m=400, seed=711):

@@ -1,5 +1,6 @@
 # Planar computational geometry shared by the domain, diagram, and target layers:
-# labeled convex clipping, exact circle/polygon cells, and quadrature rules.
+# labeled convex clipping, exact circle/polygon cells, grid squares clipped to a
+# region, and the one adaptive quadrature engine.
 import math
 from functools import lru_cache
 
@@ -113,6 +114,43 @@ def clip_halfplane(verts, labels, normal, offset, new_label, eps):
             out_v.append((A[0] + t * (B[0] - A[0]), A[1] + t * (B[1] - A[1])))
             out_l.append(labels[i])
     return _dedupe(out_v, out_l, eps)
+
+
+def polygon_halfplanes(verts):
+    """Outward unit normals and offsets of a CCW convex polygon: edge i lies
+    on {x : n_i·x = b_i} and the polygon is {x : n·x <= b}."""
+    v = np.asarray(verts, dtype=float)
+    e = np.roll(v, -1, axis=0) - v
+    n = np.stack([e[:, 1], -e[:, 0]], axis=1)
+    n /= np.linalg.norm(n, axis=1, keepdims=True)
+    return n, np.sum(n * v, axis=1)
+
+
+def clip_to_halfplanes(verts, labels, normals, offsets, eps):
+    """Clip a labeled convex cell by every {x : n_k·x <= b_k} in turn; the new
+    edges get labels ("wall", k). ([], []) once the cell is empty."""
+    for k, (n, b) in enumerate(zip(normals, offsets)):
+        verts, labels = clip_halfplane(verts, labels, n, b, ("wall", k), eps)
+        if not verts:
+            break
+    return verts, labels
+
+
+def clipped_grid(lo, hi, m, clip, eps):
+    """The m×m grid squares over the box [lo, hi], each clipped to a convex
+    region by clip(verts, labels). Yields (square, verts, labels, area,
+    centroid) for the pieces of area above (10 eps)², column by column."""
+    hx, hy = (hi - lo) / m
+    for i in range(m):
+        for j in range(m):
+            x0, y0 = lo[0] + i * hx, lo[1] + j * hy
+            square = [(x0, y0), (x0 + hx, y0), (x0 + hx, y0 + hy), (x0, y0 + hy)]
+            verts, labels = clip(square, [("grid", k) for k in range(4)])
+            if not verts:
+                continue
+            area, cen = cell_area_centroid(verts, labels)
+            if area > (10 * eps) ** 2:
+                yield square, verts, labels, area, cen
 
 
 def _dedupe(verts, labels, eps):
@@ -246,112 +284,199 @@ def _triangle_rule():
 
 
 _TRI_PTS, _TRI_WTS = _triangle_rule()
+_TRI_NODES = len(_TRI_WTS)
+_PATCH_N = 8
+_PATCH_NODES = _PATCH_N ** 2
 
 
-def _tri_integrate(f, tri):
-    """(∫f, ∫f·x, ∫f·y) over one triangle with the 7-point rule; f vectorized."""
-    p = _TRI_PTS @ tri  # (7,2)
-    area = 0.5 * ((tri[1][0] - tri[0][0]) * (tri[2][1] - tri[0][1])
-                  - (tri[2][0] - tri[0][0]) * (tri[1][1] - tri[0][1]))
-    vals = f(p) * _TRI_WTS
-    s = vals.sum() * area
-    mx = (vals * p[:, 0]).sum() * area
-    my = (vals * p[:, 1]).sum() * area
-    return np.array([s, mx, my])
+class QuadratureError(RuntimeError):
+    """Raised when adaptive quadrature cannot reach the requested tolerance."""
 
 
-def _tri_adaptive(f, tri, tol, depth=0):
-    coarse = _tri_integrate(f, tri)
-    a, b, c = tri
+# Limits of the adaptive engine. A round splits leaves, largest error
+# estimate first, until the leaves it keeps carry at most half of tol or
+# _KEEP_SHARE of the current estimate (so a singular leaf whose estimate
+# never shrinks does not drag every other leaf along each round), and its
+# density calls take at most _ROUND_NODES nodes. Integration stalls past
+# _MAX_LEAVES leaves (memory), or after _MAX_ROUNDS rounds: a leaf split in
+# every round is then 2^-48 of its first panel, at the resolution of double
+# precision.
+_KEEP_SHARE = 1e-3
+_ROUND_NODES = 1 << 20
+_MAX_LEAVES = 1 << 18
+_MAX_ROUNDS = 48
+
+
+def _tri_split(tris):
+    """The four midpoint sub-triangles of each (k, 3, 2) triangle, in order."""
+    a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
     ab, bc, ca = 0.5 * (a + b), 0.5 * (b + c), 0.5 * (c + a)
-    subs = [np.array([a, ab, ca]), np.array([ab, b, bc]),
-            np.array([ca, bc, c]), np.array([ab, bc, ca])]
-    fine = sum(_tri_integrate(f, t) for t in subs)
-    if abs(fine[0] - coarse[0]) <= tol or depth >= 14:
-        return fine
-    return sum(_tri_adaptive(f, t, tol / 4.0, depth + 1) for t in subs)
+    subs = np.stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca], axis=1)
+    return subs.reshape(-1, 3, 2)
 
 
-def _polar_patch_integrate(f, center, t0, t1, rlo, rhi, n=8):
-    """(∫f, ∫f·x, ∫f·y) over {θ∈[t0,t1], r∈[rlo(θ), rhi(θ)]} around center;
-    rlo/rhi are vectorized functions of θ."""
-    xs, ws = gauss_legendre(n)
-    th = t0 + (t1 - t0) * xs
-    lo = rlo(th)
-    hi = rhi(th)
-    out = np.zeros(3)
-    for i in range(len(th)):
-        rr = lo[i] + (hi[i] - lo[i]) * xs
-        pts = np.stack([center[0] + rr * math.cos(th[i]),
-                        center[1] + rr * math.sin(th[i])], axis=1)
-        vals = f(pts) * rr * ws * (hi[i] - lo[i])
-        w_i = ws[i] * (t1 - t0)
-        out[0] += w_i * vals.sum()
-        out[1] += w_i * (vals * pts[:, 0]).sum()
-        out[2] += w_i * (vals * pts[:, 1]).sum()
-    return out
+def _tri_areas(tris):
+    d1 = tris[:, 1] - tris[:, 0]
+    d2 = tris[:, 2] - tris[:, 0]
+    return 0.5 * (d1[:, 0] * d2[:, 1] - d2[:, 0] * d1[:, 1])
 
 
-def _polar_patch_adaptive(f, center, t0, t1, rlo, rhi, tol, depth=0):
-    coarse = _polar_patch_integrate(f, center, t0, t1, rlo, rhi)
-    tm = 0.5 * (t0 + t1)
+def _tri_rule(f, tris):
+    """(∫f, ∫f·x, ∫f·y) over each triangle with the 7-point rule; (k, 3)."""
+    pts = _TRI_PTS @ tris  # (k, 7, 2)
+    w = f(pts.reshape(-1, 2)).reshape(len(tris), -1) * _TRI_WTS \
+        * _tri_areas(tris)[:, None]
+    return np.stack([w.sum(axis=1), (w * pts[..., 0]).sum(axis=1),
+                     (w * pts[..., 1]).sum(axis=1)], axis=1)
 
-    def rmid(th):
-        return 0.5 * (rlo(th) + rhi(th))
 
-    quads = [(t0, tm, rlo, rmid), (tm, t1, rlo, rmid),
-             (t0, tm, rmid, rhi), (tm, t1, rmid, rhi)]
-    fine = sum(_polar_patch_integrate(f, center, *q) for q in quads)
-    if abs(fine[0] - coarse[0]) <= tol or depth >= 12:
-        return fine
-    return sum(_polar_patch_adaptive(f, center, *q, tol / 4.0, depth + 1)
-               for q in quads)
+# A polar patch is a row (cx, cy, R, e, tm, t0, t1, s0, s1): the points
+# c + r (cos θ, sin θ) with θ in [t0, t1] and r = lo(θ) + s (R - lo(θ)) for s in
+# [s0, s1], where lo(θ) = e / cos(θ - tm) is the chord at distance e from the
+# centre along the direction tm (e = 0: lo = 0, the patch reaches the centre).
+_T0, _T1, _S0, _S1 = 5, 6, 7, 8
+
+
+def arc_patch(a, b, center, R):
+    """The patch between chord a->b and the CCW arc of circle (center, R)."""
+    c = np.asarray(center, dtype=float)
+    ta = math.atan2(a[1] - c[1], a[0] - c[0])
+    tb = math.atan2(b[1] - c[1], b[0] - c[0])
+    while tb <= ta:
+        tb += 2.0 * math.pi
+    tm = 0.5 * (ta + tb)
+    e = 0.0
+    if tb - ta < math.pi - 1e-9:
+        # otherwise the chord passes (numerically) through the centre
+        e = (0.5 * (a[0] + b[0]) - c[0]) * math.cos(tm) \
+            + (0.5 * (a[1] + b[1]) - c[1]) * math.sin(tm)
+    return np.array([c[0], c[1], R, e, tm, ta, tb, 0.0, 1.0])
+
+
+def disk_patch(center, R):
+    """The whole disk (center, R) as one patch reaching the centre."""
+    return np.array([center[0], center[1], R, 0.0, math.pi, 0.0, 2.0 * math.pi,
+                     0.0, 1.0])
+
+
+def _patch_split(patches):
+    """The four (θ, s) quarters of each patch row, in order."""
+    tm = 0.5 * (patches[:, _T0] + patches[:, _T1])[:, None]
+    sm = 0.5 * (patches[:, _S0] + patches[:, _S1])[:, None]
+    subs = np.repeat(patches[:, None, :], 4, axis=1)
+    subs[:, [0, 2], _T1] = tm
+    subs[:, [1, 3], _T0] = tm
+    subs[:, [0, 1], _S1] = sm
+    subs[:, [2, 3], _S0] = sm
+    return subs.reshape(-1, patches.shape[1])
+
+
+def _patch_rule(f, patches):
+    """(∫f, ∫f·x, ∫f·y) over each patch with the tensor Gauss rule; (k, 3)."""
+    xs, ws = gauss_legendre(_PATCH_N)
+    cx, cy, R, e, tm, t0, t1, s0, s1 = (col[:, None] for col in patches.T)
+    th = t0 + (t1 - t0) * xs  # (k, n)
+    lo = np.divide(e, np.cos(th - tm), out=np.zeros_like(th), where=e != 0.0)
+    r0 = lo + s0 * (R - lo)
+    dr = (s1 - s0) * (R - lo)
+    rr = r0[..., None] + dr[..., None] * xs  # (k, n θ, n r)
+    x = cx[..., None] + rr * np.cos(th)[..., None]
+    y = cy[..., None] + rr * np.sin(th)[..., None]
+    vals = f(np.stack([x.ravel(), y.ravel()], axis=1)).reshape(rr.shape)
+    w = vals * rr * (dr[..., None] * ws) * (ws * (t1 - t0))[..., None]
+    return np.stack([w.sum(axis=(1, 2)), (w * x).sum(axis=(1, 2)),
+                     (w * y).sum(axis=(1, 2))], axis=1)
+
+
+class _Leaves:
+    """The leaf panels of one kind, each with its own rule value (coarse)
+    and the rule values of its four sub-panels (subs)."""
+
+    def __init__(self, f, rule, split, nodes, panels):
+        self.f, self.rule, self.split, self.nodes = f, rule, split, nodes
+        k = len(panels)
+        vals = rule(f, np.concatenate([panels, split(panels)]))
+        self.panels, self.coarse = panels, vals[:k]
+        self.subs = vals[k:].reshape(k, 4, 3)
+
+    def errors(self):
+        return np.abs(self.subs[:, :, 0].sum(axis=1) - self.coarse[:, 0])
+
+    def refine(self, m):
+        """Split the leaves m: their sub-panels become leaves, keep their
+        known values as coarse estimates, and are split in turn."""
+        if not m.any():
+            return
+        new = self.split(self.panels[m])
+        self.panels = np.concatenate([self.panels[~m], new])
+        self.coarse = np.concatenate([self.coarse[~m], self.subs[m].reshape(-1, 3)])
+        self.subs = np.concatenate(
+            [self.subs[~m], self.rule(self.f, self.split(new)).reshape(-1, 4, 3)])
+
+
+_KINDS = ((_tri_rule, _tri_split, _TRI_NODES),
+          (_patch_rule, _patch_split, _PATCH_NODES))
+
+
+def integrate_panels(f, tris, patches, tol):
+    """(∫f, ∫f·x, ∫f·y) of a vectorized density f over the union of triangles
+    ((k, 3, 2) array) and polar patches ((k, 9) rows, see arc_patch).
+
+    Globally adaptive: a leaf panel's error estimate is |Σ sub-panels − own
+    rule|. A round splits the leaves with the largest estimates, evaluating
+    the new leaves' sub-panels in one density call per panel kind, and the
+    integration stops when the estimates sum to at most tol. f sees each
+    panel's nodes contiguously. Raises QuadratureError when the error cannot
+    be brought under tol within the module's leaf and round limits."""
+    kinds = [_Leaves(f, *kind, panels)
+             for kind, panels in zip(_KINDS, (tris, patches)) if len(panels)]
+    rounds = 0
+    while True:
+        sizes = [len(leaves.panels) for leaves in kinds]
+        errs = np.concatenate([leaves.errors() for leaves in kinds] or [[]])
+        err = float(errs.sum())
+        if err <= tol:
+            return sum((leaves.subs.sum(axis=(0, 1)) for leaves in kinds),
+                       np.zeros(3))
+        if rounds == _MAX_ROUNDS or sum(sizes) > _MAX_LEAVES:
+            raise QuadratureError(
+                f"adaptive quadrature stalled after {rounds} rounds and "
+                f"{sum(sizes)} panels: error estimate {err:.2e} > tol {tol:.2e}")
+        order = np.argsort(-errs, kind="stable")
+        rest = np.cumsum(errs[order][::-1])[::-1]  # estimates from here on
+        cost = np.repeat([16 * leaves.nodes for leaves in kinds], sizes)[order]
+        n = np.count_nonzero((rest > max(0.5 * tol, _KEEP_SHARE * err))
+                             & (np.cumsum(cost) <= _ROUND_NODES))
+        split = np.zeros(len(errs), dtype=bool)
+        split[order[:n]] = True
+        for leaves, m in zip(kinds, np.split(split, np.cumsum(sizes)[:-1])):
+            leaves.refine(m)
+        rounds += 1
+
+
+def fan_triangles(verts, center):
+    """(k, 3, 2) fan of a convex polygon's (k, 2) vertices around center."""
+    v = np.asarray(verts, dtype=float)
+    return np.stack([np.broadcast_to(center, v.shape), v,
+                     np.roll(v, -1, axis=0)], axis=1)
 
 
 def integrate_cell(verts, labels, f, tol=1e-10):
     """(mass, ∫f·x, ∫f·y) of a vectorized density f over a labeled convex cell.
 
-    Straight part: fan triangulation + adaptive degree-5 rule. Arc edges: adaptive
-    polar patches between the chord and the circle."""
+    Panels: the straight part's fan triangulation around the vertex mean, and
+    one polar patch between each arc edge's chord and its circle; one
+    globally adaptive integration over all of them."""
     if len(verts) < 2:
         return np.zeros(3)
-    out = np.zeros(3)
     v = np.asarray(verts, dtype=float)
-    if len(verts) >= 3:
-        cen = v.mean(axis=0)
-        for i in range(len(verts)):
-            tri = np.array([cen, v[i], v[(i + 1) % len(verts)]])
-            if abs(polygon_area(tri)) > 1e-300:
-                out += _tri_adaptive(f, tri, tol / max(len(verts), 1))
-    for i, lab in enumerate(labels):
-        if lab[0] != ARC:
-            continue
-        a = v[i]
-        b = v[(i + 1) % len(verts)]
-        c = np.asarray(lab[1], dtype=float)
-        R = lab[2]
-        ta = math.atan2(a[1] - c[1], a[0] - c[0])
-        tb = math.atan2(b[1] - c[1], b[0] - c[0])
-        while tb <= ta:
-            tb += 2.0 * math.pi
-        # chord in polar form around the center
-        if tb - ta >= math.pi - 1e-9:
-            # chord passes (numerically) through the center
-            def rlo(th):
-                return np.zeros_like(th)
-        else:
-            tm = 0.5 * (ta + tb)
-            n_hat = np.array([math.cos(tm), math.sin(tm)])
-            e = float((0.5 * (a + b) - c) @ n_hat)
-
-            def rlo(th, e=e, tm=tm):
-                return e / np.cos(th - tm)
-
-        def rhi(th, R=R):
-            return np.full_like(th, R)
-
-        out += _polar_patch_adaptive(f, c, ta, tb, rlo, rhi, tol)
-    return out
+    tris = np.zeros((0, 3, 2))
+    if len(v) >= 3:
+        tris = fan_triangles(v, v.mean(axis=0))
+        tris = tris[np.abs(_tri_areas(tris)) > 1e-300]
+    patches = [arc_patch(v[i], v[(i + 1) % len(v)], lab[1], lab[2])
+               for i, lab in enumerate(labels) if lab[0] == ARC]
+    return integrate_panels(f, tris, np.array(patches).reshape(-1, 9), tol)
 
 
 def segment_line_integral(a, b, g, n=16):

@@ -14,7 +14,7 @@ import numpy as np
 from .chart import c_exp
 from .domains import contains, initial_cell
 from .geometry import (cell_area_centroid, clip_halfplane, clip_to_circle,
-                       integrate_cell)
+                       clip_to_halfplanes, clipped_grid, integrate_cell)
 from .laguerre import _geom_eps
 from .solver import solve
 
@@ -306,43 +306,25 @@ def _domain_clipper(domain):
     if circle is not None:
         return lambda verts, labels: clip_to_circle(verts, labels, circle[0],
                                                     circle[1], eps)
-    walls = list(zip(*domain.edge_normals()))
-
-    def clip(verts, labels):
-        for k, (a, b) in enumerate(walls):
-            if not verts:
-                break
-            verts, labels = clip_halfplane(verts, labels, (a[0], a[1]), b,
-                                           ("wall", k), eps)
-        return verts, labels
-    return clip
+    normals, offsets = domain.edge_normals()
+    return lambda verts, labels: clip_to_halfplanes(verts, labels, normals,
+                                                    offsets, eps)
 
 
-def _grid_atoms(domain, K, grid_m, quad_tol=1e-10):
+def _grid_atoms(domain, K, grid_m):
     """Cell-centered atomization of the source on an m×m grid over the
     domain's bounding box; boundary-cut cells put the atom at the centroid of
     the clipped piece."""
     lo, hi = domain.bounding_box()
-    hx, hy = (hi - lo) / grid_m
-    eps = _geom_eps(domain)
-    clip = _domain_clipper(domain)
     atoms = []
-    for i in range(grid_m):
-        for j in range(grid_m):
-            x0, y0 = lo[0] + i * hx, lo[1] + j * hy
-            square = [(x0, y0), (x0 + hx, y0), (x0 + hx, y0 + hy), (x0, y0 + hy)]
-            verts, labels = clip(square, [("grid", t) for t in range(4)])
-            if not verts:
-                continue
-            area, cen = cell_area_centroid(verts, labels)
-            if area <= (10 * eps) ** 2:
-                continue
-            if K.is_constant:
-                mass = K.constant * area
-            else:
-                mass = float(integrate_cell(verts, labels, K, quad_tol)[0])
-            if mass > 0:
-                atoms.append(GridAtom(cen, mass, square, area))
+    for square, verts, labels, area, cen in clipped_grid(
+            lo, hi, grid_m, _domain_clipper(domain), _geom_eps(domain)):
+        if K.is_constant:
+            mass = K.constant * area
+        else:
+            mass = float(integrate_cell(verts, labels, K)[0])
+        if mass > 0:
+            atoms.append(GridAtom(cen, mass, square, area))
     return atoms
 
 

@@ -9,11 +9,12 @@ import numpy as np
 from .chart import is_geodesically_convex
 from .geometry import (
     ARC,
-    cell_area_centroid,
     chart_density_primitive,
-    clip_halfplane,
     clip_to_circle,
-    polygon_area,
+    clip_to_halfplanes,
+    clipped_grid,
+    polygon_centroid,
+    polygon_halfplanes,
     radial_mass,
 )
 
@@ -168,12 +169,7 @@ def _region_centroid(region):
         return region.center.copy()
     if region.kind == "full_hemisphere":
         return np.zeros(2)
-    v = region.vertices
-    x, y = v[:, 0], v[:, 1]
-    xr, yr = np.roll(x, -1), np.roll(y, -1)
-    cross = x * yr - xr * y
-    a = 0.5 * cross.sum()
-    return np.array([((x + xr) * cross).sum(), ((y + yr) * cross).sum()]) / (6.0 * a)
+    return polygon_centroid(region.vertices)
 
 
 def _bbox_grid(region, N):
@@ -183,43 +179,25 @@ def _bbox_grid(region, N):
     else:
         lo = region.vertices.min(axis=0)
         hi = region.vertices.max(axis=0)
-    m = int(math.floor(math.sqrt(N)))
-    hx, hy = (hi - lo) / m
     eps = 1e-12 * float(max(hi - lo))
+    if region.kind == "chart_disk":
+        circle = (tuple(region.center), region.radius)
+
+        def clip(verts, labels):
+            return clip_to_circle(verts, labels, *circle, eps)
+    else:
+        planes = polygon_halfplanes(region.vertices)
+
+        def clip(verts, labels):
+            return clip_to_halfplanes(verts, labels, *planes, eps)
     sites, masses = [], []
-    for i in range(m):
-        for j in range(m):
-            x0, y0 = lo[0] + i * hx, lo[1] + j * hy
-            verts = [(x0, y0), (x0 + hx, y0), (x0 + hx, y0 + hy), (x0, y0 + hy)]
-            labels = [("cell", k) for k in range(4)]
-            if region.kind == "chart_disk":
-                verts, labels = clip_to_circle(verts, labels, tuple(region.center),
-                                               region.radius, eps)
-            else:
-                nrm, off = _polygon_halfplanes(region.vertices)
-                for a, b in zip(nrm, off):
-                    verts, labels = clip_halfplane(verts, labels, a, b, ("edge", 0), eps)
-                    if not verts:
-                        break
-            if not verts:
-                continue
-            area, cen = cell_area_centroid(verts, labels)
-            if area <= (10 * eps) ** 2:
-                continue
-            nu = radial_mass(verts, labels, chart_density_primitive)
-            if nu <= 0:
-                continue
+    m = int(math.floor(math.sqrt(N)))
+    for _, verts, labels, _, cen in clipped_grid(lo, hi, m, clip, eps):
+        nu = radial_mass(verts, labels, chart_density_primitive)
+        if nu > 0:
             sites.append(cen)
             masses.append(nu)
     return np.array(sites), np.array(masses)
-
-
-def _polygon_halfplanes(verts):
-    v = np.asarray(verts, dtype=float)
-    e = np.roll(v, -1, axis=0) - v
-    n = np.stack([e[:, 1], -e[:, 0]], axis=1)
-    n /= np.linalg.norm(n, axis=1, keepdims=True)
-    return n, np.sum(n * v, axis=1)
 
 
 def _polar_grid(P_max, N):
@@ -251,6 +229,6 @@ def region_contains(region, p, tol=1e-9):
     elif region.kind == "full_hemisphere":
         out = np.linalg.norm(pts, axis=1) <= region.truncation_radius + tol
     else:
-        n, b = _polygon_halfplanes(region.vertices)
+        n, b = polygon_halfplanes(region.vertices)
         out = np.all(pts @ n.T <= b[None, :] + tol, axis=1)
     return bool(out[0]) if single else out

@@ -1,0 +1,74 @@
+# The one adaptive quadrature engine behind total_mass and integrate_cell:
+# agreement between its panel kinds, determinism, and the stall path.
+import math
+
+import numpy as np
+import pytest
+
+from hemiot import domains, geometry
+from hemiot.cli import ConfigError, run
+from hemiot.domains import (ConvexPolygonDomain, DiskDomain, SourceDensity,
+                            total_mass)
+from hemiot.geometry import (QuadratureError, arc_patch, clip_to_circle,
+                             disk_patch, fan_triangles, integrate_cell,
+                             integrate_panels)
+
+X0 = np.array([0.31, 0.17])
+SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+
+
+def _point_singularity(p):
+    # not integrable: every disk around X0 carries infinite mass
+    return 1.0 / ((p - X0) ** 2).sum(axis=1)
+
+
+def _smooth(p):
+    return 1.0 + 0.2 * np.sin(3.0 * p[:, 0]) * np.cos(2.0 * p[:, 1])
+
+
+def test_triangles_and_patches_integrate_the_same_disk():
+    # one patch around the centre, and a square fan plus four arc patches
+    disk = disk_patch((0.1, -0.2), 0.7)[None, :]
+    whole = integrate_panels(_smooth, np.zeros((0, 3, 2)), disk, 1e-12)
+    corners = [(0.1 + 0.7 * math.cos(t), -0.2 + 0.7 * math.sin(t))
+               for t in (0.3, 1.9, 3.5, 5.1)]
+    tris = fan_triangles(corners, np.mean(corners, axis=0))
+    arcs = np.array([arc_patch(corners[i], corners[(i + 1) % 4], (0.1, -0.2), 0.7)
+                     for i in range(4)])
+    pieces = integrate_panels(_smooth, tris, arcs, 1e-12)
+    assert pieces == pytest.approx(whole, rel=1e-11, abs=1e-12)
+    assert pieces[0] == pytest.approx(total_mass(
+        DiskDomain(np.array([0.1, -0.2]), 0.7), SourceDensity(fn=_smooth),
+        tol=1e-12)[0], rel=1e-11)
+
+
+def test_same_cell_gives_identical_bytes():
+    big = [(-1.5, -1.5), (1.5, -1.5), (1.5, 1.5), (-1.5, 1.5)]
+    v, lab = clip_to_circle(big, [("box", i) for i in range(4)],
+                            (0.0, 0.0), 1.0, 1e-12)
+    a = integrate_cell(v, lab, _smooth, tol=1e-11)
+    b = integrate_cell(v, lab, _smooth, tol=1e-11)
+    assert a.tobytes() == b.tobytes()
+
+
+def test_unresolvable_density_raises_from_both_entry_points(tmp_path):
+    assert domains.QuadratureError is geometry.QuadratureError
+    K = SourceDensity(fn=_point_singularity)
+    message = r"error estimate \S+ > tol 1\.00e-08"
+    for domain in (DiskDomain(np.zeros(2), 0.6),
+                   ConvexPolygonDomain(np.array(SQUARE))):
+        with pytest.raises(QuadratureError, match=message):
+            total_mass(domain, K, tol=1e-8)
+    with pytest.raises(QuadratureError, match=message):
+        integrate_cell(SQUARE, [("wall", i) for i in range(4)],
+                       _point_singularity, tol=1e-8)
+    doc = {"command": "solve",
+           "domain": {"kind": "disk", "radius": 0.6},
+           "density": {"kind": "expression",
+                       "formula": "1/((x1 - 0.31)**2 + (x2 - 0.17)**2)"},
+           "target": {"kind": "chart_disk", "center": [0.0, 0.0],
+                      "radius": 0.8},
+           "N": 20, "out": str(tmp_path / "stall")}
+    with pytest.raises(ConfigError,
+                       match=r"^config\.density: adaptive quadrature stalled"):
+        run(doc)
