@@ -508,6 +508,8 @@ def _cmd_oracle(cfg, out):
         raise ConfigError(
             "config.params.grid_m: grid_m^2 must lie in [1, 1000]")
     threshold = _get(p, "threshold", "config.params", float, default=0.95)
+    if not 0.0 < threshold <= 1.0:
+        raise ConfigError("config.params.threshold: must lie in (0, 1]")
     if cfg.domain is None:
         raise ConfigError("config.domain: required for this command")
     domain = build_domain(cfg.domain)
@@ -516,7 +518,7 @@ def _cmd_oracle(cfg, out):
     mass, _ = total_mass(domain, K, tol=1e-8 if K.is_constant else 1e-10)
     N = cfg.N if cfg.N is not None else 20
     if N > 1000:
-        raise ConfigError("config.N: the exact oracle handles at most 1000")
+        raise ConfigError("config.N: the discrete oracle handles at most 1000")
     if cfg.target is None:
         raise ConfigError("config.target: required for this command")
     target = build_target(cfg.target, N, mass, cfg.seed)

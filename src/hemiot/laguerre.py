@@ -13,7 +13,9 @@ from .geometry import (
     cell_area_centroid,
     clip_halfplane,
     clip_to_circle,
+    clip_to_halfplanes,
     integrate_cell,
+    polygon_halfplanes,
     segment_line_integral,
 )
 
@@ -196,14 +198,8 @@ def laguerre_diagram(domain, sites, psi, method="auto"):
         if not on_hull[i]:
             cells.append(LaguerreCell(i, [], [], [], 0.0, sites[i].copy()))
             continue
-        verts, labels = verts0, labels0
-        pi = sites[i]
-        for j in cand[i]:
-            d = sites[j] - pi
-            verts, labels = clip_halfplane(verts, labels, (d[0], d[1]),
-                                           psi[j] - psi[i], ("nbr", int(j)), eps)
-            if not verts:
-                break
+        verts, labels = clip_to_bisectors(verts0, labels0, sites, psi, i,
+                                          cand[i], eps)
         if verts and circle is not None:
             verts, labels = clip_to_circle(verts, labels, circle[0], circle[1], eps)
         if not verts:
@@ -213,6 +209,20 @@ def laguerre_diagram(domain, sites, psi, method="auto"):
         area, cen = cell_area_centroid(verts, labels)
         cells.append(LaguerreCell(i, verts, labels, nbrs, area, cen))
     return LaguerreDiagram(domain, sites, psi, cells, route)
+
+
+def clip_to_bisectors(verts, labels, sites, psi, i, nbrs, eps):
+    """Clip a labeled convex piece by site i's bisector half-planes
+    {x : <x, p_j - p_i> <= psi_j - psi_i} for j in nbrs, in turn; the new
+    edges get labels ("nbr", j). ([], []) once the piece is empty."""
+    pi = sites[i]
+    for j in nbrs:
+        d = sites[j] - pi
+        verts, labels = clip_halfplane(verts, labels, (d[0], d[1]),
+                                       psi[j] - psi[i], ("nbr", int(j)), eps)
+        if not verts:
+            break
+    return verts, labels
 
 
 def _geom_eps(domain):
@@ -293,22 +303,12 @@ def pairwise_overlap_area(diagram, i, j):
     eps = _geom_eps(diagram.domain)
     verts, labels, circle = initial_cell(diagram.domain)
     for cell in (a, b):
-        m = len(cell.verts)
-        for e, lab in enumerate(cell.labels):
-            if lab[0] == ARC:
-                continue
-            p, q = cell.verts[e], cell.verts[(e + 1) % m]
-            # outward normal of the CCW edge p->q, scaled to unit length so
-            # that eps is a distance
-            nx, ny = q[1] - p[1], -(q[0] - p[0])
-            norm = math.hypot(nx, ny)
-            nx, ny = nx / norm, ny / norm
-            verts, labels = clip_halfplane(verts, labels, (nx, ny),
-                                           nx * p[0] + ny * p[1], ("clip", e),
-                                           eps)
-            if not verts:
-                return 0.0
-    if circle is not None:
+        # unit normals, so that eps is a distance
+        normals, offsets = polygon_halfplanes(cell.verts)
+        straight = [lab[0] != ARC for lab in cell.labels]
+        verts, labels = clip_to_halfplanes(verts, labels, normals[straight],
+                                           offsets[straight], eps)
+    if verts and circle is not None:
         verts, labels = clip_to_circle(verts, labels, circle[0], circle[1], eps)
     if not verts:
         return 0.0

@@ -1,21 +1,19 @@
-# Small-scale ground truth: exact discrete-discrete transport via the
-# transportation simplex (with optional exact rational pivoting), plus
-# monotonicity / normal-cone certificates used to cross-check the
-# semi-discrete solver before trusting it at scale. The cross-check scores
-# the LP plan on grid atoms by the exact overlap of each atom's grid piece
-# with the solver's Laguerre cells.
+# Small-scale ground truth: discrete-discrete transport via a float
+# transportation simplex with Bland's rule, plus monotonicity / normal-cone
+# certificates used to cross-check the semi-discrete solver before trusting
+# it at scale. The cross-check scores the LP plan on grid atoms by the
+# exact overlap of each atom's grid piece with the solver's Laguerre cells.
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
 from .chart import c_exp
 from .domains import contains, initial_cell
-from .geometry import (cell_area_centroid, clip_halfplane, clip_to_circle,
+from .geometry import (cell_area_centroid, clip_to_circle,
                        clip_to_halfplanes, clipped_grid, integrate_cell)
-from .laguerre import _geom_eps
+from .laguerre import _geom_eps, clip_to_bisectors
 from .solver import solve
 
 
@@ -61,12 +59,12 @@ class DiscretePlan:
 
 
 def _simplex(C, mu, nu):
-    """Transportation simplex on cost matrix C with Bland's rule; returns
-    basis flows and duals. Works over floats or Fractions."""
+    """Transportation simplex on the cost array C with Bland's rule; returns
+    basis flows and duals. Stops once no reduced cost is below -1e-12."""
     m, n = len(mu), len(nu)
-    zero = mu[0] * 0
     # northwest-corner start
     flows = {}
+    basic = np.zeros((m, n), dtype=bool)
     basis_rows = [[] for _ in range(m)]   # cols basic in row j
     basis_cols = [[] for _ in range(n)]
     j = i = 0
@@ -74,57 +72,50 @@ def _simplex(C, mu, nu):
     while True:
         t = a if a <= b else b
         flows[(j, i)] = t
+        basic[j, i] = True
         basis_rows[j].append(i)
         basis_cols[i].append(j)
         a = a - t
         b = b - t
         if j == m - 1 and i == n - 1:
             break
-        if a == zero and j < m - 1:
+        if a == 0.0 and j < m - 1:
             j += 1
             a = mu[j]
         else:
             i += 1
             b = nu[i]
 
-    tol = zero if isinstance(zero, Fraction) else 1e-12
+    rows = C.tolist()
     for _ in range(200000):
         # duals from the basis tree
         u = [None] * m
         v = [None] * n
-        u[0] = zero
+        u[0] = 0.0
         stack = [(0, "row")]
         while stack:
             k, kind = stack.pop()
             if kind == "row":
                 for i2 in basis_rows[k]:
                     if v[i2] is None:
-                        v[i2] = C[k][i2] - u[k]
+                        v[i2] = rows[k][i2] - u[k]
                         stack.append((i2, "col"))
             else:
                 for j2 in basis_cols[k]:
                     if u[j2] is None:
-                        u[j2] = C[j2][k] - v[k]
+                        u[j2] = rows[j2][k] - v[k]
                         stack.append((j2, "row"))
-        if any(x is None for x in u) or any(x is None for x in v):
+        if None in u or None in v:
             raise RuntimeError("disconnected basis tree")
-        # entering variable: Bland (first negative reduced cost)
-        enter = None
-        for j2 in range(m):
-            uj = u[j2]
-            row = C[j2]
-            for i2 in range(n):
-                if (j2, i2) in flows:
-                    continue
-                if row[i2] - uj - v[i2] < -tol:
-                    enter = (j2, i2)
-                    break
-            if enter:
-                break
-        if enter is None:
+        u, v = np.array(u), np.array(v)
+        # entering variable: Bland (first nonbasic cell in row-major order
+        # with a negative reduced cost)
+        neg = (C - u[:, None] - v[None, :] < -1e-12) & ~basic
+        first = int(neg.argmax())
+        if not neg.flat[first]:
             return flows, u, v
+        enter = je, ie = divmod(first, n)
         # cycle: unique path in the basis tree from enter's col back to its row
-        je, ie = enter
         parent = {("r", je): None}
         stack = [("r", je)]
         found = None
@@ -162,10 +153,12 @@ def _simplex(C, mu, nu):
         leave = min(c for c in minus if flows[c] == theta)
         for k, cell in enumerate(cyc):
             if k % 2 == 0:
-                flows[cell] = flows.get(cell, zero) + theta
+                flows[cell] = flows.get(cell, 0.0) + theta
             else:
                 flows[cell] = flows[cell] - theta
         del flows[leave]
+        basic[leave] = False
+        basic[enter] = True
         basis_rows[leave[0]].remove(leave[1])
         basis_cols[leave[1]].remove(leave[0])
         basis_rows[je].append(ie)
@@ -173,33 +166,22 @@ def _simplex(C, mu, nu):
     raise RuntimeError("simplex did not terminate")
 
 
-def _transport_basis(Cf, mu, nu, exact):
-    """Optimal basic plan of the transportation problem (Cf, mu, nu) as
+def _transport_basis(C, mu, nu):
+    """Optimal basic plan of the transportation problem (C, mu, nu) as
     sorted (source, target, mass) entries, with the duals. The roundoff
     between the two totals is absorbed into the largest source."""
-    m, n = Cf.shape
-    if exact:
-        C = [[Fraction(Cf[j, i]) for i in range(n)] for j in range(m)]
-        mux = [Fraction(x) for x in mu]
-        nux = [Fraction(x) for x in nu]
-        mux[int(np.argmax(mu))] += sum(nux) - sum(mux)
-        flows, u, v = _simplex(C, mux, nux)
-        floor = 0
-    else:
-        muf = mu.copy()
-        muf[int(np.argmax(mu))] += nu.sum() - mu.sum()
-        flows, u, v = _simplex(Cf, list(muf), list(nu))
-        floor = 1e-15
+    mu = mu.copy()
+    mu[int(np.argmax(mu))] += nu.sum() - mu.sum()
+    flows, u, v = _simplex(C, list(mu), list(nu))
     entries = sorted((j, i, float(f)) for (j, i), f in flows.items()
-                     if f > floor)
-    return entries, np.array([float(x) for x in u]), \
-        np.array([float(x) for x in v])
+                     if f > 1e-15)
+    return entries, u, v
 
 
-def lp_transport(sources, targets, exact=None):
-    """Exact optimal plan between (x_j, mu_j) and (p_i, nu_i) for the linear
-    surplus cost -<x, p>. `exact=True` forces rational pivoting (default for
-    instances up to 50x50)."""
+def lp_transport(sources, targets):
+    """Optimal plan between (x_j, mu_j) and (p_i, nu_i) for the linear
+    surplus cost -<x, p>, by the float transportation simplex: optimal up to
+    its stopping rule, no reduced cost below -1e-12."""
     xs = np.asarray([s[0] for s in sources], dtype=float)
     mu = np.asarray([s[1] for s in sources], dtype=float)
     ps = np.asarray([t[0] for t in targets], dtype=float)
@@ -212,9 +194,7 @@ def lp_transport(sources, targets, exact=None):
     if abs(mu.sum() - nu.sum()) > 1e-12 * max(mu.sum(), nu.sum()):
         raise ValueError("marginals are infeasible (total masses differ)")
     Cf = -(xs @ ps.T)
-    if exact is None:
-        exact = m <= 50 and n <= 50
-    entries, u, v = _transport_basis(Cf, mu, nu, exact)
+    entries, u, v = _transport_basis(Cf, mu, nu)
     cost = sum(Cf[j, i] * f for j, i, f in entries)
     slack = max((abs(Cf[j, i] - u[j] - v[i]) for j, i, f in entries), default=0.0)
     rc = (Cf - u[:, None] - v[None, :]).min()
@@ -244,15 +224,17 @@ def brute_force_assignment(sources, targets):
 def monotonicity_certificate(plan):
     """min <x - x', p - p'> over pairs of supported couplings; nonnegative
     (to roundoff) exactly when the support is monotone."""
-    pairs = [(plan.sources[j], plan.targets[i]) for j, i, m in plan.entries
-             if m > 1e-15 * max(plan.source_masses.sum(), 1e-300)]
-    worst = np.inf
-    for a in range(len(pairs)):
-        xa, pa = pairs[a]
-        for b in range(a + 1, len(pairs)):
-            xb, pb = pairs[b]
-            worst = min(worst, float((xa - xb) @ (pa - pb)))
-    return 0.0 if worst is np.inf else worst
+    floor = 1e-15 * max(plan.source_masses.sum(), 1e-300)
+    pairs = np.array([(j, i) for j, i, m in plan.entries if m > floor],
+                     dtype=int).reshape(-1, 2)
+    if len(pairs) < 2:
+        return 0.0
+    x, p = plan.sources[pairs[:, 0]], plan.targets[pairs[:, 1]]
+    a, b = np.triu_indices(len(pairs), 1)
+    dx, dp = x[a], p[a]
+    dx -= x[b]
+    dp -= p[b]
+    return float((dx[:, None, :] @ dp[:, :, None]).min())
 
 
 def normal_cone_check(domain, sites, psi, x, num_samples, seed=0):
@@ -331,7 +313,7 @@ def _grid_atoms(domain, K, grid_m):
 def _scaled_atoms(domain, K, target, grid_m):
     """Grid atoms with their masses rescaled to the target total."""
     if grid_m ** 2 > 1000:
-        raise ValueError("grid too fine for the exact oracle")
+        raise ValueError("grid too fine for the discrete oracle")
     atoms = _grid_atoms(domain, K, grid_m)
     # the atomization quadrature and the target share the same total up to
     # rounding; bridge the difference with one common rescale
@@ -352,23 +334,17 @@ def _overlap_table(domain, sol, atoms):
     domain, the way laguerre_diagram builds cell i, so the parts of one
     atom tile its piece exactly."""
     diagram = sol.diagram
-    sites, psi = diagram.sites, diagram.psi
     eps = _geom_eps(domain)
     clip = _domain_clipper(domain)
-    area = np.zeros((len(atoms), len(sites)))
+    area = np.zeros((len(atoms), len(diagram.sites)))
     for cell in diagram.cells:
         if cell.is_empty:
             continue
         i = cell.site_index
-        planes = [(sites[k] - sites[i], psi[k] - psi[i], k)
-                  for k in cell.neighbors]
         for j, atom in enumerate(atoms):
-            verts, labels = atom.square, [("grid", t) for t in range(4)]
-            for d, off, k in planes:
-                verts, labels = clip_halfplane(verts, labels, (d[0], d[1]),
-                                               off, ("nbr", k), eps)
-                if not verts:
-                    break
+            verts, labels = clip_to_bisectors(
+                atom.square, [("grid", t) for t in range(4)], diagram.sites,
+                diagram.psi, i, cell.neighbors, eps)
             if verts:
                 verts, labels = clip(verts, labels)
             if verts:
@@ -392,7 +368,7 @@ def _membership(domain, K, target, grid_m, sol):
 
 
 def semidiscrete_agreement(domain, K, target, grid_m, tol=1e-7):
-    """Fraction of source mass that the exact LP on the m×m grid atoms sends
+    """Share of source mass that the LP plan on the m×m grid atoms sends
     to a site whose Laguerre cell overlaps the atom's grid piece.
 
     Membership is the exact overlap (positive area) of the piece with the
@@ -406,23 +382,23 @@ def semidiscrete_agreement(domain, K, target, grid_m, tol=1e-7):
     not here. Returns (fraction, plan, solution)."""
     sol = solve(domain, K, target, tol=tol)
     atoms, member = _membership(domain, K, target, grid_m, sol)
-    plan = lp_transport(atoms, list(zip(target.sites, target.masses)),
-                        exact=len(atoms) <= 50)
+    plan = lp_transport(atoms, list(zip(target.sites, target.masses)))
     return _overlap_agreement(plan, member), plan, sol
 
 
 def agreement_ceiling(domain, K, target, grid_m, sol):
-    """Exact maximum of semidiscrete_agreement's fraction over ALL feasible
-    plans between the grid atoms and the target, for the solution `sol`
-    that semidiscrete_agreement returned: the transportation LP with cost
-    -1 on overlapping pairs and 0 elsewhere, pivoted over Fractions. It
-    scores through the same _membership path, so the measured fraction
-    exceeds it by rounding at most; a gap between the two is the LP's
-    choice among plans of equal cost."""
+    """Maximum of semidiscrete_agreement's fraction over ALL feasible plans
+    between the grid atoms and the target, for the solution `sol` that
+    semidiscrete_agreement returned: the transportation LP with cost -1 on
+    overlapping pairs and 0 elsewhere, optimal up to the simplex's stopping
+    rule (no reduced cost below -1e-12), so within 1e-12 of the true
+    maximum. It scores through the same _membership path, so the measured
+    fraction exceeds it by rounding at most; a gap between the two is the
+    LP's choice among plans of equal cost."""
     atoms, member = _membership(domain, K, target, grid_m, sol)
     mu = np.array([a.mass for a in atoms])
     entries, _, _ = _transport_basis(-member.astype(float), mu,
-                                     np.asarray(target.masses), exact=True)
+                                     np.asarray(target.masses))
     agree = sum(m for j, i, m in entries if member[j, i])
     return float(agree / target.total)
 

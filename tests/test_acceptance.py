@@ -2,10 +2,11 @@
 
 Each test covers one numbered contract and prints a single
 "criterion N: PASS/FAIL" line with the measured figures (visible with -s,
-and in the failure report otherwise). Criterion 3 scores the exact LP plan
-on the 15x15 grid atoms by the exact overlap of each atom's grid piece with
-the Laguerre cells; its line also prints the exact ceiling of that score
-over all feasible plans and the centroid reading it replaces, whose result
+and in the failure report otherwise). Criterion 3 scores the LP plan on
+the 15x15 grid atoms by the exact overlap of each atom's grid piece with
+the Laguerre cells; its line also prints the ceiling of that score over all
+feasible plans (optimal to within 1e-12) and the centroid reading it
+replaces, whose result
 hangs on tie-breaks at the atom centroids that lie on a cell edge.
 """
 

@@ -200,6 +200,18 @@ def test_oracle_compare_command(tmp_path):
     assert report["verdicts"]["monotonicity"] is True
 
 
+@pytest.mark.parametrize("threshold", [1.5, -1.0])
+def test_oracle_compare_rejects_threshold_out_of_range(tmp_path, threshold):
+    # 1.5 would fail every run and -1 pass every run
+    doc = {"command": "oracle-compare",
+           "domain": {"kind": "disk", "radius": 0.6},
+           "target": {"kind": "chart_disk", "radius": 0.75},
+           "N": 6, "params": {"grid_m": 8, "threshold": threshold},
+           "out": str(tmp_path / "oc"), "seed": 0}
+    with pytest.raises(ConfigError, match=r"config\.params\.threshold"):
+        run(doc)
+
+
 def test_export_command(tmp_path):
     doc = dict(SOLVE_DOC, command="export", out=str(tmp_path / "ex"))
     assert main(["--config", _write(tmp_path, "ex.json", doc)]) == 0

@@ -95,11 +95,32 @@ def test_target_permutation_invariance():
     assert plan2.cost == pytest.approx(plan.cost, abs=1e-12)
 
 
-def test_exact_and_float_pivoting_agree():
+def _highs_transport(C, mu, nu):
+    """Reference optimum of the transportation LP (C, mu, nu) from SciPy's
+    HiGHS solver, independent of the package's simplex."""
+    from scipy.optimize import linprog
+
+    m, n = C.shape
+    rows = np.kron(np.eye(m), np.ones(n))       # sum_i P[j, i] = mu_j
+    cols = np.kron(np.ones(m), np.eye(n))       # sum_j P[j, i] = nu_i
+    res = linprog(C.ravel(), A_eq=np.vstack([rows, cols]),
+                  b_eq=np.concatenate([mu, nu]), bounds=(0, None),
+                  method="highs")
+    assert res.status == 0
+    return res
+
+
+def test_plan_matches_highs_reference():
     sources, targets = _random_lp(11, 10, 10)
-    a = lp_transport(sources, targets, exact=True)
-    b = lp_transport(sources, targets, exact=False)
-    assert a.cost == pytest.approx(b.cost, abs=1e-11)
+    plan = lp_transport(sources, targets)
+    mu = np.array([m for _, m in sources])
+    nu = np.array([m for _, m in targets])
+    ref = _highs_transport(-(plan.sources @ plan.targets.T), mu, nu)
+    assert plan.cost == pytest.approx(ref.fun, abs=1e-11)
+    assert np.abs(plan.row_marginals() - mu).max() <= 1e-12 * mu.max()
+    assert np.abs(plan.col_marginals() - nu).max() <= 1e-12 * nu.max()
+    assert plan.max_support_slack <= 1e-10
+    assert plan.min_reduced_cost >= -1e-10
 
 
 def test_optimality_against_random_feasible_plans():
@@ -188,7 +209,13 @@ def test_overlap_agreement_does_not_depend_on_solver_tol():
     frac, _, sol = semidiscrete_agreement(domain, K, target, 15, tol=1e-7)
     fine, _, _ = semidiscrete_agreement(domain, K, target, 15, tol=1e-10)
     assert abs(frac - fine) <= 1e-12
-    assert frac <= agreement_ceiling(domain, K, target, 15, sol) + 1e-12
+    ceiling = agreement_ceiling(domain, K, target, 15, sol)
+    assert frac <= ceiling + 1e-12
+    # the ceiling is the maximum of the overlap LP, as HiGHS finds it
+    atoms, member = _membership(domain, K, target, 15, sol)
+    ref = _highs_transport(-member.astype(float),
+                           np.array([a.mass for a in atoms]), target.masses)
+    assert ceiling == pytest.approx(-ref.fun / target.total, abs=1e-12)
 
 
 def test_overlap_agreement_rejects_wrong_partitions():
