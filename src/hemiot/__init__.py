@@ -17,9 +17,8 @@ from .experiments import (BlowupReport, ConeInclusionReport,
                           cone_inclusion_check, estar_volume_check,
                           gauss_map_image_check, slice_estimate_check,
                           sphere_benchmark)
-from .laguerre import (LaguerreCell, LaguerreDiagram, cell_masses,
-                       compute_measures, edge_weights, laguerre_diagram,
-                       pairwise_overlap_area)
+from .laguerre import (LaguerreCell, LaguerreDiagram, compute_measures,
+                       edge_weights, laguerre_diagram, pairwise_overlap_area)
 from .oracle import (DiscretePlan, agreement_ceiling, brute_force_assignment,
                      lp_transport, monotonicity_certificate,
                      normal_cone_check, semidiscrete_agreement)

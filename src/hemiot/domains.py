@@ -321,7 +321,7 @@ def total_mass(domain, K, tol=1e-8):
             zero_panel[0] = True
         return v
 
-    mass = float(integrate_panels(f, tris, patches, tol)[0])
+    mass = float(integrate_panels(f, tris, patches, tol)[0, 0])
     K.validate(domain, _sample_nodes(domain))
     if zero_panel[0]:
         warnings.warn("density vanishes on part of the domain; empty cells may "

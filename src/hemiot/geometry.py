@@ -1,6 +1,8 @@
 # Planar computational geometry shared by the domain, diagram, and target layers:
 # labeled convex clipping, exact circle/polygon cells, grid squares clipped to a
-# region, and the one adaptive quadrature engine.
+# region, and the one adaptive quadrature engine, which integrates a density
+# over a whole set of cells (source cells, target cells, grid atoms, the
+# domain) in one globally adaptive call.
 import math
 from functools import lru_cache
 
@@ -58,26 +60,25 @@ def _segment_area_moment(c, R, a, b):
 
 def cell_area_centroid(verts, labels):
     """Exact area and centroid of a convex cell whose edges are segments plus
-    circular arcs (labels ("arc", center, radius))."""
+    circular arcs (labels ("arc", center, radius)): one shoelace pass over
+    the straight part, plus the circular segment outside each arc's chord."""
     if len(verts) < 2:
         return 0.0, np.zeros(2)
-    area = polygon_area(verts) if len(verts) >= 3 else 0.0
     v = np.asarray(verts, dtype=float)
+    area, mom = 0.0, np.zeros(2)
     if len(v) >= 3:
-        x, y = v[:, 0], v[:, 1]
-        xr, yr = np.roll(x, -1), np.roll(y, -1)
-        cross = x * yr - xr * y
-        mom = np.array([((x + xr) * cross).sum() / 6.0, ((y + yr) * cross).sum() / 6.0])
-    else:
-        mom = np.zeros(2)
+        vr = np.concatenate([v[1:], v[:1]])
+        cross = v[:, 0] * vr[:, 1] - vr[:, 0] * v[:, 1]
+        area = 0.5 * float(cross.sum())
+        mom = ((v + vr) * cross[:, None]).sum(axis=0) / 6.0
     k = len(verts)
     for i, lab in enumerate(labels):
         if lab[0] == ARC:
-            a, b = verts[i], verts[(i + 1) % k]
-            s_area, s_mom = _segment_area_moment(lab[1], lab[2], a, b)
+            s_area, s_mom = _segment_area_moment(lab[1], lab[2], verts[i],
+                                                 verts[(i + 1) % k])
             area += s_area
             mom = mom + s_mom
-    cen = mom / area if area > 0 else (v.mean(axis=0) if len(v) else np.zeros(2))
+    cen = mom / area if area > 0 else v.mean(axis=0)
     return area, cen
 
 
@@ -296,13 +297,16 @@ class QuadratureError(RuntimeError):
 # Limits of the adaptive engine. A round splits leaves, largest error
 # estimate first, until the leaves it keeps carry at most half of tol or
 # _KEEP_SHARE of the current estimate (so a singular leaf whose estimate
-# never shrinks does not drag every other leaf along each round), and its
-# density calls take at most _ROUND_NODES nodes. Integration stalls past
-# _MAX_LEAVES leaves (memory), or after _MAX_ROUNDS rounds: a leaf split in
-# every round is then 2^-48 of its first panel, at the resolution of double
-# precision.
+# never shrinks does not drag every other leaf along each round), and it
+# evaluates at most _ROUND_NODES nodes, in density calls of at most
+# _CALL_NODES nodes each (a call's temporaries stay near a megabyte however
+# many cells share it). Integration stalls once the leaves outnumber the
+# starting panels by _MAX_LEAVES (memory), or after _MAX_ROUNDS rounds: a
+# leaf split in every round is then 2^-48 of its first panel, at the
+# resolution of double precision.
 _KEEP_SHARE = 1e-3
 _ROUND_NODES = 1 << 20
+_CALL_NODES = 1 << 15
 _MAX_LEAVES = 1 << 18
 _MAX_ROUNDS = 48
 
@@ -389,56 +393,76 @@ def _patch_rule(f, patches):
 
 
 class _Leaves:
-    """The leaf panels of one kind, each with its own rule value (coarse)
-    and the rule values of its four sub-panels (subs)."""
+    """The leaf panels of one kind, each with its owner, its own rule value
+    (coarse) and the rule values of its four sub-panels (subs)."""
 
-    def __init__(self, f, rule, split, nodes, panels):
+    def __init__(self, f, rule, split, nodes, panels, owner):
         self.f, self.rule, self.split, self.nodes = f, rule, split, nodes
         k = len(panels)
-        vals = rule(f, np.concatenate([panels, split(panels)]))
-        self.panels, self.coarse = panels, vals[:k]
+        vals = self._values(np.concatenate([panels, split(panels)]))
+        self.panels, self.owner, self.coarse = panels, owner, vals[:k]
         self.subs = vals[k:].reshape(k, 4, 3)
+
+    def _values(self, panels):
+        """Rule values of panels, at most _CALL_NODES nodes per density call."""
+        step = max(1, _CALL_NODES // self.nodes)
+        return np.concatenate([self.rule(self.f, panels[s:s + step])
+                               for s in range(0, len(panels), step)])
 
     def errors(self):
         return np.abs(self.subs[:, :, 0].sum(axis=1) - self.coarse[:, 0])
 
     def refine(self, m):
-        """Split the leaves m: their sub-panels become leaves, keep their
-        known values as coarse estimates, and are split in turn."""
+        """Split the leaves m: their sub-panels become leaves with the same
+        owner, keep their known values as coarse estimates, and are split in
+        turn."""
         if not m.any():
             return
         new = self.split(self.panels[m])
         self.panels = np.concatenate([self.panels[~m], new])
+        self.owner = np.concatenate([self.owner[~m], np.repeat(self.owner[m], 4)])
         self.coarse = np.concatenate([self.coarse[~m], self.subs[m].reshape(-1, 3)])
         self.subs = np.concatenate(
-            [self.subs[~m], self.rule(self.f, self.split(new)).reshape(-1, 4, 3)])
+            [self.subs[~m], self._values(self.split(new)).reshape(-1, 4, 3)])
+
+    def sums(self, k):
+        """The leaves' refined values added up per owner; (k, 3)."""
+        vals = self.subs.sum(axis=1)
+        return np.stack([np.bincount(self.owner, vals[:, c], k) for c in range(3)],
+                        axis=1)
 
 
 _KINDS = ((_tri_rule, _tri_split, _TRI_NODES),
           (_patch_rule, _patch_split, _PATCH_NODES))
 
 
-def integrate_panels(f, tris, patches, tol):
-    """(∫f, ∫f·x, ∫f·y) of a vectorized density f over the union of triangles
-    ((k, 3, 2) array) and polar patches ((k, 9) rows, see arc_patch).
+def integrate_panels(f, tris, patches, tol, owners=None, k=1):
+    """Per-owner (∫f, ∫f·x, ∫f·y), a (k, 3) array, of a vectorized density f
+    over triangles ((t, 3, 2) array) and polar patches ((q, 9) rows, see
+    arc_patch). owners is a pair of int arrays, the owner in range(k) of each
+    triangle and of each patch; by default every panel belongs to owner 0.
 
     Globally adaptive: a leaf panel's error estimate is |Σ sub-panels − own
-    rule|. A round splits the leaves with the largest estimates, evaluating
-    the new leaves' sub-panels in one density call per panel kind, and the
-    integration stops when the estimates sum to at most tol. f sees each
-    panel's nodes contiguously. Raises QuadratureError when the error cannot
-    be brought under tol within the module's leaf and round limits."""
-    kinds = [_Leaves(f, *kind, panels)
-             for kind, panels in zip(_KINDS, (tris, patches)) if len(panels)]
-    rounds = 0
+    rule|. A round splits the leaves with the largest estimates, of any
+    owner, evaluating the new leaves' sub-panels in one density call per
+    panel kind, and the integration stops when the estimates of all leaves
+    sum to at most tol. Splits keep their owner and the leaf order is fixed,
+    so the same panels give the same bytes. f sees each panel's nodes
+    contiguously. Raises QuadratureError when the error cannot be brought
+    under tol within the module's leaf and round limits."""
+    if owners is None:
+        owners = (np.zeros(len(tris), dtype=int), np.zeros(len(patches), dtype=int))
+    kinds = [_Leaves(f, *kind, panels, owner)
+             for kind, panels, owner in zip(_KINDS, (tris, patches), owners)
+             if len(panels)]
+    rounds, start = 0, len(tris) + len(patches)
     while True:
         sizes = [len(leaves.panels) for leaves in kinds]
         errs = np.concatenate([leaves.errors() for leaves in kinds] or [[]])
         err = float(errs.sum())
         if err <= tol:
-            return sum((leaves.subs.sum(axis=(0, 1)) for leaves in kinds),
-                       np.zeros(3))
-        if rounds == _MAX_ROUNDS or sum(sizes) > _MAX_LEAVES:
+            return sum((leaves.sums(k) for leaves in kinds), np.zeros((k, 3)))
+        if rounds == _MAX_ROUNDS or sum(sizes) > start + _MAX_LEAVES:
             raise QuadratureError(
                 f"adaptive quadrature stalled after {rounds} rounds and "
                 f"{sum(sizes)} panels: error estimate {err:.2e} > tol {tol:.2e}")
@@ -461,93 +485,42 @@ def fan_triangles(verts, center):
                      np.roll(v, -1, axis=0)], axis=1)
 
 
+def integrate_cells(cells, f, tol=1e-10):
+    """(mass, ∫f·x, ∫f·y) of a vectorized density f over each labeled convex
+    cell (verts, labels) of a sequence; a (len(cells), 3) array, zero rows
+    for empty cells.
+
+    Panels: each cell's straight part fanned around its vertex mean, and one
+    polar patch between each arc edge's chord and its circle; one globally
+    adaptive integration over all of them, so tol bounds the error estimates
+    summed over every cell."""
+    polys = [(i, v) for i, (v, _) in enumerate(cells) if len(v) >= 3]
+    tris, tri_owner = np.zeros((0, 3, 2)), np.zeros(0, dtype=int)
+    if polys:
+        # every polygon's vertices in one ragged array
+        sizes = np.array([len(v) for _, v in polys])
+        ring = np.array([p for _, v in polys for p in v], dtype=float)
+        ends = np.cumsum(sizes)
+        nxt = np.arange(1, len(ring) + 1)
+        nxt[ends - 1] = ends - sizes
+        centres = np.add.reduceat(ring, ends - sizes) / sizes[:, None]
+        tris = np.stack([np.repeat(centres, sizes, axis=0), ring, ring[nxt]],
+                        axis=1)
+        tri_owner = np.repeat([i for i, _ in polys], sizes)
+        keep = np.abs(_tri_areas(tris)) > 1e-300
+        tris, tri_owner = tris[keep], tri_owner[keep]
+    patches, patch_owner = [], []
+    for i, (verts, labels) in enumerate(cells):
+        for e, lab in enumerate(labels):
+            if lab[0] == ARC:
+                patches.append(arc_patch(verts[e], verts[(e + 1) % len(verts)],
+                                         lab[1], lab[2]))
+                patch_owner.append(i)
+    return integrate_panels(f, tris, np.array(patches).reshape(-1, 9), tol,
+                            (tri_owner, np.array(patch_owner, dtype=int)),
+                            len(cells))
+
+
 def integrate_cell(verts, labels, f, tol=1e-10):
-    """(mass, ∫f·x, ∫f·y) of a vectorized density f over a labeled convex cell.
-
-    Panels: the straight part's fan triangulation around the vertex mean, and
-    one polar patch between each arc edge's chord and its circle; one
-    globally adaptive integration over all of them."""
-    if len(verts) < 2:
-        return np.zeros(3)
-    v = np.asarray(verts, dtype=float)
-    tris = np.zeros((0, 3, 2))
-    if len(v) >= 3:
-        tris = fan_triangles(v, v.mean(axis=0))
-        tris = tris[np.abs(_tri_areas(tris)) > 1e-300]
-    patches = [arc_patch(v[i], v[(i + 1) % len(v)], lab[1], lab[2])
-               for i, lab in enumerate(labels) if lab[0] == ARC]
-    return integrate_panels(f, tris, np.array(patches).reshape(-1, 9), tol)
-
-
-def segment_line_integral(a, b, g, n=16):
-    """∫ g dH¹ along the segment a->b; g vectorized over (m,2) points."""
-    xs, ws = gauss_legendre(n)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    pts = a[None, :] + xs[:, None] * (b - a)[None, :]
-    return float(np.dot(g(pts), ws) * np.linalg.norm(b - a))
-
-
-def radial_mass(verts, labels, F, origin=(0.0, 0.0), n=24):
-    """∬_cell f(|x−origin|) dx where F(r) = ∫₀^r f(ρ)ρ dρ is the exact radial
-    primitive. Stokes in polar form: the 1-form F(r)dθ has dω = f dA, so the
-    mass is the sum over boundary pieces of ∫ F(r) dθ (CCW)."""
-    if len(verts) < 2:
-        return 0.0
-    ox, oy = origin
-    xs, ws = gauss_legendre(n)
-    total = 0.0
-    k = len(verts)
-    v = np.asarray(verts, dtype=float)
-    for i in range(k):
-        a = v[i]
-        b = v[(i + 1) % k]
-        lab = labels[i]
-        if lab[0] == ARC:
-            c = np.asarray(lab[1], dtype=float)
-            R = lab[2]
-            ta = math.atan2(a[1] - c[1], a[0] - c[0])
-            tb = math.atan2(b[1] - c[1], b[0] - c[0])
-            while tb <= ta:
-                tb += 2.0 * math.pi
-            th = ta + (tb - ta) * xs
-            px = c[0] + R * np.cos(th) - ox
-            py = c[1] + R * np.sin(th) - oy
-            # dθ_origin = cross(p, dp)/|p|²; dp = R(-sin, cos)dθ_c
-            dpx = -R * np.sin(th)
-            dpy = R * np.cos(th)
-            r2 = px * px + py * py
-            integ = F(np.sqrt(r2)) * (px * dpy - py * dpx) / r2
-            total += float(np.dot(integ, ws)) * (tb - ta)
-        else:
-            total += _radial_segment(a, b, F, ox, oy, xs, ws)
-    return total
-
-
-def _radial_segment(a, b, F, ox, oy, xs, ws, depth=0):
-    def quad(n_xs, n_ws):
-        d = (b[0] - a[0], b[1] - a[1])
-        px = a[0] + n_xs * d[0] - ox
-        py = a[1] + n_xs * d[1] - oy
-        r2 = np.maximum(px * px + py * py, 1e-300)
-        # dθ = cross(p, dp)/|p|²; bounded as r->0 since F(r) ~ f(0) r²/2
-        return float(np.dot(F(np.sqrt(r2)) * (px * d[1] - py * d[0]) / r2, n_ws))
-
-    coarse = quad(xs, ws)
-    fine = quad(*gauss_legendre(2 * len(xs)))
-    if abs(fine - coarse) <= 1e-13 * (1.0 + abs(fine)) or depth >= 8:
-        return fine
-    m = (0.5 * (a[0] + b[0]), 0.5 * (a[1] + b[1]))
-    return (_radial_segment(a, m, F, ox, oy, xs, ws, depth + 1)
-            + _radial_segment(m, b, F, ox, oy, xs, ws, depth + 1))
-
-
-def chart_density_primitive(r):
-    """F(r) = ∫₀^r ρ(1+ρ²)^(−2) dρ = r²/(2(1+r²))."""
-    r = np.asarray(r, dtype=float)
-    return r * r / (2.0 * (1.0 + r * r))
-
-
-def area_primitive(r):
-    r = np.asarray(r, dtype=float)
-    return 0.5 * r * r
+    """integrate_cells on the one cell (verts, labels); a (3,) array."""
+    return integrate_cells([(verts, labels)], f, tol)[0]

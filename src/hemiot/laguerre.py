@@ -2,7 +2,6 @@
 # into convex cells on which each affine function <x, p_i> - psi_i attains the
 # upper envelope. Cells are clipped exactly, including circular-arc boundaries
 # on disk domains.
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,9 +13,9 @@ from .geometry import (
     clip_halfplane,
     clip_to_circle,
     clip_to_halfplanes,
-    integrate_cell,
+    gauss_legendre,
+    integrate_cells,
     polygon_halfplanes,
-    segment_line_integral,
 )
 
 
@@ -28,7 +27,6 @@ class LaguerreCell:
     neighbors: list
     area: float
     centroid: np.ndarray
-    mass: float = None
 
     @property
     def is_empty(self):
@@ -232,62 +230,59 @@ def _geom_eps(domain):
 
 def compute_measures(diagram, K, tol=1e-10):
     """Per-cell masses G_i = ∫_cell K dx and K-weighted first moments, exact
-    for constant densities (areas and centroids are closed-form)."""
+    for constant densities (areas and centroids are closed-form). Otherwise
+    every nonempty cell is integrated in one adaptive call, and tol bounds
+    the error estimates summed over all cells, so the l1 error of G."""
     n = len(diagram.cells)
     G = np.zeros(n)
     M = np.zeros((n, 2))
+    live = [c for c in diagram.cells if not c.is_empty]
     if K.is_constant:
         k = K.constant
-        for c in diagram.cells:
-            if c.is_empty:
-                continue
+        for c in live:
             G[c.site_index] = k * c.area
             M[c.site_index] = k * c.area * c.centroid
         return G, M
-    total_area = max(diagram.total_area(), 1e-300)
-    for c in diagram.cells:
-        if c.is_empty:
-            continue
-        out = integrate_cell(c.verts, c.labels, K, tol * max(c.area / total_area, 1e-6))
-        G[c.site_index] = out[0]
-        M[c.site_index] = out[1:]
+    out = integrate_cells([(c.verts, c.labels) for c in live], K, tol)
+    idx = [c.site_index for c in live]
+    G[idx] = out[:, 0]
+    M[idx] = out[:, 1:]
     return G, M
 
 
-def cell_masses(diagram, K, tol=1e-10):
-    """Masses only; also stores them on the cells."""
-    G, _ = compute_measures(diagram, K, tol)
-    for c in diagram.cells:
-        c.mass = G[c.site_index]
-    return G
+# Gauss-Legendre nodes per shared edge in edge_weights
+_EDGE_NODES = 16
 
 
 def edge_weights(diagram, K, tol=1e-10):
     """Hessian edge weights w_ij = ∫_(shared edge) K dH¹ / |p_i - p_j| for all
-    adjacent pairs; dict keyed by sorted index pairs."""
-    sites = diagram.sites
-    acc = {}
+    adjacent pairs; dict keyed by sorted index pairs. Each edge is seen from
+    both of its cells and w_ij is the mean of the two; for a non-constant K
+    all edges' Gauss nodes go through one density call."""
+    ends, pairs = [], []
     for c in diagram.cells:
-        if c.is_empty:
-            continue
-        i = c.site_index
-        kverts = c.verts
-        m = len(kverts)
+        m = len(c.verts)
         for e, lab in enumerate(c.labels):
-            if lab[0] != "nbr":
-                continue
-            j = lab[1]
-            a, b = kverts[e], kverts[(e + 1) % m]
-            length = math.hypot(b[0] - a[0], b[1] - a[1])
-            if length <= 0.0:
-                continue
-            dp = np.linalg.norm(sites[i] - sites[j])
-            if K.is_constant:
-                w = K.constant * length / dp
-            else:
-                w = segment_line_integral(a, b, K) / dp
-            key = (min(i, j), max(i, j))
-            acc.setdefault(key, []).append(w)
+            if lab[0] == "nbr":
+                ends.append((c.verts[e], c.verts[(e + 1) % m]))
+                pairs.append((c.site_index, lab[1]))
+    if not pairs:
+        return {}
+    ab = np.array(ends, dtype=float)                       # (E, 2, 2)
+    ij = np.array(pairs)
+    lengths = np.hypot(*(ab[:, 1] - ab[:, 0]).T)
+    if K.is_constant:
+        line = K.constant * lengths
+    else:
+        xs, ws = gauss_legendre(_EDGE_NODES)
+        pts = ab[:, :1] + xs[:, None] * (ab[:, 1:] - ab[:, :1])
+        line = (K(pts.reshape(-1, 2)).reshape(len(ab), -1) @ ws) * lengths
+    w = line / np.linalg.norm(diagram.sites[ij[:, 0]] - diagram.sites[ij[:, 1]],
+                              axis=1)
+    keep = lengths > 0.0
+    acc = {}
+    for (i, j), x in zip(ij[keep].tolist(), w[keep].tolist()):
+        acc.setdefault((min(i, j), max(i, j)), []).append(x)
     return {k: sum(v) / len(v) for k, v in acc.items()}
 
 

@@ -12,7 +12,7 @@ import numpy as np
 from .chart import c_exp
 from .domains import contains, initial_cell
 from .geometry import (cell_area_centroid, clip_to_circle,
-                       clip_to_halfplanes, clipped_grid, integrate_cell)
+                       clip_to_halfplanes, clipped_grid, integrate_cells)
 from .laguerre import _geom_eps, clip_to_bisectors
 from .solver import solve
 
@@ -298,16 +298,15 @@ def _grid_atoms(domain, K, grid_m):
     domain's bounding box; boundary-cut cells put the atom at the centroid of
     the clipped piece."""
     lo, hi = domain.bounding_box()
-    atoms = []
-    for square, verts, labels, area, cen in clipped_grid(
-            lo, hi, grid_m, _domain_clipper(domain), _geom_eps(domain)):
-        if K.is_constant:
-            mass = K.constant * area
-        else:
-            mass = float(integrate_cell(verts, labels, K)[0])
-        if mass > 0:
-            atoms.append(GridAtom(cen, mass, square, area))
-    return atoms
+    pieces = list(clipped_grid(lo, hi, grid_m, _domain_clipper(domain),
+                               _geom_eps(domain)))
+    if K.is_constant:
+        masses = [K.constant * area for _, _, _, area, _ in pieces]
+    else:
+        cells = [(verts, labels) for _, verts, labels, _, _ in pieces]
+        masses = integrate_cells(cells, K)[:, 0].tolist()
+    return [GridAtom(cen, mass, square, area)
+            for (square, _, _, area, cen), mass in zip(pieces, masses) if mass > 0]
 
 
 def _scaled_atoms(domain, K, target, grid_m):

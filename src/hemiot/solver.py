@@ -126,7 +126,6 @@ def solve(domain, K, target, tol=1e-6, max_iter=100):
     if n == 1:
         diagram = laguerre_diagram(domain, sites, np.zeros(1))
         G, _ = compute_measures(diagram, K, mtol)
-        diagram.cells[0].mass = G[0]
         rep = SolveReport(True, 0, abs(G[0] - total) / total, 0, [float(G[0])],
                           True, "zero", time.time() - t_start)
         return Solution(domain, K, target, np.zeros(1), diagram, G, rep)
@@ -178,8 +177,6 @@ def solve(domain, K, target, tol=1e-6, max_iter=100):
         history.append(float(G.min()))
         converged = resid <= tol * total
 
-    for c in diagram.cells:
-        c.mass = G[c.site_index]
     rep = SolveReport(bool(converged), it, resid / total, damping_events,
                       history, diagram.is_connected(), init_kind,
                       time.time() - t_start)

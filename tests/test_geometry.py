@@ -5,17 +5,13 @@ import pytest
 from scipy.integrate import quad
 
 from hemiot.geometry import (
-    area_primitive,
     cell_area_centroid,
-    chart_density_primitive,
     clip_halfplane,
     clip_to_circle,
     gauss_legendre,
     integrate_cell,
     polygon_area,
     polygon_centroid,
-    radial_mass,
-    segment_line_integral,
 )
 
 SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
@@ -106,30 +102,3 @@ def test_integrate_cell_on_disk_matches_radial_closed_form():
     out = integrate_cell(v, lab, dens, tol=1e-11)
     # mass of the chart density inside radius r is pi r^2/(1+r^2)
     assert out[0] == pytest.approx(math.pi / 2.0, rel=1e-9)
-
-
-def test_segment_line_integral():
-    g = lambda p: np.ones(len(p))
-    assert segment_line_integral((0.0, 0.0), (3.0, 4.0), g) == pytest.approx(5.0)
-    lin = lambda p: p[:, 0]
-    assert segment_line_integral((0.0, 0.0), (1.0, 0.0), lin) == pytest.approx(0.5)
-
-
-def test_radial_mass_matches_quadrature_on_polygon():
-    tri = [(0.1, 0.05), (0.9, 0.2), (0.3, 0.8)]
-    labels = [("wall", i) for i in range(3)]
-    exact2d = integrate_cell(
-        tri, labels, lambda p: (1.0 + (p ** 2).sum(axis=1)) ** -2, tol=1e-12)[0]
-    rad = radial_mass(tri, labels, chart_density_primitive)
-    assert rad == pytest.approx(exact2d, rel=1e-10)
-
-
-def test_radial_mass_area_primitive_is_area():
-    rad = radial_mass(SQUARE, SQ_LABELS, area_primitive)
-    assert rad == pytest.approx(1.0, rel=1e-12)
-
-
-def test_primitives():
-    # F(r) = integral of the profile over a radius-r disk sector per unit angle
-    assert chart_density_primitive(1.0) == pytest.approx(0.25)
-    assert area_primitive(2.0) == pytest.approx(2.0)

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hemiot.domains import (ConvexPolygonDomain, DiskDomain, constant_density,
-                            domain_area)
-from hemiot.laguerre import (cell_masses, compute_measures, edge_weights,
-                             laguerre_diagram, pairwise_overlap_area)
+from hemiot.domains import (ConvexPolygonDomain, DiskDomain, SourceDensity,
+                            constant_density, domain_area)
+from hemiot.laguerre import (compute_measures, edge_weights, laguerre_diagram,
+                             pairwise_overlap_area)
 
 SQUARE = ConvexPolygonDomain(np.array([[-0.5, -0.5], [0.5, -0.5],
                                        [0.5, 0.5], [-0.5, 0.5]]))
@@ -198,14 +198,13 @@ def test_compute_measures_constant_density():
 
 
 def test_compute_measures_smooth_density_matches_total():
-    from hemiot.domains import SourceDensity, total_mass
+    from hemiot.domains import total_mass
     K = SourceDensity(fn=lambda p: 1.0 + 0.5 * np.sin(p[:, 0]) * np.cos(p[:, 1]))
     domain, sites, psi = _random_instance(5, n=8, domain=DISK)
     diag = laguerre_diagram(domain, sites, psi)
-    G = cell_masses(diag, K, tol=1e-11)
+    G, _ = compute_measures(diag, K, tol=1e-11)
     ref, _ = total_mass(domain, K, tol=1e-11)
     assert G.sum() == pytest.approx(ref, rel=1e-9)
-    assert all(c.mass == G[c.site_index] for c in diag.cells)
 
 
 def test_edge_weights_two_cell_instance():
@@ -225,6 +224,30 @@ def test_edge_weights_symmetric_and_positive():
     # every recorded edge joins two nonempty cells
     live = {c.site_index for c in diag.cells if not c.is_empty}
     assert all(i in live and j in live for i, j in w)
+
+
+@pytest.mark.parametrize("seed", [9, 10])
+def test_edge_weights_linear_density_matches_closed_form(seed):
+    # a linear density's line integral is the length times its midpoint value
+    K = SourceDensity(fn=lambda p: 3.0 + p[:, 0] - 0.5 * p[:, 1])
+    domain, sites, psi = _random_instance(seed, n=9)
+    diag = laguerre_diagram(domain, sites, psi)
+    w = edge_weights(diag, K)
+    assert w
+    seen = set()
+    for c in diag.cells:
+        for e, lab in enumerate(c.labels):
+            if lab[0] != "nbr":
+                continue
+            a = np.array(c.verts[e])
+            b = np.array(c.verts[(e + 1) % len(c.verts)])
+            mid = 0.5 * (a + b)
+            exact = np.linalg.norm(b - a) * (3.0 + mid[0] - 0.5 * mid[1]) \
+                / np.linalg.norm(sites[c.site_index] - sites[lab[1]])
+            key = (min(c.site_index, lab[1]), max(c.site_index, lab[1]))
+            assert w[key] == pytest.approx(exact, rel=1e-12, abs=1e-14)
+            seen.add(key)
+    assert seen == set(w)
 
 
 def test_adjacency_is_mutual():

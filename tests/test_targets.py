@@ -50,6 +50,14 @@ def test_region_mass_offcenter_disk_vs_quadrature():
     assert region_mass(region) == pytest.approx(quad, rel=1e-5)
 
 
+@pytest.mark.parametrize("N", [20, 500, 2000])
+def test_grid_cell_masses_sum_to_the_closed_form(N):
+    region = chart_disk(np.zeros(2), 0.9)
+    mass = region_mass(region)
+    t = discretize(region, N, mass)
+    assert t.pre_rescale_mismatch <= 1e-12 * mass
+
+
 def test_region_contains():
     disk = chart_disk(np.zeros(2), 1.0)
     assert region_contains(disk, np.array([0.5, 0.0]))
