@@ -352,6 +352,11 @@ class ExperimentConfig:
 # pipelines; each returns (verdicts, measurements) and writes artifacts
 
 
+def _diagram_counts(sol):
+    return {"diagrams_built": sol.report.diagrams_built,
+            "diagrams_discarded": sol.report.diagrams_discarded}
+
+
 def _solve_instance(cfg, out, mesh=True):
     if cfg.domain is None:
         raise ConfigError("config.domain: required for this command")
@@ -390,6 +395,7 @@ def _solve_instance(cfg, out, mesh=True):
         "residual": sol.report.final_residual,
         "iterations": sol.report.iterations,
         "damping_events": sol.report.damping_events,
+        **_diagram_counts(sol),
         "area_error": area_err, "init": sol.report.init_kind,
         "connected": bool(sol.report.connected),
         "rescale_factor": target.rescale_factor,
@@ -441,6 +447,7 @@ def _cmd_sphere(cfg, out):
         "site_spacing": rep.site_spacing, "grad_error": rep.grad_error,
         "height_error": rep.height_error, "cap_excess": rep.cap_excess,
         "residual": rep.residual, "iterations": rep.iterations,
+        **_diagram_counts(sol),
     }
     return verdicts, meas, {"solve_s": rep.runtime,
                             "benchmark_s": time.time() - t0}
@@ -497,6 +504,7 @@ def _cmd_blowup(cfg, out):
         "agreement_max_rel_err": rep.agreement_max_rel_err,
         "max_ray_backstep": rep.max_ray_backstep,
         "iterations": rep.iterations, "delta": rep.delta, "C0": rep.C0,
+        **_diagram_counts(sol),
     }
     return verdicts, meas, {"blowup_s": time.time() - t0}
 
@@ -542,6 +550,7 @@ def _cmd_oracle(cfg, out):
         "max_support_slack": plan.max_support_slack,
         "min_reduced_cost": plan.min_reduced_cost,
         "n_plan_entries": len(plan.entries),
+        **_diagram_counts(sol),
     }
     return verdicts, meas, {"oracle_s": time.time() - t0}
 

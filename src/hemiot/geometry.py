@@ -488,37 +488,42 @@ def fan_triangles(verts, center):
 def integrate_cells(cells, f, tol=1e-10):
     """(mass, ∫f·x, ∫f·y) of a vectorized density f over each labeled convex
     cell (verts, labels) of a sequence; a (len(cells), 3) array, zero rows
-    for empty cells.
+    for empty cells. See integrate_ring_cells."""
+    sizes = np.array([len(v) for v, _ in cells], dtype=int)
+    ring = np.array([p for v, _ in cells for p in v], dtype=float).reshape(-1, 2)
+    arcs = [(i, verts[e], verts[(e + 1) % len(verts)], lab)
+            for i, (verts, labels) in enumerate(cells)
+            for e, lab in enumerate(labels) if lab[0] == ARC]
+    return integrate_ring_cells(ring, sizes, arcs, f, tol)
+
+
+def integrate_ring_cells(ring, sizes, arcs, f, tol=1e-10):
+    """integrate_cells on cells held as one ragged array: cell i's vertices
+    are the next sizes[i] rows of ring (a (V, 2) array), and arcs lists
+    (cell, a, b, ("arc", center, radius)) for each arc edge a -> b.
 
     Panels: each cell's straight part fanned around its vertex mean, and one
     polar patch between each arc edge's chord and its circle; one globally
     adaptive integration over all of them, so tol bounds the error estimates
     summed over every cell."""
-    polys = [(i, v) for i, (v, _) in enumerate(cells) if len(v) >= 3]
     tris, tri_owner = np.zeros((0, 3, 2)), np.zeros(0, dtype=int)
-    if polys:
-        # every polygon's vertices in one ragged array
-        sizes = np.array([len(v) for _, v in polys])
-        ring = np.array([p for _, v in polys for p in v], dtype=float)
+    poly = sizes >= 3
+    if poly.any():
+        ring = ring[np.repeat(poly, sizes)]
+        sizes = sizes[poly]
         ends = np.cumsum(sizes)
         nxt = np.arange(1, len(ring) + 1)
         nxt[ends - 1] = ends - sizes
         centres = np.add.reduceat(ring, ends - sizes) / sizes[:, None]
         tris = np.stack([np.repeat(centres, sizes, axis=0), ring, ring[nxt]],
                         axis=1)
-        tri_owner = np.repeat([i for i, _ in polys], sizes)
+        tri_owner = np.repeat(np.flatnonzero(poly), sizes)
         keep = np.abs(_tri_areas(tris)) > 1e-300
         tris, tri_owner = tris[keep], tri_owner[keep]
-    patches, patch_owner = [], []
-    for i, (verts, labels) in enumerate(cells):
-        for e, lab in enumerate(labels):
-            if lab[0] == ARC:
-                patches.append(arc_patch(verts[e], verts[(e + 1) % len(verts)],
-                                         lab[1], lab[2]))
-                patch_owner.append(i)
+    patches = [arc_patch(a, b, lab[1], lab[2]) for _, a, b, lab in arcs]
+    patch_owner = np.array([i for i, _, _, _ in arcs], dtype=int)
     return integrate_panels(f, tris, np.array(patches).reshape(-1, 9), tol,
-                            (tri_owner, np.array(patch_owner, dtype=int)),
-                            len(cells))
+                            (tri_owner, patch_owner), len(poly))
 
 
 def integrate_cell(verts, labels, f, tol=1e-10):

@@ -29,6 +29,10 @@ class SolveReport:
     connected: bool
     init_kind: str                 # "zero" or "affine"
     runtime: float
+    diagrams_built: int            # Laguerre diagrams the solve built
+    diagrams_discarded: int        # rejected line-search trials, plus the
+                                   # psi = 0 probe when the affine start
+                                   # replaced it
 
 
 @dataclass
@@ -71,19 +75,14 @@ def _newton_step(diagram, K, G, nu):
     from scipy.sparse.linalg import cg, spsolve
 
     n = len(nu)
-    W = edge_weights(diagram, K)
-    rows, cols, vals = [], [], []
-    deg = np.zeros(n)
-    for (i, j), w in W.items():
-        rows += [i, j]
-        cols += [j, i]
-        vals += [-w, -w]
-        deg[i] += w
-        deg[j] += w
-    rows += list(range(n))
-    cols += list(range(n))
-    vals += list(deg)
-    L = sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    pairs, w = edge_weights(diagram, K)
+    i, j = pairs.T
+    ids = np.arange(n)
+    deg = np.bincount(i, w, n) + np.bincount(j, w, n)
+    L = sparse.coo_matrix((np.concatenate([-w, -w, deg]),
+                           (np.concatenate([i, j, ids]),
+                            np.concatenate([j, i, ids]))),
+                          shape=(n, n)).tocsr()
     keep = np.arange(1, n)
     A = L[keep][:, keep].tocsr()
     b = (G - nu)[keep]
@@ -127,18 +126,20 @@ def solve(domain, K, target, tol=1e-6, max_iter=100):
         diagram = laguerre_diagram(domain, sites, np.zeros(1))
         G, _ = compute_measures(diagram, K, mtol)
         rep = SolveReport(True, 0, abs(G[0] - total) / total, 0, [float(G[0])],
-                          True, "zero", time.time() - t_start)
+                          True, "zero", time.time() - t_start, 1, 0)
         return Solution(domain, K, target, np.zeros(1), diagram, G, rep)
 
     psi = np.zeros(n)
     init_kind = "zero"
     diagram = laguerre_diagram(domain, sites, psi)
+    built = 1
     G, M = compute_measures(diagram, K, mtol)
     if G.min() <= 0.0:
         psi = _affine_voronoi_psi(domain, sites)
         psi = psi - psi[0]
         init_kind = "affine"
         diagram = laguerre_diagram(domain, sites, psi)
+        built = 2
         G, M = compute_measures(diagram, K, mtol)
         if G.min() <= 0.0:
             raise ConvergenceError("initialization left an empty cell")
@@ -160,6 +161,7 @@ def solve(domain, K, target, tol=1e-6, max_iter=100):
             psi_c = psi + tau * d
             psi_c = psi_c - psi_c[0]
             diagram_c = laguerre_diagram(domain, sites, psi_c)
+            built += 1
             G_c, M_c = compute_measures(diagram_c, K, mtol)
             if G_c.min() >= eps0:
                 resid_c = float(np.abs(G_c - nu).sum())
@@ -179,7 +181,8 @@ def solve(domain, K, target, tol=1e-6, max_iter=100):
 
     rep = SolveReport(bool(converged), it, resid / total, damping_events,
                       history, diagram.is_connected(), init_kind,
-                      time.time() - t_start)
+                      time.time() - t_start, built,
+                      damping_events + (init_kind == "affine"))
     return Solution(domain, K, target, psi, diagram, G, rep)
 
 

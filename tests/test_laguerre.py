@@ -95,6 +95,79 @@ def test_hull_and_brute_routes_agree():
             _assert_same_cells(a, b)
 
 
+def _voronoi_like_instance(domain, n, seed, reach):
+    """About n sites from discretize and psi = |p|^2 / (2 a) plus noise:
+    the diagram is close to the sites' Voronoi diagram scaled by 1 / a,
+    which puts the farthest site at distance reach from the origin. Most
+    cells lie inside a domain of about that size."""
+    from hemiot.targets import chart_disk, discretize
+    sites = discretize(chart_disk(np.zeros(2), 0.9), n, domain_area(domain),
+                       seed=seed).sites
+    a = np.hypot(*sites.T).max() / reach
+    noise = np.random.default_rng(seed).normal(0.0, 1e-4, size=len(sites))
+    return sites, (sites ** 2).sum(axis=1) / (2.0 * a) + noise
+
+
+def _assert_same_neighbours(a, b):
+    for ca, cb in zip(a.cells, b.cells):
+        assert ca.neighbors == cb.neighbors
+
+
+@pytest.mark.parametrize("domain", [DiskDomain(np.zeros(2), 0.6), SQUARE],
+                         ids=["disk", "square"])
+def test_hull_and_brute_routes_agree_at_scale(domain):
+    # most cells come straight from the regular triangulation here; some
+    # rings of interior sites cross the boundary, and some cells are empty
+    sites, psi = _voronoi_like_instance(domain, 250, seed=1, reach=0.7)
+    a = laguerre_diagram(domain, sites, psi)
+    b = laguerre_diagram(domain, sites, psi, method="brute")
+    assert len(sites) >= 180
+    assert a.route == "hull"
+    _assert_same_cells(a, b)
+    _assert_same_neighbours(a, b)
+
+
+@pytest.mark.parametrize("domain", [DiskDomain(np.zeros(2), 0.5), SQUARE],
+                         ids=["disk", "square"])
+def test_lattice_lift_merges_coincident_power_vertices(domain):
+    # psi = c |p|^2 / 2 lifts the four corners of every lattice square into
+    # one plane; qhull splits it into two facets whose power vertices agree
+    # to rounding, which must merge into one cell vertex
+    g = np.linspace(-1.0, 1.0, 15)
+    sites = np.array([(x, y) for x in g for y in g])
+    psi = 0.5e-3 * (sites ** 2).sum(axis=1)
+    a = laguerre_diagram(domain, sites, psi)
+    b = laguerre_diagram(domain, sites, psi, method="brute")
+    assert a.route == "hull"
+    _assert_same_cells(a, b)
+    _assert_same_neighbours(a, b)
+    inner = [c for c in a.cells if np.abs(sites[c.site_index]).max() < 0.99]
+    assert inner and all(len(c.verts) == 4 for c in inner)
+
+
+def test_hull_route_clips_only_cells_that_cross_the_boundary(monkeypatch):
+    import hemiot.laguerre as lag
+    domain = DiskDomain(np.zeros(2), 0.6)
+    # every cell is nonempty, so every clipped cell crosses the boundary
+    sites, psi = _voronoi_like_instance(domain, 500, seed=0, reach=0.5)
+    clip = lag.clip_halfplane
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return clip(*args)
+    monkeypatch.setattr(lag, "clip_halfplane", counted)
+    diag = laguerre_diagram(domain, sites, psi)
+    assert diag.route == "hull"
+    assert not any(c.is_empty for c in diag.cells)
+    crossing = [c for c in diag.cells if any(lab[0] != "nbr" for lab in c.labels)]
+    bound = 2 * sum(len(c.neighbors) for c in crossing)
+    # clipping every cell would take about one call per neighbour of each
+    assert bound < 0.4 * sum(len(c.neighbors) for c in diag.cells)
+    assert len(calls) <= bound
+    assert diag.total_area() == pytest.approx(domain_area(domain), rel=1e-12)
+
+
 def test_flat_lift_clips_only_against_hull_neighbours(monkeypatch):
     import hemiot.laguerre as lag
     from scipy.spatial import ConvexHull
@@ -210,7 +283,8 @@ def test_compute_measures_smooth_density_matches_total():
 def test_edge_weights_two_cell_instance():
     sites = np.array([[1.0, 0.0], [-1.0, 0.0]])
     diag = laguerre_diagram(SQUARE, sites, np.zeros(2))
-    w = edge_weights(diag, K1)
+    pairs, w = edge_weights(diag, K1)
+    w = dict(zip(map(tuple, pairs), w))
     # interface length 1, site gap 2
     assert w == pytest.approx({(0, 1): 0.5}, rel=1e-12)
 
@@ -218,7 +292,8 @@ def test_edge_weights_two_cell_instance():
 def test_edge_weights_symmetric_and_positive():
     domain, sites, psi = _random_instance(9, n=9)
     diag = laguerre_diagram(domain, sites, psi)
-    w = edge_weights(diag, K1)
+    pairs, w = edge_weights(diag, K1)
+    w = dict(zip(map(tuple, pairs), w))
     assert all(v > 0 for v in w.values())
     assert all(i < j for i, j in w)
     # every recorded edge joins two nonempty cells
@@ -232,7 +307,8 @@ def test_edge_weights_linear_density_matches_closed_form(seed):
     K = SourceDensity(fn=lambda p: 3.0 + p[:, 0] - 0.5 * p[:, 1])
     domain, sites, psi = _random_instance(seed, n=9)
     diag = laguerre_diagram(domain, sites, psi)
-    w = edge_weights(diag, K)
+    pairs, w = edge_weights(diag, K)
+    w = dict(zip(map(tuple, pairs), w))
     assert w
     seen = set()
     for c in diag.cells:

@@ -185,3 +185,24 @@ def test_report_runtime_and_history():
     assert len(rep.min_cell_mass_history) == rep.iterations + 1
     assert min(rep.min_cell_mass_history) > 0.0
     assert rep.init_kind in ("zero", "affine")
+
+
+def test_report_counts_built_and_discarded_diagrams(monkeypatch):
+    import hemiot.solver as solver_mod
+    build = solver_mod.laguerre_diagram
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return build(*args, **kwargs)
+    monkeypatch.setattr(solver_mod, "laguerre_diagram", counted)
+    domain = DiskDomain(np.zeros(2), 0.8)
+    target = discretize(chart_disk(np.zeros(2), 5.0), 80, domain_area(domain),
+                        seed=0)
+    rep = solve(domain, K1, target, tol=1e-8).report
+    assert rep.converged and rep.init_kind == "affine" and rep.damping_events
+    assert rep.diagrams_built == len(calls)
+    # the psi = 0 probe and every rejected trial are discarded; the start
+    # and one diagram per accepted step are kept
+    assert rep.diagrams_discarded == 1 + rep.damping_events
+    assert rep.diagrams_built - rep.diagrams_discarded == 1 + rep.iterations
