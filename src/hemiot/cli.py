@@ -531,9 +531,9 @@ def _cmd_oracle(cfg, out):
         raise ConfigError("config.target: required for this command")
     target = build_target(cfg.target, N, mass, cfg.seed)
     t0 = time.time()
-    fraction, plan, sol = semidiscrete_agreement(domain, K, target, grid_m,
-                                                 tol=cfg.tol)
-    ceiling = agreement_ceiling(domain, K, target, grid_m, sol)
+    fraction, plan, sol, member = semidiscrete_agreement(
+        domain, K, target, grid_m, tol=cfg.tol)
+    ceiling = agreement_ceiling(plan, member, target)
     cert = monotonicity_certificate(plan)
     plan.to_csv(os.path.join(out, "samples.csv"))
     solution_to_csv(sol, os.path.join(out, "solution.csv"))

@@ -4,6 +4,7 @@
 # triangulation of the lifted sites; the others are clipped exactly,
 # including circular-arc boundaries on disk domains. A diagram holds all its
 # cells in one ragged vertex array.
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -412,12 +413,15 @@ def _assemble(domain, sites, psi, route, rings, clipped):
 def clip_to_bisectors(verts, labels, sites, psi, i, nbrs, eps):
     """Clip a labeled convex piece by site i's bisector half-planes
     {x : <x, p_j - p_i> <= psi_j - psi_i} for j in nbrs, in turn; the new
-    edges get labels ("nbr", j). ([], []) once the piece is empty."""
+    edges get labels ("nbr", j). ([], []) once the piece is empty. Each
+    normal is scaled to unit length, so eps is a distance, as on ring cells."""
     pi = sites[i]
     for j in nbrs:
         d = sites[j] - pi
-        verts, labels = clip_halfplane(verts, labels, (d[0], d[1]),
-                                       psi[j] - psi[i], ("nbr", int(j)), eps)
+        h = math.hypot(d[0], d[1])
+        verts, labels = clip_halfplane(verts, labels, (d[0] / h, d[1] / h),
+                                       (psi[j] - psi[i]) / h, ("nbr", int(j)),
+                                       eps)
         if not verts:
             break
     return verts, labels

@@ -60,21 +60,25 @@ class DiscretePlan:
 
 def _simplex(C, mu, nu):
     """Transportation simplex on the cost array C with Bland's rule; returns
-    basis flows and duals. Stops once no reduced cost is below -1e-12."""
+    basis flows and duals. Stops once no reduced cost is below -1e-12.
+
+    The basis is a spanning tree on rows 0..m-1 and columns m..m+n-1. Each
+    pivot walks it once from row 0, setting the duals and each node's parent
+    and depth; the entering cell's cycle is the tree path between its row
+    and its column, read off the parent pointers."""
     m, n = len(mu), len(nu)
     # northwest-corner start
     flows = {}
     basic = np.zeros((m, n), dtype=bool)
-    basis_rows = [[] for _ in range(m)]   # cols basic in row j
-    basis_cols = [[] for _ in range(n)]
+    adj = [[] for _ in range(m + n)]    # tree neighbours of each node
     j = i = 0
     a, b = mu[0], nu[0]
     while True:
         t = a if a <= b else b
         flows[(j, i)] = t
         basic[j, i] = True
-        basis_rows[j].append(i)
-        basis_cols[i].append(j)
+        adj[j].append(m + i)
+        adj[m + i].append(j)
         a = a - t
         b = b - t
         if j == m - 1 and i == n - 1:
@@ -88,26 +92,25 @@ def _simplex(C, mu, nu):
 
     rows = C.tolist()
     for _ in range(200000):
-        # duals from the basis tree
-        u = [None] * m
-        v = [None] * n
-        u[0] = 0.0
-        stack = [(0, "row")]
+        # duals u = pot[:m], v = pot[m:] with u_j + v_i = C_ji on the basis
+        pot = [0.0] * (m + n)
+        parent = [-1] * (m + n)
+        depth = [-1] * (m + n)
+        depth[0] = 0
+        stack = [0]
         while stack:
-            k, kind = stack.pop()
-            if kind == "row":
-                for i2 in basis_rows[k]:
-                    if v[i2] is None:
-                        v[i2] = rows[k][i2] - u[k]
-                        stack.append((i2, "col"))
-            else:
-                for j2 in basis_cols[k]:
-                    if u[j2] is None:
-                        u[j2] = rows[j2][k] - v[k]
-                        stack.append((j2, "row"))
-        if None in u or None in v:
+            x = stack.pop()
+            for y in adj[x]:
+                if depth[y] < 0:
+                    parent[y] = x
+                    depth[y] = depth[x] + 1
+                    pot[y] = (rows[x][y - m] if x < m
+                              else rows[y][x - m]) - pot[x]
+                    stack.append(y)
+        if -1 in depth:
             raise RuntimeError("disconnected basis tree")
-        u, v = np.array(u), np.array(v)
+        pot = np.array(pot)
+        u, v = pot[:m], pot[m:]
         # entering variable: Bland (first nonbasic cell in row-major order
         # with a negative reduced cost)
         neg = (C - u[:, None] - v[None, :] < -1e-12) & ~basic
@@ -115,54 +118,32 @@ def _simplex(C, mu, nu):
         if not neg.flat[first]:
             return flows, u, v
         enter = je, ie = divmod(first, n)
-        # cycle: unique path in the basis tree from enter's col back to its row
-        parent = {("r", je): None}
-        stack = [("r", je)]
-        found = None
-        while stack and found is None:
-            node = stack.pop()
-            kind, k = node
-            if kind == "r":
-                for i2 in basis_rows[k]:
-                    nxt = ("c", i2)
-                    if nxt not in parent:
-                        parent[nxt] = node
-                        if i2 == ie:
-                            found = nxt
-                            break
-                        stack.append(nxt)
+        # cycle: the tree path from column ie up to the common ancestor and
+        # down to row je, closed by enter; signs alternate +,-,+,- from enter
+        x, y, up, down = m + ie, je, [], []
+        while x != y:
+            if depth[x] >= depth[y]:
+                up.append(x)
+                x = parent[x]
             else:
-                for j2 in basis_cols[k]:
-                    nxt = ("r", j2)
-                    if nxt not in parent:
-                        parent[nxt] = node
-                        stack.append(nxt)
-        if found is None:
-            raise RuntimeError("no cycle found")
-        path = [found]
-        while parent[path[-1]] is not None:
-            path.append(parent[path[-1]])
-        path.reverse()              # r(je) ... c(ie)
-        cyc = []
-        for a_, b_ in zip(path, path[1:]):
-            cell = (a_[1], b_[1]) if a_[0] == "r" else (b_[1], a_[1])
-            cyc.append(cell)
-        cyc = [enter] + cyc[::-1]   # alternate +,-,+,- starting at enter
+                down.append(y)
+                y = parent[y]
+        path = up + [x] + down[::-1]
+        cyc = [enter] + [(min(s, t), max(s, t) - m)
+                         for s, t in zip(path, path[1:])]
         minus = cyc[1::2]
         theta = min(flows[c] for c in minus)
         leave = min(c for c in minus if flows[c] == theta)
+        flows[enter] = 0.0
         for k, cell in enumerate(cyc):
-            if k % 2 == 0:
-                flows[cell] = flows.get(cell, 0.0) + theta
-            else:
-                flows[cell] = flows[cell] - theta
+            flows[cell] += -theta if k % 2 else theta
         del flows[leave]
         basic[leave] = False
         basic[enter] = True
-        basis_rows[leave[0]].remove(leave[1])
-        basis_cols[leave[1]].remove(leave[0])
-        basis_rows[je].append(ie)
-        basis_cols[ie].append(je)
+        adj[leave[0]].remove(m + leave[1])
+        adj[m + leave[1]].remove(leave[0])
+        adj[je].append(m + ie)
+        adj[m + ie].append(je)
     raise RuntimeError("simplex did not terminate")
 
 
@@ -359,9 +340,7 @@ def _overlap_agreement(plan, member):
 
 
 def _membership(domain, K, target, grid_m, sol):
-    """The grid atoms and their overlap table against sol's Laguerre cells:
-    the one scoring path behind both semidiscrete_agreement and
-    agreement_ceiling."""
+    """The grid atoms and their overlap table against sol's Laguerre cells."""
     atoms = _scaled_atoms(domain, K, target, grid_m)
     return atoms, _overlap_table(domain, sol, atoms)
 
@@ -378,26 +357,25 @@ def semidiscrete_agreement(domain, K, target, grid_m, tol=1e-7):
     noise that leaves an l1 mass residual of 4.8% or 10.9% still scores 1.0,
     15.4% scores 0.992 and 38.8% scores 0.888, so errors below about a tenth
     of the mass go unseen; mass balance is checked by the solver's residual,
-    not here. Returns (fraction, plan, solution)."""
+    not here. Returns (fraction, plan, solution, member), where member is
+    the (atoms × sites) overlap table that agreement_ceiling scores with."""
     sol = solve(domain, K, target, tol=tol)
     atoms, member = _membership(domain, K, target, grid_m, sol)
     plan = lp_transport(atoms, list(zip(target.sites, target.masses)))
-    return _overlap_agreement(plan, member), plan, sol
+    return _overlap_agreement(plan, member), plan, sol, member
 
 
-def agreement_ceiling(domain, K, target, grid_m, sol):
+def agreement_ceiling(plan, member, target):
     """Maximum of semidiscrete_agreement's fraction over ALL feasible plans
-    between the grid atoms and the target, for the solution `sol` that
-    semidiscrete_agreement returned: the transportation LP with cost -1 on
-    overlapping pairs and 0 elsewhere, optimal up to the simplex's stopping
-    rule (no reduced cost below -1e-12), so within 1e-12 of the true
-    maximum. It scores through the same _membership path, so the measured
-    fraction exceeds it by rounding at most; a gap between the two is the
-    LP's choice among plans of equal cost."""
-    atoms, member = _membership(domain, K, target, grid_m, sol)
-    mu = np.array([a.mass for a in atoms])
-    entries, _, _ = _transport_basis(-member.astype(float), mu,
-                                     np.asarray(target.masses))
+    with the marginals of `plan`, for the overlap table `member` that
+    semidiscrete_agreement returned with it: the transportation LP with cost
+    -1 on overlapping pairs and 0 elsewhere, optimal up to the simplex's
+    stopping rule (no reduced cost below -1e-12), so within 1e-12 of the
+    true maximum. It scores with the same table, so the measured fraction
+    exceeds it by rounding at most; a gap between the two is the LP's
+    choice among plans of equal cost."""
+    entries, _, _ = _transport_basis(-member.astype(float), plan.source_masses,
+                                     plan.target_masses)
     agree = sum(m for j, i, m in entries if member[j, i])
     return float(agree / target.total)
 

@@ -14,6 +14,7 @@ from .geometry import (
     clipped_grid,
     integrate_cell,
     integrate_cells,
+    polygon_area,
     polygon_centroid,
     polygon_halfplanes,
 )
@@ -41,7 +42,8 @@ def chart_disk(center, radius):
 def chart_polygon(vertices):
     region = TargetRegion(kind="chart_polygon",
                           vertices=np.asarray(vertices, dtype=float))
-    if not is_geodesically_convex(region):
+    # a clockwise polygon is convex too, but its region_mass is negative
+    if not is_geodesically_convex(region) or polygon_area(region.vertices) <= 0:
         raise ValueError("chart polygon must be convex (counterclockwise)")
     return region
 

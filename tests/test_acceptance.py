@@ -107,10 +107,11 @@ def test_criterion_3_oracle_agreement():
     K = constant_density(1.0)
     target = discretize(chart_disk(np.zeros(2), 0.75), 20,
                         math.pi * 0.36, seed=0)
-    frac, plan, sol = semidiscrete_agreement(domain, K, target, grid_m=15)
+    frac, plan, sol, member = semidiscrete_agreement(domain, K, target,
+                                                     grid_m=15)
     cert = monotonicity_certificate(plan)
     assert cert >= -1e-10               # the LP-output clause holds
-    ceiling = agreement_ceiling(domain, K, target, 15, sol)
+    ceiling = agreement_ceiling(plan, member, target)
     assert frac <= ceiling + 1e-12
     ties = _centroid_membership(sol, plan)
     line = (f"agreement {frac:.4f} (threshold 0.95), monotonicity "

@@ -200,6 +200,36 @@ def test_oracle_compare_command(tmp_path):
     assert report["verdicts"]["monotonicity"] is True
 
 
+def test_oracle_compare_builds_the_overlap_table_once(tmp_path, monkeypatch):
+    import hemiot.oracle as oracle
+    table = oracle._overlap_table
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return table(*args)
+    monkeypatch.setattr(oracle, "_overlap_table", counted)
+    doc = {"command": "oracle-compare",
+           "domain": {"kind": "disk", "radius": 0.6},
+           "target": {"kind": "chart_disk", "radius": 0.75},
+           "N": 6, "params": {"grid_m": 8, "threshold": 0.6},
+           "out": str(tmp_path / "oc"), "seed": 0}
+    assert run(doc) == 0
+    assert len(calls) == 1
+
+
+def test_clockwise_chart_polygon_is_a_validation_error(tmp_path, capsys):
+    # convex but clockwise: its chart mass would come out negative
+    doc = dict(SOLVE_DOC,
+               target={"kind": "chart_polygon",
+                       "vertices": [[-0.5, -0.5], [-0.5, 0.5], [0.5, 0.5],
+                                    [0.5, -0.5]]},
+               out=str(tmp_path / "cw"))
+    assert main(["--config", _write(tmp_path, "cw.json", doc)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "validation error: target.vertices:")
+
+
 @pytest.mark.parametrize("threshold", [1.5, -1.0])
 def test_oracle_compare_rejects_threshold_out_of_range(tmp_path, threshold):
     # 1.5 would fail every run and -1 pass every run

@@ -9,7 +9,8 @@ from hemiot.domains import (ConeSpec, DiskDomain, boundary_geometry,
                             d0_threshold, theta_of)
 from hemiot.experiments import (blowup_experiment, cone_inclusion_check,
                                 estar_volume_check, gauss_map_image_check,
-                                slice_estimate_check, sphere_benchmark)
+                                site_spacing, slice_estimate_check,
+                                sphere_benchmark)
 
 UNIT_DISK = DiskDomain(np.zeros(2), 1.0)
 
@@ -32,6 +33,17 @@ def test_sphere_benchmark_refines():
         errs.append(rep.grad_error)
     assert errs[2] < errs[0]
     assert errs[2] < 0.05
+
+
+def test_site_spacing_matches_brute_force():
+    rng = np.random.default_rng(4)
+    for n in (2, 3, 50, 400):
+        sites = rng.normal(0.0, 1.0, size=(n, 2))
+        sites[-1] = sites[0] + 1e-9     # one close pair
+        d = np.linalg.norm(sites[:, None, :] - sites[None, :, :], axis=2)
+        np.fill_diagonal(d, np.inf)
+        assert site_spacing(sites) == pytest.approx(d.min(axis=1).max(),
+                                                    rel=1e-14)
 
 
 def test_sphere_benchmark_validation():

@@ -326,6 +326,33 @@ def test_edge_weights_linear_density_matches_closed_form(seed):
     assert seen == set(w)
 
 
+@pytest.mark.parametrize("domain", [DiskDomain(np.zeros(2), 0.5), SQUARE],
+                         ids=["disk", "square"])
+def test_adjacency_is_mutual_for_closely_spaced_sites(domain):
+    # a 15x15 lattice of spacing h = 1e-3 whose cells are squares of side
+    # 0.08 covering the domain; a checkerboard weight of 1e-13 splits every
+    # four-cell vertex into a bisector edge of about 3e-10, far above the
+    # clip eps of 1e-12 but below eps / h, where a clip by the unscaled
+    # normal p_j - p_i would drop it from boundary cells only
+    h, p0 = 1e-3, np.array([0.3, 0.1])
+    k = np.arange(-7, 8)
+    ix, iy = np.meshgrid(k, k, indexing="ij")
+    sites = p0 + h * np.c_[ix.ravel(), iy.ravel()]
+    a = 1.2 / (15 * h)
+    psi = 0.5 * a * ((sites - p0) ** 2).sum(axis=1) \
+        + 1e-13 * ((ix + iy).ravel() % 2)
+    diag = laguerre_diagram(domain, sites, psi)
+    assert diag.route == "hull"
+    live = [c for c in diag.cells if not c.is_empty]
+    assert sum(any(lab[0] != "nbr" for lab in c.labels) for c in live) >= 40
+    nbrs = {c.site_index: set(c.neighbors) for c in live}
+    for i, ns in nbrs.items():
+        for j in ns:
+            assert i in nbrs[j]
+    _assert_same_neighbours(diag, laguerre_diagram(domain, sites, psi,
+                                                   method="brute"))
+
+
 def test_adjacency_is_mutual():
     domain, sites, psi = _random_instance(17, n=11)
     diag = laguerre_diagram(domain, sites, psi)

@@ -110,17 +110,28 @@ def _highs_transport(C, mu, nu):
     return res
 
 
+def _tie_heavy_lp():
+    # points on the 3x3 integer grid, so the costs -<x, p> lie in
+    # {-2, ..., 2} with many repeats, and integer masses 2 and 3: most
+    # pivots are degenerate, and Bland's entering rule and the leaving-cell
+    # tie-break choose among many optimal bases
+    rng = np.random.default_rng(5)
+    xs = rng.integers(-1, 2, size=(12, 2)).astype(float)
+    ps = rng.integers(-1, 2, size=(8, 2)).astype(float)
+    return [(x, 2.0) for x in xs], [(p, 3.0) for p in ps]
+
+
 def test_plan_matches_highs_reference():
-    sources, targets = _random_lp(11, 10, 10)
-    plan = lp_transport(sources, targets)
-    mu = np.array([m for _, m in sources])
-    nu = np.array([m for _, m in targets])
-    ref = _highs_transport(-(plan.sources @ plan.targets.T), mu, nu)
-    assert plan.cost == pytest.approx(ref.fun, abs=1e-11)
-    assert np.abs(plan.row_marginals() - mu).max() <= 1e-12 * mu.max()
-    assert np.abs(plan.col_marginals() - nu).max() <= 1e-12 * nu.max()
-    assert plan.max_support_slack <= 1e-10
-    assert plan.min_reduced_cost >= -1e-10
+    for sources, targets in (_random_lp(11, 10, 10), _tie_heavy_lp()):
+        plan = lp_transport(sources, targets)
+        mu = np.array([m for _, m in sources])
+        nu = np.array([m for _, m in targets])
+        ref = _highs_transport(-(plan.sources @ plan.targets.T), mu, nu)
+        assert plan.cost == pytest.approx(ref.fun, abs=1e-11)
+        assert np.abs(plan.row_marginals() - mu).max() <= 1e-12 * mu.max()
+        assert np.abs(plan.col_marginals() - nu).max() <= 1e-12 * nu.max()
+        assert plan.max_support_slack <= 1e-10
+        assert plan.min_reduced_cost >= -1e-10
 
 
 def test_optimality_against_random_feasible_plans():
@@ -179,11 +190,12 @@ def test_semidiscrete_agreement_small_instance():
     K = constant_density(1.0)
     target = discretize(chart_disk(np.zeros(2), 0.75), 6,
                         math.pi * 0.36, seed=0)
-    frac, plan, sol = semidiscrete_agreement(domain, K, target, grid_m=8)
+    frac, plan, sol, member = semidiscrete_agreement(domain, K, target,
+                                                     grid_m=8)
     assert 0.0 <= frac <= 1.0
     assert sol.report.converged
     assert monotonicity_certificate(plan) >= -1e-10
-    ceil = agreement_ceiling(domain, K, target, grid_m=8, sol=sol)
+    ceil = agreement_ceiling(plan, member, target)
     assert frac <= ceil + 1e-12
     # coarse atomizations still agree on the bulk of the mass
     assert frac >= 0.6
@@ -206,10 +218,11 @@ def _criterion_3_instance():
 
 def test_overlap_agreement_does_not_depend_on_solver_tol():
     domain, K, target = _criterion_3_instance()
-    frac, _, sol = semidiscrete_agreement(domain, K, target, 15, tol=1e-7)
-    fine, _, _ = semidiscrete_agreement(domain, K, target, 15, tol=1e-10)
+    frac, plan, sol, member = semidiscrete_agreement(domain, K, target, 15,
+                                                     tol=1e-7)
+    fine = semidiscrete_agreement(domain, K, target, 15, tol=1e-10)[0]
     assert abs(frac - fine) <= 1e-12
-    ceiling = agreement_ceiling(domain, K, target, 15, sol)
+    ceiling = agreement_ceiling(plan, member, target)
     assert frac <= ceiling + 1e-12
     # the ceiling is the maximum of the overlap LP, as HiGHS finds it
     atoms, member = _membership(domain, K, target, 15, sol)
@@ -222,7 +235,7 @@ def test_overlap_agreement_rejects_wrong_partitions():
     # the LP plan of the criterion-3 instance is scored against partitions
     # that send the mass to the wrong sites
     domain, K, target = _criterion_3_instance()
-    frac, plan, sol = semidiscrete_agreement(domain, K, target, grid_m=15)
+    frac, plan, sol, _ = semidiscrete_agreement(domain, K, target, grid_m=15)
     assert frac == _overlap_agreement(
         plan, _membership(domain, K, target, 15, sol)[1])
     # mass-balanced but anti-monotone: cell i is the cell of site -p_i
