@@ -83,7 +83,9 @@ def cell_area_centroid(verts, labels):
 
 
 def clip_halfplane(verts, labels, normal, offset, new_label, eps):
-    """Clip a labeled convex cell by {x : normal·x <= offset}.
+    """Clip a labeled convex cell by {x : normal·x <= offset}, each crossing
+    point found from its edge's inside endpoint (to full precision however
+    far the other one lies, and the same both ways along the edge).
 
     Returns (verts, labels) of the clipped cell; ([], []) when empty."""
     k = len(verts)
@@ -111,8 +113,8 @@ def clip_halfplane(verts, labels, normal, offset, new_label, eps):
                 out_v.append((A[0] + t * (B[0] - A[0]), A[1] + t * (B[1] - A[1])))
                 out_l.append(new_label)
         elif bin_:
-            t = dA / (dA - dB)
-            out_v.append((A[0] + t * (B[0] - A[0]), A[1] + t * (B[1] - A[1])))
+            t = dB / (dB - dA)
+            out_v.append((B[0] + t * (A[0] - B[0]), B[1] + t * (A[1] - B[1])))
             out_l.append(labels[i])
     return _dedupe(out_v, out_l, eps)
 
@@ -192,7 +194,8 @@ def clip_to_circle(verts, labels, center, R, eps):
     for i in range(k):
         j = (i + 1) % k
         A, B = verts[i], verts[j]
-        hits = _segment_circle_hits(A, B, center, R)
+        hits = [] if inside[i] and inside[j] else \
+            _segment_circle_hits(A, B, center, R)
         if inside[i]:
             out_v.append(A)
             if inside[j]:
@@ -229,23 +232,25 @@ def clip_to_circle(verts, labels, center, R, eps):
 
 def _segment_circle_hits(A, B, center, R):
     """Intersection points of segment A->B with circle (center, R), ordered
-    along the segment."""
-    ax, ay = A[0] - center[0], A[1] - center[1]
+    along the segment: from the endpoint nearer the centre, the half chord
+    either side of the foot of the perpendicular, with no cancellation in
+    either root, so far endpoints cost no more than their own rounding."""
+    if math.dist(B, center) < math.dist(A, center):
+        return _segment_circle_hits(B, A, center, R)[::-1]
     dx, dy = B[0] - A[0], B[1] - A[1]
-    a = dx * dx + dy * dy
-    if a == 0.0:
+    length = math.hypot(dx, dy)
+    if length == 0.0:
         return []
-    b = 2.0 * (ax * dx + ay * dy)
-    c = ax * ax + ay * ay - R * R
-    disc = b * b - 4.0 * a * c
-    if disc <= 0.0:
+    ux, uy = dx / length, dy / length
+    ax, ay = A[0] - center[0], A[1] - center[1]
+    s = -(ax * ux + ay * uy)                # the foot of the perpendicular
+    h2 = R * R - (ax * uy - ay * ux) ** 2
+    if h2 <= 0.0:
         return []
-    s = math.sqrt(disc)
-    hits = []
-    for t in ((-b - s) / (2.0 * a), (-b + s) / (2.0 * a)):
-        if -1e-12 <= t <= 1.0 + 1e-12:
-            hits.append((A[0] + t * dx, A[1] + t * dy))
-    return hits
+    far = s + math.copysign(math.sqrt(h2), s)
+    return [(A[0] + t * ux, A[1] + t * uy)
+            for t in sorted((far, (ax * ax + ay * ay - R * R) / far))
+            if -1e-12 * length <= t <= (1.0 + 1e-12) * length]
 
 
 def _point_in_polygon_convex(p, verts, eps):

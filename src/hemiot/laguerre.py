@@ -1,16 +1,17 @@
 # Laguerre (power) diagrams of the dual weights: the partition of the domain
 # into convex cells on which each affine function <x, p_i> - psi_i attains the
-# upper envelope. Cells strictly inside the domain are read off the regular
-# triangulation of the lifted sites; the others are clipped exactly,
-# including circular-arc boundaries on disk domains. A diagram holds all its
-# cells in one ragged vertex array.
+# upper envelope. A cell is the fan of power vertices around its site in the
+# regular triangulation of the lifted sites (Aurenhammer 1987), cut by the
+# domain, exactly, including circular-arc boundaries on disk domains, when
+# it is open or reaches the boundary. A diagram holds all its cells in one
+# ragged vertex array.
 import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .domains import ConvexPolygonDomain, DiskDomain, initial_cell
+from .domains import DiskDomain, initial_cell
 from .geometry import (
     ARC,
     _segment_area_moment,
@@ -137,11 +138,11 @@ def _regular_triangulation(sites, psi):
     triangulation. Returns the facets as CCW site triples (F, 3), the lower
     facet across the edge opposite each corner (-1 where there is none: the
     triangulation's outer boundary), and each facet's power vertex, the
-    point where its three sites' affine functions tie (NaN for a facet of
-    collinear sites). Sites lifted strictly above the hull are dominated
-    everywhere and lie on no facet. A flat lift (psi affine over the sites)
-    or collinear sites make qhull raise; `laguerre_diagram` sends both
-    elsewhere before calling this."""
+    point where its three sites' affine functions tie (for collinear sites,
+    the slope of the facet's plane). Sites lifted strictly above the hull
+    are dominated everywhere and lie on no facet. A flat lift (psi affine
+    over the sites) or collinear sites make qhull raise; `laguerre_diagram`
+    sends both elsewhere before calling this."""
     from scipy.spatial import ConvexHull
 
     hull = ConvexHull(np.column_stack([sites, psi]), qhull_options="Qt")
@@ -162,67 +163,66 @@ def _regular_triangulation(sites, psi):
     with np.errstate(divide="ignore", invalid="ignore"):
         power = np.column_stack([r1 * d2[:, 1] - r2 * d1[:, 1],
                                  d1[:, 0] * r2 - d2[:, 0] * r1]) / det[:, None]
-    power[flat] = np.nan
+    eq = hull.equations[lower][flat]
+    power[flat] = -eq[:, :2] / eq[:, 2:3]
     cw = det < 0
     tri[cw] = tri[cw][:, [0, 2, 1]]
     across[cw] = across[cw][:, [0, 2, 1]]
     return tri, across, power
 
 
-def _rings(tri, across, power, eps):
-    """The cells of the sites whose incident facets close a ring around
-    them, read off the triangulation. Around a site v, the facet after
-    (v, v1, v2) in CCW order is the one across the edge v-v2, the cell
-    vertex of each facet is its power vertex, and the cell edge that leaves
-    it lies on the bisector of v and v2. Sites on the triangulation's outer
-    boundary or on a facet of collinear sites get no ring. A ring vertex
-    within eps (in both coordinates) of the next one is dropped with the
-    zero-length edge it starts, the way geometry._dedupe does on a clipped
-    cell. Returns, ring after ring in site order, each vertex's site, its
-    coordinates and the neighbour across the edge that leaves it."""
-    n = int(tri.max()) + 1
+def _fans(n, tri, across, power, eps):
+    """The fan of power vertices around each of n sites, read off the
+    triangulation. Around a site v, the facet after (v, v1, v2) in CCW order
+    is the one across the edge v-v2, its power vertex is a cell vertex, and
+    the cell edge that leaves it lies on the bisector of v and v2. The fan
+    is a closed ring, or open when v is on the triangulation's outer
+    boundary: from the facet with none across v-v1 to the one with none
+    across v-v2. A fan vertex within eps (in both coordinates) of the next
+    one is dropped with the zero-length edge it starts, as geometry._dedupe
+    does; an open fan's last vertex has no next one. Returns, fan after fan
+    in site order, each vertex's site, its coordinates and the neighbour
+    across the edge that leaves it, and per site the neighbour across the
+    edge that enters its open fan (-1 for a ring or no fan)."""
     site = tri.ravel()
+    corner = np.arange(len(site))
     nxt_facet = np.roll(across, -1, axis=1).ravel()
-    ok = np.ones(n, dtype=bool)
-    ok[site[nxt_facet < 0]] = False
-    ok[tri[np.isnan(power[:, 0])].ravel()] = False
-    keep = np.flatnonzero(ok[site])
-    site_k = site[keep]
-    # successor of each kept corner: the corner of the same site in the next
-    # facet, as an index into keep
-    g = nxt_facet[keep]
-    rank = np.full(len(site), -1)
-    rank[keep] = np.arange(len(keep))
-    succ = rank[3 * g + np.argmax(tri[g] == site_k[:, None], axis=1)]
-    # each corner's distance along its ring from the ring's first corner
-    # (in keep order), by pointer jumping along predecessors: O(log of the
-    # longest ring) array passes
-    count = np.bincount(site_k, minlength=n)
-    start = np.cumsum(count) - count
-    head = np.zeros(len(keep), dtype=bool)
-    head[np.argsort(site_k, kind="stable")[start[count > 0]]] = True
-    pred = np.arange(len(keep))
-    pred[succ] = np.arange(len(keep))
-    pred[head] = np.flatnonzero(head)
+    first = np.roll(across, -2, axis=1).ravel() < 0
+    enter = np.full(n, -1)
+    enter[site[first]] = np.roll(tri, -1, axis=1).ravel()[first]
+    # successor of each corner: the corner of the same site in the next facet
+    has = nxt_facet >= 0
+    g = nxt_facet[has]
+    succ = 3 * g + np.argmax(tri[g] == site[has, None], axis=1)
+    # each corner's distance along its fan from the fan's head (the first
+    # corner of an open fan, the first in corner order of a ring), by
+    # pointer jumping along predecessors: O(log of the longest fan) passes
+    head = first.copy()
+    lead = np.unique(site, return_index=True)[1]
+    head[lead[enter[site[lead]] < 0]] = True
+    pred = corner.copy()
+    pred[succ] = corner[has]
+    pred[head] = corner[head]
     dist = (~head).astype(int)
-    for _ in range(int(np.log2(max(len(keep), 1))) + 1):
+    for _ in range(int(np.log2(max(len(site), 1))) + 1):
         if (pred[pred] == pred).all():
             break
         dist += dist[pred]
         pred = pred[pred]
-    at = start[site_k] + dist
-    if len(keep) and not ((dist < count[site_k]).all()
-                          and (np.bincount(at) == 1).all()):
-        raise RuntimeError("the lower hull's facets do not close one ring "
-                           "around each interior site")
-    corners = np.empty(len(keep), dtype=int)
-    corners[at] = keep
+    count = np.bincount(site, minlength=n)
+    at = np.cumsum(count)[site] - count[site] + dist
+    if not ((dist < count[site]).all() and (np.bincount(at) == 1).all()):
+        raise RuntimeError("the lower hull's facets do not form one fan "
+                           "around each site")
+    corners = np.empty(len(site), dtype=int)
+    corners[at] = corner
     verts = power[corners // 3]
-    nxt = np.empty(len(keep), dtype=int)
-    nxt[at] = np.where(dist == count[site_k] - 1, at - dist, at + 1)
-    apart = (np.abs(verts - verts[nxt]) > eps).any(axis=1)
+    last = dist == count[site] - 1
+    nxt = np.where(last, at - dist, at + 1)[corners]
+    apart = (np.abs(verts - verts[nxt]) > eps).any(axis=1) \
+        | (last & (enter[site] >= 0))[corners]
     corners = corners[apart]
-    return site[corners], verts[apart], np.roll(tri, -2, axis=1).ravel()[corners]
+    return site[corners], verts[apart], np.roll(tri, -2, axis=1).ravel()[corners], enter
 
 
 def _strictly_inside(domain, pts, eps):
@@ -233,24 +233,6 @@ def _strictly_inside(domain, pts, eps):
     return (pts @ normals.T < offsets - eps).all(axis=1)
 
 
-def _flat_candidates(sites):
-    """Neighbor candidates when psi is affine over the sites. Then
-    <x, p_i> - psi_i = <x - a, p_i> - b, so the diagram is the normal fan of
-    the sites' convex hull shifted by a (Aurenhammer 1987): only hull
-    vertices own cells, and each is cut by its two hull neighbours alone."""
-    from scipy.spatial import ConvexHull
-
-    ring = ConvexHull(sites).vertices      # CCW in 2D
-    n = len(sites)
-    cand = [[] for _ in range(n)]
-    on_hull = np.zeros(n, dtype=bool)
-    on_hull[ring] = True
-    h = len(ring)
-    for k in range(h):
-        cand[ring[k]] = sorted({int(ring[k - 1]), int(ring[(k + 1) % h])})
-    return cand, on_hull
-
-
 def _is_collinear(sites):
     """Rank-1 sites: every lift lies in a vertical plane and has no 2D hull."""
     s = np.linalg.svd(sites - sites.mean(axis=0), compute_uv=False)
@@ -258,15 +240,16 @@ def _is_collinear(sites):
 
 
 def _is_affine(sites, psi):
-    """psi = a·p + b over the sites up to rounding: the residual of the
-    least-squares fit, against the largest lifted coordinate. In random
-    trials qhull rejected lifts as flat up to a residual of about 2e-12 of
-    that coordinate; the bound leaves a wide margin above it."""
+    """The slope a when psi = a·p + b over the sites up to rounding, else
+    None: the residual of the least-squares fit, against the largest lifted
+    coordinate. In random trials qhull rejected lifts as flat up to a
+    residual of about 2e-12 of that coordinate; the bound leaves a wide
+    margin above it."""
     A = np.column_stack([sites, np.ones(len(sites))])
     coef = np.linalg.lstsq(A, psi, rcond=None)[0]
     resid = float(np.abs(psi - A @ coef).max())
     scale = max(float(np.abs(sites).max()), float(np.abs(psi).max()))
-    return resid <= 1e-10 * scale
+    return coef[:2] if resid <= 1e-10 * scale else None
 
 
 def laguerre_diagram(domain, sites, psi, method="auto"):
@@ -274,26 +257,26 @@ def laguerre_diagram(domain, sites, psi, method="auto"):
 
     The diagram holds every cell in one ragged vertex array with per-cell
     offsets and an edge label per vertex (see LaguerreDiagram); `cells` is
-    the same diagram as LaguerreCell objects, built on first access. A cell
-    is either clipped, the domain cut by the bisector half-planes of its
-    candidate neighbours (clip_to_bisectors, then the disk's circle), or
-    read off the regular triangulation. `method` decides how, and the
-    diagram records the route taken in `route`:
+    the same diagram as LaguerreCell objects, built on first access.
+    `method` decides how the cells are built, and the diagram records the
+    route taken in `route`:
       "hull"  the regular triangulation from the lower hull of the lifted
               sites (p, psi); qhull errors propagate. A site's cell is the
-              ring of power vertices of its incident facets, taken as it is
-              when the ring is closed (the site is not on the
-              triangulation's outer boundary) and every ring vertex lies
-              inside the domain by more than the clip eps. Every other
-              cell is clipped, with its triangulation neighbours as
-              candidates.
-      "flat"  psi affine over the sites (psi = 0 included): cells clipped
-              by the two neighbours along the sites' 2D convex hull, whose
-              vertices are the only sites with cells.
-      "brute" cells clipped by every other site; kept as an independent
-              oracle.
-    method "auto" takes brute for N <= 8 and for collinear sites, flat when
-    psi is affine, and hull otherwise. All routes produce the same cells."""
+              fan of power vertices of its facets (_fans), taken as it is
+              when it is a closed ring with every vertex inside the domain
+              by more than the clip eps. Every other fan is cut by the
+              domain, an open one (its site on the triangulation's outer
+              boundary) after _close_fan closes it with its two rays.
+      "flat"  psi = a·p + b over the sites (psi = 0 included): the diagram
+              is the normal fan of the sites' convex hull shifted by a, so
+              each hull vertex has a one-vertex open fan at a, leaving
+              toward its CCW predecessor and entering from its successor,
+              and no other site has a cell.
+      "brute" the domain cut by the bisectors of every other site
+              (clip_to_bisectors); kept as an independent oracle.
+    method "auto" takes brute for one site and for collinear sites, flat
+    when psi is affine, and hull otherwise. All routes produce the same
+    cells."""
     if method not in ("auto", "hull", "brute"):
         raise ValueError(f"unknown method {method!r}")
     sites = _validate_sites(sites)
@@ -319,47 +302,78 @@ def laguerre_diagram(domain, sites, psi, method="auto"):
 
     route = method
     if method == "auto":
-        if n <= 8 or _is_collinear(sites):
-            route = "brute"
-        elif _is_affine(sites, psi):
-            route = "flat"
-        else:
-            route = "hull"
+        collinear = _is_collinear(sites)
+        slope = None if collinear else _is_affine(sites, psi)
+        route = "brute" if collinear else "hull" if slope is None else "flat"
     if route == "brute":
         return _assemble(domain, sites, psi, route, no_rings, {
             i: clipped(i, [j for j in range(n) if j != i]) for i in range(n)})
     if route == "flat":
-        cand, on_hull = _flat_candidates(sites)
-        return _assemble(domain, sites, psi, route, no_rings, {
-            i: clipped(i, cand[i]) for i in np.flatnonzero(on_hull).tolist()})
+        from scipy.spatial import ConvexHull
 
-    tri, across, power = _regular_triangulation(sites, psi)
-    rings = _rings(tri, across, power, eps)
-    ring_site, ring_verts, _ = rings
-    outside = np.bincount(ring_site, ~_strictly_inside(domain, ring_verts, eps),
-                          n) > 0
-    ringed = np.bincount(ring_site, minlength=n) >= 2
-    fast = ringed & ~outside
-    taken = fast[ring_site]
-    rings = tuple(a[taken] for a in rings)
-    on_hull = np.zeros(n, dtype=bool)
-    on_hull[tri.ravel()] = True
-    rest = on_hull & ~fast
-    # triangulation neighbours of the sites that are clipped instead, sorted
-    edges = np.column_stack([tri.ravel(), np.roll(tri, -1, axis=1).ravel()])
-    edges = np.concatenate([edges, edges[:, ::-1]])
-    keys = np.unique(edges[rest[edges[:, 0]]] @ [n, 1])
-    bounds = np.searchsorted(keys // n, np.arange(n + 1))
-    cand = (keys % n).tolist()
-    return _assemble(domain, sites, psi, route, rings, {
-        i: clipped(i, cand[bounds[i]:bounds[i + 1]])
-        for i in np.flatnonzero(rest).tolist()})
+        ring = ConvexHull(sites).vertices      # CCW in 2D
+        order = np.argsort(ring)
+        enter = np.full(n, -1)
+        enter[ring] = np.roll(ring, -1)
+        fans = (ring[order], np.tile(slope, (len(ring), 1)),
+                np.roll(ring, 1)[order], enter)
+    else:
+        fans = _fans(n, *_regular_triangulation(sites, psi), eps)
+    fan_site, fan_verts, fan_nbr, enter = fans
+    count = np.bincount(fan_site, minlength=n)
+    inside = np.bincount(fan_site, ~_strictly_inside(domain, fan_verts, eps),
+                         n) == 0
+    fast = (count >= 2) & inside & (enter < 0)
+    clip, ends = _domain_clipper(domain), np.cumsum(count)
+    cells = {}
+    for i in np.flatnonzero(~fast & ((count >= 2) | (enter >= 0))).tolist():
+        at = slice(ends[i] - count[i], ends[i])
+        verts, labels = fan_verts[at], [("nbr", j) for j in fan_nbr[at].tolist()]
+        if enter[i] >= 0:
+            verts = _close_fan(verts, sites, i, labels[-1][1], enter[i], domain)
+            labels += [("box", 0), ("nbr", int(enter[i]))]
+        cells[i] = clip(verts.tolist(), labels)
+    taken = fast[fan_site]
+    return _assemble(domain, sites, psi, route,
+                     tuple(a[taken] for a in fans[:3]), cells)
+
+
+def _close_fan(verts, sites, i, leave, enter, domain):
+    """An open fan of site i as a convex polygon: its vertices, then its two
+    rays, each along the bisector with a hull neighbour j and pointing along
+    p_j - p_i turned counterclockwise, cut off on one line beyond the
+    domain's bounding box and the fan. The line is perpendicular to the
+    mean w of the rays' outward directions; the fan and its rays run
+    monotonically across w, so one edge on the line joins the rays' ends
+    into a convex polygon, and the domain clip removes that edge."""
+    d = (sites[[leave, enter]] - sites[i]) * [[1], [-1]]
+    # outward along each ray (the entering one traced backwards)
+    out = np.column_stack([-d[:, 1], d[:, 0]]) / np.hypot(*d.T)[:, None]
+    w = out.sum(axis=0) / np.hypot(*out.sum(axis=0))
+    lo, hi = domain.bounding_box()
+    c, r = 0.5 * (lo + hi), 0.5 * float(np.hypot(*(hi - lo)))
+    level = max(r, float(((verts - c) @ w).max())) + r
+    base = verts[[-1, 0]]
+    ends = base + out * ((level - (base - c) @ w) / (out @ w))[:, None]
+    return np.concatenate([verts, ends])
+
+
+def _domain_clipper(domain):
+    """Clip a straight-edged convex piece to the domain: the disk's circle,
+    or the polygon's walls ("wall", k), at the diagram's clip eps."""
+    eps = _geom_eps(domain)
+    if isinstance(domain, DiskDomain):
+        c, R = tuple(domain.center), domain.radius
+        return lambda verts, labels: clip_to_circle(verts, labels, c, R, eps)
+    normals, offsets = domain.edge_normals()
+    return lambda verts, labels: clip_to_halfplanes(verts, labels, normals,
+                                                    offsets, eps)
 
 
 def _assemble(domain, sites, psi, route, rings, clipped):
-    """The LaguerreDiagram of the cells read off the triangulation, rings =
-    (site, vertex, neighbour) arrays ring after ring in site order, and of
-    the clipped cells, {site: (verts, labels)}; every other cell is empty.
+    """The LaguerreDiagram of the cells taken as they are, rings = (site,
+    vertex, neighbour) arrays ring after ring in site order, and of the cut
+    cells, {site: (verts, labels)}; every other cell is empty.
     Areas and centroids are segmented shoelace sums plus, for each arc edge,
     the circular segment outside its chord."""
     n = len(sites)

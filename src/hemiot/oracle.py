@@ -10,10 +10,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .chart import c_exp
-from .domains import contains, initial_cell
-from .geometry import (cell_area_centroid, clip_to_circle,
-                       clip_to_halfplanes, clipped_grid, integrate_cells)
-from .laguerre import _geom_eps, clip_to_bisectors
+from .domains import contains
+from .geometry import cell_area_centroid, clipped_grid, integrate_cells
+from .laguerre import _domain_clipper, _geom_eps, clip_to_bisectors
 from .solver import solve
 
 
@@ -261,19 +260,6 @@ class GridAtom(NamedTuple):
     area: float
 
 
-def _domain_clipper(domain):
-    """Clip a straight-edged convex piece to the domain, with the same
-    clip_halfplane / clip_to_circle calls that laguerre_diagram uses."""
-    eps = _geom_eps(domain)
-    _, _, circle = initial_cell(domain)
-    if circle is not None:
-        return lambda verts, labels: clip_to_circle(verts, labels, circle[0],
-                                                    circle[1], eps)
-    normals, offsets = domain.edge_normals()
-    return lambda verts, labels: clip_to_halfplanes(verts, labels, normals,
-                                                    offsets, eps)
-
-
 def _grid_atoms(domain, K, grid_m):
     """Cell-centered atomization of the source on an m×m grid over the
     domain's bounding box; boundary-cut cells put the atom at the centroid of
@@ -311,8 +297,8 @@ def _overlap_table(domain, sol, atoms):
     """Boolean (atoms × sites) table: True where the solution's Laguerre cell
     i holds a positive-area part of atom j's grid piece. Each part is the
     grid square clipped by cell i's bisector half-planes and then to the
-    domain, the way laguerre_diagram builds cell i, so the parts of one
-    atom tile its piece exactly."""
+    domain, the way the brute route of laguerre_diagram builds cell i, so
+    the parts of one atom tile its piece exactly."""
     diagram = sol.diagram
     eps = _geom_eps(domain)
     clip = _domain_clipper(domain)
