@@ -25,8 +25,8 @@ from .oracle import (DiscretePlan, agreement_ceiling, brute_force_assignment,
 from .solver import (ConvergenceError, MassBalanceError, Solution,
                      SolveReport, active_site, export_mesh, gauss_map,
                      potential, solution_to_csv, solve)
-from .targets import (DiscreteTarget, TargetRegion, chart_disk,
+from .targets import (DiscreteTarget, FullHemisphere, chart_disk,
                       chart_polygon, discretize, full_hemisphere,
-                      region_contains, region_mass, truncation_radius_for)
+                      region_mass, truncation_radius_for)
 
 __version__ = "0.1.0"

@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .domains import ConvexPolygonDomain, DiskDomain
+
 
 @dataclass(frozen=True)
 class HemispherePoint:
@@ -112,33 +114,16 @@ def is_geodesically_convex(region):
     equivalent to geodesic convexity on the lower hemisphere, so no sphere-side
     sampling is done.
 
-    Accepts a TargetRegion or a sequence of them (a union; convex only when the
-    union is a single piece)."""
+    Accepts a chart region (a DiskDomain, the truncated full hemisphere
+    included, or a ConvexPolygonDomain, whose vertices are checked strictly
+    convex when it is built) or a sequence of them (a union; convex only when
+    the union is a single piece)."""
     if isinstance(region, (list, tuple)):
         if len(region) == 0:
             return True
         if len(region) == 1:
             return is_geodesically_convex(region[0])
         return False  # disjoint unions are not convex; overlapping unions unsupported
-    kind = getattr(region, "kind", None)
-    if kind in ("chart_disk", "full_hemisphere"):
-        return True
-    if kind == "chart_polygon":
-        v = np.asarray(region.vertices, dtype=float)
-        k = len(v)
-        if k < 3:
-            return False
-        sign = 0
-        for i in range(k):
-            a = v[(i + 1) % k] - v[i]
-            b = v[(i + 2) % k] - v[(i + 1) % k]
-            cr = a[0] * b[1] - a[1] * b[0]
-            if abs(cr) < 1e-15:
-                continue
-            s = 1 if cr > 0 else -1
-            if sign == 0:
-                sign = s
-            elif s != sign:
-                return False
+    if isinstance(region, (DiskDomain, ConvexPolygonDomain)):
         return True
     raise TypeError(f"unsupported region: {region!r}")

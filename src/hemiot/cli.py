@@ -26,8 +26,8 @@ from .oracle import (agreement_ceiling, monotonicity_certificate,
                      semidiscrete_agreement)
 from .solver import (ConvergenceError, MassBalanceError, _cell_polyline,
                      export_mesh, solution_to_csv, solve)
-from .targets import (DiscreteTarget, chart_disk, chart_polygon, discretize,
-                      full_hemisphere, truncation_radius_for)
+from .targets import (DiscreteTarget, discretize, full_hemisphere,
+                      truncation_radius_for)
 
 COMMANDS = ("solve", "sphere-benchmark", "blowup", "oracle-compare",
             "lemmas", "export")
@@ -136,20 +136,29 @@ def build_domain(spec, path="domain"):
         raise ConfigError(f"{path}: expected an object")
     kind = _get(spec, "kind", path, str)
     if kind == "disk":
-        center = _get(spec, "center", path, list, default=[0.0, 0.0])
-        radius = _get(spec, "radius", path, float)
-        if radius <= 0:
-            raise ConfigError(f"{path}.radius: must be positive")
-        return DiskDomain(np.asarray(center, dtype=float), radius)
+        return _disk(spec, path)
     if kind == "polygon":
-        verts = _get(spec, "vertices", path, list)
-        if len(verts) < 3:
-            raise ConfigError(f"{path}.vertices: need at least 3 vertices")
-        try:
-            return ConvexPolygonDomain(np.asarray(verts, dtype=float))
-        except ValueError as exc:
-            raise ConfigError(f"{path}.vertices: {exc}")
+        return _polygon(spec, path)
     raise ConfigError(f"{path}.kind: unknown domain kind {kind!r}")
+
+
+def _disk(spec, path):
+    """The DiskDomain of spec (a source domain or a chart disk target); the
+    disk's own shape check names the field that fails."""
+    center = _get(spec, "center", path, list, default=[0.0, 0.0])
+    radius = _get(spec, "radius", path, float)
+    try:
+        return DiskDomain(center, radius)
+    except ValueError as exc:
+        raise ConfigError(f"{path}.{exc}")
+
+
+def _polygon(spec, path):
+    verts = _get(spec, "vertices", path, list)
+    try:
+        return ConvexPolygonDomain(verts)
+    except ValueError as exc:
+        raise ConfigError(f"{path}.vertices: {exc}")
 
 
 def build_density(spec, domain, path="density"):
@@ -224,17 +233,9 @@ def build_target(spec, N, source_mass, seed, path="target"):
         raise ConfigError(f"{path}: expected an object")
     kind = _get(spec, "kind", path, str)
     if kind == "chart_disk":
-        center = _get(spec, "center", path, list, default=[0.0, 0.0])
-        radius = _get(spec, "radius", path, float)
-        if radius <= 0:
-            raise ConfigError(f"{path}.radius: must be positive")
-        region = chart_disk(np.asarray(center, dtype=float), radius)
+        region = _disk(spec, path)
     elif kind == "chart_polygon":
-        verts = _get(spec, "vertices", path, list)
-        try:
-            region = chart_polygon(np.asarray(verts, dtype=float))
-        except ValueError as exc:
-            raise ConfigError(f"{path}.vertices: {exc}")
+        region = _polygon(spec, path)
     elif kind == "hemisphere":
         if "truncation_radius" in spec:
             P_max = _get(spec, "truncation_radius", path, float)
@@ -244,9 +245,11 @@ def build_target(spec, N, source_mass, seed, path="target"):
             if not 0 < eps < math.pi:
                 raise ConfigError(f"{path}.tail_epsilon: must lie in (0, pi)")
             P_max = truncation_radius_for(eps)
-        if P_max <= 0:
-            raise ConfigError(f"{path}.truncation_radius: must be positive")
-        region = full_hemisphere(P_max)
+        try:
+            region = full_hemisphere(P_max)
+        except ValueError:
+            raise ConfigError(
+                f"{path}.truncation_radius: must be finite and positive")
     elif kind == "explicit":
         sites = np.asarray(_get(spec, "sites", path, list), dtype=float)
         masses = np.asarray(_get(spec, "masses", path, list), dtype=float)

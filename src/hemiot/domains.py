@@ -8,13 +8,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (  # QuadratureError is re-exported for the CLI
+    ARC,
     QuadratureError,
     _PATCH_NODES,
     _TRI_NODES,
+    cell_area_centroid,
+    clip_to_circle,
     clip_to_halfplanes,
-    disk_patch,
-    fan_triangles,
-    integrate_panels,
+    integrate_cell,
     polygon_area,
     polygon_centroid,
     polygon_halfplanes,
@@ -28,7 +29,15 @@ def unit_ball_volume(n):
 
 
 # ---------------------------------------------------------------------------
-# domains
+# domains: the convex source domains, and the chart target regions too
+
+def _floats(x):
+    """x as a float array, or None when it is not numbers."""
+    try:
+        return np.asarray(x, dtype=float)
+    except (TypeError, ValueError):
+        return None
+
 
 @dataclass(frozen=True)
 class ConvexPolygonDomain:
@@ -36,9 +45,11 @@ class ConvexPolygonDomain:
     vertices: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.vertices, dtype=float)
-        if v.ndim != 2 or v.shape[1] != 2 or len(v) < 3:
+        v = _floats(self.vertices)
+        if v is None or v.ndim != 2 or v.shape[1] != 2 or len(v) < 3:
             raise ValueError("need at least 3 planar vertices")
+        if not np.isfinite(v).all():
+            raise ValueError("vertices must be finite")
         k = len(v)
         scale2 = float(np.max(np.abs(v))) ** 2 + 1e-300
         for i in range(k):
@@ -73,9 +84,13 @@ class DiskDomain:
     radius: float
 
     def __post_init__(self):
-        if not self.radius > 0:
-            raise ValueError("radius must be positive")
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
+        c = _floats(self.center)
+        if c is None or c.shape != (2,) or not np.isfinite(c).all():
+            raise ValueError("center: expected two finite numbers")
+        if not 0 < self.radius < math.inf:
+            raise ValueError("radius: must be finite and positive")
+        object.__setattr__(self, "center", c)
+        object.__setattr__(self, "radius", float(self.radius))
 
     @property
     def area(self):
@@ -108,8 +123,59 @@ def initial_cell(domain, pad=1.02):
     return verts, labels, (tuple(domain.center), domain.radius)
 
 
+def domain_cell(domain):
+    """The domain as one labeled convex cell: the polygon with its walls, or
+    the disk as two half-disk arcs."""
+    if isinstance(domain, ConvexPolygonDomain):
+        return ([tuple(p) for p in domain.vertices],
+                [("wall", i) for i in range(len(domain.vertices))])
+    (cx, cy), R = domain.center, domain.radius
+    return [(cx + R, cy), (cx - R, cy)], [(ARC, (cx, cy), R)] * 2
+
+
+def clip_eps(domain):
+    """Clipping and vertex-merge tolerance for pieces of the domain: 1e-12
+    of its bounding box's longer side."""
+    lo, hi = domain.bounding_box()
+    return 1e-12 * float(np.max(hi - lo))
+
+
+def domain_clipper(domain):
+    """Clip a straight-edged convex piece to the domain: the disk's circle,
+    or the polygon's walls ("wall", k), at the domain's clip eps."""
+    eps = clip_eps(domain)
+    if isinstance(domain, DiskDomain):
+        c, R = tuple(domain.center), domain.radius
+        return lambda verts, labels: clip_to_circle(verts, labels, c, R, eps)
+    normals, offsets = domain.edge_normals()
+    return lambda verts, labels: clip_to_halfplanes(verts, labels, normals,
+                                                    offsets, eps)
+
+
+def grid_pieces(domain, m):
+    """The m×m grid squares over the domain's bounding box, each clipped to
+    the domain: a list of (square, verts, labels, area, centroid), column
+    by column, for the pieces of area above (10 eps)²."""
+    lo, hi = domain.bounding_box()
+    clip, eps = domain_clipper(domain), clip_eps(domain)
+    hx, hy = (hi - lo) / m
+    out = []
+    for i in range(m):
+        for j in range(m):
+            x0, y0 = lo[0] + i * hx, lo[1] + j * hy
+            square = [(x0, y0), (x0 + hx, y0), (x0 + hx, y0 + hy), (x0, y0 + hy)]
+            verts, labels = clip(square, [("grid", k) for k in range(4)])
+            if not verts:
+                continue
+            area, cen = cell_area_centroid(verts, labels)
+            if area > (10 * eps) ** 2:
+                out.append((square, verts, labels, area, cen))
+    return out
+
+
 def contains(domain, x, tol=1e-12):
-    """Membership test; x is a 2-vector or an (m, 2) array."""
+    """Membership test; x is a 2-vector or an (m, 2) array. A negative tol
+    asks for points inside by more than -tol."""
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     pts = x[None, :] if single else x
@@ -307,12 +373,8 @@ def total_mass(domain, K, tol=1e-8):
         nodes = domain.centroid[None, :]
         K.validate(domain, nodes)
         return mass, _classify(mass, tol)
-    if isinstance(domain, ConvexPolygonDomain):
-        tris = fan_triangles(domain.vertices, domain.centroid)
-        patches, panel_nodes = np.zeros((0, 9)), _TRI_NODES
-    else:
-        tris, panel_nodes = np.zeros((0, 3, 2)), _PATCH_NODES
-        patches = disk_patch(domain.center, domain.radius)[None, :]
+    # a polygon integrates as fan triangles, a disk as two arc patches
+    panel_nodes = _PATCH_NODES if isinstance(domain, DiskDomain) else _TRI_NODES
     zero_panel = [False]
 
     def f(pts):
@@ -321,7 +383,7 @@ def total_mass(domain, K, tol=1e-8):
             zero_panel[0] = True
         return v
 
-    mass = float(integrate_panels(f, tris, patches, tol)[0, 0])
+    mass = float(integrate_cell(*domain_cell(domain), f, tol)[0])
     K.validate(domain, _sample_nodes(domain))
     if zero_panel[0]:
         warnings.warn("density vanishes on part of the domain; empty cells may "

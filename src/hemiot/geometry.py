@@ -1,8 +1,8 @@
 # Planar computational geometry shared by the domain, diagram, and target layers:
-# labeled convex clipping, exact circle/polygon cells, grid squares clipped to a
-# region, and the one adaptive quadrature engine, which integrates a density
-# over a whole set of cells (source cells, target cells, grid atoms, the
-# domain) in one globally adaptive call.
+# labeled convex clipping, exact circle/polygon cells, and the one adaptive
+# quadrature engine, which integrates a density over a whole set of cells
+# (source cells, target cells, grid atoms, a whole region) in one globally
+# adaptive call.
 import math
 from functools import lru_cache
 
@@ -137,23 +137,6 @@ def clip_to_halfplanes(verts, labels, normals, offsets, eps):
         if not verts:
             break
     return verts, labels
-
-
-def clipped_grid(lo, hi, m, clip, eps):
-    """The m×m grid squares over the box [lo, hi], each clipped to a convex
-    region by clip(verts, labels). Yields (square, verts, labels, area,
-    centroid) for the pieces of area above (10 eps)², column by column."""
-    hx, hy = (hi - lo) / m
-    for i in range(m):
-        for j in range(m):
-            x0, y0 = lo[0] + i * hx, lo[1] + j * hy
-            square = [(x0, y0), (x0 + hx, y0), (x0 + hx, y0 + hy), (x0, y0 + hy)]
-            verts, labels = clip(square, [("grid", k) for k in range(4)])
-            if not verts:
-                continue
-            area, cen = cell_area_centroid(verts, labels)
-            if area > (10 * eps) ** 2:
-                yield square, verts, labels, area, cen
 
 
 def _dedupe(verts, labels, eps):
@@ -362,12 +345,6 @@ def arc_patch(a, b, center, R):
     return np.array([c[0], c[1], R, e, tm, ta, tb, 0.0, 1.0])
 
 
-def disk_patch(center, R):
-    """The whole disk (center, R) as one patch reaching the centre."""
-    return np.array([center[0], center[1], R, 0.0, math.pi, 0.0, 2.0 * math.pi,
-                     0.0, 1.0])
-
-
 def _patch_split(patches):
     """The four (θ, s) quarters of each patch row, in order."""
     tm = 0.5 * (patches[:, _T0] + patches[:, _T1])[:, None]
@@ -481,13 +458,6 @@ def integrate_panels(f, tris, patches, tol, owners=None, k=1):
         for leaves, m in zip(kinds, np.split(split, np.cumsum(sizes)[:-1])):
             leaves.refine(m)
         rounds += 1
-
-
-def fan_triangles(verts, center):
-    """(k, 3, 2) fan of a convex polygon's (k, 2) vertices around center."""
-    v = np.asarray(verts, dtype=float)
-    return np.stack([np.broadcast_to(center, v.shape), v,
-                     np.roll(v, -1, axis=0)], axis=1)
 
 
 def integrate_cells(cells, f, tol=1e-10):

@@ -3,15 +3,17 @@
 # upper envelope. A cell is the fan of power vertices around its site in the
 # regular triangulation of the lifted sites (Aurenhammer 1987), cut by the
 # domain, exactly, including circular-arc boundaries on disk domains, when
-# it is open or reaches the boundary. A diagram holds all its cells in one
-# ragged vertex array.
+# it is open or reaches the boundary. The cut, its tolerance and the test
+# for a fan inside the domain are the domain's own (domains.domain_clipper,
+# clip_eps and contains). A diagram holds all its cells in one ragged
+# vertex array.
 import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .domains import DiskDomain, initial_cell
+from .domains import clip_eps, contains, domain_clipper, initial_cell
 from .geometry import (
     ARC,
     _segment_area_moment,
@@ -225,14 +227,6 @@ def _fans(n, tri, across, power, eps):
     return site[corners], verts[apart], np.roll(tri, -2, axis=1).ravel()[corners], enter
 
 
-def _strictly_inside(domain, pts, eps):
-    """Per point: inside the domain by more than eps."""
-    if isinstance(domain, DiskDomain):
-        return np.hypot(*(pts - domain.center).T) < domain.radius - eps
-    normals, offsets = domain.edge_normals()
-    return (pts @ normals.T < offsets - eps).all(axis=1)
-
-
 def _is_collinear(sites):
     """Rank-1 sites: every lift lies in a vertical plane and has no 2D hull."""
     s = np.linalg.svd(sites - sites.mean(axis=0), compute_uv=False)
@@ -284,7 +278,7 @@ def laguerre_diagram(domain, sites, psi, method="auto"):
     if len(psi) != len(sites):
         raise ValueError("psi length mismatch")
     n = len(sites)
-    eps = _geom_eps(domain)
+    eps = clip_eps(domain)
     verts0, labels0, circle = initial_cell(domain)
 
     def clipped(i, cand):
@@ -321,10 +315,9 @@ def laguerre_diagram(domain, sites, psi, method="auto"):
         fans = _fans(n, *_regular_triangulation(sites, psi), eps)
     fan_site, fan_verts, fan_nbr, enter = fans
     count = np.bincount(fan_site, minlength=n)
-    inside = np.bincount(fan_site, ~_strictly_inside(domain, fan_verts, eps),
-                         n) == 0
+    inside = np.bincount(fan_site, ~contains(domain, fan_verts, -eps), n) == 0
     fast = (count >= 2) & inside & (enter < 0)
-    clip, ends = _domain_clipper(domain), np.cumsum(count)
+    clip, ends = domain_clipper(domain), np.cumsum(count)
     cells = {}
     for i in np.flatnonzero(~fast & ((count >= 2) | (enter >= 0))).tolist():
         at = slice(ends[i] - count[i], ends[i])
@@ -356,18 +349,6 @@ def _close_fan(verts, sites, i, leave, enter, domain):
     base = verts[[-1, 0]]
     ends = base + out * ((level - (base - c) @ w) / (out @ w))[:, None]
     return np.concatenate([verts, ends])
-
-
-def _domain_clipper(domain):
-    """Clip a straight-edged convex piece to the domain: the disk's circle,
-    or the polygon's walls ("wall", k), at the diagram's clip eps."""
-    eps = _geom_eps(domain)
-    if isinstance(domain, DiskDomain):
-        c, R = tuple(domain.center), domain.radius
-        return lambda verts, labels: clip_to_circle(verts, labels, c, R, eps)
-    normals, offsets = domain.edge_normals()
-    return lambda verts, labels: clip_to_halfplanes(verts, labels, normals,
-                                                    offsets, eps)
 
 
 def _assemble(domain, sites, psi, route, rings, clipped):
@@ -441,11 +422,6 @@ def clip_to_bisectors(verts, labels, sites, psi, i, nbrs, eps):
     return verts, labels
 
 
-def _geom_eps(domain):
-    lo, hi = domain.bounding_box()
-    return 1e-12 * float(np.max(hi - lo))
-
-
 def compute_measures(diagram, K, tol=1e-10):
     """Per-cell masses G_i = ∫_cell K dx and K-weighted first moments, exact
     for constant densities (areas and centroids are closed-form). Otherwise
@@ -496,7 +472,7 @@ def pairwise_overlap_area(diagram, i, j):
     a, b = diagram.cells[i], diagram.cells[j]
     if a.is_empty or b.is_empty:
         return 0.0
-    eps = _geom_eps(diagram.domain)
+    eps = clip_eps(diagram.domain)
     verts, labels, circle = initial_cell(diagram.domain)
     for cell in (a, b):
         # unit normals, so that eps is a distance

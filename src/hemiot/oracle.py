@@ -10,9 +10,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .chart import c_exp
-from .domains import contains
-from .geometry import cell_area_centroid, clipped_grid, integrate_cells
-from .laguerre import _domain_clipper, _geom_eps, clip_to_bisectors
+from .domains import clip_eps, contains, domain_clipper, grid_pieces
+from .geometry import cell_area_centroid, integrate_cells
+from .laguerre import clip_to_bisectors
 from .solver import solve
 
 
@@ -264,9 +264,7 @@ def _grid_atoms(domain, K, grid_m):
     """Cell-centered atomization of the source on an m×m grid over the
     domain's bounding box; boundary-cut cells put the atom at the centroid of
     the clipped piece."""
-    lo, hi = domain.bounding_box()
-    pieces = list(clipped_grid(lo, hi, grid_m, _domain_clipper(domain),
-                               _geom_eps(domain)))
+    pieces = grid_pieces(domain, grid_m)
     if K.is_constant:
         masses = [K.constant * area for _, _, _, area, _ in pieces]
     else:
@@ -300,8 +298,8 @@ def _overlap_table(domain, sol, atoms):
     domain, the way the brute route of laguerre_diagram builds cell i, so
     the parts of one atom tile its piece exactly."""
     diagram = sol.diagram
-    eps = _geom_eps(domain)
-    clip = _domain_clipper(domain)
+    eps = clip_eps(domain)
+    clip = domain_clipper(domain)
     area = np.zeros((len(atoms), len(diagram.sites)))
     for cell in diagram.cells:
         if cell.is_empty:

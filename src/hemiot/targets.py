@@ -1,57 +1,33 @@
 # Discretization of a geodesically convex target region on the lower
-# hemisphere (described in the gradient-plane chart) into weighted sites whose
-# masses integrate the chart density, rescaled to balance the source mass.
+# hemisphere into weighted sites whose masses integrate the chart density,
+# rescaled to balance the source mass. In the gradient-plane chart a
+# geodesically convex region is again convex, so a target region is a
+# domains.DiskDomain or ConvexPolygonDomain, and it shares the source
+# domain's clipper, membership test, grid and exact cell.
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .chart import chart_density, is_geodesically_convex
-from .geometry import (
-    ARC,
-    clip_to_circle,
-    clip_to_halfplanes,
-    clipped_grid,
-    integrate_cell,
-    integrate_cells,
-    polygon_area,
-    polygon_centroid,
-    polygon_halfplanes,
-)
+from .chart import chart_density
+from .domains import ConvexPolygonDomain, DiskDomain, domain_cell, grid_pieces
+from .geometry import integrate_cell, integrate_cells
 
 
-@dataclass(frozen=True)
-class TargetRegion:
-    """kind in {"chart_disk", "chart_polygon", "full_hemisphere"}; disks carry
-    (center, radius), polygons their chart vertices, the full hemisphere a
-    finite truncation radius for its unbounded chart."""
-    kind: str
-    center: np.ndarray = None
-    radius: float = None
-    vertices: np.ndarray = None
-    truncation_radius: float = None
+class FullHemisphere(DiskDomain):
+    """The whole lower hemisphere, truncated to the chart disk of radius P
+    about the origin; discretize gives it a polar site layout."""
+
+    @property
+    def truncation_radius(self):
+        return self.radius
 
 
-def chart_disk(center, radius):
-    if not radius > 0:
-        raise ValueError("radius must be positive")
-    return TargetRegion(kind="chart_disk", center=np.asarray(center, dtype=float),
-                        radius=float(radius))
-
-
-def chart_polygon(vertices):
-    region = TargetRegion(kind="chart_polygon",
-                          vertices=np.asarray(vertices, dtype=float))
-    # a clockwise polygon is convex too, but its region_mass is negative
-    if not is_geodesically_convex(region) or polygon_area(region.vertices) <= 0:
-        raise ValueError("chart polygon must be convex (counterclockwise)")
-    return region
+chart_disk, chart_polygon = DiskDomain, ConvexPolygonDomain
 
 
 def full_hemisphere(truncation_radius):
-    if not truncation_radius > 0:
-        raise ValueError("truncation radius must be positive and finite")
-    return TargetRegion(kind="full_hemisphere", truncation_radius=float(truncation_radius))
+    return FullHemisphere(np.zeros(2), truncation_radius)
 
 
 def truncation_radius_for(epsilon):
@@ -68,28 +44,17 @@ _REGION_TOL = 1e-13
 
 
 def region_mass(region):
-    """Chart-density mass of the region. Disks centered at the origin and the
-    truncated hemisphere have the closed form pi s^2/(1+s^2); anything else is
-    one cell (polygon, or disk with arc edges) integrated by the adaptive
-    engine to an absolute error estimate of _REGION_TOL."""
-    if region.kind == "full_hemisphere":
-        s = region.truncation_radius
+    """Chart-density mass of the region. Disks centered at the origin, the
+    truncated hemisphere among them, have the closed form pi s^2/(1+s^2);
+    anything else is the region's one cell (polygon, or disk with arc edges)
+    integrated by the adaptive engine to an absolute error estimate of
+    _REGION_TOL."""
+    if isinstance(region, DiskDomain) \
+            and float(np.linalg.norm(region.center)) < 1e-15:
+        s = region.radius
         return math.pi * s * s / (1.0 + s * s)
-    if region.kind == "chart_disk":
-        if float(np.linalg.norm(region.center)) < 1e-15:
-            s = region.radius
-            return math.pi * s * s / (1.0 + s * s)
-        verts, labels = _disk_cell(region.center, region.radius)
-    else:
-        verts = [tuple(v) for v in region.vertices]
-        labels = [("edge", i) for i in range(len(verts))]
+    verts, labels = domain_cell(region)
     return float(integrate_cell(verts, labels, chart_density, _REGION_TOL)[0])
-
-
-def _disk_cell(center, R):
-    cx, cy = center
-    return ([(cx + R, cy), (cx - R, cy)],
-            [(ARC, (cx, cy), R), (ARC, (cx, cy), R)])
 
 
 @dataclass(frozen=True)
@@ -133,13 +98,13 @@ def discretize(region, N, source_mass, seed=0):
     """At most N sites covering the region, masses integrating the chart
     density per cell, one global rescale pinning the total to source_mass.
 
-    chart_disk / chart_polygon: a regular grid over the chart bounding box,
+    chart disk / polygon: a regular grid over the chart bounding box,
     grid cells clipped to the region, site = clipped-cell centroid (kept inside
     by convexity), empty cells dropped; the cells' chart-density masses come
     from one adaptive quadrature call over all of them, with the error
     estimates summing to at most 1e-11 of the region mass.
 
-    full_hemisphere: a deterministic polar grid uniform in (w, phi) with
+    FullHemisphere: a deterministic polar grid uniform in (w, phi) with
     w = |p|^2/(1+|p|^2), whose cell masses are exact (the chart density in
     those variables is dw dphi / 2); a bounding-box grid cannot resolve the
     unbounded chart (its center cell alone would carry ~70% of the mass at
@@ -153,11 +118,11 @@ def discretize(region, N, source_mass, seed=0):
     if cap <= 0:
         raise ValueError("region has no mass")
     if N == 1:
-        site = _region_centroid(region)
+        site = region.centroid
         return DiscreteTarget(sites=site[None, :], masses=np.array([source_mass]),
                               total=source_mass, rescale_factor=source_mass / cap,
                               pre_rescale_mismatch=abs(cap - source_mass))
-    if region.kind == "full_hemisphere":
+    if isinstance(region, FullHemisphere):
         sites, masses = _polar_grid(region.truncation_radius, N)
     else:
         sites, masses = _bbox_grid(region, N, cap)
@@ -177,14 +142,6 @@ def discretize(region, N, source_mass, seed=0):
     return out
 
 
-def _region_centroid(region):
-    if region.kind == "chart_disk":
-        return region.center.copy()
-    if region.kind == "full_hemisphere":
-        return np.zeros(2)
-    return polygon_centroid(region.vertices)
-
-
 # quadrature tolerance of the grid-cell masses, relative to the region mass
 # and summed over all cells
 _GRID_TOL = 1e-11
@@ -194,25 +151,7 @@ def _bbox_grid(region, N, mass):
     """Grid squares over the region's bounding box clipped to it: sites at
     the pieces' centroids, masses integrating the chart density (mass is the
     region's, which scales the quadrature tolerance)."""
-    if region.kind == "chart_disk":
-        lo = region.center - region.radius
-        hi = region.center + region.radius
-    else:
-        lo = region.vertices.min(axis=0)
-        hi = region.vertices.max(axis=0)
-    eps = 1e-12 * float(max(hi - lo))
-    if region.kind == "chart_disk":
-        circle = (tuple(region.center), region.radius)
-
-        def clip(verts, labels):
-            return clip_to_circle(verts, labels, *circle, eps)
-    else:
-        planes = polygon_halfplanes(region.vertices)
-
-        def clip(verts, labels):
-            return clip_to_halfplanes(verts, labels, *planes, eps)
-    m = int(math.floor(math.sqrt(N)))
-    pieces = list(clipped_grid(lo, hi, m, clip, eps))
+    pieces = grid_pieces(region, int(math.floor(math.sqrt(N))))
     nu = integrate_cells([(verts, labels) for _, verts, labels, _, _ in pieces],
                          chart_density, _GRID_TOL * mass)[:, 0]
     keep = nu > 0
@@ -239,16 +178,3 @@ def _polar_grid(P_max, N):
     masses = np.full(m_r * m_a, 0.5 * dw * dphi)
     return sites, masses
 
-
-def region_contains(region, p, tol=1e-9):
-    p = np.asarray(p, dtype=float)
-    single = p.ndim == 1
-    pts = p[None, :] if single else p
-    if region.kind == "chart_disk":
-        out = np.linalg.norm(pts - region.center, axis=1) <= region.radius + tol
-    elif region.kind == "full_hemisphere":
-        out = np.linalg.norm(pts, axis=1) <= region.truncation_radius + tol
-    else:
-        n, b = polygon_halfplanes(region.vertices)
-        out = np.all(pts @ n.T <= b[None, :] + tol, axis=1)
-    return bool(out[0]) if single else out

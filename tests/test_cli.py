@@ -230,6 +230,52 @@ def test_clockwise_chart_polygon_is_a_validation_error(tmp_path, capsys):
         "validation error: target.vertices:")
 
 
+NAN, INF = float("nan"), float("inf")
+SQUARE_VERTS = [[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]]
+
+
+@pytest.mark.parametrize("field, domain, target", [
+    pytest.param("domain.radius", {"kind": "disk", "radius": NAN}, None,
+                 id="nan-radius"),
+    pytest.param("domain.center", {"kind": "disk", "center": [0, 0, 0],
+                                   "radius": 0.5}, None, id="3d-center"),
+    pytest.param("domain.center", {"kind": "disk", "center": ["a", "b"],
+                                   "radius": 0.5}, None, id="text-center"),
+    pytest.param("domain.vertices", {"kind": "polygon", "vertices":
+                                     [[NAN, -0.5]] + SQUARE_VERTS[1:]}, None,
+                 id="nan-vertex"),
+    pytest.param("target.center", None, {"kind": "chart_disk", "radius": 0.8,
+                                         "center": [0, 0, 0]},
+                 id="3d-chart-center"),
+    pytest.param("target.radius", None, {"kind": "chart_disk",
+                                         "radius": INF}, id="inf-chart-radius"),
+    pytest.param("target.vertices", None, {"kind": "chart_polygon", "vertices":
+                                           [[NAN, -0.5]] + SQUARE_VERTS[1:]},
+                 id="nan-chart-vertex"),
+    pytest.param("target.truncation_radius", None,
+                 {"kind": "hemisphere", "truncation_radius": INF},
+                 id="inf-truncation-radius"),
+    # chart polygons follow the domain polygons' rule: strictly convex
+    pytest.param("target.vertices", None, {"kind": "chart_polygon", "vertices":
+                                           SQUARE_VERTS[:2] + [[0.5, -0.5]]
+                                           + SQUARE_VERTS[2:]},
+                 id="repeated-chart-vertex"),
+    pytest.param("target.vertices", None, {"kind": "chart_polygon", "vertices":
+                                           SQUARE_VERTS[:2] + [[0.5, 0.0]]
+                                           + SQUARE_VERTS[2:]},
+                 id="collinear-chart-vertex"),
+])
+def test_region_shape_errors_name_their_field(tmp_path, capsys, field, domain,
+                                              target):
+    # the disk and polygon classes check their own shape; the config layer
+    # only names the field
+    doc = dict(SOLVE_DOC, out=str(tmp_path / "bad"))
+    doc["domain"] = domain or doc["domain"]
+    doc["target"] = target or doc["target"]
+    assert main(["--config", _write(tmp_path, "bad.json", doc)]) == 2
+    assert capsys.readouterr().err.startswith(f"validation error: {field}:")
+
+
 @pytest.mark.parametrize("threshold", [1.5, -1.0])
 def test_oracle_compare_rejects_threshold_out_of_range(tmp_path, threshold):
     # 1.5 would fail every run and -1 pass every run

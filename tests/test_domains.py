@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -90,6 +91,21 @@ def test_total_mass_quadrature_vs_closed_form():
     Ksq = SourceDensity(fn=lambda p: np.exp(p[:, 0]))
     sq_mass, _ = total_mass(UNIT_SQUARE, Ksq, tol=1e-10)
     assert sq_mass == pytest.approx(2.0 * math.sinh(0.5), rel=1e-9)
+
+
+@pytest.mark.parametrize("domain", [UNIT_DISK, UNIT_SQUARE],
+                         ids=["disk", "square"])
+def test_total_mass_warns_when_the_density_vanishes_on_a_panel(domain):
+    # max(x1, 0) is zero on the whole left half of either domain
+    half = SourceDensity(fn=lambda p: np.maximum(p[:, 0], 0.0))
+    with pytest.warns(RuntimeWarning, match="density vanishes"):
+        mass, _ = total_mass(domain, half, tol=1e-10)
+    exact = 2.0 / 3.0 if domain is UNIT_DISK else 1.0 / 8.0
+    assert mass == pytest.approx(exact, rel=1e-8)
+    positive = SourceDensity(fn=lambda p: 1.0 + np.maximum(p[:, 0], 0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        total_mass(domain, positive, tol=1e-10)
 
 
 def test_source_density_validation():

@@ -161,7 +161,7 @@ def test_lattice_lift_merges_coincident_power_vertices(domain):
 def _count_domain_clips(monkeypatch):
     """Patch laguerre's domain clipper to record each piece it clips."""
     import hemiot.laguerre as lag
-    make, calls = lag._domain_clipper, []
+    make, calls = lag.domain_clipper, []
 
     def counted(domain):
         clip = make(domain)
@@ -170,7 +170,7 @@ def _count_domain_clips(monkeypatch):
             calls.append(1)
             return clip(verts, labels)
         return count
-    monkeypatch.setattr(lag, "_domain_clipper", counted)
+    monkeypatch.setattr(lag, "domain_clipper", counted)
     return calls
 
 

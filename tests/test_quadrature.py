@@ -11,8 +11,8 @@ from hemiot.cli import ConfigError, run
 from hemiot.domains import (ConvexPolygonDomain, DiskDomain, SourceDensity,
                             total_mass)
 from hemiot.geometry import (QuadratureError, arc_patch, clip_to_circle,
-                             disk_patch, fan_triangles, integrate_cell,
-                             integrate_cells, integrate_panels)
+                             integrate_cell, integrate_cells,
+                             integrate_panels)
 from hemiot.laguerre import compute_measures, laguerre_diagram
 
 X0 = np.array([0.31, 0.17])
@@ -29,12 +29,17 @@ def _smooth(p):
 
 
 def test_triangles_and_patches_integrate_the_same_disk():
-    # one patch around the centre, and a square fan plus four arc patches
-    disk = disk_patch((0.1, -0.2), 0.7)[None, :]
+    # two half-disk patches around the centre, and a square fan plus four
+    # arc patches
+    east, west = (0.8, -0.2), (-0.6, -0.2)
+    disk = np.array([arc_patch(east, west, (0.1, -0.2), 0.7),
+                     arc_patch(west, east, (0.1, -0.2), 0.7)])
     whole = integrate_panels(_smooth, np.zeros((0, 3, 2)), disk, 1e-12)
     corners = [(0.1 + 0.7 * math.cos(t), -0.2 + 0.7 * math.sin(t))
                for t in (0.3, 1.9, 3.5, 5.1)]
-    tris = fan_triangles(corners, np.mean(corners, axis=0))
+    ring = np.array(corners)
+    tris = np.stack([np.broadcast_to(ring.mean(axis=0), ring.shape), ring,
+                     np.roll(ring, -1, axis=0)], axis=1)
     arcs = np.array([arc_patch(corners[i], corners[(i + 1) % 4], (0.1, -0.2), 0.7)
                      for i in range(4)])
     pieces = integrate_panels(_smooth, tris, arcs, 1e-12)

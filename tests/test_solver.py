@@ -39,6 +39,21 @@ def test_single_site_is_trivial():
     assert sol.masses[0] == pytest.approx(1.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("domain, region", [
+    (DiskDomain(np.array([0.2, -0.1]), 0.5), chart_disk([0.3, 0.4], 0.6)),
+    (SQUARE, chart_polygon([[0.0, 0.0], [0.8, 0.1], [0.2, 0.7]])),
+], ids=["disk", "polygon"])
+def test_one_site_target_takes_the_whole_domain(domain, region):
+    mass, _ = total_mass(domain, K1)
+    target = discretize(region, 1, mass)
+    assert np.array_equal(target.sites, region.centroid[None, :])
+    sol = solve(domain, K1, target)
+    assert sol.report.converged and sol.report.iterations == 0
+    assert sol.report.final_residual == 0.0
+    assert sol.diagram.area[0] == pytest.approx(domain_area(domain),
+                                                rel=1e-15)
+
+
 def test_mass_balance_guard():
     target = DiscreteTarget(np.array([[1.0, 0.0], [-1.0, 0.0]]),
                             np.array([0.25, 0.25]))
