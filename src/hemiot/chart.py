@@ -13,7 +13,7 @@ import numpy as np
 from .domains import ConvexPolygonDomain, DiskDomain
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HemispherePoint:
     """Unit vector on the open lower hemisphere, split as (y, y_last)."""
     y: np.ndarray

@@ -1,6 +1,6 @@
 # Batch front door: a JSON config names one pipeline (solve, benchmark,
-# blowup, oracle comparison, lemma checks, export); running it emits
-# solution/mesh/sample artifacts plus a report.json that records every
+# blowup, oracle comparison, lemma checks, export); running it writes
+# solution/mesh/sample CSV artifacts plus a report.json that records every
 # verdict, measurement, and artifact hash.  Exit codes: 0 all contracts
 # pass, 1 contract failure, 2 validation error, 3 non-convergence.
 import argparse
@@ -25,7 +25,7 @@ from .experiments import (blowup_experiment, cone_inclusion_check,
 from .oracle import (agreement_ceiling, monotonicity_certificate,
                      semidiscrete_agreement)
 from .solver import (ConvergenceError, MassBalanceError, _cell_polyline,
-                     export_mesh, solution_to_csv, solve)
+                     export_mesh, solution_to_csv, solve, write_csv)
 from .targets import (DiscreteTarget, discretize, full_hemisphere,
                       truncation_radius_for)
 
@@ -129,6 +129,16 @@ def _get(spec, key, path, kind=None, default=KeyError):
     if kind is not None and not isinstance(v, kind):
         raise ConfigError(f"{path}.{key}: expected {kind.__name__}")
     return v
+
+
+def _numbers(params, key, default):
+    """params[key] as a list of floats, or default when it is absent."""
+    v = _get(params, key, "config.params", list, default=None)
+    if v is None:
+        return default
+    if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in v):
+        raise ConfigError(f"config.params.{key}: expected a list of numbers")
+    return [float(x) for x in v]
 
 
 def build_domain(spec, path="domain"):
@@ -352,7 +362,8 @@ class ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# pipelines; each returns (verdicts, measurements) and writes artifacts
+# pipelines; each checks its params before any work, writes its CSV
+# artifacts through write_csv and returns (verdicts, measurements, timings)
 
 
 def _diagram_counts(sol):
@@ -413,14 +424,10 @@ def _cmd_solve(cfg, out):
 
 def _cmd_export(cfg, out):
     sol, verdicts, meas, times = _solve_instance(cfg, out)
-    rows = ["site,k,x1,x2"]
-    for c in sol.diagram.cells:
-        if c.is_empty:
-            continue
-        for k, (x, y) in enumerate(_cell_polyline(c)):
-            rows.append(f"{c.site_index},{k},{float(x)!r},{float(y)!r}")
-    with open(os.path.join(out, "cells.csv"), "w") as fh:
-        fh.write("\n".join(rows) + "\n")
+    write_csv(os.path.join(out, "cells.csv"), ("site", "k", "x1", "x2"),
+              ((c.site_index, k, float(x), float(y))
+               for c in sol.diagram.cells if not c.is_empty
+               for k, (x, y) in enumerate(_cell_polyline(c))))
     verdicts = {"converged": verdicts["converged"]}
     return verdicts, meas, times
 
@@ -431,14 +438,16 @@ def _cmd_sphere(cfg, out):
     if not 0 < r < 1:
         raise ConfigError("config.params.r: must lie in (0, 1)")
     n_eval = _get(p, "n_eval", "config.params", int, default=20000)
+    if n_eval < 1:
+        raise ConfigError("config.params.n_eval: must be at least 1")
     N = cfg.N if cfg.N is not None else 2000
     t0 = time.time()
     rep, sol = sphere_benchmark(r, N, tol=cfg.tol, max_iter=cfg.max_iter,
-                                n_eval=n_eval, seed=cfg.seed, out_dir=out)
+                                n_eval=n_eval, seed=cfg.seed)
     solution_to_csv(sol, os.path.join(out, "solution.csv"))
     export_mesh(sol, os.path.join(out, "mesh.obj"))
-    os.replace(os.path.join(out, "sphere_benchmark_samples.csv"),
-               os.path.join(out, "samples.csv"))
+    write_csv(os.path.join(out, "samples.csv"), rep.sample_header,
+              rep.samples)
     verdicts = {
         "converged": bool(rep.converged),
         "gradient_sup_error": bool(rep.grad_error <= 5e-2),
@@ -462,19 +471,17 @@ def _cmd_blowup(cfg, out):
         else DiskDomain(np.zeros(2), 1.0)
     K = build_density(cfg.density, domain) if cfg.density is not None \
         else constant_density(1.0)
-    mass, regime = total_mass(domain, K, tol=1e-8 if K.is_constant else 1e-10)
-    if regime != "critical":
-        raise ConfigError(
-            f"config.density: the blowup run needs the critical mass "
-            f"balance (total curvature mass = pi = full hemisphere mass); "
-            f"got {mass:.9g} ({regime})")
+    # the unit disk with K = 1 carries mass pi, the whole hemisphere's: the
+    # critical case, and the only one the closed-form bound is set up for
     if not (isinstance(domain, DiskDomain)
             and abs(domain.radius - 1.0) < 1e-12
-            and np.allclose(domain.center, 0.0)
-            and K.is_constant and abs(K.constant - 1.0) < 1e-12):
+            and np.allclose(domain.center, 0.0)):
         raise ConfigError(
-            "config.domain: the blowup pipeline supports the unit disk "
-            "with constant curvature 1")
+            "config.domain: the blowup pipeline supports the unit disk")
+    if not (K.is_constant and abs(K.constant - 1.0) < 1e-12):
+        raise ConfigError(
+            "config.density: the blowup pipeline supports constant "
+            "curvature 1")
     samples = _get(p, "samples", "config.params", int, default=1000)
     delta = _get(p, "delta", "config.params", float, default=0.5)
     C0 = _get(p, "C0", "config.params", float, default=1.0)
@@ -484,15 +491,18 @@ def _cmd_blowup(cfg, out):
         raise ConfigError("config.params.samples: must be at least 1")
     if not 0 < delta < 1:
         raise ConfigError("config.params.delta: must lie in (0, 1)")
+    if C0 <= 0:
+        raise ConfigError("config.params.C0: must be positive")
+    if not 0 < eps < math.pi:
+        raise ConfigError("config.params.tail_epsilon: must lie in (0, pi)")
     N = cfg.N if cfg.N is not None else 4000
     t0 = time.time()
     rep, sol = blowup_experiment(samples, delta=delta, N=N, C0=C0,
                                  tail_epsilon=eps, seed=cfg.seed,
-                                 tol=cfg.tol, max_iter=cfg.max_iter,
-                                 out_dir=out)
+                                 tol=cfg.tol, max_iter=cfg.max_iter)
     solution_to_csv(sol, os.path.join(out, "solution.csv"))
-    os.replace(os.path.join(out, "blowup_samples.csv"),
-               os.path.join(out, "samples.csv"))
+    write_csv(os.path.join(out, "samples.csv"), rep.sample_header,
+              rep.samples)
     trunc_frac = rep.truncation_excluded / max(samples, 1)
     verdicts = {
         "converged": bool(rep.converged),
@@ -507,6 +517,7 @@ def _cmd_blowup(cfg, out):
         "agreement_max_rel_err": rep.agreement_max_rel_err,
         "max_ray_backstep": rep.max_ray_backstep,
         "iterations": rep.iterations, "delta": rep.delta, "C0": rep.C0,
+        "L": rep.L, "R0": rep.R0, "violations": rep.violations,
         **_diagram_counts(sol),
     }
     return verdicts, meas, {"blowup_s": time.time() - t0}
@@ -538,7 +549,8 @@ def _cmd_oracle(cfg, out):
         domain, K, target, grid_m, tol=cfg.tol)
     ceiling = agreement_ceiling(plan, member, target)
     cert = monotonicity_certificate(plan)
-    plan.to_csv(os.path.join(out, "samples.csv"))
+    write_csv(os.path.join(out, "samples.csv"), ("source", "target", "mass"),
+              plan.entries)
     solution_to_csv(sol, os.path.join(out, "solution.csv"))
     verdicts = {
         "converged": bool(sol.report.converged),
@@ -566,41 +578,37 @@ def _cmd_lemmas(cfg, out):
         raise ConfigError("config.domain: the lemma checks run on a disk")
     trials = _get(p, "trials", "config.params", int, default=100)
     n_points = _get(p, "n_points", "config.params", int, default=4000)
-    thetas = _get(p, "thetas", "config.params", list,
-                  default=[0.05, 0.1, 0.2, 0.4])
+    thetas = _numbers(p, "thetas", default=[0.05, 0.1, 0.2, 0.4])
+    t_values = _numbers(p, "t_values", default=None)
     estar_samples = _get(p, "estar_samples", "config.params", int,
                          default=2000000)
     dim = _get(p, "dimension", "config.params", int, default=2)
     if trials < 1:
         raise ConfigError("config.params.trials: must be at least 1")
+    if n_points < 2:
+        raise ConfigError("config.params.n_points: must be at least 2")
+    if not all(0 < th < 1 / math.sqrt(6.0) for th in thetas):
+        raise ConfigError(
+            "config.params.thetas: each theta must lie in (0, 1/sqrt(6))")
+    if estar_samples < 1:
+        raise ConfigError("config.params.estar_samples: must be at least 1")
+    if dim < 2:
+        raise ConfigError("config.params.dimension: must be at least 2")
 
     t0 = time.time()
     cone = cone_inclusion_check(domain, trials, n_points=n_points,
-                                seed=cfg.seed, out_dir=out)
+                                seed=cfg.seed)
     geo = boundary_geometry(domain)
     d0 = d0_threshold(geo)
     spec = make_cone_spec(
         domain, domain.center + np.array([domain.radius - d0, 0.0]), geo)
-    t_values = _get(p, "t_values", "config.params", list, default=None)
     if t_values is None:
         t_values = [f * d0 for f in (0.25, 0.5, 1.0, 1.5, 1.99)]
-    sl = slice_estimate_check(domain, t_values, spec, out_dir=out)
-    estar = []
-    for th in thetas:
-        if not 0 < th < 1 / math.sqrt(6.0):
-            raise ConfigError(
-                "config.params.thetas: each theta must lie in "
-                "(0, 1/sqrt(6))")
-        estar.append(estar_volume_check(th, dim, estar_samples,
-                                        seed=cfg.seed))
-    with open(os.path.join(out, "estar_volume_samples.csv"), "w") as fh:
-        fh.write("theta,measured,bound,stderr\n")
-        for r in estar:
-            fh.write(",".join(repr(v) for v in
-                              (r.theta, r.measured, r.bound, r.stderr))
-                     + "\n")
-    os.replace(os.path.join(out, "cone_inclusion_samples.csv"),
-               os.path.join(out, "samples.csv"))
+    sl = slice_estimate_check(domain, t_values, spec)
+    estar = [estar_volume_check(th, dim, estar_samples, seed=cfg.seed)
+             for th in thetas]
+    write_csv(os.path.join(out, "samples.csv"), cone.sample_header,
+              cone.samples)
     verdicts = {
         "cone_inclusion": bool(cone.max_excess == 0.0),
         "cone_negative_control": bool(cone.negative_control_excess > 0.0),
@@ -611,8 +619,10 @@ def _cmd_lemmas(cfg, out):
     meas = {
         "trials": trials, "cone_max_excess": cone.max_excess,
         "cone_negative_control_excess": cone.negative_control_excess,
+        "cone_worst_trial": cone.worst_trial,
         "slice_bound": sl.bound, "d0": sl.d0,
         "slice_rows": [[row[0], row[1], row[3], row[4]] for row in sl.rows],
+        "slice_arc_polyline": [row[2] for row in sl.rows],
         "estar": [{"theta": r.theta, "measured": r.measured,
                    "bound": r.bound, "stderr": r.stderr} for r in estar],
     }

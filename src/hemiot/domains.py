@@ -39,7 +39,7 @@ def _floats(x):
         return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConvexPolygonDomain:
     """Strictly convex polygon, vertices in counterclockwise order."""
     vertices: np.ndarray
@@ -78,7 +78,7 @@ class ConvexPolygonDomain:
         return v.min(axis=0), v.max(axis=0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiskDomain:
     center: np.ndarray
     radius: float
@@ -617,7 +617,7 @@ def d0_threshold(geo, r0=None):
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConeSpec:
     """Interior point x0 at distance d0 from the boundary along v0, with the
     cone parameter theta = sqrt(d0/(6 R0))."""

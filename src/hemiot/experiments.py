@@ -2,38 +2,26 @@
 # benchmark, the image identity of the discrete normal map, the boundary
 # gradient blowup bound in the critical case, and the cone/slice/volume
 # estimates it relies on.
-import json
 import math
-import os
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .chart import c_exp
 from .domains import (DiskDomain, boundary_geometry, constant_density,
-                      cone_memberships, d0_threshold, distance_to_boundary,
-                      lambda_constant, make_cone_spec, total_mass,
-                      unit_ball_volume)
+                      d0_threshold, lambda_constant, make_cone_spec,
+                      total_mass, unit_ball_volume)
 from .solver import active_site, potential, solve
-from .targets import (chart_disk, discretize, full_hemisphere, region_mass,
+from .targets import (chart_disk, discretize, full_hemisphere,
                       truncation_radius_for)
 
 
-def _emit(out_dir, name, verdict, rows, header):
-    if out_dir is None:
-        return
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, f"{name}.json"), "w") as fh:
-        json.dump(verdict, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(os.path.join(out_dir, f"{name}_samples.csv"), "w") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
+# Each report carries its sample rows as Python floats, with the column
+# names in sample_header; the CLI writes them to samples.csv.
 
 @dataclass
 class SphereBenchmarkReport:
+    sample_header = ("x1", "x2", "p1_num", "p2_num", "p1_true", "p2_true")
     r: float
     n_sites: int
     site_spacing: float
@@ -44,6 +32,7 @@ class SphereBenchmarkReport:
     iterations: int
     converged: bool
     runtime: float
+    samples: list              # rows of sample_header
 
 
 def site_spacing(sites):
@@ -53,8 +42,7 @@ def site_spacing(sites):
     return float(dist[:, 1].max())
 
 
-def sphere_benchmark(r, N, tol=1e-6, max_iter=50, n_eval=20000, seed=0,
-                     out_dir=None):
+def sphere_benchmark(r, N, tol=1e-6, max_iter=50, n_eval=20000, seed=0):
     """Recover the sphere piece u = -sqrt(1-|x|^2) over the disk of radius r
     from its curvature data and report sup-norm errors."""
     if not 0 < r < 1:
@@ -92,13 +80,8 @@ def sphere_benchmark(r, N, tol=1e-6, max_iter=50, n_eval=20000, seed=0,
     rep = SphereBenchmarkReport(
         float(r), len(target), spacing, grad_error, height_error, cap_excess,
         sol.report.final_residual, sol.report.iterations,
-        sol.report.converged, sol.report.runtime)
-    _emit(out_dir, "sphere_benchmark",
-          {**{k: v for k, v in asdict(rep).items() if k != "runtime"},
-           "passes": bool(rep.converged and grad_error <= 5e-2
-                          and height_error <= 5e-2)},
-          np.column_stack([pts, p_num, p_true]).tolist(),
-          "x1,x2,p1_num,p2_num,p1_true,p2_true")
+        sol.report.converged, sol.report.runtime,
+        np.column_stack([pts, p_num, p_true]).tolist())
     return rep, sol
 
 
@@ -121,7 +104,8 @@ def gauss_map_image_check(solution, target):
 
 @dataclass
 class BlowupReport:
-    samples: list              # (d, grad_norm) pairs, d <= d_max
+    sample_header = ("d", "grad_norm", "bound")
+    samples: list              # rows of sample_header, d <= d_max
     delta: float
     C0: float
     L: float
@@ -140,7 +124,7 @@ class BlowupReport:
 
 def blowup_experiment(samples, delta=0.5, N=4000, C0=1.0,
                       tail_epsilon=math.pi * 1e-4, seed=0, tol=1e-6,
-                      max_iter=100, out_dir=None):
+                      max_iter=100):
     """Critical-case run on the unit disk with K = 1: the target is the full
     (truncated) hemisphere, and near-boundary gradients must clear the
     closed-form blowup bound."""
@@ -156,7 +140,7 @@ def blowup_experiment(samples, delta=0.5, N=4000, C0=1.0,
 
     geo = boundary_geometry(dom)
     d_max = d0_threshold(geo)
-    Lam = lambda_constant(2, delta, C0, geo.L, geo.R0)
+    Lam = float(lambda_constant(2, delta, C0, geo.L, geo.R0))
     expo = (1.0 - delta) / 4.0
 
     rng = np.random.default_rng(seed)
@@ -189,33 +173,28 @@ def blowup_experiment(samples, delta=0.5, N=4000, C0=1.0,
         backstep = max(backstep, float(np.max(gr[:-1] - gr[1:], initial=0.0)))
 
     rep = BlowupReport(
-        samples=[(float(a), float(b)) for a, b in zip(d, grad)],
+        samples=[(a, b, Lam * a ** (-expo) - 2.0)
+                 for a, b in zip(d.tolist(), grad.tolist())],
         delta=float(delta), C0=float(C0), L=geo.L, R0=geo.R0,
-        Lambda=float(Lam), d_max=float(d_max), violations=violations,
+        Lambda=Lam, d_max=float(d_max), violations=violations,
         truncation_excluded=int(capped.sum()), P_max=float(P_max),
         n_sites=len(target), agreement_max_rel_err=agreement,
         max_ray_backstep=backstep, converged=sol.report.converged,
         iterations=sol.report.iterations)
-    verdict = {k: v for k, v in asdict(rep).items() if k != "samples"}
-    verdict["n_violations"] = len(violations)
-    verdict["passes"] = bool(rep.converged and not violations
-                             and capped.sum() < 0.05 * samples
-                             and agreement <= 0.10)
-    _emit(out_dir, "blowup", verdict,
-          [(a, b, Lam * a ** (-expo) - 2.0) for a, b in rep.samples],
-          "d,grad_norm,bound")
     return rep, sol
 
 
 @dataclass
 class ConeInclusionReport:
+    sample_header = ("d0", "theta", "excess")
     trials: int
     max_excess: float
     negative_control_excess: float
     worst_trial: int
+    samples: list              # rows of sample_header, one per trial
 
 
-def cone_inclusion_check(domain, trials, n_points=10000, seed=0, out_dir=None):
+def cone_inclusion_check(domain, trials, n_points=10000, seed=0):
     """Sample the boundary cone of each trial point and measure how far it
     escapes the predicted enclosing ball around the boundary anchor.
     Doubling theta past its admissible value serves as a negative control."""
@@ -256,7 +235,7 @@ def cone_inclusion_check(domain, trials, n_points=10000, seed=0, out_dir=None):
         pts = sample_cone(spec, spec.theta, n_points)
         w = math.sqrt((1.0 + 4.0 * geo.R0) * spec.d0)
         excess = max(0.0, float(np.linalg.norm(pts - xb, axis=1).max()) - w)
-        rows.append((spec.d0, spec.theta, excess))
+        rows.append((float(spec.d0), float(spec.theta), excess))
         if excess > max_excess:
             max_excess, worst = excess, t
 
@@ -272,11 +251,7 @@ def cone_inclusion_check(domain, trials, n_points=10000, seed=0, out_dir=None):
     w = math.sqrt((1.0 + 4.0 * geo.R0) * d0)
     neg = max(0.0, float(np.linalg.norm(pts - xb, axis=1).max()) - w)
 
-    rep = ConeInclusionReport(trials, max_excess, neg, worst)
-    _emit(out_dir, "cone_inclusion",
-          {**asdict(rep), "passes": bool(max_excess == 0.0 and neg > 0.0)},
-          rows, "d0,theta,excess")
-    return rep
+    return ConeInclusionReport(trials, max_excess, neg, worst, rows)
 
 
 @dataclass
@@ -287,7 +262,7 @@ class SliceEstimateReport:
     all_ok: bool
 
 
-def slice_estimate_check(domain, t_values, spec, n_dense=200000, out_dir=None):
+def slice_estimate_check(domain, t_values, spec, n_dense=200000):
     """Length of the inner level circle inside the boundary window box,
     against the closed-form budget; each admissible t is checked both by the
     exact circle formula and by a dense polyline."""
@@ -326,12 +301,7 @@ def slice_estimate_check(domain, t_values, spec, n_dense=200000, out_dir=None):
         status = "ok" if arc_cf <= bound + 1e-12 else "violated"
         ok &= status == "ok"
         rows.append((float(t), float(arc_cf), arc_poly, bound, status))
-    rep = SliceEstimateReport(rows, bound, float(d0), bool(ok))
-    _emit(out_dir, "slice_estimate",
-          {"bound": bound, "d0": float(d0), "all_ok": bool(ok),
-           "rows": [list(r[:4]) + [r[4]] for r in rows]},
-          [r[:4] for r in rows], "t,arc_closed_form,arc_polyline,bound")
-    return rep
+    return SliceEstimateReport(rows, bound, float(d0), bool(ok))
 
 
 @dataclass
@@ -346,7 +316,7 @@ class EstarVolumeResult:
         return iter((self.measured, self.bound))
 
 
-def estar_volume_check(theta, n, samples, seed=0, out_dir=None):
+def estar_volume_check(theta, n, samples, seed=0):
     """Monte Carlo volume of the gradient-side cone piece (p0 = 0, v0 = e1)
     against its closed-form lower bound."""
     if not 0.0 < theta < 1.0 / math.sqrt(6.0):
@@ -368,9 +338,5 @@ def estar_volume_check(theta, n, samples, seed=0, out_dir=None):
     measured = frac * cube
     stderr = cube * math.sqrt(max(frac * (1.0 - frac), 1e-300) / m)
     bound = unit_ball_volume(n - 1) * theta ** (n - 1) / (n * 2.0 ** (n - 1))
-    res = EstarVolumeResult(float(measured), float(bound), float(stderr),
-                            float(theta), int(n))
-    _emit(out_dir, "estar_volume",
-          {**asdict(res), "passes": bool(measured - 3.0 * stderr >= bound)},
-          [(theta, measured, bound, stderr)], "theta,measured,bound,stderr")
-    return res
+    return EstarVolumeResult(float(measured), float(bound), float(stderr),
+                             float(theta), int(n))

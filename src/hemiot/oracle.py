@@ -49,13 +49,6 @@ class DiscretePlan:
             P[j, i] += m
         return P
 
-    def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("source,target,mass\n")
-            for j, i, m in self.entries:
-                fh.write(f"{j},{i},{m!r}\n")
-        return path
-
 
 def _simplex(C, mu, nu):
     """Transportation simplex on the cost array C with Bland's rule; returns

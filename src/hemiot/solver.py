@@ -3,7 +3,7 @@
 # exactly the prescribed target mass under the source density.
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -121,13 +121,6 @@ def solve(domain, K, target, tol=1e-6, max_iter=100):
             f"source mass {src!r} != target mass {total!r}")
 
     mtol = min(1e-10, 1e-3 * tol * total)
-
-    if n == 1:
-        diagram = laguerre_diagram(domain, sites, np.zeros(1))
-        G, _ = compute_measures(diagram, K, mtol)
-        rep = SolveReport(True, 0, abs(G[0] - total) / total, 0, [float(G[0])],
-                          True, "zero", time.time() - t_start, 1, 0)
-        return Solution(domain, K, target, np.zeros(1), diagram, G, rep)
 
     psi = np.zeros(n)
     init_kind = "zero"
@@ -286,19 +279,24 @@ def export_mesh(solution, path):
     return path
 
 
+def write_csv(path, header, rows):
+    """Write a header line and one line per row, each value as its repr:
+    pass Python scalars (ndarray.tolist()), since a numpy scalar's repr
+    names its type."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(repr, row)) + "\n")
+    return path
+
+
 def solution_to_csv(solution, path):
     """Deterministic per-site table: weights, achieved and target masses,
     cell areas and centroids."""
-    rows = ["site,p1,p2,psi,nu,mass,area,centroid1,centroid2"]
-    for c in solution.diagram.cells:
-        i = c.site_index
-        p = solution.sites[i]
-        rows.append(",".join([
-            str(i), repr(float(p[0])), repr(float(p[1])),
-            repr(float(solution.psi[i])), repr(float(solution.target.masses[i])),
-            repr(float(solution.masses[i])), repr(float(c.area)),
-            repr(float(c.centroid[0])), repr(float(c.centroid[1])),
-        ]))
-    with open(path, "w") as fh:
-        fh.write("\n".join(rows) + "\n")
-    return path
+    sites, psi = solution.sites.tolist(), solution.psi.tolist()
+    nu, mass = solution.target.masses.tolist(), solution.masses.tolist()
+    rows = ([i, *sites[i], psi[i], nu[i], mass[i], c.area,
+             *c.centroid.tolist()]
+            for c in solution.diagram.cells for i in [c.site_index])
+    return write_csv(path, ("site", "p1", "p2", "psi", "nu", "mass", "area",
+                            "centroid1", "centroid2"), rows)

@@ -57,7 +57,7 @@ def region_mass(region):
     return float(integrate_cell(verts, labels, chart_density, _REGION_TOL)[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteTarget:
     """Finite weighted site cloud in the chart: masses are positive, sites
     distinct, and the masses sum to `total` exactly (one common rescale)."""
@@ -86,12 +86,6 @@ class DiscreteTarget:
 
     def __len__(self):
         return len(self.sites)
-
-    def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("p1,p2,mass\n")
-            for (p1, p2), m in zip(self.sites, self.masses):
-                fh.write(f"{p1!r},{p2!r},{m!r}\n")
 
 
 def discretize(region, N, source_mass, seed=0):

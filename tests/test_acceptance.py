@@ -192,7 +192,7 @@ def test_criterion_4_chart_identities():
 def test_criterion_5_blowup():
     rep, _ = blowup_experiment(1000, delta=0.5, N=4000, C0=1.0, seed=0)
     assert rep.converged
-    assert all(d <= rep.d_max for d, _ in rep.samples)
+    assert all(d <= rep.d_max for d, *_ in rep.samples)
     assert rep.violations == []
     trunc_frac = rep.truncation_excluded / len(rep.samples)
     assert trunc_frac < 0.05

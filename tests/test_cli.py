@@ -276,6 +276,34 @@ def test_region_shape_errors_name_their_field(tmp_path, capsys, field, domain,
     assert capsys.readouterr().err.startswith(f"validation error: {field}:")
 
 
+@pytest.mark.parametrize("command, field, params", [
+    pytest.param("lemmas", "dimension", {"dimension": 1},
+                 id="lemmas-dimension"),
+    pytest.param("lemmas", "n_points", {"n_points": 1}, id="lemmas-n_points"),
+    pytest.param("lemmas", "estar_samples", {"estar_samples": 0},
+                 id="lemmas-estar_samples"),
+    # checked before the cone and slice checks run
+    pytest.param("lemmas", "thetas", {"thetas": [0.1, 0.5]},
+                 id="lemmas-thetas"),
+    pytest.param("lemmas", "t_values", {"t_values": ["a"]},
+                 id="lemmas-t_values"),
+    # checked before the solve
+    pytest.param("blowup", "C0", {"C0": -1.0}, id="blowup-C0"),
+    pytest.param("blowup", "tail_epsilon", {"tail_epsilon": 5.0},
+                 id="blowup-tail_epsilon"),
+    pytest.param("sphere-benchmark", "n_eval", {"n_eval": 0},
+                 id="sphere-n_eval"),
+])
+def test_params_errors_name_their_field(tmp_path, capsys, command, field,
+                                        params):
+    out = tmp_path / "bad"
+    doc = {"command": command, "params": params, "out": str(out)}
+    assert main(["--config", _write(tmp_path, "bad.json", doc)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"validation error: config.params.{field}:")
+    assert not out.exists() or os.listdir(out) == []
+
+
 @pytest.mark.parametrize("threshold", [1.5, -1.0])
 def test_oracle_compare_rejects_threshold_out_of_range(tmp_path, threshold):
     # 1.5 would fail every run and -1 pass every run

@@ -25,6 +25,8 @@ from hemiot.domains import (
     total_mass,
     unit_ball_volume,
 )
+from hemiot.chart import HemispherePoint
+from hemiot.targets import DiscreteTarget, full_hemisphere
 
 UNIT_SQUARE = ConvexPolygonDomain(np.array([[-0.5, -0.5], [0.5, -0.5],
                                             [0.5, 0.5], [-0.5, 0.5]]))
@@ -159,6 +161,25 @@ def test_make_cone_spec_geometry():
     assert np.allclose(spec.v0, [1.0, 0.0])
     assert np.allclose(spec.x0 + spec.d0 * spec.v0, [1.0, 0.0])
     assert spec.theta == pytest.approx(math.sqrt(0.1 / 6.0))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: UNIT_DISK,
+    lambda: UNIT_SQUARE,
+    lambda: full_hemisphere(10.0),
+    lambda: make_cone_spec(UNIT_DISK, np.array([0.9, 0.0])),
+    lambda: HemispherePoint(np.zeros(2), -1.0),
+    lambda: DiscreteTarget(np.array([[0.0, 0.0], [0.5, 0.0]]),
+                           np.array([1.0, 2.0])),
+], ids=["disk", "polygon", "hemisphere", "cone_spec", "hemisphere_point",
+        "discrete_target"])
+def test_array_holding_records_compare_by_identity(make):
+    # field-wise == would compare ndarrays and raise; identity does not
+    a, b = make(), make()
+    assert a == a
+    assert (a == b) is (a is b)
+    assert a in [b, a]
+    assert hash(a) == hash(a)
 
 
 def test_cone_memberships():

@@ -1,10 +1,10 @@
 import json
 import math
-import os
 
 import numpy as np
 import pytest
 
+from hemiot.cli import run
 from hemiot.domains import (ConeSpec, DiskDomain, boundary_geometry,
                             d0_threshold, theta_of)
 from hemiot.experiments import (blowup_experiment, cone_inclusion_check,
@@ -65,7 +65,7 @@ def test_blowup_structure_and_constants():
     assert rep.Lambda == pytest.approx(0.27483519595189988, rel=1e-12)
     assert rep.d_max == pytest.approx(1.0 / 640.0, rel=1e-12)
     assert rep.P_max == pytest.approx(99.99499987499375, rel=1e-12)
-    assert all(d <= rep.d_max for d, _ in rep.samples)
+    assert all(d <= rep.d_max for d, *_ in rep.samples)
     assert rep.truncation_excluded <= 0.05 * 150
     assert rep.max_ray_backstep >= 0.0
     # the closed-form bound is numerically vacuous until d ~ 1e-7, so even a
@@ -74,13 +74,29 @@ def test_blowup_structure_and_constants():
 
 
 def test_blowup_emits_artifacts(tmp_path):
-    out = str(tmp_path)
-    blowup_experiment(samples=40, N=150, seed=1, out_dir=out)
-    verdict = json.loads((tmp_path / "blowup.json").read_text())
-    assert set(["Lambda", "d_max", "P_max", "n_violations", "passes"]) <= set(verdict)
-    rows = (tmp_path / "blowup_samples.csv").read_text().strip().splitlines()
+    # the report carries the sample rows with their bound column; the CLI
+    # writes them to samples.csv and the constants into report.json
+    rep, _ = blowup_experiment(samples=40, N=150, seed=1)
+    assert rep.sample_header == ("d", "grad_norm", "bound")
+    assert len(rep.samples) == 40
+    expo = (1.0 - rep.delta) / 4.0
+    for d, _, bound in rep.samples:
+        assert bound == pytest.approx(rep.Lambda * d ** -expo - 2.0,
+                                      rel=1e-14)
+    out = tmp_path / "bu"
+    # N = 150 is too coarse for the agreement verdict; the files are written
+    # all the same
+    run({"command": "blowup", "N": 150, "seed": 1,
+         "params": {"samples": 40}, "out": str(out)})
+    report = json.loads((out / "report.json").read_text())
+    assert {"Lambda", "d_max", "P_max", "n_violations", "L", "R0",
+            "violations"} <= set(report["measurements"])
+    assert set(report["artifacts"]) == {"samples.csv", "solution.csv"}
+    rows = (out / "samples.csv").read_text().strip().splitlines()
     assert rows[0] == "d,grad_norm,bound"
     assert len(rows) == 41
+    assert [list(map(float, r.split(","))) for r in rows[1:]] == \
+        [list(r) for r in rep.samples]
 
 
 def test_cone_inclusion_zero_excess():
@@ -160,12 +176,23 @@ def test_estar_volume_validation():
 
 
 def test_emitted_artifacts_are_deterministic(tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    for out in (a, b):
-        os.makedirs(out)
-        cone_inclusion_check(UNIT_DISK, trials=5, n_points=500, seed=7,
-                             out_dir=str(out))
-    assert (a / "cone_inclusion.json").read_bytes() == \
-        (b / "cone_inclusion.json").read_bytes()
-    assert (a / "cone_inclusion_samples.csv").read_bytes() == \
-        (b / "cone_inclusion_samples.csv").read_bytes()
+    a = cone_inclusion_check(UNIT_DISK, trials=5, n_points=500, seed=7)
+    b = cone_inclusion_check(UNIT_DISK, trials=5, n_points=500, seed=7)
+    assert a == b
+    assert len(a.samples) == 5
+    doc = {"command": "lemmas", "seed": 7,
+           "params": {"trials": 5, "n_points": 500, "estar_samples": 100000,
+                      "thetas": [0.1]}}
+    reports = []
+    for name in ("a", "b"):
+        run(dict(doc, out=str(tmp_path / name)))
+        report = json.loads((tmp_path / name / "report.json").read_text())
+        report.pop("timings")
+        report["config"].pop("out")
+        reports.append(report)
+    assert reports[0] == reports[1]
+    rows = (tmp_path / "a" / "samples.csv").read_text().splitlines()
+    assert rows[0] == "d0,theta,excess"
+    assert len(rows) == 6
+    assert (tmp_path / "a" / "samples.csv").read_bytes() == \
+        (tmp_path / "b" / "samples.csv").read_bytes()
