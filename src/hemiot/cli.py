@@ -238,7 +238,7 @@ def _check_density(dens, domain, path):
         raise ConfigError(f"{path}: {exc}")
 
 
-def build_target(spec, N, source_mass, seed, path="target"):
+def build_target(spec, N, source_mass, path="target"):
     if not isinstance(spec, dict):
         raise ConfigError(f"{path}: expected an object")
     kind = _get(spec, "kind", path, str)
@@ -280,7 +280,7 @@ def build_target(spec, N, source_mass, seed, path="target"):
             raise ConfigError(f"{path}.sites: {exc}")
     else:
         raise ConfigError(f"{path}.kind: unknown target kind {kind!r}")
-    return discretize(region, N, source_mass, seed=seed)
+    return discretize(region, N, source_mass)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +392,7 @@ def _solve_instance(cfg, out, mesh=True):
         raise ConfigError(
             f"config.density: total source mass {mass:.6g} exceeds the "
             f"hemisphere mass pi; no admissible target remains")
-    target = build_target(cfg.target, cfg.N, mass, cfg.seed)
+    target = build_target(cfg.target, cfg.N, mass)
     sol = solve(domain, K, target, tol=cfg.tol, max_iter=cfg.max_iter)
     solution_to_csv(sol, os.path.join(out, "solution.csv"))
     if mesh:
@@ -410,7 +410,7 @@ def _solve_instance(cfg, out, mesh=True):
         "iterations": sol.report.iterations,
         "damping_events": sol.report.damping_events,
         **_diagram_counts(sol),
-        "area_error": area_err, "init": sol.report.init_kind,
+        "area_error": area_err,
         "connected": bool(sol.report.connected),
         "rescale_factor": target.rescale_factor,
     }
@@ -543,7 +543,7 @@ def _cmd_oracle(cfg, out):
         raise ConfigError("config.N: the discrete oracle handles at most 1000")
     if cfg.target is None:
         raise ConfigError("config.target: required for this command")
-    target = build_target(cfg.target, N, mass, cfg.seed)
+    target = build_target(cfg.target, N, mass)
     t0 = time.time()
     fraction, plan, sol, member = semidiscrete_agreement(
         domain, K, target, grid_m, tol=cfg.tol)

@@ -109,20 +109,6 @@ def domain_area(domain):
     return domain.area
 
 
-def initial_cell(domain, pad=1.02):
-    """Labeled start cell for Laguerre clipping: the polygon itself, or a box
-    strictly containing the disk plus the circle to clip against at the end."""
-    if isinstance(domain, ConvexPolygonDomain):
-        verts = [tuple(p) for p in domain.vertices]
-        labels = [("wall", i) for i in range(len(verts))]
-        return verts, labels, None
-    cx, cy = domain.center
-    r = domain.radius * pad
-    verts = [(cx - r, cy - r), (cx + r, cy - r), (cx + r, cy + r), (cx - r, cy + r)]
-    labels = [("box", i) for i in range(4)]
-    return verts, labels, (tuple(domain.center), domain.radius)
-
-
 def domain_cell(domain):
     """The domain as one labeled convex cell: the polygon with its walls, or
     the disk as two half-disk arcs."""

@@ -52,7 +52,7 @@ def sphere_benchmark(r, N, tol=1e-6, max_iter=50, n_eval=20000, seed=0):
     s = r / math.sqrt(1.0 - r * r)
     region = chart_disk(np.zeros(2), s)
     src_mass = math.pi * r * r
-    target = discretize(region, N, src_mass, seed=seed)
+    target = discretize(region, N, src_mass)
     sol = solve(dom, K, target, tol=tol, max_iter=max_iter)
 
     rng = np.random.default_rng(seed)
@@ -135,7 +135,7 @@ def blowup_experiment(samples, delta=0.5, N=4000, C0=1.0,
         raise ValueError("blowup experiment needs the critical mass balance")
     P_max = truncation_radius_for(tail_epsilon)
     region = full_hemisphere(P_max)
-    target = discretize(region, N, mass, seed=seed)
+    target = discretize(region, N, mass)
     sol = solve(dom, K, target, tol=tol, max_iter=max_iter)
 
     geo = boundary_geometry(dom)
@@ -173,8 +173,7 @@ def blowup_experiment(samples, delta=0.5, N=4000, C0=1.0,
         backstep = max(backstep, float(np.max(gr[:-1] - gr[1:], initial=0.0)))
 
     rep = BlowupReport(
-        samples=[(a, b, Lam * a ** (-expo) - 2.0)
-                 for a, b in zip(d.tolist(), grad.tolist())],
+        samples=list(zip(d.tolist(), grad.tolist(), bound.tolist())),
         delta=float(delta), C0=float(C0), L=geo.L, R0=geo.R0,
         Lambda=Lam, d_max=float(d_max), violations=violations,
         truncation_excluded=int(capped.sum()), P_max=float(P_max),

@@ -5,21 +5,21 @@
 # domain, exactly, including circular-arc boundaries on disk domains, when
 # it is open or reaches the boundary. The cut, its tolerance and the test
 # for a fan inside the domain are the domain's own (domains.domain_clipper,
-# clip_eps and contains). A diagram holds all its cells in one ragged
-# vertex array.
+# clip_eps and contains); the brute route and the one-site diagram cut a
+# box around the domain by bisectors (cell_cutter) and end in the same
+# clipper. A diagram holds all its cells in one ragged vertex array.
 import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .domains import clip_eps, contains, domain_clipper, initial_cell
+from .domains import clip_eps, contains, domain_clipper
 from .geometry import (
     ARC,
     _segment_area_moment,
     cell_area_centroid,
     clip_halfplane,
-    clip_to_circle,
     clip_to_halfplanes,
     gauss_legendre,
     integrate_ring_cells,
@@ -261,16 +261,18 @@ def laguerre_diagram(domain, sites, psi, method="auto"):
               by more than the clip eps. Every other fan is cut by the
               domain, an open one (its site on the triangulation's outer
               boundary) after _close_fan closes it with its two rays.
-      "flat"  psi = a·p + b over the sites (psi = 0 included): the diagram
-              is the normal fan of the sites' convex hull shifted by a, so
-              each hull vertex has a one-vertex open fan at a, leaving
-              toward its CCW predecessor and entering from its successor,
-              and no other site has a cell.
-      "brute" the domain cut by the bisectors of every other site
-              (clip_to_bisectors); kept as an independent oracle.
-    method "auto" takes brute for one site and for collinear sites, flat
-    when psi is affine, and hull otherwise. All routes produce the same
-    cells."""
+      "flat"  psi = a·p + b over the sites (psi = 0 and every psi on
+              three sites included; the hull route raises on them): the
+              diagram is the normal fan of the sites' convex hull shifted
+              by a, so each hull vertex has a one-vertex open fan at a,
+              leaving toward its CCW predecessor and entering from its
+              successor, and no other site has a cell.
+      "brute" a box around the domain cut by the bisectors of every other
+              site and then by the domain (cell_cutter); kept as an
+              independent oracle.
+    One site takes brute whatever the method; "auto" takes brute for
+    collinear sites, flat when psi is affine, and hull otherwise. All
+    routes produce the same cells."""
     if method not in ("auto", "hull", "brute"):
         raise ValueError(f"unknown method {method!r}")
     sites = _validate_sites(sites)
@@ -278,30 +280,18 @@ def laguerre_diagram(domain, sites, psi, method="auto"):
     if len(psi) != len(sites):
         raise ValueError("psi length mismatch")
     n = len(sites)
-    eps = clip_eps(domain)
-    verts0, labels0, circle = initial_cell(domain)
-
-    def clipped(i, cand):
-        verts, labels = clip_to_bisectors(verts0, labels0, sites, psi, i,
-                                          cand, eps)
-        if verts and circle is not None:
-            verts, labels = clip_to_circle(verts, labels, circle[0], circle[1],
-                                           eps)
-        return verts, labels
-
-    no_rings = (np.zeros(0, dtype=int), np.zeros((0, 2)), np.zeros(0, dtype=int))
-    if n == 1:
-        return _assemble(domain, sites, psi, "brute", no_rings,
-                         {0: clipped(0, [])})
-
-    route = method
-    if method == "auto":
+    route = "brute" if n == 1 else method
+    if route == "auto":
         collinear = _is_collinear(sites)
         slope = None if collinear else _is_affine(sites, psi)
         route = "brute" if collinear else "hull" if slope is None else "flat"
     if route == "brute":
+        cut, box = cell_cutter(domain, sites, psi), _box_piece(domain)
+        no_rings = (np.zeros(0, dtype=int), np.zeros((0, 2)),
+                    np.zeros(0, dtype=int))
         return _assemble(domain, sites, psi, route, no_rings, {
-            i: clipped(i, [j for j in range(n) if j != i]) for i in range(n)})
+            i: cut(*box, i, [j for j in range(n) if j != i]) for i in range(n)})
+    eps = clip_eps(domain)
     if route == "flat":
         from scipy.spatial import ConvexHull
 
@@ -405,6 +395,28 @@ def _assemble(domain, sites, psi, route, rings, clipped):
                            owner, nxt, area, centroid)
 
 
+def _box_piece(domain):
+    """The domain's bounding box scaled by 1.02 about its centre, so that it
+    holds the domain strictly, as a labeled start piece."""
+    lo, hi = domain.bounding_box()
+    c, h = 0.5 * (lo + hi), 0.51 * (hi - lo)
+    (x0, y0), (x1, y1) = (c - h).tolist(), (c + h).tolist()
+    return [(x0, y0), (x1, y0), (x1, y1), (x0, y1)], [("box", k) for k in range(4)]
+
+
+def cell_cutter(domain, sites, psi):
+    """cut(verts, labels, i, nbrs): the part in cell i of a labeled convex
+    start piece, cut by site i's bisectors against the sites nbrs
+    (clip_to_bisectors) and then by the domain (domain_clipper), at the
+    domain's clip eps. With every other site in nbrs and a start piece
+    that holds the domain, it is cell i itself."""
+    eps, clip = clip_eps(domain), domain_clipper(domain)
+
+    def cut(verts, labels, i, nbrs):
+        return clip(*clip_to_bisectors(verts, labels, sites, psi, i, nbrs, eps))
+    return cut
+
+
 def clip_to_bisectors(verts, labels, sites, psi, i, nbrs, eps):
     """Clip a labeled convex piece by site i's bisector half-planes
     {x : <x, p_j - p_i> <= psi_j - psi_i} for j in nbrs, in turn; the new
@@ -467,21 +479,21 @@ def pairwise_overlap_area(diagram, i, j):
     """Area of the intersection of two cells (void for disjoint interiors);
     brute half-plane clipping, meant for invariant tests at small N. A cell
     is the intersection of its straight edges' half-planes with the domain,
-    so both cells are rebuilt that way from the domain's start cell: the
-    vertex polygon of a cell with arc edges would drop the arcs' bulge."""
+    so both cells are rebuilt that way, each by its own edges, from the box
+    around the domain: the vertex polygon of a cell with arc edges would
+    drop the arcs' bulge."""
     a, b = diagram.cells[i], diagram.cells[j]
     if a.is_empty or b.is_empty:
         return 0.0
     eps = clip_eps(diagram.domain)
-    verts, labels, circle = initial_cell(diagram.domain)
+    verts, labels = _box_piece(diagram.domain)
     for cell in (a, b):
         # unit normals, so that eps is a distance
         normals, offsets = polygon_halfplanes(cell.verts)
         straight = [lab[0] != ARC for lab in cell.labels]
         verts, labels = clip_to_halfplanes(verts, labels, normals[straight],
                                            offsets[straight], eps)
-    if verts and circle is not None:
-        verts, labels = clip_to_circle(verts, labels, circle[0], circle[1], eps)
+    verts, labels = domain_clipper(diagram.domain)(verts, labels)
     if not verts:
         return 0.0
     area, _ = cell_area_centroid(verts, labels)

@@ -10,9 +10,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .chart import c_exp
-from .domains import clip_eps, contains, domain_clipper, grid_pieces
+from .domains import contains, grid_pieces
 from .geometry import cell_area_centroid, integrate_cells
-from .laguerre import clip_to_bisectors
+from .laguerre import cell_cutter
 from .solver import solve
 
 
@@ -287,23 +287,20 @@ OVERLAP_SHARE = 1e-9
 def _overlap_table(domain, sol, atoms):
     """Boolean (atoms × sites) table: True where the solution's Laguerre cell
     i holds a positive-area part of atom j's grid piece. Each part is the
-    grid square clipped by cell i's bisector half-planes and then to the
-    domain, the way the brute route of laguerre_diagram builds cell i, so
-    the parts of one atom tile its piece exactly."""
+    grid square cut by cell i's bisectors against its neighbours and then
+    by the domain (laguerre.cell_cutter), the way the brute route of
+    laguerre_diagram builds cell i, so the parts of one atom tile its piece
+    exactly."""
     diagram = sol.diagram
-    eps = clip_eps(domain)
-    clip = domain_clipper(domain)
+    cut = cell_cutter(domain, diagram.sites, diagram.psi)
+    square_labels = [("grid", t) for t in range(4)]
     area = np.zeros((len(atoms), len(diagram.sites)))
     for cell in diagram.cells:
         if cell.is_empty:
             continue
         i = cell.site_index
         for j, atom in enumerate(atoms):
-            verts, labels = clip_to_bisectors(
-                atom.square, [("grid", t) for t in range(4)], diagram.sites,
-                diagram.psi, i, cell.neighbors, eps)
-            if verts:
-                verts, labels = clip(verts, labels)
+            verts, labels = cut(atom.square, square_labels, i, cell.neighbors)
             if verts:
                 area[j, i] = cell_area_centroid(verts, labels)[0]
     atom_area = np.array([a.area for a in atoms])

@@ -27,12 +27,9 @@ class SolveReport:
     damping_events: int
     min_cell_mass_history: list
     connected: bool
-    init_kind: str                 # "zero" or "affine"
     runtime: float
     diagrams_built: int            # Laguerre diagrams the solve built
-    diagrams_discarded: int        # rejected line-search trials, plus the
-                                   # psi = 0 probe when the affine start
-                                   # replaced it
+    diagrams_discarded: int        # rejected line-search trials
 
 
 @dataclass
@@ -100,7 +97,8 @@ def _newton_step(diagram, K, G, nu):
 
 
 def solve(domain, K, target, tol=1e-6, max_iter=100):
-    """Dual ascent with damped Newton steps.
+    """Dual ascent with damped Newton steps, started at the weights of
+    _affine_voronoi_psi, where every cell has positive mass.
 
     Returns a Solution whose report records convergence; the residual is the
     l1 mass mismatch relative to the total. Raises MassBalanceError when the
@@ -108,7 +106,6 @@ def solve(domain, K, target, tol=1e-6, max_iter=100):
     t_start = time.time()
     sites = np.asarray(target.sites, dtype=float)
     nu = np.asarray(target.masses, dtype=float)
-    n = len(nu)
     total = float(nu.sum())
     if total <= 0:
         raise MassBalanceError("target carries no mass")
@@ -122,20 +119,13 @@ def solve(domain, K, target, tol=1e-6, max_iter=100):
 
     mtol = min(1e-10, 1e-3 * tol * total)
 
-    psi = np.zeros(n)
-    init_kind = "zero"
+    psi = _affine_voronoi_psi(domain, sites)
+    psi = psi - psi[0]
     diagram = laguerre_diagram(domain, sites, psi)
     built = 1
     G, M = compute_measures(diagram, K, mtol)
     if G.min() <= 0.0:
-        psi = _affine_voronoi_psi(domain, sites)
-        psi = psi - psi[0]
-        init_kind = "affine"
-        diagram = laguerre_diagram(domain, sites, psi)
-        built = 2
-        G, M = compute_measures(diagram, K, mtol)
-        if G.min() <= 0.0:
-            raise ConvergenceError("initialization left an empty cell")
+        raise ConvergenceError("initialization left an empty cell")
 
     eps0 = 0.5 * min(nu.min(), G.min())
     resid = float(np.abs(G - nu).sum())
@@ -173,9 +163,8 @@ def solve(domain, K, target, tol=1e-6, max_iter=100):
         converged = resid <= tol * total
 
     rep = SolveReport(bool(converged), it, resid / total, damping_events,
-                      history, diagram.is_connected(), init_kind,
-                      time.time() - t_start, built,
-                      damping_events + (init_kind == "affine"))
+                      history, diagram.is_connected(),
+                      time.time() - t_start, built, damping_events)
     return Solution(domain, K, target, psi, diagram, G, rep)
 
 

@@ -88,7 +88,7 @@ class DiscreteTarget:
         return len(self.sites)
 
 
-def discretize(region, N, source_mass, seed=0):
+def discretize(region, N, source_mass):
     """At most N sites covering the region, masses integrating the chart
     density per cell, one global rescale pinning the total to source_mass.
 
@@ -102,8 +102,7 @@ def discretize(region, N, source_mass, seed=0):
     w = |p|^2/(1+|p|^2), whose cell masses are exact (the chart density in
     those variables is dw dphi / 2); a bounding-box grid cannot resolve the
     unbounded chart (its center cell alone would carry ~70% of the mass at
-    practical N). The seed is reserved for a jitter option and unused by the
-    default deterministic layouts."""
+    practical N)."""
     if N < 1:
         raise ValueError("N must be >= 1")
     if not source_mass > 0:

@@ -80,7 +80,7 @@ def _random_instance(rng, k):
         ph = 2.0 * math.pi * np.arange(4) / 4 + rng.uniform(0.0, 1.0)
         region = chart_polygon(rho * np.c_[np.cos(ph), np.sin(ph)])
     N = int(rng.integers(10, 46))
-    return domain, K, discretize(region, N, mass, seed=k), mass
+    return domain, K, discretize(region, N, mass), mass
 
 
 def test_criterion_2_mass_balance():
@@ -106,7 +106,7 @@ def test_criterion_3_oracle_agreement():
     domain = DiskDomain(np.zeros(2), 0.6)
     K = constant_density(1.0)
     target = discretize(chart_disk(np.zeros(2), 0.75), 20,
-                        math.pi * 0.36, seed=0)
+                        math.pi * 0.36)
     frac, plan, sol, member = semidiscrete_agreement(domain, K, target,
                                                      grid_m=15)
     cert = monotonicity_certificate(plan)

@@ -82,11 +82,11 @@ def test_build_target_guards():
     with pytest.raises(ConfigError, match="target.sites"):
         build_target({"kind": "explicit",
                       "sites": [[0.1, 0.2], [0.1, 0.2]],
-                      "masses": [1.0, 1.0]}, 2, 1.0, 0)
+                      "masses": [1.0, 1.0]}, 2, 1.0)
     with pytest.raises(ConfigError, match="target.kind"):
-        build_target({"kind": "mystery"}, 5, 1.0, 0)
+        build_target({"kind": "mystery"}, 5, 1.0)
     t = build_target({"kind": "explicit", "sites": [[0.5, 0.0], [-0.5, 0.0]],
-                      "masses": [1.0, 3.0]}, 2, 2.0, 0)
+                      "masses": [1.0, 3.0]}, 2, 2.0)
     assert t.total == pytest.approx(2.0)
     assert t.masses == pytest.approx([0.5, 1.5])
 

@@ -33,6 +33,18 @@ def test_single_site_covers_domain():
     assert diag.cells[0].area == pytest.approx(math.pi, rel=1e-12)
 
 
+@pytest.mark.parametrize("method", ["auto", "hull", "brute"])
+@pytest.mark.parametrize("domain", [SQUARE, DISK], ids=["square", "disk"])
+def test_single_site_takes_the_brute_route_for_every_method(domain, method):
+    # one site has no hull and no collinearity test; its cell is the domain
+    diag = laguerre_diagram(domain, np.array([[0.3, -0.2]]), np.array([0.7]),
+                            method=method)
+    assert diag.route == "brute"
+    assert diag.area[0] == pytest.approx(domain_area(domain), rel=1e-12)
+    assert diag.centroid[0] == pytest.approx(domain.centroid, abs=1e-12)
+    assert diag.cells[0].neighbors == []
+
+
 def test_two_sites_split_square_evenly():
     sites = np.array([[1.0, 0.0], [-1.0, 0.0]])
     diag = laguerre_diagram(SQUARE, sites, np.zeros(2))
@@ -114,8 +126,8 @@ def _voronoi_like_instance(domain, n, seed, reach):
     which puts the farthest site at distance reach from the origin. Most
     cells lie inside a domain of about that size."""
     from hemiot.targets import chart_disk, discretize
-    sites = discretize(chart_disk(np.zeros(2), 0.9), n, domain_area(domain),
-                       seed=seed).sites
+    sites = discretize(chart_disk(np.zeros(2), 0.9), n,
+                       domain_area(domain)).sites
     a = np.hypot(*sites.T).max() / reach
     noise = np.random.default_rng(seed).normal(0.0, 1e-4, size=len(sites))
     return sites, (sites ** 2).sum(axis=1) / (2.0 * a) + noise
@@ -196,7 +208,7 @@ def test_flat_lift_clips_only_against_hull_neighbours(monkeypatch):
     from hemiot.targets import chart_disk, discretize
     domain = DiskDomain(np.zeros(2), 0.6)
     target = discretize(chart_disk(np.zeros(2), 0.9), 500,
-                        domain_area(domain), seed=0)
+                        domain_area(domain))
     n = len(target.sites)
     h = len(ConvexHull(target.sites).vertices)
     calls = _count_domain_clips(monkeypatch)

@@ -169,7 +169,7 @@ def test_optimal_plans_are_monotone(seed):
 
 
 def test_normal_cone_check_certifies_supporting_planes():
-    target = discretize(chart_disk(np.zeros(2), 0.8), 12, 1.0, seed=5)
+    target = discretize(chart_disk(np.zeros(2), 0.8), 12, 1.0)
     sol = solve(SQUARE, constant_density(1.0), target)
     rng = np.random.default_rng(1)
     for _ in range(5):
@@ -189,7 +189,7 @@ def test_semidiscrete_agreement_small_instance():
     domain = DiskDomain(np.zeros(2), 0.6)
     K = constant_density(1.0)
     target = discretize(chart_disk(np.zeros(2), 0.75), 6,
-                        math.pi * 0.36, seed=0)
+                        math.pi * 0.36)
     frac, plan, sol, member = semidiscrete_agreement(domain, K, target,
                                                      grid_m=8)
     assert 0.0 <= frac <= 1.0
@@ -212,7 +212,7 @@ def _criterion_3_instance():
     domain = DiskDomain(np.zeros(2), 0.6)
     K = constant_density(1.0)
     target = discretize(chart_disk(np.zeros(2), 0.75), 20,
-                        math.pi * 0.36, seed=0)
+                        math.pi * 0.36)
     return domain, K, target
 
 

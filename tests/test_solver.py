@@ -67,7 +67,7 @@ def test_random_instances_converge():
         n = int(rng.integers(5, 30))
         domain = SQUARE if k % 2 else DiskDomain(np.zeros(2), 0.8)
         region = chart_disk(np.zeros(2), 0.9)
-        target = discretize(region, n, domain_area(domain), seed=k)
+        target = discretize(region, n, domain_area(domain))
         sol = solve(domain, K1, target, tol=1e-8)
         assert sol.report.converged
         assert sol.report.final_residual <= 1e-8
@@ -82,14 +82,14 @@ def test_smooth_density_instance():
     mass, _ = total_mass(SQUARE, K, tol=1e-10)
     region = chart_polygon(np.array([[-0.6, -0.6], [0.6, -0.6],
                                      [0.6, 0.6], [-0.6, 0.6]]))
-    target = discretize(region, 25, mass, seed=2)
+    target = discretize(region, 25, mass)
     sol = solve(SQUARE, K, target, tol=1e-7)
     assert sol.report.converged
     assert float(np.abs(sol.masses - target.masses).sum()) <= 1e-7 * mass
 
 
 def test_potential_and_active_site_agree():
-    target = discretize(chart_disk(np.zeros(2), 0.8), 20, 1.0, seed=1)
+    target = discretize(chart_disk(np.zeros(2), 0.8), 20, 1.0)
     sol = solve(SQUARE, K1, target)
     rng = np.random.default_rng(0)
     x = rng.uniform(-0.49, 0.49, size=(200, 2))
@@ -105,7 +105,7 @@ def test_potential_and_active_site_agree():
 def test_blockwise_evaluation_matches_the_whole_matrix():
     # more points than one score block, with a ragged last block
     from hemiot.solver import _EVAL_BLOCK
-    target = discretize(chart_disk(np.zeros(2), 0.8), 60, 1.0, seed=4)
+    target = discretize(chart_disk(np.zeros(2), 0.8), 60, 1.0)
     sol = solve(SQUARE, K1, target)
     rng = np.random.default_rng(5)
     x = rng.uniform(-0.5, 0.5, size=(2 * _EVAL_BLOCK + 37, 2))
@@ -115,7 +115,7 @@ def test_blockwise_evaluation_matches_the_whole_matrix():
 
 
 def test_gauss_map_lands_on_hemisphere():
-    target = discretize(chart_disk(np.zeros(2), 0.8), 12, 1.0, seed=3)
+    target = discretize(chart_disk(np.zeros(2), 0.8), 12, 1.0)
     sol = solve(SQUARE, K1, target)
     x = np.array([0.1, -0.2])
     y = gauss_map(sol, x)
@@ -132,7 +132,7 @@ def test_c_monotonicity_of_cells(seed):
     # <x - x', p - p'> >= 0 for active sites p, p'
     rng = np.random.default_rng(seed)
     target = discretize(chart_disk(np.zeros(2), 0.7),
-                        int(rng.integers(4, 16)), 1.0, seed=seed % 17)
+                        int(rng.integers(4, 16)), 1.0)
     sol = solve(SQUARE, K1, target, tol=1e-9)
     x = rng.uniform(-0.5, 0.5, size=(60, 2))
     idx = active_site(sol, x)
@@ -143,7 +143,7 @@ def test_c_monotonicity_of_cells(seed):
 
 
 def test_export_outputs_are_deterministic(tmp_path):
-    target = discretize(chart_disk(np.zeros(2), 0.8), 15, math.pi * 0.64, seed=6)
+    target = discretize(chart_disk(np.zeros(2), 0.8), 15, math.pi * 0.64)
     dom = DiskDomain(np.zeros(2), 0.8)
     sol1 = solve(dom, K1, target)
     sol2 = solve(dom, K1, target)
@@ -158,7 +158,7 @@ def test_export_outputs_are_deterministic(tmp_path):
 
 
 def test_solution_csv_layout(tmp_path):
-    target = discretize(chart_disk(np.zeros(2), 0.8), 9, 1.0, seed=8)
+    target = discretize(chart_disk(np.zeros(2), 0.8), 9, 1.0)
     sol = solve(SQUARE, K1, target)
     path = tmp_path / "sol.csv"
     solution_to_csv(sol, str(path))
@@ -171,7 +171,7 @@ def test_solution_csv_layout(tmp_path):
 
 
 def test_mesh_is_a_graph_over_the_cells(tmp_path):
-    target = discretize(chart_disk(np.zeros(2), 0.8), 10, 1.0, seed=9)
+    target = discretize(chart_disk(np.zeros(2), 0.8), 10, 1.0)
     sol = solve(SQUARE, K1, target)
     path = tmp_path / "m.obj"
     export_mesh(sol, str(path))
@@ -193,13 +193,12 @@ def test_mesh_is_a_graph_over_the_cells(tmp_path):
 
 
 def test_report_runtime_and_history():
-    target = discretize(chart_disk(np.zeros(2), 0.8), 18, 1.0, seed=10)
+    target = discretize(chart_disk(np.zeros(2), 0.8), 18, 1.0)
     sol = solve(SQUARE, K1, target)
     rep = sol.report
     assert rep.runtime >= 0.0
     assert len(rep.min_cell_mass_history) == rep.iterations + 1
     assert min(rep.min_cell_mass_history) > 0.0
-    assert rep.init_kind in ("zero", "affine")
 
 
 def test_report_counts_built_and_discarded_diagrams(monkeypatch):
@@ -212,12 +211,32 @@ def test_report_counts_built_and_discarded_diagrams(monkeypatch):
         return build(*args, **kwargs)
     monkeypatch.setattr(solver_mod, "laguerre_diagram", counted)
     domain = DiskDomain(np.zeros(2), 0.8)
-    target = discretize(chart_disk(np.zeros(2), 5.0), 80, domain_area(domain),
-                        seed=0)
+    target = discretize(chart_disk(np.zeros(2), 5.0), 80, domain_area(domain))
     rep = solve(domain, K1, target, tol=1e-8).report
-    assert rep.converged and rep.init_kind == "affine" and rep.damping_events
+    assert rep.converged and rep.damping_events
     assert rep.diagrams_built == len(calls)
-    # the psi = 0 probe and every rejected trial are discarded; the start
-    # and one diagram per accepted step are kept
-    assert rep.diagrams_discarded == 1 + rep.damping_events
+    # every rejected trial is discarded; the start and one diagram per
+    # accepted step are kept
+    assert rep.diagrams_discarded == rep.damping_events
     assert rep.diagrams_built - rep.diagrams_discarded == 1 + rep.iterations
+
+
+@pytest.mark.parametrize("domain, target", [
+    (SQUARE, DiscreteTarget(np.array([[1.0, 0.2], [-1.0, 0.0], [0.1, 0.7]]),
+                            np.array([0.3, 0.3, 0.4]))),
+    (DiskDomain(np.zeros(2), 0.8),
+     discretize(chart_disk(np.zeros(2), 5.0), 80, math.pi * 0.64)),
+], ids=["three-sites", "disk-80"])
+def test_first_diagram_is_at_the_affine_weights(monkeypatch, domain, target):
+    import hemiot.solver as solver_mod
+    build = solver_mod.laguerre_diagram
+    weights = []
+
+    def recorded(domain, sites, psi, *args, **kwargs):
+        weights.append(np.array(psi))
+        return build(domain, sites, psi, *args, **kwargs)
+    monkeypatch.setattr(solver_mod, "laguerre_diagram", recorded)
+    solve(domain, K1, target)
+    start = solver_mod._affine_voronoi_psi(domain, target.sites)
+    assert np.array_equal(weights[0], start - start[0])
+    assert weights[0].any()

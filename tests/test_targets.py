@@ -81,8 +81,8 @@ def test_discretize_disk_region():
 
 def test_discretize_is_deterministic():
     region = chart_disk(np.zeros(2), 0.75)
-    a = discretize(region, 150, 1.0, seed=4)
-    b = discretize(region, 150, 1.0, seed=4)
+    a = discretize(region, 150, 1.0)
+    b = discretize(region, 150, 1.0)
     assert np.array_equal(a.sites, b.sites)
     assert np.array_equal(a.masses, b.masses)
 
