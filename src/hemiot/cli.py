@@ -565,6 +565,7 @@ def _cmd_oracle(cfg, out):
         "max_support_slack": plan.max_support_slack,
         "min_reduced_cost": plan.min_reduced_cost,
         "n_plan_entries": len(plan.entries),
+        "lp_pivots": plan.pivots,
         **_diagram_counts(sol),
     }
     return verdicts, meas, {"oracle_s": time.time() - t0}

@@ -1,8 +1,9 @@
 # Small-scale ground truth: discrete-discrete transport via a float
-# transportation simplex with Bland's rule, plus monotonicity / normal-cone
-# certificates used to cross-check the semi-discrete solver before trusting
-# it at scale. The cross-check scores the LP plan on grid atoms by the
-# exact overlap of each atom's grid piece with the solver's Laguerre cells.
+# transportation simplex (Dantzig's rule, Bland's after a degenerate pivot),
+# plus monotonicity / normal-cone certificates used to cross-check the
+# semi-discrete solver before trusting it at scale. The cross-check scores
+# the LP plan on grid atoms by the exact overlap of each atom's grid piece
+# with the solver's Laguerre cells.
 import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -30,6 +31,7 @@ class DiscretePlan:
     cost: float
     max_support_slack: float      # max |C - u - v| over support
     min_reduced_cost: float       # min (C - u - v) over all pairs
+    pivots: int = 0               # simplex pivots that reached the plan
 
     def row_marginals(self):
         out = np.zeros(len(self.source_masses))
@@ -50,14 +52,50 @@ class DiscretePlan:
         return P
 
 
-def _simplex(C, mu, nu):
-    """Transportation simplex on the cost array C with Bland's rule; returns
-    basis flows and duals. Stops once no reduced cost is below -1e-12.
+def _hang(rows, m, adj, pot, parent, depth, s, t):
+    """Hang the part of the basis tree reached from node s without passing
+    through node t below t (t = -1: s is the root): set each reached node's
+    parent, depth and dual, u_j + v_i = C_ji on every tree edge. Returns the
+    nodes reached, s first."""
+    parent[s] = t
+    if t < 0:
+        depth[s], pot[s] = 0, 0.0
+    else:
+        depth[s] = depth[t] + 1
+        pot[s] = (rows[t][s - m] if t < m else rows[s][t - m]) - pot[t]
+    nodes, seen = [s], {s, t}
+    for x in nodes:                 # breadth first: grows while it is read
+        for y in adj[x]:
+            if y not in seen:
+                seen.add(y)
+                parent[y] = x
+                depth[y] = depth[x] + 1
+                pot[y] = (rows[x][y - m] if x < m
+                          else rows[y][x - m]) - pot[x]
+                nodes.append(y)
+    return nodes
 
-    The basis is a spanning tree on rows 0..m-1 and columns m..m+n-1. Each
-    pivot walks it once from row 0, setting the duals and each node's parent
-    and depth; the entering cell's cycle is the tree path between its row
-    and its column, read off the parent pointers."""
+
+def _simplex(C, mu, nu):
+    """Transportation simplex on the cost array C; returns the basis flows,
+    the duals and the number of pivots. Stops once no reduced cost is below
+    -1e-12.
+
+    The entering cell has the most negative reduced cost (Dantzig's rule),
+    except after a degenerate pivot (step 0), where it is the first negative
+    cell in row-major order until the next nondegenerate pivot; the leaving
+    cell is the lowest-indexed blocking one. A cycle of bases is made of
+    degenerate pivots only, so from its second pivot on, round after round,
+    it would be one Bland run, and Bland's rule cannot cycle.
+
+    The basis is a spanning tree on rows 0..m-1 and columns m..m+n-1, with
+    each node's parent, depth and dual. The entering cell's cycle is the
+    tree path between its row and its column, read off the parent
+    pointers. The leaving cell cuts off one subtree; only that subtree is
+    walked again, hung from the entering cell (Ahuja, Magnanti and Orlin
+    1993, Network Flows, ch. 11). Once the simplex stops, the tree is
+    walked whole from row 0 to check that it spans every node and gives the
+    same duals."""
     m, n = len(mu), len(nu)
     # northwest-corner start
     flows = {}
@@ -83,32 +121,16 @@ def _simplex(C, mu, nu):
             b = nu[i]
 
     rows = C.tolist()
-    for _ in range(200000):
-        # duals u = pot[:m], v = pot[m:] with u_j + v_i = C_ji on the basis
-        pot = [0.0] * (m + n)
-        parent = [-1] * (m + n)
-        depth = [-1] * (m + n)
-        depth[0] = 0
-        stack = [0]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if depth[y] < 0:
-                    parent[y] = x
-                    depth[y] = depth[x] + 1
-                    pot[y] = (rows[x][y - m] if x < m
-                              else rows[y][x - m]) - pot[x]
-                    stack.append(y)
-        if -1 in depth:
-            raise RuntimeError("disconnected basis tree")
-        pot = np.array(pot)
-        u, v = pot[:m], pot[m:]
-        # entering variable: Bland (first nonbasic cell in row-major order
-        # with a negative reduced cost)
-        neg = (C - u[:, None] - v[None, :] < -1e-12) & ~basic
-        first = int(neg.argmax())
-        if not neg.flat[first]:
-            return flows, u, v
+    pot, parent, depth = [0.0] * (m + n), [-1] * (m + n), [0] * (m + n)
+    _hang(rows, m, adj, pot, parent, depth, 0, -1)
+    duals = np.array(pot)           # u = duals[:m], v = duals[m:]
+    bland = False
+    for pivots in range(200000):
+        rc = C - duals[:m, None] - duals[None, m:]
+        rc[basic] = 0.0
+        first = int((rc < -1e-12).argmax() if bland else rc.argmin())
+        if not rc.flat[first] < -1e-12:
+            break
         enter = je, ie = divmod(first, n)
         # cycle: the tree path from column ie up to the common ancestor and
         # down to row je, closed by enter; signs alternate +,-,+,- from enter
@@ -126,6 +148,7 @@ def _simplex(C, mu, nu):
         minus = cyc[1::2]
         theta = min(flows[c] for c in minus)
         leave = min(c for c in minus if flows[c] == theta)
+        bland = theta == 0.0
         flows[enter] = 0.0
         for k, cell in enumerate(cyc):
             flows[cell] += -theta if k % 2 else theta
@@ -136,25 +159,43 @@ def _simplex(C, mu, nu):
         adj[m + leave[1]].remove(leave[0])
         adj[je].append(m + ie)
         adj[m + ie].append(je)
-    raise RuntimeError("simplex did not terminate")
+        # an arc on the column's path up to the common ancestor cuts off the
+        # column's side of the entering cell, any other arc the row's side
+        s, t = (m + ie, je) if cyc.index(leave) <= len(up) else (je, m + ie)
+        sub = _hang(rows, m, adj, pot, parent, depth, s, t)
+        duals[sub] = [pot[x] for x in sub]
+    else:
+        raise RuntimeError(f"simplex did not terminate after {pivots + 1} "
+                           f"pivots on an {m}×{n} problem")
+    fresh = [0.0] * (m + n)
+    if len(_hang(rows, m, adj, fresh, [-1] * (m + n), [0] * (m + n),
+                 0, -1)) < m + n:
+        raise RuntimeError("disconnected basis tree")
+    drift = float(np.abs(np.array(fresh) - duals).max())
+    if drift > 1e-12 * float(np.abs(C).max()):
+        raise RuntimeError(f"incremental duals drifted {drift:.3g} from "
+                           f"those of the basis tree")
+    return flows, duals[:m], duals[m:], pivots
 
 
 def _transport_basis(C, mu, nu):
     """Optimal basic plan of the transportation problem (C, mu, nu) as
-    sorted (source, target, mass) entries, with the duals. The roundoff
-    between the two totals is absorbed into the largest source."""
+    sorted (source, target, mass) entries, with the duals and the number of
+    simplex pivots. The roundoff between the two totals is absorbed into
+    the largest source."""
     mu = mu.copy()
     mu[int(np.argmax(mu))] += nu.sum() - mu.sum()
-    flows, u, v = _simplex(C, list(mu), list(nu))
+    flows, u, v, pivots = _simplex(C, list(mu), list(nu))
     entries = sorted((j, i, float(f)) for (j, i), f in flows.items()
                      if f > 1e-15)
-    return entries, u, v
+    return entries, u, v, pivots
 
 
 def lp_transport(sources, targets):
     """Optimal plan between (x_j, mu_j) and (p_i, nu_i) for the linear
     surplus cost -<x, p>, by the float transportation simplex: optimal up to
-    its stopping rule, no reduced cost below -1e-12."""
+    its stopping rule, no reduced cost below -1e-12. The plan's `pivots`
+    counts the simplex pivots from the northwest-corner start."""
     xs = np.asarray([s[0] for s in sources], dtype=float)
     mu = np.asarray([s[1] for s in sources], dtype=float)
     ps = np.asarray([t[0] for t in targets], dtype=float)
@@ -167,12 +208,12 @@ def lp_transport(sources, targets):
     if abs(mu.sum() - nu.sum()) > 1e-12 * max(mu.sum(), nu.sum()):
         raise ValueError("marginals are infeasible (total masses differ)")
     Cf = -(xs @ ps.T)
-    entries, u, v = _transport_basis(Cf, mu, nu)
+    entries, u, v, pivots = _transport_basis(Cf, mu, nu)
     cost = sum(Cf[j, i] * f for j, i, f in entries)
     slack = max((abs(Cf[j, i] - u[j] - v[i]) for j, i, f in entries), default=0.0)
     rc = (Cf - u[:, None] - v[None, :]).min()
     return DiscretePlan(entries, xs, mu, ps, nu, u, v, float(cost),
-                        float(slack), float(rc))
+                        float(slack), float(rc), pivots)
 
 
 def brute_force_assignment(sources, targets):
@@ -348,23 +389,8 @@ def agreement_ceiling(plan, member, target):
     true maximum. It scores with the same table, so the measured fraction
     exceeds it by rounding at most; a gap between the two is the LP's
     choice among plans of equal cost."""
-    entries, _, _ = _transport_basis(-member.astype(float), plan.source_masses,
-                                     plan.target_masses)
+    entries = _transport_basis(-member.astype(float), plan.source_masses,
+                               plan.target_masses)[0]
     agree = sum(m for j, i, m in entries if member[j, i])
     return float(agree / target.total)
 
-
-def _centroid_membership(sol, plan):
-    """The point reading that the overlap table replaces, kept to show how
-    much it depends on tie-breaks: the share of the plan's mass on pairs
-    whose atom centroid lies in the closed Laguerre cell, and the number
-    and mass share of centroids that lie on a cell edge (two or more sites
-    within 1e-9 of the maximal score <x, p_i> - psi_i; on the criterion-3
-    instance the on-edge gaps are <= 1.2e-16 and the next one is 2.2e-3)."""
-    vals = plan.sources @ sol.sites.T - sol.psi
-    closed = vals >= vals.max(axis=1, keepdims=True) - 1e-9
-    on_edge = closed.sum(axis=1) > 1
-    mu = plan.source_masses
-    return {"closed_cell_fraction": _overlap_agreement(plan, closed),
-            "on_edge_atoms": int(on_edge.sum()),
-            "on_edge_mass": float(mu[on_edge].sum() / mu.sum())}

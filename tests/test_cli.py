@@ -200,6 +200,19 @@ def test_oracle_compare_command(tmp_path):
     assert report["verdicts"]["monotonicity"] is True
 
 
+def test_oracle_compare_reports_lp_pivots(tmp_path):
+    # criterion 3's instance: Bland's entering rule alone took 4362 pivots
+    # here, Dantzig's rule with its Bland runs after degenerate pivots 298
+    doc = {"command": "oracle-compare",
+           "domain": {"kind": "disk", "radius": 0.6},
+           "target": {"kind": "chart_disk", "radius": 0.75},
+           "N": 20, "tol": 1e-7, "params": {"grid_m": 15},
+           "out": str(tmp_path / "oc"), "seed": 0}
+    assert run(doc) == 0
+    report = json.loads((tmp_path / "oc" / "report.json").read_text())
+    assert 0 < report["measurements"]["lp_pivots"] < 500
+
+
 def test_oracle_compare_builds_the_overlap_table_once(tmp_path, monkeypatch):
     import hemiot.oracle as oracle
     table = oracle._overlap_table

@@ -134,6 +134,50 @@ def test_plan_matches_highs_reference():
         assert plan.min_reduced_cost >= -1e-10
 
 
+def _integer_grid_lp(seed):
+    # points on the 5x5 integer grid and integer masses with equal totals:
+    # the costs -<x, p> repeat and partial sums of the masses meet, so many
+    # bases are degenerate and the entering rule meets long runs of
+    # zero-step pivots
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(4, 21))
+    mu = rng.integers(1, 5, size=m)
+    n = int(rng.integers(4, min(20, mu.sum()) + 1))
+    xs = rng.integers(-2, 3, size=(m, 2)).astype(float)
+    ps = rng.integers(-2, 3, size=(n, 2)).astype(float)
+    cuts = np.sort(rng.choice(np.arange(1, mu.sum()), n - 1, replace=False))
+    nu = np.diff(np.concatenate([[0], cuts, [mu.sum()]]))
+    return list(zip(xs, mu.astype(float))), list(zip(ps, nu.astype(float)))
+
+
+def test_degenerate_instances_terminate_at_the_optimum():
+    from scipy.optimize import linear_sum_assignment
+
+    for seed in range(20):
+        sources, targets = _integer_grid_lp(seed)
+        plan = lp_transport(sources, targets)
+        mu = np.array([m for _, m in sources])
+        nu = np.array([m for _, m in targets])
+        ref = _highs_transport(-(plan.sources @ plan.targets.T), mu, nu)
+        assert plan.cost == pytest.approx(ref.fun, abs=1e-11), seed
+        assert np.abs(plan.row_marginals() - mu).max() == 0.0
+        assert np.abs(plan.col_marginals() - nu).max() == 0.0
+        assert plan.max_support_slack <= 1e-10
+        assert plan.min_reduced_cost >= -1e-10
+    # unit-mass assignment: every basis has n - 1 flows at zero
+    for n in (5, 10, 20, 30, 40):
+        rng = np.random.default_rng(n)
+        xs = rng.integers(-3, 4, size=(n, 2)).astype(float)
+        ps = rng.integers(-3, 4, size=(n, 2)).astype(float)
+        plan = lp_transport([(x, 1.0) for x in xs], [(p, 1.0) for p in ps])
+        C = -(xs @ ps.T)
+        rows, cols = linear_sum_assignment(C)
+        assert plan.cost == pytest.approx(C[rows, cols].sum(), abs=1e-11), n
+        assert sorted(f for _, _, f in plan.entries) == [1.0] * n
+        assert plan.max_support_slack <= 1e-10
+        assert plan.min_reduced_cost >= -1e-10
+
+
 def test_optimality_against_random_feasible_plans():
     rng = np.random.default_rng(19)
     n = 6
