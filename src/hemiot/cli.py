@@ -25,7 +25,8 @@ from .experiments import (blowup_experiment, cone_inclusion_check,
 from .oracle import (agreement_ceiling, monotonicity_certificate,
                      semidiscrete_agreement)
 from .solver import (ConvergenceError, MassBalanceError, _cell_polyline,
-                     export_mesh, solution_to_csv, solve, write_csv)
+                     export_mesh, mass_quadrature_tol, solution_to_csv,
+                     solve, write_csv)
 from .targets import (DiscreteTarget, discretize, full_hemisphere,
                       truncation_radius_for)
 
@@ -208,8 +209,11 @@ def build_density(spec, domain, path="density"):
         if not 0 < delta < 1:
             raise ConfigError(f"{path}.delta: must lie in (0, 1)")
         if r0 is None:
-            geo = boundary_geometry(domain)
-            r0 = geo.rho
+            if not isinstance(domain, DiskDomain):
+                raise ConfigError(
+                    f"{path}.r0: required on a polygon domain; the default, "
+                    f"the boundary chart radius, exists for disks only")
+            r0 = boundary_geometry(domain).rho
         if r0 <= 0:
             raise ConfigError(f"{path}.r0: must be positive")
 
@@ -386,8 +390,8 @@ def _solve_instance(cfg, out, mesh=True):
     if not K.is_constant:
         # Re-quadrate at the tolerance the solver itself will use for its
         # mass-balance precondition, so the two values agree within its slack.
-        qtol = min(1e-9, 1e-3 * cfg.tol * mass)
-        mass, regime = total_mass(domain, K, tol=max(qtol, 1e-12))
+        mass, regime = total_mass(domain, K,
+                                  tol=mass_quadrature_tol(cfg.tol, mass))
     if regime == "infeasible":
         raise ConfigError(
             f"config.density: total source mass {mass:.6g} exceeds the "

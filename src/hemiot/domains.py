@@ -1,6 +1,7 @@
 # Source-side geometry and measure: convex domains, curvature densities,
-# mass classification, boundary chart constants, erosions, distance functions,
-# and the boundary-cone constructions used by the gradient-blowup experiment.
+# mass classification, a disk's boundary chart constants (closed form),
+# erosions, distance functions, and the boundary-cone constructions used by
+# the gradient-blowup experiment.
 import math
 import warnings
 from dataclasses import dataclass
@@ -188,21 +189,25 @@ def distance_to_boundary(domain, x):
         inside = np.all(slack >= 0.0, axis=1)
         out = slack.min(axis=1)
         if not inside.all():
-            out_pts = pts[~inside]
-            out[~inside] = -_dist_to_polyline(domain.vertices, out_pts)
+            out[~inside] = -_nearest_on_polygon(domain.vertices,
+                                                pts[~inside])[1]
     return float(out[0]) if single else out
 
 
-def _dist_to_polyline(verts, pts):
-    v = np.asarray(verts, dtype=float)
-    w = np.roll(v, -1, axis=0)
+def _nearest_on_polygon(verts, pts):
+    """Nearest points on the closed polygon boundary to pts (m, 2), and their
+    distances; a point equally near two edges takes the first."""
+    w = np.roll(verts, -1, axis=0)
+    best = np.empty_like(pts)
     d = np.full(len(pts), np.inf)
-    for a, b in zip(v, w):
+    for a, b in zip(verts, w):
         e = b - a
         tt = np.clip(((pts - a) @ e) / (e @ e), 0.0, 1.0)
         proj = a[None, :] + tt[:, None] * e[None, :]
-        d = np.minimum(d, np.linalg.norm(pts - proj, axis=1))
-    return d
+        dist = np.linalg.norm(pts - proj, axis=1)
+        closer = dist < d
+        best[closer], d[closer] = proj[closer], dist[closer]
+    return best, d
 
 
 def nearest_boundary_point(domain, x):
@@ -214,17 +219,7 @@ def nearest_boundary_point(domain, x):
             v = np.array([1.0, 0.0])
             r = 1.0
         return domain.center + domain.radius * v / r
-    v = np.asarray(domain.vertices, dtype=float)
-    w = np.roll(v, -1, axis=0)
-    best, bd = None, np.inf
-    for a, b in zip(v, w):
-        e = b - a
-        t = float(np.clip(((x - a) @ e) / (e @ e), 0.0, 1.0))
-        proj = a + t * e
-        d = float(np.linalg.norm(x - proj))
-        if d < bd:
-            best, bd = proj, d
-    return best
+    return _nearest_on_polygon(domain.vertices, x[None, :])[0][0]
 
 
 def inradius_point(domain):
@@ -400,12 +395,11 @@ def _sample_nodes(domain, m=400, seed=711):
 class BoundaryGeometry:
     """Chart constants for the boundary: near every boundary point the boundary
     is the graph of an L-Lipschitz function over a tangential window of radius
-    rho inside a box of height 2*C1*rho; R0 is an enclosing-ball radius bound
-    (None for polygons: flat edges admit no finite enclosing ball)."""
+    rho inside a box of height 2*C1*rho; R0 is an enclosing-ball radius bound."""
     rho: float
     L: float
     C1: float
-    R0: float = None
+    R0: float
 
     def __post_init__(self):
         if not (0 < self.rho < 1):
@@ -414,159 +408,26 @@ class BoundaryGeometry:
             raise ValueError("L must be positive")
         if not self.C1 > 1:
             raise ValueError("C1 must exceed 1")
-        if self.R0 is not None and not self.R0 > 0:
-            raise ValueError("R0 must be positive when present")
+        if not self.R0 > 0:
+            raise ValueError("R0 must be positive")
 
 
 def boundary_geometry(domain):
-    """Certified chart constants. Disks get the analytic tangent-line chart
-    (L = 1, rho = R/(2*sqrt(2)) capped below 1, C1 = 1.1, R0 = R). Polygons get
-    vertex-bisector charts with L = max cot(half interior angle) and no R0.
-    The covering property is re-verified by boundary sampling before returning."""
-    if isinstance(domain, DiskDomain):
-        R = domain.radius
-        geo = BoundaryGeometry(rho=min(R / (2.0 * math.sqrt(2.0)), 0.95),
-                               L=1.0, C1=1.1, R0=R)
-        ok = _validate_chart_constants(domain, geo)
-        if not ok:
-            raise RuntimeError("disk chart constants failed validation")
-        return geo
-    v = domain.vertices
-    k = len(v)
-    L = 0.0
-    for i in range(k):
-        a = v[(i - 1) % k] - v[i]
-        b = v[(i + 1) % k] - v[i]
-        beta = math.acos(np.clip(float(a @ b) / (np.linalg.norm(a) * np.linalg.norm(b)), -1, 1))
-        L = max(L, 1.0 / math.tan(beta / 2.0))
-    L = max(L, 1e-6)
-    C1 = 1.1 * max(1.0, L)
-    edges = np.linalg.norm(np.roll(v, -1, axis=0) - v, axis=1)
-    _, r_in = inradius_point(domain)
-    rho = min(0.95, float(edges.min()), r_in / (2.0 * C1))
-    for _ in range(40):
-        geo = BoundaryGeometry(rho=rho, L=L, C1=C1, R0=None)
-        if _validate_chart_constants(domain, geo):
-            return geo
-        rho *= 0.5
-    raise RuntimeError("could not certify boundary chart constants")
+    """Chart constants of a disk of radius R, in closed form: rho =
+    min(R/(2*sqrt(2)), 0.95), L = 1, C1 = 1.1, R0 = R.
 
-
-def _chart_anchors(domain, rho):
-    """(anchor point, tangent, inward normal) frames whose windows must cover
-    the whole boundary."""
-    frames = []
-    if isinstance(domain, DiskDomain):
-        m = max(8, int(math.ceil(2.0 * math.pi * domain.radius / (0.5 * rho))))
-        for i in range(m):
-            th = 2.0 * math.pi * i / m
-            out = np.array([math.cos(th), math.sin(th)])
-            x = domain.center + domain.radius * out
-            tau = np.array([-out[1], out[0]])
-            frames.append((x, tau, -out))
-        return frames
-    v = domain.vertices
-    k = len(v)
-    n, _ = domain.edge_normals()
-    for i in range(k):
-        a, b = v[i], v[(i + 1) % k]
-        # vertex anchor: frame along the (outward) angle bisector
-        prev_n = n[(i - 1) % k]
-        bis = prev_n + n[i]
-        bis /= np.linalg.norm(bis)
-        tau = np.array([-bis[1], bis[0]])
-        frames.append((a.copy(), tau, -bis))
-        # edge anchors
-        length = np.linalg.norm(b - a)
-        m = max(1, int(math.ceil(length / (0.5 * rho))))
-        for j in range(1, m + 1):
-            t = j / (m + 1.0)
-            x = a + t * (b - a)
-            frames.append((x, (b - a) / length, -n[i]))
-    return frames
-
-
-def _boundary_points(domain, m=1200):
-    if isinstance(domain, DiskDomain):
-        th = np.linspace(0.0, 2.0 * math.pi, m, endpoint=False)
-        return domain.center + domain.radius * np.stack([np.cos(th), np.sin(th)], axis=1)
-    v = domain.vertices
-    w = np.roll(v, -1, axis=0)
-    lens = np.linalg.norm(w - v, axis=1)
-    counts = np.maximum((m * lens / lens.sum()).astype(int), 2)
-    pts = []
-    for a, b, c in zip(v, w, counts):
-        tt = np.linspace(0.0, 1.0, c, endpoint=False)
-        pts.append(a[None, :] + tt[:, None] * (b - a)[None, :])
-    return np.concatenate(pts, axis=0)
-
-
-def _validate_chart_constants(domain, geo, n_samples=33):
-    """Sampling check of the covering property: every boundary point lies in
-    some chart window, and inside each window the boundary is a single-valued
-    graph with slope <= L staying strictly inside the height-C1*rho box."""
-    rho, L, C1 = geo.rho, geo.L, geo.C1
-    frames = _chart_anchors(domain, rho)
-    bpts = _boundary_points(domain)
-    covered = np.zeros(len(bpts), dtype=bool)
-    for x, tau, nu in frames:
-        rel = bpts - x
-        s = rel @ tau
-        h = -(rel @ nu)  # height measured along the outward normal... keep sign local
-        window = np.abs(s) <= rho
-        heights = []
-        ss = np.linspace(-rho, rho, n_samples)
-        for si in ss:
-            hs = _boundary_heights(domain, x, tau, nu, si, C1 * rho)
-            if len(hs) != 1:
-                return False
-            heights.append(hs[0])
-        heights = np.array(heights)
-        if np.max(np.abs(heights)) >= C1 * rho:
-            return False
-        slopes = np.abs(np.diff(heights)) / (ss[1] - ss[0])
-        if np.max(slopes) > L + 1e-9:
-            return False
-        inwin = window & (np.abs(h) < C1 * rho)
-        covered |= inwin
-    return bool(covered.all())
-
-
-def _boundary_heights(domain, x, tau, nu, s, hmax):
-    """Heights h with x + s*tau + h*(-nu)... the boundary crossings of the
-    normal line through the window ordinate s, measured along -nu in (-hmax, hmax)."""
-    base = x + s * tau
-    if isinstance(domain, DiskDomain):
-        # |base - h*nu... solve |base + h*(-nu) - c| = R  (nu is inward)
-        d = base - domain.center
-        b = -2.0 * float(d @ nu)
-        c0 = float(d @ d) - domain.radius ** 2
-        disc = b * b - 4.0 * c0
-        if disc < 0:
-            return []
-        r = math.sqrt(disc)
-        return [h for h in ((-b - r) / 2.0, (-b + r) / 2.0) if abs(h) < hmax]
-    out = []
-    v = domain.vertices
-    w = np.roll(v, -1, axis=0)
-    for a, b in zip(v, w):
-        e = b - a
-        # base - h*nu + ... solve base + h*(-nu) = a + t e
-        M = np.array([[-nu[0], -e[0]], [-nu[1], -e[1]]])
-        det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-        if abs(det) < 1e-15:
-            continue
-        rhs = a - base
-        h = (rhs[0] * M[1, 1] - rhs[1] * M[0, 1]) / det
-        t = (M[0, 0] * rhs[1] - M[1, 0] * rhs[0]) / det
-        if -1e-12 <= t <= 1.0 + 1e-12 and abs(h) < hmax:
-            out.append(float(h))
-    out.sort()
-    dedup = []
-    for h in out:
-        if not dedup or abs(h - dedup[-1]) > 1e-10:
-            dedup.append(h)
-    return dedup
+    In the tangent-line chart at a boundary point the circle is
+    h(s) = R - sqrt(R^2 - s^2) = s^2 / (R + sqrt(R^2 - s^2)). Over
+    |s| <= rho <= R/(2*sqrt(2)) this gives |h| <= rho^2/R <= rho/(2*sqrt(2))
+    < C1*rho (at the uncapped rho, |h| <= (1 - sqrt(7/8)) R) and
+    |h'| = |s|/sqrt(R^2 - s^2) <= 1/sqrt(7) < L. Only a uniformly convex
+    domain has an enclosing-ball radius R0, so any other domain raises
+    ValueError."""
+    if not isinstance(domain, DiskDomain):
+        raise ValueError("boundary chart constants are given for disks only")
+    R = domain.radius
+    return BoundaryGeometry(rho=min(R / (2.0 * math.sqrt(2.0)), 0.95),
+                            L=1.0, C1=1.1, R0=R)
 
 
 # ---------------------------------------------------------------------------
@@ -595,8 +456,6 @@ def lambda_constant(n, delta, C0, L, R0):
 def d0_threshold(geo, r0=None):
     """Largest admissible boundary distance for the cone construction:
     min(rho^2/(16(1+4 R0)), r0/2, 1/4)."""
-    if geo.R0 is None:
-        raise ValueError("needs an enclosing-ball radius (disk domains)")
     out = min(geo.rho ** 2 / (16.0 * (1.0 + 4.0 * geo.R0)), 0.25)
     if r0 is not None:
         out = min(out, r0 / 2.0)
@@ -625,8 +484,6 @@ def make_cone_spec(domain, x0, geo=None):
     """Cone data at an interior point: v0 points to the nearest boundary point,
     d0 is the boundary distance, theta comes from the domain's R0."""
     geo = geo or boundary_geometry(domain)
-    if geo.R0 is None:
-        raise ValueError("cone construction needs an enclosing-ball radius")
     x0 = np.asarray(x0, dtype=float)
     d0 = distance_to_boundary(domain, x0)
     if d0 <= 0:

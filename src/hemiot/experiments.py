@@ -11,7 +11,7 @@ from .chart import c_exp
 from .domains import (DiskDomain, boundary_geometry, constant_density,
                       d0_threshold, lambda_constant, make_cone_spec,
                       total_mass, unit_ball_volume)
-from .solver import active_site, potential, solve
+from .solver import active_site, potential, solve, supporting_plane
 from .targets import (chart_disk, discretize, full_hemisphere,
                       truncation_radius_for)
 
@@ -60,13 +60,12 @@ def sphere_benchmark(r, N, tol=1e-6, max_iter=50, n_eval=20000, seed=0):
     ang = rng.uniform(0.0, 2.0 * math.pi, n_eval)
     rad = r * 0.999 * np.sqrt(u)
     pts = np.column_stack([rad * np.cos(ang), rad * np.sin(ang)])
-    idx = active_site(sol, pts)
+    idx, u_num = supporting_plane(sol, pts)
     p_num = target.sites[idx]
     denom = np.sqrt(1.0 - (pts ** 2).sum(axis=1))
     p_true = pts / denom[:, None]
     grad_error = float(np.linalg.norm(p_num - p_true, axis=1).max())
 
-    u_num = potential(sol, pts)
     u_true = -denom
     shift = -1.0 - potential(sol, np.zeros(2))
     height_error = float(np.abs(u_num + shift - u_true).max())

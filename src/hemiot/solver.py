@@ -96,6 +96,13 @@ def _newton_step(diagram, K, G, nu):
     return d
 
 
+def mass_quadrature_tol(tol, total):
+    """Quadrature tolerance for a source mass that must match a target of
+    mass total in the mass-balance check of a solve at tol:
+    min(1e-9, 1e-3 * tol * total), floored at 1e-12."""
+    return max(min(1e-9, 1e-3 * tol * total), 1e-12)
+
+
 def solve(domain, K, target, tol=1e-6, max_iter=100):
     """Dual ascent with damped Newton steps, started at the weights of
     _affine_voronoi_psi, where every cell has positive mass.
@@ -111,9 +118,10 @@ def solve(domain, K, target, tol=1e-6, max_iter=100):
         raise MassBalanceError("target carries no mass")
 
     from .domains import total_mass as _total_mass
-    qtol = 0.0 if K.is_constant else min(1e-9, 1e-3 * tol * total)
-    src, _ = _total_mass(domain, K, tol=max(qtol, 1e-12))
-    if abs(src - total) > 1e-12 * total + 10.0 * qtol:
+    qtol = mass_quadrature_tol(tol, total)
+    src, _ = _total_mass(domain, K, tol=qtol)
+    slack = 1e-12 * total + (0.0 if K.is_constant else 10.0 * qtol)
+    if abs(src - total) > slack:
         raise MassBalanceError(
             f"source mass {src!r} != target mass {total!r}")
 
@@ -168,32 +176,37 @@ def solve(domain, K, target, tol=1e-6, max_iter=100):
     return Solution(domain, K, target, psi, diagram, G, rep)
 
 
-# rows of points per score block in potential/active_site: a block's
-# scores take 1024 * N * 8 bytes instead of a points x sites matrix
+# rows of points per score block in supporting_plane: a block's scores
+# take 1024 * N * 8 bytes instead of a points x sites matrix
 _EVAL_BLOCK = 1024
 
 
-def _reduce_scores(solution, x, reduce, dtype):
-    """reduce(<x, p_i> - psi_i, axis=1) over blocks of points."""
+def supporting_plane(solution, x):
+    """(active site index, u(x)) for the (m, 2) points x, from one pass over
+    the scores <x, p_i> - psi_i in blocks of points; ties resolve to the
+    lowest site index."""
     pts = np.atleast_2d(x)
-    out = np.empty(len(pts), dtype=dtype)
+    idx = np.empty(len(pts), dtype=np.intp)
+    u = np.empty(len(pts))
     for s in range(0, len(pts), _EVAL_BLOCK):
         vals = pts[s:s + _EVAL_BLOCK] @ solution.sites.T - solution.psi
-        out[s:s + _EVAL_BLOCK] = reduce(vals, axis=1)
-    return out
+        best = vals.argmax(axis=1)
+        idx[s:s + _EVAL_BLOCK] = best
+        u[s:s + _EVAL_BLOCK] = vals[np.arange(len(best)), best]
+    return idx, u
 
 
 def potential(solution, x):
     """u(x) = max_i <x, p_i> - psi_i, the restriction of the solution's
-    support function; ties resolve to the lowest site index."""
+    support function."""
     x = np.asarray(x, dtype=float)
-    out = _reduce_scores(solution, x, np.max, float)
-    return float(out[0]) if x.ndim == 1 else out
+    u = supporting_plane(solution, x)[1]
+    return float(u[0]) if x.ndim == 1 else u
 
 
 def active_site(solution, x):
     x = np.asarray(x, dtype=float)
-    idx = _reduce_scores(solution, x, np.argmax, np.intp)
+    idx = supporting_plane(solution, x)[0]
     return int(idx[0]) if x.ndim == 1 else idx
 
 

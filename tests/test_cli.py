@@ -78,6 +78,19 @@ def test_build_domain_and_density():
     assert decay(np.array([[0.0, 0.0]]))[0] == pytest.approx(0.2 / math.sqrt(2.0))
 
 
+def test_decay_density_on_a_polygon_needs_r0(tmp_path, capsys):
+    square = {"kind": "polygon",
+              "vertices": [[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]]}
+    doc = dict(SOLVE_DOC, domain=square,
+               density={"kind": "decay", "C0": 0.1, "delta": 0.5},
+               out=str(tmp_path / "o"))
+    assert main(["--config", _write(tmp_path, "d.json", doc)]) == 2
+    assert "density.r0" in capsys.readouterr().err
+    dens = build_density({"kind": "decay", "C0": 0.1, "delta": 0.5,
+                          "r0": 0.2}, build_domain(square))
+    assert dens.decay == (0.1, 0.5, 0.2)
+
+
 def test_build_target_guards():
     with pytest.raises(ConfigError, match="target.sites"):
         build_target({"kind": "explicit",

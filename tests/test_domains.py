@@ -1,4 +1,5 @@
 import math
+import time
 import warnings
 
 import numpy as np
@@ -63,6 +64,18 @@ def test_nearest_boundary_point():
     assert np.allclose(q, [1.0, 0.0])
     q = nearest_boundary_point(UNIT_SQUARE, np.array([0.3, 0.1]))
     assert np.allclose(q, [0.5, 0.1])
+    # the centre is equally near all four edges: the first edge wins
+    q = nearest_boundary_point(UNIT_SQUARE, np.array([0.0, 0.0]))
+    assert np.array_equal(q, [0.0, -0.5])
+
+
+def test_polygon_distance_outside_is_to_the_nearest_point():
+    outside = np.array([[0.9, 0.1], [0.8, 0.7], [-0.6, -0.9], [0.0, 2.0]])
+    d = distance_to_boundary(UNIT_SQUARE, outside)
+    near = np.array([nearest_boundary_point(UNIT_SQUARE, x) for x in outside])
+    assert np.allclose(near, [[0.5, 0.1], [0.5, 0.5], [-0.5, -0.5],
+                              [0.0, 0.5]])
+    assert np.allclose(-d, np.linalg.norm(outside - near, axis=1))
 
 
 def test_inradius_point_and_erode():
@@ -128,6 +141,29 @@ def test_boundary_geometry_of_disk():
     assert geo.R0 == pytest.approx(1.0)
     assert geo.L == pytest.approx(1.0)
     assert geo.rho == pytest.approx(min(1.0 / (2.0 * math.sqrt(2.0)), 0.95))
+
+
+@pytest.mark.parametrize("R", [0.1, 1.0, 5.0])
+def test_disk_chart_inequalities_on_sampled_windows(R):
+    # in the tangent-line chart the circle is h(s) = R - sqrt(R^2 - s^2)
+    geo = boundary_geometry(DiskDomain(np.array([0.3, -0.2]), R))
+    assert geo.rho == pytest.approx(min(R / (2.0 * math.sqrt(2.0)), 0.95))
+    if R == 5.0:
+        assert geo.rho == 0.95
+    s = np.linspace(-geo.rho, geo.rho, 2001)
+    h = R - np.sqrt(R * R - s * s)
+    assert np.max(np.abs(h)) <= (1.0 - math.sqrt(7.0 / 8.0)) * R + 1e-15
+    assert (1.0 - math.sqrt(7.0 / 8.0)) * R < geo.C1 * geo.rho
+    slopes = np.abs(np.diff(h) / np.diff(s))
+    assert np.max(slopes) <= 1.0 / math.sqrt(7.0) < geo.L
+    assert geo.R0 == R
+
+
+def test_boundary_geometry_rejects_polygons_at_once():
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="disks only"):
+        boundary_geometry(UNIT_SQUARE)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_frozen_structural_constants():
