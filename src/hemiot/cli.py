@@ -11,7 +11,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -290,9 +290,6 @@ def build_target(spec, N, source_mass, path="target"):
 # ---------------------------------------------------------------------------
 # the config document
 
-_DEFAULTS = dict(tol=1e-6, max_iter=100, seed=0, threads=1, out="out")
-
-
 @dataclass
 class ExperimentConfig:
     """Normalized, JSON-native experiment description.  to_dict/from_dict
@@ -313,8 +310,8 @@ class ExperimentConfig:
     def from_dict(cls, raw):
         if not isinstance(raw, dict):
             raise ConfigError("config: expected a JSON object")
-        known = {"command", "domain", "density", "target", "N", "tol",
-                 "max_iter", "seed", "threads", "out", "params"}
+        fs = fields(cls)
+        known = {f.name for f in fs}
         for key in raw:
             if key not in known:
                 raise ConfigError(f"config.{key}: unknown field")
@@ -323,32 +320,17 @@ class ExperimentConfig:
             raise ConfigError(
                 f"config.command: unknown command {command!r} "
                 f"(choose from {', '.join(COMMANDS)})")
-        cfg = cls(
-            command=command,
-            domain=_get(raw, "domain", "config", dict, default=None),
-            density=_get(raw, "density", "config", dict, default=None),
-            target=_get(raw, "target", "config", dict, default=None),
-            N=_get(raw, "N", "config", int, default=None),
-            tol=_get(raw, "tol", "config", float, default=_DEFAULTS["tol"]),
-            max_iter=_get(raw, "max_iter", "config", int,
-                          default=_DEFAULTS["max_iter"]),
-            seed=_get(raw, "seed", "config", int, default=_DEFAULTS["seed"]),
-            threads=_get(raw, "threads", "config", int,
-                         default=_DEFAULTS["threads"]),
-            out=_get(raw, "out", "config", str, default=_DEFAULTS["out"]),
-            params=_get(raw, "params", "config", dict, default={}),
-        )
+        cfg = cls(command=command, **{
+            f.name: _get(raw, f.name, "config", f.type,
+                         default=(f.default if f.default_factory is MISSING
+                                  else f.default_factory()))
+            for f in fs if f.name != "command"})
         cfg.validate()
         return cfg
 
     def to_dict(self):
-        d = {"command": self.command, "tol": self.tol,
-             "max_iter": self.max_iter, "seed": self.seed,
-             "threads": self.threads, "out": self.out, "params": self.params}
-        for key in ("domain", "density", "target", "N"):
-            if getattr(self, key) is not None:
-                d[key] = getattr(self, key)
-        return d
+        return {f.name: v for f in fields(self)
+                if (v := getattr(self, f.name)) is not None}
 
     def validate(self):
         if not 0 < self.tol <= 1e-2:
@@ -412,7 +394,6 @@ def _solve_instance(cfg, out, mesh=True):
         "n_sites": len(target), "source_mass": mass, "regime": regime,
         "residual": sol.report.final_residual,
         "iterations": sol.report.iterations,
-        "damping_events": sol.report.damping_events,
         **_diagram_counts(sol),
         "area_error": area_err,
         "connected": bool(sol.report.connected),

@@ -24,7 +24,6 @@ class SolveReport:
     converged: bool
     iterations: int
     final_residual: float          # ||G - nu||_1 / total mass
-    damping_events: int
     min_cell_mass_history: list
     connected: bool
     runtime: float
@@ -67,9 +66,11 @@ def _phi_value(sites, psi, nu, G, M):
 
 
 def _newton_step(diagram, K, G, nu):
-    """Solve (D - W) d = G - nu with the gauge d[0] = 0."""
+    """Solve (D - W) d = G - nu with the gauge d[0] = 0: one sparse direct
+    solve of the gauge-fixed Laplacian, with a minimum-degree ordering on
+    its symmetric pattern."""
     from scipy import sparse
-    from scipy.sparse.linalg import cg, spsolve
+    from scipy.sparse.linalg import spsolve
 
     n = len(nu)
     pairs, w = edge_weights(diagram, K)
@@ -79,20 +80,9 @@ def _newton_step(diagram, K, G, nu):
     L = sparse.coo_matrix((np.concatenate([-w, -w, deg]),
                            (np.concatenate([i, j, ids]),
                             np.concatenate([j, i, ids]))),
-                          shape=(n, n)).tocsr()
-    keep = np.arange(1, n)
-    A = L[keep][:, keep].tocsr()
-    b = (G - nu)[keep]
+                          shape=(n, n)).tocsc()
     d = np.zeros(n)
-    if n <= 64:
-        d[keep] = np.linalg.solve(A.toarray() + 1e-14 * np.eye(n - 1), b)
-        return d
-    diag = A.diagonal()
-    Mpre = sparse.diags(1.0 / np.maximum(diag, 1e-300))
-    x, info = cg(A, b, rtol=1e-10, atol=0.0, maxiter=4 * n, M=Mpre)
-    if info != 0:
-        x = spsolve(A.tocsc(), b)
-    d[keep] = x
+    d[1:] = spsolve(L[1:, 1:], (G - nu)[1:], permc_spec="MMD_AT_PLUS_A")
     return d
 
 
@@ -139,7 +129,7 @@ def solve(domain, K, target, tol=1e-6, max_iter=100):
     resid = float(np.abs(G - nu).sum())
     phi = _phi_value(sites, psi, nu, G, M)
     history = [float(G.min())]
-    damping_events = 0
+    discarded = 0
     it = 0
     converged = resid <= tol * total
 
@@ -164,15 +154,15 @@ def solve(domain, K, target, tol=1e-6, max_iter=100):
                     accepted = True
                     break
             tau *= 0.5
-            damping_events += 1
+            discarded += 1
         if not accepted:
             break
         history.append(float(G.min()))
         converged = resid <= tol * total
 
-    rep = SolveReport(bool(converged), it, resid / total, damping_events,
-                      history, diagram.is_connected(),
-                      time.time() - t_start, built, damping_events)
+    rep = SolveReport(bool(converged), it, resid / total, history,
+                      diagram.is_connected(), time.time() - t_start, built,
+                      discarded)
     return Solution(domain, K, target, psi, diagram, G, rep)
 
 

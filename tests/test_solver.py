@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from hemiot.chart import c_exp
 from hemiot.domains import (ConvexPolygonDomain, DiskDomain, SourceDensity,
                             constant_density, domain_area, total_mass)
-from hemiot.solver import (MassBalanceError, active_site, export_mesh,
-                           gauss_map, potential, solution_to_csv, solve)
+from hemiot.laguerre import compute_measures, edge_weights, laguerre_diagram
+from hemiot.solver import (MassBalanceError, _affine_voronoi_psi, _newton_step,
+                           active_site, export_mesh, gauss_map, potential,
+                           solution_to_csv, solve)
 from hemiot.targets import (DiscreteTarget, chart_disk, chart_polygon,
                             discretize)
 
@@ -213,11 +215,10 @@ def test_report_counts_built_and_discarded_diagrams(monkeypatch):
     domain = DiskDomain(np.zeros(2), 0.8)
     target = discretize(chart_disk(np.zeros(2), 5.0), 80, domain_area(domain))
     rep = solve(domain, K1, target, tol=1e-8).report
-    assert rep.converged and rep.damping_events
+    assert rep.converged and rep.diagrams_discarded
     assert rep.diagrams_built == len(calls)
     # every rejected trial is discarded; the start and one diagram per
     # accepted step are kept
-    assert rep.diagrams_discarded == rep.damping_events
     assert rep.diagrams_built - rep.diagrams_discarded == 1 + rep.iterations
 
 
@@ -240,3 +241,26 @@ def test_first_diagram_is_at_the_affine_weights(monkeypatch, domain, target):
     start = solver_mod._affine_voronoi_psi(domain, target.sites)
     assert np.array_equal(weights[0], start - start[0])
     assert weights[0].any()
+
+
+@pytest.mark.parametrize("domain, N", [
+    (DiskDomain(np.zeros(2), 0.6), 500),
+    (SQUARE, 300),
+    (DiskDomain(np.zeros(2), 0.6), 40),
+], ids=["disk-416", "square-249", "disk-36"])
+def test_newton_step_solves_its_system_to_rounding(domain, N):
+    # the first step from the affine weights: (D - W) d = G - nu holds to
+    # rounding on rows 1..n-1, in the gauge d[0] = 0
+    target = discretize(chart_disk(np.zeros(2), 0.75), N, domain_area(domain))
+    psi = _affine_voronoi_psi(domain, target.sites)
+    diagram = laguerre_diagram(domain, target.sites, psi - psi[0])
+    G, _ = compute_measures(diagram, K1, 1e-12)
+    d = _newton_step(diagram, K1, G, target.masses)
+    assert d[0] == 0.0
+    pairs, w = edge_weights(diagram, K1)
+    i, j = pairs.T
+    flux = w * (d[i] - d[j])
+    Ld = np.bincount(i, flux, len(d)) - np.bincount(j, flux, len(d))
+    b = G - target.masses
+    assert (np.linalg.norm(Ld[1:] - b[1:]) / np.linalg.norm(b[1:])
+            <= 1e-12)
