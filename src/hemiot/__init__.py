@@ -22,9 +22,9 @@ from .laguerre import (LaguerreCell, LaguerreDiagram, compute_measures,
 from .oracle import (DiscretePlan, agreement_ceiling, brute_force_assignment,
                      lp_transport, monotonicity_certificate,
                      normal_cone_check, semidiscrete_agreement)
-from .solver import (ConvergenceError, MassBalanceError, Solution,
-                     SolveReport, active_site, export_mesh, gauss_map,
-                     potential, solution_to_csv, solve)
+from .solver import (CellMeasureError, ConvergenceError, MassBalanceError,
+                     Solution, SolveReport, active_site, export_mesh,
+                     gauss_map, potential, solution_to_csv, solve)
 from .targets import (DiscreteTarget, FullHemisphere, chart_disk,
                       chart_polygon, discretize, full_hemisphere,
                       region_mass, truncation_radius_for)

@@ -24,9 +24,9 @@ from .experiments import (blowup_experiment, cone_inclusion_check,
                           sphere_benchmark)
 from .oracle import (agreement_ceiling, monotonicity_certificate,
                      semidiscrete_agreement)
-from .solver import (ConvergenceError, MassBalanceError, _cell_polyline,
-                     export_mesh, mass_quadrature_tol, solution_to_csv,
-                     solve, write_csv)
+from .solver import (CellMeasureError, ConvergenceError, MassBalanceError,
+                     _cell_rings, export_mesh, mass_quadrature_tol,
+                     solution_to_csv, solve, write_csv)
 from .targets import (DiscreteTarget, discretize, full_hemisphere,
                       truncation_radius_for)
 
@@ -383,7 +383,7 @@ def _solve_instance(cfg, out, mesh=True):
     solution_to_csv(sol, os.path.join(out, "solution.csv"))
     if mesh:
         export_mesh(sol, os.path.join(out, "mesh.obj"))
-    area_err = abs(sum(c.area for c in sol.diagram.cells)
+    area_err = abs(sum(sol.diagram.area.tolist())
                    - domain_area(domain)) / domain_area(domain)
     verdicts = {
         "converged": bool(sol.report.converged),
@@ -410,9 +410,9 @@ def _cmd_solve(cfg, out):
 def _cmd_export(cfg, out):
     sol, verdicts, meas, times = _solve_instance(cfg, out)
     write_csv(os.path.join(out, "cells.csv"), ("site", "k", "x1", "x2"),
-              ((c.site_index, k, float(x), float(y))
-               for c in sol.diagram.cells if not c.is_empty
-               for k, (x, y) in enumerate(_cell_polyline(c))))
+              ((i, k, float(x), float(y))
+               for i, ring in _cell_rings(sol.diagram)
+               for k, (x, y) in enumerate(ring)))
     verdicts = {"converged": verdicts["converged"]}
     return verdicts, meas, times
 
@@ -678,6 +678,8 @@ def run(config):
         raise
     except MassBalanceError as exc:
         raise ConfigError(f"config.target: {exc}")
+    except CellMeasureError as exc:
+        raise ConfigError(f"config.tol: {exc}")
     except QuadratureError as exc:
         raise ConfigError(f"config.density: {exc}")
     except ConvergenceError as exc:

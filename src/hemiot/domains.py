@@ -142,21 +142,42 @@ def domain_clipper(domain):
 def grid_pieces(domain, m):
     """The m×m grid squares over the domain's bounding box, each clipped to
     the domain: a list of (square, verts, labels, area, centroid), column
-    by column, for the pieces of area above (10 eps)²."""
+    by column, for the pieces of area above (10 eps)². A square whose
+    corners are all inside by more than eps is one the clipper returns as
+    it is; those squares' areas and centroids come from one array shoelace
+    in cell_area_centroid's order of operations, and only the others go
+    through the clipper."""
     lo, hi = domain.bounding_box()
     clip, eps = domain_clipper(domain), clip_eps(domain)
     hx, hy = (hi - lo) / m
+    col, row = np.divmod(np.arange(m * m), m)
+    x0, y0 = lo[0] + col * hx, lo[1] + row * hy
+    x1, y1 = x0 + hx, y0 + hy
+    # corners (S, 4, 2), counterclockwise from (x0, y0)
+    v = np.stack([np.column_stack(c) for c in
+                  ((x0, y0), (x1, y0), (x1, y1), (x0, y1))], axis=1)
+    whole = contains(domain, v.reshape(-1, 2), -eps).reshape(-1, 4).all(axis=1)
+    whole = whole.tolist()
+    vr = np.roll(v, -1, axis=1)
+    cross = v[:, :, 0] * vr[:, :, 1] - vr[:, :, 0] * v[:, :, 1]
+    terms = (v + vr) * cross[:, :, None]
+    area = 0.5 * (((cross[:, 0] + cross[:, 1]) + cross[:, 2]) + cross[:, 3])
+    mom = (((terms[:, 0] + terms[:, 1]) + terms[:, 2]) + terms[:, 3]) / 6.0
+    cen = mom / area[:, None]
+    corners = list(map(tuple, v.reshape(-1, 2).tolist()))
+    area, labels = area.tolist(), [("grid", k) for k in range(4)]
     out = []
-    for i in range(m):
-        for j in range(m):
-            x0, y0 = lo[0] + i * hx, lo[1] + j * hy
-            square = [(x0, y0), (x0 + hx, y0), (x0 + hx, y0 + hy), (x0, y0 + hy)]
-            verts, labels = clip(square, [("grid", k) for k in range(4)])
+    for s in range(m * m):
+        square = corners[4 * s:4 * s + 4]
+        if whole[s]:
+            piece = (square, labels.copy(), area[s], cen[s])
+        else:
+            verts, labs = clip(square, labels.copy())
             if not verts:
                 continue
-            area, cen = cell_area_centroid(verts, labels)
-            if area > (10 * eps) ** 2:
-                out.append((square, verts, labels, area, cen))
+            piece = (verts, labs, *cell_area_centroid(verts, labs))
+        if piece[2] > (10 * eps) ** 2:
+            out.append((square, *piece))
     return out
 
 

@@ -72,7 +72,7 @@ def sphere_benchmark(r, N, tol=1e-6, max_iter=50, n_eval=20000, seed=0):
 
     spacing = site_spacing(target.sites)
 
-    live = [c.site_index for c in sol.diagram.cells if not c.is_empty]
+    live = sol.diagram.sizes >= 2
     y3 = -1.0 / np.sqrt(1.0 + (target.sites[live] ** 2).sum(axis=1))
     cap_excess = float((y3 + math.sqrt(1.0 - r * r)).max())
 
@@ -89,10 +89,9 @@ def gauss_map_image_check(solution, target):
     (sites with nonempty cells) and the full prescribed set, plus the number
     of positive-mass sites left with empty cells."""
     pts_all = np.stack([c_exp(p).as_array() for p in target.sites])
-    live = [not c.is_empty for c in solution.diagram.cells]
-    n_empty_required = sum((not l) and m > 0
-                           for l, m in zip(live, target.masses))
-    pts_live = pts_all[np.asarray(live, dtype=bool)]
+    live = solution.diagram.sizes >= 2
+    n_empty_required = ((~live) & (target.masses > 0)).sum()
+    pts_live = pts_all[live]
     if len(pts_live) == 0:
         return float("inf"), float("inf"), int(n_empty_required)
     d = np.linalg.norm(pts_live[:, None, :] - pts_all[None, :, :], axis=2)

@@ -4,10 +4,12 @@
 import math
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .chart import c_exp
+from .geometry import ARC, QuadratureError
 from .laguerre import compute_measures, edge_weights, laguerre_diagram
 
 
@@ -17,6 +19,11 @@ class MassBalanceError(ValueError):
 
 class ConvergenceError(RuntimeError):
     pass
+
+
+class CellMeasureError(QuadratureError):
+    """The cell-measure quadrature stalled at the tolerance that solve takes
+    from its tol; the message names both."""
 
 
 @dataclass
@@ -44,6 +51,11 @@ class Solution:
     @property
     def sites(self):
         return self.target.sites
+
+    @cached_property
+    def _locator(self):
+        """Point location in the diagram, built on first use."""
+        return _Locator(self)
 
 
 def _affine_voronoi_psi(domain, sites):
@@ -117,11 +129,19 @@ def solve(domain, K, target, tol=1e-6, max_iter=100):
 
     mtol = min(1e-10, 1e-3 * tol * total)
 
+    def measures(diagram):
+        try:
+            return compute_measures(diagram, K, mtol)
+        except QuadratureError as exc:
+            raise CellMeasureError(
+                f"cell measures to {mtol:.3g} = min(1e-10, 1e-3 * tol * "
+                f"mass) at tol {tol:.3g}: {exc}") from exc
+
     psi = _affine_voronoi_psi(domain, sites)
     psi = psi - psi[0]
     diagram = laguerre_diagram(domain, sites, psi)
     built = 1
-    G, M = compute_measures(diagram, K, mtol)
+    G, M = measures(diagram)
     if G.min() <= 0.0:
         raise ConvergenceError("initialization left an empty cell")
 
@@ -143,7 +163,7 @@ def solve(domain, K, target, tol=1e-6, max_iter=100):
             psi_c = psi_c - psi_c[0]
             diagram_c = laguerre_diagram(domain, sites, psi_c)
             built += 1
-            G_c, M_c = compute_measures(diagram_c, K, mtol)
+            G_c, M_c = measures(diagram_c)
             if G_c.min() >= eps0:
                 resid_c = float(np.abs(G_c - nu).sum())
                 phi_c = _phi_value(sites, psi_c, nu, G_c, M_c)
@@ -166,24 +186,126 @@ def solve(domain, K, target, tol=1e-6, max_iter=100):
     return Solution(domain, K, target, psi, diagram, G, rep)
 
 
-# rows of points per score block in supporting_plane: a block's scores
-# take 1024 * N * 8 bytes instead of a points x sites matrix
+# rows of points per block of the dense scan in supporting_plane: a block's
+# scores take 1024 * N * 8 bytes instead of a points x sites matrix
 _EVAL_BLOCK = 1024
+# rounds of the neighbour walk before a point goes to the dense scan
+_WALK_ROUNDS = 8
 
 
-def supporting_plane(solution, x):
-    """(active site index, u(x)) for the (m, 2) points x, from one pass over
-    the scores <x, p_i> - psi_i in blocks of points; ties resolve to the
-    lowest site index."""
-    pts = np.atleast_2d(x)
+def _dense_plane(sites, psi, pts):
+    """(argmax, max) of the scores x0 p0 + x1 p1 - psi over every site, in
+    blocks of points, each block one in-place points x sites matrix; ties
+    resolve to the lowest site index."""
+    p0, p1 = np.ascontiguousarray(sites.T)
     idx = np.empty(len(pts), dtype=np.intp)
     u = np.empty(len(pts))
     for s in range(0, len(pts), _EVAL_BLOCK):
-        vals = pts[s:s + _EVAL_BLOCK] @ solution.sites.T - solution.psi
+        x = pts[s:s + _EVAL_BLOCK]
+        vals = np.multiply.outer(x[:, 0], p0)
+        vals += np.multiply.outer(x[:, 1], p1)
+        vals -= psi
         best = vals.argmax(axis=1)
-        idx[s:s + _EVAL_BLOCK] = best
-        u[s:s + _EVAL_BLOCK] = vals[np.arange(len(best)), best]
+        idx[s:s + len(x)] = best
+        u[s:s + len(x)] = vals[np.arange(len(x)), best]
     return idx, u
+
+
+class _Locator:
+    """Point location in a solution's Laguerre diagram. A point x inside the
+    domain lies in cell i once i's score beats that of every bisector
+    neighbour of i: the other sites' half-planes are redundant in the domain
+    (Aurenhammer 1987). A candidate cell comes from a k-d tree over the
+    centroids of the nonempty cells and is checked against its neighbours;
+    a point that fails walks to its best neighbour and is checked again.
+
+    A candidate is accepted only when it beats each neighbour j by more
+    than 4 clip eps times |p_i - p_j| plus 16 ulps of the largest score
+    size: the diagram drops edges shorter than its clip eps, and the site
+    across a dropped edge of i wins only points about that close to i's
+    listed edges. Points not inside the domain by more than
+    4 clip eps, near-ties and points still unverified after _WALK_ROUNDS
+    rounds take the dense scan, which decides exactly as before."""
+
+    def __init__(self, solution):
+        from scipy.spatial import cKDTree
+
+        from .domains import clip_eps
+        dg = solution.diagram
+        self.domain, self.psi = dg.domain, solution.psi
+        self.sites = np.asarray(solution.sites, dtype=float)
+        self.p0, self.p1 = np.ascontiguousarray(self.sites.T)
+        self.margin = 4.0 * clip_eps(dg.domain)
+        self.p_size = float(np.abs(self.sites).sum(axis=1).max())
+        self.psi_size = float(np.abs(self.psi).max())
+        self.live = np.flatnonzero(dg.sizes >= 2)
+        self.tree = cKDTree(dg.centroid[self.live])
+        # bisector neighbours of each cell, both ways round, as CSR rows
+        k = np.flatnonzero(dg.nbr >= 0)
+        n = len(self.sites)
+        i = np.concatenate([dg.owner[k], dg.nbr[k]])
+        j = np.concatenate([dg.nbr[k], dg.owner[k]])
+        key = np.unique(i * n + j)
+        i, self.nbrs = key // n, key % n
+        self.indptr = np.concatenate([[0],
+                                      np.cumsum(np.bincount(i, minlength=n))])
+        self.gap = self.margin * np.hypot(*(self.sites[i]
+                                            - self.sites[self.nbrs]).T)
+
+    def scores(self, x, j):
+        """x0 p0 + x1 p1 - psi of site j[r] at point x[r], elementwise as in
+        _dense_plane, so both routes give the same bits."""
+        return x[:, 0] * self.p0[j] + x[:, 1] * self.p1[j] - self.psi[j]
+
+    def __call__(self, pts):
+        from .domains import contains
+        idx, u = np.empty(len(pts), dtype=np.intp), np.empty(len(pts))
+        dense = np.ones(len(pts), dtype=bool)
+        todo = np.flatnonzero(contains(self.domain, pts, -self.margin))
+        if not len(todo):
+            return _dense_plane(self.sites, self.psi, pts)
+        ulps = 16.0 * np.finfo(float).eps * (
+            float(np.abs(pts[todo]).max()) * self.p_size + self.psi_size)
+        cand = self.live[self.tree.query(pts[todo])[1]]
+        for _ in range(_WALK_ROUNDS):
+            x = pts[todo]
+            own = self.scores(x, cand)
+            # every (point, neighbour of its candidate) pair, point by point
+            start, cnt = self.indptr[cand], np.diff(self.indptr)[cand]
+            row = np.repeat(np.arange(len(todo)), cnt)
+            head = np.cumsum(cnt) - cnt
+            k = np.arange(len(row)) + np.repeat(start - head, cnt)
+            other = self.scores(x[row], self.nbrs[k])
+            worst = np.full(len(todo), np.inf)
+            best = np.full(len(todo), -np.inf)
+            has = cnt > 0
+            if has.any():
+                worst[has] = np.minimum.reduceat(
+                    own[row] - other - self.gap[k], head[has]) - ulps
+                best[has] = np.maximum.reduceat(other, head[has])
+            ok = worst > 0.0
+            idx[todo[ok]], u[todo[ok]] = cand[ok], own[ok]
+            dense[todo[ok]] = False
+            # walk where a neighbour scores strictly more, to the first such
+            # best one; the other failures are near-ties, left to the scan
+            walk = ~ok & (best > own)
+            if not walk.any():
+                break
+            hit = np.flatnonzero((other == best[row]) & walk[row])
+            first = np.unique(row[hit], return_index=True)[1]
+            cand, todo = self.nbrs[k[hit[first]]], todo[walk]
+        if dense.any():
+            idx[dense], u[dense] = _dense_plane(self.sites, self.psi,
+                                                pts[dense])
+        return idx, u
+
+
+def supporting_plane(solution, x):
+    """(active site index, u(x)) for the (m, 2) points x: each point's cell
+    of the solution's diagram (see _Locator), and that site's score
+    <x, p_i> - psi_i; ties resolve to the lowest site index."""
+    pts = np.atleast_2d(np.asarray(x, dtype=float))
+    return solution._locator(pts)
 
 
 def potential(solution, x):
@@ -210,57 +332,63 @@ def gauss_map(solution, x):
     return np.stack([c_exp(solution.sites[i]).as_array() for i in idx])
 
 
-def _cell_polyline(cell, max_step=2.0 * math.pi / 256):
-    """Cell boundary with arcs subdivided into chords."""
-    pts = []
-    m = len(cell.verts)
-    for e in range(m):
-        a = cell.verts[e]
-        b = cell.verts[(e + 1) % m]
-        lab = cell.labels[e]
-        pts.append(a)
-        if lab[0] == "arc":
-            cx, cy = lab[1]
-            r = lab[2]
+def _cell_rings(diagram, max_step=2.0 * math.pi / 256):
+    """(site, boundary points) of every nonempty cell in site order, read
+    off the diagram's ragged arrays, with arc edges cut into chords."""
+    verts = list(map(tuple, diagram.verts.tolist()))
+    arcs = {k: lab for k, lab in diagram.other_labels.items() if lab[0] == ARC}
+    with_arcs = set(diagram.owner[list(arcs)].tolist())
+    off = diagram.offsets.tolist()
+    for i, (s, e) in enumerate(zip(off[:-1], off[1:])):
+        if e - s < 2:
+            continue
+        if i not in with_arcs:
+            yield i, verts[s:e]
+            continue
+        ring = []
+        for k in range(s, e):
+            a = verts[k]
+            ring.append(a)
+            if k not in arcs:
+                continue
+            b = verts[k + 1 if k + 1 < e else s]
+            (cx, cy), r = arcs[k][1], arcs[k][2]
             a0 = math.atan2(a[1] - cy, a[0] - cx)
             a1 = math.atan2(b[1] - cy, b[0] - cx)
             sweep = (a1 - a0) % (2.0 * math.pi)
-            k = int(sweep / max_step) + 1
-            for s in range(1, k):
-                t = a0 + sweep * s / k
-                pts.append((cx + r * math.cos(t), cy + r * math.sin(t)))
-    return pts
+            n = int(sweep / max_step) + 1
+            for step in range(1, n):
+                t = a0 + sweep * step / n
+                ring.append((cx + r * math.cos(t), cy + r * math.sin(t)))
+        yield i, ring
 
 
 def export_mesh(solution, path):
     """Write the graph of the potential as a watertight OBJ surface, one
     planar polygon per nonempty cell, with per-face normals set to the
     hemisphere image of the cell's site."""
+    rings = list(_cell_rings(solution.diagram))
+    site = np.repeat([i for i, _ in rings], [len(r) for _, r in rings])
+    xy = np.array([q for _, r in rings for q in r], dtype=float).reshape(-1, 2)
+    p = solution.sites[site]
+    z = p[:, 0] * xy[:, 0] + p[:, 1] * xy[:, 1] - solution.psi[site]
+    # one vertex per point rounded to 9 decimals (np.round), numbered in
+    # order of first appearance
     verts = {}
-    order = []
-
-    def vid(p3):
-        key = (round(p3[0], 9), round(p3[1], 9), round(p3[2], 9))
-        if key not in verts:
-            verts[key] = len(verts) + 1
-            order.append(key)
-        return verts[key]
-
+    ids = [verts.setdefault(key, len(verts) + 1) for key in
+           map(tuple, np.round(np.column_stack([xy, z]), 9).tolist())]
     faces = []
     normals = []
-    for c in solution.diagram.cells:
-        if c.is_empty:
-            continue
-        p = solution.sites[c.site_index]
-        psi_i = solution.psi[c.site_index]
-        ring = _cell_polyline(c)
-        ids = [vid((x, y, p[0] * x + p[1] * y - psi_i)) for x, y in ring]
-        ids = [i for k, i in enumerate(ids) if i != ids[k - 1]]
-        if len(ids) >= 3:
-            normals.append(c_exp(p).as_array())
-            faces.append(ids)
+    end = 0
+    for i, ring in rings:
+        face = ids[end:end + len(ring)]
+        end += len(ring)
+        face = [v for k, v in enumerate(face) if v != face[k - 1]]
+        if len(face) >= 3:
+            normals.append(c_exp(solution.sites[i]).as_array())
+            faces.append(face)
     lines = ["# piecewise-planar graph of the dual potential"]
-    for key in order:
+    for key in verts:
         lines.append("v {:.12g} {:.12g} {:.12g}".format(*key))
     for nrm in normals:
         lines.append("vn {:.12g} {:.12g} {:.12g}".format(*nrm))
@@ -287,8 +415,9 @@ def solution_to_csv(solution, path):
     cell areas and centroids."""
     sites, psi = solution.sites.tolist(), solution.psi.tolist()
     nu, mass = solution.target.masses.tolist(), solution.masses.tolist()
-    rows = ([i, *sites[i], psi[i], nu[i], mass[i], c.area,
-             *c.centroid.tolist()]
-            for c in solution.diagram.cells for i in [c.site_index])
+    area = solution.diagram.area.tolist()
+    centroid = solution.diagram.centroid.tolist()
+    rows = ([i, *sites[i], psi[i], nu[i], mass[i], area[i], *centroid[i]]
+            for i in range(len(sites)))
     return write_csv(path, ("site", "p1", "p2", "psi", "nu", "mass", "area",
                             "centroid1", "centroid2"), rows)

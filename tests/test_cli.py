@@ -176,6 +176,24 @@ def test_nonconvergence_exit_code(tmp_path, capsys):
     assert "solution.csv" in report["artifacts"]
 
 
+def test_cell_measure_stall_names_config_tol(tmp_path, capsys):
+    # the cell-measure tolerance is min(1e-10, 1e-3 * tol * mass), so a
+    # quadrature stall there is a config.tol fault, not the density's
+    doc = {"command": "solve",
+           "domain": {"kind": "disk", "center": [0.0, 0.0], "radius": 0.6},
+           "density": {"kind": "expression",
+                       "formula": "1.0 + 0.2*sin(3.0*x1 + 0.0)"},
+           "target": {"kind": "chart_disk", "center": [0.0, 0.0],
+                      "radius": 0.9},
+           "N": 20, "tol": 1e-12, "out": str(tmp_path / "t")}
+    assert main(["--config", _write(tmp_path, "t.json", doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "validation error: config.tol: cell measures to 1.13e-15 = "
+        "min(1e-10, 1e-3 * tol * mass) at tol 1e-12: adaptive quadrature "
+        "stalled after ")
+
+
 def test_contract_failure_exit_code(tmp_path):
     doc = {"command": "sphere-benchmark", "N": 60,
            "params": {"r": 0.6, "n_eval": 500},
@@ -348,6 +366,71 @@ def test_export_command(tmp_path):
     cells = (tmp_path / "ex" / "cells.csv").read_text().splitlines()
     assert cells[0] == "site,k,x1,x2"
     assert len(cells) > 10
+
+
+def _cell_polyline(cell, max_step=2.0 * math.pi / 256):
+    # a cell's boundary with arcs cut into chords, one LaguerreCell at a time
+    pts = []
+    m = len(cell.verts)
+    for e in range(m):
+        a, b, lab = cell.verts[e], cell.verts[(e + 1) % m], cell.labels[e]
+        pts.append(a)
+        if lab[0] == "arc":
+            (cx, cy), r = lab[1], lab[2]
+            a0 = math.atan2(a[1] - cy, a[0] - cx)
+            a1 = math.atan2(b[1] - cy, b[0] - cx)
+            sweep = (a1 - a0) % (2.0 * math.pi)
+            k = int(sweep / max_step) + 1
+            for s in range(1, k):
+                t = a0 + sweep * s / k
+                pts.append((cx + r * math.cos(t), cy + r * math.sin(t)))
+    return pts
+
+
+def _per_cell_mesh(sol):
+    # the OBJ surface written cell by cell from diagram.cells
+    from hemiot.chart import c_exp
+    verts, faces, normals = {}, [], []
+    for c in sol.diagram.cells:
+        if c.is_empty:
+            continue
+        p, psi_i = sol.sites[c.site_index], sol.psi[c.site_index]
+        ids = []
+        for x, y in _cell_polyline(c):
+            z = p[0] * x + p[1] * y - psi_i
+            key = (round(x, 9), round(y, 9), round(z, 9))
+            ids.append(verts.setdefault(key, len(verts) + 1))
+        ids = [i for k, i in enumerate(ids) if i != ids[k - 1]]
+        if len(ids) >= 3:
+            normals.append(c_exp(p).as_array())
+            faces.append(ids)
+    lines = ["# piecewise-planar graph of the dual potential"]
+    lines += ["v {:.12g} {:.12g} {:.12g}".format(*key) for key in verts]
+    lines += ["vn {:.12g} {:.12g} {:.12g}".format(*n) for n in normals]
+    lines += ["f " + " ".join(f"{i}//{k + 1}" for i in ids)
+              for k, ids in enumerate(faces)]
+    return "\n".join(lines) + "\n"
+
+
+def test_export_files_match_the_per_cell_writer(tmp_path, monkeypatch):
+    # cells.csv and mesh.obj, read off the diagram's arrays, equal the
+    # per-cell writer byte for byte on a disk, where cells have arcs
+    import hemiot.cli as cli
+    from hemiot.solver import solve, write_csv
+    solved = []
+    monkeypatch.setattr(cli, "solve", lambda *a, **k: solved.append(
+        solve(*a, **k)) or solved[-1])
+    doc = dict(SOLVE_DOC, command="export", N=200, out=str(tmp_path / "ex"))
+    assert main(["--config", _write(tmp_path, "ex.json", doc)]) == 0
+    sol, = solved
+    assert sol.diagram.arc_edges()
+    ref = write_csv(str(tmp_path / "ref.csv"), ("site", "k", "x1", "x2"),
+                    ((c.site_index, k, float(x), float(y))
+                     for c in sol.diagram.cells if not c.is_empty
+                     for k, (x, y) in enumerate(_cell_polyline(c))))
+    out = tmp_path / "ex"
+    assert (out / "cells.csv").read_bytes() == open(ref, "rb").read()
+    assert (out / "mesh.obj").read_text() == _per_cell_mesh(sol)
 
 
 def test_run_accepts_plain_dicts(tmp_path):

@@ -11,13 +11,16 @@ from hemiot.domains import (
     DiskDomain,
     SourceDensity,
     boundary_geometry,
+    clip_eps,
     cone_memberships,
     constant_density,
     contains,
     d0_threshold,
     distance_to_boundary,
     domain_area,
+    domain_clipper,
     erode,
+    grid_pieces,
     inradius_point,
     lambda_constant,
     make_cone_spec,
@@ -27,6 +30,7 @@ from hemiot.domains import (
     unit_ball_volume,
 )
 from hemiot.chart import HemispherePoint
+from hemiot.geometry import cell_area_centroid
 from hemiot.targets import DiscreteTarget, full_hemisphere
 
 UNIT_SQUARE = ConvexPolygonDomain(np.array([[-0.5, -0.5], [0.5, -0.5],
@@ -76,6 +80,42 @@ def test_polygon_distance_outside_is_to_the_nearest_point():
     assert np.allclose(near, [[0.5, 0.1], [0.5, 0.5], [-0.5, -0.5],
                               [0.0, 0.5]])
     assert np.allclose(-d, np.linalg.norm(outside - near, axis=1))
+
+
+def _clipped_squares(domain, m):
+    # every grid square through the domain's clipper, one at a time
+    lo, hi = domain.bounding_box()
+    clip, eps = domain_clipper(domain), clip_eps(domain)
+    hx, hy = (hi - lo) / m
+    out = []
+    for i in range(m):
+        for j in range(m):
+            x0, y0 = lo[0] + i * hx, lo[1] + j * hy
+            square = [(x0, y0), (x0 + hx, y0), (x0 + hx, y0 + hy),
+                      (x0, y0 + hy)]
+            verts, labels = clip(square, [("grid", k) for k in range(4)])
+            if not verts:
+                continue
+            area, cen = cell_area_centroid(verts, labels)
+            if area > (10 * eps) ** 2:
+                out.append((square, verts, labels, area, cen))
+    return out
+
+
+@pytest.mark.parametrize("domain", [
+    DiskDomain(np.array([0.3, -2.0]), 1.7),
+    ConvexPolygonDomain(np.array([[0.0, 0.0], [1.3, 0.1], [1.0, 1.2],
+                                  [0.1, 0.9]])),
+], ids=["disk", "polygon"])
+@pytest.mark.parametrize("m", [1, 2, 15, 44])
+def test_grid_pieces_match_clipping_every_square(domain, m):
+    # whole squares skip the clipper; every piece is still the clipper's,
+    # in the same order, with the same area and centroid bits
+    pieces, ref = grid_pieces(domain, m), _clipped_squares(domain, m)
+    assert len(pieces) == len(ref)
+    for got, want in zip(pieces, ref):
+        assert got[:4] == want[:4]
+        assert np.array_equal(got[4], want[4])
 
 
 def test_inradius_point_and_erode():

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from hemiot.chart import c_exp
 from hemiot.domains import (ConvexPolygonDomain, DiskDomain, SourceDensity,
-                            constant_density, domain_area, total_mass)
+                            constant_density, contains, domain_area,
+                            total_mass)
 from hemiot.laguerre import compute_measures, edge_weights, laguerre_diagram
 from hemiot.solver import (MassBalanceError, _affine_voronoi_psi, _newton_step,
                            active_site, export_mesh, gauss_map, potential,
@@ -111,9 +112,73 @@ def test_blockwise_evaluation_matches_the_whole_matrix():
     sol = solve(SQUARE, K1, target)
     rng = np.random.default_rng(5)
     x = rng.uniform(-0.5, 0.5, size=(2 * _EVAL_BLOCK + 37, 2))
-    whole = x @ sol.sites.T - sol.psi
+    whole = _scores(x, sol.sites, sol.psi)
     assert np.array_equal(potential(sol, x), whole.max(axis=1))
     assert np.array_equal(active_site(sol, x), whole.argmax(axis=1))
+
+
+def _scores(x, sites, psi):
+    # the whole points x sites matrix of x0 p0 + x1 p1 - psi, elementwise
+    return (x[:, :1] * sites[:, 0] + x[:, 1:] * sites[:, 1]) - psi
+
+
+def _dense_reference(sol, x, block=2048):
+    idx = np.concatenate([_scores(x[s:s + block], sol.sites, sol.psi)
+                          .argmax(axis=1) for s in range(0, len(x), block)])
+    u = np.concatenate([_scores(x[s:s + block], sol.sites, sol.psi).max(axis=1)
+                        for s in range(0, len(x), block)])
+    return idx, u
+
+
+@pytest.mark.parametrize("domain, N", [
+    (DiskDomain(np.zeros(2), 0.6), 60),
+    (DiskDomain(np.zeros(2), 0.6), 2000),
+    (ConvexPolygonDomain(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0],
+                                   [0.0, 1.0]])), 60),
+    (ConvexPolygonDomain(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0],
+                                   [0.0, 1.0]])), 2000),
+], ids=["disk-60", "disk-2000", "square-60", "square-2000"])
+def test_supporting_plane_matches_the_dense_scan(monkeypatch, domain, N):
+    # the located sites and potentials equal a dense scan bit for bit on
+    # random points, on every cell vertex and edge midpoint (where cells
+    # tie), and on points outside or within clip eps of the boundary
+    import hemiot.solver as solver_mod
+    from hemiot.domains import clip_eps
+    target = discretize(chart_disk(np.zeros(2), 0.75), N, domain_area(domain))
+    sol = solve(domain, K1, target)
+    dg = sol.diagram
+    rng = np.random.default_rng(N)
+    lo, hi = domain.bounding_box()
+    inner = rng.uniform(lo, hi, size=(5000, 2))
+    inner = inner[contains(domain, inner, -0.01)]
+    # the boundary, pushed out and in by multiples of clip eps
+    eps = clip_eps(domain)
+    ang = rng.uniform(0.0, 2.0 * math.pi, 200)
+    c = 0.5 * (lo + hi)
+    ray = np.column_stack([np.cos(ang), np.sin(ang)])
+    if isinstance(domain, DiskDomain):
+        edge = c + domain.radius * ray
+    else:
+        edge = c + 0.5 * ray / np.abs(ray).max(axis=1)[:, None]
+    rim = np.concatenate([edge + t * eps * ray
+                          for t in (-8.0, -4.0, -1.0, 0.0, 1.0, 1e6)])
+    x = np.concatenate([inner, dg.verts, 0.5 * (dg.verts + dg.verts[dg.nxt]),
+                        rim])
+    idx, u = solver_mod.supporting_plane(sol, x)
+    ref_idx, ref_u = _dense_reference(sol, x)
+    assert np.array_equal(idx, ref_idx)
+    assert np.array_equal(u.view(np.int64), ref_u.view(np.int64))
+    # so does the blockwise scan that serves the points left unlocated
+    idx, u = solver_mod._dense_plane(sol.sites, sol.psi, x)
+    assert np.array_equal(idx, ref_idx)
+    assert np.array_equal(u.view(np.int64), ref_u.view(np.int64))
+    # interior points are located through the diagram, not the dense scan
+    scanned = []
+    dense = solver_mod._dense_plane
+    monkeypatch.setattr(solver_mod, "_dense_plane",
+                        lambda *a: scanned.append(len(a[2])) or dense(*a))
+    assert np.array_equal(active_site(sol, inner), ref_idx[:len(inner)])
+    assert sum(scanned) <= 0.01 * len(inner)
 
 
 def test_gauss_map_lands_on_hemisphere():
