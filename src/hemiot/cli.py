@@ -354,7 +354,8 @@ class ExperimentConfig:
 
 def _diagram_counts(sol):
     return {"diagrams_built": sol.report.diagrams_built,
-            "diagrams_discarded": sol.report.diagrams_discarded}
+            "diagrams_discarded": sol.report.diagrams_discarded,
+            "start_residual": sol.report.start_residual}
 
 
 def _solve_instance(cfg, out, mesh=True):

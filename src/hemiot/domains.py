@@ -145,7 +145,8 @@ def grid_pieces(domain, m):
     by column, for the pieces of area above (10 eps)². A square whose
     corners are all inside by more than eps is one the clipper returns as
     it is; those squares' areas and centroids come from one array shoelace
-    in cell_area_centroid's order of operations, and only the others go
+    in cell_area_centroid's order of operations. A square outside by more
+    than eps is one the clipper empties and is dropped; only the rest go
     through the clipper."""
     lo, hi = domain.bounding_box()
     clip, eps = domain_clipper(domain), clip_eps(domain)
@@ -158,6 +159,15 @@ def grid_pieces(domain, m):
                   ((x0, y0), (x1, y0), (x1, y1), (x0, y1))], axis=1)
     whole = contains(domain, v.reshape(-1, 2), -eps).reshape(-1, 4).all(axis=1)
     whole = whole.tolist()
+    # a square outside by more than eps is one the clipper empties: its
+    # nearest point lies beyond R + eps from the disk's centre, or its four
+    # corners lie beyond one polygon wall by more than eps
+    if isinstance(domain, DiskDomain):
+        near = np.clip(domain.center, v[:, 0], v[:, 2])
+        outside = np.hypot(*(near - domain.center).T) > domain.radius + eps
+    else:
+        n, b = domain.edge_normals()
+        outside = (v @ n.T - b > eps).all(axis=1).any(axis=1)
     vr = np.roll(v, -1, axis=1)
     cross = v[:, :, 0] * vr[:, :, 1] - vr[:, :, 0] * v[:, :, 1]
     terms = (v + vr) * cross[:, :, None]
@@ -167,7 +177,7 @@ def grid_pieces(domain, m):
     corners = list(map(tuple, v.reshape(-1, 2).tolist()))
     area, labels = area.tolist(), [("grid", k) for k in range(4)]
     out = []
-    for s in range(m * m):
+    for s in np.flatnonzero(~outside).tolist():
         square = corners[4 * s:4 * s + 4]
         if whole[s]:
             piece = (square, labels.copy(), area[s], cen[s])

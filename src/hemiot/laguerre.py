@@ -148,7 +148,15 @@ def _regular_triangulation(sites, psi):
     from scipy.spatial import ConvexHull
 
     hull = ConvexHull(np.column_stack([sites, psi]), qhull_options="Qt")
-    lower = hull.equations[:, 2] < -1e-12
+    # the unit normal of a lower facet has z = -1 / sqrt(1 + |v|^2), v its
+    # power vertex. Facets over sites collinear to rounding on their hull
+    # stand vertical, and qhull gives them a z of rounding size and either
+    # sign (1e-15 to 1e-11 seen); taking part of such a wall as lower
+    # breaks the fans around its sites. A facet is lower at z < -1e-9: this
+    # leaves out the walls, and the slivers over nearly collinear sites
+    # beside them, whose power vertices lie beyond 1e9; those sites' fans
+    # end in rays along the same bisectors instead
+    lower = hull.equations[:, 2] < -1e-9
     if not lower.any():
         raise RuntimeError("no lower facets")
     index = np.full(len(lower), -1)

@@ -36,6 +36,7 @@ class SolveReport:
     runtime: float
     diagrams_built: int            # Laguerre diagrams the solve built
     diagrams_discarded: int        # rejected line-search trials
+    start_residual: float          # ||G - nu||_1 / total mass at the start
 
 
 @dataclass
@@ -58,18 +59,41 @@ class Solution:
         return _Locator(self)
 
 
-def _affine_voronoi_psi(domain, sites):
-    """Weights that make every cell nonempty: under these psi the diagram is
-    the pullback of the Voronoi diagram of the sites through an affine map
-    squeezing them into the inscribed ball, so cell i contains the preimage
-    of site i."""
+def _radial_profile_psi(domain, sites, nu):
+    """Start weights psi_i = <xc, p_i> + F(s_i): B(xc, rin) is the domain's
+    inscribed ball, s_i = |p_i - pc| and pc is the target's centre of mass.
+    With the sites sorted by s (stably), F is the integral from 0 of f, the
+    piecewise-linear function through (0, 0) and the knots (s_k, f_k),
+    f_k = (1 - 1e-7) rin sqrt(g_k), where g_k is the target's mass share on
+    the sites before site k plus half of site k's. The gradient of
+    F(|p - pc|) carries the ball's uniform mass onto the target's radial
+    mass profile about pc, and its Legendre dual makes the start cells'
+    masses follow that profile. For the uniform disk's profile,
+    g = (s / max s)^2, psi is the affine squeeze of the sites' Voronoi
+    diagram into the ball.
+
+    Every cell is nonempty. Write x = xc + y and q_i = p_i - pc: site i
+    scores <y, q_i> - F(|q_i|) plus a term common to all sites. From one
+    knot to the next, g rises by (nu_k + nu_(k+1)) / (2 sum nu) > 0, so F'
+    rises strictly, with upward jumps at tied s: F is strictly convex and
+    increasing on [0, max s], and Phi(q) = F(|q|) is strictly convex on the
+    disk of radius max s. Take y_i = f_i q_i / s_i (y_i = 0 when s_i = 0).
+    f_i lies in the subdifferential of F at s_i, so y_i is a subgradient of
+    Phi at q_i, and strict convexity gives <y_i, q_i> - Phi(q_i) >
+    <y_i, q_j> - Phi(q_j) for every site j != i. So x_i = xc + y_i lies in
+    the open cell of site i, and |y_i| <= f_i < rin puts it inside the
+    domain."""
     from .domains import inradius_point
     xc, rin = inradius_point(domain)
-    pc = sites.mean(axis=0)
-    q = sites - pc
-    span = np.linalg.norm(q, axis=1).max()
-    alpha = max(span / rin, 1e-12) * 1.0000001
-    return (q * q).sum(axis=1) / (2.0 * alpha) + q @ xc
+    s = np.hypot(*(sites - nu @ sites / nu.sum()).T)
+    order = np.argsort(s, kind="stable")
+    m = nu[order]
+    f = np.concatenate([[0.0], (1.0 - 1e-7) * rin * np.sqrt(
+        (np.cumsum(m) - 0.5 * m) / m.sum())])
+    knots = np.concatenate([[0.0], s[order]])
+    F = np.empty(len(s))
+    F[order] = np.cumsum(0.5 * (f[1:] + f[:-1]) * np.diff(knots))
+    return sites @ xc + F
 
 
 def _phi_value(sites, psi, nu, G, M):
@@ -107,7 +131,7 @@ def mass_quadrature_tol(tol, total):
 
 def solve(domain, K, target, tol=1e-6, max_iter=100):
     """Dual ascent with damped Newton steps, started at the weights of
-    _affine_voronoi_psi, where every cell has positive mass.
+    _radial_profile_psi, where every cell has positive mass.
 
     Returns a Solution whose report records convergence; the residual is the
     l1 mass mismatch relative to the total. Raises MassBalanceError when the
@@ -137,7 +161,7 @@ def solve(domain, K, target, tol=1e-6, max_iter=100):
                 f"cell measures to {mtol:.3g} = min(1e-10, 1e-3 * tol * "
                 f"mass) at tol {tol:.3g}: {exc}") from exc
 
-    psi = _affine_voronoi_psi(domain, sites)
+    psi = _radial_profile_psi(domain, sites, nu)
     psi = psi - psi[0]
     diagram = laguerre_diagram(domain, sites, psi)
     built = 1
@@ -147,6 +171,7 @@ def solve(domain, K, target, tol=1e-6, max_iter=100):
 
     eps0 = 0.5 * min(nu.min(), G.min())
     resid = float(np.abs(G - nu).sum())
+    start_resid = resid / total
     phi = _phi_value(sites, psi, nu, G, M)
     history = [float(G.min())]
     discarded = 0
@@ -182,7 +207,7 @@ def solve(domain, K, target, tol=1e-6, max_iter=100):
 
     rep = SolveReport(bool(converged), it, resid / total, history,
                       diagram.is_connected(), time.time() - t_start, built,
-                      discarded)
+                      discarded, start_resid)
     return Solution(domain, K, target, psi, diagram, G, rep)
 
 

@@ -76,7 +76,7 @@ def test_blowup_structure_and_constants():
 def test_blowup_emits_artifacts(tmp_path):
     # the report carries the sample rows with their bound column; the CLI
     # writes them to samples.csv and the constants into report.json
-    rep, _ = blowup_experiment(samples=40, N=150, seed=1)
+    rep, sol = blowup_experiment(samples=40, N=150, seed=1)
     assert rep.sample_header == ("d", "grad_norm", "bound")
     assert len(rep.samples) == 40
     expo = (1.0 - rep.delta) / 4.0
@@ -90,7 +90,10 @@ def test_blowup_emits_artifacts(tmp_path):
          "params": {"samples": 40}, "out": str(out)})
     report = json.loads((out / "report.json").read_text())
     assert {"Lambda", "d_max", "P_max", "n_violations", "L", "R0",
-            "violations"} <= set(report["measurements"])
+            "violations", "diagrams_built", "diagrams_discarded",
+            "start_residual"} <= set(report["measurements"])
+    assert report["measurements"]["start_residual"] == \
+        sol.report.start_residual
     assert set(report["artifacts"]) == {"samples.csv", "solution.csv"}
     rows = (out / "samples.csv").read_text().strip().splitlines()
     assert rows[0] == "d,grad_norm,bound"

@@ -152,6 +152,26 @@ def test_hull_and_brute_routes_agree_at_scale(domain):
     _assert_same_neighbours(a, b)
 
 
+def test_vertical_hull_facets_over_collinear_sites_are_not_lower():
+    # grid-piece centroids along a chart polygon's walls: runs of sites
+    # collinear to rounding on the sites' hull, whose lifts stand in vertical
+    # facets with a normal z of rounding size, here below -1e-12
+    from hemiot.targets import chart_polygon, discretize
+    V = np.array([[0.9276455677263244, 1.2658041858390718],
+                  [-2.3103445216044953, -0.1588211428115786],
+                  [-1.8704847541842489, -1.1834635874019863],
+                  [-1.7876227189445728, -1.2736740743909793],
+                  [-0.15012683326228848, -1.8047457250628933]])
+    sites = discretize(chart_polygon(V), 800, 1.0).sites
+    assert len(sites) == 454
+    domain = DiskDomain(np.zeros(2), 0.5)
+    psi = 0.01 * (sites ** 2).sum(axis=1)
+    a = laguerre_diagram(domain, sites, psi, method="hull")
+    b = laguerre_diagram(domain, sites, psi, method="brute")
+    _assert_same_cells(a, b)
+    _assert_same_neighbours(a, b)
+
+
 @pytest.mark.parametrize("domain", [DiskDomain(np.zeros(2), 0.5), SQUARE],
                          ids=["disk", "square"])
 def test_lattice_lift_merges_coincident_power_vertices(domain):

@@ -11,11 +11,11 @@ from hemiot.domains import (ConvexPolygonDomain, DiskDomain, SourceDensity,
                             constant_density, contains, domain_area,
                             total_mass)
 from hemiot.laguerre import compute_measures, edge_weights, laguerre_diagram
-from hemiot.solver import (MassBalanceError, _affine_voronoi_psi, _newton_step,
+from hemiot.solver import (MassBalanceError, _newton_step, _radial_profile_psi,
                            active_site, export_mesh, gauss_map, potential,
                            solution_to_csv, solve)
 from hemiot.targets import (DiscreteTarget, chart_disk, chart_polygon,
-                            discretize)
+                            discretize, full_hemisphere, region_mass)
 
 SQUARE = ConvexPolygonDomain(np.array([[-0.5, -0.5], [0.5, -0.5],
                                        [0.5, 0.5], [-0.5, 0.5]]))
@@ -271,20 +271,28 @@ def test_report_runtime_and_history():
 def test_report_counts_built_and_discarded_diagrams(monkeypatch):
     import hemiot.solver as solver_mod
     build = solver_mod.laguerre_diagram
-    calls = []
+    built = []
 
     def counted(*args, **kwargs):
-        calls.append(1)
-        return build(*args, **kwargs)
+        built.append(build(*args, **kwargs))
+        return built[-1]
     monkeypatch.setattr(solver_mod, "laguerre_diagram", counted)
+    # an off-centre cap: the start follows its radial mass profile about
+    # its centre of mass, not its shape, and the first steps reject trials
     domain = DiskDomain(np.zeros(2), 0.8)
-    target = discretize(chart_disk(np.zeros(2), 5.0), 80, domain_area(domain))
+    target = discretize(chart_disk(np.array([1.0, 0.5]), 2.0), 80,
+                        domain_area(domain))
     rep = solve(domain, K1, target, tol=1e-8).report
     assert rep.converged and rep.diagrams_discarded
-    assert rep.diagrams_built == len(calls)
+    assert rep.diagrams_built == len(built)
     # every rejected trial is discarded; the start and one diagram per
     # accepted step are kept
     assert rep.diagrams_built - rep.diagrams_discarded == 1 + rep.iterations
+    # the start's relative l1 residual, from the first diagram
+    G, _ = compute_measures(built[0], K1)
+    assert rep.start_residual == (float(np.abs(G - target.masses).sum())
+                                  / float(target.masses.sum()))
+    assert rep.start_residual > rep.final_residual
 
 
 @pytest.mark.parametrize("domain, target", [
@@ -293,7 +301,8 @@ def test_report_counts_built_and_discarded_diagrams(monkeypatch):
     (DiskDomain(np.zeros(2), 0.8),
      discretize(chart_disk(np.zeros(2), 5.0), 80, math.pi * 0.64)),
 ], ids=["three-sites", "disk-80"])
-def test_first_diagram_is_at_the_affine_weights(monkeypatch, domain, target):
+def test_first_diagram_is_at_the_radial_profile_weights(monkeypatch, domain,
+                                                        target):
     import hemiot.solver as solver_mod
     build = solver_mod.laguerre_diagram
     weights = []
@@ -303,9 +312,76 @@ def test_first_diagram_is_at_the_affine_weights(monkeypatch, domain, target):
         return build(domain, sites, psi, *args, **kwargs)
     monkeypatch.setattr(solver_mod, "laguerre_diagram", recorded)
     solve(domain, K1, target)
-    start = solver_mod._affine_voronoi_psi(domain, target.sites)
+    start = _radial_profile_psi(domain, target.sites, target.masses)
     assert np.array_equal(weights[0], start - start[0])
     assert weights[0].any()
+
+
+_START_DOMAINS = {
+    "disk": DiskDomain(np.zeros(2), 0.8),
+    "off-disk": DiskDomain(np.array([2.0, -1.0]), 0.3),
+    "off-triangle": ConvexPolygonDomain(np.array([[1.0, 1.0], [3.0, 1.2],
+                                                  [1.4, 1.6]])),
+}
+
+
+def _at_region_mass(region, N):
+    return discretize(region, N, region_mass(region))
+
+
+_START_TARGETS = {
+    "one-site": lambda: _at_region_mass(chart_disk(np.zeros(2), 0.5), 1),
+    "two-sites": lambda: DiscreteTarget(np.array([[0.3, -0.2], [-1.0, 0.4]]),
+                                        np.array([0.1, 0.9])),
+    "three-sites": lambda: DiscreteTarget(
+        np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 0.01]]),
+        np.array([0.5, 0.2, 0.3])),
+    "three-collinear": lambda: DiscreteTarget(
+        np.array([[-1.0, 0.0], [0.0, 0.0], [3.0, 0.0]]),
+        np.array([0.2, 0.3, 0.5])),
+    # polar grids: whole rings of sites tie in s
+    "rings-10": lambda: _at_region_mass(full_hemisphere(20.0), 10),
+    "rings-200": lambda: _at_region_mass(full_hemisphere(100.0), 200),
+    "off-cap": lambda: _at_region_mass(chart_disk(np.array([1.5, -2.0]), 0.4),
+                                       120),
+    "off-polygon": lambda: _at_region_mass(chart_polygon(np.array(
+        [[2.0, 1.0], [4.0, 1.5], [3.0, 3.0]])), 150),
+}
+
+
+@pytest.mark.parametrize("target", list(_START_TARGETS))
+@pytest.mark.parametrize("domain", list(_START_DOMAINS))
+def test_every_start_cell_has_positive_mass(domain, target):
+    domain, target = _START_DOMAINS[domain], _START_TARGETS[target]()
+    psi = _radial_profile_psi(domain, target.sites, target.masses)
+    diagram = laguerre_diagram(domain, target.sites, psi - psi[0])
+    G, _ = compute_measures(diagram, K1)
+    assert (G > 0.0).all()
+
+
+def test_radial_profile_start_by_hand():
+    # sites at s = 1, 1, 2, 2 from their mean, equal masses: g = 1/8, 3/8,
+    # 5/8, 7/8 in stable order; F is the trapezoid integral of f through
+    # (0, 0) and (s_k, f_k), flat across the tied knots
+    sites = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 2.0], [0.0, -2.0]])
+    psi = _radial_profile_psi(SQUARE, sites, np.ones(4))
+    f = (1.0 - 1e-7) * 0.5 * np.sqrt(np.array([1.0, 3.0, 5.0]) / 8.0)
+    inner = 0.5 * f[0]
+    outer = inner + 0.5 * (f[1] + f[2])
+    assert np.allclose(psi, [inner, inner, outer, outer], rtol=1e-15, atol=0)
+
+
+def test_blowup_start_needs_few_diagrams():
+    # the critical case: K = 1 on the unit disk against the whole lower
+    # hemisphere, a polar grid out to |p| = 100; the start follows the
+    # grid's radial mass profile, so no early trial is rejected
+    from hemiot.targets import truncation_radius_for
+    domain = DiskDomain(np.zeros(2), 1.0)
+    region = full_hemisphere(truncation_radius_for(math.pi * 1e-4))
+    target = discretize(region, 2000, math.pi)
+    rep = solve(domain, K1, target, tol=1e-6).report
+    assert rep.converged
+    assert rep.diagrams_built <= 10 and rep.iterations <= 7
 
 
 @pytest.mark.parametrize("domain, N", [
@@ -314,10 +390,10 @@ def test_first_diagram_is_at_the_affine_weights(monkeypatch, domain, target):
     (DiskDomain(np.zeros(2), 0.6), 40),
 ], ids=["disk-416", "square-249", "disk-36"])
 def test_newton_step_solves_its_system_to_rounding(domain, N):
-    # the first step from the affine weights: (D - W) d = G - nu holds to
+    # the first step from the start weights: (D - W) d = G - nu holds to
     # rounding on rows 1..n-1, in the gauge d[0] = 0
     target = discretize(chart_disk(np.zeros(2), 0.75), N, domain_area(domain))
-    psi = _affine_voronoi_psi(domain, target.sites)
+    psi = _radial_profile_psi(domain, target.sites, target.masses)
     diagram = laguerre_diagram(domain, target.sites, psi - psi[0])
     G, _ = compute_measures(diagram, K1, 1e-12)
     d = _newton_step(diagram, K1, G, target.masses)
