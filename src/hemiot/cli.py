@@ -427,7 +427,7 @@ def _cmd_sphere(cfg, out):
     if n_eval < 1:
         raise ConfigError("config.params.n_eval: must be at least 1")
     N = cfg.N if cfg.N is not None else 2000
-    t0 = time.time()
+    t0 = time.perf_counter()
     rep, sol = sphere_benchmark(r, N, tol=cfg.tol, max_iter=cfg.max_iter,
                                 n_eval=n_eval, seed=cfg.seed)
     solution_to_csv(sol, os.path.join(out, "solution.csv"))
@@ -448,7 +448,7 @@ def _cmd_sphere(cfg, out):
         **_diagram_counts(sol),
     }
     return verdicts, meas, {"solve_s": rep.runtime,
-                            "benchmark_s": time.time() - t0}
+                            "benchmark_s": time.perf_counter() - t0}
 
 
 def _cmd_blowup(cfg, out):
@@ -482,7 +482,7 @@ def _cmd_blowup(cfg, out):
     if not 0 < eps < math.pi:
         raise ConfigError("config.params.tail_epsilon: must lie in (0, pi)")
     N = cfg.N if cfg.N is not None else 4000
-    t0 = time.time()
+    t0 = time.perf_counter()
     rep, sol = blowup_experiment(samples, delta=delta, N=N, C0=C0,
                                  tail_epsilon=eps, seed=cfg.seed,
                                  tol=cfg.tol, max_iter=cfg.max_iter)
@@ -506,7 +506,7 @@ def _cmd_blowup(cfg, out):
         "L": rep.L, "R0": rep.R0, "violations": rep.violations,
         **_diagram_counts(sol),
     }
-    return verdicts, meas, {"blowup_s": time.time() - t0}
+    return verdicts, meas, {"blowup_s": time.perf_counter() - t0}
 
 
 def _cmd_oracle(cfg, out):
@@ -530,7 +530,7 @@ def _cmd_oracle(cfg, out):
     if cfg.target is None:
         raise ConfigError("config.target: required for this command")
     target = build_target(cfg.target, N, mass)
-    t0 = time.time()
+    t0 = time.perf_counter()
     fraction, plan, sol, member = semidiscrete_agreement(
         domain, K, target, grid_m, tol=cfg.tol)
     ceiling = agreement_ceiling(plan, member, target)
@@ -554,7 +554,7 @@ def _cmd_oracle(cfg, out):
         "lp_pivots": plan.pivots,
         **_diagram_counts(sol),
     }
-    return verdicts, meas, {"oracle_s": time.time() - t0}
+    return verdicts, meas, {"oracle_s": time.perf_counter() - t0}
 
 
 def _cmd_lemmas(cfg, out):
@@ -582,7 +582,7 @@ def _cmd_lemmas(cfg, out):
     if dim < 2:
         raise ConfigError("config.params.dimension: must be at least 2")
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     cone = cone_inclusion_check(domain, trials, n_points=n_points,
                                 seed=cfg.seed)
     geo = boundary_geometry(domain)
@@ -613,7 +613,7 @@ def _cmd_lemmas(cfg, out):
         "estar": [{"theta": r.theta, "measured": r.measured,
                    "bound": r.bound, "stderr": r.stderr} for r in estar],
     }
-    return verdicts, meas, {"lemmas_s": time.time() - t0}
+    return verdicts, meas, {"lemmas_s": time.perf_counter() - t0}
 
 
 _PIPELINES = {
@@ -672,7 +672,7 @@ def run(config):
         else ExperimentConfig.from_dict(config)
     out = cfg.out
     os.makedirs(out, exist_ok=True)
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         verdicts, meas, times = _PIPELINES[cfg.command](cfg, out)
     except ConfigError:
@@ -684,12 +684,12 @@ def run(config):
     except QuadratureError as exc:
         raise ConfigError(f"config.density: {exc}")
     except ConvergenceError as exc:
-        times = {"total_s": time.time() - t0}
+        times = {"total_s": time.perf_counter() - t0}
         _write_report(out, cfg, {"converged": False}, {}, times,
                       error=str(exc))
         print(f"{cfg.command}: NO CONVERGENCE ({exc})", file=sys.stderr)
         return 3
-    times["total_s"] = time.time() - t0
+    times["total_s"] = time.perf_counter() - t0
     report = _write_report(out, cfg, verdicts, meas, times)
     status = "PASS" if report["passed"] else "FAIL"
     print(f"{cfg.command}: {status} "

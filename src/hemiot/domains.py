@@ -17,9 +17,9 @@ from .geometry import (  # QuadratureError is re-exported for the CLI
     clip_to_circle,
     clip_to_halfplanes,
     integrate_cell,
-    polygon_area,
-    polygon_centroid,
     polygon_halfplanes,
+    ragged_cells,
+    ring_area_centroid,
 )
 
 OMEGA_2 = math.pi  # Lebesgue measure of the planar unit ball
@@ -64,11 +64,11 @@ class ConvexPolygonDomain:
 
     @property
     def area(self):
-        return polygon_area(self.vertices)
+        return cell_area_centroid(*_wall_cell(self.vertices))[0]
 
     @property
     def centroid(self):
-        return polygon_centroid(self.vertices)
+        return cell_area_centroid(*_wall_cell(self.vertices))[1]
 
     def edge_normals(self):
         """Outward unit normals and offsets: edge i is {x : n_i . x = b_i}."""
@@ -110,12 +110,18 @@ def domain_area(domain):
     return domain.area
 
 
+def _wall_cell(vertices):
+    """The polygon with these vertices as a labeled convex cell: edge i is
+    wall i."""
+    return ([tuple(p) for p in vertices.tolist()],
+            [("wall", i) for i in range(len(vertices))])
+
+
 def domain_cell(domain):
     """The domain as one labeled convex cell: the polygon with its walls, or
     the disk as two half-disk arcs."""
     if isinstance(domain, ConvexPolygonDomain):
-        return ([tuple(p) for p in domain.vertices],
-                [("wall", i) for i in range(len(domain.vertices))])
+        return _wall_cell(domain.vertices)
     (cx, cy), R = domain.center, domain.radius
     return [(cx + R, cy), (cx - R, cy)], [(ARC, (cx, cy), R)] * 2
 
@@ -144,10 +150,9 @@ def grid_pieces(domain, m):
     the domain: a list of (square, verts, labels, area, centroid), column
     by column, for the pieces of area above (10 eps)². A square whose
     corners are all inside by more than eps is one the clipper returns as
-    it is; those squares' areas and centroids come from one array shoelace
-    in cell_area_centroid's order of operations. A square outside by more
-    than eps is one the clipper empties and is dropped; only the rest go
-    through the clipper."""
+    it is, and a square outside by more than eps is one the clipper empties
+    and is dropped; only the rest go through the clipper. Every piece's
+    area and centroid come from one ring_area_centroid call."""
     lo, hi = domain.bounding_box()
     clip, eps = domain_clipper(domain), clip_eps(domain)
     hx, hy = (hi - lo) / m
@@ -168,27 +173,18 @@ def grid_pieces(domain, m):
     else:
         n, b = domain.edge_normals()
         outside = (v @ n.T - b > eps).all(axis=1).any(axis=1)
-    vr = np.roll(v, -1, axis=1)
-    cross = v[:, :, 0] * vr[:, :, 1] - vr[:, :, 0] * v[:, :, 1]
-    terms = (v + vr) * cross[:, :, None]
-    area = 0.5 * (((cross[:, 0] + cross[:, 1]) + cross[:, 2]) + cross[:, 3])
-    mom = (((terms[:, 0] + terms[:, 1]) + terms[:, 2]) + terms[:, 3]) / 6.0
-    cen = mom / area[:, None]
     corners = list(map(tuple, v.reshape(-1, 2).tolist()))
-    area, labels = area.tolist(), [("grid", k) for k in range(4)]
-    out = []
+    labels = [("grid", k) for k in range(4)]
+    pieces = []
     for s in np.flatnonzero(~outside).tolist():
         square = corners[4 * s:4 * s + 4]
-        if whole[s]:
-            piece = (square, labels.copy(), area[s], cen[s])
-        else:
-            verts, labs = clip(square, labels.copy())
-            if not verts:
-                continue
-            piece = (verts, labs, *cell_area_centroid(verts, labs))
-        if piece[2] > (10 * eps) ** 2:
-            out.append((square, *piece))
-    return out
+        verts, labs = (square, labels.copy()) if whole[s] \
+            else clip(square, labels.copy())
+        if verts:
+            pieces.append((square, verts, labs))
+    area, cen = ring_area_centroid(*ragged_cells([p[1:] for p in pieces]))
+    return [(*piece, a, c) for piece, a, c in zip(pieces, area.tolist(), cen)
+            if a > (10 * eps) ** 2]
 
 
 def contains(domain, x, tol=1e-12):
@@ -258,7 +254,7 @@ def inradius_point(domain):
     the domain (used to seed dual weights)."""
     if isinstance(domain, DiskDomain):
         return domain.center.copy(), domain.radius
-    c = polygon_centroid(domain.vertices)
+    c = domain.centroid
     n, b = domain.edge_normals()
     return c, float(np.min(b - n @ c))
 
@@ -274,16 +270,15 @@ def erode(domain, t):
         r = domain.radius - t
         return DiskDomain(domain.center, r) if r > 1e-15 * domain.radius else None
     n, b = domain.edge_normals()
-    verts = [tuple(p) for p in domain.vertices]
-    labels = [("wall", i) for i in range(len(verts))]
     scale = float(np.max(np.abs(domain.vertices))) + 1.0
-    verts, labels = clip_to_halfplanes(verts, labels, n, b - t, 1e-12 * scale)
+    verts, _ = clip_to_halfplanes(*domain_cell(domain), n, b - t, 1e-12 * scale)
     if not verts:
         return None
     cleaned = _strictly_convex_cleanup(np.array(verts), 1e-10 * scale)
-    if cleaned is None or polygon_area(cleaned) <= (1e-10 * scale) ** 2:
+    if cleaned is None:
         return None
-    return ConvexPolygonDomain(cleaned)
+    area = cell_area_centroid(*_wall_cell(cleaned))[0]
+    return ConvexPolygonDomain(cleaned) if area > (1e-10 * scale) ** 2 else None
 
 
 def _strictly_convex_cleanup(v, tol):

@@ -72,7 +72,7 @@ def sphere_benchmark(r, N, tol=1e-6, max_iter=50, n_eval=20000, seed=0):
 
     spacing = site_spacing(target.sites)
 
-    live = sol.diagram.sizes >= 2
+    live = sol.diagram.nonempty
     y3 = -1.0 / np.sqrt(1.0 + (target.sites[live] ** 2).sum(axis=1))
     cap_excess = float((y3 + math.sqrt(1.0 - r * r)).max())
 
@@ -88,15 +88,15 @@ def gauss_map_image_check(solution, target):
     """One-sided Hausdorff distances between the achieved image directions
     (sites with nonempty cells) and the full prescribed set, plus the number
     of positive-mass sites left with empty cells."""
+    from scipy.spatial import cKDTree
     pts_all = np.stack([c_exp(p).as_array() for p in target.sites])
-    live = solution.diagram.sizes >= 2
+    live = solution.diagram.nonempty
     n_empty_required = ((~live) & (target.masses > 0)).sum()
     pts_live = pts_all[live]
     if len(pts_live) == 0:
         return float("inf"), float("inf"), int(n_empty_required)
-    d = np.linalg.norm(pts_live[:, None, :] - pts_all[None, :, :], axis=2)
-    h_live_to_all = float(d.min(axis=1).max())
-    h_all_to_live = float(d.min(axis=0).max())
+    h_live_to_all = float(cKDTree(pts_all).query(pts_live)[0].max())
+    h_all_to_live = float(cKDTree(pts_live).query(pts_all)[0].max())
     return h_live_to_all, h_all_to_live, int(n_empty_required)
 
 
@@ -308,9 +308,6 @@ class EstarVolumeResult:
     stderr: float
     theta: float
     n: int
-
-    def __iter__(self):
-        return iter((self.measured, self.bound))
 
 
 def estar_volume_check(theta, n, samples, seed=0):

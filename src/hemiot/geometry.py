@@ -5,6 +5,7 @@
 # adaptive call.
 import math
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -14,28 +15,6 @@ import numpy as np
 # ("arc", center, radius) a CCW circular arc of the domain disk, ("box",) scratch.
 
 ARC = "arc"
-
-
-def polygon_area(verts):
-    """Shoelace area of a polygon given as an (k,2) array-like (CCW positive)."""
-    v = np.asarray(verts, dtype=float)
-    if len(v) < 3:
-        return 0.0
-    x, y = v[:, 0], v[:, 1]
-    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
-
-
-def polygon_centroid(verts):
-    v = np.asarray(verts, dtype=float)
-    x, y = v[:, 0], v[:, 1]
-    xr, yr = np.roll(x, -1), np.roll(y, -1)
-    cross = x * yr - xr * y
-    a = 0.5 * cross.sum()
-    if abs(a) < 1e-300:
-        return np.mean(v, axis=0)
-    cx = float(((x + xr) * cross).sum() / (6.0 * a))
-    cy = float(((y + yr) * cross).sum() / (6.0 * a))
-    return np.array([cx, cy])
 
 
 def _segment_area_moment(c, R, a, b):
@@ -58,28 +37,61 @@ def _segment_area_moment(c, R, a, b):
     return area, area * cen
 
 
+def ragged_cells(cells):
+    """A sequence of labeled convex cells (verts, labels) as one ragged array
+    (ring, sizes, arcs): cell i's vertices are the next sizes[i] rows of
+    ring (a (V, 2) array), and arcs lists (cell, a, b, ("arc", center,
+    radius)) for each arc edge a -> b."""
+    sizes = np.array([len(v) for v, _ in cells], dtype=int)
+    points = chain.from_iterable(v for v, _ in cells)
+    ring = np.fromiter(chain.from_iterable(points), float).reshape(-1, 2)
+    arcs = [(i, verts[e], verts[(e + 1) % len(verts)], lab)
+            for i, (verts, labels) in enumerate(cells)
+            for e, lab in enumerate(labels) if lab[0] == ARC]
+    return ring, sizes, arcs
+
+
+def ring_next(sizes):
+    """Each row's successor round its cell in a ragged array (see
+    ragged_cells): the next row, or the cell's first row after its last."""
+    ends = np.cumsum(sizes)
+    nxt = np.arange(1, int(sizes.sum()) + 1)
+    live = sizes > 0
+    nxt[ends[live] - 1] = (ends - sizes)[live]
+    return nxt
+
+
+def ring_area_centroid(ring, sizes, arcs):
+    """Exact area and centroid of each cell of a ragged array (see
+    ragged_cells), whose edges are segments plus circular arcs: per cell, the
+    shoelace sum over its straight edges, term by term in vertex order, plus
+    the circular segment outside each arc's chord, arc by arc in the order
+    of arcs. A cell of zero area has its vertex mean as centroid (the
+    origin when it has no vertices). Returns (area, centroid), (n,) and
+    (n, 2) arrays."""
+    n = len(sizes)
+    owner = np.repeat(np.arange(n), sizes)
+    a, b = ring, ring[ring_next(sizes)]
+    cross = a[:, 0] * b[:, 1] - b[:, 0] * a[:, 1]
+    area = 0.5 * np.bincount(owner, cross, n)
+    mom = np.column_stack([np.bincount(owner, (a[:, c] + b[:, c]) * cross, n)
+                           for c in range(2)]) / 6.0
+    for i, p, q, lab in arcs:
+        s_area, s_mom = _segment_area_moment(lab[1], lab[2], p, q)
+        area[i] += s_area
+        mom[i] += s_mom
+    centroid = np.column_stack([np.bincount(owner, ring[:, c], n)
+                                for c in range(2)]) \
+        / np.maximum(sizes, 1)[:, None]
+    pos = area > 0
+    centroid[pos] = mom[pos] / area[pos, None]
+    return area, centroid
+
+
 def cell_area_centroid(verts, labels):
-    """Exact area and centroid of a convex cell whose edges are segments plus
-    circular arcs (labels ("arc", center, radius)): one shoelace pass over
-    the straight part, plus the circular segment outside each arc's chord."""
-    if len(verts) < 2:
-        return 0.0, np.zeros(2)
-    v = np.asarray(verts, dtype=float)
-    area, mom = 0.0, np.zeros(2)
-    if len(v) >= 3:
-        vr = np.concatenate([v[1:], v[:1]])
-        cross = v[:, 0] * vr[:, 1] - vr[:, 0] * v[:, 1]
-        area = 0.5 * float(cross.sum())
-        mom = ((v + vr) * cross[:, None]).sum(axis=0) / 6.0
-    k = len(verts)
-    for i, lab in enumerate(labels):
-        if lab[0] == ARC:
-            s_area, s_mom = _segment_area_moment(lab[1], lab[2], verts[i],
-                                                 verts[(i + 1) % k])
-            area += s_area
-            mom = mom + s_mom
-    cen = mom / area if area > 0 else v.mean(axis=0)
-    return area, cen
+    """ring_area_centroid of the one cell (verts, labels): (area, centroid)."""
+    area, centroid = ring_area_centroid(*ragged_cells([(verts, labels)]))
+    return float(area[0]), centroid[0]
 
 
 def clip_halfplane(verts, labels, normal, offset, new_label, eps):
@@ -105,10 +117,8 @@ def clip_halfplane(verts, labels, normal, offset, new_label, eps):
         ain, bin_ = dA <= eps, dB <= eps
         if ain:
             out_v.append(A)
-            if bin_:
-                out_l.append(labels[i])
-            else:
-                out_l.append(labels[i])
+            out_l.append(labels[i])
+            if not bin_:
                 t = dA / (dA - dB)
                 out_v.append((A[0] + t * (B[0] - A[0]), A[1] + t * (B[1] - A[1])))
                 out_l.append(new_label)
@@ -181,12 +191,9 @@ def clip_to_circle(verts, labels, center, R, eps):
             _segment_circle_hits(A, B, center, R)
         if inside[i]:
             out_v.append(A)
-            if inside[j]:
-                out_l.append(labels[i])
-            else:
-                q = hits[0] if hits else A
-                out_l.append(labels[i])
-                out_v.append(q)
+            out_l.append(labels[i])
+            if not inside[j]:
+                out_v.append(hits[0] if hits else A)
                 out_l.append((ARC, (cx, cy), R))
                 any_cross = True
         else:
@@ -464,18 +471,11 @@ def integrate_cells(cells, f, tol=1e-10):
     """(mass, ∫f·x, ∫f·y) of a vectorized density f over each labeled convex
     cell (verts, labels) of a sequence; a (len(cells), 3) array, zero rows
     for empty cells. See integrate_ring_cells."""
-    sizes = np.array([len(v) for v, _ in cells], dtype=int)
-    ring = np.array([p for v, _ in cells for p in v], dtype=float).reshape(-1, 2)
-    arcs = [(i, verts[e], verts[(e + 1) % len(verts)], lab)
-            for i, (verts, labels) in enumerate(cells)
-            for e, lab in enumerate(labels) if lab[0] == ARC]
-    return integrate_ring_cells(ring, sizes, arcs, f, tol)
+    return integrate_ring_cells(*ragged_cells(cells), f, tol)
 
 
 def integrate_ring_cells(ring, sizes, arcs, f, tol=1e-10):
-    """integrate_cells on cells held as one ragged array: cell i's vertices
-    are the next sizes[i] rows of ring (a (V, 2) array), and arcs lists
-    (cell, a, b, ("arc", center, radius)) for each arc edge a -> b.
+    """integrate_cells on cells held as one ragged array (see ragged_cells).
 
     Panels: each cell's straight part fanned around its vertex mean, and one
     polar patch between each arc edge's chord and its circle; one globally
@@ -486,12 +486,10 @@ def integrate_ring_cells(ring, sizes, arcs, f, tol=1e-10):
     if poly.any():
         ring = ring[np.repeat(poly, sizes)]
         sizes = sizes[poly]
-        ends = np.cumsum(sizes)
-        nxt = np.arange(1, len(ring) + 1)
-        nxt[ends - 1] = ends - sizes
-        centres = np.add.reduceat(ring, ends - sizes) / sizes[:, None]
-        tris = np.stack([np.repeat(centres, sizes, axis=0), ring, ring[nxt]],
-                        axis=1)
+        centres = np.add.reduceat(ring, np.cumsum(sizes) - sizes) \
+            / sizes[:, None]
+        tris = np.stack([np.repeat(centres, sizes, axis=0), ring,
+                         ring[ring_next(sizes)]], axis=1)
         tri_owner = np.repeat(np.flatnonzero(poly), sizes)
         keep = np.abs(_tri_areas(tris)) > 1e-300
         tris, tri_owner = tris[keep], tri_owner[keep]

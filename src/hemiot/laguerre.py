@@ -17,13 +17,14 @@ import numpy as np
 from .domains import clip_eps, contains, domain_clipper
 from .geometry import (
     ARC,
-    _segment_area_moment,
     cell_area_centroid,
     clip_halfplane,
     clip_to_halfplanes,
     gauss_legendre,
     integrate_ring_cells,
     polygon_halfplanes,
+    ring_area_centroid,
+    ring_next,
 )
 
 
@@ -67,6 +68,12 @@ class LaguerreDiagram:
     def sizes(self):
         return np.diff(self.offsets)
 
+    @property
+    def nonempty(self):
+        """Mask of the nonempty cells: a cell with fewer than two vertices
+        is empty."""
+        return self.sizes >= 2
+
     @cached_property
     def cells(self):
         """The same cells as a list of LaguerreCell, one per site."""
@@ -106,7 +113,7 @@ class LaguerreDiagram:
         from scipy.sparse.csgraph import connected_components
 
         n = len(self.sites)
-        live = self.sizes >= 2
+        live = self.nonempty
         if live.sum() <= 1:
             return True
         pairs = self.adjacency_edges()
@@ -353,8 +360,7 @@ def _assemble(domain, sites, psi, route, rings, clipped):
     """The LaguerreDiagram of the cells taken as they are, rings = (site,
     vertex, neighbour) arrays ring after ring in site order, and of the cut
     cells, {site: (verts, labels)}; every other cell is empty.
-    Areas and centroids are segmented shoelace sums plus, for each arc edge,
-    the circular segment outside its chord."""
+    Areas and centroids are geometry.ring_area_centroid's."""
     n = len(sites)
     ring_site, ring_verts, ring_nbr = rings
     sizes = np.bincount(ring_site, minlength=n)
@@ -379,28 +385,14 @@ def _assemble(domain, sites, psi, route, rings, clipped):
                 nbr[k] = lab[1]
             else:
                 other[k] = lab
-    owner = np.repeat(np.arange(n), sizes)
-    nxt = np.arange(1, V + 1)
-    nxt[offsets[1:][sizes > 0] - 1] = offsets[:-1][sizes > 0]
-    a, b = verts, verts[nxt]
-    cross = a[:, 0] * b[:, 1] - b[:, 0] * a[:, 1]
-    area = 0.5 * np.bincount(owner, cross, n)
-    mom = np.column_stack([np.bincount(owner, (a[:, c] + b[:, c]) * cross, n)
-                           for c in range(2)]) / 6.0
-    for k, lab in other.items():
-        if lab[0] == ARC:
-            s_area, s_mom = _segment_area_moment(lab[1], lab[2], tuple(a[k]),
-                                                 tuple(b[k]))
-            area[owner[k]] += s_area
-            mom[owner[k]] += s_mom
-    # a cell of zero area keeps its vertex mean, an empty one its site
-    mean = np.column_stack([np.bincount(owner, verts[:, c], n)
-                            for c in range(2)]) / np.maximum(sizes, 1)[:, None]
-    centroid = np.where((sizes > 0)[:, None], mean, sites)
-    pos = area > 0
-    centroid[pos] = mom[pos] / area[pos, None]
-    return LaguerreDiagram(domain, sites, psi, route, verts, offsets, nbr, other,
-                           owner, nxt, area, centroid)
+    diagram = LaguerreDiagram(domain, sites, psi, route, verts, offsets, nbr,
+                              other, np.repeat(np.arange(n), sizes),
+                              ring_next(sizes), None, None)
+    area, centroid = ring_area_centroid(verts, sizes, diagram.arc_edges())
+    # an empty cell's centroid is its site
+    centroid[sizes == 0] = sites[sizes == 0]
+    diagram.area, diagram.centroid = area, centroid
+    return diagram
 
 
 def _box_piece(domain):

@@ -12,9 +12,9 @@ import numpy as np
 
 from .chart import c_exp
 from .domains import contains, grid_pieces
-from .geometry import cell_area_centroid, integrate_cells
+from .geometry import integrate_cells, ragged_cells, ring_area_centroid
 from .laguerre import cell_cutter
-from .solver import solve
+from .solver import _dense_plane, solve
 
 
 @dataclass
@@ -254,17 +254,15 @@ def monotonicity_certificate(plan):
 def normal_cone_check(domain, sites, psi, x, num_samples, seed=0):
     """Sample points z̄ = (z, u(z) + s) on or above the graph of
     u = max_i <·, p_i> - psi_i and verify they make a nonpositive inner
-    product with the hemisphere direction active at x."""
+    product with the hemisphere direction active at x. Every score is the
+    dense scan's (solver._dense_plane), as supporting_plane's are."""
     sites = np.asarray(sites, dtype=float)
     psi = np.asarray(psi, dtype=float)
     x = np.asarray(x, dtype=float)
     if not contains(domain, x):
         raise ValueError("x must lie in the domain")
-    vals = sites @ x - psi
-    k = int(np.argmax(vals))
-    p = sites[k]
-    ux = float(vals[k])
-    nrm = c_exp(p).as_array()
+    (k,), (ux,) = _dense_plane(sites, psi, x[None, :])
+    nrm = c_exp(sites[k]).as_array()
     rng = np.random.default_rng(seed)
     lo, hi = domain.bounding_box()
     scale = max(1.0, float(np.abs(sites).max()) * float(np.abs(hi - lo).max()))
@@ -276,7 +274,7 @@ def normal_cone_check(domain, sites, psi, x, num_samples, seed=0):
             continue
         z = z[: num_samples - done]
         s = rng.exponential(scale=scale, size=len(z))
-        uz = (z @ sites.T - psi).max(axis=1)
+        uz = _dense_plane(sites, psi, z)[1]
         lhs = (z - x) @ nrm[:2] + (uz + s - ux) * nrm[2]
         if np.any(lhs > 1e-10):
             return False
@@ -331,19 +329,23 @@ def _overlap_table(domain, sol, atoms):
     grid square cut by cell i's bisectors against its neighbours and then
     by the domain (laguerre.cell_cutter), the way the brute route of
     laguerre_diagram builds cell i, so the parts of one atom tile its piece
-    exactly."""
+    exactly; one ring_area_centroid call gives every part's area."""
     diagram = sol.diagram
     cut = cell_cutter(domain, diagram.sites, diagram.psi)
     square_labels = [("grid", t) for t in range(4)]
-    area = np.zeros((len(atoms), len(diagram.sites)))
+    parts, at = [], []
     for cell in diagram.cells:
         if cell.is_empty:
             continue
         i = cell.site_index
         for j, atom in enumerate(atoms):
-            verts, labels = cut(atom.square, square_labels, i, cell.neighbors)
-            if verts:
-                area[j, i] = cell_area_centroid(verts, labels)[0]
+            part = cut(atom.square, square_labels, i, cell.neighbors)
+            if part[0]:
+                parts.append(part)
+                at.append((j, i))
+    area = np.zeros((len(atoms), len(diagram.sites)))
+    area[tuple(np.array(at, dtype=int).reshape(-1, 2).T)] = \
+        ring_area_centroid(*ragged_cells(parts))[0]
     atom_area = np.array([a.area for a in atoms])
     return area > OVERLAP_SHARE * atom_area[:, None]
 

@@ -136,7 +136,7 @@ def solve(domain, K, target, tol=1e-6, max_iter=100):
     Returns a Solution whose report records convergence; the residual is the
     l1 mass mismatch relative to the total. Raises MassBalanceError when the
     target total does not match the source mass."""
-    t_start = time.time()
+    t_start = time.perf_counter()
     sites = np.asarray(target.sites, dtype=float)
     nu = np.asarray(target.masses, dtype=float)
     total = float(nu.sum())
@@ -206,8 +206,8 @@ def solve(domain, K, target, tol=1e-6, max_iter=100):
         converged = resid <= tol * total
 
     rep = SolveReport(bool(converged), it, resid / total, history,
-                      diagram.is_connected(), time.time() - t_start, built,
-                      discarded, start_resid)
+                      diagram.is_connected(), time.perf_counter() - t_start,
+                      built, discarded, start_resid)
     return Solution(domain, K, target, psi, diagram, G, rep)
 
 
@@ -263,7 +263,7 @@ class _Locator:
         self.margin = 4.0 * clip_eps(dg.domain)
         self.p_size = float(np.abs(self.sites).sum(axis=1).max())
         self.psi_size = float(np.abs(self.psi).max())
-        self.live = np.flatnonzero(dg.sizes >= 2)
+        self.live = np.flatnonzero(dg.nonempty)
         self.tree = cKDTree(dg.centroid[self.live])
         # bisector neighbours of each cell, both ways round, as CSR rows
         k = np.flatnonzero(dg.nbr >= 0)
@@ -364,9 +364,8 @@ def _cell_rings(diagram, max_step=2.0 * math.pi / 256):
     arcs = {k: lab for k, lab in diagram.other_labels.items() if lab[0] == ARC}
     with_arcs = set(diagram.owner[list(arcs)].tolist())
     off = diagram.offsets.tolist()
-    for i, (s, e) in enumerate(zip(off[:-1], off[1:])):
-        if e - s < 2:
-            continue
+    for i in np.flatnonzero(diagram.nonempty).tolist():
+        s, e = off[i], off[i + 1]
         if i not in with_arcs:
             yield i, verts[s:e]
             continue

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import time
 
 import numpy as np
 import pytest
@@ -260,6 +261,44 @@ def test_oracle_compare_builds_the_overlap_table_once(tmp_path, monkeypatch):
            "out": str(tmp_path / "oc"), "seed": 0}
     assert run(doc) == 0
     assert len(calls) == 1
+
+
+# one small config per pipeline, each with the timing keys it reports
+CLOCK_DOCS = {
+    "solve": (SOLVE_DOC, {"solve_s", "total_s"}),
+    "sphere-benchmark": ({"command": "sphere-benchmark", "N": 60,
+                          "params": {"r": 0.6, "n_eval": 500}},
+                         {"solve_s", "benchmark_s", "total_s"}),
+    "blowup": ({"command": "blowup", "N": 400, "params": {"samples": 50}},
+               {"blowup_s", "total_s"}),
+    "oracle-compare": ({"command": "oracle-compare",
+                        "domain": {"kind": "disk", "radius": 0.6},
+                        "target": {"kind": "chart_disk", "radius": 0.75},
+                        "N": 6, "params": {"grid_m": 8, "threshold": 0.6}},
+                       {"oracle_s", "total_s"}),
+    "lemmas": ({"command": "lemmas",
+                "params": {"trials": 5, "n_points": 400,
+                           "estar_samples": 1000, "thetas": [0.1]}},
+               {"lemmas_s", "total_s"}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(CLOCK_DOCS))
+def test_timings_are_durations_on_a_monotonic_clock(tmp_path, monkeypatch,
+                                                     command):
+    # a wall clock that is set back during the run, here on every read,
+    # must not make a duration negative
+    wall = [2e9]
+
+    def stepping_back():
+        wall[0] -= 1.0
+        return wall[0]
+    monkeypatch.setattr(time, "time", stepping_back)
+    doc, keys = CLOCK_DOCS[command]
+    run(dict(doc, out=str(tmp_path / "o"), seed=0))
+    timings = json.loads((tmp_path / "o" / "report.json").read_text())["timings"]
+    assert set(timings) == keys
+    assert all(t >= 0.0 for t in timings.values())
 
 
 def test_clockwise_chart_polygon_is_a_validation_error(tmp_path, capsys):

@@ -59,6 +59,31 @@ def test_gauss_map_image_identity():
     assert n_empty == 0
 
 
+def test_gauss_map_image_check_matches_a_dense_reference():
+    # psi corrupted so that some cells are empty: both one-sided distances
+    # are then positive, against every pairwise distance
+    from dataclasses import replace
+
+    from hemiot.chart import c_exp
+    from hemiot.laguerre import laguerre_diagram
+
+    _, sol = sphere_benchmark(0.6, 250, seed=0)
+    psi = sol.psi + np.random.default_rng(2).normal(0.0, 0.02, len(sol.psi))
+    psi[[7, 60, 121]] += 1.0
+    bad = replace(sol, psi=psi,
+                  diagram=laguerre_diagram(sol.domain, sol.sites, psi))
+    live = np.array([not c.is_empty for c in bad.diagram.cells])
+    pts = np.stack([c_exp(p).as_array() for p in sol.sites])
+    d = np.linalg.norm(pts[live][:, None, :] - pts[None, :, :], axis=2)
+    n_empty = int((~live & (sol.target.masses > 0)).sum())
+    assert n_empty >= 3
+    got = gauss_map_image_check(bad, sol.target)
+    assert got[2] == n_empty
+    assert got[0] == pytest.approx(d.min(axis=1).max(), rel=1e-14, abs=1e-15)
+    assert got[1] == pytest.approx(d.min(axis=0).max(), rel=1e-14)
+    assert got[1] > 0.0
+
+
 def test_blowup_structure_and_constants():
     rep, sol = blowup_experiment(samples=150, N=400, seed=0)
     assert rep.converged

@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from hemiot.domains import ConvexPolygonDomain, DiskDomain, grid_pieces
 from hemiot.geometry import (
+    ARC,
     cell_area_centroid,
     clip_halfplane,
     clip_to_circle,
     gauss_legendre,
     integrate_cell,
-    polygon_area,
-    polygon_centroid,
+    ragged_cells,
+    ring_area_centroid,
 )
 
 SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
@@ -19,10 +21,99 @@ SQ_LABELS = [("wall", i) for i in range(4)]
 
 
 def test_polygon_area_and_centroid():
-    assert polygon_area(SQUARE) == pytest.approx(1.0, abs=1e-15)
-    assert polygon_centroid(SQUARE) == pytest.approx([0.5, 0.5], abs=1e-15)
+    area, cen = cell_area_centroid(SQUARE, SQ_LABELS)
+    assert area == pytest.approx(1.0, abs=1e-15)
+    assert cen == pytest.approx([0.5, 0.5], abs=1e-15)
     tri = [(0.0, 0.0), (2.0, 0.0), (0.0, 2.0)]
-    assert polygon_area(tri) == pytest.approx(2.0, abs=1e-15)
+    assert cell_area_centroid(tri, SQ_LABELS[:3])[0] == pytest.approx(
+        2.0, abs=1e-15)
+
+
+def _segment(center, R, a, b):
+    # the circular segment between chord a -> b and its CCW arc: its area,
+    # and its centroid's distance from the centre along the mid-angle
+    ta = math.atan2(a[1] - center[1], a[0] - center[0])
+    tb = math.atan2(b[1] - center[1], b[0] - center[0])
+    sweep = tb - ta
+    while sweep <= 0.0:
+        sweep += 2.0 * math.pi
+    area = 0.5 * R * R * (sweep - math.sin(sweep))
+    if area <= 0.0:
+        return 0.0, 0.0, 0.0
+    dist = (4.0 * R * math.sin(0.5 * sweep) ** 3) \
+        / (3.0 * (sweep - math.sin(sweep)))
+    mid = ta + 0.5 * sweep
+    return (area, area * (center[0] + dist * math.cos(mid)),
+            area * (center[1] + dist * math.sin(mid)))
+
+
+def _shoelace(verts, labels):
+    # one cell by hand: the shoelace terms added in vertex order, then each
+    # arc's circular segment in edge order; the vertex mean at zero area
+    k = len(verts)
+    area = mx = my = 0.0
+    for e in range(k):
+        (ax, ay), (bx, by) = verts[e], verts[(e + 1) % k]
+        cross = ax * by - bx * ay
+        area += cross
+        mx += (ax + bx) * cross
+        my += (ay + by) * cross
+    area, mx, my = 0.5 * area, mx / 6.0, my / 6.0
+    for e, lab in enumerate(labels):
+        if lab[0] == ARC:
+            s_area, sx, sy = _segment(lab[1], lab[2], verts[e],
+                                      verts[(e + 1) % k])
+            area += s_area
+            mx += sx
+            my += sy
+    if area > 0:
+        return area, (mx / area, my / area)
+    sx = sy = 0.0
+    for x, y in verts:
+        sx += x
+        sy += y
+    return area, (sx / max(k, 1), sy / max(k, 1))
+
+
+def _assert_matches_shoelace(cells, areas, centroids):
+    assert len(cells) == len(areas) == len(centroids)
+    for (verts, labels), area, cen in zip(cells, areas, centroids):
+        want_area, want_cen = _shoelace(verts, labels)
+        assert area == want_area
+        assert tuple(cen) == want_cen
+
+
+@pytest.mark.parametrize("domain, m", [
+    (DiskDomain(np.array([0.3, -2.0]), 1.7), 15),
+    (DiskDomain(np.zeros(2), 0.75), 44),
+    (ConvexPolygonDomain(np.array([[0.0, 0.0], [1.3, 0.1], [1.0, 1.2],
+                                   [0.1, 0.9]])), 22),
+], ids=["disk", "chart-disk", "quadrilateral"])
+def test_ring_area_centroid_is_the_shoelace_bit_for_bit(domain, m):
+    pieces = grid_pieces(domain, m)
+    cells = [(verts, labels) for _, verts, labels, _, _ in pieces]
+    assert any(lab[0] == ARC for _, labels in cells for lab in labels) \
+        == isinstance(domain, DiskDomain)
+    _assert_matches_shoelace(cells, [p[3] for p in pieces],
+                             [p[4] for p in pieces])
+    # the kernel on its own, with a cell that has no vertices and one of
+    # zero area in between
+    cells[1:1] = [([], []), ([(0.5, 0.25), (0.5, 0.75)], [("nbr", 0)] * 2)]
+    _assert_matches_shoelace(cells, *ring_area_centroid(*ragged_cells(cells)))
+
+
+def test_solved_disk_diagram_cells_are_the_shoelace_bit_for_bit():
+    from hemiot.domains import constant_density
+    from hemiot.solver import solve
+    from hemiot.targets import chart_disk, discretize
+
+    domain = DiskDomain(np.array([0.1, -0.2]), 0.6)
+    target = discretize(chart_disk(np.array([0.2, 0.1]), 0.8), 80, domain.area)
+    diagram = solve(domain, constant_density(1.0), target).diagram
+    cells = [(c.verts, c.labels) for c in diagram.cells if not c.is_empty]
+    assert len(cells) == len(diagram.sites)
+    assert sum(lab[0] == ARC for _, labels in cells for lab in labels) > 10
+    _assert_matches_shoelace(cells, diagram.area, diagram.centroid)
 
 
 def test_clip_halfplane_splits_square():
