@@ -411,9 +411,8 @@ def _cmd_solve(cfg, out):
 def _cmd_export(cfg, out):
     sol, verdicts, meas, times = _solve_instance(cfg, out)
     write_csv(os.path.join(out, "cells.csv"), ("site", "k", "x1", "x2"),
-              ((i, k, float(x), float(y))
-               for i, ring in _cell_rings(sol.diagram)
-               for k, (x, y) in enumerate(ring)))
+              ((i, k, x, y) for i, ring in _cell_rings(sol.diagram)
+               for k, (x, y) in enumerate(ring.tolist())))
     verdicts = {"converged": verdicts["converged"]}
     return verdicts, meas, times
 

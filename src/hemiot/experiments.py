@@ -16,8 +16,8 @@ from .targets import (chart_disk, discretize, full_hemisphere,
                       truncation_radius_for)
 
 
-# Each report carries its sample rows as Python floats, with the column
-# names in sample_header; the CLI writes them to samples.csv.
+# Each report carries its sample rows with the column names in
+# sample_header; the CLI writes them to samples.csv.
 
 @dataclass
 class SphereBenchmarkReport:
@@ -32,7 +32,7 @@ class SphereBenchmarkReport:
     iterations: int
     converged: bool
     runtime: float
-    samples: list              # rows of sample_header
+    samples: np.ndarray        # (n_eval, 6) float rows of sample_header
 
 
 def site_spacing(sites):
@@ -80,7 +80,7 @@ def sphere_benchmark(r, N, tol=1e-6, max_iter=50, n_eval=20000, seed=0):
         float(r), len(target), spacing, grad_error, height_error, cap_excess,
         sol.report.final_residual, sol.report.iterations,
         sol.report.converged, sol.report.runtime,
-        np.column_stack([pts, p_num, p_true]).tolist())
+        np.column_stack([pts, p_num, p_true]))
     return rep, sol
 
 
@@ -103,7 +103,8 @@ def gauss_map_image_check(solution, target):
 @dataclass
 class BlowupReport:
     sample_header = ("d", "grad_norm", "bound")
-    samples: list              # rows of sample_header, d <= d_max
+    samples: np.ndarray        # (samples, 3) float rows of sample_header,
+                               # d <= d_max
     delta: float
     C0: float
     L: float
@@ -171,7 +172,7 @@ def blowup_experiment(samples, delta=0.5, N=4000, C0=1.0,
         backstep = max(backstep, float(np.max(gr[:-1] - gr[1:], initial=0.0)))
 
     rep = BlowupReport(
-        samples=list(zip(d.tolist(), grad.tolist(), bound.tolist())),
+        samples=np.column_stack([d, grad, bound]),
         delta=float(delta), C0=float(C0), L=geo.L, R0=geo.R0,
         Lambda=Lam, d_max=float(d_max), violations=violations,
         truncation_excluded=int(capped.sum()), P_max=float(P_max),

@@ -5,13 +5,14 @@
 # the LP plan on grid atoms by the exact overlap of each atom's grid piece
 # with the solver's Laguerre cells.
 import itertools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .chart import c_exp
-from .domains import contains, grid_pieces
+from .domains import clip_eps, contains, grid_pieces
 from .geometry import integrate_cells, ragged_cells, ring_area_centroid
 from .laguerre import cell_cutter
 from .solver import _dense_plane, solve
@@ -323,23 +324,49 @@ def _scaled_atoms(domain, K, target, grid_m):
 OVERLAP_SHARE = 1e-9
 
 
+def _cell_boxes(diagram):
+    """(lo, hi), the (N, 2) corners of each nonempty cell's bounding box:
+    the box of its vertices in the diagram's ragged arrays, widened on each
+    arc edge by the points of the circle at angles 0, pi/2, pi and 3 pi/2
+    that the arc passes."""
+    n = len(diagram.sites)
+    lo, hi = np.full((n, 2), np.inf), np.full((n, 2), -np.inf)
+    np.minimum.at(lo, diagram.owner, diagram.verts)
+    np.maximum.at(hi, diagram.owner, diagram.verts)
+    for i, a, b, (_, c, r) in diagram.arc_edges():
+        ta = math.atan2(a[1] - c[1], a[0] - c[0])
+        sweep = (math.atan2(b[1] - c[1], b[0] - c[0]) - ta) % (2.0 * math.pi)
+        for k, q in enumerate(((r, 0.0), (0.0, r), (-r, 0.0), (0.0, -r))):
+            if (0.5 * math.pi * k - ta) % (2.0 * math.pi) <= sweep:
+                q = np.add(c, q)
+                lo[i], hi[i] = np.minimum(lo[i], q), np.maximum(hi[i], q)
+    return lo, hi
+
+
 def _overlap_table(domain, sol, atoms):
     """Boolean (atoms × sites) table: True where the solution's Laguerre cell
     i holds a positive-area part of atom j's grid piece. Each part is the
     grid square cut by cell i's bisectors against its neighbours and then
     by the domain (laguerre.cell_cutter), the way the brute route of
     laguerre_diagram builds cell i, so the parts of one atom tile its piece
-    exactly; one ring_area_centroid call gives every part's area."""
+    exactly; one ring_area_centroid call gives every part's area. A square
+    whose box misses cell i's box (_cell_boxes) by more than the clip eps
+    has no part in cell i and is not cut."""
     diagram = sol.diagram
     cut = cell_cutter(domain, diagram.sites, diagram.psi)
     square_labels = [("grid", t) for t in range(4)]
+    squares = np.array([a.square for a in atoms], dtype=float)
+    eps = clip_eps(domain)
+    sq_lo, sq_hi = squares.min(axis=1) - eps, squares.max(axis=1) + eps
+    lo, hi = _cell_boxes(diagram)
     parts, at = [], []
     for cell in diagram.cells:
         if cell.is_empty:
             continue
         i = cell.site_index
-        for j, atom in enumerate(atoms):
-            part = cut(atom.square, square_labels, i, cell.neighbors)
+        near = ((sq_lo <= hi[i]) & (sq_hi >= lo[i])).all(axis=1)
+        for j in np.flatnonzero(near).tolist():
+            part = cut(atoms[j].square, square_labels, i, cell.neighbors)
             if part[0]:
                 parts.append(part)
                 at.append((j, i))

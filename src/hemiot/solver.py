@@ -211,8 +211,10 @@ def solve(domain, K, target, tol=1e-6, max_iter=100):
     return Solution(domain, K, target, psi, diagram, G, rep)
 
 
-# rows of points per block of the dense scan in supporting_plane: a block's
-# scores take 1024 * N * 8 bytes instead of a points x sites matrix
+# rows per block wherever points or sample rows are worked through in turn:
+# the dense scan's scores take 1024 * N * 8 bytes instead of a points x
+# sites matrix, the locator's (point, neighbour) pairs 1024 * degree, and
+# write_csv turns 1024 array rows at a time into Python floats
 _EVAL_BLOCK = 1024
 # rounds of the neighbour walk before a point goes to the dense scan
 _WALK_ROUNDS = 8
@@ -248,7 +250,9 @@ class _Locator:
     than 4 clip eps times |p_i - p_j| plus 16 ulps of the largest score
     size: the diagram drops edges shorter than its clip eps, and the site
     across a dropped edge of i wins only points about that close to i's
-    listed edges. Points not inside the domain by more than
+    listed edges; the largest score size is taken over the block of
+    _EVAL_BLOCK points at hand, which bounds the rounding of those points'
+    scores. Points not inside the domain by more than
     4 clip eps, near-ties and points still unverified after _WALK_ROUNDS
     rounds take the dense scan, which decides exactly as before."""
 
@@ -283,6 +287,14 @@ class _Locator:
         return x[:, 0] * self.p0[j] + x[:, 1] * self.p1[j] - self.psi[j]
 
     def __call__(self, pts):
+        idx, u = np.empty(len(pts), dtype=np.intp), np.empty(len(pts))
+        for s in range(0, len(pts), _EVAL_BLOCK):
+            at = slice(s, s + _EVAL_BLOCK)
+            idx[at], u[at] = self._locate(pts[at])
+        return idx, u
+
+    def _locate(self, pts):
+        """(idx, u) for one block of points."""
         from .domains import contains
         idx, u = np.empty(len(pts), dtype=np.intp), np.empty(len(pts))
         dense = np.ones(len(pts), dtype=bool)
@@ -358,24 +370,24 @@ def gauss_map(solution, x):
 
 
 def _cell_rings(diagram, max_step=2.0 * math.pi / 256):
-    """(site, boundary points) of every nonempty cell in site order, read
-    off the diagram's ragged arrays, with arc edges cut into chords."""
-    verts = list(map(tuple, diagram.verts.tolist()))
+    """(site, (k, 2) array of boundary points) of every nonempty cell in
+    site order, read off the diagram's ragged arrays, with arc edges cut
+    into chords."""
     arcs = {k: lab for k, lab in diagram.other_labels.items() if lab[0] == ARC}
     with_arcs = set(diagram.owner[list(arcs)].tolist())
     off = diagram.offsets.tolist()
     for i in np.flatnonzero(diagram.nonempty).tolist():
         s, e = off[i], off[i + 1]
         if i not in with_arcs:
-            yield i, verts[s:e]
+            yield i, diagram.verts[s:e]
             continue
+        verts = diagram.verts[s:e].tolist()
         ring = []
-        for k in range(s, e):
-            a = verts[k]
+        for k, a in enumerate(verts, s):
             ring.append(a)
             if k not in arcs:
                 continue
-            b = verts[k + 1 if k + 1 < e else s]
+            b = verts[(k + 1 - s) % (e - s)]
             (cx, cy), r = arcs[k][1], arcs[k][2]
             a0 = math.atan2(a[1] - cy, a[0] - cx)
             a1 = math.atan2(b[1] - cy, b[0] - cx)
@@ -384,7 +396,7 @@ def _cell_rings(diagram, max_step=2.0 * math.pi / 256):
             for step in range(1, n):
                 t = a0 + sweep * step / n
                 ring.append((cx + r * math.cos(t), cy + r * math.sin(t)))
-        yield i, ring
+        yield i, np.array(ring)
 
 
 def export_mesh(solution, path):
@@ -393,14 +405,19 @@ def export_mesh(solution, path):
     hemisphere image of the cell's site."""
     rings = list(_cell_rings(solution.diagram))
     site = np.repeat([i for i, _ in rings], [len(r) for _, r in rings])
-    xy = np.array([q for _, r in rings for q in r], dtype=float).reshape(-1, 2)
+    xy = np.concatenate([r for _, r in rings])
     p = solution.sites[site]
     z = p[:, 0] * xy[:, 0] + p[:, 1] * xy[:, 1] - solution.psi[site]
     # one vertex per point rounded to 9 decimals (np.round), numbered in
-    # order of first appearance
-    verts = {}
-    ids = [verts.setdefault(key, len(verts) + 1) for key in
-           map(tuple, np.round(np.column_stack([xy, z]), 9).tolist())]
+    # order of first appearance and printed as first seen; + 0.0 makes -0.0
+    # and 0.0 one key, as they are one dict key
+    keys = np.round(np.column_stack([xy, z]), 9)
+    first, inv = np.unique(keys + 0.0, axis=0, return_index=True,
+                           return_inverse=True)[1:]
+    order = np.argsort(first)
+    rank = np.empty(len(first), dtype=np.intp)
+    rank[order] = np.arange(1, len(first) + 1)
+    ids = rank[inv.ravel()].tolist()
     faces = []
     normals = []
     end = 0
@@ -411,22 +428,26 @@ def export_mesh(solution, path):
         if len(face) >= 3:
             normals.append(c_exp(solution.sites[i]).as_array())
             faces.append(face)
-    lines = ["# piecewise-planar graph of the dual potential"]
-    for key in verts:
-        lines.append("v {:.12g} {:.12g} {:.12g}".format(*key))
-    for nrm in normals:
-        lines.append("vn {:.12g} {:.12g} {:.12g}".format(*nrm))
-    for k, ids in enumerate(faces):
-        lines.append("f " + " ".join(f"{i}//{k + 1}" for i in ids))
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("# piecewise-planar graph of the dual potential\n")
+        fh.writelines("v {:.12g} {:.12g} {:.12g}\n".format(*key)
+                      for key in keys[first[order]].tolist())
+        fh.writelines("vn {:.12g} {:.12g} {:.12g}\n".format(*nrm)
+                      for nrm in normals)
+        fh.writelines("f " + " ".join(f"{i}//{k + 1}" for i in face) + "\n"
+                      for k, face in enumerate(faces))
     return path
 
 
 def write_csv(path, header, rows):
-    """Write a header line and one line per row, each value as its repr:
-    pass Python scalars (ndarray.tolist()), since a numpy scalar's repr
-    names its type."""
+    """Write a header line and one line per row, each value as its repr.
+    rows is an (m, k) float ndarray, turned into Python floats _EVAL_BLOCK
+    rows at a time, or an iterable of rows of Python scalars
+    (ndarray.tolist()), since a numpy scalar's repr names its type."""
+    if isinstance(rows, np.ndarray):
+        arr = rows
+        rows = (row for s in range(0, len(arr), _EVAL_BLOCK)
+                for row in arr[s:s + _EVAL_BLOCK].tolist())
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:

@@ -472,6 +472,40 @@ def test_export_files_match_the_per_cell_writer(tmp_path, monkeypatch):
     assert (out / "mesh.obj").read_text() == _per_cell_mesh(sol)
 
 
+def test_mesh_vertex_seen_first_as_negative_zero(tmp_path):
+    # weights shifted so that the potential vanishes at a vertex, then
+    # nudged so that an earlier cell a gives it height -1e-12 and a later
+    # cell b +1e-12: both round to a zero, so it is one vertex, printed as
+    # first seen, "-0"
+    import dataclasses
+
+    from hemiot.domains import ConvexPolygonDomain, constant_density
+    from hemiot.solver import export_mesh, solve
+    from hemiot.targets import chart_disk, discretize
+    square = ConvexPolygonDomain(np.array([[-0.5, -0.5], [0.5, -0.5],
+                                           [0.5, 0.5], [-0.5, 0.5]]))
+    target = discretize(chart_disk(np.zeros(2), 0.8), 20, 1.0)
+    sol = solve(square, constant_density(1.0), target)
+    dg = sol.diagram
+    # an interior vertex of cell a that cell b > a lists with the same bits
+    shared = {}
+    for k, key in enumerate(map(tuple, dg.verts.tolist())):
+        shared.setdefault(key, []).append(int(dg.owner[k]))
+    (x, y), (a, b) = next((v, o[:2]) for v, o in shared.items()
+                          if len(set(o)) == len(o) >= 3)
+    psi = sol.psi + (sol.sites[a] @ (x, y) - sol.psi[a])
+    psi[a] += 1e-12
+    psi[b] -= 1e-12
+    sol = dataclasses.replace(sol, psi=psi)
+    export_mesh(sol, str(tmp_path / "m.obj"))
+    text = (tmp_path / "m.obj").read_text()
+    assert text == _per_cell_mesh(sol)
+    at = [line.split()[3] for line in text.splitlines()
+          if line.startswith("v ")
+          and line.split()[1:3] == [f"{round(t, 9):.12g}" for t in (x, y)]]
+    assert at == ["-0"]
+
+
 def test_run_accepts_plain_dicts(tmp_path):
     doc = dict(SOLVE_DOC, out=str(tmp_path / "d"))
     assert run(doc) == 0

@@ -297,3 +297,52 @@ def test_overlap_agreement_rejects_wrong_partitions():
         plan, _membership(domain, K, target, 15, flat)[1])
     assert anti_frac <= 0.05
     assert flat_frac <= 0.5
+
+
+def _all_pairs_table(domain, sol, atoms):
+    # the overlap table with every atom's square cut against every nonempty
+    # cell
+    from hemiot.geometry import ragged_cells, ring_area_centroid
+    from hemiot.laguerre import cell_cutter
+    from hemiot.oracle import OVERLAP_SHARE
+    cut = cell_cutter(domain, sol.diagram.sites, sol.diagram.psi)
+    labels = [("grid", t) for t in range(4)]
+    parts, at = [], []
+    for cell in sol.diagram.cells:
+        for j, atom in enumerate(atoms):
+            part = ([], []) if cell.is_empty else cut(
+                atom.square, labels, cell.site_index, cell.neighbors)
+            if part[0]:
+                parts.append(part)
+                at.append((j, cell.site_index))
+    area = np.zeros((len(atoms), len(sol.sites)))
+    area[tuple(np.array(at).T)] = ring_area_centroid(*ragged_cells(parts))[0]
+    return area > OVERLAP_SHARE * np.array([a.area for a in atoms])[:, None]
+
+
+@pytest.mark.parametrize("domain, N, grid_m", [
+    (DiskDomain(np.zeros(2), 0.6), 20, 15),
+    (DiskDomain(np.zeros(2), 0.6), 12, 31),
+    (ConvexPolygonDomain(np.array([[0.0, 0.0], [1.0, 0.0], [1.2, 0.7],
+                                   [0.3, 1.0]])), 30, 12),
+], ids=["criterion-3", "long-arcs", "quadrilateral"])
+def test_overlap_table_box_test_keeps_the_all_pairs_table(monkeypatch, domain,
+                                                          N, grid_m):
+    # squares whose box misses a cell's box are not cut, and the table is
+    # the one of all pairs; on 9 cells and a 31 x 31 grid, squares lie in
+    # an arc's bulge beyond the box of its cell's vertices
+    import hemiot.oracle as oracle
+    from hemiot.domains import domain_area
+    K = constant_density(1.0)
+    target = discretize(chart_disk(np.zeros(2), 0.75), N, domain_area(domain))
+    sol = solve(domain, K, target, tol=1e-7)
+    atoms = oracle._scaled_atoms(domain, K, target, grid_m)
+    cuts, cutter = [], oracle.cell_cutter
+
+    def counted(*args):
+        cut = cutter(*args)
+        return lambda *piece: cuts.append(piece[2]) or cut(*piece)
+    monkeypatch.setattr(oracle, "cell_cutter", counted)
+    table = oracle._overlap_table(domain, sol, atoms)
+    assert np.array_equal(table, _all_pairs_table(domain, sol, atoms))
+    assert 0 < len(cuts) <= 0.2 * len(atoms) * sol.diagram.nonempty.sum()

@@ -181,6 +181,51 @@ def test_supporting_plane_matches_the_dense_scan(monkeypatch, domain, N):
     assert sum(scanned) <= 0.01 * len(inner)
 
 
+def test_blocked_locator_is_bit_identical_in_bounded_memory():
+    # the N=2000 sphere solution, located on 20 000 points in blocks of
+    # _EVAL_BLOCK: the same bits as the dense scan, and the (point,
+    # neighbour) pairs of one block at a time, not of all points at once
+    import tracemalloc
+
+    from hemiot.solver import _EVAL_BLOCK, _dense_plane, supporting_plane
+    domain = DiskDomain(np.zeros(2), 0.6)
+    target = discretize(chart_disk(np.zeros(2), 0.75), 2000,
+                        domain_area(domain))
+    sol = solve(domain, K1, target)
+    rng = np.random.default_rng(0)
+    rad = 0.6 * 0.999 * np.sqrt(rng.uniform(0.0, 1.0, 20000))
+    ang = rng.uniform(0.0, 2.0 * math.pi, 20000)
+    x = np.column_stack([rad * np.cos(ang), rad * np.sin(ang)])
+    assert len(x) > 10 * _EVAL_BLOCK
+    supporting_plane(sol, x[:1])          # builds the locator
+    tracemalloc.start()
+    try:
+        idx, u = supporting_plane(sol, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    ref_idx, ref_u = _dense_plane(sol.sites, sol.psi, x)
+    assert np.array_equal(idx, ref_idx)
+    assert np.array_equal(u.view(np.int64), ref_u.view(np.int64))
+    assert peak < 2 * 2 ** 20, peak
+
+
+def test_write_csv_of_an_array_writes_its_python_floats(tmp_path):
+    # an (m, k) float array, across a block boundary, writes the bytes of
+    # its tolist() rows
+    from hemiot.solver import _EVAL_BLOCK, write_csv
+    rng = np.random.default_rng(3)
+    arr = rng.standard_normal((2500, 3)) * 10.0 ** rng.integers(-300, 300,
+                                                                 (2500, 3))
+    arr[0] = [-0.0, 0.0, 1e-320]
+    assert len(arr) > 2 * _EVAL_BLOCK
+    header = ("a", "b", "c")
+    a = write_csv(str(tmp_path / "a.csv"), header, arr)
+    b = write_csv(str(tmp_path / "b.csv"), header, arr.tolist())
+    assert open(a, "rb").read() == open(b, "rb").read()
+    assert open(a).read().splitlines()[1] == "-0.0,0.0,1e-320"
+
+
 def test_gauss_map_lands_on_hemisphere():
     target = discretize(chart_disk(np.zeros(2), 0.8), 12, 1.0)
     sol = solve(SQUARE, K1, target)
