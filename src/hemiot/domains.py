@@ -5,6 +5,7 @@
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -145,14 +146,33 @@ def domain_clipper(domain):
                                                     offsets, eps)
 
 
-def grid_pieces(domain, m):
+_GRID_LABELS = tuple(("grid", k) for k in range(4))
+
+
+class GridCells(NamedTuple):
+    """The clipped grid of grid_cells as arrays: piece i is cell i of the
+    ragged array (ring, sizes, arcs) (see geometry.ragged_cells), with its
+    area and centroid, and the corners (counterclockwise from the lower
+    left) of the grid square it came from. clipped maps each piece the
+    clipper cut to the (verts, labels) it returned; every other piece is
+    its whole square, with edge labels _GRID_LABELS."""
+    ring: np.ndarray
+    sizes: np.ndarray
+    arcs: list
+    area: np.ndarray
+    centroid: np.ndarray
+    squares: np.ndarray
+    clipped: dict
+
+
+def grid_cells(domain, m):
     """The m×m grid squares over the domain's bounding box, each clipped to
-    the domain: a list of (square, verts, labels, area, centroid), column
-    by column, for the pieces of area above (10 eps)². A square whose
-    corners are all inside by more than eps is one the clipper returns as
-    it is, and a square outside by more than eps is one the clipper empties
-    and is dropped; only the rest go through the clipper. Every piece's
-    area and centroid come from one ring_area_centroid call."""
+    the domain, column by column, for the pieces of area above (10 eps)².
+    A square whose corners are all inside by more than eps is one the
+    clipper returns as it is, and stays rows of the corner array; a square
+    outside by more than eps is one the clipper empties, and is dropped;
+    only the rest go through the clipper. Every piece's area and centroid
+    come from one ring_area_centroid call."""
     lo, hi = domain.bounding_box()
     clip, eps = domain_clipper(domain), clip_eps(domain)
     hx, hy = (hi - lo) / m
@@ -163,7 +183,6 @@ def grid_pieces(domain, m):
     v = np.stack([np.column_stack(c) for c in
                   ((x0, y0), (x1, y0), (x1, y1), (x0, y1))], axis=1)
     whole = contains(domain, v.reshape(-1, 2), -eps).reshape(-1, 4).all(axis=1)
-    whole = whole.tolist()
     # a square outside by more than eps is one the clipper empties: its
     # nearest point lies beyond R + eps from the disk's centre, or its four
     # corners lie beyond one polygon wall by more than eps
@@ -173,18 +192,39 @@ def grid_pieces(domain, m):
     else:
         n, b = domain.edge_normals()
         outside = (v @ n.T - b > eps).all(axis=1).any(axis=1)
-    corners = list(map(tuple, v.reshape(-1, 2).tolist()))
-    labels = [("grid", k) for k in range(4)]
+    v, whole = v[~outside], whole[~outside]
+    cut = np.flatnonzero(~whole).tolist()
+    clipped = [clip(list(map(tuple, v[s].tolist())), list(_GRID_LABELS))
+               for s in cut]
+    sizes = np.full(len(v), 4)
+    sizes[cut] = [len(verts) for verts, _ in clipped]
+    rows = np.repeat(whole, sizes)
+    ring = np.empty((int(sizes.sum()), 2))
+    ring[rows] = v[whole].reshape(-1, 2)
+    cut_ring, _, cut_arcs = ragged_cells(clipped)
+    ring[~rows] = cut_ring
+    arcs = [(cut[i], a, b, lab) for i, a, b, lab in cut_arcs]
+    area, centroid = ring_area_centroid(ring, sizes, arcs)
+    keep = area > (10 * eps) ** 2
+    index = np.cumsum(keep) - 1
+    return GridCells(
+        ring[np.repeat(keep, sizes)], sizes[keep],
+        [(int(index[i]), a, b, lab) for i, a, b, lab in arcs if keep[i]],
+        area[keep], centroid[keep], v[keep],
+        {int(index[s]): piece for s, piece in zip(cut, clipped) if keep[s]})
+
+
+def grid_pieces(domain, m):
+    """grid_cells as a list of (square, verts, labels, area, centroid), the
+    square and the piece's verts as lists of corner tuples."""
+    grid = grid_cells(domain, m)
     pieces = []
-    for s in np.flatnonzero(~outside).tolist():
-        square = corners[4 * s:4 * s + 4]
-        verts, labs = (square, labels.copy()) if whole[s] \
-            else clip(square, labels.copy())
-        if verts:
-            pieces.append((square, verts, labs))
-    area, cen = ring_area_centroid(*ragged_cells([p[1:] for p in pieces]))
-    return [(*piece, a, c) for piece, a, c in zip(pieces, area.tolist(), cen)
-            if a > (10 * eps) ** 2]
+    for i, (square, area, centroid) in enumerate(
+            zip(grid.squares.tolist(), grid.area.tolist(), grid.centroid)):
+        square = list(map(tuple, square))
+        verts, labels = grid.clipped.get(i, (square, list(_GRID_LABELS)))
+        pieces.append((square, verts, labels, area, centroid))
+    return pieces
 
 
 def contains(domain, x, tol=1e-12):

@@ -94,6 +94,14 @@ def cell_area_centroid(verts, labels):
     return float(area[0]), centroid[0]
 
 
+def has_duplicate_points(points):
+    """True when two rows of a (k, 2) array agree once rounded to 12
+    decimals: sites closer than that are one site to every diagram."""
+    key = points.round(decimals=12)
+    key = key[np.lexsort(key.T[::-1])]
+    return bool((key[1:] == key[:-1]).all(axis=1).any())
+
+
 def clip_halfplane(verts, labels, normal, offset, new_label, eps):
     """Clip a labeled convex cell by {x : normal·x <= offset}, each crossing
     point found from its edge's inside endpoint (to full precision however

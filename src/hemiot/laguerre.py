@@ -21,6 +21,7 @@ from .geometry import (
     clip_halfplane,
     clip_to_halfplanes,
     gauss_legendre,
+    has_duplicate_points,
     integrate_ring_cells,
     polygon_halfplanes,
     ring_area_centroid,
@@ -135,9 +136,7 @@ def _validate_sites(sites):
     sites = np.asarray(sites, dtype=float)
     if sites.ndim != 2 or sites.shape[1] != 2:
         raise ValueError("sites must be an (N, 2) array")
-    key = sites.round(decimals=12)
-    key = key[np.lexsort(key.T[::-1])]
-    if (key[1:] == key[:-1]).all(axis=1).any():
+    if has_duplicate_points(sites):
         raise ValueError("duplicate sites")
     return sites
 

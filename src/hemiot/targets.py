@@ -9,9 +9,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chart import chart_density
-from .domains import ConvexPolygonDomain, DiskDomain, domain_cell, grid_pieces
-from .geometry import integrate_cell, integrate_cells
+from .chart import ring_chart_mass
+from .domains import ConvexPolygonDomain, DiskDomain, domain_cell, grid_cells
+from .geometry import has_duplicate_points, ragged_cells
 
 
 class FullHemisphere(DiskDomain):
@@ -37,24 +37,20 @@ def truncation_radius_for(epsilon):
     return math.sqrt(math.pi / epsilon - 1.0)
 
 
-# absolute quadrature tolerance of region_mass (the chart density is at most
-# 1): on disks about the origin of radius 0.1 to 10 the engine meets the
-# closed form pi s^2/(1+s^2) to within 5e-15 relative at this tolerance
+# absolute quadrature tolerance of region_mass on a disk off the origin (the
+# chart density is at most 1), the only region whose mass is not in closed
+# form: its two half-disk patches are integrated to this error estimate
 _REGION_TOL = 1e-13
 
 
 def region_mass(region):
-    """Chart-density mass of the region. Disks centered at the origin, the
-    truncated hemisphere among them, have the closed form pi s^2/(1+s^2);
-    anything else is the region's one cell (polygon, or disk with arc edges)
-    integrated by the adaptive engine to an absolute error estimate of
-    _REGION_TOL."""
-    if isinstance(region, DiskDomain) \
-            and float(np.linalg.norm(region.center)) < 1e-15:
-        s = region.radius
-        return math.pi * s * s / (1.0 + s * s)
-    verts, labels = domain_cell(region)
-    return float(integrate_cell(verts, labels, chart_density, _REGION_TOL)[0])
+    """Chart-density mass of the region: ring_chart_mass of its one cell.
+    That is closed form for a polygon and for a disk about the origin, the
+    truncated hemisphere among them (pi s^2/(1+s^2)); a disk off the origin
+    is its two half-disk patches integrated by the adaptive engine to an
+    absolute error estimate of _REGION_TOL."""
+    return float(ring_chart_mass(*ragged_cells([domain_cell(region)]),
+                                 _REGION_TOL)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,7 +72,7 @@ class DiscreteTarget:
             object.__setattr__(self, "total", float(masses.sum()))
         if np.any(masses <= 0):
             raise ValueError("all masses must be positive")
-        if len(np.unique(sites.round(decimals=12), axis=0)) != len(sites):
+        if has_duplicate_points(sites):
             raise ValueError("sites must be distinct")
         rel = abs(masses.sum() - self.total) / max(abs(self.total), 1e-300)
         if rel > 1e-13:
@@ -93,10 +89,12 @@ def discretize(region, N, source_mass):
     density per cell, one global rescale pinning the total to source_mass.
 
     chart disk / polygon: a regular grid over the chart bounding box,
-    grid cells clipped to the region, site = clipped-cell centroid (kept inside
-    by convexity), empty cells dropped; the cells' chart-density masses come
-    from one adaptive quadrature call over all of them, with the error
-    estimates summing to at most 1e-11 of the region mass.
+    grid cells clipped to the region (domains.grid_cells, read as arrays),
+    site = clipped-cell centroid (kept inside by convexity), empty cells
+    dropped; the cells' chart-density masses come from ring_chart_mass in
+    closed form. Only the parts between a chord and an arc of a disk off
+    the origin go to one adaptive quadrature call, with the error estimates
+    summing to at most 1e-11 of the region mass.
 
     FullHemisphere: a deterministic polar grid uniform in (w, phi) with
     w = |p|^2/(1+|p|^2), whose cell masses are exact (the chart density in
@@ -135,21 +133,20 @@ def discretize(region, N, source_mass):
     return out
 
 
-# quadrature tolerance of the grid-cell masses, relative to the region mass
-# and summed over all cells
+# quadrature tolerance of the grid-cell masses on a disk off the origin,
+# relative to the region mass and summed over the patches between the
+# pieces' chords and arcs, the only parts not in closed form
 _GRID_TOL = 1e-11
 
 
 def _bbox_grid(region, N, mass):
     """Grid squares over the region's bounding box clipped to it: sites at
-    the pieces' centroids, masses integrating the chart density (mass is the
+    the pieces' centroids, masses of the chart density (mass is the
     region's, which scales the quadrature tolerance)."""
-    pieces = grid_pieces(region, int(math.floor(math.sqrt(N))))
-    nu = integrate_cells([(verts, labels) for _, verts, labels, _, _ in pieces],
-                         chart_density, _GRID_TOL * mass)[:, 0]
+    grid = grid_cells(region, int(math.floor(math.sqrt(N))))
+    nu = ring_chart_mass(grid.ring, grid.sizes, grid.arcs, _GRID_TOL * mass)
     keep = nu > 0
-    sites = np.array([cen for _, _, _, _, cen in pieces]).reshape(-1, 2)
-    return sites[keep], nu[keep]
+    return grid.centroid[keep], nu[keep]
 
 
 def _polar_grid(P_max, N):

@@ -15,7 +15,10 @@ from hemiot.chart import (
     hemisphere_point,
     is_geodesically_convex,
     metric_in_chart,
+    ring_chart_mass,
 )
+from hemiot.domains import grid_pieces
+from hemiot.geometry import ARC, integrate_cell, ragged_cells
 from hemiot.targets import chart_disk, chart_polygon
 
 
@@ -115,3 +118,52 @@ def test_geodesic_convexity_of_regions():
     far_apart = [chart_disk(np.array([-3.0, 0.0]), 0.5),
                  chart_disk(np.array([3.0, 0.0]), 0.5)]
     assert not is_geodesically_convex(far_apart)
+
+
+def _assert_masses_match_quadrature(cells, tol=0.0):
+    # each cell integrated alone, its error estimate held to 1e-13 of its
+    # own mass
+    masses = ring_chart_mass(*ragged_cells(cells), tol)
+    for (verts, labels), mass in zip(cells, masses):
+        quad = integrate_cell(verts, labels, chart_density, 1e-13 * mass)[0]
+        assert mass == pytest.approx(quad, rel=1e-12, abs=0.0)
+
+
+def test_chart_masses_of_the_sphere_target_match_quadrature():
+    # the sphere-benchmark target at N=2000: a chart disk about the origin,
+    # every arc in closed form
+    cells = [piece[1:3] for piece in grid_pieces(chart_disk(np.zeros(2), 0.75), 44)]
+    assert len(cells) == 1600
+    assert sum(any(lab[0] == ARC for lab in labels) for _, labels in cells) == 172
+    _assert_masses_match_quadrature(cells)
+
+
+def test_chart_masses_of_an_offcenter_disk_match_quadrature():
+    # arcs off the origin: the parts between chord and arc by quadrature
+    region = chart_disk(np.array([0.6, -0.3]), 0.8)
+    cells = [piece[1:3] for piece in grid_pieces(region, 12)]
+    _assert_masses_match_quadrature(cells, 1e-16)
+
+
+# far out, quadrature cannot certify 1e-13 on smaller cells: the rounding of
+# its fan triangles' corners floors the error estimate (8e-11 of the mass of
+# a 1e-3 square at |p| = 50)
+@pytest.mark.parametrize("center, size", [
+    ((0.0, 0.0), 1e-3), ((0.0, 0.0), 0.1), ((0.0, 0.0), 1.0),
+    ((0.3, -0.2), 1e-3), ((0.3, -0.2), 0.1), ((0.3, -0.2), 1.0),
+    ((50.0, 0.0), 0.1), ((50.0, 0.0), 1.0),
+    ((-30.0, 40.0), 0.1), ((-30.0, 40.0), 1.0)])
+def test_chart_masses_of_triangles_and_squares_match_quadrature(center, size):
+    unit = {"square": [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)],
+            "triangle": [(-0.5, -0.25), (0.75, 0.0), (0.125, 0.5)]}
+    cells = [([(center[0] + size * x, center[1] + size * y) for x, y in verts],
+              [("wall", k) for k in range(len(verts))])
+             for verts in unit.values()]
+    _assert_masses_match_quadrature(cells)
+
+
+@pytest.mark.parametrize("s, m", [(0.75, 40), (3.0, 25), (50.0, 30)])
+def test_chart_masses_of_a_disk_about_the_origin_sum_to_its_closed_form(s, m):
+    cells = [piece[1:3] for piece in grid_pieces(chart_disk(np.zeros(2), s), m)]
+    total = ring_chart_mass(*ragged_cells(cells), 0.0).sum()
+    assert total == pytest.approx(math.pi * s * s / (1.0 + s * s), rel=1e-14)

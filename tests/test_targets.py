@@ -50,6 +50,42 @@ def test_region_mass_offcenter_disk_vs_quadrature():
     assert region_mass(region) == pytest.approx(quad, rel=1e-5)
 
 
+def _no_quadrature(*args, **kwargs):
+    raise AssertionError("quadrature called")
+
+
+@pytest.mark.parametrize("a", [1.0, 10.0, 100.0])
+def test_region_mass_of_a_square_is_closed_form(a, monkeypatch):
+    from scipy.integrate import quad
+
+    import hemiot.chart
+    import hemiot.geometry
+    monkeypatch.setattr(hemiot.geometry, "integrate_cell", _no_quadrature)
+    monkeypatch.setattr(hemiot.chart, "integrate_panels", _no_quadrature)
+
+    def F(y, c2):
+        # the y-antiderivative of (c^2 + y^2)^-2, c^2 = 1 + x^2
+        c = math.sqrt(c2)
+        return y / (2.0 * c2 * (c2 + y * y)) + math.atan(y / c) / (2.0 * c2 * c)
+
+    ref = quad(lambda x: F(a, 1.0 + x * x) - F(-a, 1.0 + x * x), -a, a,
+               epsabs=0.0, epsrel=1.2e-14, limit=200)[0]
+    square = chart_polygon(np.array([[-a, -a], [a, -a], [a, a], [-a, a]]))
+    assert region_mass(square) == pytest.approx(ref, rel=1e-14)
+
+
+@pytest.mark.parametrize("center, radius", [((0.6, -0.3), 0.8),
+                                            ((1.5, -2.0), 0.4)])
+def test_offcenter_disk_mass_lies_between_its_256_gons(center, radius):
+    # the polygons' masses are closed form; the disk's own comes from
+    # quadrature between its chords and arcs
+    ang = 2.0 * math.pi * np.arange(256) / 256
+    ring = np.column_stack([np.cos(ang), np.sin(ang)])
+    inner, outer = (region_mass(chart_polygon(np.array(center) + r * ring))
+                    for r in (radius, radius / math.cos(math.pi / 256)))
+    assert inner < region_mass(chart_disk(np.array(center), radius)) < outer
+
+
 @pytest.mark.parametrize("N", [20, 500, 2000])
 def test_grid_cell_masses_sum_to_the_closed_form(N):
     region = chart_disk(np.zeros(2), 0.9)
@@ -120,3 +156,18 @@ def test_discrete_target_validation():
                        np.array([0.25, 0.75]))
     assert t.total == pytest.approx(1.0)
     assert len(t) == 2
+
+
+def test_targets_and_diagrams_share_one_duplicate_site_rule():
+    from hemiot.laguerre import laguerre_diagram
+    domain = chart_disk(np.zeros(2), 1.0)
+    for gap, distinct in ((1e-14, False), (1e-9, True)):
+        sites = np.array([[0.25, 0.125], [0.25 + gap, 0.125], [-0.5, 0.25]])
+        if distinct:
+            DiscreteTarget(sites, np.ones(3))
+            assert laguerre_diagram(domain, sites, np.zeros(3)).nonempty.any()
+            continue
+        with pytest.raises(ValueError, match="distinct"):
+            DiscreteTarget(sites, np.ones(3))
+        with pytest.raises(ValueError, match="duplicate"):
+            laguerre_diagram(domain, sites, np.zeros(3))
