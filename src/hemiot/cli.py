@@ -142,6 +142,12 @@ def _numbers(params, key, default):
     return [float(x) for x in v]
 
 
+def _finite(values):
+    """True when every value is a finite number (a bool is not one)."""
+    return all(isinstance(x, (int, float)) and not isinstance(x, bool)
+               and math.isfinite(x) for x in values)
+
+
 def build_domain(spec, path="domain"):
     if not isinstance(spec, dict):
         raise ConfigError(f"{path}: expected an object")
@@ -265,16 +271,23 @@ def build_target(spec, N, source_mass, path="target"):
             raise ConfigError(
                 f"{path}.truncation_radius: must be finite and positive")
     elif kind == "explicit":
-        sites = np.asarray(_get(spec, "sites", path, list), dtype=float)
-        masses = np.asarray(_get(spec, "masses", path, list), dtype=float)
-        if sites.ndim != 2 or sites.shape[1] != 2:
-            raise ConfigError(f"{path}.sites: expected a list of [p1, p2]")
+        sites = _get(spec, "sites", path, list)
+        masses = _get(spec, "masses", path, list)
+        if not sites or not all(isinstance(p, list) and len(p) == 2
+                                and _finite(p) for p in sites):
+            raise ConfigError(f"{path}.sites: expected a nonempty list of "
+                              f"[p1, p2], each a finite number")
+        if not _finite(masses):
+            raise ConfigError(
+                f"{path}.masses: expected a list of finite numbers")
         if len(masses) != len(sites):
             raise ConfigError(
                 f"{path}.masses: length must match sites")
+        if min(masses) <= 0:
+            raise ConfigError(f"{path}.masses: all masses must be positive")
+        sites = np.array(sites, dtype=float)
+        masses = np.array(masses, dtype=float)
         raw = float(masses.sum())
-        if raw <= 0:
-            raise ConfigError(f"{path}.masses: total must be positive")
         try:
             return DiscreteTarget(sites, masses * (source_mass / raw),
                                   total=source_mass,
@@ -358,7 +371,7 @@ def _diagram_counts(sol):
             "start_residual": sol.report.start_residual}
 
 
-def _solve_instance(cfg, out, mesh=True):
+def _solve_instance(cfg, out):
     if cfg.domain is None:
         raise ConfigError("config.domain: required for this command")
     if cfg.density is None:
@@ -382,8 +395,7 @@ def _solve_instance(cfg, out, mesh=True):
     target = build_target(cfg.target, cfg.N, mass)
     sol = solve(domain, K, target, tol=cfg.tol, max_iter=cfg.max_iter)
     solution_to_csv(sol, os.path.join(out, "solution.csv"))
-    if mesh:
-        export_mesh(sol, os.path.join(out, "mesh.obj"))
+    export_mesh(sol, os.path.join(out, "mesh.obj"))
     area_err = abs(sum(sol.diagram.area.tolist())
                    - domain_area(domain)) / domain_area(domain)
     verdicts = {
@@ -531,7 +543,7 @@ def _cmd_oracle(cfg, out):
     target = build_target(cfg.target, N, mass)
     t0 = time.perf_counter()
     fraction, plan, sol, member = semidiscrete_agreement(
-        domain, K, target, grid_m, tol=cfg.tol)
+        domain, K, target, grid_m, tol=cfg.tol, max_iter=cfg.max_iter)
     ceiling = agreement_ceiling(plan, member, target)
     cert = monotonicity_certificate(plan)
     write_csv(os.path.join(out, "samples.csv"), ("source", "target", "mass"),

@@ -153,16 +153,13 @@ class GridCells(NamedTuple):
     """The clipped grid of grid_cells as arrays: piece i is cell i of the
     ragged array (ring, sizes, arcs) (see geometry.ragged_cells), with its
     area and centroid, and the corners (counterclockwise from the lower
-    left) of the grid square it came from. clipped maps each piece the
-    clipper cut to the (verts, labels) it returned; every other piece is
-    its whole square, with edge labels _GRID_LABELS."""
+    left) of the grid square it came from."""
     ring: np.ndarray
     sizes: np.ndarray
     arcs: list
     area: np.ndarray
     centroid: np.ndarray
     squares: np.ndarray
-    clipped: dict
 
 
 def grid_cells(domain, m):
@@ -210,21 +207,7 @@ def grid_cells(domain, m):
     return GridCells(
         ring[np.repeat(keep, sizes)], sizes[keep],
         [(int(index[i]), a, b, lab) for i, a, b, lab in arcs if keep[i]],
-        area[keep], centroid[keep], v[keep],
-        {int(index[s]): piece for s, piece in zip(cut, clipped) if keep[s]})
-
-
-def grid_pieces(domain, m):
-    """grid_cells as a list of (square, verts, labels, area, centroid), the
-    square and the piece's verts as lists of corner tuples."""
-    grid = grid_cells(domain, m)
-    pieces = []
-    for i, (square, area, centroid) in enumerate(
-            zip(grid.squares.tolist(), grid.area.tolist(), grid.centroid)):
-        square = list(map(tuple, square))
-        verts, labels = grid.clipped.get(i, (square, list(_GRID_LABELS)))
-        pieces.append((square, verts, labels, area, centroid))
-    return pieces
+        area[keep], centroid[keep], v[keep])
 
 
 def contains(domain, x, tol=1e-12):
@@ -447,11 +430,23 @@ def _classify(mass, tol):
 
 
 def _sample_nodes(domain, m=400, seed=711):
+    """m points drawn uniformly from the domain, however thin: a disk in
+    polar form, a polygon as its fan triangles about vertex 0, each drawn
+    with probability proportional to its area."""
     rng = np.random.default_rng(seed)
-    lo, hi = domain.bounding_box()
-    pts = rng.uniform(lo, hi, size=(4 * m, 2))
-    pts = pts[contains(domain, pts)][:m]
-    return pts
+    u, w = rng.random((2, m))
+    if isinstance(domain, DiskDomain):
+        r, t = domain.radius * np.sqrt(u), 2.0 * math.pi * w
+        return domain.center + np.column_stack([r * np.cos(t), r * np.sin(t)])
+    v = domain.vertices
+    a, b = v[1:-1] - v[0], v[2:] - v[0]
+    area = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+    k = rng.choice(len(area), m, p=area / area.sum())
+    # a point of the unit square beyond the diagonal folds back into the
+    # triangle u, w >= 0, u + w <= 1
+    fold = u + w > 1.0
+    u[fold], w[fold] = 1.0 - u[fold], 1.0 - w[fold]
+    return v[0] + u[:, None] * a[k] + w[:, None] * b[k]
 
 
 # ---------------------------------------------------------------------------

@@ -475,15 +475,10 @@ def integrate_panels(f, tris, patches, tol, owners=None, k=1):
         rounds += 1
 
 
-def integrate_cells(cells, f, tol=1e-10):
-    """(mass, ∫f·x, ∫f·y) of a vectorized density f over each labeled convex
-    cell (verts, labels) of a sequence; a (len(cells), 3) array, zero rows
-    for empty cells. See integrate_ring_cells."""
-    return integrate_ring_cells(*ragged_cells(cells), f, tol)
-
-
 def integrate_ring_cells(ring, sizes, arcs, f, tol=1e-10):
-    """integrate_cells on cells held as one ragged array (see ragged_cells).
+    """(mass, ∫f·x, ∫f·y) of a vectorized density f over each cell of a
+    ragged array (see ragged_cells); a (len(sizes), 3) array, zero rows for
+    empty cells.
 
     Panels: each cell's straight part fanned around its vertex mean, and one
     polar patch between each arc edge's chord and its circle; one globally
@@ -508,5 +503,5 @@ def integrate_ring_cells(ring, sizes, arcs, f, tol=1e-10):
 
 
 def integrate_cell(verts, labels, f, tol=1e-10):
-    """integrate_cells on the one cell (verts, labels); a (3,) array."""
-    return integrate_cells([(verts, labels)], f, tol)[0]
+    """integrate_ring_cells on the one cell (verts, labels); a (3,) array."""
+    return integrate_ring_cells(*ragged_cells([(verts, labels)]), f, tol)[0]

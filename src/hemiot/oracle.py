@@ -7,13 +7,12 @@
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .chart import c_exp
-from .domains import clip_eps, contains, grid_pieces
-from .geometry import integrate_cells, ragged_cells, ring_area_centroid
+from .domains import clip_eps, contains, grid_cells
+from .geometry import integrate_ring_cells, ragged_cells, ring_area_centroid
 from .laguerre import cell_cutter
 from .solver import _dense_plane, solve
 
@@ -283,39 +282,26 @@ def normal_cone_check(domain, sites, psi, x, num_samples, seed=0):
     return True
 
 
-class GridAtom(NamedTuple):
-    """One grid piece of the source: `square` is the unclipped grid cell,
-    `area` the area of its part inside the domain, and (center, mass) the
-    centroid and mass of that part, the atom the LP transports."""
-    center: np.ndarray
-    mass: float
-    square: list
-    area: float
-
-
-def _grid_atoms(domain, K, grid_m):
+def _grid_atoms(domain, K, target, grid_m):
     """Cell-centered atomization of the source on an m×m grid over the
-    domain's bounding box; boundary-cut cells put the atom at the centroid of
-    the clipped piece."""
-    pieces = grid_pieces(domain, grid_m)
-    if K.is_constant:
-        masses = [K.constant * area for _, _, _, area, _ in pieces]
-    else:
-        cells = [(verts, labels) for _, verts, labels, _, _ in pieces]
-        masses = integrate_cells(cells, K)[:, 0].tolist()
-    return [GridAtom(cen, mass, square, area)
-            for (square, _, _, area, cen), mass in zip(pieces, masses) if mass > 0]
-
-
-def _scaled_atoms(domain, K, target, grid_m):
-    """Grid atoms with their masses rescaled to the target total."""
+    domain's bounding box (domains.grid_cells), as arrays over the grid
+    pieces that carry mass: (centroid, mass, square, area), the piece's
+    centroid, where its atom sits, the atom's mass rescaled to the target
+    total, the corners of the grid square the piece was cut from, and the
+    piece's area."""
     if grid_m ** 2 > 1000:
         raise ValueError("grid too fine for the discrete oracle")
-    atoms = _grid_atoms(domain, K, grid_m)
+    grid = grid_cells(domain, grid_m)
+    if K.is_constant:
+        mass = K.constant * grid.area
+    else:
+        mass = integrate_ring_cells(grid.ring, grid.sizes, grid.arcs, K)[:, 0]
+    keep = mass > 0
     # the atomization quadrature and the target share the same total up to
     # rounding; bridge the difference with one common rescale
-    factor = target.total / sum(a.mass for a in atoms)
-    return [a._replace(mass=a.mass * factor) for a in atoms]
+    mass = mass[keep]
+    mass *= target.total / sum(mass.tolist())
+    return grid.centroid[keep], mass, grid.squares[keep], grid.area[keep]
 
 
 # an overlap counts when it exceeds this share of its atom's area: clipping
@@ -343,38 +329,38 @@ def _cell_boxes(diagram):
     return lo, hi
 
 
-def _overlap_table(domain, sol, atoms):
-    """Boolean (atoms × sites) table: True where the solution's Laguerre cell
-    i holds a positive-area part of atom j's grid piece. Each part is the
-    grid square cut by cell i's bisectors against its neighbours and then
-    by the domain (laguerre.cell_cutter), the way the brute route of
-    laguerre_diagram builds cell i, so the parts of one atom tile its piece
-    exactly; one ring_area_centroid call gives every part's area. A square
-    whose box misses cell i's box (_cell_boxes) by more than the clip eps
-    has no part in cell i and is not cut."""
-    diagram = sol.diagram
+def _overlap_table(domain, diagram, squares, area):
+    """Boolean (atoms × sites) table: True where the diagram's Laguerre cell
+    i holds a positive-area part of atom j's grid piece, the part of the
+    grid square squares[j] inside the domain, of area area[j]. Each part is
+    the square cut by cell i's bisectors against its neighbours (the sites
+    across its edges in the diagram's nbr array) and then by the domain
+    (laguerre.cell_cutter), the way the brute route of laguerre_diagram
+    builds cell i, so the parts of one atom tile its piece exactly; one
+    ring_area_centroid call gives every part's area. A square whose box
+    misses cell i's box (_cell_boxes) by more than the clip eps has no part
+    in cell i and is not cut."""
     cut = cell_cutter(domain, diagram.sites, diagram.psi)
     square_labels = [("grid", t) for t in range(4)]
-    squares = np.array([a.square for a in atoms], dtype=float)
+    corners = [list(map(tuple, sq)) for sq in squares.tolist()]
     eps = clip_eps(domain)
     sq_lo, sq_hi = squares.min(axis=1) - eps, squares.max(axis=1) + eps
     lo, hi = _cell_boxes(diagram)
     parts, at = [], []
-    for cell in diagram.cells:
-        if cell.is_empty:
-            continue
-        i = cell.site_index
+    for i in np.flatnonzero(diagram.nonempty).tolist():
+        s, e = diagram.offsets[i], diagram.offsets[i + 1]
+        nbr = diagram.nbr[s:e]
+        nbrs = np.unique(nbr[nbr >= 0]).tolist()
         near = ((sq_lo <= hi[i]) & (sq_hi >= lo[i])).all(axis=1)
         for j in np.flatnonzero(near).tolist():
-            part = cut(atoms[j].square, square_labels, i, cell.neighbors)
+            part = cut(corners[j], square_labels, i, nbrs)
             if part[0]:
                 parts.append(part)
                 at.append((j, i))
-    area = np.zeros((len(atoms), len(diagram.sites)))
-    area[tuple(np.array(at, dtype=int).reshape(-1, 2).T)] = \
+    overlap = np.zeros((len(squares), len(diagram.sites)))
+    overlap[tuple(np.array(at, dtype=int).reshape(-1, 2).T)] = \
         ring_area_centroid(*ragged_cells(parts))[0]
-    atom_area = np.array([a.area for a in atoms])
-    return area > OVERLAP_SHARE * atom_area[:, None]
+    return overlap > OVERLAP_SHARE * area[:, None]
 
 
 def _overlap_agreement(plan, member):
@@ -383,13 +369,8 @@ def _overlap_agreement(plan, member):
     return float(agree / plan.source_masses.sum())
 
 
-def _membership(domain, K, target, grid_m, sol):
-    """The grid atoms and their overlap table against sol's Laguerre cells."""
-    atoms = _scaled_atoms(domain, K, target, grid_m)
-    return atoms, _overlap_table(domain, sol, atoms)
-
-
-def semidiscrete_agreement(domain, K, target, grid_m, tol=1e-7):
+def semidiscrete_agreement(domain, K, target, grid_m, tol=1e-7,
+                           max_iter=100):
     """Share of source mass that the LP plan on the m×m grid atoms sends
     to a site whose Laguerre cell overlaps the atom's grid piece.
 
@@ -401,11 +382,14 @@ def semidiscrete_agreement(domain, K, target, grid_m, tol=1e-7):
     noise that leaves an l1 mass residual of 4.8% or 10.9% still scores 1.0,
     15.4% scores 0.992 and 38.8% scores 0.888, so errors below about a tenth
     of the mass go unseen; mass balance is checked by the solver's residual,
-    not here. Returns (fraction, plan, solution, member), where member is
-    the (atoms × sites) overlap table that agreement_ceiling scores with."""
-    sol = solve(domain, K, target, tol=tol)
-    atoms, member = _membership(domain, K, target, grid_m, sol)
-    plan = lp_transport(atoms, list(zip(target.sites, target.masses)))
+    not here. The solve runs to tol in at most max_iter Newton steps.
+    Returns (fraction, plan, solution, member), where member is the
+    (atoms × sites) overlap table that agreement_ceiling scores with."""
+    sol = solve(domain, K, target, tol=tol, max_iter=max_iter)
+    centers, masses, squares, area = _grid_atoms(domain, K, target, grid_m)
+    member = _overlap_table(domain, sol.diagram, squares, area)
+    plan = lp_transport(list(zip(centers, masses)),
+                        list(zip(target.sites, target.masses)))
     return _overlap_agreement(plan, member), plan, sol, member
 
 

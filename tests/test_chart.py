@@ -17,9 +17,11 @@ from hemiot.chart import (
     metric_in_chart,
     ring_chart_mass,
 )
-from hemiot.domains import grid_pieces
+from hemiot.domains import grid_cells
 from hemiot.geometry import ARC, integrate_cell, ragged_cells
 from hemiot.targets import chart_disk, chart_polygon
+
+from .ragged import cell_list
 
 
 def test_hemisphere_point_validation():
@@ -132,7 +134,8 @@ def _assert_masses_match_quadrature(cells, tol=0.0):
 def test_chart_masses_of_the_sphere_target_match_quadrature():
     # the sphere-benchmark target at N=2000: a chart disk about the origin,
     # every arc in closed form
-    cells = [piece[1:3] for piece in grid_pieces(chart_disk(np.zeros(2), 0.75), 44)]
+    grid = grid_cells(chart_disk(np.zeros(2), 0.75), 44)
+    cells = cell_list(grid.ring, grid.sizes, grid.arcs)
     assert len(cells) == 1600
     assert sum(any(lab[0] == ARC for lab in labels) for _, labels in cells) == 172
     _assert_masses_match_quadrature(cells)
@@ -141,7 +144,8 @@ def test_chart_masses_of_the_sphere_target_match_quadrature():
 def test_chart_masses_of_an_offcenter_disk_match_quadrature():
     # arcs off the origin: the parts between chord and arc by quadrature
     region = chart_disk(np.array([0.6, -0.3]), 0.8)
-    cells = [piece[1:3] for piece in grid_pieces(region, 12)]
+    grid = grid_cells(region, 12)
+    cells = cell_list(grid.ring, grid.sizes, grid.arcs)
     _assert_masses_match_quadrature(cells, 1e-16)
 
 
@@ -164,6 +168,6 @@ def test_chart_masses_of_triangles_and_squares_match_quadrature(center, size):
 
 @pytest.mark.parametrize("s, m", [(0.75, 40), (3.0, 25), (50.0, 30)])
 def test_chart_masses_of_a_disk_about_the_origin_sum_to_its_closed_form(s, m):
-    cells = [piece[1:3] for piece in grid_pieces(chart_disk(np.zeros(2), s), m)]
-    total = ring_chart_mass(*ragged_cells(cells), 0.0).sum()
+    grid = grid_cells(chart_disk(np.zeros(2), s), m)
+    total = ring_chart_mass(grid.ring, grid.sizes, grid.arcs, 0.0).sum()
     assert total == pytest.approx(math.pi * s * s / (1.0 + s * s), rel=1e-14)

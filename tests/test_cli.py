@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -136,7 +138,8 @@ def test_flag_overrides(tmp_path):
     out = str(tmp_path / "flagged")
     assert main(["--config", cfg, "--out", out, "--seed", "9",
                  "--tol", "1e-5", "--threads", "2"]) == 0
-    report = json.loads(open(os.path.join(out, "report.json")).read())
+    with open(os.path.join(out, "report.json")) as fh:
+        report = json.load(fh)
     assert report["config"]["seed"] == 9
     assert report["config"]["tol"] == 1e-5
     assert report["config"]["threads"] == 2
@@ -162,6 +165,32 @@ def test_validation_exit_codes(tmp_path):
                    "density": {"kind": "constant", "value": 2.0},
                    "out": str(tmp_path / "nc")}
     assert main(["--config", _write(tmp_path, "nc.json", noncritical)]) == 2
+
+
+def test_density_check_samples_a_thin_domain(tmp_path, capsys):
+    # x1 - 0.1 is negative on the tip of this sliver, about 1% of its area,
+    # where a draw in its bounding box seldom lands
+    doc = dict(SOLVE_DOC,
+               domain={"kind": "polygon",
+                       "vertices": [[0.0, 0.0], [1.0, 1.0], [0.999, 1.001]]},
+               density={"kind": "expression", "formula": "x1 - 0.1"},
+               out=str(tmp_path / "thin"))
+    assert main(["--config", _write(tmp_path, "thin.json", doc)]) == 2
+    assert capsys.readouterr().err.startswith("validation error: density:")
+
+
+def test_importing_the_package_loads_no_scipy():
+    # SciPy's modules are imported where they are used, so a run's set-up
+    # does not pay for them
+    import hemiot
+    src = os.path.dirname(os.path.dirname(hemiot.__file__))
+    code = ("import sys, hemiot, hemiot.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == "
+            "'scipy'))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_nonconvergence_exit_code(tmp_path, capsys):
@@ -243,6 +272,22 @@ def test_oracle_compare_reports_lp_pivots(tmp_path):
     assert run(doc) == 0
     report = json.loads((tmp_path / "oc" / "report.json").read_text())
     assert 0 < report["measurements"]["lp_pivots"] < 500
+
+
+def test_oracle_compare_keeps_max_iter(tmp_path, capsys):
+    # criterion 3's instance needs more than one Newton step, so a cap of
+    # one ends the run unconverged, as it ends solve
+    doc = {"command": "oracle-compare",
+           "domain": {"kind": "disk", "radius": 0.6},
+           "density": {"kind": "constant", "value": 1.0},
+           "target": {"kind": "chart_disk", "radius": 0.75},
+           "N": 20, "tol": 1e-7, "max_iter": 1,
+           "params": {"grid_m": 15, "threshold": 0.95},
+           "out": str(tmp_path / "oc"), "seed": 0}
+    assert main(["--config", _write(tmp_path, "oc.json", doc)]) == 3
+    report = json.loads((tmp_path / "oc" / "report.json").read_text())
+    assert report["verdicts"]["converged"] is False
+    assert report["measurements"]["diagrams_built"] <= 2
 
 
 def test_oracle_compare_builds_the_overlap_table_once(tmp_path, monkeypatch):
@@ -347,6 +392,24 @@ SQUARE_VERTS = [[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]]
                                            SQUARE_VERTS[:2] + [[0.5, 0.0]]
                                            + SQUARE_VERTS[2:]},
                  id="collinear-chart-vertex"),
+    # explicit targets are checked by the config layer, before any array
+    # is built from them
+    pytest.param("target.sites", None, {"kind": "explicit",
+                                        "sites": [[0.1, 0.2], [0.3]],
+                                        "masses": [1.0, 1.0]},
+                 id="ragged-explicit-sites"),
+    pytest.param("target.sites", None, {"kind": "explicit",
+                                        "sites": [[0.1, NAN], [0.3, 0.0]],
+                                        "masses": [1.0, 1.0]},
+                 id="nan-explicit-site"),
+    pytest.param("target.masses", None, {"kind": "explicit",
+                                         "sites": [[0.1, 0.2], [0.3, 0.0]],
+                                         "masses": [1.0, "a"]},
+                 id="text-explicit-mass"),
+    pytest.param("target.masses", None, {"kind": "explicit",
+                                         "sites": [[0.1, 0.2], [0.3, 0.0]],
+                                         "masses": [3.0, -1.0]},
+                 id="negative-explicit-mass"),
 ])
 def test_region_shape_errors_name_their_field(tmp_path, capsys, field, domain,
                                               target):
@@ -468,7 +531,8 @@ def test_export_files_match_the_per_cell_writer(tmp_path, monkeypatch):
                      for c in sol.diagram.cells if not c.is_empty
                      for k, (x, y) in enumerate(_cell_polyline(c))))
     out = tmp_path / "ex"
-    assert (out / "cells.csv").read_bytes() == open(ref, "rb").read()
+    with open(ref, "rb") as fh:
+        assert (out / "cells.csv").read_bytes() == fh.read()
     assert (out / "mesh.obj").read_text() == _per_cell_mesh(sol)
 
 

@@ -20,7 +20,7 @@ from hemiot.domains import (
     domain_area,
     domain_clipper,
     erode,
-    grid_pieces,
+    grid_cells,
     inradius_point,
     lambda_constant,
     make_cone_spec,
@@ -30,8 +30,10 @@ from hemiot.domains import (
     unit_ball_volume,
 )
 from hemiot.chart import HemispherePoint
-from hemiot.geometry import cell_area_centroid
+from hemiot.geometry import ARC, cell_area_centroid
 from hemiot.targets import DiscreteTarget, full_hemisphere
+
+from .ragged import cell_list
 
 UNIT_SQUARE = ConvexPolygonDomain(np.array([[-0.5, -0.5], [0.5, -0.5],
                                             [0.5, 0.5], [-0.5, 0.5]]))
@@ -108,14 +110,23 @@ def _clipped_squares(domain, m):
                                   [0.1, 0.9]])),
 ], ids=["disk", "polygon"])
 @pytest.mark.parametrize("m", [1, 2, 15, 44])
-def test_grid_pieces_match_clipping_every_square(domain, m):
+def test_grid_cells_match_clipping_every_square(domain, m):
     # whole squares skip the clipper; every piece is still the clipper's,
-    # in the same order, with the same area and centroid bits
-    pieces, ref = grid_pieces(domain, m), _clipped_squares(domain, m)
-    assert len(pieces) == len(ref)
-    for got, want in zip(pieces, ref):
-        assert got[:4] == want[:4]
-        assert np.array_equal(got[4], want[4])
+    # in the same order, with the same vertices, arcs, area and centroid
+    # bits
+    grid, ref = grid_cells(domain, m), _clipped_squares(domain, m)
+    cells = cell_list(grid.ring, grid.sizes, grid.arcs)
+    assert len(cells) == len(grid.area) == len(grid.squares) == len(ref)
+    assert bool(grid.arcs) == isinstance(domain, DiskDomain)
+    for k, ((verts, labels), want) in enumerate(zip(cells, ref)):
+        square, want_verts, want_labels, area, centroid = want
+        assert list(map(tuple, grid.squares[k].tolist())) == square
+        assert verts == want_verts
+        assert [(e, lab) for e, lab in enumerate(labels) if lab[0] == ARC] \
+            == [(e, lab) for e, lab in enumerate(want_labels)
+                if lab[0] == ARC]
+        assert grid.area[k] == area
+        assert np.array_equal(grid.centroid[k], centroid)
 
 
 def test_inradius_point_and_erode():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from hemiot.domains import ConvexPolygonDomain, DiskDomain, grid_pieces
+from hemiot.domains import ConvexPolygonDomain, DiskDomain, grid_cells
 from hemiot.geometry import (
     ARC,
     cell_area_centroid,
@@ -15,6 +15,8 @@ from hemiot.geometry import (
     ragged_cells,
     ring_area_centroid,
 )
+
+from .ragged import cell_list
 
 SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 SQ_LABELS = [("wall", i) for i in range(4)]
@@ -90,12 +92,11 @@ def _assert_matches_shoelace(cells, areas, centroids):
                                    [0.1, 0.9]])), 22),
 ], ids=["disk", "chart-disk", "quadrilateral"])
 def test_ring_area_centroid_is_the_shoelace_bit_for_bit(domain, m):
-    pieces = grid_pieces(domain, m)
-    cells = [(verts, labels) for _, verts, labels, _, _ in pieces]
+    grid = grid_cells(domain, m)
+    cells = cell_list(grid.ring, grid.sizes, grid.arcs)
     assert any(lab[0] == ARC for _, labels in cells for lab in labels) \
         == isinstance(domain, DiskDomain)
-    _assert_matches_shoelace(cells, [p[3] for p in pieces],
-                             [p[4] for p in pieces])
+    _assert_matches_shoelace(cells, grid.area, grid.centroid)
     # the kernel on its own, with a cell that has no vertices and one of
     # zero area in between
     cells[1:1] = [([], []), ([(0.5, 0.25), (0.5, 0.75)], [("nbr", 0)] * 2)]

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hemiot.domains import ConvexPolygonDomain, DiskDomain, constant_density
-from hemiot.laguerre import laguerre_diagram
-from hemiot.oracle import (DiscretePlan, _membership, _overlap_agreement,
-                           agreement_ceiling,
+from hemiot.laguerre import LaguerreDiagram, laguerre_diagram
+from hemiot.oracle import (DiscretePlan, _grid_atoms, _overlap_agreement,
+                           _overlap_table, agreement_ceiling,
                            brute_force_assignment, lp_transport,
                            monotonicity_certificate, normal_cone_check,
                            semidiscrete_agreement)
@@ -260,6 +260,26 @@ def _criterion_3_instance():
     return domain, K, target
 
 
+def _member(domain, K, target, grid_m, sol):
+    # the overlap table of the grid atoms against sol's Laguerre cells
+    squares, area = _grid_atoms(domain, K, target, grid_m)[2:]
+    return _overlap_table(domain, sol.diagram, squares, area)
+
+
+def test_agreement_reads_the_diagram_arrays_only(monkeypatch):
+    # the overlap table takes each cell's neighbours from the diagram's
+    # ragged arrays; the LaguerreCell list is never built
+    def refuse(diagram):
+        raise AssertionError("LaguerreDiagram.cells was built")
+    monkeypatch.setattr(LaguerreDiagram, "cells", property(refuse))
+    domain, K, target = _criterion_3_instance()
+    frac, plan, sol, member = semidiscrete_agreement(domain, K, target, 15)
+    assert frac >= 0.95
+    assert member.shape == (len(plan.source_masses), len(target))
+    with pytest.raises(AssertionError, match="cells was built"):
+        sol.diagram.cells
+
+
 def test_overlap_agreement_does_not_depend_on_solver_tol():
     domain, K, target = _criterion_3_instance()
     frac, plan, sol, member = semidiscrete_agreement(domain, K, target, 15,
@@ -269,9 +289,9 @@ def test_overlap_agreement_does_not_depend_on_solver_tol():
     ceiling = agreement_ceiling(plan, member, target)
     assert frac <= ceiling + 1e-12
     # the ceiling is the maximum of the overlap LP, as HiGHS finds it
-    atoms, member = _membership(domain, K, target, 15, sol)
-    ref = _highs_transport(-member.astype(float),
-                           np.array([a.mass for a in atoms]), target.masses)
+    masses = _grid_atoms(domain, K, target, 15)[1]
+    ref = _highs_transport(-_member(domain, K, target, 15, sol).astype(float),
+                           masses, target.masses)
     assert ceiling == pytest.approx(-ref.fun / target.total, abs=1e-12)
 
 
@@ -281,27 +301,27 @@ def test_overlap_agreement_rejects_wrong_partitions():
     domain, K, target = _criterion_3_instance()
     frac, plan, sol, _ = semidiscrete_agreement(domain, K, target, grid_m=15)
     assert frac == _overlap_agreement(
-        plan, _membership(domain, K, target, 15, sol)[1])
+        plan, _member(domain, K, target, 15, sol))
     # mass-balanced but anti-monotone: cell i is the cell of site -p_i
     flipped = DiscreteTarget(sites=-target.sites, masses=target.masses,
                              total=target.total)
     anti = solve(domain, K, flipped, tol=1e-7)
     assert anti.report.converged
     anti_frac = _overlap_agreement(
-        plan, _membership(domain, K, target, 15, anti)[1])
+        plan, _member(domain, K, target, 15, anti))
     # the unweighted partition psi = 0 misplaces most of the mass
     zero = np.zeros(len(target))
     flat = dataclasses.replace(
         sol, psi=zero, diagram=laguerre_diagram(domain, target.sites, zero))
     flat_frac = _overlap_agreement(
-        plan, _membership(domain, K, target, 15, flat)[1])
+        plan, _member(domain, K, target, 15, flat))
     assert anti_frac <= 0.05
     assert flat_frac <= 0.5
 
 
-def _all_pairs_table(domain, sol, atoms):
+def _all_pairs_table(domain, sol, squares, atom_area):
     # the overlap table with every atom's square cut against every nonempty
-    # cell
+    # cell, each with the neighbours its LaguerreCell lists
     from hemiot.geometry import ragged_cells, ring_area_centroid
     from hemiot.laguerre import cell_cutter
     from hemiot.oracle import OVERLAP_SHARE
@@ -309,15 +329,16 @@ def _all_pairs_table(domain, sol, atoms):
     labels = [("grid", t) for t in range(4)]
     parts, at = [], []
     for cell in sol.diagram.cells:
-        for j, atom in enumerate(atoms):
+        for j, square in enumerate(squares.tolist()):
             part = ([], []) if cell.is_empty else cut(
-                atom.square, labels, cell.site_index, cell.neighbors)
+                list(map(tuple, square)), labels, cell.site_index,
+                cell.neighbors)
             if part[0]:
                 parts.append(part)
                 at.append((j, cell.site_index))
-    area = np.zeros((len(atoms), len(sol.sites)))
+    area = np.zeros((len(squares), len(sol.sites)))
     area[tuple(np.array(at).T)] = ring_area_centroid(*ragged_cells(parts))[0]
-    return area > OVERLAP_SHARE * np.array([a.area for a in atoms])[:, None]
+    return area > OVERLAP_SHARE * atom_area[:, None]
 
 
 @pytest.mark.parametrize("domain, N, grid_m", [
@@ -336,13 +357,13 @@ def test_overlap_table_box_test_keeps_the_all_pairs_table(monkeypatch, domain,
     K = constant_density(1.0)
     target = discretize(chart_disk(np.zeros(2), 0.75), N, domain_area(domain))
     sol = solve(domain, K, target, tol=1e-7)
-    atoms = oracle._scaled_atoms(domain, K, target, grid_m)
+    squares, area = oracle._grid_atoms(domain, K, target, grid_m)[2:]
     cuts, cutter = [], oracle.cell_cutter
 
     def counted(*args):
         cut = cutter(*args)
         return lambda *piece: cuts.append(piece[2]) or cut(*piece)
     monkeypatch.setattr(oracle, "cell_cutter", counted)
-    table = oracle._overlap_table(domain, sol, atoms)
-    assert np.array_equal(table, _all_pairs_table(domain, sol, atoms))
-    assert 0 < len(cuts) <= 0.2 * len(atoms) * sol.diagram.nonempty.sum()
+    table = oracle._overlap_table(domain, sol.diagram, squares, area)
+    assert np.array_equal(table, _all_pairs_table(domain, sol, squares, area))
+    assert 0 < len(cuts) <= 0.2 * len(squares) * sol.diagram.nonempty.sum()

@@ -1,6 +1,7 @@
-# The one adaptive quadrature engine behind total_mass, integrate_cells and
-# compute_measures: agreement between its panel kinds and between one batched
-# call and per-cell calls, determinism, and the stall path.
+# The one adaptive quadrature engine behind total_mass,
+# integrate_ring_cells and compute_measures: agreement between its panel
+# kinds and between one batched call and per-cell calls, determinism, and
+# the stall path.
 import math
 
 import numpy as np
@@ -11,8 +12,8 @@ from hemiot.cli import ConfigError, run
 from hemiot.domains import (ConvexPolygonDomain, DiskDomain, SourceDensity,
                             total_mass)
 from hemiot.geometry import (QuadratureError, arc_patch, clip_to_circle,
-                             integrate_cell, integrate_cells,
-                             integrate_panels)
+                             integrate_cell, integrate_panels,
+                             integrate_ring_cells, ragged_cells)
 from hemiot.laguerre import compute_measures, laguerre_diagram
 
 X0 = np.array([0.31, 0.17])
@@ -65,22 +66,23 @@ def test_one_call_over_all_cells_matches_per_cell_calls():
                             rng.normal(0.0, 0.3, size=30))
     cells = [(c.verts, c.labels) for c in diag.cells]
     tol = 1e-10
-    batch = integrate_cells(cells, _smooth, tol)
+    batch = integrate_ring_cells(*ragged_cells(cells), _smooth, tol)
     assert batch.shape == (30, 3)
     for (verts, labels), row in zip(cells, batch):
         assert np.abs(row - integrate_cell(verts, labels, _smooth, tol)).max() <= tol
     assert batch[:, 0].sum() == pytest.approx(
         total_mass(domain, SourceDensity(fn=_smooth), tol=tol)[0], abs=2 * tol)
-    assert batch.tobytes() == integrate_cells(cells, _smooth, tol).tobytes()
+    assert batch.tobytes() == integrate_ring_cells(*ragged_cells(cells),
+                                                   _smooth, tol).tobytes()
 
 
 def test_density_calls_stay_under_the_node_cap(monkeypatch):
     rng = np.random.default_rng(4)
     diag = laguerre_diagram(DiskDomain(np.zeros(2), 1.0),
                             rng.normal(0.0, 1.0, size=(40, 2)), np.zeros(40))
-    cells = [(c.verts, c.labels) for c in diag.cells]
+    cells = ragged_cells([(c.verts, c.labels) for c in diag.cells])
     # a tolerance the first evaluation already meets: no panel is split
-    whole = integrate_cells(cells, _smooth, 1.0)
+    whole = integrate_ring_cells(*cells, _smooth, 1.0)
     calls = []
 
     def f(p):
@@ -88,7 +90,7 @@ def test_density_calls_stay_under_the_node_cap(monkeypatch):
         return _smooth(p)
 
     monkeypatch.setattr(geometry, "_CALL_NODES", 700)
-    assert integrate_cells(cells, f, 1.0).tobytes() == whole.tobytes()
+    assert integrate_ring_cells(*cells, f, 1.0).tobytes() == whole.tobytes()
     assert len(calls) > 2 and max(calls) <= 700
 
 

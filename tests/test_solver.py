@@ -222,8 +222,10 @@ def test_write_csv_of_an_array_writes_its_python_floats(tmp_path):
     header = ("a", "b", "c")
     a = write_csv(str(tmp_path / "a.csv"), header, arr)
     b = write_csv(str(tmp_path / "b.csv"), header, arr.tolist())
-    assert open(a, "rb").read() == open(b, "rb").read()
-    assert open(a).read().splitlines()[1] == "-0.0,0.0,1e-320"
+    with open(a, "rb") as fa, open(b, "rb") as fb:
+        text = fa.read()
+        assert text == fb.read()
+    assert text.splitlines()[1] == b"-0.0,0.0,1e-320"
 
 
 def test_gauss_map_lands_on_hemisphere():
