@@ -585,6 +585,8 @@ def _cmd_lemmas(cfg, out):
         raise ConfigError("config.params.trials: must be at least 1")
     if n_points < 2:
         raise ConfigError("config.params.n_points: must be at least 2")
+    if not thetas:
+        raise ConfigError("config.params.thetas: expected a nonempty list")
     if not all(0 < th < 1 / math.sqrt(6.0) for th in thetas):
         raise ConfigError(
             "config.params.thetas: each theta must lie in (0, 1/sqrt(6))")
@@ -592,16 +594,20 @@ def _cmd_lemmas(cfg, out):
         raise ConfigError("config.params.estar_samples: must be at least 1")
     if dim < 2:
         raise ConfigError("config.params.dimension: must be at least 2")
-
-    t0 = time.perf_counter()
-    cone = cone_inclusion_check(domain, trials, n_points=n_points,
-                                seed=cfg.seed)
     geo = boundary_geometry(domain)
     d0 = d0_threshold(geo)
     spec = make_cone_spec(
         domain, domain.center + np.array([domain.radius - d0, 0.0]), geo)
     if t_values is None:
         t_values = [f * d0 for f in (0.25, 0.5, 1.0, 1.5, 1.99)]
+    # a t the slice check would skip scores nothing; NaN fails the test too
+    if not (t_values and all(0 < t < 2 * spec.d0 for t in t_values)):
+        raise ConfigError("config.params.t_values: expected a nonempty list "
+                          f"of t in (0, 2 d0), d0 = {spec.d0:.6g}")
+
+    t0 = time.perf_counter()
+    cone = cone_inclusion_check(domain, trials, n_points=n_points,
+                                seed=cfg.seed)
     sl = slice_estimate_check(domain, t_values, spec)
     estar = [estar_volume_check(th, dim, estar_samples, seed=cfg.seed)
              for th in thetas]

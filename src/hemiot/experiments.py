@@ -263,7 +263,8 @@ class SliceEstimateReport:
 def slice_estimate_check(domain, t_values, spec, n_dense=200000):
     """Length of the inner level circle inside the boundary window box,
     against the closed-form budget; each admissible t is checked both by the
-    exact circle formula and by a dense polyline."""
+    exact circle formula and by a dense polyline. A t outside (0, 2 d0) gets
+    a skipped row, which is no evidence: all_ok needs a scored row."""
     if not isinstance(domain, DiskDomain):
         raise ValueError("level sets are circles only for disk domains")
     geo = boundary_geometry(domain)
@@ -276,7 +277,7 @@ def slice_estimate_check(domain, t_values, spec, n_dense=200000):
     e = spec.v0
     tau = np.array([-e[1], e[0]])
     rows = []
-    ok = True
+    ok, scored = True, False
     for t in t_values:
         if not (0.0 < t < 2.0 * d0):
             rows.append((float(t), 0.0, 0.0, bound, "skipped: t outside (0, 2 d0)"))
@@ -298,8 +299,9 @@ def slice_estimate_check(domain, t_values, spec, n_dense=200000):
         arc_poly = float(seg[mid].sum())
         status = "ok" if arc_cf <= bound + 1e-12 else "violated"
         ok &= status == "ok"
+        scored = True
         rows.append((float(t), float(arc_cf), arc_poly, bound, status))
-    return SliceEstimateReport(rows, bound, float(d0), bool(ok))
+    return SliceEstimateReport(rows, bound, float(d0), bool(ok and scored))
 
 
 @dataclass

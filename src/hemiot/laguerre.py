@@ -1,13 +1,14 @@
 # Laguerre (power) diagrams of the dual weights: the partition of the domain
 # into convex cells on which each affine function <x, p_i> - psi_i attains the
-# upper envelope. A cell is the fan of power vertices around its site in the
-# regular triangulation of the lifted sites (Aurenhammer 1987), cut by the
-# domain, exactly, including circular-arc boundaries on disk domains, when
-# it is open or reaches the boundary. The cut, its tolerance and the test
-# for a fan inside the domain are the domain's own (domains.domain_clipper,
-# clip_eps and contains); the brute route and the one-site diagram cut a
-# box around the domain by bisectors (cell_cutter) and end in the same
-# clipper. A diagram holds all its cells in one ragged vertex array.
+# upper envelope. A cell is the ring of power vertices around its site in the
+# regular triangulation of the lifted sites and three sentinels that enclose
+# them (Aurenhammer 1987), cut by the domain, exactly, including
+# circular-arc boundaries on disk domains, when it reaches the boundary. The
+# cut, its tolerance and the test for a ring inside the domain are the
+# domain's own (domains.domain_clipper, clip_eps and contains); the brute
+# route and the one-site diagram cut a box around the domain by bisectors
+# (cell_cutter) and end in the same clipper. A diagram holds all its cells
+# in one ragged vertex array.
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -55,7 +56,7 @@ class LaguerreDiagram:
     domain: object
     sites: np.ndarray
     psi: np.ndarray
-    route: str    # "hull", "flat" or "brute": how the diagram was built
+    route: str    # "hull" or "brute": how the diagram was built
     verts: np.ndarray
     offsets: np.ndarray
     nbr: np.ndarray
@@ -141,30 +142,42 @@ def _validate_sites(sites):
     return sites
 
 
+def _with_sentinels(domain, sites, psi):
+    """The sites and psi followed by three sentinel sites: the corners of an
+    equilateral triangle about the centre m of the sites' bounding box, at
+    4 max_i |p_i - m| from m, each with weight
+    psi_s = max_i [psi_i + <c, p_s - p_i> + rho |p_s - p_i|], c the centre
+    of the domain's bounding box and rho its diagonal. Each sentinel's
+    bisector with any site then lies at least rho from c, so no sentinel
+    wins anywhere in the domain, and every cell vertex or edge that involves
+    a sentinel lies at least rho / 2 outside it. Every site lies strictly
+    inside the triangle and strictly below the sentinels' lifted plane, so
+    the lift is never flat, its hull has no vertical facet, and each site on
+    the lower hull has a closed ring of facets around it."""
+    m = 0.5 * (sites.min(axis=0) + sites.max(axis=0))
+    angle = 0.5 * np.pi + 2.0 * np.pi / 3.0 * np.arange(3)
+    s = m + 4.0 * np.hypot(*(sites - m).T).max() \
+        * np.column_stack([np.cos(angle), np.sin(angle)])
+    lo, hi = domain.bounding_box()
+    c, rho = 0.5 * (lo + hi), float(np.hypot(*(hi - lo)))
+    d = s[:, None] - sites
+    weight = (psi + d @ c + rho * np.hypot(d[..., 0], d[..., 1])).max(axis=1)
+    return np.concatenate([sites, s]), np.concatenate([psi, weight])
+
+
 def _regular_triangulation(sites, psi):
     """Lower facets of the hull of the lifted sites (p, psi): the regular
     triangulation. Returns the facets as CCW site triples (F, 3), the lower
     facet across the edge opposite each corner (-1 where there is none: the
     triangulation's outer boundary), and each facet's power vertex, the
-    point where its three sites' affine functions tie (for collinear sites,
-    the slope of the facet's plane). Sites lifted strictly above the hull
-    are dominated everywhere and lie on no facet. A flat lift (psi affine
-    over the sites) or collinear sites make qhull raise; `laguerre_diagram`
-    sends both elsewhere before calling this."""
+    point where its three sites' affine functions tie (for a facet whose
+    sites are collinear to rounding, the slope of the facet's plane). Sites
+    lifted strictly above the hull are dominated everywhere and lie on no
+    facet. The lift must not be flat: `laguerre_diagram` adds sentinels."""
     from scipy.spatial import ConvexHull
 
     hull = ConvexHull(np.column_stack([sites, psi]), qhull_options="Qt")
-    # the unit normal of a lower facet has z = -1 / sqrt(1 + |v|^2), v its
-    # power vertex. Facets over sites collinear to rounding on their hull
-    # stand vertical, and qhull gives them a z of rounding size and either
-    # sign (1e-15 to 1e-11 seen); taking part of such a wall as lower
-    # breaks the fans around its sites. A facet is lower at z < -1e-9: this
-    # leaves out the walls, and the slivers over nearly collinear sites
-    # beside them, whose power vertices lie beyond 1e9; those sites' fans
-    # end in rays along the same bisectors instead
-    lower = hull.equations[:, 2] < -1e-9
-    if not lower.any():
-        raise RuntimeError("no lower facets")
+    lower = hull.equations[:, 2] < 0
     index = np.full(len(lower), -1)
     index[np.flatnonzero(lower)] = np.arange(np.count_nonzero(lower))
     tri = hull.simplices[lower]
@@ -175,52 +188,49 @@ def _regular_triangulation(sites, psi):
     # the 2x2 bisector system <x, p_b - p_a> = psi_b - psi_a, by Cramer's rule
     r1 = psi[tri[:, 1]] - psi[tri[:, 0]]
     r2 = psi[tri[:, 2]] - psi[tri[:, 0]]
-    flat = np.abs(det) <= 1e-12 * np.hypot(*d1.T) * np.hypot(*d2.T)
+    degenerate = np.abs(det) <= 1e-12 * np.hypot(*d1.T) * np.hypot(*d2.T)
     with np.errstate(divide="ignore", invalid="ignore"):
         power = np.column_stack([r1 * d2[:, 1] - r2 * d1[:, 1],
                                  d1[:, 0] * r2 - d2[:, 0] * r1]) / det[:, None]
-    eq = hull.equations[lower][flat]
-    power[flat] = -eq[:, :2] / eq[:, 2:3]
+    eq = hull.equations[lower][degenerate]
+    power[degenerate] = -eq[:, :2] / eq[:, 2:3]
     cw = det < 0
     tri[cw] = tri[cw][:, [0, 2, 1]]
     across[cw] = across[cw][:, [0, 2, 1]]
     return tri, across, power
 
 
-def _fans(n, tri, across, power, eps):
-    """The fan of power vertices around each of n sites, read off the
-    triangulation. Around a site v, the facet after (v, v1, v2) in CCW order
-    is the one across the edge v-v2, its power vertex is a cell vertex, and
-    the cell edge that leaves it lies on the bisector of v and v2. The fan
-    is a closed ring, or open when v is on the triangulation's outer
-    boundary: from the facet with none across v-v1 to the one with none
-    across v-v2. A fan vertex within eps (in both coordinates) of the next
-    one is dropped with the zero-length edge it starts, as geometry._dedupe
-    does; an open fan's last vertex has no next one. Returns, fan after fan
-    in site order, each vertex's site, its coordinates and the neighbour
-    across the edge that leaves it, and per site the neighbour across the
-    edge that enters its open fan (-1 for a ring or no fan)."""
-    site = tri.ravel()
-    corner = np.arange(len(site))
-    nxt_facet = np.roll(across, -1, axis=1).ravel()
-    first = np.roll(across, -2, axis=1).ravel() < 0
-    enter = np.full(n, -1)
-    enter[site[first]] = np.roll(tri, -1, axis=1).ravel()[first]
+def _rings(n, tri, across, power, eps):
+    """The ring of power vertices around each of the first n sites, read off
+    the triangulation, in which each of them must be an interior vertex.
+    Around a site v, the facet after (v, v1, v2) in CCW order is the one
+    across the edge v-v2, its power vertex is a cell vertex, and the cell
+    edge that leaves it lies on the bisector of v and v2. A ring vertex
+    within eps (in both coordinates) of the next one is dropped with the
+    zero-length edge it starts, as geometry._dedupe does. Returns, ring
+    after ring in site order, each vertex's site, its coordinates and the
+    neighbour across the edge that leaves it."""
+    corner = np.flatnonzero(tri.ravel() < n)
+    site = tri.ravel()[corner]
+    g = np.roll(across, -1, axis=1).ravel()[corner]
+    if (g < 0).any():
+        raise RuntimeError("a site lies on the outer boundary of the regular "
+                           "triangulation: the sentinels do not enclose it")
     # successor of each corner: the corner of the same site in the next facet
-    has = nxt_facet >= 0
-    g = nxt_facet[has]
-    succ = 3 * g + np.argmax(tri[g] == site[has, None], axis=1)
-    # each corner's distance along its fan from the fan's head (the first
-    # corner of an open fan, the first in corner order of a ring), by
-    # pointer jumping along predecessors: O(log of the longest fan) passes
-    head = first.copy()
-    lead = np.unique(site, return_index=True)[1]
-    head[lead[enter[site[lead]] < 0]] = True
-    pred = corner.copy()
-    pred[succ] = corner[has]
-    pred[head] = corner[head]
+    at_corner = np.full(tri.size, -1)
+    at_corner[corner] = np.arange(len(corner))
+    succ = at_corner[3 * g + np.argmax(tri[g] == site[:, None], axis=1)]
+    # each corner's distance along its ring from the ring's head (its first
+    # corner in corner order), by pointer jumping along predecessors:
+    # O(log of the longest ring) passes
+    k = np.arange(len(corner))
+    head = np.zeros(len(corner), dtype=bool)
+    head[np.unique(site, return_index=True)[1]] = True
+    pred = k.copy()
+    pred[succ] = k
+    pred[head] = k[head]
     dist = (~head).astype(int)
-    for _ in range(int(np.log2(max(len(site), 1))) + 1):
+    for _ in range(int(np.log2(max(len(k), 1))) + 1):
         if (pred[pred] == pred).all():
             break
         dist += dist[pred]
@@ -228,36 +238,16 @@ def _fans(n, tri, across, power, eps):
     count = np.bincount(site, minlength=n)
     at = np.cumsum(count)[site] - count[site] + dist
     if not ((dist < count[site]).all() and (np.bincount(at) == 1).all()):
-        raise RuntimeError("the lower hull's facets do not form one fan "
+        raise RuntimeError("the lower hull's facets do not form one ring "
                            "around each site")
-    corners = np.empty(len(site), dtype=int)
-    corners[at] = corner
-    verts = power[corners // 3]
-    last = dist == count[site] - 1
-    nxt = np.where(last, at - dist, at + 1)[corners]
-    apart = (np.abs(verts - verts[nxt]) > eps).any(axis=1) \
-        | (last & (enter[site] >= 0))[corners]
-    corners = corners[apart]
-    return site[corners], verts[apart], np.roll(tri, -2, axis=1).ravel()[corners], enter
-
-
-def _is_collinear(sites):
-    """Rank-1 sites: every lift lies in a vertical plane and has no 2D hull."""
-    s = np.linalg.svd(sites - sites.mean(axis=0), compute_uv=False)
-    return s[1] <= 1e-12 * s[0]
-
-
-def _is_affine(sites, psi):
-    """The slope a when psi = a·p + b over the sites up to rounding, else
-    None: the residual of the least-squares fit, against the largest lifted
-    coordinate. In random trials qhull rejected lifts as flat up to a
-    residual of about 2e-12 of that coordinate; the bound leaves a wide
-    margin above it."""
-    A = np.column_stack([sites, np.ones(len(sites))])
-    coef = np.linalg.lstsq(A, psi, rcond=None)[0]
-    resid = float(np.abs(psi - A @ coef).max())
-    scale = max(float(np.abs(sites).max()), float(np.abs(psi).max()))
-    return coef[:2] if resid <= 1e-10 * scale else None
+    order = np.empty_like(k)
+    order[at] = k
+    verts = power[corner[order] // 3]
+    nxt = np.where(dist == count[site] - 1, at - dist, at + 1)[order]
+    apart = (np.abs(verts - verts[nxt]) > eps).any(axis=1)
+    order = order[apart]
+    return (site[order], verts[apart],
+            np.roll(tri, -2, axis=1).ravel()[corner[order]])
 
 
 def laguerre_diagram(domain, sites, psi, method="auto"):
@@ -268,91 +258,48 @@ def laguerre_diagram(domain, sites, psi, method="auto"):
     the same diagram as LaguerreCell objects, built on first access.
     `method` decides how the cells are built, and the diagram records the
     route taken in `route`:
-      "hull"  the regular triangulation from the lower hull of the lifted
-              sites (p, psi); qhull errors propagate. A site's cell is the
-              fan of power vertices of its facets (_fans), taken as it is
-              when it is a closed ring with every vertex inside the domain
-              by more than the clip eps. Every other fan is cut by the
-              domain, an open one (its site on the triangulation's outer
-              boundary) after _close_fan closes it with its two rays.
-      "flat"  psi = a·p + b over the sites (psi = 0 and every psi on
-              three sites included; the hull route raises on them): the
-              diagram is the normal fan of the sites' convex hull shifted
-              by a, so each hull vertex has a one-vertex open fan at a,
-              leaving toward its CCW predecessor and entering from its
-              successor, and no other site has a cell.
+      "auto"  route "hull": the regular triangulation from the lower hull of
+              the lifted sites (p, psi) and three sentinels around them
+              (_with_sentinels), so that every site on it has a closed ring
+              of power vertices (_rings). A ring with every vertex inside
+              the domain by more than the clip eps is the cell as it is;
+              every other ring is cut by the domain, which removes every
+              vertex and edge that involves a sentinel. Collinear sites and
+              affine psi (psi = 0 included) take this route too.
       "brute" a box around the domain cut by the bisectors of every other
               site and then by the domain (cell_cutter); kept as an
               independent oracle.
-    One site takes brute whatever the method; "auto" takes brute for
-    collinear sites, flat when psi is affine, and hull otherwise. All
-    routes produce the same cells."""
-    if method not in ("auto", "hull", "brute"):
+    One site takes brute whatever the method, so its cell is the domain
+    exactly. Both routes produce the same cells."""
+    if method not in ("auto", "brute"):
         raise ValueError(f"unknown method {method!r}")
     sites = _validate_sites(sites)
     psi = np.asarray(psi, dtype=float)
     if len(psi) != len(sites):
         raise ValueError("psi length mismatch")
     n = len(sites)
-    route = "brute" if n == 1 else method
-    if route == "auto":
-        collinear = _is_collinear(sites)
-        slope = None if collinear else _is_affine(sites, psi)
-        route = "brute" if collinear else "hull" if slope is None else "flat"
-    if route == "brute":
+    if n == 1 or method == "brute":
         cut, box = cell_cutter(domain, sites, psi), _box_piece(domain)
         no_rings = (np.zeros(0, dtype=int), np.zeros((0, 2)),
                     np.zeros(0, dtype=int))
-        return _assemble(domain, sites, psi, route, no_rings, {
+        return _assemble(domain, sites, psi, "brute", no_rings, {
             i: cut(*box, i, [j for j in range(n) if j != i]) for i in range(n)})
     eps = clip_eps(domain)
-    if route == "flat":
-        from scipy.spatial import ConvexHull
-
-        ring = ConvexHull(sites).vertices      # CCW in 2D
-        order = np.argsort(ring)
-        enter = np.full(n, -1)
-        enter[ring] = np.roll(ring, -1)
-        fans = (ring[order], np.tile(slope, (len(ring), 1)),
-                np.roll(ring, 1)[order], enter)
-    else:
-        fans = _fans(n, *_regular_triangulation(sites, psi), eps)
-    fan_site, fan_verts, fan_nbr, enter = fans
-    count = np.bincount(fan_site, minlength=n)
-    inside = np.bincount(fan_site, ~contains(domain, fan_verts, -eps), n) == 0
-    fast = (count >= 2) & inside & (enter < 0)
+    rings = _rings(n, *_regular_triangulation(
+        *_with_sentinels(domain, sites, psi)), eps)
+    ring_site, ring_verts, ring_nbr = rings
+    count = np.bincount(ring_site, minlength=n)
+    inside = np.bincount(ring_site, ~contains(domain, ring_verts, -eps), n) == 0
+    fast = (count >= 2) & inside
     clip, ends = domain_clipper(domain), np.cumsum(count)
     cells = {}
-    for i in np.flatnonzero(~fast & ((count >= 2) | (enter >= 0))).tolist():
+    for i in np.flatnonzero(~fast & (count >= 2)).tolist():
         at = slice(ends[i] - count[i], ends[i])
-        verts, labels = fan_verts[at], [("nbr", j) for j in fan_nbr[at].tolist()]
-        if enter[i] >= 0:
-            verts = _close_fan(verts, sites, i, labels[-1][1], enter[i], domain)
-            labels += [("box", 0), ("nbr", int(enter[i]))]
-        cells[i] = clip(verts.tolist(), labels)
-    taken = fast[fan_site]
-    return _assemble(domain, sites, psi, route,
-                     tuple(a[taken] for a in fans[:3]), cells)
-
-
-def _close_fan(verts, sites, i, leave, enter, domain):
-    """An open fan of site i as a convex polygon: its vertices, then its two
-    rays, each along the bisector with a hull neighbour j and pointing along
-    p_j - p_i turned counterclockwise, cut off on one line beyond the
-    domain's bounding box and the fan. The line is perpendicular to the
-    mean w of the rays' outward directions; the fan and its rays run
-    monotonically across w, so one edge on the line joins the rays' ends
-    into a convex polygon, and the domain clip removes that edge."""
-    d = (sites[[leave, enter]] - sites[i]) * [[1], [-1]]
-    # outward along each ray (the entering one traced backwards)
-    out = np.column_stack([-d[:, 1], d[:, 0]]) / np.hypot(*d.T)[:, None]
-    w = out.sum(axis=0) / np.hypot(*out.sum(axis=0))
-    lo, hi = domain.bounding_box()
-    c, r = 0.5 * (lo + hi), 0.5 * float(np.hypot(*(hi - lo)))
-    level = max(r, float(((verts - c) @ w).max())) + r
-    base = verts[[-1, 0]]
-    ends = base + out * ((level - (base - c) @ w) / (out @ w))[:, None]
-    return np.concatenate([verts, ends])
+        cells[i] = clip(ring_verts[at].tolist(),
+                        [("nbr", j) for j in ring_nbr[at].tolist()])
+    taken = fast[ring_site]
+    return _assemble(domain, sites, psi, "hull",
+                     tuple(a[taken] for a in rings), cells)
 
 
 def _assemble(domain, sites, psi, route, rings, clipped):

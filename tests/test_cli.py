@@ -433,6 +433,16 @@ def test_region_shape_errors_name_their_field(tmp_path, capsys, field, domain,
                  id="lemmas-thetas"),
     pytest.param("lemmas", "t_values", {"t_values": ["a"]},
                  id="lemmas-t_values"),
+    # each of these scored no slice or E* row and still passed its verdict
+    pytest.param("lemmas", "thetas", {"thetas": []}, id="lemmas-thetas-empty"),
+    pytest.param("lemmas", "t_values", {"t_values": []},
+                 id="lemmas-t_values-empty"),
+    pytest.param("lemmas", "t_values", {"t_values": [5.0]},
+                 id="lemmas-t_values-beyond-2d0"),
+    pytest.param("lemmas", "t_values", {"t_values": [-1.0]},
+                 id="lemmas-t_values-negative"),
+    pytest.param("lemmas", "t_values", {"t_values": [float("nan")]},
+                 id="lemmas-t_values-nan"),
     # checked before the solve
     pytest.param("blowup", "C0", {"C0": -1.0}, id="blowup-C0"),
     pytest.param("blowup", "tail_epsilon", {"tail_epsilon": 5.0},

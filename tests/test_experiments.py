@@ -169,6 +169,14 @@ def test_slice_estimate_skips_out_of_range_t():
     assert rep.all_ok  # skipped rows do not fail the check
 
 
+@pytest.mark.parametrize("ts", [[], [0.0, 5e-3]], ids=["none", "all-skipped"])
+def test_slice_estimate_needs_a_scored_row(ts):
+    # a skipped row is no evidence, so a check that scored none fails
+    rep = slice_estimate_check(UNIT_DISK, ts, _spec_at(1e-3))
+    assert all(r[4].startswith("skipped") for r in rep.rows)
+    assert not rep.all_ok
+
+
 def test_slice_estimate_holds_across_the_band():
     geo = boundary_geometry(UNIT_DISK)
     d0 = d0_threshold(geo)

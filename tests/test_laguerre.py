@@ -33,10 +33,10 @@ def test_single_site_covers_domain():
     assert diag.cells[0].area == pytest.approx(math.pi, rel=1e-12)
 
 
-@pytest.mark.parametrize("method", ["auto", "hull", "brute"])
+@pytest.mark.parametrize("method", ["auto", "brute"])
 @pytest.mark.parametrize("domain", [SQUARE, DISK], ids=["square", "disk"])
 def test_single_site_takes_the_brute_route_for_every_method(domain, method):
-    # one site has no hull and no collinearity test; its cell is the domain
+    # one site's cell is the domain, exactly
     diag = laguerre_diagram(domain, np.array([[0.3, -0.2]]), np.array([0.7]),
                             method=method)
     assert diag.route == "brute"
@@ -79,45 +79,43 @@ def test_gauge_invariance():
         assert ca.area == pytest.approx(cb.area, abs=1e-13)
 
 
-def _assert_same_cells(a, b):
+def _assert_matches_brute(a):
+    """A diagram of the hull route against the brute route on the same
+    instance: equal areas, centroids and neighbour lists, every bisector
+    edge against a real site, and the areas summing to the domain's."""
+    b = laguerre_diagram(a.domain, a.sites, a.psi, method="brute")
+    assert (a.route, b.route) == ("hull", "brute")
+    n = len(a.sites)
+    assert ((a.nbr >= -1) & (a.nbr < n)).all()
+    assert a.total_area() == pytest.approx(domain_area(a.domain), rel=1e-12)
     for ca, cb in zip(a.cells, b.cells):
         assert ca.area == pytest.approx(cb.area, abs=1e-12)
         if not ca.is_empty:
-            assert np.allclose(ca.centroid, cb.centroid, atol=1e-10)
+            assert np.allclose(ca.centroid, cb.centroid, rtol=0.0, atol=1e-10)
+        assert ca.neighbors == cb.neighbors
 
 
 def test_hull_and_brute_routes_agree():
-    # seeds 356 and 180 cut fans whose power vertices lie 100-200 away from
+    # seeds 356 and 180 cut rings whose power vertices lie 100-200 away from
     # the domain, where the circle crossings must be found from the near end
     instances = [_random_instance(seed, n=10) for seed in range(12)]
     for domain, sites, psi in instances + [_random_instance(356, n=40),
                                            _random_instance(180, n=10)]:
-        a = laguerre_diagram(domain, sites, psi, method="hull")
-        b = laguerre_diagram(domain, sites, psi, method="brute")
-        assert (a.route, b.route) == ("hull", "brute")
-        _assert_same_cells(a, b)
-    # few sites: auto takes flat for three (their lift is always a plane)
-    # and hull from four on
+        _assert_matches_brute(laguerre_diagram(domain, sites, psi))
+    # few sites: two, and three, whose lift is always a plane
     for seed in range(8):
-        for n in range(3, 9):
+        for n in range(2, 9):
             domain, sites, psi = _random_instance(seed, n=n)
-            a = laguerre_diagram(domain, sites, psi)
-            b = laguerre_diagram(domain, sites, psi, method="brute")
-            assert a.route == ("flat" if n == 3 else "hull")
-            _assert_same_cells(a, b)
-            _assert_same_neighbours(a, b)
-    # flat lifts: psi = 0 and psi = a·p + b, where auto takes the convex
-    # hull of the sites
+            _assert_matches_brute(laguerre_diagram(domain, sites, psi))
+    # flat lifts: psi = 0 and psi = a·p + b, where only the vertices of the
+    # sites' convex hull have cells
     for seed in range(12):
         rng = np.random.default_rng(100 + seed)
         n = int(rng.integers(10, 41))
         domain, sites, _ = _random_instance(seed, n=n)
         slope, offset = rng.normal(0.0, 0.3, size=2), rng.normal()
         for psi in (np.zeros(n), sites @ slope + offset):
-            a = laguerre_diagram(domain, sites, psi)
-            b = laguerre_diagram(domain, sites, psi, method="brute")
-            assert a.route == "flat"
-            _assert_same_cells(a, b)
+            _assert_matches_brute(laguerre_diagram(domain, sites, psi))
 
 
 def _voronoi_like_instance(domain, n, seed, reach):
@@ -133,29 +131,19 @@ def _voronoi_like_instance(domain, n, seed, reach):
     return sites, (sites ** 2).sum(axis=1) / (2.0 * a) + noise
 
 
-def _assert_same_neighbours(a, b):
-    for ca, cb in zip(a.cells, b.cells):
-        assert ca.neighbors == cb.neighbors
-
-
 @pytest.mark.parametrize("domain", [DiskDomain(np.zeros(2), 0.6), SQUARE],
                          ids=["disk", "square"])
 def test_hull_and_brute_routes_agree_at_scale(domain):
     # most cells come straight from the regular triangulation here; some
     # rings of interior sites cross the boundary, and some cells are empty
     sites, psi = _voronoi_like_instance(domain, 250, seed=1, reach=0.7)
-    a = laguerre_diagram(domain, sites, psi)
-    b = laguerre_diagram(domain, sites, psi, method="brute")
     assert len(sites) >= 180
-    assert a.route == "hull"
-    _assert_same_cells(a, b)
-    _assert_same_neighbours(a, b)
+    _assert_matches_brute(laguerre_diagram(domain, sites, psi))
 
 
-def test_vertical_hull_facets_over_collinear_sites_are_not_lower():
-    # grid-piece centroids along a chart polygon's walls: runs of sites
-    # collinear to rounding on the sites' hull, whose lifts stand in vertical
-    # facets with a normal z of rounding size, here below -1e-12
+def _chart_polygon_sites():
+    """Grid-piece centroids of a chart polygon: runs of sites along its
+    walls are collinear to rounding on the sites' hull."""
     from hemiot.targets import chart_polygon, discretize
     V = np.array([[0.9276455677263244, 1.2658041858390718],
                   [-2.3103445216044953, -0.1588211428115786],
@@ -164,12 +152,54 @@ def test_vertical_hull_facets_over_collinear_sites_are_not_lower():
                   [-0.15012683326228848, -1.8047457250628933]])
     sites = discretize(chart_polygon(V), 800, 1.0).sites
     assert len(sites) == 454
-    domain = DiskDomain(np.zeros(2), 0.5)
+    return sites
+
+
+def test_vertical_hull_facets_over_collinear_sites_are_not_lower():
+    # without sentinels, the lifts of runs of collinear hull sites stand in
+    # vertical facets with a normal z of rounding size and either sign
+    sites = _chart_polygon_sites()
     psi = 0.01 * (sites ** 2).sum(axis=1)
-    a = laguerre_diagram(domain, sites, psi, method="hull")
-    b = laguerre_diagram(domain, sites, psi, method="brute")
-    _assert_same_cells(a, b)
-    _assert_same_neighbours(a, b)
+    _assert_matches_brute(laguerre_diagram(DiskDomain(np.zeros(2), 0.5),
+                                           sites, psi))
+
+
+def test_hull_route_keeps_centroids_on_a_nearly_flat_lift():
+    # at psi = 1e-6 |p|^2 the lift is nearly a plane: a wall facet over the
+    # collinear hull sites, tilted by rounding, would put power vertices
+    # near 6e7 and move centroids by 1.7e-9
+    sites = _chart_polygon_sites()
+    psi = 1e-6 * (sites ** 2).sum(axis=1)
+    _assert_matches_brute(laguerre_diagram(DiskDomain(np.zeros(2), 0.5),
+                                           sites, psi))
+
+
+_HEXAGON = np.array([10.0, 5.0]) + np.column_stack(
+    [np.cos(np.pi / 3 * np.arange(6)), np.sin(np.pi / 3 * np.arange(6))])
+
+
+def test_hull_route_keeps_areas_on_nearly_collinear_sites():
+    # sites spread 1e-4 across a line have power vertices 1e4 and more
+    # away unless the sentinels cut them off; a wall crossing interpolated
+    # between two of them would carry their rounding, up to 1e-11 of the
+    # domain area
+    domains = [ConvexPolygonDomain(np.array([[0.0, 0.0], [1.0, 0.1],
+                                             [0.3, 0.9]])),
+               ConvexPolygonDomain(_HEXAGON), DISK,
+               DiskDomain(np.array([0.5, -0.3]), 0.3)]
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        domain = domains[seed % 4]
+        n = int(rng.integers(3, 30))
+        u = rng.normal(size=2)
+        u /= np.hypot(*u)
+        sites = rng.normal(size=2) + np.outer(rng.normal(size=n), u) \
+            + 1e-4 * np.outer(rng.normal(size=n), [-u[1], u[0]])
+        psi = rng.normal(0.0, 0.3, size=n)
+        a = laguerre_diagram(domain, sites, psi)
+        b = laguerre_diagram(domain, sites, psi, method="brute")
+        assert np.abs(a.area - b.area).max() <= 1e-13 * domain_area(domain)
+        assert a.route == "hull"
 
 
 @pytest.mark.parametrize("domain", [DiskDomain(np.zeros(2), 0.5), SQUARE],
@@ -182,10 +212,7 @@ def test_lattice_lift_merges_coincident_power_vertices(domain):
     sites = np.array([(x, y) for x in g for y in g])
     psi = 0.5e-3 * (sites ** 2).sum(axis=1)
     a = laguerre_diagram(domain, sites, psi)
-    b = laguerre_diagram(domain, sites, psi, method="brute")
-    assert a.route == "hull"
-    _assert_same_cells(a, b)
-    _assert_same_neighbours(a, b)
+    _assert_matches_brute(a)
     inner = [c for c in a.cells if np.abs(sites[c.site_index]).max() < 0.99]
     assert inner and all(len(c.verts) == 4 for c in inner)
 
@@ -209,8 +236,8 @@ def _count_domain_clips(monkeypatch):
 def test_hull_route_clips_only_cells_that_cross_the_boundary(monkeypatch):
     from scipy.spatial import ConvexHull
     domain = DiskDomain(np.zeros(2), 0.6)
-    # every cell is nonempty, so every clipped ring crosses the boundary;
-    # the open fans are the sites' convex hull vertices
+    # every cell is nonempty, so every clipped ring crosses the boundary or
+    # reaches a sentinel, as the rings of the sites' convex hull vertices do
     sites, psi = _voronoi_like_instance(domain, 500, seed=0, reach=0.5)
     calls = _count_domain_clips(monkeypatch)
     diag = laguerre_diagram(domain, sites, psi)
@@ -233,28 +260,40 @@ def test_flat_lift_clips_only_against_hull_neighbours(monkeypatch):
     h = len(ConvexHull(target.sites).vertices)
     calls = _count_domain_clips(monkeypatch)
     diag = laguerre_diagram(domain, target.sites, np.zeros(n))
-    assert diag.route == "flat"
+    assert diag.route == "hull"
     assert len(calls) == h
     assert sum(c.is_empty for c in diag.cells) == n - h
     assert diag.total_area() == pytest.approx(domain_area(domain), rel=1e-12)
 
 
-def test_collinear_sites_take_the_brute_route():
+@pytest.mark.parametrize("domain", [SQUARE, DISK], ids=["square", "disk"])
+def test_collinear_sites_take_the_hull_route(domain):
     sites = np.column_stack([np.linspace(-1.0, 1.0, 11), np.zeros(11)])
     psi = np.random.default_rng(3).normal(0.0, 0.1, size=11)
-    diag = laguerre_diagram(SQUARE, sites, psi)
-    assert diag.route == "brute"
+    _assert_matches_brute(laguerre_diagram(domain, sites, psi))
+
+
+def test_collinear_sites_cost_no_all_pairs_clipping(monkeypatch):
+    # all-pairs bisector clipping is O(N^2) in the sites; the hull route
+    # clips each cell by the domain only
+    import hemiot.laguerre as lag
+    calls = []
+    clip = lag.clip_to_bisectors
+    monkeypatch.setattr(lag, "clip_to_bisectors",
+                        lambda *a: calls.append(1) or clip(*a))
+    sites = np.column_stack([np.linspace(-1.0, 1.0, 800), np.zeros(800)])
+    diag = laguerre_diagram(SQUARE, sites, 0.25 * sites[:, 0] ** 2)
+    assert diag.route == "hull" and not calls
+    assert diag.nonempty.sum() == 800
     assert diag.total_area() == pytest.approx(1.0, rel=1e-12)
 
 
-def test_hull_route_reports_qhull_errors():
-    # the explicit hull route on a flat lift names qhull's complaint
-    from scipy.spatial import QhullError
+def test_unknown_methods_are_rejected():
+    # "hull" is a route, not a method: "auto" takes it for two or more sites
     domain, sites, _ = _random_instance(4, n=12)
-    with pytest.raises(QhullError, match="flat"):
-        laguerre_diagram(domain, sites, np.zeros(12), method="hull")
-    with pytest.raises(ValueError, match="unknown method"):
-        laguerre_diagram(domain, sites, np.zeros(12), method="fast")
+    for method in ("hull", "fast"):
+        with pytest.raises(ValueError, match="unknown method"):
+            laguerre_diagram(domain, sites, np.zeros(12), method=method)
 
 
 def test_coplanar_lift_falls_back_cleanly():
@@ -407,8 +446,7 @@ def test_adjacency_is_mutual_for_closely_spaced_sites(domain, h, span, checker):
         for j in ns:
             assert i in nbrs[j]
     if h == 1e-3:
-        _assert_same_neighbours(diag, laguerre_diagram(domain, sites, psi,
-                                                       method="brute"))
+        _assert_matches_brute(diag)
 
 
 def test_adjacency_is_mutual():
