@@ -732,10 +732,14 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     try:
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             raw = json.load(fh)
     except FileNotFoundError:
         print(f"validation error: config: file not found: {args.config}",
+              file=sys.stderr)
+        return 2
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"validation error: config: cannot read {args.config} ({exc})",
               file=sys.stderr)
         return 2
     except json.JSONDecodeError as exc:
@@ -743,14 +747,11 @@ def main(argv=None):
               file=sys.stderr)
         return 2
 
-    if args.out is not None:
-        raw["out"] = args.out
-    if args.threads is not None:
-        raw["threads"] = args.threads
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    if args.tol is not None:
-        raw["tol"] = args.tol
+    # a config that is not an object is run's to reject, flags or not
+    if isinstance(raw, dict):
+        raw.update((key, value) for key, value in (
+            ("out", args.out), ("threads", args.threads), ("seed", args.seed),
+            ("tol", args.tol)) if value is not None)
 
     try:
         return run(raw)

@@ -11,6 +11,8 @@ import numpy as np
 
 from .geometry import (  # QuadratureError is re-exported for the CLI
     ARC,
+    ARC_EDGE,
+    SIDE,
     QuadratureError,
     _PATCH_NODES,
     _TRI_NODES,
@@ -19,8 +21,8 @@ from .geometry import (  # QuadratureError is re-exported for the CLI
     clip_to_halfplanes,
     integrate_cell,
     polygon_halfplanes,
-    ragged_cells,
     ring_area_centroid,
+    ring_next,
 )
 
 OMEGA_2 = math.pi  # Lebesgue measure of the planar unit ball
@@ -135,18 +137,30 @@ def clip_eps(domain):
 
 
 def domain_clipper(domain):
-    """Clip a straight-edged convex piece to the domain: the disk's circle,
-    or the polygon's walls ("wall", k), at the domain's clip eps."""
+    """Cut every cell of a straight-edged convex ragged array (ring, sizes,
+    labels) (see geometry.clip_halfplane) to the domain: the disk's circle,
+    or the polygon's walls, at the domain's clip eps."""
     eps = clip_eps(domain)
     if isinstance(domain, DiskDomain):
-        c, R = tuple(domain.center), domain.radius
-        return lambda verts, labels: clip_to_circle(verts, labels, c, R, eps)
+        c, R = domain.center, domain.radius
+        return lambda ring, sizes, labels: clip_to_circle(ring, sizes, labels,
+                                                          c, R, eps)
     normals, offsets = domain.edge_normals()
-    return lambda verts, labels: clip_to_halfplanes(verts, labels, normals,
-                                                    offsets, eps)
+    return lambda ring, sizes, labels: clip_to_halfplanes(
+        ring, sizes, labels, normals, offsets, eps)
 
 
-_GRID_LABELS = tuple(("grid", k) for k in range(4))
+def domain_arcs(domain, ring, sizes, labels):
+    """The arcs (cell, a, b, ("arc", center, radius)) of a ragged array cut
+    by the domain (see geometry.ragged_cells): its ARC_EDGE edges a -> b,
+    each on the domain's circle."""
+    k = np.flatnonzero(labels == ARC_EDGE)
+    if not len(k):
+        return []
+    lab = (ARC, tuple(domain.center), domain.radius)
+    cell = np.repeat(np.arange(len(sizes)), sizes)[k].tolist()
+    return [(i, ring[a], ring[b], lab)
+            for i, a, b in zip(cell, k, ring_next(sizes)[k])]
 
 
 class GridCells(NamedTuple):
@@ -163,15 +177,12 @@ class GridCells(NamedTuple):
 
 
 def grid_cells(domain, m):
-    """The m×m grid squares over the domain's bounding box, each clipped to
-    the domain, column by column, for the pieces of area above (10 eps)².
-    A square whose corners are all inside by more than eps is one the
-    clipper returns as it is, and stays rows of the corner array; a square
-    outside by more than eps is one the clipper empties, and is dropped;
-    only the rest go through the clipper. Every piece's area and centroid
-    come from one ring_area_centroid call."""
+    """The m×m grid squares over the domain's bounding box, column by
+    column, all cut to the domain in one domain_clipper call, for the pieces
+    of area above (10 eps)². Every piece's area and centroid come from one
+    ring_area_centroid call."""
     lo, hi = domain.bounding_box()
-    clip, eps = domain_clipper(domain), clip_eps(domain)
+    eps = clip_eps(domain)
     hx, hy = (hi - lo) / m
     col, row = np.divmod(np.arange(m * m), m)
     x0, y0 = lo[0] + col * hx, lo[1] + row * hy
@@ -179,28 +190,9 @@ def grid_cells(domain, m):
     # corners (S, 4, 2), counterclockwise from (x0, y0)
     v = np.stack([np.column_stack(c) for c in
                   ((x0, y0), (x1, y0), (x1, y1), (x0, y1))], axis=1)
-    whole = contains(domain, v.reshape(-1, 2), -eps).reshape(-1, 4).all(axis=1)
-    # a square outside by more than eps is one the clipper empties: its
-    # nearest point lies beyond R + eps from the disk's centre, or its four
-    # corners lie beyond one polygon wall by more than eps
-    if isinstance(domain, DiskDomain):
-        near = np.clip(domain.center, v[:, 0], v[:, 2])
-        outside = np.hypot(*(near - domain.center).T) > domain.radius + eps
-    else:
-        n, b = domain.edge_normals()
-        outside = (v @ n.T - b > eps).all(axis=1).any(axis=1)
-    v, whole = v[~outside], whole[~outside]
-    cut = np.flatnonzero(~whole).tolist()
-    clipped = [clip(list(map(tuple, v[s].tolist())), list(_GRID_LABELS))
-               for s in cut]
-    sizes = np.full(len(v), 4)
-    sizes[cut] = [len(verts) for verts, _ in clipped]
-    rows = np.repeat(whole, sizes)
-    ring = np.empty((int(sizes.sum()), 2))
-    ring[rows] = v[whole].reshape(-1, 2)
-    cut_ring, _, cut_arcs = ragged_cells(clipped)
-    ring[~rows] = cut_ring
-    arcs = [(cut[i], a, b, lab) for i, a, b, lab in cut_arcs]
+    ring, sizes, labels = domain_clipper(domain)(
+        v.reshape(-1, 2), np.full(m * m, 4), np.full(4 * m * m, SIDE))
+    arcs = domain_arcs(domain, ring, sizes, labels)
     area, centroid = ring_area_centroid(ring, sizes, arcs)
     keep = area > (10 * eps) ** 2
     index = np.cumsum(keep) - 1
@@ -294,10 +286,13 @@ def erode(domain, t):
         return DiskDomain(domain.center, r) if r > 1e-15 * domain.radius else None
     n, b = domain.edge_normals()
     scale = float(np.max(np.abs(domain.vertices))) + 1.0
-    verts, _ = clip_to_halfplanes(*domain_cell(domain), n, b - t, 1e-12 * scale)
-    if not verts:
+    v = domain.vertices
+    verts, size, _ = clip_to_halfplanes(v, np.array([len(v)]),
+                                        np.full(len(v), SIDE), n, b - t,
+                                        1e-12 * scale)
+    if not size[0]:
         return None
-    cleaned = _strictly_convex_cleanup(np.array(verts), 1e-10 * scale)
+    cleaned = _strictly_convex_cleanup(verts, 1e-10 * scale)
     if cleaned is None:
         return None
     area = cell_area_centroid(*_wall_cell(cleaned))[0]

@@ -9,12 +9,19 @@ from itertools import chain
 
 import numpy as np
 
-# Edge labels on convex cells. A cell is (verts, labels) where verts is a list of
-# (x, y) tuples in CCW order and labels[i] describes the edge verts[i] -> verts[i+1].
-# Labels: ("nbr", j) bisector against site j, ("wall", k) domain polygon edge k,
-# ("arc", center, radius) a CCW circular arc of the domain disk, ("box",) scratch.
+# A labeled convex cell, the one-cell form, is (verts, labels): verts a list
+# of (x, y) tuples in CCW order and labels[i] the label of the edge
+# verts[i] -> verts[i+1]: ("nbr", j) the bisector against site j, ("wall", k)
+# domain polygon edge k, or ("arc", center, radius) a CCW circular arc of the
+# domain disk. The clippers cut many cells at once as one ragged array
+# (ring, sizes, labels), cell after cell (see ragged_cells), with one int
+# label per edge: j >= 0 the bisector against site j, or one of the codes
+# below.
 
 ARC = "arc"
+SIDE = -1       # a side of a start piece: a box or a grid square
+ARC_EDGE = -2   # an arc of the cutting circle
+WALL = -3       # wall k of a polygon is WALL - k
 
 
 def _segment_area_moment(c, R, a, b):
@@ -102,39 +109,78 @@ def has_duplicate_points(points):
     return bool((key[1:] == key[:-1]).all(axis=1).any())
 
 
-def clip_halfplane(verts, labels, normal, offset, new_label, eps):
-    """Clip a labeled convex cell by {x : normal·x <= offset}, each crossing
-    point found from its edge's inside endpoint (to full precision however
-    far the other one lies, and the same both ways along the edge).
+def _rebuild(ring, sizes, labels, cut, rows, first, second, eps):
+    """The ragged array with each cell of the mask cut rebuilt from what the
+    edges rows (every row of those cells that emits, in ring order) emit:
+    first, then second, each a (points, labels, mask) triple with one entry
+    per row, the mask saying whether the row emits it. Consecutive
+    vertices of a rebuilt cell within eps in both coordinates merge, the
+    zero-length edge that the first one starts dropped with it, and a
+    rebuilt cell left with fewer than two vertices is empty."""
+    n = len(sizes)
+    owner = np.repeat(np.repeat(np.arange(n), sizes)[rows], 2)
+    pts = np.stack([first[0], second[0]], axis=1).reshape(-1, 2)
+    labs = np.column_stack([first[1], second[1]]).ravel()
+    on = np.column_stack([first[2], second[2]]).ravel()
+    pts, labs, owner = pts[on], labs[on], owner[on]
+    apart = (np.abs(pts - pts[ring_next(np.bincount(owner, minlength=n))])
+             > eps).any(axis=1)
+    pts, labs, owner = pts[apart], labs[apart], owner[apart]
+    count = np.bincount(owner, minlength=n)
+    live = count[owner] >= 2
+    out_sizes = np.where(cut, np.where(count >= 2, count, 0), sizes)
+    new_rows = np.repeat(cut, out_sizes)
+    kept = np.repeat(~cut, sizes)
+    out_ring = np.empty((int(out_sizes.sum()), 2))
+    out_ring[new_rows], out_ring[~new_rows] = pts[live], ring[kept]
+    out_labels = np.empty(len(out_ring), dtype=int)
+    out_labels[new_rows], out_labels[~new_rows] = labs[live], labels[kept]
+    return out_ring, out_sizes, out_labels
 
-    Returns (verts, labels) of the clipped cell; ([], []) when empty."""
-    k = len(verts)
-    if k == 0:
-        return [], []
-    nx, ny = normal
-    d = [verts[i][0] * nx + verts[i][1] * ny - offset for i in range(k)]
-    if all(di <= eps for di in d):
-        return verts, labels
-    if all(di > -eps for di in d):
-        return [], []
-    out_v, out_l = [], []
-    for i in range(k):
-        j = (i + 1) % k
-        A, B = verts[i], verts[j]
-        dA, dB = d[i], d[j]
-        ain, bin_ = dA <= eps, dB <= eps
-        if ain:
-            out_v.append(A)
-            out_l.append(labels[i])
-            if not bin_:
-                t = dA / (dA - dB)
-                out_v.append((A[0] + t * (B[0] - A[0]), A[1] + t * (B[1] - A[1])))
-                out_l.append(new_label)
-        elif bin_:
-            t = dB / (dB - dA)
-            out_v.append((B[0] + t * (A[0] - B[0]), B[1] + t * (A[1] - B[1])))
-            out_l.append(labels[i])
-    return _dedupe(out_v, out_l, eps)
+
+def clip_halfplane(ring, sizes, labels, normal, offset, new_label, eps,
+                   cells=None):
+    """Cut cells of a ragged array (ring, sizes, labels) by half-planes
+    {x : normal·x <= offset}: cell cells[k] (by default every cell, in
+    order) by normal[k] and offset[k], its new edge labelled new_label[k],
+    each broadcast over the cells cut. Each crossing point is found from its
+    edge's inside endpoint (to full precision however far the other one
+    lies, and the same both ways along the edge). A cell with every vertex
+    within eps of its half-plane is kept whole, one with every vertex
+    outside it by more than -eps is emptied, and every other one is rebuilt
+    (_rebuild); the cells not cut pass through. Returns the ragged array."""
+    n = len(sizes)
+    cells = np.arange(n) if cells is None else np.asarray(cells)
+    at = np.full(n, -1)
+    at[cells] = np.arange(len(cells))
+    normal = np.broadcast_to(normal, (len(cells), 2))
+    offset = np.broadcast_to(offset, (len(cells),))
+    new_label = np.broadcast_to(new_label, (len(cells),))
+    cell_of = np.repeat(np.arange(n), sizes)
+    rows = np.flatnonzero(at[cell_of] >= 0)
+    k = at[cell_of[rows]]
+    d = np.zeros(len(ring))
+    d[rows] = ring[rows, 0] * normal[k, 0] + ring[rows, 1] * normal[k, 1] \
+        - offset[k]
+    inside = d <= eps
+    cut = np.bincount(cell_of, ~inside, n) > 0
+    if not cut.any():
+        return ring, sizes, labels
+    empty = np.bincount(cell_of, d > -eps, n) == sizes
+    rows = np.flatnonzero(np.repeat(cut & ~empty, sizes))
+    nxt = ring_next(sizes)[rows]
+    a, b, in_a, in_b = ring[rows], ring[nxt], inside[rows], inside[nxt]
+    cross = in_a != in_b
+    near = np.where(in_a[:, None], a, b)[cross]
+    far = np.where(in_a[:, None], b, a)[cross]
+    d_near = np.where(in_a, d[rows], d[nxt])[cross]
+    d_far = np.where(in_a, d[nxt], d[rows])[cross]
+    hit = np.zeros_like(a)
+    hit[cross] = near + (d_near / (d_near - d_far))[:, None] * (far - near)
+    return _rebuild(ring, sizes, labels, cut, rows,
+                    (np.where(in_a[:, None], a, hit), labels[rows],
+                     in_a | in_b),
+                    (hit, new_label[at[cell_of[rows]]], in_a & ~in_b), eps)
 
 
 def polygon_halfplanes(verts):
@@ -147,118 +193,96 @@ def polygon_halfplanes(verts):
     return n, np.sum(n * v, axis=1)
 
 
-def clip_to_halfplanes(verts, labels, normals, offsets, eps):
-    """Clip a labeled convex cell by every {x : n_k·x <= b_k} in turn; the new
-    edges get labels ("wall", k). ([], []) once the cell is empty."""
+def clip_to_halfplanes(ring, sizes, labels, normals, offsets, eps):
+    """Cut every cell of a ragged array by each {x : n_k·x <= b_k} in turn
+    (clip_halfplane); the new edges get labels WALL - k."""
     for k, (n, b) in enumerate(zip(normals, offsets)):
-        verts, labels = clip_halfplane(verts, labels, n, b, ("wall", k), eps)
-        if not verts:
-            break
-    return verts, labels
+        ring, sizes, labels = clip_halfplane(ring, sizes, labels, n, b,
+                                             WALL - k, eps)
+    return ring, sizes, labels
 
 
-def _dedupe(verts, labels, eps):
-    """Merge consecutive near-identical vertices, dropping zero-length edges."""
-    k = len(verts)
-    if k == 0:
-        return [], []
-    out_v, out_l = [], []
-    for i in range(k):
-        j = (i + 1) % k
-        if abs(verts[i][0] - verts[j][0]) > eps or abs(verts[i][1] - verts[j][1]) > eps:
-            out_v.append(verts[i])
-            out_l.append(labels[i])
-        # else: drop vertex i; its outgoing edge had zero length
-    if len(out_v) < 2:
-        return [], []
-    return out_v, out_l
-
-
-def clip_to_circle(verts, labels, center, R, eps):
-    """Intersect a labeled convex polygon (straight edges only) with the disk
-    (center, R). Crossing edges are split and circle pieces get arc labels.
+def clip_to_circle(ring, sizes, labels, center, R, eps):
+    """Intersect every cell of a ragged array (straight edges only) with the
+    disk (center, R). A cell with every vertex inside (to a tolerance of
+    about eps R) passes through; the others are rebuilt (_rebuild): a
+    crossing edge is split and the circle pieces get label ARC_EDGE.
 
     An edge whose inside endpoint lies on the circle may leave the disk with
-    no root found (tangent there); the circle point is then that endpoint."""
-    cx, cy = center
-    k = len(verts)
-    if k == 0:
-        return [], []
-    r2 = [(verts[i][0] - cx) ** 2 + (verts[i][1] - cy) ** 2 for i in range(k)]
-    R2 = R * R
+    no root found (tangent there); the circle point is then that endpoint.
+    A cell that no edge crosses is the whole disk when it holds the centre,
+    and empty otherwise."""
+    c = np.asarray(center, dtype=float)
     tol = max(eps, 1e-14 * R) * R
-    inside = [r2[i] <= R2 + 2.0 * tol for i in range(k)]
-    if all(inside):
-        return verts, labels
-    out_v, out_l = [], []
-    any_cross = False
-    for i in range(k):
-        j = (i + 1) % k
-        A, B = verts[i], verts[j]
-        hits = [] if inside[i] and inside[j] else \
-            _segment_circle_hits(A, B, center, R)
-        if inside[i]:
-            out_v.append(A)
-            out_l.append(labels[i])
-            if not inside[j]:
-                out_v.append(hits[0] if hits else A)
-                out_l.append((ARC, (cx, cy), R))
-                any_cross = True
-        else:
-            if inside[j]:
-                q = hits[-1] if hits else B
-                out_v.append(q)
-                out_l.append(labels[i])
-                any_cross = True
-            elif len(hits) == 2:
-                # edge dips through the disk
-                out_v.append(hits[0])
-                out_l.append(labels[i])
-                out_v.append(hits[1])
-                out_l.append((ARC, (cx, cy), R))
-                any_cross = True
-    if not any_cross:
-        # either disjoint, or the disk sits inside the polygon
-        if _point_in_polygon_convex((cx, cy), verts, eps):
-            return (
-                [(cx + R, cy), (cx - R, cy)],
-                [(ARC, (cx, cy), R), (ARC, (cx, cy), R)],
-            )
-        return [], []
-    return _dedupe(out_v, out_l, eps)
+    n = len(sizes)
+    cell_of = np.repeat(np.arange(n), sizes)
+    inside = (ring[:, 0] - c[0]) ** 2 + (ring[:, 1] - c[1]) ** 2 \
+        <= R * R + 2.0 * tol
+    cut = np.bincount(cell_of, ~inside, n) > 0
+    if not cut.any():
+        return ring, sizes, labels
+    rows = np.flatnonzero(np.repeat(cut, sizes))
+    nxt = ring_next(sizes)[rows]
+    a, b, in_a, in_b = ring[rows], ring[nxt], inside[rows], inside[nxt]
+    first, last, hits = _circle_hits(a, b, c, R, ~(in_a & in_b))
+    leave, enter = in_a & ~in_b, ~in_a & in_b
+    dip = ~in_a & ~in_b & (hits == 2)
+    p0 = np.where(in_a[:, None], a, np.where(enter[:, None], last, first))
+    p1 = np.where(leave[:, None], first, last)
+    l0, l1 = labels[rows], np.full(len(rows), ARC_EDGE)
+    m0, m1 = in_a | enter | dip, leave | dip
+    # a cell that no edge crosses, and that holds the centre, is the disk:
+    # two half-disk arcs from its first row
+    owner = cell_of[rows]
+    edge = b - a
+    outside = edge[:, 0] * (c[1] - a[:, 1]) - edge[:, 1] * (c[0] - a[:, 0]) \
+        < -eps
+    disk = cut & (np.bincount(owner, leave | enter | dip, n) == 0) \
+        & (np.bincount(owner, outside, n) == 0)
+    head = np.searchsorted(rows, (np.cumsum(sizes) - sizes)[disk])
+    p0[head], p1[head] = (c[0] + R, c[1]), (c[0] - R, c[1])
+    l0[head] = ARC_EDGE
+    m0[head] = m1[head] = True
+    return _rebuild(ring, sizes, labels, cut, rows, (p0, l0, m0),
+                    (p1, l1, m1), eps)
 
 
-def _segment_circle_hits(A, B, center, R):
-    """Intersection points of segment A->B with circle (center, R), ordered
-    along the segment: from the endpoint nearer the centre, the half chord
+def _circle_hits(a, b, c, R, todo):
+    """Where each segment a -> b of the rows todo meets the circle (c, R),
+    in order along it: the first and the last point (the same one for one
+    point; a and b for none) and the number of points, 0, 1 or 2. The
+    roots are taken from the endpoint nearer the centre, the half chord
     either side of the foot of the perpendicular, with no cancellation in
     either root, so far endpoints cost no more than their own rounding."""
-    if math.dist(B, center) < math.dist(A, center):
-        return _segment_circle_hits(B, A, center, R)[::-1]
-    dx, dy = B[0] - A[0], B[1] - A[1]
-    length = math.hypot(dx, dy)
-    if length == 0.0:
-        return []
-    ux, uy = dx / length, dy / length
-    ax, ay = A[0] - center[0], A[1] - center[1]
-    s = -(ax * ux + ay * uy)                # the foot of the perpendicular
-    h2 = R * R - (ax * uy - ay * ux) ** 2
-    if h2 <= 0.0:
-        return []
-    far = s + math.copysign(math.sqrt(h2), s)
-    return [(A[0] + t * ux, A[1] + t * uy)
-            for t in sorted((far, (ax * ax + ay * ay - R * R) / far))
-            if -1e-12 * length <= t <= (1.0 + 1e-12) * length]
-
-
-def _point_in_polygon_convex(p, verts, eps):
-    k = len(verts)
-    for i in range(k):
-        j = (i + 1) % k
-        ex, ey = verts[j][0] - verts[i][0], verts[j][1] - verts[i][1]
-        if ex * (p[1] - verts[i][1]) - ey * (p[0] - verts[i][0]) < -eps:
-            return False
-    return True
+    first, last = a.copy(), b.copy()
+    hits = np.zeros(len(a), dtype=int)
+    k = np.flatnonzero(todo)
+    swap = np.hypot(*(b[k] - c).T) < np.hypot(*(a[k] - c).T)
+    near = np.where(swap[:, None], b[k], a[k])
+    step = np.where(swap[:, None], a[k], b[k]) - near
+    length = np.hypot(*step.T)
+    live = length > 0.0
+    k, swap, near, length = k[live], swap[live], near[live], length[live]
+    u = step[live] / length[:, None]
+    ax, ay = (near - c).T
+    s = -(ax * u[:, 0] + ay * u[:, 1])      # the foot of the perpendicular
+    h2 = R * R - (ax * u[:, 1] - ay * u[:, 0]) ** 2
+    live = h2 > 0.0
+    k, swap, near, length, u, s = (x[live] for x in (k, swap, near, length,
+                                                     u, s))
+    far = s + np.copysign(np.sqrt(h2[live]), s)
+    other = (ax * ax + ay * ay - R * R)[live] / far
+    ts = np.sort(np.column_stack([far, other]), axis=1)
+    ts[swap] = ts[swap, ::-1]               # in order from a to b
+    ok = (-1e-12 * length[:, None] <= ts) \
+        & (ts <= (1.0 + 1e-12) * length[:, None])
+    pts = near[:, None] + ts[..., None] * u[:, None]
+    first[k] = np.where(ok[:, :1], pts[:, 0],
+                        np.where(ok[:, 1:], pts[:, 1], first[k]))
+    last[k] = np.where(ok[:, 1:], pts[:, 1],
+                       np.where(ok[:, :1], pts[:, 0], last[k]))
+    hits[k] = ok.sum(axis=1)
+    return first, last, hits
 
 
 # ---------------------------------------------------------------------------

@@ -4,21 +4,22 @@
 # regular triangulation of the lifted sites and three sentinels that enclose
 # them (Aurenhammer 1987), cut by the domain, exactly, including
 # circular-arc boundaries on disk domains, when it reaches the boundary. The
-# cut, its tolerance and the test for a ring inside the domain are the
-# domain's own (domains.domain_clipper, clip_eps and contains); the brute
-# route and the one-site diagram cut a box around the domain by bisectors
-# (cell_cutter) and end in the same clipper. A diagram holds all its cells
-# in one ragged vertex array.
-import math
+# cut and its tolerance are the domain's own (domains.domain_clipper and
+# clip_eps), made once for all rings; the brute route and the one-site
+# diagram cut boxes around the domain by bisectors (cell_cutter) and end in
+# the same clipper. A diagram holds all its cells in one ragged vertex
+# array.
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .domains import clip_eps, contains, domain_clipper
+from .domains import DiskDomain, clip_eps, domain_arcs, domain_clipper
 from .geometry import (
     ARC,
-    cell_area_centroid,
+    ARC_EDGE,
+    SIDE,
+    WALL,
     clip_halfplane,
     clip_to_halfplanes,
     gauss_legendre,
@@ -207,7 +208,7 @@ def _rings(n, tri, across, power, eps):
     across the edge v-v2, its power vertex is a cell vertex, and the cell
     edge that leaves it lies on the bisector of v and v2. A ring vertex
     within eps (in both coordinates) of the next one is dropped with the
-    zero-length edge it starts, as geometry._dedupe does. Returns, ring
+    zero-length edge it starts, as the clippers merge vertices. Returns, ring
     after ring in site order, each vertex's site, its coordinates and the
     neighbour across the edge that leaves it."""
     corner = np.flatnonzero(tri.ravel() < n)
@@ -261,14 +262,14 @@ def laguerre_diagram(domain, sites, psi, method="auto"):
       "auto"  route "hull": the regular triangulation from the lower hull of
               the lifted sites (p, psi) and three sentinels around them
               (_with_sentinels), so that every site on it has a closed ring
-              of power vertices (_rings). A ring with every vertex inside
-              the domain by more than the clip eps is the cell as it is;
-              every other ring is cut by the domain, which removes every
-              vertex and edge that involves a sentinel. Collinear sites and
-              affine psi (psi = 0 included) take this route too.
-      "brute" a box around the domain cut by the bisectors of every other
-              site and then by the domain (cell_cutter); kept as an
-              independent oracle.
+              of power vertices (_rings). Every ring of two or more
+              vertices goes through one domain cut, which keeps a ring
+              inside the domain whole and removes every vertex and edge
+              that involves a sentinel. Collinear sites and affine psi
+              (psi = 0 included) take this route too.
+      "brute" a box around the domain for each site, cut by the bisectors
+              of every other site and then by the domain (cell_cutter);
+              kept as an independent oracle.
     One site takes brute whatever the method, so its cell is the domain
     exactly. Both routes produce the same cells."""
     if method not in ("auto", "brute"):
@@ -279,105 +280,78 @@ def laguerre_diagram(domain, sites, psi, method="auto"):
         raise ValueError("psi length mismatch")
     n = len(sites)
     if n == 1 or method == "brute":
-        cut, box = cell_cutter(domain, sites, psi), _box_piece(domain)
-        no_rings = (np.zeros(0, dtype=int), np.zeros((0, 2)),
-                    np.zeros(0, dtype=int))
-        return _assemble(domain, sites, psi, "brute", no_rings, {
-            i: cut(*box, i, [j for j in range(n) if j != i]) for i in range(n)})
-    eps = clip_eps(domain)
-    rings = _rings(n, *_regular_triangulation(
-        *_with_sentinels(domain, sites, psi)), eps)
-    ring_site, ring_verts, ring_nbr = rings
+        t = np.arange(n - 1)
+        others = t + (t >= np.arange(n)[:, None])
+        cut = cell_cutter(domain, sites, psi)(*_boxes(domain, n),
+                                               np.arange(n), others)
+        return _assemble(domain, sites, psi, "brute", *cut)
+    ring_site, ring_verts, ring_nbr = _rings(n, *_regular_triangulation(
+        *_with_sentinels(domain, sites, psi)), clip_eps(domain))
     count = np.bincount(ring_site, minlength=n)
-    inside = np.bincount(ring_site, ~contains(domain, ring_verts, -eps), n) == 0
-    fast = (count >= 2) & inside
-    clip, ends = domain_clipper(domain), np.cumsum(count)
-    cells = {}
-    for i in np.flatnonzero(~fast & (count >= 2)).tolist():
-        at = slice(ends[i] - count[i], ends[i])
-        cells[i] = clip(ring_verts[at].tolist(),
-                        [("nbr", j) for j in ring_nbr[at].tolist()])
-    taken = fast[ring_site]
-    return _assemble(domain, sites, psi, "hull",
-                     tuple(a[taken] for a in rings), cells)
+    # a ring of fewer than two vertices is an empty cell
+    closed = (count >= 2)[ring_site]
+    cut = domain_clipper(domain)(ring_verts[closed],
+                                 np.where(count >= 2, count, 0),
+                                 ring_nbr[closed])
+    return _assemble(domain, sites, psi, "hull", *cut)
 
 
-def _assemble(domain, sites, psi, route, rings, clipped):
-    """The LaguerreDiagram of the cells taken as they are, rings = (site,
-    vertex, neighbour) arrays ring after ring in site order, and of the cut
-    cells, {site: (verts, labels)}; every other cell is empty.
-    Areas and centroids are geometry.ring_area_centroid's."""
+def _assemble(domain, sites, psi, route, ring, sizes, labels):
+    """The LaguerreDiagram of the cells of a ragged array cut by the domain,
+    one per site: its bisector labels go to nbr, its arc and wall labels to
+    other_labels. Areas and centroids are geometry.ring_area_centroid's."""
     n = len(sites)
-    ring_site, ring_verts, ring_nbr = rings
-    sizes = np.bincount(ring_site, minlength=n)
-    for i, (cv, _) in clipped.items():
-        sizes[i] = len(cv)
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    V = int(offsets[-1])
-    verts = np.empty((V, 2))
-    nbr = np.full(V, -1)
-    in_ring = np.zeros(n, dtype=bool)
-    in_ring[ring_site] = True
-    rows = np.repeat(in_ring, sizes)
-    verts[rows] = ring_verts
-    nbr[rows] = ring_nbr
-    other = {}
-    for i, (cv, labels) in clipped.items():
-        s = int(offsets[i])
-        if cv:
-            verts[s:s + len(cv)] = cv
-        for k, lab in enumerate(labels, s):
-            if lab[0] == "nbr":
-                nbr[k] = lab[1]
-            else:
-                other[k] = lab
-    diagram = LaguerreDiagram(domain, sites, psi, route, verts, offsets, nbr,
-                              other, np.repeat(np.arange(n), sizes),
+    arc = (ARC, tuple(domain.center), domain.radius) \
+        if isinstance(domain, DiskDomain) else None
+    k = np.flatnonzero(labels < 0)
+    other = {e: arc if lab == ARC_EDGE else ("wall", WALL - lab)
+             for e, lab in zip(k.tolist(), labels[k].tolist())}
+    diagram = LaguerreDiagram(domain, sites, psi, route, ring,
+                              np.concatenate([[0], np.cumsum(sizes)]),
+                              np.maximum(labels, -1), other,
+                              np.repeat(np.arange(n), sizes),
                               ring_next(sizes), None, None)
-    area, centroid = ring_area_centroid(verts, sizes, diagram.arc_edges())
+    area, centroid = ring_area_centroid(ring, sizes, diagram.arc_edges())
     # an empty cell's centroid is its site
     centroid[sizes == 0] = sites[sizes == 0]
     diagram.area, diagram.centroid = area, centroid
     return diagram
 
 
-def _box_piece(domain):
-    """The domain's bounding box scaled by 1.02 about its centre, so that it
-    holds the domain strictly, as a labeled start piece."""
+def _boxes(domain, k):
+    """k copies of the domain's bounding box scaled by 1.02 about its
+    centre, so that each holds the domain strictly: a ragged array of start
+    pieces with SIDE edges."""
     lo, hi = domain.bounding_box()
     c, h = 0.5 * (lo + hi), 0.51 * (hi - lo)
-    (x0, y0), (x1, y1) = (c - h).tolist(), (c + h).tolist()
-    return [(x0, y0), (x1, y0), (x1, y1), (x0, y1)], [("box", k) for k in range(4)]
+    (x0, y0), (x1, y1) = c - h, c + h
+    return (np.tile([[x0, y0], [x1, y0], [x1, y1], [x0, y1]], (k, 1)),
+            np.full(k, 4), np.full(4 * k, SIDE))
 
 
 def cell_cutter(domain, sites, psi):
-    """cut(verts, labels, i, nbrs): the part in cell i of a labeled convex
-    start piece, cut by site i's bisectors against the sites nbrs
-    (clip_to_bisectors) and then by the domain (domain_clipper), at the
-    domain's clip eps. With every other site in nbrs and a start piece
-    that holds the domain, it is cell i itself."""
+    """cut(ring, sizes, labels, cell, nbrs): the part in cell cell[k] of
+    each convex start piece k of a ragged array, cut by the bisector
+    half-planes {x : <x, p_j - p_i> <= psi_j - psi_i} of site i = cell[k]
+    against the sites j in row k of nbrs (padded with -1), new edges
+    labelled j, and then by the domain (domain_clipper), at the domain's
+    clip eps. Pass t cuts the pieces that have a t-th neighbour, all in
+    one clip_halfplane call; each normal is scaled to unit length, so eps
+    is a distance, as on ring cells. With every other site in its row and
+    a start piece that holds the domain, a part is cell i itself."""
     eps, clip = clip_eps(domain), domain_clipper(domain)
 
-    def cut(verts, labels, i, nbrs):
-        return clip(*clip_to_bisectors(verts, labels, sites, psi, i, nbrs, eps))
+    def cut(ring, sizes, labels, cell, nbrs):
+        for t in range(nbrs.shape[1]):
+            k = np.flatnonzero(nbrs[:, t] >= 0)
+            i, j = cell[k], nbrs[k, t]
+            d = sites[j] - sites[i]
+            h = np.hypot(d[:, 0], d[:, 1])
+            ring, sizes, labels = clip_halfplane(
+                ring, sizes, labels, d / h[:, None], (psi[j] - psi[i]) / h,
+                j, eps, k)
+        return clip(ring, sizes, labels)
     return cut
-
-
-def clip_to_bisectors(verts, labels, sites, psi, i, nbrs, eps):
-    """Clip a labeled convex piece by site i's bisector half-planes
-    {x : <x, p_j - p_i> <= psi_j - psi_i} for j in nbrs, in turn; the new
-    edges get labels ("nbr", j). ([], []) once the piece is empty. Each
-    normal is scaled to unit length, so eps is a distance, as on ring cells."""
-    pi = sites[i]
-    for j in nbrs:
-        d = sites[j] - pi
-        h = math.hypot(d[0], d[1])
-        verts, labels = clip_halfplane(verts, labels, (d[0] / h, d[1] / h),
-                                       (psi[j] - psi[i]) / h, ("nbr", int(j)),
-                                       eps)
-        if not verts:
-            break
-    return verts, labels
 
 
 def compute_measures(diagram, K, tol=1e-10):
@@ -431,16 +405,16 @@ def pairwise_overlap_area(diagram, i, j):
     a, b = diagram.cells[i], diagram.cells[j]
     if a.is_empty or b.is_empty:
         return 0.0
-    eps = clip_eps(diagram.domain)
-    verts, labels = _box_piece(diagram.domain)
+    domain = diagram.domain
+    eps = clip_eps(domain)
+    piece = _boxes(domain, 1)
     for cell in (a, b):
         # unit normals, so that eps is a distance
         normals, offsets = polygon_halfplanes(cell.verts)
         straight = [lab[0] != ARC for lab in cell.labels]
-        verts, labels = clip_to_halfplanes(verts, labels, normals[straight],
-                                           offsets[straight], eps)
-    verts, labels = domain_clipper(diagram.domain)(verts, labels)
-    if not verts:
-        return 0.0
-    area, _ = cell_area_centroid(verts, labels)
-    return area
+        piece = clip_to_halfplanes(*piece, normals[straight],
+                                   offsets[straight], eps)
+    ring, sizes, labels = domain_clipper(domain)(*piece)
+    area, _ = ring_area_centroid(ring, sizes,
+                                 domain_arcs(domain, ring, sizes, labels))
+    return float(area[0])

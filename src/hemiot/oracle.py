@@ -11,8 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chart import c_exp
-from .domains import clip_eps, contains, grid_cells
-from .geometry import integrate_ring_cells, ragged_cells, ring_area_centroid
+from .domains import clip_eps, contains, domain_arcs, grid_cells
+from .geometry import SIDE, integrate_ring_cells, ring_area_centroid
 from .laguerre import cell_cutter
 from .solver import _dense_plane, solve
 
@@ -44,12 +44,6 @@ class DiscretePlan:
         for _, i, m in self.entries:
             out[i] += m
         return out
-
-    def matrix(self):
-        P = np.zeros((len(self.source_masses), len(self.target_masses)))
-        for j, i, m in self.entries:
-            P[j, i] += m
-        return P
 
 
 def _hang(rows, m, adj, pot, parent, depth, s, t):
@@ -329,37 +323,43 @@ def _cell_boxes(diagram):
     return lo, hi
 
 
+def _neighbour_table(diagram):
+    """(N, T) array: row i holds the sites across cell i's bisector edges in
+    the diagram's nbr array, sorted, padded with -1."""
+    n = len(diagram.sites)
+    k = diagram.nbr >= 0
+    i, j = np.divmod(np.unique(diagram.owner[k] * n + diagram.nbr[k]), n)
+    count = np.bincount(i, minlength=n)
+    table = np.full((n, count.max(initial=0)), -1)
+    table[i, np.arange(len(i)) - (np.cumsum(count) - count)[i]] = j
+    return table
+
+
 def _overlap_table(domain, diagram, squares, area):
     """Boolean (atoms × sites) table: True where the diagram's Laguerre cell
     i holds a positive-area part of atom j's grid piece, the part of the
     grid square squares[j] inside the domain, of area area[j]. Each part is
-    the square cut by cell i's bisectors against its neighbours (the sites
-    across its edges in the diagram's nbr array) and then by the domain
-    (laguerre.cell_cutter), the way the brute route of laguerre_diagram
-    builds cell i, so the parts of one atom tile its piece exactly; one
-    ring_area_centroid call gives every part's area. A square whose box
-    misses cell i's box (_cell_boxes) by more than the clip eps has no part
-    in cell i and is not cut."""
-    cut = cell_cutter(domain, diagram.sites, diagram.psi)
-    square_labels = [("grid", t) for t in range(4)]
-    corners = [list(map(tuple, sq)) for sq in squares.tolist()]
+    the square cut by cell i's bisectors against its neighbours
+    (_neighbour_table) and then by the domain (laguerre.cell_cutter), the
+    way the brute route of laguerre_diagram builds cell i, so the parts of
+    one atom tile its piece exactly; all parts are cut in one cutter call,
+    and one ring_area_centroid call gives every part's area. A square whose
+    box misses cell i's box (_cell_boxes) by more than the clip eps has no
+    part in cell i and is not cut."""
     eps = clip_eps(domain)
     sq_lo, sq_hi = squares.min(axis=1) - eps, squares.max(axis=1) + eps
     lo, hi = _cell_boxes(diagram)
-    parts, at = [], []
-    for i in np.flatnonzero(diagram.nonempty).tolist():
-        s, e = diagram.offsets[i], diagram.offsets[i + 1]
-        nbr = diagram.nbr[s:e]
-        nbrs = np.unique(nbr[nbr >= 0]).tolist()
-        near = ((sq_lo <= hi[i]) & (sq_hi >= lo[i])).all(axis=1)
-        for j in np.flatnonzero(near).tolist():
-            part = cut(corners[j], square_labels, i, nbrs)
-            if part[0]:
-                parts.append(part)
-                at.append((j, i))
+    live = np.flatnonzero(diagram.nonempty)
+    near = ((sq_lo[:, None] <= hi[live]) & (sq_hi[:, None] >= lo[live])) \
+        .all(axis=2)
+    cell, j = np.nonzero(near.T)
+    cell = live[cell]
+    ring, sizes, labels = cell_cutter(domain, diagram.sites, diagram.psi)(
+        squares[j].reshape(-1, 2), np.full(len(j), 4),
+        np.full(4 * len(j), SIDE), cell, _neighbour_table(diagram)[cell])
     overlap = np.zeros((len(squares), len(diagram.sites)))
-    overlap[tuple(np.array(at, dtype=int).reshape(-1, 2).T)] = \
-        ring_area_centroid(*ragged_cells(parts))[0]
+    overlap[j, cell] = ring_area_centroid(
+        ring, sizes, domain_arcs(domain, ring, sizes, labels))[0]
     return overlap > OVERLAP_SHARE * area[:, None]
 
 

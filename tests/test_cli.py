@@ -154,6 +154,25 @@ def test_missing_and_invalid_config(tmp_path, capsys):
     assert "validation error" in err
 
 
+def test_unreadable_and_non_object_configs_are_validation_errors(tmp_path,
+                                                                 capsys):
+    # a directory and bytes that are not UTF-8 cannot be read as a config
+    assert main(["--config", str(tmp_path)]) == 2
+    assert f"config: cannot read {tmp_path}" in capsys.readouterr().err
+    raw = tmp_path / "latin1.json"
+    raw.write_bytes(b'{"command": "solve", "note": "\xe9"}')
+    assert main(["--config", str(raw)]) == 2
+    assert f"config: cannot read {raw}" in capsys.readouterr().err
+    # an array or a string is no config, with or without a flag
+    flags = [[], ["--out", str(tmp_path / "o")], ["--seed", "3"],
+             ["--tol", "1e-6"], ["--threads", "2"]]
+    for name, doc in (("list.json", [SOLVE_DOC]), ("str.json", "solve")):
+        for extra in flags:
+            assert main(["--config", _write(tmp_path, name, doc)]
+                        + extra) == 2
+            assert "config: expected a JSON object" in capsys.readouterr().err
+
+
 def test_validation_exit_codes(tmp_path):
     dup = dict(SOLVE_DOC,
                target={"kind": "explicit",

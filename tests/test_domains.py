@@ -17,6 +17,7 @@ from hemiot.domains import (
     contains,
     d0_threshold,
     distance_to_boundary,
+    domain_arcs,
     domain_area,
     domain_clipper,
     erode,
@@ -30,10 +31,10 @@ from hemiot.domains import (
     unit_ball_volume,
 )
 from hemiot.chart import HemispherePoint
-from hemiot.geometry import ARC, cell_area_centroid
+from hemiot.geometry import ARC, ARC_EDGE, ring_area_centroid
 from hemiot.targets import DiscreteTarget, full_hemisphere
 
-from .ragged import cell_list
+from .ragged import cell_list, pieces
 
 UNIT_SQUARE = ConvexPolygonDomain(np.array([[-0.5, -0.5], [0.5, -0.5],
                                             [0.5, 0.5], [-0.5, 0.5]]))
@@ -95,12 +96,13 @@ def _clipped_squares(domain, m):
             x0, y0 = lo[0] + i * hx, lo[1] + j * hy
             square = [(x0, y0), (x0 + hx, y0), (x0 + hx, y0 + hy),
                       (x0, y0 + hy)]
-            verts, labels = clip(square, [("grid", k) for k in range(4)])
-            if not verts:
-                continue
-            area, cen = cell_area_centroid(verts, labels)
-            if area > (10 * eps) ** 2:
-                out.append((square, verts, labels, area, cen))
+            ring, sizes, labels = clip(*pieces(square))
+            area, cen = ring_area_centroid(
+                ring, sizes, domain_arcs(domain, ring, sizes, labels))
+            if area[0] > (10 * eps) ** 2:
+                out.append((square, ring.tolist(),
+                            np.flatnonzero(labels == ARC_EDGE).tolist(),
+                            area[0], cen[0]))
     return out
 
 
@@ -111,22 +113,22 @@ def _clipped_squares(domain, m):
 ], ids=["disk", "polygon"])
 @pytest.mark.parametrize("m", [1, 2, 15, 44])
 def test_grid_cells_match_clipping_every_square(domain, m):
-    # whole squares skip the clipper; every piece is still the clipper's,
-    # in the same order, with the same vertices, arcs, area and centroid
-    # bits
+    # all squares are cut in one call; every piece is still the one of
+    # cutting its square alone, in the same order, with the same vertices,
+    # arcs, area and centroid bits, and the pieces tile the domain
     grid, ref = grid_cells(domain, m), _clipped_squares(domain, m)
     cells = cell_list(grid.ring, grid.sizes, grid.arcs)
     assert len(cells) == len(grid.area) == len(grid.squares) == len(ref)
     assert bool(grid.arcs) == isinstance(domain, DiskDomain)
     for k, ((verts, labels), want) in enumerate(zip(cells, ref)):
-        square, want_verts, want_labels, area, centroid = want
+        square, want_verts, want_arcs, area, centroid = want
         assert list(map(tuple, grid.squares[k].tolist())) == square
-        assert verts == want_verts
-        assert [(e, lab) for e, lab in enumerate(labels) if lab[0] == ARC] \
-            == [(e, lab) for e, lab in enumerate(want_labels)
-                if lab[0] == ARC]
+        assert list(map(list, verts)) == want_verts
+        assert [e for e, lab in enumerate(labels) if lab[0] == ARC] \
+            == want_arcs
         assert grid.area[k] == area
         assert np.array_equal(grid.centroid[k], centroid)
+    assert grid.area.sum() == pytest.approx(domain_area(domain), rel=1e-13)
 
 
 def test_inradius_point_and_erode():

@@ -4,19 +4,23 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from hemiot.domains import ConvexPolygonDomain, DiskDomain, grid_cells
+from hemiot.domains import (ConvexPolygonDomain, DiskDomain, domain_arcs,
+                            grid_cells)
 from hemiot.geometry import (
     ARC,
+    ARC_EDGE,
+    WALL,
     cell_area_centroid,
     clip_halfplane,
     clip_to_circle,
     gauss_legendre,
     integrate_cell,
+    integrate_ring_cells,
     ragged_cells,
     ring_area_centroid,
 )
 
-from .ragged import cell_list
+from .ragged import cell_list, pieces
 
 SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 SQ_LABELS = [("wall", i) for i in range(4)]
@@ -117,39 +121,92 @@ def test_solved_disk_diagram_cells_are_the_shoelace_bit_for_bit():
     _assert_matches_shoelace(cells, diagram.area, diagram.centroid)
 
 
+def _disk_area_centroid(cut, center, R):
+    # ring_area_centroid of a ragged array cut by the disk (center, R)
+    arcs = domain_arcs(DiskDomain(np.asarray(center), R), *cut)
+    return ring_area_centroid(*cut[:2], arcs)
+
+
 def test_clip_halfplane_splits_square():
-    v, lab = clip_halfplane(SQUARE, SQ_LABELS, np.array([1.0, 0.0]), 0.5,
-                            ("nbr", 7), 1e-12)
-    area, cen = cell_area_centroid(v, lab)
-    assert area == pytest.approx(0.5, abs=1e-14)
-    assert cen[0] == pytest.approx(0.25, abs=1e-14)
-    assert any(l == ("nbr", 7) for l in lab)
+    ring, sizes, labels = clip_halfplane(
+        np.array(SQUARE), np.array([4]), WALL - np.arange(4), np.array([1.0, 0.0]), 0.5,
+        7, 1e-12)
+    area, cen = ring_area_centroid(ring, sizes, [])
+    assert area[0] == pytest.approx(0.5, abs=1e-14)
+    assert cen[0, 0] == pytest.approx(0.25, abs=1e-14)
+    assert 7 in labels.tolist()
 
 
 def test_clip_halfplane_can_empty_the_cell():
-    v, lab = clip_halfplane(SQUARE, SQ_LABELS, np.array([1.0, 0.0]), -0.5,
-                            ("nbr", 0), 1e-12)
-    assert len(v) < 3
+    ring, sizes, labels = clip_halfplane(
+        np.array(SQUARE), np.array([4]), WALL - np.arange(4), np.array([1.0, 0.0]),
+        -0.5, 0, 1e-12)
+    assert sizes.tolist() == [0] and len(ring) == len(labels) == 0
+
+
+def _random_convex_cells(rng, count):
+    # convex polygons of 3 to 9 vertices: points on circles of random
+    # centre and radius, in CCW order
+    cells = []
+    for _ in range(count):
+        t = np.sort(rng.uniform(0.0, 2.0 * math.pi, int(rng.integers(3, 10))))
+        cells.append(rng.normal(0.0, 1.0, 2) + rng.uniform(0.1, 3.0)
+                     * np.column_stack([np.cos(t), np.sin(t)]))
+    return cells
+
+
+@pytest.mark.parametrize("near_vertex", [False, True],
+                         ids=["random", "near-vertex"])
+def test_clip_halfplane_halves_add_up_to_the_cell(near_vertex):
+    # the parts of each cell on either side of its own line H, cut in one
+    # call per side, have areas that sum to the cell's; the cells not
+    # chosen pass through as they are
+    rng = np.random.default_rng(11)
+    cells = _random_convex_cells(rng, 400)
+    ring, sizes, labels = pieces(*cells)
+    normal = rng.normal(size=(len(cells), 2))
+    normal /= np.hypot(*normal.T)[:, None]
+    if near_vertex:
+        at = [v[rng.integers(len(v))] for v in cells]
+        offset = np.einsum("ij,ij->i", at, normal) \
+            + rng.choice([-1e-13, 0.0, 1e-13], len(cells))
+    else:
+        offset = rng.normal(0.0, 1.0, len(cells))
+    whole = ring_area_centroid(ring, sizes, [])[0]
+    chosen = np.flatnonzero(rng.random(len(cells)) < 0.8)
+    side = [clip_halfplane(ring, sizes, labels, s * normal[chosen],
+                           s * offset[chosen], 5, 1e-12, chosen)
+            for s in (1.0, -1.0)]
+    halves = [ring_area_centroid(*cut[:2], [])[0] for cut in side]
+    assert np.allclose((halves[0] + halves[1])[chosen], whole[chosen],
+                       rtol=0.0, atol=1e-12 * whole.max())
+    rest = np.ones(len(cells), dtype=bool)
+    rest[chosen] = False
+    for cut in side:
+        assert np.array_equal(cut[1][rest], sizes[rest])
+        assert np.array_equal(cut[0][np.repeat(rest, cut[1])],
+                              ring[np.repeat(rest, sizes)])
+        assert set(cut[2].tolist()) <= {5, labels[0]}
 
 
 def test_clip_to_circle_inscribed():
-    big = [(-2.0, -2.0), (2.0, -2.0), (2.0, 2.0), (-2.0, 2.0)]
-    labels = [("box", i) for i in range(4)]
-    v, lab = clip_to_circle(big, labels, (0.0, 0.0), 1.0, 1e-12)
-    area, cen = cell_area_centroid(v, lab)
-    assert area == pytest.approx(math.pi, rel=1e-12)
-    assert np.allclose(cen, 0.0, atol=1e-12)
+    cut = clip_to_circle(*pieces([(-2.0, -2.0), (2.0, -2.0), (2.0, 2.0),
+                                  (-2.0, 2.0)]), (0.0, 0.0), 1.0, 1e-12)
+    area, cen = _disk_area_centroid(cut, (0.0, 0.0), 1.0)
+    assert cut[2].tolist() == [ARC_EDGE, ARC_EDGE]
+    assert area[0] == pytest.approx(math.pi, rel=1e-12)
+    assert np.allclose(cen[0], 0.0, atol=1e-12)
 
 
 def test_clip_to_circle_half_disk():
-    v, lab = clip_halfplane([(-2.0, -2.0), (2.0, -2.0), (2.0, 2.0), (-2.0, 2.0)],
-                            [("box", i) for i in range(4)],
-                            np.array([1.0, 0.0]), 0.0, ("nbr", 1), 1e-12)
-    v, lab = clip_to_circle(v, lab, (0.0, 0.0), 1.0, 1e-12)
-    area, cen = cell_area_centroid(v, lab)
-    assert area == pytest.approx(math.pi / 2.0, rel=1e-12)
+    cut = clip_halfplane(*pieces([(-2.0, -2.0), (2.0, -2.0), (2.0, 2.0),
+                                  (-2.0, 2.0)]),
+                         np.array([1.0, 0.0]), 0.0, 1, 1e-12)
+    cut = clip_to_circle(*cut, (0.0, 0.0), 1.0, 1e-12)
+    area, cen = _disk_area_centroid(cut, (0.0, 0.0), 1.0)
+    assert area[0] == pytest.approx(math.pi / 2.0, rel=1e-12)
     # centroid of a half disk sits 4R/(3pi) from the diameter
-    assert cen[0] == pytest.approx(-4.0 / (3.0 * math.pi), rel=1e-10)
+    assert cen[0, 0] == pytest.approx(-4.0 / (3.0 * math.pi), rel=1e-10)
 
 
 @pytest.mark.parametrize("x0", [-0.04, 0.0])
@@ -157,13 +214,13 @@ def test_clip_to_circle_tangent_edge_at_a_circle_vertex(x0):
     # the vertex (0, 0.6) lies on the circle and the top edge is tangent
     # there, so the edge leaves (or enters) the disk with no root found
     piece = [(x0, 0.52), (x0 + 0.04, 0.52), (x0 + 0.04, 0.6), (x0, 0.6)]
-    v, lab = clip_to_circle(piece, [("grid", i) for i in range(4)],
-                            (0.0, 0.0), 0.6, 1.2e-12)
-    area, _ = cell_area_centroid(v, lab)
+    cut = clip_to_circle(*pieces(piece), (0.0, 0.0), 0.6, 1.2e-12)
+    area, _ = _disk_area_centroid(cut, (0.0, 0.0), 0.6)
     exact, _ = quad(lambda x: math.sqrt(0.36 - x * x) - 0.52, x0, x0 + 0.04,
                     epsabs=1e-16, epsrel=1e-14)
-    assert area == pytest.approx(exact, rel=1e-12)
-    assert all(x * x + y * y <= 0.36 * (1.0 + 1e-12) for x, y in v)
+    assert area[0] == pytest.approx(exact, rel=1e-12)
+    assert all(x * x + y * y <= 0.36 * (1.0 + 1e-12)
+               for x, y in cut[0].tolist())
 
 
 def test_gauss_legendre_degree():
@@ -187,10 +244,11 @@ def test_integrate_cell_smooth_vs_closed_form():
 
 
 def test_integrate_cell_on_disk_matches_radial_closed_form():
-    big = [(-1.5, -1.5), (1.5, -1.5), (1.5, 1.5), (-1.5, 1.5)]
-    v, lab = clip_to_circle(big, [("box", i) for i in range(4)],
-                            (0.0, 0.0), 1.0, 1e-12)
+    cut = clip_to_circle(*pieces([(-1.5, -1.5), (1.5, -1.5), (1.5, 1.5),
+                                  (-1.5, 1.5)]), (0.0, 0.0), 1.0, 1e-12)
     dens = lambda p: (1.0 + (p ** 2).sum(axis=1)) ** -2
-    out = integrate_cell(v, lab, dens, tol=1e-11)
+    out = integrate_ring_cells(
+        *cut[:2], domain_arcs(DiskDomain(np.zeros(2), 1.0), *cut), dens,
+        tol=1e-11)[0]
     # mass of the chart density inside radius r is pi r^2/(1+r^2)
     assert out[0] == pytest.approx(math.pi / 2.0, rel=1e-9)

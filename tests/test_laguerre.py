@@ -218,18 +218,31 @@ def test_lattice_lift_merges_coincident_power_vertices(domain):
 
 
 def _count_domain_clips(monkeypatch):
-    """Patch laguerre's domain clipper to record each piece it clips."""
+    """Patch laguerre's domain clipper to record, for each cut, the cells
+    it does not keep whole (a changed size or a changed vertex), and its
+    cell cutter to record each call, which the hull route must not make."""
     import hemiot.laguerre as lag
-    make, calls = lag.domain_clipper, []
+    make, make_cutter, calls = lag.domain_clipper, lag.cell_cutter, []
 
     def counted(domain):
         clip = make(domain)
 
-        def count(verts, labels):
-            calls.append(1)
-            return clip(verts, labels)
+        def count(ring, sizes, labels):
+            out = clip(ring, sizes, labels)
+            whole = out[1] == sizes
+            moved = (ring[np.repeat(whole, sizes)]
+                     != out[0][np.repeat(whole, out[1])]).any(axis=1)
+            owner = np.repeat(np.flatnonzero(whole), sizes[whole])
+            whole[owner[moved]] = False
+            calls.append(int((~whole).sum()))
+            return out
         return count
+
+    def no_cutter(*args):
+        calls.append("cell_cutter")
+        return make_cutter(*args)
     monkeypatch.setattr(lag, "domain_clipper", counted)
+    monkeypatch.setattr(lag, "cell_cutter", no_cutter)
     return calls
 
 
@@ -246,7 +259,7 @@ def test_hull_route_clips_only_cells_that_cross_the_boundary(monkeypatch):
     crossing = sum(any(lab[0] != "nbr" for lab in c.labels) for c in diag.cells)
     bound = crossing + len(ConvexHull(sites).vertices)
     assert bound < 0.4 * len(sites)
-    assert crossing <= len(calls) <= bound
+    assert len(calls) == 1 and crossing <= calls[0] <= bound
     assert diag.total_area() == pytest.approx(domain_area(domain), rel=1e-12)
 
 
@@ -261,7 +274,7 @@ def test_flat_lift_clips_only_against_hull_neighbours(monkeypatch):
     calls = _count_domain_clips(monkeypatch)
     diag = laguerre_diagram(domain, target.sites, np.zeros(n))
     assert diag.route == "hull"
-    assert len(calls) == h
+    assert calls == [h]
     assert sum(c.is_empty for c in diag.cells) == n - h
     assert diag.total_area() == pytest.approx(domain_area(domain), rel=1e-12)
 
@@ -275,15 +288,12 @@ def test_collinear_sites_take_the_hull_route(domain):
 
 def test_collinear_sites_cost_no_all_pairs_clipping(monkeypatch):
     # all-pairs bisector clipping is O(N^2) in the sites; the hull route
-    # clips each cell by the domain only
-    import hemiot.laguerre as lag
-    calls = []
-    clip = lag.clip_to_bisectors
-    monkeypatch.setattr(lag, "clip_to_bisectors",
-                        lambda *a: calls.append(1) or clip(*a))
+    # cuts its rings by the domain only, with no cell cutter
+    calls = _count_domain_clips(monkeypatch)
     sites = np.column_stack([np.linspace(-1.0, 1.0, 800), np.zeros(800)])
     diag = laguerre_diagram(SQUARE, sites, 0.25 * sites[:, 0] ** 2)
-    assert diag.route == "hull" and not calls
+    assert diag.route == "hull" and len(calls) == 1
+    assert "cell_cutter" not in calls
     assert diag.nonempty.sum() == 800
     assert diag.total_area() == pytest.approx(1.0, rel=1e-12)
 

@@ -16,6 +16,8 @@ from hemiot.oracle import (DiscretePlan, _grid_atoms, _overlap_agreement,
 from hemiot.solver import solve
 from hemiot.targets import DiscreteTarget, chart_disk, discretize
 
+from .ragged import pieces
+
 SQUARE = ConvexPolygonDomain(np.array([[-0.5, -0.5], [0.5, -0.5],
                                        [0.5, 0.5], [-0.5, 0.5]]))
 
@@ -322,22 +324,23 @@ def test_overlap_agreement_rejects_wrong_partitions():
 def _all_pairs_table(domain, sol, squares, atom_area):
     # the overlap table with every atom's square cut against every nonempty
     # cell, each with the neighbours its LaguerreCell lists
-    from hemiot.geometry import ragged_cells, ring_area_centroid
+    from hemiot.domains import domain_arcs
+    from hemiot.geometry import ring_area_centroid
     from hemiot.laguerre import cell_cutter
     from hemiot.oracle import OVERLAP_SHARE
-    cut = cell_cutter(domain, sol.diagram.sites, sol.diagram.psi)
-    labels = [("grid", t) for t in range(4)]
-    parts, at = [], []
-    for cell in sol.diagram.cells:
-        for j, square in enumerate(squares.tolist()):
-            part = ([], []) if cell.is_empty else cut(
-                list(map(tuple, square)), labels, cell.site_index,
-                cell.neighbors)
-            if part[0]:
-                parts.append(part)
-                at.append((j, cell.site_index))
+    cells = [c for c in sol.diagram.cells if not c.is_empty]
+    nbrs = np.full((len(cells), max(len(c.neighbors) for c in cells)), -1)
+    for row, c in zip(nbrs, cells):
+        row[:len(c.neighbors)] = c.neighbors
+    cell = np.repeat([c.site_index for c in cells], len(squares))
+    ring, sizes, labels = cell_cutter(domain, sol.diagram.sites,
+                                      sol.diagram.psi)(
+        *pieces(*np.tile(squares, (len(cells), 1, 1))), cell,
+        np.repeat(nbrs, len(squares), axis=0))
     area = np.zeros((len(squares), len(sol.sites)))
-    area[tuple(np.array(at).T)] = ring_area_centroid(*ragged_cells(parts))[0]
+    area[np.tile(np.arange(len(squares)), len(cells)), cell] = \
+        ring_area_centroid(ring, sizes,
+                           domain_arcs(domain, ring, sizes, labels))[0]
     return area > OVERLAP_SHARE * atom_area[:, None]
 
 
@@ -362,8 +365,9 @@ def test_overlap_table_box_test_keeps_the_all_pairs_table(monkeypatch, domain,
 
     def counted(*args):
         cut = cutter(*args)
-        return lambda *piece: cuts.append(piece[2]) or cut(*piece)
+        return lambda *parts: cuts.append(len(parts[1])) or cut(*parts)
     monkeypatch.setattr(oracle, "cell_cutter", counted)
     table = oracle._overlap_table(domain, sol.diagram, squares, area)
     assert np.array_equal(table, _all_pairs_table(domain, sol, squares, area))
-    assert 0 < len(cuts) <= 0.2 * len(squares) * sol.diagram.nonempty.sum()
+    assert len(cuts) == 1
+    assert 0 < cuts[0] <= 0.2 * len(squares) * sol.diagram.nonempty.sum()

@@ -10,11 +10,13 @@ import pytest
 from hemiot import domains, geometry
 from hemiot.cli import ConfigError, run
 from hemiot.domains import (ConvexPolygonDomain, DiskDomain, SourceDensity,
-                            total_mass)
+                            domain_arcs, total_mass)
 from hemiot.geometry import (QuadratureError, arc_patch, clip_to_circle,
                              integrate_cell, integrate_panels,
                              integrate_ring_cells, ragged_cells)
 from hemiot.laguerre import compute_measures, laguerre_diagram
+
+from .ragged import pieces
 
 X0 = np.array([0.31, 0.17])
 SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
@@ -51,11 +53,11 @@ def test_triangles_and_patches_integrate_the_same_disk():
 
 
 def test_same_cell_gives_identical_bytes():
-    big = [(-1.5, -1.5), (1.5, -1.5), (1.5, 1.5), (-1.5, 1.5)]
-    v, lab = clip_to_circle(big, [("box", i) for i in range(4)],
-                            (0.0, 0.0), 1.0, 1e-12)
-    a = integrate_cell(v, lab, _smooth, tol=1e-11)
-    b = integrate_cell(v, lab, _smooth, tol=1e-11)
+    cut = clip_to_circle(*pieces([(-1.5, -1.5), (1.5, -1.5), (1.5, 1.5),
+                                  (-1.5, 1.5)]), (0.0, 0.0), 1.0, 1e-12)
+    cell = (*cut[:2], domain_arcs(DiskDomain(np.zeros(2), 1.0), *cut))
+    a = integrate_ring_cells(*cell, _smooth, tol=1e-11)
+    b = integrate_ring_cells(*cell, _smooth, tol=1e-11)
     assert a.tobytes() == b.tobytes()
 
 
