@@ -422,9 +422,12 @@ def _cmd_solve(cfg, out):
 
 def _cmd_export(cfg, out):
     sol, verdicts, meas, times = _solve_instance(cfg, out)
+    cells, sizes, ring = _cell_rings(sol.diagram)
+    ends = np.cumsum(sizes).tolist()
     write_csv(os.path.join(out, "cells.csv"), ("site", "k", "x1", "x2"),
-              ((i, k, x, y) for i, ring in _cell_rings(sol.diagram)
-               for k, (x, y) in enumerate(ring.tolist())))
+              ((i, k, x, y) for i, e, m in zip(cells.tolist(), ends,
+                                               sizes.tolist())
+               for k, (x, y) in enumerate(ring[e - m:e].tolist())))
     verdicts = {"converged": verdicts["converged"]}
     return verdicts, meas, times
 

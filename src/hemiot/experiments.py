@@ -11,7 +11,8 @@ from .chart import c_exp
 from .domains import (DiskDomain, boundary_geometry, constant_density,
                       d0_threshold, lambda_constant, make_cone_spec,
                       total_mass, unit_ball_volume)
-from .solver import active_site, potential, solve, supporting_plane
+from .solver import (_EVAL_BLOCK, active_site, potential, solve,
+                     supporting_plane)
 from .targets import (chart_disk, discretize, full_hemisphere,
                       truncation_radius_for)
 
@@ -24,7 +25,7 @@ class SphereBenchmarkReport:
     sample_header = ("x1", "x2", "p1_num", "p2_num", "p1_true", "p2_true")
     r: float
     n_sites: int
-    site_spacing: float
+    site_spacing: float | None  # None for fewer than two sites
     grad_error: float          # sup |p_num - x/sqrt(1-|x|^2)|
     height_error: float        # sup |u_num - u_true| after matching at the center
     cap_excess: float          # max image height above the cap plane
@@ -36,7 +37,10 @@ class SphereBenchmarkReport:
 
 
 def site_spacing(sites):
-    """Largest distance from a site to its nearest other site."""
+    """Largest distance from a site to its nearest other site; None for
+    fewer than two sites, which have no spacing."""
+    if len(sites) < 2:
+        return None
     from scipy.spatial import cKDTree
     dist, _ = cKDTree(sites).query(sites, k=2)
     return float(dist[:, 1].max())
@@ -47,6 +51,8 @@ def sphere_benchmark(r, N, tol=1e-6, max_iter=50, n_eval=20000, seed=0):
     from its curvature data and report sup-norm errors."""
     if not 0 < r < 1:
         raise ValueError("r must lie in (0, 1)")
+    if n_eval < 1:
+        raise ValueError("n_eval must be at least 1: the sups need a sample")
     dom = DiskDomain(np.zeros(2), float(r))
     K = constant_density(1.0)
     s = r / math.sqrt(1.0 - r * r)
@@ -58,17 +64,25 @@ def sphere_benchmark(r, N, tol=1e-6, max_iter=50, n_eval=20000, seed=0):
     rng = np.random.default_rng(seed)
     u = rng.uniform(0.0, 1.0, n_eval)
     ang = rng.uniform(0.0, 2.0 * math.pi, n_eval)
-    rad = r * 0.999 * np.sqrt(u)
-    pts = np.column_stack([rad * np.cos(ang), rad * np.sin(ang)])
-    idx, u_num = supporting_plane(sol, pts)
-    p_num = target.sites[idx]
-    denom = np.sqrt(1.0 - (pts ** 2).sum(axis=1))
-    p_true = pts / denom[:, None]
-    grad_error = float(np.linalg.norm(p_num - p_true, axis=1).max())
-
-    u_true = -denom
     shift = -1.0 - potential(sol, np.zeros(2))
-    height_error = float(np.abs(u_num + shift - u_true).max())
+    # the sample rows and the error sups, _EVAL_BLOCK points at a time: the
+    # blocks are the locator's own, so each point is located as in one call
+    samples = np.empty((n_eval, 6))
+    grad_error = height_error = 0.0
+    for s in range(0, n_eval, _EVAL_BLOCK):
+        rows = samples[s:s + _EVAL_BLOCK]
+        rad = r * 0.999 * np.sqrt(u[s:s + _EVAL_BLOCK])
+        a = ang[s:s + _EVAL_BLOCK]
+        pts, p_num, p_true = rows[:, :2], rows[:, 2:4], rows[:, 4:]
+        pts[:, 0], pts[:, 1] = rad * np.cos(a), rad * np.sin(a)
+        idx, u_num = supporting_plane(sol, pts)
+        p_num[:] = target.sites[idx]
+        denom = np.sqrt(1.0 - (pts ** 2).sum(axis=1))
+        np.divide(pts, denom[:, None], out=p_true)
+        grad_error = max(grad_error, float(
+            np.linalg.norm(p_num - p_true, axis=1).max()))
+        height_error = max(height_error, float(
+            np.abs(u_num + shift + denom).max()))
 
     spacing = site_spacing(target.sites)
 
@@ -79,8 +93,7 @@ def sphere_benchmark(r, N, tol=1e-6, max_iter=50, n_eval=20000, seed=0):
     rep = SphereBenchmarkReport(
         float(r), len(target), spacing, grad_error, height_error, cap_excess,
         sol.report.final_residual, sol.report.iterations,
-        sol.report.converged, sol.report.runtime,
-        np.column_stack([pts, p_num, p_true]))
+        sol.report.converged, sol.report.runtime, samples)
     return rep, sol
 
 

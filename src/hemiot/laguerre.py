@@ -112,18 +112,38 @@ class LaguerreDiagram:
         return _sorted_pairs(i, j, len(self.sites))[0]
 
     def is_connected(self):
-        from scipy import sparse
-        from scipy.sparse.csgraph import connected_components
-
-        n = len(self.sites)
+        """Whether the nonempty cells form one component of the graph of
+        adjacency_edges()."""
         live = self.nonempty
         if live.sum() <= 1:
             return True
-        pairs = self.adjacency_edges()
-        graph = sparse.coo_matrix((np.ones(len(pairs)), tuple(pairs.T)),
-                                  shape=(n, n))
-        _, comp = connected_components(graph, directed=False)
-        return len(np.unique(comp[live])) == 1
+        comp = component_labels(len(self.sites), self.adjacency_edges())[live]
+        return bool((comp == comp[0]).all())
+
+
+def component_labels(n, pairs):
+    """Each of the n nodes' smallest node index in its connected component
+    of the undirected graph with edges pairs, an (E, 2) int array: hooking
+    and pointer jumping (Shiloach and Vishkin 1982). Each round hooks every
+    root onto the smallest root across its edges, so that a node's parent
+    never exceeds it, and then jumps pointers until every node points at a
+    root. A round that finds an edge between two roots hooks at least one
+    of them, so the rounds end; the minimum of a component is the root
+    that every node of it reaches."""
+    parent = np.arange(n)
+    i, j = np.asarray(pairs, dtype=np.intp).T
+    while True:
+        ri, rj = parent[i], parent[j]
+        cross = ri != rj
+        if not cross.any():
+            return parent
+        lo, hi = np.minimum(ri, rj)[cross], np.maximum(ri, rj)[cross]
+        np.minimum.at(parent, hi, lo)
+        while True:
+            up = parent[parent]
+            if (up == parent).all():
+                break
+            parent = up
 
 
 def _sorted_pairs(i, j, n):

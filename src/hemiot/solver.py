@@ -5,6 +5,7 @@ import math
 import time
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
@@ -370,72 +371,105 @@ def gauss_map(solution, x):
 
 
 def _cell_rings(diagram, max_step=2.0 * math.pi / 256):
-    """(site, (k, 2) array of boundary points) of every nonempty cell in
-    site order, read off the diagram's ragged arrays, with arc edges cut
-    into chords."""
-    arcs = {k: lab for k, lab in diagram.other_labels.items() if lab[0] == ARC}
-    with_arcs = set(diagram.owner[list(arcs)].tolist())
-    off = diagram.offsets.tolist()
-    for i in np.flatnonzero(diagram.nonempty).tolist():
-        s, e = off[i], off[i + 1]
-        if i not in with_arcs:
-            yield i, diagram.verts[s:e]
+    """(cells, sizes, points): the boundaries of the nonempty cells, in site
+    order, as one ragged array; cell cells[c] owns the sizes[c] points after
+    those of the cells before it. Each arc edge is cut into chords of at
+    most max_step radians, its chord points after its start vertex; they
+    are computed one arc at a time with math's atan2, cos and sin."""
+    arcs, counts, chords = [], [], []
+    for k, lab in diagram.other_labels.items():
+        if lab[0] != ARC:
             continue
-        verts = diagram.verts[s:e].tolist()
-        ring = []
-        for k, a in enumerate(verts, s):
-            ring.append(a)
-            if k not in arcs:
-                continue
-            b = verts[(k + 1 - s) % (e - s)]
-            (cx, cy), r = arcs[k][1], arcs[k][2]
-            a0 = math.atan2(a[1] - cy, a[0] - cx)
-            a1 = math.atan2(b[1] - cy, b[0] - cx)
-            sweep = (a1 - a0) % (2.0 * math.pi)
-            n = int(sweep / max_step) + 1
-            for step in range(1, n):
-                t = a0 + sweep * step / n
-                ring.append((cx + r * math.cos(t), cy + r * math.sin(t)))
-        yield i, np.array(ring)
+        a, b = diagram.verts[[k, diagram.nxt[k]]].tolist()
+        (cx, cy), r = lab[1], lab[2]
+        a0 = math.atan2(a[1] - cy, a[0] - cx)
+        a1 = math.atan2(b[1] - cy, b[0] - cx)
+        sweep = (a1 - a0) % (2.0 * math.pi)
+        n = int(sweep / max_step) + 1
+        for step in range(1, n):
+            t = a0 + sweep * step / n
+            chords.append((cx + r * math.cos(t), cy + r * math.sin(t)))
+        arcs.append(k)
+        counts.append(n - 1)
+    arcs = np.array(arcs, dtype=np.intp)
+    points = np.insert(diagram.verts, np.repeat(arcs + 1, counts),
+                       np.reshape(chords, (-1, 2)), axis=0)
+    sizes = diagram.sizes
+    np.add.at(sizes, diagram.owner[arcs], counts)
+    live = diagram.nonempty
+    if not live.all():
+        points = points[np.repeat(live, sizes)]
+    return np.flatnonzero(live), sizes[live], points
+
+
+def _first_seen_ids(rows):
+    """(ids, first) for an (m, k) array: ids[r] numbers row r's value from
+    1 in order of first appearance, and first lists the row where each
+    value first appears, in that order. Rows are equal when their entries
+    compare equal, so -0.0 and 0.0 are one value, as they are one dict
+    key. A stable sort of the rows puts each value's first row first."""
+    perm = np.lexsort(rows.T[::-1])
+    new = np.zeros(len(rows), dtype=bool)
+    new[:1] = True
+    for col in rows.T:
+        col = col[perm]
+        new[1:] |= col[1:] != col[:-1]
+    first = perm[new]
+    order = np.argsort(first)
+    rank = np.empty(len(first), dtype=np.intp)
+    rank[order] = np.arange(1, len(first) + 1)
+    ids = np.empty(len(rows), dtype=np.intp)
+    ids[perm] = rank[np.cumsum(new) - 1]
+    return ids, first[order]
 
 
 def export_mesh(solution, path):
     """Write the graph of the potential as a watertight OBJ surface, one
     planar polygon per nonempty cell, with per-face normals set to the
-    hemisphere image of the cell's site."""
-    rings = list(_cell_rings(solution.diagram))
-    site = np.repeat([i for i, _ in rings], [len(r) for _, r in rings])
-    xy = np.concatenate([r for _, r in rings])
-    p = solution.sites[site]
-    z = p[:, 0] * xy[:, 0] + p[:, 1] * xy[:, 1] - solution.psi[site]
+    hemisphere image of the cell's site. The lines are written
+    _EVAL_BLOCK vertices or faces at a time."""
+    cells, sizes, xy = _cell_rings(solution.diagram)
+    keys = np.empty((len(xy), 3))
+    keys[:, :2] = xy
+    del xy
+    # z = p0 x0 + p1 x1 - psi of each point's site, in place
+    z = keys[:, 2]
+    p0, p1 = solution.sites[cells].T
+    np.multiply(np.repeat(p0, sizes), keys[:, 0], out=z)
+    z += np.repeat(p1, sizes) * keys[:, 1]
+    z -= np.repeat(solution.psi[cells], sizes)
     # one vertex per point rounded to 9 decimals (np.round), numbered in
-    # order of first appearance and printed as first seen; + 0.0 makes -0.0
-    # and 0.0 one key, as they are one dict key
-    keys = np.round(np.column_stack([xy, z]), 9)
-    first, inv = np.unique(keys + 0.0, axis=0, return_index=True,
-                           return_inverse=True)[1:]
-    order = np.argsort(first)
-    rank = np.empty(len(first), dtype=np.intp)
-    rank[order] = np.arange(1, len(first) + 1)
-    ids = rank[inv.ravel()].tolist()
-    faces = []
-    normals = []
-    end = 0
-    for i, ring in rings:
-        face = ids[end:end + len(ring)]
-        end += len(ring)
-        face = [v for k, v in enumerate(face) if v != face[k - 1]]
-        if len(face) >= 3:
-            normals.append(c_exp(solution.sites[i]).as_array())
-            faces.append(face)
+    # order of first appearance and printed as first seen
+    np.round(keys, 9, out=keys)
+    ids, first = _first_seen_ids(keys)
+    verts = keys[first]
+    del keys, z
+    # a face drops each point that repeats the id of the point before it in
+    # its ring (the last point before the first), and is kept with three or
+    # more points left
+    start = np.cumsum(sizes) - sizes
+    prev = np.arange(len(ids)) - 1
+    prev[start] += sizes
+    new = ids != ids[prev]
+    kept = np.concatenate([[0], np.cumsum(new)])
+    n_kept = kept[start + sizes] - kept[start]
+    face = n_kept >= 3
+    ids = ids[new & np.repeat(face, sizes)]
+    cells, n_kept = cells[face], n_kept[face]
+    head = np.cumsum(n_kept) - n_kept
     with open(path, "w") as fh:
         fh.write("# piecewise-planar graph of the dual potential\n")
-        fh.writelines("v {:.12g} {:.12g} {:.12g}\n".format(*key)
-                      for key in keys[first[order]].tolist())
-        fh.writelines("vn {:.12g} {:.12g} {:.12g}\n".format(*nrm)
-                      for nrm in normals)
-        fh.writelines("f " + " ".join(f"{i}//{k + 1}" for i in face) + "\n"
-                      for k, face in enumerate(faces))
+        for s in range(0, len(verts), _EVAL_BLOCK):
+            fh.writelines("v {:.12g} {:.12g} {:.12g}\n".format(*key)
+                          for key in verts[s:s + _EVAL_BLOCK].tolist())
+        fh.writelines("vn {:.12g} {:.12g} {:.12g}\n".format(
+            *c_exp(solution.sites[i]).as_array()) for i in cells.tolist())
+        for s in range(0, len(cells), _EVAL_BLOCK):
+            m = n_kept[s:s + _EVAL_BLOCK].tolist()
+            block = iter(ids[head[s]:head[s] + sum(m)].tolist())
+            fh.writelines(
+                "f " + " ".join(f"{i}//{k}" for i in islice(block, mk)) + "\n"
+                for k, mk in enumerate(m, s + 1))
     return path
 
 
@@ -458,11 +492,10 @@ def write_csv(path, header, rows):
 def solution_to_csv(solution, path):
     """Deterministic per-site table: weights, achieved and target masses,
     cell areas and centroids."""
-    sites, psi = solution.sites.tolist(), solution.psi.tolist()
-    nu, mass = solution.target.masses.tolist(), solution.masses.tolist()
-    area = solution.diagram.area.tolist()
-    centroid = solution.diagram.centroid.tolist()
-    rows = ([i, *sites[i], psi[i], nu[i], mass[i], area[i], *centroid[i]]
-            for i in range(len(sites)))
+    table = np.column_stack([solution.sites, solution.psi,
+                             solution.target.masses, solution.masses,
+                             solution.diagram.area, solution.diagram.centroid])
+    rows = ([i, *row] for s in range(0, len(table), _EVAL_BLOCK)
+            for i, row in enumerate(table[s:s + _EVAL_BLOCK].tolist(), s))
     return write_csv(path, ("site", "p1", "p2", "psi", "nu", "mass", "area",
                             "centroid1", "centroid2"), rows)

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -198,18 +199,38 @@ def test_density_check_samples_a_thin_domain(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("validation error: density:")
 
 
-def test_importing_the_package_loads_no_scipy():
-    # SciPy's modules are imported where they are used, so a run's set-up
-    # does not pay for them
+def _scipy_modules_after(code):
+    # the SciPy modules loaded once code has run in a fresh interpreter
     import hemiot
     src = os.path.dirname(os.path.dirname(hemiot.__file__))
-    code = ("import sys, hemiot, hemiot.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == "
-            "'scipy'))")
+    code += ("\nimport sys\nprint(sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'scipy'))")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    return ast.literal_eval(out.strip().splitlines()[-1])
+
+
+def test_importing_the_package_loads_no_scipy():
+    # SciPy's modules are imported where they are used, so a run's set-up
+    # does not pay for them
+    assert _scipy_modules_after("import hemiot, hemiot.cli") == []
+
+
+def test_solve_loads_no_sparse_graph_module():
+    # the connectivity check labels components with numpy, so a solve does
+    # not load scipy.sparse.csgraph (about 1 MB of resident memory)
+    loaded = _scipy_modules_after(
+        "import math\nimport numpy as np\n"
+        "from hemiot.domains import DiskDomain, constant_density\n"
+        "from hemiot.solver import solve\n"
+        "from hemiot.targets import chart_disk, discretize\n"
+        "sol = solve(DiskDomain(np.zeros(2), 0.5), constant_density(1.0),\n"
+        "            discretize(chart_disk(np.zeros(2), 0.8), 30,\n"
+        "                       math.pi * 0.25))\n"
+        "assert sol.report.converged and sol.report.connected")
+    assert "scipy.sparse.linalg" in loaded
+    assert not [m for m in loaded if m.startswith("scipy.sparse.csgraph")]
 
 
 def test_nonconvergence_exit_code(tmp_path, capsys):
@@ -252,6 +273,26 @@ def test_contract_failure_exit_code(tmp_path):
     report = json.loads((tmp_path / "sb" / "report.json").read_text())
     assert report["verdicts"]["gradient_sup_error"] is False
     assert report["verdicts"]["converged"] is True
+
+
+def _strict_json(text):
+    # json.loads, refusing the NaN, Infinity and -Infinity that the json
+    # module writes for non-finite floats but strict parsers reject
+    def refuse(name):
+        raise ValueError(f"{name} is not valid JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_one_site_sphere_report_is_strict_json(tmp_path, N):
+    # N of 1 to 3 leaves one site, which has no spacing: null, not Infinity
+    doc = {"command": "sphere-benchmark", "N": N,
+           "params": {"r": 0.6, "n_eval": 100},
+           "out": str(tmp_path / "sb"), "seed": 0}
+    assert main(["--config", _write(tmp_path, "sb.json", doc)]) == 1
+    report = _strict_json((tmp_path / "sb" / "report.json").read_text())
+    assert report["measurements"]["n_sites"] == 1
+    assert report["measurements"]["site_spacing"] is None
 
 
 def test_lemmas_command(tmp_path):
@@ -543,18 +584,32 @@ def _per_cell_mesh(sol):
     return "\n".join(lines) + "\n"
 
 
-def test_export_files_match_the_per_cell_writer(tmp_path, monkeypatch):
+@pytest.mark.parametrize("doc", [
+    dict(SOLVE_DOC, N=200),
+    # an off-centre disk and a target off the origin: arcs about a centre
+    # that is not the origin, cut into chords
+    dict(SOLVE_DOC, N=300,
+         domain={"kind": "disk", "center": [0.3, -0.2], "radius": 0.7},
+         target={"kind": "chart_disk", "center": [-0.4, 0.2],
+                 "radius": 1.2}),
+    # a square: no arcs
+    dict(SOLVE_DOC, N=150,
+         domain={"kind": "polygon", "vertices": [[-0.5, -0.5], [0.5, -0.5],
+                                                 [0.5, 0.5], [-0.5, 0.5]]}),
+], ids=["disk", "offcentre-disk", "square"])
+def test_export_files_match_the_per_cell_writer(tmp_path, monkeypatch, doc):
     # cells.csv and mesh.obj, read off the diagram's arrays, equal the
-    # per-cell writer byte for byte on a disk, where cells have arcs
+    # per-cell writer byte for byte, on disks, where cells have arcs, and on
+    # a polygon
     import hemiot.cli as cli
     from hemiot.solver import solve, write_csv
     solved = []
     monkeypatch.setattr(cli, "solve", lambda *a, **k: solved.append(
         solve(*a, **k)) or solved[-1])
-    doc = dict(SOLVE_DOC, command="export", N=200, out=str(tmp_path / "ex"))
+    doc = dict(doc, command="export", out=str(tmp_path / "ex"))
     assert main(["--config", _write(tmp_path, "ex.json", doc)]) == 0
     sol, = solved
-    assert sol.diagram.arc_edges()
+    assert bool(sol.diagram.arc_edges()) == (doc["domain"]["kind"] == "disk")
     ref = write_csv(str(tmp_path / "ref.csv"), ("site", "k", "x1", "x2"),
                     ((c.site_index, k, float(x), float(y))
                      for c in sol.diagram.cells if not c.is_empty

@@ -35,6 +35,34 @@ def test_sphere_benchmark_refines():
     assert errs[2] < 0.05
 
 
+def test_sphere_benchmark_blocks_match_the_whole_array_formulas():
+    # the samples and error sups, computed in blocks of _EVAL_BLOCK points,
+    # equal the formulas over all points at once bit for bit, with a last
+    # block that is not full
+    from hemiot.solver import _EVAL_BLOCK, potential, supporting_plane
+    r, n_eval, seed = 0.6, 2500, 3
+    assert n_eval % _EVAL_BLOCK
+    rep, sol = sphere_benchmark(r, 250, n_eval=n_eval, seed=seed)
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(0.0, 1.0, n_eval)
+    ang = rng.uniform(0.0, 2.0 * math.pi, n_eval)
+    rad = r * 0.999 * np.sqrt(u)
+    pts = np.column_stack([rad * np.cos(ang), rad * np.sin(ang)])
+    idx, u_num = supporting_plane(sol, pts)
+    p_num = sol.sites[idx]
+    denom = np.sqrt(1.0 - (pts ** 2).sum(axis=1))
+    p_true = pts / denom[:, None]
+    shift = -1.0 - potential(sol, np.zeros(2))
+    assert rep.samples.shape == (n_eval, 6)
+    assert np.array_equal(rep.samples, np.column_stack([pts, p_num, p_true]))
+    assert rep.grad_error == np.linalg.norm(p_num - p_true, axis=1).max()
+    assert rep.height_error == np.abs(u_num + shift - (-denom)).max()
+
+
+def test_site_spacing_is_none_without_a_pair():
+    assert site_spacing(np.zeros((1, 2))) is None
+
+
 def test_site_spacing_matches_brute_force():
     rng = np.random.default_rng(4)
     for n in (2, 3, 50, 400):
@@ -49,6 +77,8 @@ def test_site_spacing_matches_brute_force():
 def test_sphere_benchmark_validation():
     with pytest.raises(ValueError):
         sphere_benchmark(1.5, 100)
+    with pytest.raises(ValueError, match="n_eval"):
+        sphere_benchmark(0.6, 100, n_eval=0)
 
 
 def test_gauss_map_image_identity():

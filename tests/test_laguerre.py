@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from hemiot.domains import (ConvexPolygonDomain, DiskDomain, SourceDensity,
                             constant_density, domain_area)
-from hemiot.laguerre import (compute_measures, edge_weights, laguerre_diagram,
-                             pairwise_overlap_area)
+from hemiot.laguerre import (component_labels, compute_measures, edge_weights,
+                             laguerre_diagram, pairwise_overlap_area)
 
 SQUARE = ConvexPolygonDomain(np.array([[-0.5, -0.5], [0.5, -0.5],
                                        [0.5, 0.5], [-0.5, 0.5]]))
@@ -467,3 +467,70 @@ def test_adjacency_is_mutual():
         for j in ns:
             assert i in nbrs[j]
     assert diag.is_connected()
+
+
+def _bfs_components(n, pairs):
+    # each node's component as the smallest node reached by breadth-first
+    # search from it, over adjacency lists
+    adj = [[] for _ in range(n)]
+    for a, b in pairs.tolist():
+        adj[a].append(b)
+        adj[b].append(a)
+    comp = [-1] * n
+    for s in range(n):
+        if comp[s] >= 0:
+            continue
+        comp[s], queue = s, [s]
+        for a in queue:
+            for b in adj[a]:
+                if comp[b] < 0:
+                    comp[b] = s
+                    queue.append(b)
+    return np.array(comp)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_component_labels_match_breadth_first_search(seed):
+    # random sparse graphs, from nearly edgeless to one component, with
+    # repeated edges and self-loops
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 300))
+    pairs = rng.integers(0, n, size=(int(rng.integers(0, 2 * n)), 2))
+    assert np.array_equal(component_labels(n, pairs),
+                          _bfs_components(n, pairs))
+
+
+def test_component_labels_of_two_components():
+    # two paths whose nodes interleave, numbered against their order
+    n = 40
+    a, b = np.arange(0, n, 2)[::-1], np.arange(1, n, 2)[::-1]
+    pairs = np.concatenate([np.column_stack([a[:-1], a[1:]]),
+                            np.column_stack([b[:-1], b[1:]])])
+    labels = component_labels(n, pairs)
+    assert np.array_equal(labels, np.arange(n) % 2)
+    assert np.array_equal(labels, _bfs_components(n, pairs))
+    assert np.array_equal(component_labels(3, np.empty((0, 2), int)),
+                          np.arange(3))
+
+
+def test_connectivity_skips_empty_cells(monkeypatch):
+    # sites with large weights have empty cells: they are nodes with no
+    # edge, which must not split the live cells; dropping the edges across
+    # the line x1 = 0 splits them
+    from hemiot.laguerre import LaguerreDiagram
+    sites = np.random.default_rng(5).uniform(-0.5, 0.5, size=(40, 2))
+    psi = 0.5 * (sites ** 2).sum(axis=1)
+    psi[:6] += 50.0
+    diag = laguerre_diagram(SQUARE, sites, psi)
+    live = diag.nonempty
+    assert np.array_equal(live, np.arange(40) >= 6)
+    pairs = diag.adjacency_edges()
+    comp = _bfs_components(len(sites), pairs)
+    assert len(set(comp[live].tolist())) == 1
+    assert diag.is_connected()
+    side = diag.centroid[:, 0] < 0.0
+    cut = pairs[side[pairs[:, 0]] == side[pairs[:, 1]]]
+    monkeypatch.setattr(LaguerreDiagram, "adjacency_edges", lambda self: cut)
+    comp = _bfs_components(len(sites), cut)
+    assert len(set(comp[live].tolist())) == 2
+    assert not diag.is_connected()
