@@ -444,10 +444,14 @@ def _cmd_sphere(cfg, out):
     t0 = time.perf_counter()
     rep, sol = sphere_benchmark(r, N, tol=cfg.tol, max_iter=cfg.max_iter,
                                 n_eval=n_eval, seed=cfg.seed)
-    solution_to_csv(sol, os.path.join(out, "solution.csv"))
-    export_mesh(sol, os.path.join(out, "mesh.obj"))
     write_csv(os.path.join(out, "samples.csv"), rep.sample_header,
               rep.samples)
+    # the sample rows and the cached point locator are done with: free them
+    # before the solution table and the mesh are written
+    rep.samples = None
+    vars(sol).pop("_locator", None)
+    solution_to_csv(sol, os.path.join(out, "solution.csv"))
+    export_mesh(sol, os.path.join(out, "mesh.obj"))
     verdicts = {
         "converged": bool(rep.converged),
         "gradient_sup_error": bool(rep.grad_error <= 5e-2),

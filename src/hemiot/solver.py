@@ -102,24 +102,67 @@ def _phi_value(sites, psi, nu, G, M):
     return float((sites * M).sum() + psi @ (nu - G))
 
 
+def _level_order(n, pairs):
+    """The n sites in breadth-first order from site 0 over the graph with
+    edges pairs, the sorted (E, 2) array of pairs i < j: each level lists
+    its sites in the order of their first parent, each parent's children
+    in index order (Cuthill and McKee 1969). Sites that site 0 does not
+    reach are left out."""
+    i, j = pairs.T
+    # each site's neighbours as one CSR row, in index order: the pairs are
+    # sorted, so a stable sort by site keeps the lower neighbours (j's
+    # rows) ahead of the higher ones (i's rows), each run ascending
+    site = np.concatenate([j, i])
+    nbrs = np.concatenate([i, j])[np.argsort(site, kind="stable")]
+    cnt = np.bincount(site, minlength=n)
+    start = np.cumsum(cnt) - cnt
+    seen = np.zeros(n, dtype=bool)
+    seen[0] = True
+    level = np.zeros(1, dtype=np.intp)
+    levels = [level]
+    while len(level):
+        c = cnt[level]
+        head = np.cumsum(c) - c
+        kids = nbrs[np.arange(c.sum()) + np.repeat(start[level] - head, c)]
+        kids = kids[~seen[kids]]
+        level = kids[np.sort(np.unique(kids, return_index=True)[1])]
+        seen[level] = True
+        levels.append(level)
+    return np.concatenate(levels)
+
+
 def _newton_step(diagram, K, G, nu):
-    """Solve (D - W) d = G - nu with the gauge d[0] = 0: one sparse direct
-    solve of the gauge-fixed Laplacian, with a minimum-degree ordering on
-    its symmetric pattern."""
-    from scipy import sparse
-    from scipy.sparse.linalg import spsolve
+    """Solve (D - W) d = G - nu with the gauge d[0] = 0. On a connected cell
+    graph the gauge-fixed Laplacian L[1:, 1:] is an irreducibly diagonally
+    dominant M-matrix, so it is positive definite: in the breadth-first
+    order of _level_order it is a band matrix, factored by LAPACK's banded
+    Cholesky without pivoting. Raises ConvergenceError when the cell graph
+    is not connected."""
+    from scipy.linalg import solveh_banded
 
     n = len(nu)
     pairs, w = edge_weights(diagram, K)
+    order = _level_order(n, pairs)
+    if len(order) < n:
+        raise ConvergenceError(
+            f"the cell graph is not connected: the breadth-first order from "
+            f"site 0 did not reach {n - len(order)} of {n} sites")
     i, j = pairs.T
-    ids = np.arange(n)
     deg = np.bincount(i, w, n) + np.bincount(j, w, n)
-    L = sparse.coo_matrix((np.concatenate([-w, -w, deg]),
-                           (np.concatenate([i, j, ids]),
-                            np.concatenate([j, i, ids]))),
-                          shape=(n, n)).tocsc()
+    # each site's unknown in the order; site 0 is the gauge and drops out
+    pos = np.empty(n, dtype=np.intp)
+    pos[order] = np.arange(-1, n - 1)
+    r, c = pos[i], pos[j]
+    inner = (r >= 0) & (c >= 0)
+    hi, span = np.maximum(r, c)[inner], np.abs(r - c)[inner]
+    bw = int(span.max(initial=0))
+    # LAPACK upper band storage: ab[bw + r - c, c] = L[r, c] for r <= c
+    ab = np.zeros((bw + 1, n - 1), order="F")
+    ab[bw - span, hi] = -w[inner]
+    ab[bw] = deg[order[1:]]
     d = np.zeros(n)
-    d[1:] = spsolve(L[1:, 1:], (G - nu)[1:], permc_spec="MMD_AT_PLUS_A")
+    d[order[1:]] = solveh_banded(ab, (G - nu)[order[1:]], overwrite_ab=True,
+                                 check_finite=False)
     return d
 
 

@@ -11,11 +11,13 @@ from hemiot.domains import (ConvexPolygonDomain, DiskDomain, SourceDensity,
                             constant_density, contains, domain_area,
                             total_mass)
 from hemiot.laguerre import compute_measures, edge_weights, laguerre_diagram
-from hemiot.solver import (MassBalanceError, _newton_step, _radial_profile_psi,
-                           active_site, export_mesh, gauss_map, potential,
-                           solution_to_csv, solve)
+from hemiot.solver import (ConvergenceError, MassBalanceError, _level_order,
+                           _newton_step, _radial_profile_psi, active_site,
+                           export_mesh, gauss_map, potential, solution_to_csv,
+                           solve)
 from hemiot.targets import (DiscreteTarget, chart_disk, chart_polygon,
-                            discretize, full_hemisphere, region_mass)
+                            discretize, full_hemisphere, region_mass,
+                            truncation_radius_for)
 
 SQUARE = ConvexPolygonDomain(np.array([[-0.5, -0.5], [0.5, -0.5],
                                        [0.5, 0.5], [-0.5, 0.5]]))
@@ -452,3 +454,107 @@ def test_newton_step_solves_its_system_to_rounding(domain, N):
     b = G - target.masses
     assert (np.linalg.norm(Ld[1:] - b[1:]) / np.linalg.norm(b[1:])
             <= 1e-12)
+
+
+def _start_system(domain, target):
+    # the first Newton system: the diagram at the start weights, its cell
+    # masses and the target masses
+    psi = _radial_profile_psi(domain, target.sites, target.masses)
+    diagram = laguerre_diagram(domain, target.sites, psi - psi[0])
+    G, _ = compute_measures(diagram, K1, 1e-12)
+    return diagram, G, target.masses
+
+
+def _bandwidth(order, pairs):
+    # the half-bandwidth of L[1:, 1:] with its rows in the given order
+    pos = np.empty(len(order), dtype=np.intp)
+    pos[order] = np.arange(len(order))
+    r, c = pos[pairs].T
+    inner = (r > 0) & (c > 0)
+    return int(np.abs(r - c)[inner].max(initial=0))
+
+
+def test_level_order_is_breadth_first_by_first_parent():
+    # site 0's children 2 and 3 form level 1; in level 2, 2's children 1
+    # and 5 come before 3's child 4: a level follows its first parents
+    pairs = np.array([[0, 2], [0, 3], [1, 2], [2, 5], [3, 4], [4, 5]])
+    assert _level_order(6, pairs).tolist() == [0, 2, 3, 1, 5, 4]
+    # a site that site 0 does not reach is left out
+    assert _level_order(4, np.array([[0, 1], [2, 3]])).tolist() == [0, 1]
+
+
+@pytest.mark.parametrize("domain, region, N, n, bound", [
+    (DiskDomain(np.zeros(2), 0.6), chart_disk(np.zeros(2), 0.9), 500, 416,
+     40),
+    (DiskDomain(np.zeros(2), 0.6), chart_disk(np.zeros(2), 0.75), 2000,
+     1600, 90),
+    (DiskDomain(np.zeros(2), 1.0),
+     full_hemisphere(truncation_radius_for(math.pi * 1e-4)), 2000, 1988, 70),
+], ids=["smooth-416", "sphere-1600", "blowup-1988"])
+def test_level_order_bandwidth_stays_under_its_bound(domain, region, N, n,
+                                                     bound):
+    # the band solve costs about n bw^2 flops and (bw + 1) n doubles; on
+    # the first Newton systems of the smooth, sphere and blowup benchmark
+    # solves bw measured 32, 72 and 56, about 1.3-1.8 sqrt(n); the bounds
+    # allow 25% more
+    target = discretize(region, N, domain_area(domain))
+    assert len(target) == n
+    diagram, _, _ = _start_system(domain, target)
+    pairs, _ = edge_weights(diagram, K1)
+    order = _level_order(n, pairs)
+    assert sorted(order.tolist()) == list(range(n))
+    assert _bandwidth(order, pairs) <= bound
+
+
+@pytest.mark.parametrize("domain, target", [
+    (SQUARE, DiscreteTarget(np.array([[0.3, 0.1], [-0.4, 0.2]]),
+                            np.array([0.4, 0.6]))),
+    (DiskDomain(np.zeros(2), 0.6),
+     discretize(chart_disk(np.zeros(2), 0.75), 40, math.pi * 0.36)),
+], ids=["two-sites", "disk-36"])
+def test_newton_step_matches_a_dense_solve(domain, target):
+    # the band solve against numpy's dense LU on L[1:, 1:], to rounding;
+    # two sites give a 1 x 1 system of bandwidth 0
+    diagram, G, nu = _start_system(domain, target)
+    d = _newton_step(diagram, K1, G, nu)
+    n = len(nu)
+    pairs, w = edge_weights(diagram, K1)
+    L = np.zeros((n, n))
+    np.add.at(L, (pairs[:, 0], pairs[:, 1]), -w)
+    L += L.T
+    L[np.diag_indices(n)] = -L.sum(axis=1)
+    dense = np.linalg.solve(L[1:, 1:], (G - nu)[1:])
+    assert d[0] == 0.0
+    assert np.abs(d[1:] - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+def test_newton_step_on_a_disconnected_graph_raises(monkeypatch):
+    # two separate edges: no factorization is tried, and the message counts
+    # the sites that the order from site 0 did not reach
+    import hemiot.solver as solver_mod
+    monkeypatch.setattr(solver_mod, "edge_weights", lambda diagram, K: (
+        np.array([[0, 1], [2, 3]]), np.array([1.0, 2.0])))
+    monkeypatch.setattr("scipy.linalg.solveh_banded", None)
+    with pytest.raises(ConvergenceError, match="did not reach 2 of 4 sites"):
+        _newton_step(None, K1, np.full(4, 0.3), np.full(4, 0.25))
+
+
+def test_one_band_solve_per_newton_step(monkeypatch):
+    # the Newton step calls scipy.linalg.solveh_banded once, looked up at
+    # call time, so a span wrapped around it sees every linear solve
+    import scipy.linalg
+    band_solve = scipy.linalg.solveh_banded
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return band_solve(*args, **kwargs)
+    monkeypatch.setattr(scipy.linalg, "solveh_banded", counted)
+    domain = DiskDomain(np.zeros(2), 0.8)
+    target = discretize(chart_disk(np.array([1.0, 0.5]), 2.0), 80,
+                        domain_area(domain))
+    rep = solve(domain, K1, target, tol=1e-8).report
+    # rejected trials build diagrams but solve nothing
+    assert rep.converged and rep.diagrams_discarded
+    assert len(calls) == rep.iterations
+    assert all(shape[1] == len(target) - 1 for shape in calls)
