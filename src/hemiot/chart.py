@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domains import ConvexPolygonDomain, DiskDomain
-from .geometry import arc_patch, integrate_panels, ring_next
+from .geometry import arc_patches, integrate_panels, ring_arcs, ring_next
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,6 +55,15 @@ def c_exp(p):
     p = np.asarray(p, dtype=float)
     s = 1.0 / math.sqrt(1.0 + float(p @ p))
     return HemispherePoint(p * s, -s)
+
+
+def c_exp_rows(p):
+    """c_exp of each row of an (m, 2) array as an (m, 3) array, bit for bit
+    c_exp(p_i).as_array(): |p_i|^2 is a batched matmul, which sums as
+    p_i @ p_i does."""
+    q = (p[:, None, :] @ p[:, :, None])[:, 0, 0]
+    s = 1.0 / np.sqrt(1.0 + q)
+    return np.column_stack([p * s[:, None], -s])
 
 
 def chart(ybar):
@@ -116,9 +125,9 @@ def _great_circle_bulge(a, step):
     return 0.5 * kappa * _minus_sin(phi)
 
 
-def ring_chart_mass(ring, sizes, arcs, tol):
-    """Chart-density mass of each cell of a ragged array (see
-    geometry.ragged_cells), a (n,) array: the plane area of its image under
+def ring_chart_mass(ring, sizes, labels, tol, circle=None):
+    """Chart-density mass of each cell of a ragged array whose ARC_EDGE
+    edges lie on circle, a (n,) array: the plane area of its image under
     the vertical projection, summed over its edges a -> b.
 
     Each edge, taken as a straight chart edge, adds the triangle
@@ -138,25 +147,21 @@ def ring_chart_mass(ring, sizes, arcs, tol):
     to_a, step = _lift_step(first, ring), _lift_step(ring, b)
     cross = to_a[:, 0] * step[:, 1] - to_a[:, 1] * step[:, 0]
     mass = np.bincount(owner, 0.5 * cross + _great_circle_bulge(ring, step), n)
-    centred = [arc for arc in arcs if tuple(arc[3][1]) == (0.0, 0.0)]
-    if centred:
-        cell = np.array([i for i, _, _, _ in centred])
-        a, b = (np.array([arc[k] for arc in centred], dtype=float) for k in (1, 2))
-        s2 = np.array([arc[3][2] for arc in centred]) ** 2
+    _, cell, a, b, _, _ = ring_arcs(ring, sizes, labels, circle)
+    if not len(cell):
+        return mass
+    if tuple(circle[0]) == (0.0, 0.0):
+        s2 = circle[1] ** 2
         psi = np.arctan2(a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0],
                          np.einsum("ij,ij->i", a, b))
         psi[psi <= 0.0] += 2.0 * math.pi
         lens = 0.5 * s2 / (1.0 + s2) * _minus_sin(psi) \
             - _great_circle_bulge(a, _lift_step(a, b))
-        mass += np.bincount(cell, lens, n)
-    off = [arc for arc in arcs if tuple(arc[3][1]) != (0.0, 0.0)]
-    if off:
-        patches = np.array([arc_patch(a, b, lab[1], lab[2])
-                            for _, a, b, lab in off])
-        owners = (np.zeros(0, dtype=int), np.array([i for i, _, _, _ in off]))
-        mass += integrate_panels(chart_density, np.zeros((0, 3, 2)), patches,
-                                 tol, owners, n)[:, 0]
-    return mass
+        return mass + np.bincount(cell, lens, n)
+    cell, patches = arc_patches(ring, sizes, labels, circle)
+    owners = (np.zeros(0, dtype=int), cell)
+    return mass + integrate_panels(chart_density, np.zeros((0, 3, 2)),
+                                   patches, tol, owners, n)[:, 0]
 
 
 def metric_in_chart(p):

@@ -378,7 +378,9 @@ def _solve_instance(cfg, out):
         raise ConfigError("config.density: required for this command")
     if cfg.target is None:
         raise ConfigError("config.target: required for this command")
-    if cfg.N is None:
+    # an explicit target is its own sites; only a region needs N
+    if cfg.N is None and not (isinstance(cfg.target, dict)
+                              and cfg.target.get("kind") == "explicit"):
         raise ConfigError("config.N: required for this command")
     domain = build_domain(cfg.domain)
     K = build_density(cfg.density, domain)

@@ -10,19 +10,17 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import (  # QuadratureError is re-exported for the CLI
-    ARC,
     ARC_EDGE,
     SIDE,
+    WALL,
     QuadratureError,
     _PATCH_NODES,
     _TRI_NODES,
-    cell_area_centroid,
     clip_to_circle,
     clip_to_halfplanes,
-    integrate_cell,
+    integrate_ring_cells,
     polygon_halfplanes,
     ring_area_centroid,
-    ring_next,
 )
 
 OMEGA_2 = math.pi  # Lebesgue measure of the planar unit ball
@@ -67,11 +65,11 @@ class ConvexPolygonDomain:
 
     @property
     def area(self):
-        return cell_area_centroid(*_wall_cell(self.vertices))[0]
+        return float(ring_area_centroid(*domain_ring(self))[0][0])
 
     @property
     def centroid(self):
-        return cell_area_centroid(*_wall_cell(self.vertices))[1]
+        return ring_area_centroid(*domain_ring(self))[1][0]
 
     def edge_normals(self):
         """Outward unit normals and offsets: edge i is {x : n_i . x = b_i}."""
@@ -113,20 +111,24 @@ def domain_area(domain):
     return domain.area
 
 
-def _wall_cell(vertices):
-    """The polygon with these vertices as a labeled convex cell: edge i is
-    wall i."""
-    return ([tuple(p) for p in vertices.tolist()],
-            [("wall", i) for i in range(len(vertices))])
-
-
-def domain_cell(domain):
-    """The domain as one labeled convex cell: the polygon with its walls, or
-    the disk as two half-disk arcs."""
+def domain_ring(domain):
+    """The domain as a one-cell ragged array (ring, sizes, labels): the
+    polygon with edge k labelled WALL - k, or the disk as two half-disk
+    ARC_EDGE arcs of its circle (domain_circle)."""
     if isinstance(domain, ConvexPolygonDomain):
-        return _wall_cell(domain.vertices)
+        v = domain.vertices
+        return v, np.array([len(v)]), WALL - np.arange(len(v))
     (cx, cy), R = domain.center, domain.radius
-    return [(cx + R, cy), (cx - R, cy)], [(ARC, (cx, cy), R)] * 2
+    return (np.array([[cx + R, cy], [cx - R, cy]]), np.array([2]),
+            np.full(2, ARC_EDGE))
+
+
+def domain_circle(domain):
+    """(center, radius) of a disk domain, the circle of every ARC_EDGE edge
+    that it cuts; None for a polygon, which cuts none."""
+    if isinstance(domain, DiskDomain):
+        return domain.center, domain.radius
+    return None
 
 
 def clip_eps(domain):
@@ -140,37 +142,23 @@ def domain_clipper(domain):
     """Cut every cell of a straight-edged convex ragged array (ring, sizes,
     labels) (see geometry.clip_halfplane) to the domain: the disk's circle,
     or the polygon's walls, at the domain's clip eps."""
-    eps = clip_eps(domain)
-    if isinstance(domain, DiskDomain):
-        c, R = domain.center, domain.radius
+    eps, circle = clip_eps(domain), domain_circle(domain)
+    if circle is not None:
         return lambda ring, sizes, labels: clip_to_circle(ring, sizes, labels,
-                                                          c, R, eps)
+                                                          *circle, eps)
     normals, offsets = domain.edge_normals()
     return lambda ring, sizes, labels: clip_to_halfplanes(
         ring, sizes, labels, normals, offsets, eps)
 
 
-def domain_arcs(domain, ring, sizes, labels):
-    """The arcs (cell, a, b, ("arc", center, radius)) of a ragged array cut
-    by the domain (see geometry.ragged_cells): its ARC_EDGE edges a -> b,
-    each on the domain's circle."""
-    k = np.flatnonzero(labels == ARC_EDGE)
-    if not len(k):
-        return []
-    lab = (ARC, tuple(domain.center), domain.radius)
-    cell = np.repeat(np.arange(len(sizes)), sizes)[k].tolist()
-    return [(i, ring[a], ring[b], lab)
-            for i, a, b in zip(cell, k, ring_next(sizes)[k])]
-
-
 class GridCells(NamedTuple):
     """The clipped grid of grid_cells as arrays: piece i is cell i of the
-    ragged array (ring, sizes, arcs) (see geometry.ragged_cells), with its
-    area and centroid, and the corners (counterclockwise from the lower
-    left) of the grid square it came from."""
+    ragged array (ring, sizes, labels), its ARC_EDGE edges on the domain's
+    circle, with its area and centroid, and the corners (counterclockwise
+    from the lower left) of the grid square it came from."""
     ring: np.ndarray
     sizes: np.ndarray
-    arcs: list
+    labels: np.ndarray
     area: np.ndarray
     centroid: np.ndarray
     squares: np.ndarray
@@ -192,14 +180,12 @@ def grid_cells(domain, m):
                   ((x0, y0), (x1, y0), (x1, y1), (x0, y1))], axis=1)
     ring, sizes, labels = domain_clipper(domain)(
         v.reshape(-1, 2), np.full(m * m, 4), np.full(4 * m * m, SIDE))
-    arcs = domain_arcs(domain, ring, sizes, labels)
-    area, centroid = ring_area_centroid(ring, sizes, arcs)
+    area, centroid = ring_area_centroid(ring, sizes, labels,
+                                        domain_circle(domain))
     keep = area > (10 * eps) ** 2
-    index = np.cumsum(keep) - 1
-    return GridCells(
-        ring[np.repeat(keep, sizes)], sizes[keep],
-        [(int(index[i]), a, b, lab) for i, a, b, lab in arcs if keep[i]],
-        area[keep], centroid[keep], v[keep])
+    rows = np.repeat(keep, sizes)
+    return GridCells(ring[rows], sizes[keep], labels[rows], area[keep],
+                     centroid[keep], v[keep])
 
 
 def contains(domain, x, tol=1e-12):
@@ -295,7 +281,8 @@ def erode(domain, t):
     cleaned = _strictly_convex_cleanup(verts, 1e-10 * scale)
     if cleaned is None:
         return None
-    area = cell_area_centroid(*_wall_cell(cleaned))[0]
+    area = ring_area_centroid(cleaned, np.array([len(cleaned)]),
+                              np.full(len(cleaned), SIDE))[0][0]
     return ConvexPolygonDomain(cleaned) if area > (1e-10 * scale) ** 2 else None
 
 
@@ -408,7 +395,8 @@ def total_mass(domain, K, tol=1e-8):
             zero_panel[0] = True
         return v
 
-    mass = float(integrate_cell(*domain_cell(domain), f, tol)[0])
+    mass = float(integrate_ring_cells(*domain_ring(domain), f, tol,
+                                      domain_circle(domain))[0, 0])
     K.validate(domain, _sample_nodes(domain))
     if zero_panel[0]:
         warnings.warn("density vanishes on part of the domain; empty cells may "

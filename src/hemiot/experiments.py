@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chart import c_exp
+from .chart import c_exp_rows
 from .domains import (DiskDomain, boundary_geometry, constant_density,
                       d0_threshold, lambda_constant, make_cone_spec,
                       total_mass, unit_ball_volume)
@@ -102,7 +102,7 @@ def gauss_map_image_check(solution, target):
     (sites with nonempty cells) and the full prescribed set, plus the number
     of positive-mass sites left with empty cells."""
     from scipy.spatial import cKDTree
-    pts_all = np.stack([c_exp(p).as_array() for p in target.sites])
+    pts_all = c_exp_rows(target.sites)
     live = solution.diagram.nonempty
     n_empty_required = ((~live) & (target.masses > 0)).sum()
     pts_live = pts_all[live]

@@ -5,62 +5,25 @@
 # adaptive call.
 import math
 from functools import lru_cache
-from itertools import chain
 
 import numpy as np
 
-# A labeled convex cell, the one-cell form, is (verts, labels): verts a list
-# of (x, y) tuples in CCW order and labels[i] the label of the edge
-# verts[i] -> verts[i+1]: ("nbr", j) the bisector against site j, ("wall", k)
-# domain polygon edge k, or ("arc", center, radius) a CCW circular arc of the
-# domain disk. The clippers cut many cells at once as one ragged array
-# (ring, sizes, labels), cell after cell (see ragged_cells), with one int
-# label per edge: j >= 0 the bisector against site j, or one of the codes
-# below.
+# A cell set is one ragged array (ring, sizes, labels): cell i's vertices,
+# counterclockwise, are the next sizes[i] rows of ring (a (V, 2) array),
+# cell after cell, and labels[k] is the int label of the edge from row k to
+# the next row of its cell (ring_next): j >= 0 the bisector against site j,
+# or one of the codes below. Every ARC_EDGE edge is a CCW arc of one circle,
+# the circle of the region that cut it, which the readers of arcs take
+# beside the arrays as circle = (center, radius).
 
-ARC = "arc"
 SIDE = -1       # a side of a start piece: a box or a grid square
 ARC_EDGE = -2   # an arc of the cutting circle
 WALL = -3       # wall k of a polygon is WALL - k
 
 
-def _segment_area_moment(c, R, a, b):
-    """Area and first moment (∫x dA, ∫y dA) of the circular segment between
-    chord a->b (CCW) and the arc of circle (c, R) on its outside."""
-    ta = math.atan2(a[1] - c[1], a[0] - c[0])
-    tb = math.atan2(b[1] - c[1], b[0] - c[0])
-    sweep = tb - ta
-    while sweep <= 0.0:
-        sweep += 2.0 * math.pi
-    # cells are convex, so sweeps stay <= pi (+ rounding)
-    area = 0.5 * R * R * (sweep - math.sin(sweep))
-    if area <= 0.0:
-        return 0.0, np.zeros(2)
-    alpha = 0.5 * sweep
-    # centroid distance of a circular segment from the center
-    dist = (4.0 * R * math.sin(alpha) ** 3) / (3.0 * (sweep - math.sin(sweep)))
-    mid = ta + alpha
-    cen = np.array([c[0] + dist * math.cos(mid), c[1] + dist * math.sin(mid)])
-    return area, area * cen
-
-
-def ragged_cells(cells):
-    """A sequence of labeled convex cells (verts, labels) as one ragged array
-    (ring, sizes, arcs): cell i's vertices are the next sizes[i] rows of
-    ring (a (V, 2) array), and arcs lists (cell, a, b, ("arc", center,
-    radius)) for each arc edge a -> b."""
-    sizes = np.array([len(v) for v, _ in cells], dtype=int)
-    points = chain.from_iterable(v for v, _ in cells)
-    ring = np.fromiter(chain.from_iterable(points), float).reshape(-1, 2)
-    arcs = [(i, verts[e], verts[(e + 1) % len(verts)], lab)
-            for i, (verts, labels) in enumerate(cells)
-            for e, lab in enumerate(labels) if lab[0] == ARC]
-    return ring, sizes, arcs
-
-
 def ring_next(sizes):
-    """Each row's successor round its cell in a ragged array (see
-    ragged_cells): the next row, or the cell's first row after its last."""
+    """Each row's successor round its cell in a ragged array: the next row,
+    or the cell's first row after its last."""
     ends = np.cumsum(sizes)
     nxt = np.arange(1, int(sizes.sum()) + 1)
     live = sizes > 0
@@ -68,14 +31,57 @@ def ring_next(sizes):
     return nxt
 
 
-def ring_area_centroid(ring, sizes, arcs):
-    """Exact area and centroid of each cell of a ragged array (see
-    ragged_cells), whose edges are segments plus circular arcs: per cell, the
-    shoelace sum over its straight edges, term by term in vertex order, plus
-    the circular segment outside each arc's chord, arc by arc in the order
-    of arcs. A cell of zero area has its vertex mean as centroid (the
-    origin when it has no vertices). Returns (area, centroid), (n,) and
-    (n, 2) arrays."""
+def _atan2_rows(d):
+    """math.atan2 of each row (x, y) of d, one row at a time: numpy's
+    arctan2 differs from it in the last bit on some inputs."""
+    x, y = d.T.tolist()
+    return np.fromiter(map(math.atan2, y, x), float, len(d))
+
+
+def ring_arcs(ring, sizes, labels, circle):
+    """The ARC_EDGE edges a -> b of a ragged array, in row order, as arrays
+    (rows, cell, a, b, ta, tb): each edge's row, its cell, its ends, and
+    their polar angles about the centre of circle. circle may be None only
+    when there are no ARC_EDGE edges."""
+    rows = np.flatnonzero(labels == ARC_EDGE)
+    if len(rows) and circle is None:
+        raise ValueError("ARC_EDGE edges need the circle they lie on")
+    cell = np.repeat(np.arange(len(sizes)), sizes)[rows]
+    a, b = ring[rows], ring[ring_next(sizes)[rows]]
+    c = np.zeros(2) if circle is None else np.asarray(circle[0], dtype=float)
+    return rows, cell, a, b, _atan2_rows(a - c), _atan2_rows(b - c)
+
+
+def _segment_area_moment(circle, ta, tb):
+    """Area and first moment ((k,) and (k, 2) arrays) of the circular
+    segment between each chord and its CCW arc of circle from angle ta to
+    tb. The cube of a sine is np.float_power's, which matches math's pow,
+    as np.power does not in the last bit."""
+    (cx, cy), R = circle
+    sweep = tb - ta
+    while (low := sweep <= 0.0).any():
+        sweep[low] += 2.0 * math.pi
+    # cells are convex, so sweeps stay <= pi (+ rounding)
+    area = 0.5 * R * R * (sweep - np.sin(sweep))
+    pos = area > 0.0
+    area[~pos] = 0.0
+    moment = np.zeros((len(area), 2))
+    sweep, mid = sweep[pos], ta[pos] + 0.5 * sweep[pos]
+    # centroid distance of a circular segment from the center
+    dist = (4.0 * R * np.float_power(np.sin(0.5 * sweep), 3)) \
+        / (3.0 * (sweep - np.sin(sweep)))
+    moment[pos] = area[pos, None] * np.column_stack(
+        [cx + dist * np.cos(mid), cy + dist * np.sin(mid)])
+    return area, moment
+
+
+def ring_area_centroid(ring, sizes, labels, circle=None):
+    """Exact area and centroid of each cell of a ragged array, whose edges
+    are segments plus arcs of circle: per cell, the shoelace sum over its
+    straight edges, term by term in vertex order, plus the circular segment
+    outside each ARC_EDGE edge's chord, arc by arc in row order. A cell of
+    zero area has its vertex mean as centroid (the origin when it has no
+    vertices). Returns (area, centroid), (n,) and (n, 2) arrays."""
     n = len(sizes)
     owner = np.repeat(np.arange(n), sizes)
     a, b = ring, ring[ring_next(sizes)]
@@ -83,22 +89,18 @@ def ring_area_centroid(ring, sizes, arcs):
     area = 0.5 * np.bincount(owner, cross, n)
     mom = np.column_stack([np.bincount(owner, (a[:, c] + b[:, c]) * cross, n)
                            for c in range(2)]) / 6.0
-    for i, p, q, lab in arcs:
-        s_area, s_mom = _segment_area_moment(lab[1], lab[2], p, q)
-        area[i] += s_area
-        mom[i] += s_mom
+    _, cell, _, _, ta, tb = ring_arcs(ring, sizes, labels, circle)
+    if len(cell):
+        s_area, s_mom = _segment_area_moment(circle, ta, tb)
+        # ufunc.at adds repeated cells one term at a time, in row order
+        np.add.at(area, cell, s_area)
+        np.add.at(mom, cell, s_mom)
     centroid = np.column_stack([np.bincount(owner, ring[:, c], n)
                                 for c in range(2)]) \
         / np.maximum(sizes, 1)[:, None]
     pos = area > 0
     centroid[pos] = mom[pos] / area[pos, None]
     return area, centroid
-
-
-def cell_area_centroid(verts, labels):
-    """ring_area_centroid of the one cell (verts, labels): (area, centroid)."""
-    area, centroid = ring_area_centroid(*ragged_cells([(verts, labels)]))
-    return float(area[0]), centroid[0]
 
 
 def has_duplicate_points(points):
@@ -368,20 +370,27 @@ def _tri_rule(f, tris):
 _T0, _T1, _S0, _S1 = 5, 6, 7, 8
 
 
-def arc_patch(a, b, center, R):
-    """The patch between chord a->b and the CCW arc of circle (center, R)."""
-    c = np.asarray(center, dtype=float)
-    ta = math.atan2(a[1] - c[1], a[0] - c[0])
-    tb = math.atan2(b[1] - c[1], b[0] - c[0])
-    while tb <= ta:
-        tb += 2.0 * math.pi
+def arc_patches(ring, sizes, labels, circle):
+    """(cell, patches): the polar patch between each ARC_EDGE edge's chord
+    and its CCW arc of circle, a (q, 9) array in row order, and the cell
+    each one belongs to."""
+    _, cell, a, b, ta, tb = ring_arcs(ring, sizes, labels, circle)
+    if not len(cell):
+        return cell, np.zeros((0, 9))
+    (cx, cy), R = circle
+    tb = tb.copy()
+    while (low := tb <= ta).any():
+        tb[low] += 2.0 * math.pi
     tm = 0.5 * (ta + tb)
-    e = 0.0
-    if tb - ta < math.pi - 1e-9:
-        # otherwise the chord passes (numerically) through the centre
-        e = (0.5 * (a[0] + b[0]) - c[0]) * math.cos(tm) \
-            + (0.5 * (a[1] + b[1]) - c[1]) * math.sin(tm)
-    return np.array([c[0], c[1], R, e, tm, ta, tb, 0.0, 1.0])
+    # a sweep of pi or more: the chord passes (numerically) through the
+    # centre, e = 0
+    e = np.where(tb - ta < math.pi - 1e-9,
+                 (0.5 * (a[:, 0] + b[:, 0]) - cx) * np.cos(tm)
+                 + (0.5 * (a[:, 1] + b[:, 1]) - cy) * np.sin(tm), 0.0)
+    k = len(cell)
+    return cell, np.column_stack([np.full(k, cx), np.full(k, cy),
+                                  np.full(k, R), e, tm, ta, tb,
+                                  np.zeros(k), np.ones(k)])
 
 
 def _patch_split(patches):
@@ -460,7 +469,7 @@ _KINDS = ((_tri_rule, _tri_split, _TRI_NODES),
 def integrate_panels(f, tris, patches, tol, owners=None, k=1):
     """Per-owner (∫f, ∫f·x, ∫f·y), a (k, 3) array, of a vectorized density f
     over triangles ((t, 3, 2) array) and polar patches ((q, 9) rows, see
-    arc_patch). owners is a pair of int arrays, the owner in range(k) of each
+    arc_patches). owners is a pair of int arrays, the owner in range(k) of each
     triangle and of each patch; by default every panel belongs to owner 0.
 
     Globally adaptive: a leaf panel's error estimate is |Σ sub-panels − own
@@ -499,15 +508,16 @@ def integrate_panels(f, tris, patches, tol, owners=None, k=1):
         rounds += 1
 
 
-def integrate_ring_cells(ring, sizes, arcs, f, tol=1e-10):
+def integrate_ring_cells(ring, sizes, labels, f, tol=1e-10, circle=None):
     """(mass, ∫f·x, ∫f·y) of a vectorized density f over each cell of a
-    ragged array (see ragged_cells); a (len(sizes), 3) array, zero rows for
-    empty cells.
+    ragged array whose ARC_EDGE edges lie on circle; a (len(sizes), 3)
+    array, zero rows for empty cells.
 
     Panels: each cell's straight part fanned around its vertex mean, and one
-    polar patch between each arc edge's chord and its circle; one globally
-    adaptive integration over all of them, so tol bounds the error estimates
-    summed over every cell."""
+    polar patch between each arc edge's chord and its circle (arc_patches);
+    one globally adaptive integration over all of them, so tol bounds the
+    error estimates summed over every cell."""
+    patch_owner, patches = arc_patches(ring, sizes, labels, circle)
     tris, tri_owner = np.zeros((0, 3, 2)), np.zeros(0, dtype=int)
     poly = sizes >= 3
     if poly.any():
@@ -520,12 +530,5 @@ def integrate_ring_cells(ring, sizes, arcs, f, tol=1e-10):
         tri_owner = np.repeat(np.flatnonzero(poly), sizes)
         keep = np.abs(_tri_areas(tris)) > 1e-300
         tris, tri_owner = tris[keep], tri_owner[keep]
-    patches = [arc_patch(a, b, lab[1], lab[2]) for _, a, b, lab in arcs]
-    patch_owner = np.array([i for i, _, _, _ in arcs], dtype=int)
-    return integrate_panels(f, tris, np.array(patches).reshape(-1, 9), tol,
-                            (tri_owner, patch_owner), len(poly))
-
-
-def integrate_cell(verts, labels, f, tol=1e-10):
-    """integrate_ring_cells on the one cell (verts, labels); a (3,) array."""
-    return integrate_ring_cells(*ragged_cells([(verts, labels)]), f, tol)[0]
+    return integrate_panels(f, tris, patches, tol, (tri_owner, patch_owner),
+                            len(poly))

@@ -14,12 +14,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .domains import DiskDomain, clip_eps, domain_arcs, domain_clipper
+from .domains import clip_eps, domain_circle, domain_clipper
 from .geometry import (
-    ARC,
     ARC_EDGE,
     SIDE,
-    WALL,
     clip_halfplane,
     clip_to_halfplanes,
     gauss_legendre,
@@ -50,18 +48,18 @@ class LaguerreDiagram:
     """The cells of every site, held as one ragged (CSR-style) array: cell i
     is the CCW polygon verts[offsets[i]:offsets[i + 1]] (empty when it has
     fewer than two vertices), and edge k runs from verts[k] to verts[nxt[k]]
-    inside cell owner[k]. A bisector edge against site j has nbr[k] = j; every
-    other edge has nbr[k] = -1 and its label ("wall", k) or ("arc", center,
-    radius) in other_labels[k]. area and centroid are per cell; an empty
-    cell has area 0 and its site as centroid."""
+    inside cell owner[k], with the clippers' int label labels[k]: j >= 0 the
+    bisector against site j, geometry.WALL - w wall w of a polygon domain,
+    or geometry.ARC_EDGE an arc of a disk domain's circle. area and
+    centroid are per cell; an empty cell has area 0 and its site as
+    centroid."""
     domain: object
     sites: np.ndarray
     psi: np.ndarray
     route: str    # "hull" or "brute": how the diagram was built
     verts: np.ndarray
     offsets: np.ndarray
-    nbr: np.ndarray
-    other_labels: dict
+    labels: np.ndarray
     owner: np.ndarray
     nxt: np.ndarray
     area: np.ndarray
@@ -81,13 +79,11 @@ class LaguerreDiagram:
     def cells(self):
         """The same cells as a list of LaguerreCell, one per site."""
         verts = list(map(tuple, self.verts.tolist()))
-        nbr = self.nbr.tolist()
-        labels = [("nbr", j) if j >= 0 else self.other_labels[k]
-                  for k, j in enumerate(nbr)]
+        labels = self.labels.tolist()
         out = []
         for i, (s, e) in enumerate(zip(self.offsets[:-1].tolist(),
                                        self.offsets[1:].tolist())):
-            nbrs = sorted({j for j in nbr[s:e] if j >= 0})
+            nbrs = sorted({j for j in labels[s:e] if j >= 0})
             out.append(LaguerreCell(i, verts[s:e], labels[s:e], nbrs,
                                     float(self.area[i]), self.centroid[i].copy()))
         return out
@@ -97,13 +93,9 @@ class LaguerreDiagram:
 
     def bisector_edges(self):
         """(i, j, a, b): every bisector edge a -> b, of cell i against j."""
-        k = np.flatnonzero(self.nbr >= 0)
-        return self.owner[k], self.nbr[k], self.verts[k], self.verts[self.nxt[k]]
-
-    def arc_edges(self):
-        """(cell, a, b, label) for every arc edge a -> b."""
-        return [(int(self.owner[k]), self.verts[k], self.verts[self.nxt[k]], lab)
-                for k, lab in self.other_labels.items() if lab[0] == ARC]
+        k = np.flatnonzero(self.labels >= 0)
+        return (self.owner[k], self.labels[k], self.verts[k],
+                self.verts[self.nxt[k]])
 
     def adjacency_edges(self):
         """Sorted (E, 2) array of the pairs i < j of cells that share a
@@ -318,24 +310,15 @@ def laguerre_diagram(domain, sites, psi, method="auto"):
 
 def _assemble(domain, sites, psi, route, ring, sizes, labels):
     """The LaguerreDiagram of the cells of a ragged array cut by the domain,
-    one per site: its bisector labels go to nbr, its arc and wall labels to
-    other_labels. Areas and centroids are geometry.ring_area_centroid's."""
-    n = len(sites)
-    arc = (ARC, tuple(domain.center), domain.radius) \
-        if isinstance(domain, DiskDomain) else None
-    k = np.flatnonzero(labels < 0)
-    other = {e: arc if lab == ARC_EDGE else ("wall", WALL - lab)
-             for e, lab in zip(k.tolist(), labels[k].tolist())}
-    diagram = LaguerreDiagram(domain, sites, psi, route, ring,
-                              np.concatenate([[0], np.cumsum(sizes)]),
-                              np.maximum(labels, -1), other,
-                              np.repeat(np.arange(n), sizes),
-                              ring_next(sizes), None, None)
-    area, centroid = ring_area_centroid(ring, sizes, diagram.arc_edges())
+    one per site. Areas and centroids are geometry.ring_area_centroid's."""
+    area, centroid = ring_area_centroid(ring, sizes, labels,
+                                        domain_circle(domain))
     # an empty cell's centroid is its site
     centroid[sizes == 0] = sites[sizes == 0]
-    diagram.area, diagram.centroid = area, centroid
-    return diagram
+    return LaguerreDiagram(domain, sites, psi, route, ring,
+                           np.concatenate([[0], np.cumsum(sizes)]), labels,
+                           np.repeat(np.arange(len(sites)), sizes),
+                           ring_next(sizes), area, centroid)
 
 
 def _boxes(domain, k):
@@ -382,8 +365,8 @@ def compute_measures(diagram, K, tol=1e-10):
     if K.is_constant:
         G = K.constant * diagram.area
         return G, G[:, None] * diagram.centroid
-    out = integrate_ring_cells(diagram.verts, diagram.sizes, diagram.arc_edges(),
-                               K, tol)
+    out = integrate_ring_cells(diagram.verts, diagram.sizes, diagram.labels,
+                               K, tol, domain_circle(diagram.domain))
     return out[:, 0], out[:, 1:]
 
 
@@ -431,10 +414,9 @@ def pairwise_overlap_area(diagram, i, j):
     for cell in (a, b):
         # unit normals, so that eps is a distance
         normals, offsets = polygon_halfplanes(cell.verts)
-        straight = [lab[0] != ARC for lab in cell.labels]
+        straight = np.array(cell.labels) != ARC_EDGE
         piece = clip_to_halfplanes(*piece, normals[straight],
                                    offsets[straight], eps)
-    ring, sizes, labels = domain_clipper(domain)(*piece)
-    area, _ = ring_area_centroid(ring, sizes,
-                                 domain_arcs(domain, ring, sizes, labels))
+    area, _ = ring_area_centroid(*domain_clipper(domain)(*piece),
+                                 domain_circle(domain))
     return float(area[0])

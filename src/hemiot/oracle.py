@@ -11,8 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chart import c_exp
-from .domains import clip_eps, contains, domain_arcs, grid_cells
-from .geometry import SIDE, integrate_ring_cells, ring_area_centroid
+from .domains import clip_eps, contains, domain_circle, grid_cells
+from .geometry import SIDE, integrate_ring_cells, ring_arcs, ring_area_centroid
 from .laguerre import cell_cutter
 from .solver import _dense_plane, solve
 
@@ -289,7 +289,8 @@ def _grid_atoms(domain, K, target, grid_m):
     if K.is_constant:
         mass = K.constant * grid.area
     else:
-        mass = integrate_ring_cells(grid.ring, grid.sizes, grid.arcs, K)[:, 0]
+        mass = integrate_ring_cells(grid.ring, grid.sizes, grid.labels, K,
+                                    circle=domain_circle(domain))[:, 0]
     keep = mass > 0
     # the atomization quadrature and the target share the same total up to
     # rounding; bridge the difference with one common rescale
@@ -313,22 +314,26 @@ def _cell_boxes(diagram):
     lo, hi = np.full((n, 2), np.inf), np.full((n, 2), -np.inf)
     np.minimum.at(lo, diagram.owner, diagram.verts)
     np.maximum.at(hi, diagram.owner, diagram.verts)
-    for i, a, b, (_, c, r) in diagram.arc_edges():
-        ta = math.atan2(a[1] - c[1], a[0] - c[0])
-        sweep = (math.atan2(b[1] - c[1], b[0] - c[0]) - ta) % (2.0 * math.pi)
-        for k, q in enumerate(((r, 0.0), (0.0, r), (-r, 0.0), (0.0, -r))):
-            if (0.5 * math.pi * k - ta) % (2.0 * math.pi) <= sweep:
-                q = np.add(c, q)
-                lo[i], hi[i] = np.minimum(lo[i], q), np.maximum(hi[i], q)
+    circle = domain_circle(diagram.domain)
+    _, cell, _, _, ta, tb = ring_arcs(diagram.verts, diagram.sizes,
+                                      diagram.labels, circle)
+    if len(cell):
+        (cx, cy), r = circle
+        sweep = (tb - ta) % (2.0 * math.pi)
+        for k, q in enumerate(((cx + r, cy), (cx, cy + r), (cx - r, cy),
+                               (cx, cy - r))):
+            on = (0.5 * math.pi * k - ta) % (2.0 * math.pi) <= sweep
+            np.minimum.at(lo, cell[on], q)
+            np.maximum.at(hi, cell[on], q)
     return lo, hi
 
 
 def _neighbour_table(diagram):
     """(N, T) array: row i holds the sites across cell i's bisector edges in
-    the diagram's nbr array, sorted, padded with -1."""
+    the diagram's labels, sorted, padded with -1."""
     n = len(diagram.sites)
-    k = diagram.nbr >= 0
-    i, j = np.divmod(np.unique(diagram.owner[k] * n + diagram.nbr[k]), n)
+    k = diagram.labels >= 0
+    i, j = np.divmod(np.unique(diagram.owner[k] * n + diagram.labels[k]), n)
     count = np.bincount(i, minlength=n)
     table = np.full((n, count.max(initial=0)), -1)
     table[i, np.arange(len(i)) - (np.cumsum(count) - count)[i]] = j
@@ -358,8 +363,8 @@ def _overlap_table(domain, diagram, squares, area):
         squares[j].reshape(-1, 2), np.full(len(j), 4),
         np.full(4 * len(j), SIDE), cell, _neighbour_table(diagram)[cell])
     overlap = np.zeros((len(squares), len(diagram.sites)))
-    overlap[j, cell] = ring_area_centroid(
-        ring, sizes, domain_arcs(domain, ring, sizes, labels))[0]
+    overlap[j, cell] = ring_area_centroid(ring, sizes, labels,
+                                          domain_circle(domain))[0]
     return overlap > OVERLAP_SHARE * area[:, None]
 
 

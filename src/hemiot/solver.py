@@ -9,8 +9,9 @@ from itertools import islice
 
 import numpy as np
 
-from .chart import c_exp
-from .geometry import ARC, QuadratureError
+from .chart import c_exp, c_exp_rows
+from .domains import domain_circle
+from .geometry import QuadratureError, ring_arcs
 from .laguerre import compute_measures, edge_weights, laguerre_diagram
 
 
@@ -107,7 +108,9 @@ def _level_order(n, pairs):
     edges pairs, the sorted (E, 2) array of pairs i < j: each level lists
     its sites in the order of their first parent, each parent's children
     in index order (Cuthill and McKee 1969). Sites that site 0 does not
-    reach are left out."""
+    reach are left out. A level is its candidates' first occurrences,
+    picked in one pass: first[s] is the least position of site s among the
+    candidates, and a site is a candidate of one level only."""
     i, j = pairs.T
     # each site's neighbours as one CSR row, in index order: the pairs are
     # sorted, so a stable sort by site keeps the lower neighbours (j's
@@ -118,6 +121,7 @@ def _level_order(n, pairs):
     start = np.cumsum(cnt) - cnt
     seen = np.zeros(n, dtype=bool)
     seen[0] = True
+    first = np.full(n, len(nbrs))
     level = np.zeros(1, dtype=np.intp)
     levels = [level]
     while len(level):
@@ -125,7 +129,9 @@ def _level_order(n, pairs):
         head = np.cumsum(c) - c
         kids = nbrs[np.arange(c.sum()) + np.repeat(start[level] - head, c)]
         kids = kids[~seen[kids]]
-        level = kids[np.sort(np.unique(kids, return_index=True)[1])]
+        pos = np.arange(len(kids))
+        np.minimum.at(first, kids, pos)
+        level = kids[first[kids] == pos]
         seen[level] = True
         levels.append(level)
     return np.concatenate(levels)
@@ -314,10 +320,10 @@ class _Locator:
         self.live = np.flatnonzero(dg.nonempty)
         self.tree = cKDTree(dg.centroid[self.live])
         # bisector neighbours of each cell, both ways round, as CSR rows
-        k = np.flatnonzero(dg.nbr >= 0)
+        k = np.flatnonzero(dg.labels >= 0)
         n = len(self.sites)
-        i = np.concatenate([dg.owner[k], dg.nbr[k]])
-        j = np.concatenate([dg.nbr[k], dg.owner[k]])
+        i = np.concatenate([dg.owner[k], dg.labels[k]])
+        j = np.concatenate([dg.labels[k], dg.owner[k]])
         key = np.unique(i * n + j)
         i, self.nbrs = key // n, key % n
         self.indptr = np.concatenate([[0],
@@ -409,36 +415,29 @@ def gauss_map(solution, x):
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         return c_exp(solution.sites[active_site(solution, x)])
-    idx = active_site(solution, x)
-    return np.stack([c_exp(solution.sites[i]).as_array() for i in idx])
+    return c_exp_rows(solution.sites[active_site(solution, x)])
 
 
 def _cell_rings(diagram, max_step=2.0 * math.pi / 256):
     """(cells, sizes, points): the boundaries of the nonempty cells, in site
     order, as one ragged array; cell cells[c] owns the sizes[c] points after
-    those of the cells before it. Each arc edge is cut into chords of at
-    most max_step radians, its chord points after its start vertex; they
-    are computed one arc at a time with math's atan2, cos and sin."""
-    arcs, counts, chords = [], [], []
-    for k, lab in diagram.other_labels.items():
-        if lab[0] != ARC:
-            continue
-        a, b = diagram.verts[[k, diagram.nxt[k]]].tolist()
-        (cx, cy), r = lab[1], lab[2]
-        a0 = math.atan2(a[1] - cy, a[0] - cx)
-        a1 = math.atan2(b[1] - cy, b[0] - cx)
+    those of the cells before it. Each arc edge is cut into n chords of at
+    most max_step radians, its n - 1 chord points after its start vertex."""
+    circle = domain_circle(diagram.domain)
+    rows, cell, _, _, a0, a1 = ring_arcs(diagram.verts, diagram.sizes,
+                                         diagram.labels, circle)
+    points, sizes = diagram.verts, diagram.sizes
+    if len(rows):
+        (cx, cy), r = circle
         sweep = (a1 - a0) % (2.0 * math.pi)
-        n = int(sweep / max_step) + 1
-        for step in range(1, n):
-            t = a0 + sweep * step / n
-            chords.append((cx + r * math.cos(t), cy + r * math.sin(t)))
-        arcs.append(k)
-        counts.append(n - 1)
-    arcs = np.array(arcs, dtype=np.intp)
-    points = np.insert(diagram.verts, np.repeat(arcs + 1, counts),
-                       np.reshape(chords, (-1, 2)), axis=0)
-    sizes = diagram.sizes
-    np.add.at(sizes, diagram.owner[arcs], counts)
+        n = (sweep / max_step).astype(np.intp) + 1
+        # chord point s = 1, ..., n - 1 of each arc, at a0 + sweep * s / n
+        at = np.repeat(np.arange(len(rows)), n - 1)
+        s = np.arange(len(at)) - np.repeat(np.cumsum(n - 1) - n, n - 1)
+        t = a0[at] + sweep[at] * s / n[at]
+        points = np.insert(points, np.repeat(rows + 1, n - 1), np.column_stack(
+            [cx + r * np.cos(t), cy + r * np.sin(t)]), axis=0)
+        np.add.at(sizes, cell, n - 1)
     live = diagram.nonempty
     if not live.all():
         points = points[np.repeat(live, sizes)]
@@ -505,8 +504,8 @@ def export_mesh(solution, path):
         for s in range(0, len(verts), _EVAL_BLOCK):
             fh.writelines("v {:.12g} {:.12g} {:.12g}\n".format(*key)
                           for key in verts[s:s + _EVAL_BLOCK].tolist())
-        fh.writelines("vn {:.12g} {:.12g} {:.12g}\n".format(
-            *c_exp(solution.sites[i]).as_array()) for i in cells.tolist())
+        fh.writelines("vn {:.12g} {:.12g} {:.12g}\n".format(*y)
+                      for y in c_exp_rows(solution.sites[cells]).tolist())
         for s in range(0, len(cells), _EVAL_BLOCK):
             m = n_kept[s:s + _EVAL_BLOCK].tolist()
             block = iter(ids[head[s]:head[s] + sum(m)].tolist())

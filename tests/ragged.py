@@ -1,5 +1,6 @@
-# Conversions between ragged arrays (see hemiot.geometry.ragged_cells) and
-# the forms the tests write cells in.
+# Ragged arrays (ring, sizes, labels), the clippers' format (see
+# hemiot.geometry), built from and split into the forms the tests write
+# cells in.
 import numpy as np
 
 from hemiot.geometry import SIDE
@@ -13,15 +14,21 @@ def pieces(*cells):
             sizes, np.full(int(sizes.sum()), SIDE))
 
 
-def cell_list(ring, sizes, arcs):
-    """The cells of a ragged array as a list of labeled cells (verts,
-    labels), the form the one-cell functions and the per-cell references
-    take. An arc edge gets its arc label; the array keeps no other label,
-    so every other edge is labelled ("line",)."""
-    arc_at = {(i, tuple(a)): lab for i, a, _, lab in arcs}
+def cell_list(ring, sizes, labels):
+    """The cells of a ragged array as a list of (verts, labels) pairs, the
+    form the per-cell references take: a cell's vertices as (x, y) tuples
+    and the int labels of its edges, edge e running from verts[e] to
+    verts[e + 1]."""
     cells, start = [], 0
-    for i, k in enumerate(sizes.tolist()):
-        verts = list(map(tuple, ring[start:start + k].tolist()))
-        cells.append((verts, [arc_at.get((i, v), ("line",)) for v in verts]))
+    for k in sizes.tolist():
+        cells.append((list(map(tuple, ring[start:start + k].tolist())),
+                      labels[start:start + k].tolist()))
         start += k
     return cells
+
+
+def one_by_one(ring, sizes, labels):
+    """Each cell of a ragged array as a one-cell ragged array, in order."""
+    start = np.cumsum(sizes) - sizes
+    return [(ring[s:s + k], sizes[i:i + 1], labels[s:s + k])
+            for i, (s, k) in enumerate(zip(start, sizes))]

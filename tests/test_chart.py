@@ -6,6 +6,7 @@ import pytest
 from hemiot.chart import (
     HemispherePoint,
     c_exp,
+    c_exp_rows,
     chart,
     chart_density,
     cost,
@@ -17,11 +18,11 @@ from hemiot.chart import (
     metric_in_chart,
     ring_chart_mass,
 )
-from hemiot.domains import grid_cells
-from hemiot.geometry import ARC, integrate_cell, ragged_cells
+from hemiot.domains import domain_circle, grid_cells
+from hemiot.geometry import ARC_EDGE, integrate_ring_cells
 from hemiot.targets import chart_disk, chart_polygon
 
-from .ragged import cell_list
+from .ragged import one_by_one, pieces
 
 
 def test_hemisphere_point_validation():
@@ -38,6 +39,16 @@ def test_chart_roundtrip():
     for p in rng.normal(0.0, 3.0, size=(50, 2)):
         q = chart(c_exp(p))
         assert np.allclose(q, p, rtol=1e-13, atol=1e-13)
+
+
+def test_c_exp_rows_is_c_exp_bit_for_bit():
+    # near the origin, far out, the origin itself and a tiny row
+    rng = np.random.default_rng(5)
+    p = np.concatenate([rng.normal(0.0, 1.0, (500, 2)),
+                        rng.normal(0.0, 100.0, (500, 2)),
+                        [[0.0, 0.0], [1e-300, -0.0]]])
+    want = np.stack([c_exp(q).as_array() for q in p])
+    assert c_exp_rows(p).tobytes() == want.tobytes()
 
 
 def test_c_exp_values():
@@ -122,31 +133,32 @@ def test_geodesic_convexity_of_regions():
     assert not is_geodesically_convex(far_apart)
 
 
-def _assert_masses_match_quadrature(cells, tol=0.0):
+def _assert_masses_match_quadrature(cells, circle=None, tol=0.0):
     # each cell integrated alone, its error estimate held to 1e-13 of its
     # own mass
-    masses = ring_chart_mass(*ragged_cells(cells), tol)
-    for (verts, labels), mass in zip(cells, masses):
-        quad = integrate_cell(verts, labels, chart_density, 1e-13 * mass)[0]
+    masses = ring_chart_mass(*cells, tol, circle)
+    for cell, mass in zip(one_by_one(*cells), masses):
+        quad = integrate_ring_cells(*cell, chart_density, 1e-13 * mass,
+                                    circle)[0, 0]
         assert mass == pytest.approx(quad, rel=1e-12, abs=0.0)
 
 
 def test_chart_masses_of_the_sphere_target_match_quadrature():
     # the sphere-benchmark target at N=2000: a chart disk about the origin,
     # every arc in closed form
-    grid = grid_cells(chart_disk(np.zeros(2), 0.75), 44)
-    cells = cell_list(grid.ring, grid.sizes, grid.arcs)
-    assert len(cells) == 1600
-    assert sum(any(lab[0] == ARC for lab in labels) for _, labels in cells) == 172
-    _assert_masses_match_quadrature(cells)
+    region = chart_disk(np.zeros(2), 0.75)
+    grid = grid_cells(region, 44)
+    assert len(grid.sizes) == 1600
+    arc_cells = np.repeat(np.arange(1600), grid.sizes)[grid.labels == ARC_EDGE]
+    assert len(np.unique(arc_cells)) == 172
+    _assert_masses_match_quadrature(grid[:3], domain_circle(region))
 
 
 def test_chart_masses_of_an_offcenter_disk_match_quadrature():
     # arcs off the origin: the parts between chord and arc by quadrature
     region = chart_disk(np.array([0.6, -0.3]), 0.8)
     grid = grid_cells(region, 12)
-    cells = cell_list(grid.ring, grid.sizes, grid.arcs)
-    _assert_masses_match_quadrature(cells, 1e-16)
+    _assert_masses_match_quadrature(grid[:3], domain_circle(region), 1e-16)
 
 
 # far out, quadrature cannot certify 1e-13 on smaller cells: the rounding of
@@ -160,14 +172,15 @@ def test_chart_masses_of_an_offcenter_disk_match_quadrature():
 def test_chart_masses_of_triangles_and_squares_match_quadrature(center, size):
     unit = {"square": [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)],
             "triangle": [(-0.5, -0.25), (0.75, 0.0), (0.125, 0.5)]}
-    cells = [([(center[0] + size * x, center[1] + size * y) for x, y in verts],
-              [("wall", k) for k in range(len(verts))])
-             for verts in unit.values()]
+    cells = pieces(*([(center[0] + size * x, center[1] + size * y)
+                      for x, y in verts] for verts in unit.values()))
     _assert_masses_match_quadrature(cells)
 
 
 @pytest.mark.parametrize("s, m", [(0.75, 40), (3.0, 25), (50.0, 30)])
 def test_chart_masses_of_a_disk_about_the_origin_sum_to_its_closed_form(s, m):
-    grid = grid_cells(chart_disk(np.zeros(2), s), m)
-    total = ring_chart_mass(grid.ring, grid.sizes, grid.arcs, 0.0).sum()
+    region = chart_disk(np.zeros(2), s)
+    grid = grid_cells(region, m)
+    total = ring_chart_mass(grid.ring, grid.sizes, grid.labels, 0.0,
+                            domain_circle(region)).sum()
     assert total == pytest.approx(math.pi * s * s / (1.0 + s * s), rel=1e-14)

@@ -12,7 +12,8 @@ import pytest
 from hemiot.cli import (ConfigError, ExperimentConfig, build_density,
                         build_domain, build_target, compile_expression, main,
                         run)
-from hemiot.domains import DiskDomain
+from hemiot.domains import DiskDomain, domain_circle
+from hemiot.geometry import ARC_EDGE
 
 
 def _write(tmp_path, name, doc):
@@ -185,6 +186,25 @@ def test_validation_exit_codes(tmp_path):
                    "density": {"kind": "constant", "value": 2.0},
                    "out": str(tmp_path / "nc")}
     assert main(["--config", _write(tmp_path, "nc.json", noncritical)]) == 2
+
+
+@pytest.mark.parametrize("command", ["solve", "export"])
+def test_only_a_region_target_needs_N(tmp_path, capsys, command):
+    # an explicit target is its own sites and never reads N; a chart disk
+    # is discretized into N sites and still needs it
+    doc = {k: v for k, v in SOLVE_DOC.items() if k != "N"}
+    explicit = dict(doc, command=command,
+                    target={"kind": "explicit", "sites": [[0.3, 0.1],
+                                                          [-0.2, -0.1]],
+                            "masses": [1.0, 2.0]},
+                    out=str(tmp_path / "explicit"))
+    assert main(["--config", _write(tmp_path, "ex.json", explicit)]) == 0
+    rows = (tmp_path / "explicit" / "solution.csv").read_text().splitlines()
+    assert len(rows) == 3
+    disk = dict(doc, command=command, out=str(tmp_path / "disk"))
+    capsys.readouterr()
+    assert main(["--config", _write(tmp_path, "disk.json", disk)]) == 2
+    assert "config.N: required for this command" in capsys.readouterr().err
 
 
 def test_density_check_samples_a_thin_domain(tmp_path, capsys):
@@ -542,15 +562,16 @@ def test_export_command(tmp_path):
     assert len(cells) > 10
 
 
-def _cell_polyline(cell, max_step=2.0 * math.pi / 256):
-    # a cell's boundary with arcs cut into chords, one LaguerreCell at a time
+def _cell_polyline(cell, circle, max_step=2.0 * math.pi / 256):
+    # a cell's boundary with its arcs of circle cut into chords, one
+    # LaguerreCell at a time
     pts = []
     m = len(cell.verts)
     for e in range(m):
         a, b, lab = cell.verts[e], cell.verts[(e + 1) % m], cell.labels[e]
         pts.append(a)
-        if lab[0] == "arc":
-            (cx, cy), r = lab[1], lab[2]
+        if lab == ARC_EDGE:
+            (cx, cy), r = circle
             a0 = math.atan2(a[1] - cy, a[0] - cx)
             a1 = math.atan2(b[1] - cy, b[0] - cx)
             sweep = (a1 - a0) % (2.0 * math.pi)
@@ -564,13 +585,14 @@ def _cell_polyline(cell, max_step=2.0 * math.pi / 256):
 def _per_cell_mesh(sol):
     # the OBJ surface written cell by cell from diagram.cells
     from hemiot.chart import c_exp
+    circle = domain_circle(sol.domain)
     verts, faces, normals = {}, [], []
     for c in sol.diagram.cells:
         if c.is_empty:
             continue
         p, psi_i = sol.sites[c.site_index], sol.psi[c.site_index]
         ids = []
-        for x, y in _cell_polyline(c):
+        for x, y in _cell_polyline(c, circle):
             z = p[0] * x + p[1] * y - psi_i
             key = (round(x, 9), round(y, 9), round(z, 9))
             ids.append(verts.setdefault(key, len(verts) + 1))
@@ -611,11 +633,13 @@ def test_export_files_match_the_per_cell_writer(tmp_path, monkeypatch, doc):
     doc = dict(doc, command="export", out=str(tmp_path / "ex"))
     assert main(["--config", _write(tmp_path, "ex.json", doc)]) == 0
     sol, = solved
-    assert bool(sol.diagram.arc_edges()) == (doc["domain"]["kind"] == "disk")
+    assert bool((sol.diagram.labels == ARC_EDGE).any()) \
+        == (doc["domain"]["kind"] == "disk")
+    circle = domain_circle(sol.domain)
     ref = write_csv(str(tmp_path / "ref.csv"), ("site", "k", "x1", "x2"),
                     ((c.site_index, k, float(x), float(y))
                      for c in sol.diagram.cells if not c.is_empty
-                     for k, (x, y) in enumerate(_cell_polyline(c))))
+                     for k, (x, y) in enumerate(_cell_polyline(c, circle))))
     out = tmp_path / "ex"
     with open(ref, "rb") as fh:
         assert (out / "cells.csv").read_bytes() == fh.read()

@@ -17,8 +17,8 @@ from hemiot.domains import (
     contains,
     d0_threshold,
     distance_to_boundary,
-    domain_arcs,
     domain_area,
+    domain_circle,
     domain_clipper,
     erode,
     grid_cells,
@@ -31,7 +31,7 @@ from hemiot.domains import (
     unit_ball_volume,
 )
 from hemiot.chart import HemispherePoint
-from hemiot.geometry import ARC, ARC_EDGE, ring_area_centroid
+from hemiot.geometry import ARC_EDGE, ring_area_centroid
 from hemiot.targets import DiscreteTarget, full_hemisphere
 
 from .ragged import cell_list, pieces
@@ -97,8 +97,8 @@ def _clipped_squares(domain, m):
             square = [(x0, y0), (x0 + hx, y0), (x0 + hx, y0 + hy),
                       (x0, y0 + hy)]
             ring, sizes, labels = clip(*pieces(square))
-            area, cen = ring_area_centroid(
-                ring, sizes, domain_arcs(domain, ring, sizes, labels))
+            area, cen = ring_area_centroid(ring, sizes, labels,
+                                           domain_circle(domain))
             if area[0] > (10 * eps) ** 2:
                 out.append((square, ring.tolist(),
                             np.flatnonzero(labels == ARC_EDGE).tolist(),
@@ -117,14 +117,14 @@ def test_grid_cells_match_clipping_every_square(domain, m):
     # cutting its square alone, in the same order, with the same vertices,
     # arcs, area and centroid bits, and the pieces tile the domain
     grid, ref = grid_cells(domain, m), _clipped_squares(domain, m)
-    cells = cell_list(grid.ring, grid.sizes, grid.arcs)
+    cells = cell_list(grid.ring, grid.sizes, grid.labels)
     assert len(cells) == len(grid.area) == len(grid.squares) == len(ref)
-    assert bool(grid.arcs) == isinstance(domain, DiskDomain)
+    assert (grid.labels == ARC_EDGE).any() == isinstance(domain, DiskDomain)
     for k, ((verts, labels), want) in enumerate(zip(cells, ref)):
         square, want_verts, want_arcs, area, centroid = want
         assert list(map(tuple, grid.squares[k].tolist())) == square
         assert list(map(list, verts)) == want_verts
-        assert [e for e, lab in enumerate(labels) if lab[0] == ARC] \
+        assert [e for e, lab in enumerate(labels) if lab == ARC_EDGE] \
             == want_arcs
         assert grid.area[k] == area
         assert np.array_equal(grid.centroid[k], centroid)

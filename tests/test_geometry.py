@@ -4,34 +4,31 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from hemiot.domains import (ConvexPolygonDomain, DiskDomain, domain_arcs,
-                            grid_cells)
+from hemiot.chart import ring_chart_mass
+from hemiot.domains import (ConvexPolygonDomain, DiskDomain, domain_circle,
+                            domain_clipper, grid_cells)
 from hemiot.geometry import (
-    ARC,
     ARC_EDGE,
     WALL,
-    cell_area_centroid,
     clip_halfplane,
     clip_to_circle,
     gauss_legendre,
-    integrate_cell,
     integrate_ring_cells,
-    ragged_cells,
     ring_area_centroid,
 )
+from hemiot.targets import chart_disk, chart_polygon, region_mass
 
 from .ragged import cell_list, pieces
 
 SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
-SQ_LABELS = [("wall", i) for i in range(4)]
 
 
 def test_polygon_area_and_centroid():
-    area, cen = cell_area_centroid(SQUARE, SQ_LABELS)
-    assert area == pytest.approx(1.0, abs=1e-15)
-    assert cen == pytest.approx([0.5, 0.5], abs=1e-15)
+    area, cen = ring_area_centroid(*pieces(SQUARE))
+    assert area[0] == pytest.approx(1.0, abs=1e-15)
+    assert cen[0] == pytest.approx([0.5, 0.5], abs=1e-15)
     tri = [(0.0, 0.0), (2.0, 0.0), (0.0, 2.0)]
-    assert cell_area_centroid(tri, SQ_LABELS[:3])[0] == pytest.approx(
+    assert ring_area_centroid(*pieces(tri))[0][0] == pytest.approx(
         2.0, abs=1e-15)
 
 
@@ -53,9 +50,10 @@ def _segment(center, R, a, b):
             area * (center[1] + dist * math.sin(mid)))
 
 
-def _shoelace(verts, labels):
+def _shoelace(verts, labels, circle):
     # one cell by hand: the shoelace terms added in vertex order, then each
-    # arc's circular segment in edge order; the vertex mean at zero area
+    # arc's circular segment of circle in edge order; the vertex mean at
+    # zero area
     k = len(verts)
     area = mx = my = 0.0
     for e in range(k):
@@ -66,9 +64,8 @@ def _shoelace(verts, labels):
         my += (ay + by) * cross
     area, mx, my = 0.5 * area, mx / 6.0, my / 6.0
     for e, lab in enumerate(labels):
-        if lab[0] == ARC:
-            s_area, sx, sy = _segment(lab[1], lab[2], verts[e],
-                                      verts[(e + 1) % k])
+        if lab == ARC_EDGE:
+            s_area, sx, sy = _segment(*circle, verts[e], verts[(e + 1) % k])
             area += s_area
             mx += sx
             my += sy
@@ -81,10 +78,10 @@ def _shoelace(verts, labels):
     return area, (sx / max(k, 1), sy / max(k, 1))
 
 
-def _assert_matches_shoelace(cells, areas, centroids):
+def _assert_matches_shoelace(cells, areas, centroids, circle):
     assert len(cells) == len(areas) == len(centroids)
     for (verts, labels), area, cen in zip(cells, areas, centroids):
-        want_area, want_cen = _shoelace(verts, labels)
+        want_area, want_cen = _shoelace(verts, labels, circle)
         assert area == want_area
         assert tuple(cen) == want_cen
 
@@ -96,15 +93,18 @@ def _assert_matches_shoelace(cells, areas, centroids):
                                    [0.1, 0.9]])), 22),
 ], ids=["disk", "chart-disk", "quadrilateral"])
 def test_ring_area_centroid_is_the_shoelace_bit_for_bit(domain, m):
-    grid = grid_cells(domain, m)
-    cells = cell_list(grid.ring, grid.sizes, grid.arcs)
-    assert any(lab[0] == ARC for _, labels in cells for lab in labels) \
+    grid, circle = grid_cells(domain, m), domain_circle(domain)
+    cells = cell_list(grid.ring, grid.sizes, grid.labels)
+    assert any(lab == ARC_EDGE for _, labels in cells for lab in labels) \
         == isinstance(domain, DiskDomain)
-    _assert_matches_shoelace(cells, grid.area, grid.centroid)
+    _assert_matches_shoelace(cells, grid.area, grid.centroid, circle)
     # the kernel on its own, with a cell that has no vertices and one of
-    # zero area in between
-    cells[1:1] = [([], []), ([(0.5, 0.25), (0.5, 0.75)], [("nbr", 0)] * 2)]
-    _assert_matches_shoelace(cells, *ring_area_centroid(*ragged_cells(cells)))
+    # zero area spliced in after the first
+    k = grid.sizes[0]
+    cut = (np.insert(grid.ring, k, [(0.5, 0.25), (0.5, 0.75)], axis=0),
+           np.insert(grid.sizes, 1, [0, 2]), np.insert(grid.labels, k, [0, 0]))
+    _assert_matches_shoelace(cell_list(*cut),
+                             *ring_area_centroid(*cut, circle), circle)
 
 
 def test_solved_disk_diagram_cells_are_the_shoelace_bit_for_bit():
@@ -117,21 +117,16 @@ def test_solved_disk_diagram_cells_are_the_shoelace_bit_for_bit():
     diagram = solve(domain, constant_density(1.0), target).diagram
     cells = [(c.verts, c.labels) for c in diagram.cells if not c.is_empty]
     assert len(cells) == len(diagram.sites)
-    assert sum(lab[0] == ARC for _, labels in cells for lab in labels) > 10
-    _assert_matches_shoelace(cells, diagram.area, diagram.centroid)
-
-
-def _disk_area_centroid(cut, center, R):
-    # ring_area_centroid of a ragged array cut by the disk (center, R)
-    arcs = domain_arcs(DiskDomain(np.asarray(center), R), *cut)
-    return ring_area_centroid(*cut[:2], arcs)
+    assert sum(lab == ARC_EDGE for _, labels in cells for lab in labels) > 10
+    _assert_matches_shoelace(cells, diagram.area, diagram.centroid,
+                             domain_circle(domain))
 
 
 def test_clip_halfplane_splits_square():
     ring, sizes, labels = clip_halfplane(
         np.array(SQUARE), np.array([4]), WALL - np.arange(4), np.array([1.0, 0.0]), 0.5,
         7, 1e-12)
-    area, cen = ring_area_centroid(ring, sizes, [])
+    area, cen = ring_area_centroid(ring, sizes, labels)
     assert area[0] == pytest.approx(0.5, abs=1e-14)
     assert cen[0, 0] == pytest.approx(0.25, abs=1e-14)
     assert 7 in labels.tolist()
@@ -172,12 +167,12 @@ def test_clip_halfplane_halves_add_up_to_the_cell(near_vertex):
             + rng.choice([-1e-13, 0.0, 1e-13], len(cells))
     else:
         offset = rng.normal(0.0, 1.0, len(cells))
-    whole = ring_area_centroid(ring, sizes, [])[0]
+    whole = ring_area_centroid(ring, sizes, labels)[0]
     chosen = np.flatnonzero(rng.random(len(cells)) < 0.8)
     side = [clip_halfplane(ring, sizes, labels, s * normal[chosen],
                            s * offset[chosen], 5, 1e-12, chosen)
             for s in (1.0, -1.0)]
-    halves = [ring_area_centroid(*cut[:2], [])[0] for cut in side]
+    halves = [ring_area_centroid(*cut)[0] for cut in side]
     assert np.allclose((halves[0] + halves[1])[chosen], whole[chosen],
                        rtol=0.0, atol=1e-12 * whole.max())
     rest = np.ones(len(cells), dtype=bool)
@@ -192,7 +187,7 @@ def test_clip_halfplane_halves_add_up_to_the_cell(near_vertex):
 def test_clip_to_circle_inscribed():
     cut = clip_to_circle(*pieces([(-2.0, -2.0), (2.0, -2.0), (2.0, 2.0),
                                   (-2.0, 2.0)]), (0.0, 0.0), 1.0, 1e-12)
-    area, cen = _disk_area_centroid(cut, (0.0, 0.0), 1.0)
+    area, cen = ring_area_centroid(*cut, ((0.0, 0.0), 1.0))
     assert cut[2].tolist() == [ARC_EDGE, ARC_EDGE]
     assert area[0] == pytest.approx(math.pi, rel=1e-12)
     assert np.allclose(cen[0], 0.0, atol=1e-12)
@@ -203,7 +198,7 @@ def test_clip_to_circle_half_disk():
                                   (-2.0, 2.0)]),
                          np.array([1.0, 0.0]), 0.0, 1, 1e-12)
     cut = clip_to_circle(*cut, (0.0, 0.0), 1.0, 1e-12)
-    area, cen = _disk_area_centroid(cut, (0.0, 0.0), 1.0)
+    area, cen = ring_area_centroid(*cut, ((0.0, 0.0), 1.0))
     assert area[0] == pytest.approx(math.pi / 2.0, rel=1e-12)
     # centroid of a half disk sits 4R/(3pi) from the diameter
     assert cen[0, 0] == pytest.approx(-4.0 / (3.0 * math.pi), rel=1e-10)
@@ -215,7 +210,7 @@ def test_clip_to_circle_tangent_edge_at_a_circle_vertex(x0):
     # there, so the edge leaves (or enters) the disk with no root found
     piece = [(x0, 0.52), (x0 + 0.04, 0.52), (x0 + 0.04, 0.6), (x0, 0.6)]
     cut = clip_to_circle(*pieces(piece), (0.0, 0.0), 0.6, 1.2e-12)
-    area, _ = _disk_area_centroid(cut, (0.0, 0.0), 0.6)
+    area, _ = ring_area_centroid(*cut, ((0.0, 0.0), 0.6))
     exact, _ = quad(lambda x: math.sqrt(0.36 - x * x) - 0.52, x0, x0 + 0.04,
                     epsabs=1e-16, epsrel=1e-14)
     assert area[0] == pytest.approx(exact, rel=1e-12)
@@ -230,7 +225,7 @@ def test_gauss_legendre_degree():
 
 
 def test_integrate_cell_constant_and_linear():
-    out = integrate_cell(SQUARE, SQ_LABELS, lambda p: np.ones(len(p)))
+    out = integrate_ring_cells(*pieces(SQUARE), lambda p: np.ones(len(p)))[0]
     assert out[0] == pytest.approx(1.0, abs=1e-12)
     assert out[1] == pytest.approx(0.5, abs=1e-12)
     assert out[2] == pytest.approx(0.5, abs=1e-12)
@@ -238,7 +233,7 @@ def test_integrate_cell_constant_and_linear():
 
 def test_integrate_cell_smooth_vs_closed_form():
     f = lambda p: np.exp(p[:, 0]) * np.cos(p[:, 1])
-    out = integrate_cell(SQUARE, SQ_LABELS, f, tol=1e-12)
+    out = integrate_ring_cells(*pieces(SQUARE), f, tol=1e-12)[0]
     exact = (math.e - 1.0) * math.sin(1.0)
     assert out[0] == pytest.approx(exact, rel=1e-11)
 
@@ -247,8 +242,49 @@ def test_integrate_cell_on_disk_matches_radial_closed_form():
     cut = clip_to_circle(*pieces([(-1.5, -1.5), (1.5, -1.5), (1.5, 1.5),
                                   (-1.5, 1.5)]), (0.0, 0.0), 1.0, 1e-12)
     dens = lambda p: (1.0 + (p ** 2).sum(axis=1)) ** -2
-    out = integrate_ring_cells(
-        *cut[:2], domain_arcs(DiskDomain(np.zeros(2), 1.0), *cut), dens,
-        tol=1e-11)[0]
+    out = integrate_ring_cells(*cut, dens, tol=1e-11,
+                               circle=((0.0, 0.0), 1.0))[0]
     # mass of the chart density inside radius r is pi r^2/(1+r^2)
     assert out[0] == pytest.approx(math.pi / 2.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("region", [
+    chart_disk(np.zeros(2), 0.75),
+    chart_disk(np.array([0.6, -0.3]), 0.8),
+    chart_polygon(np.array([[0.0, 0.0], [1.3, 0.1], [1.0, 1.2], [0.1, 0.9]])),
+], ids=["centred-circle", "offcentre-circle", "polygon"])
+def test_clipper_output_feeds_every_kernel(region):
+    # 9 x 9 squares over the region's box, cut by its clipper; the arrays go
+    # as they come out, with the region's circle, to the area kernel, to
+    # the quadrature of f = 1 and of a linear f, and to the chart masses
+    lo, hi = region.bounding_box()
+    (hx, hy), t = (hi - lo) / 9, np.arange(81)
+    x0, y0 = lo[0] + hx * (t // 9), lo[1] + hy * (t % 9)
+    squares = np.stack([np.column_stack(c) for c in
+                        ((x0, y0), (x0 + hx, y0), (x0 + hx, y0 + hy),
+                         (x0, y0 + hy))], axis=1)
+    cut = domain_clipper(region)(*pieces(*squares))
+    circle = domain_circle(region)
+    assert (cut[2] == ARC_EDGE).any() == (circle is not None)
+    if circle is None:
+        v = region.vertices
+        w = np.roll(v, -1, axis=0)
+        exact = 0.5 * float((v[:, 0] * w[:, 1] - w[:, 0] * v[:, 1]).sum())
+    else:
+        exact = math.pi * circle[1] ** 2
+    area, centroid = ring_area_centroid(*cut, circle)
+    assert area.sum() == pytest.approx(exact, rel=1e-13)
+    ones = integrate_ring_cells(*cut, lambda p: np.ones(len(p)), 1e-12, circle)
+    assert ones[:, 0].sum() == pytest.approx(exact, rel=1e-11)
+    assert np.allclose(ones[:, 0], area, rtol=0.0, atol=1e-12)
+    assert np.allclose(ones[:, 1:], area[:, None] * centroid, rtol=0.0,
+                       atol=1e-12)
+    # a linear density integrates to the area times its centroid value
+    linear = integrate_ring_cells(
+        *cut, lambda p: 1.0 + p[:, 0] - 2.0 * p[:, 1], 1e-12, circle)
+    assert np.allclose(linear[:, 0],
+                       area * (1.0 + centroid[:, 0] - 2.0 * centroid[:, 1]),
+                       rtol=0.0, atol=1e-12)
+    mass = ring_chart_mass(*cut, 1e-14, circle)
+    assert (mass >= 0.0).all()
+    assert mass.sum() == pytest.approx(region_mass(region), rel=1e-12)

@@ -86,7 +86,7 @@ def _assert_matches_brute(a):
     b = laguerre_diagram(a.domain, a.sites, a.psi, method="brute")
     assert (a.route, b.route) == ("hull", "brute")
     n = len(a.sites)
-    assert ((a.nbr >= -1) & (a.nbr < n)).all()
+    assert (a.labels < n).all()
     assert a.total_area() == pytest.approx(domain_area(a.domain), rel=1e-12)
     for ca, cb in zip(a.cells, b.cells):
         assert ca.area == pytest.approx(cb.area, abs=1e-12)
@@ -256,7 +256,7 @@ def test_hull_route_clips_only_cells_that_cross_the_boundary(monkeypatch):
     diag = laguerre_diagram(domain, sites, psi)
     assert diag.route == "hull"
     assert not any(c.is_empty for c in diag.cells)
-    crossing = sum(any(lab[0] != "nbr" for lab in c.labels) for c in diag.cells)
+    crossing = sum(any(lab < 0 for lab in c.labels) for c in diag.cells)
     bound = crossing + len(ConvexHull(sites).vertices)
     assert bound < 0.4 * len(sites)
     assert len(calls) == 1 and crossing <= calls[0] <= bound
@@ -410,14 +410,14 @@ def test_edge_weights_linear_density_matches_closed_form(seed):
     seen = set()
     for c in diag.cells:
         for e, lab in enumerate(c.labels):
-            if lab[0] != "nbr":
+            if lab < 0:
                 continue
             a = np.array(c.verts[e])
             b = np.array(c.verts[(e + 1) % len(c.verts)])
             mid = 0.5 * (a + b)
             exact = np.linalg.norm(b - a) * (3.0 + mid[0] - 0.5 * mid[1]) \
-                / np.linalg.norm(sites[c.site_index] - sites[lab[1]])
-            key = (min(c.site_index, lab[1]), max(c.site_index, lab[1]))
+                / np.linalg.norm(sites[c.site_index] - sites[lab])
+            key = (min(c.site_index, lab), max(c.site_index, lab))
             assert w[key] == pytest.approx(exact, rel=1e-12, abs=1e-14)
             seen.add(key)
     assert seen == set(w)
@@ -450,7 +450,7 @@ def test_adjacency_is_mutual_for_closely_spaced_sites(domain, h, span, checker):
     diag = laguerre_diagram(domain, sites, psi)
     assert diag.route == "hull"
     live = [c for c in diag.cells if not c.is_empty]
-    assert sum(any(lab[0] != "nbr" for lab in c.labels) for c in live) >= 40
+    assert sum(any(lab < 0 for lab in c.labels) for c in live) >= 40
     nbrs = {c.site_index: set(c.neighbors) for c in live}
     for i, ns in nbrs.items():
         for j in ns:

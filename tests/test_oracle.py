@@ -324,7 +324,7 @@ def test_overlap_agreement_rejects_wrong_partitions():
 def _all_pairs_table(domain, sol, squares, atom_area):
     # the overlap table with every atom's square cut against every nonempty
     # cell, each with the neighbours its LaguerreCell lists
-    from hemiot.domains import domain_arcs
+    from hemiot.domains import domain_circle
     from hemiot.geometry import ring_area_centroid
     from hemiot.laguerre import cell_cutter
     from hemiot.oracle import OVERLAP_SHARE
@@ -339,8 +339,7 @@ def _all_pairs_table(domain, sol, squares, atom_area):
         np.repeat(nbrs, len(squares), axis=0))
     area = np.zeros((len(squares), len(sol.sites)))
     area[np.tile(np.arange(len(squares)), len(cells)), cell] = \
-        ring_area_centroid(ring, sizes,
-                           domain_arcs(domain, ring, sizes, labels))[0]
+        ring_area_centroid(ring, sizes, labels, domain_circle(domain))[0]
     return area > OVERLAP_SHARE * atom_area[:, None]
 
 

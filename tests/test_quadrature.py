@@ -10,13 +10,13 @@ import pytest
 from hemiot import domains, geometry
 from hemiot.cli import ConfigError, run
 from hemiot.domains import (ConvexPolygonDomain, DiskDomain, SourceDensity,
-                            domain_arcs, total_mass)
-from hemiot.geometry import (QuadratureError, arc_patch, clip_to_circle,
-                             integrate_cell, integrate_panels,
-                             integrate_ring_cells, ragged_cells)
+                            domain_circle, domain_ring, total_mass)
+from hemiot.geometry import (ARC_EDGE, QuadratureError, arc_patches,
+                             clip_to_circle, integrate_panels,
+                             integrate_ring_cells)
 from hemiot.laguerre import compute_measures, laguerre_diagram
 
-from .ragged import pieces
+from .ragged import one_by_one, pieces
 
 X0 = np.array([0.31, 0.17])
 SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
@@ -34,17 +34,16 @@ def _smooth(p):
 def test_triangles_and_patches_integrate_the_same_disk():
     # two half-disk patches around the centre, and a square fan plus four
     # arc patches
-    east, west = (0.8, -0.2), (-0.6, -0.2)
-    disk = np.array([arc_patch(east, west, (0.1, -0.2), 0.7),
-                     arc_patch(west, east, (0.1, -0.2), 0.7)])
+    domain = DiskDomain(np.array([0.1, -0.2]), 0.7)
+    circle = domain_circle(domain)
+    disk = arc_patches(*domain_ring(domain), circle)[1]
+    assert len(disk) == 2
     whole = integrate_panels(_smooth, np.zeros((0, 3, 2)), disk, 1e-12)
-    corners = [(0.1 + 0.7 * math.cos(t), -0.2 + 0.7 * math.sin(t))
-               for t in (0.3, 1.9, 3.5, 5.1)]
-    ring = np.array(corners)
+    ring = np.array([(0.1 + 0.7 * math.cos(t), -0.2 + 0.7 * math.sin(t))
+                     for t in (0.3, 1.9, 3.5, 5.1)])
     tris = np.stack([np.broadcast_to(ring.mean(axis=0), ring.shape), ring,
                      np.roll(ring, -1, axis=0)], axis=1)
-    arcs = np.array([arc_patch(corners[i], corners[(i + 1) % 4], (0.1, -0.2), 0.7)
-                     for i in range(4)])
+    arcs = arc_patches(ring, np.array([4]), np.full(4, ARC_EDGE), circle)[1]
     pieces = integrate_panels(_smooth, tris, arcs, 1e-12)
     assert pieces == pytest.approx(whole, rel=1e-11, abs=1e-12)
     assert pieces[0, 0] == pytest.approx(total_mass(
@@ -55,9 +54,9 @@ def test_triangles_and_patches_integrate_the_same_disk():
 def test_same_cell_gives_identical_bytes():
     cut = clip_to_circle(*pieces([(-1.5, -1.5), (1.5, -1.5), (1.5, 1.5),
                                   (-1.5, 1.5)]), (0.0, 0.0), 1.0, 1e-12)
-    cell = (*cut[:2], domain_arcs(DiskDomain(np.zeros(2), 1.0), *cut))
-    a = integrate_ring_cells(*cell, _smooth, tol=1e-11)
-    b = integrate_ring_cells(*cell, _smooth, tol=1e-11)
+    circle = ((0.0, 0.0), 1.0)
+    a = integrate_ring_cells(*cut, _smooth, tol=1e-11, circle=circle)
+    b = integrate_ring_cells(*cut, _smooth, tol=1e-11, circle=circle)
     assert a.tobytes() == b.tobytes()
 
 
@@ -66,25 +65,26 @@ def test_one_call_over_all_cells_matches_per_cell_calls():
     domain = DiskDomain(np.array([0.1, -0.2]), 0.7)
     diag = laguerre_diagram(domain, rng.normal(0.0, 1.0, size=(30, 2)),
                             rng.normal(0.0, 0.3, size=30))
-    cells = [(c.verts, c.labels) for c in diag.cells]
-    tol = 1e-10
-    batch = integrate_ring_cells(*ragged_cells(cells), _smooth, tol)
+    cells = (diag.verts, diag.sizes, diag.labels)
+    circle, tol = domain_circle(domain), 1e-10
+    batch = integrate_ring_cells(*cells, _smooth, tol, circle)
     assert batch.shape == (30, 3)
-    for (verts, labels), row in zip(cells, batch):
-        assert np.abs(row - integrate_cell(verts, labels, _smooth, tol)).max() <= tol
+    for cell, row in zip(one_by_one(*cells), batch):
+        alone = integrate_ring_cells(*cell, _smooth, tol, circle)[0]
+        assert np.abs(row - alone).max() <= tol
     assert batch[:, 0].sum() == pytest.approx(
         total_mass(domain, SourceDensity(fn=_smooth), tol=tol)[0], abs=2 * tol)
-    assert batch.tobytes() == integrate_ring_cells(*ragged_cells(cells),
-                                                   _smooth, tol).tobytes()
+    assert batch.tobytes() == integrate_ring_cells(*cells, _smooth, tol,
+                                                   circle).tobytes()
 
 
 def test_density_calls_stay_under_the_node_cap(monkeypatch):
     rng = np.random.default_rng(4)
     diag = laguerre_diagram(DiskDomain(np.zeros(2), 1.0),
                             rng.normal(0.0, 1.0, size=(40, 2)), np.zeros(40))
-    cells = ragged_cells([(c.verts, c.labels) for c in diag.cells])
+    cells, circle = (diag.verts, diag.sizes, diag.labels), ((0.0, 0.0), 1.0)
     # a tolerance the first evaluation already meets: no panel is split
-    whole = integrate_ring_cells(*cells, _smooth, 1.0)
+    whole = integrate_ring_cells(*cells, _smooth, 1.0, circle)
     calls = []
 
     def f(p):
@@ -92,7 +92,8 @@ def test_density_calls_stay_under_the_node_cap(monkeypatch):
         return _smooth(p)
 
     monkeypatch.setattr(geometry, "_CALL_NODES", 700)
-    assert integrate_ring_cells(*cells, f, 1.0).tobytes() == whole.tobytes()
+    assert integrate_ring_cells(*cells, f, 1.0, circle).tobytes() \
+        == whole.tobytes()
     assert len(calls) > 2 and max(calls) <= 700
 
 
@@ -105,8 +106,7 @@ def test_unresolvable_density_raises_from_both_entry_points(tmp_path):
         with pytest.raises(QuadratureError, match=message):
             total_mass(domain, K, tol=1e-8)
     with pytest.raises(QuadratureError, match=message):
-        integrate_cell(SQUARE, [("wall", i) for i in range(4)],
-                       _point_singularity, tol=1e-8)
+        integrate_ring_cells(*pieces(SQUARE), _point_singularity, tol=1e-8)
     diag = laguerre_diagram(ConvexPolygonDomain(np.array(SQUARE)),
                             np.array([[0.0, 0.0], [1.0, 0.2], [0.3, 1.0]]),
                             np.zeros(3))

@@ -483,6 +483,42 @@ def test_level_order_is_breadth_first_by_first_parent():
     assert _level_order(4, np.array([[0, 1], [2, 3]])).tolist() == [0, 1]
 
 
+def _breadth_first(n, pairs):
+    # plain-Python breadth-first search from site 0: each level's sites in
+    # the order of their first parent, each parent's children in index order
+    adj = [[] for _ in range(n)]
+    for i, j in pairs.tolist():
+        adj[i].append(j)
+        adj[j].append(i)
+    order, seen, level = [0], {0}, [0]
+    while level:
+        nxt = []
+        for v in level:
+            for w in sorted(adj[v]):
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        order += nxt
+        level = nxt
+    return order
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("degree", [0.3, 0.9, 2.0, 6.0])
+def test_level_order_matches_a_plain_breadth_first_search(seed, degree):
+    # random graphs of n sites and about degree * n / 2 edges: below one
+    # edge per site they fall apart, and the order covers site 0's part
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 400))
+    i, j = rng.integers(0, n, (2, int(degree * n / 2)))
+    pairs = np.unique(np.column_stack([np.minimum(i, j), np.maximum(i, j)])
+                      [i != j], axis=0).reshape(-1, 2)
+    order = _level_order(n, pairs)
+    assert order.tolist() == _breadth_first(n, pairs)
+    if degree < 1.0:
+        assert len(order) < n
+
+
 @pytest.mark.parametrize("domain, region, N, n, bound", [
     (DiskDomain(np.zeros(2), 0.6), chart_disk(np.zeros(2), 0.9), 500, 416,
      40),

@@ -14,6 +14,8 @@ from hemiot.targets import (
     truncation_radius_for,
 )
 
+from .ragged import pieces
+
 
 def test_truncation_radius():
     P = truncation_radius_for(math.pi * 1e-4)
@@ -38,15 +40,14 @@ def test_region_mass_closed_forms():
 
 
 def test_region_mass_offcenter_disk_vs_quadrature():
-    from hemiot.geometry import integrate_cell
+    from hemiot.geometry import integrate_ring_cells
     region = chart_disk(np.array([0.6, -0.3]), 0.8)
     # dense polygonal proxy of the disk for an independent quadrature route
     ang = np.linspace(0.0, 2.0 * math.pi, 2000, endpoint=False)
     verts = np.column_stack([0.6 + 0.8 * np.cos(ang), -0.3 + 0.8 * np.sin(ang)])
-    labels = [("wall", i) for i in range(len(verts))]
-    quad = integrate_cell(list(map(tuple, verts)), labels,
-                          lambda p: (1.0 + (p ** 2).sum(axis=1)) ** -2,
-                          tol=1e-10)[0]
+    quad = integrate_ring_cells(*pieces(verts),
+                                lambda p: (1.0 + (p ** 2).sum(axis=1)) ** -2,
+                                tol=1e-10)[0, 0]
     assert region_mass(region) == pytest.approx(quad, rel=1e-5)
 
 
@@ -60,7 +61,8 @@ def test_region_mass_of_a_square_is_closed_form(a, monkeypatch):
 
     import hemiot.chart
     import hemiot.geometry
-    monkeypatch.setattr(hemiot.geometry, "integrate_cell", _no_quadrature)
+    monkeypatch.setattr(hemiot.geometry, "integrate_ring_cells",
+                        _no_quadrature)
     monkeypatch.setattr(hemiot.chart, "integrate_panels", _no_quadrature)
 
     def F(y, c2):
