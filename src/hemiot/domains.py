@@ -1,6 +1,6 @@
 # Source-side geometry and measure: convex domains, curvature densities,
 # mass classification, a disk's boundary chart constants (closed form),
-# erosions, distance functions, and the boundary-cone constructions used by
+# distance functions, and the boundary-cone constructions used by
 # the gradient-blowup experiment.
 import math
 import warnings
@@ -258,59 +258,6 @@ def inradius_point(domain):
     c = domain.centroid
     n, b = domain.edge_normals()
     return c, float(np.min(b - n @ c))
-
-
-def erode(domain, t):
-    """Inner parallel body {x : d(x, boundary) >= t}; None when it is empty
-    (or degenerates to a point/segment)."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    if t == 0:
-        return domain
-    if isinstance(domain, DiskDomain):
-        r = domain.radius - t
-        return DiskDomain(domain.center, r) if r > 1e-15 * domain.radius else None
-    n, b = domain.edge_normals()
-    scale = float(np.max(np.abs(domain.vertices))) + 1.0
-    v = domain.vertices
-    verts, size, _ = clip_to_halfplanes(v, np.array([len(v)]),
-                                        np.full(len(v), SIDE), n, b - t,
-                                        1e-12 * scale)
-    if not size[0]:
-        return None
-    cleaned = _strictly_convex_cleanup(verts, 1e-10 * scale)
-    if cleaned is None:
-        return None
-    area = ring_area_centroid(cleaned, np.array([len(cleaned)]),
-                              np.full(len(cleaned), SIDE))[0][0]
-    return ConvexPolygonDomain(cleaned) if area > (1e-10 * scale) ** 2 else None
-
-
-def _strictly_convex_cleanup(v, tol):
-    """Drop repeated and collinear vertices so the strict-convexity invariant holds."""
-    keep = []
-    k = len(v)
-    for i in range(k):
-        if keep and np.linalg.norm(v[i] - v[keep[-1]]) <= tol:
-            continue
-        keep.append(i)
-    if len(keep) >= 2 and np.linalg.norm(v[keep[0]] - v[keep[-1]]) <= tol:
-        keep.pop()
-    v = v[keep]
-    while True:
-        k = len(v)
-        if k < 3:
-            return None
-        drop = None
-        for i in range(k):
-            a = v[(i + 1) % k] - v[i]
-            b = v[(i + 2) % k] - v[(i + 1) % k]
-            if a[0] * b[1] - a[1] * b[0] <= tol * tol:
-                drop = (i + 1) % k
-                break
-        if drop is None:
-            return v
-        v = np.delete(v, drop, axis=0)
 
 
 # ---------------------------------------------------------------------------

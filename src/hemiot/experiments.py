@@ -1,13 +1,11 @@
 # Executable checks of the structural results: the constant-curvature sphere
-# benchmark, the image identity of the discrete normal map, the boundary
-# gradient blowup bound in the critical case, and the cone/slice/volume
-# estimates it relies on.
+# benchmark, the boundary gradient blowup bound in the critical case, and
+# the cone/slice/volume estimates it relies on.
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .chart import c_exp_rows
 from .domains import (DiskDomain, boundary_geometry, constant_density,
                       d0_threshold, lambda_constant, make_cone_spec,
                       total_mass, unit_ball_volume)
@@ -95,22 +93,6 @@ def sphere_benchmark(r, N, tol=1e-6, max_iter=50, n_eval=20000, seed=0):
         sol.report.final_residual, sol.report.iterations,
         sol.report.converged, sol.report.runtime, samples)
     return rep, sol
-
-
-def gauss_map_image_check(solution, target):
-    """One-sided Hausdorff distances between the achieved image directions
-    (sites with nonempty cells) and the full prescribed set, plus the number
-    of positive-mass sites left with empty cells."""
-    from scipy.spatial import cKDTree
-    pts_all = c_exp_rows(target.sites)
-    live = solution.diagram.nonempty
-    n_empty_required = ((~live) & (target.masses > 0)).sum()
-    pts_live = pts_all[live]
-    if len(pts_live) == 0:
-        return float("inf"), float("inf"), int(n_empty_required)
-    h_live_to_all = float(cKDTree(pts_all).query(pts_live)[0].max())
-    h_all_to_live = float(cKDTree(pts_live).query(pts_all)[0].max())
-    return h_live_to_all, h_all_to_live, int(n_empty_required)
 
 
 @dataclass

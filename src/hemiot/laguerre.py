@@ -5,25 +5,21 @@
 # them (Aurenhammer 1987), cut by the domain, exactly, including
 # circular-arc boundaries on disk domains, when it reaches the boundary. The
 # cut and its tolerance are the domain's own (domains.domain_clipper and
-# clip_eps), made once for all rings; the brute route and the one-site
-# diagram cut boxes around the domain by bisectors (cell_cutter) and end in
-# the same clipper. A diagram holds all its cells in one ragged vertex
-# array.
+# clip_eps), made once for all rings; a single site's cell is the domain's
+# own ring (domains.domain_ring). cell_cutter cuts given pieces by
+# bisectors and then by the same clipper. A diagram holds all its cells in
+# one ragged vertex array.
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .domains import clip_eps, domain_circle, domain_clipper
+from .domains import clip_eps, domain_circle, domain_clipper, domain_ring
 from .geometry import (
-    ARC_EDGE,
-    SIDE,
     clip_halfplane,
-    clip_to_halfplanes,
     gauss_legendre,
     has_duplicate_points,
     integrate_ring_cells,
-    polygon_halfplanes,
     ring_area_centroid,
     ring_next,
 )
@@ -56,7 +52,6 @@ class LaguerreDiagram:
     domain: object
     sites: np.ndarray
     psi: np.ndarray
-    route: str    # "hull" or "brute": how the diagram was built
     verts: np.ndarray
     offsets: np.ndarray
     labels: np.ndarray
@@ -87,9 +82,6 @@ class LaguerreDiagram:
             out.append(LaguerreCell(i, verts[s:e], labels[s:e], nbrs,
                                     float(self.area[i]), self.centroid[i].copy()))
         return out
-
-    def total_area(self):
-        return float(self.area.sum())
 
     def bisector_edges(self):
         """(i, j, a, b): every bisector edge a -> b, of cell i against j."""
@@ -263,40 +255,27 @@ def _rings(n, tri, across, power, eps):
             np.roll(tri, -2, axis=1).ravel()[corner[order]])
 
 
-def laguerre_diagram(domain, sites, psi, method="auto"):
+def laguerre_diagram(domain, sites, psi):
     """Partition of the domain into the cells of max_i(<x, p_i> - psi_i).
 
     The diagram holds every cell in one ragged vertex array with per-cell
     offsets and an edge label per vertex (see LaguerreDiagram); `cells` is
-    the same diagram as LaguerreCell objects, built on first access.
-    `method` decides how the cells are built, and the diagram records the
-    route taken in `route`:
-      "auto"  route "hull": the regular triangulation from the lower hull of
-              the lifted sites (p, psi) and three sentinels around them
-              (_with_sentinels), so that every site on it has a closed ring
-              of power vertices (_rings). Every ring of two or more
-              vertices goes through one domain cut, which keeps a ring
-              inside the domain whole and removes every vertex and edge
-              that involves a sentinel. Collinear sites and affine psi
-              (psi = 0 included) take this route too.
-      "brute" a box around the domain for each site, cut by the bisectors
-              of every other site and then by the domain (cell_cutter);
-              kept as an independent oracle.
-    One site takes brute whatever the method, so its cell is the domain
-    exactly. Both routes produce the same cells."""
-    if method not in ("auto", "brute"):
-        raise ValueError(f"unknown method {method!r}")
+    the same diagram as LaguerreCell objects, built on first access. The
+    cells come from the regular triangulation, the lower hull of the lifted
+    sites (p, psi) and three sentinels around them (_with_sentinels), so
+    that every site on it has a closed ring of power vertices (_rings).
+    Every ring of two or more vertices goes through one domain cut, which
+    keeps a ring inside the domain whole and removes every vertex and edge
+    that involves a sentinel. Collinear sites and affine psi (psi = 0
+    included) take the same route. A single site's cell is the domain's own
+    ring (domains.domain_ring), so it is the domain exactly."""
     sites = _validate_sites(sites)
     psi = np.asarray(psi, dtype=float)
     if len(psi) != len(sites):
         raise ValueError("psi length mismatch")
     n = len(sites)
-    if n == 1 or method == "brute":
-        t = np.arange(n - 1)
-        others = t + (t >= np.arange(n)[:, None])
-        cut = cell_cutter(domain, sites, psi)(*_boxes(domain, n),
-                                               np.arange(n), others)
-        return _assemble(domain, sites, psi, "brute", *cut)
+    if n == 1:
+        return _assemble(domain, sites, psi, *domain_ring(domain))
     ring_site, ring_verts, ring_nbr = _rings(n, *_regular_triangulation(
         *_with_sentinels(domain, sites, psi)), clip_eps(domain))
     count = np.bincount(ring_site, minlength=n)
@@ -305,31 +284,20 @@ def laguerre_diagram(domain, sites, psi, method="auto"):
     cut = domain_clipper(domain)(ring_verts[closed],
                                  np.where(count >= 2, count, 0),
                                  ring_nbr[closed])
-    return _assemble(domain, sites, psi, "hull", *cut)
+    return _assemble(domain, sites, psi, *cut)
 
 
-def _assemble(domain, sites, psi, route, ring, sizes, labels):
+def _assemble(domain, sites, psi, ring, sizes, labels):
     """The LaguerreDiagram of the cells of a ragged array cut by the domain,
     one per site. Areas and centroids are geometry.ring_area_centroid's."""
     area, centroid = ring_area_centroid(ring, sizes, labels,
                                         domain_circle(domain))
     # an empty cell's centroid is its site
     centroid[sizes == 0] = sites[sizes == 0]
-    return LaguerreDiagram(domain, sites, psi, route, ring,
+    return LaguerreDiagram(domain, sites, psi, ring,
                            np.concatenate([[0], np.cumsum(sizes)]), labels,
                            np.repeat(np.arange(len(sites)), sizes),
                            ring_next(sizes), area, centroid)
-
-
-def _boxes(domain, k):
-    """k copies of the domain's bounding box scaled by 1.02 about its
-    centre, so that each holds the domain strictly: a ragged array of start
-    pieces with SIDE edges."""
-    lo, hi = domain.bounding_box()
-    c, h = 0.5 * (lo + hi), 0.51 * (hi - lo)
-    (x0, y0), (x1, y1) = c - h, c + h
-    return (np.tile([[x0, y0], [x1, y0], [x1, y1], [x0, y1]], (k, 1)),
-            np.full(k, 4), np.full(4 * k, SIDE))
 
 
 def cell_cutter(domain, sites, psi):
@@ -396,27 +364,3 @@ def edge_weights(diagram, K):
     pairs, inv = _sorted_pairs(i, j, len(diagram.sites))
     return pairs, (np.bincount(inv, w, len(pairs))
                    / np.bincount(inv, minlength=len(pairs)))
-
-
-def pairwise_overlap_area(diagram, i, j):
-    """Area of the intersection of two cells (void for disjoint interiors);
-    brute half-plane clipping, meant for invariant tests at small N. A cell
-    is the intersection of its straight edges' half-planes with the domain,
-    so both cells are rebuilt that way, each by its own edges, from the box
-    around the domain: the vertex polygon of a cell with arc edges would
-    drop the arcs' bulge."""
-    a, b = diagram.cells[i], diagram.cells[j]
-    if a.is_empty or b.is_empty:
-        return 0.0
-    domain = diagram.domain
-    eps = clip_eps(domain)
-    piece = _boxes(domain, 1)
-    for cell in (a, b):
-        # unit normals, so that eps is a distance
-        normals, offsets = polygon_halfplanes(cell.verts)
-        straight = np.array(cell.labels) != ARC_EDGE
-        piece = clip_to_halfplanes(*piece, normals[straight],
-                                   offsets[straight], eps)
-    area, _ = ring_area_centroid(*domain_clipper(domain)(*piece),
-                                 domain_circle(domain))
-    return float(area[0])

@@ -1,20 +1,18 @@
 # Small-scale ground truth: discrete-discrete transport via a float
 # transportation simplex (Dantzig's rule, Bland's after a degenerate pivot),
-# plus monotonicity / normal-cone certificates used to cross-check the
+# plus a monotonicity certificate, used to cross-check the
 # semi-discrete solver before trusting it at scale. The cross-check scores
 # the LP plan on grid atoms by the exact overlap of each atom's grid piece
 # with the solver's Laguerre cells.
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .chart import c_exp
-from .domains import clip_eps, contains, domain_circle, grid_cells
+from .domains import clip_eps, domain_circle, grid_cells
 from .geometry import SIDE, integrate_ring_cells, ring_arcs, ring_area_centroid
 from .laguerre import cell_cutter
-from .solver import _dense_plane, solve
+from .solver import solve
 
 
 @dataclass
@@ -32,18 +30,6 @@ class DiscretePlan:
     max_support_slack: float      # max |C - u - v| over support
     min_reduced_cost: float       # min (C - u - v) over all pairs
     pivots: int = 0               # simplex pivots that reached the plan
-
-    def row_marginals(self):
-        out = np.zeros(len(self.source_masses))
-        for j, _, m in self.entries:
-            out[j] += m
-        return out
-
-    def col_marginals(self):
-        out = np.zeros(len(self.target_masses))
-        for _, i, m in self.entries:
-            out[i] += m
-        return out
 
 
 def _hang(rows, m, adj, pot, parent, depth, s, t):
@@ -210,25 +196,6 @@ def lp_transport(sources, targets):
                         float(slack), float(rc), pivots)
 
 
-def brute_force_assignment(sources, targets):
-    """Exhaustive minimum over one-to-one matchings; equal masses, n <= 7."""
-    xs = np.asarray([s[0] for s in sources], dtype=float)
-    ps = np.asarray([t[0] for t in targets], dtype=float)
-    mu = np.asarray([s[1] for s in sources], dtype=float)
-    n = len(xs)
-    if n > 7 or len(ps) != n:
-        raise ValueError("brute force needs a square instance, n <= 7")
-    if np.ptp(mu) > 1e-12 * mu.max():
-        raise ValueError("brute force needs equal masses")
-    C = -(xs @ ps.T)
-    best, best_perm = None, None
-    for perm in itertools.permutations(range(n)):
-        c = sum(C[j, perm[j]] for j in range(n))
-        if best is None or c < best - 1e-15:
-            best, best_perm = c, perm
-    return float(best * mu[0]), list(best_perm)
-
-
 def monotonicity_certificate(plan):
     """min <x - x', p - p'> over pairs of supported couplings; nonnegative
     (to roundoff) exactly when the support is monotone."""
@@ -243,37 +210,6 @@ def monotonicity_certificate(plan):
     dx -= x[b]
     dp -= p[b]
     return float((dx[:, None, :] @ dp[:, :, None]).min())
-
-
-def normal_cone_check(domain, sites, psi, x, num_samples, seed=0):
-    """Sample points z̄ = (z, u(z) + s) on or above the graph of
-    u = max_i <·, p_i> - psi_i and verify they make a nonpositive inner
-    product with the hemisphere direction active at x. Every score is the
-    dense scan's (solver._dense_plane), as supporting_plane's are."""
-    sites = np.asarray(sites, dtype=float)
-    psi = np.asarray(psi, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if not contains(domain, x):
-        raise ValueError("x must lie in the domain")
-    (k,), (ux,) = _dense_plane(sites, psi, x[None, :])
-    nrm = c_exp(sites[k]).as_array()
-    rng = np.random.default_rng(seed)
-    lo, hi = domain.bounding_box()
-    scale = max(1.0, float(np.abs(sites).max()) * float(np.abs(hi - lo).max()))
-    done = 0
-    while done < num_samples:
-        z = rng.uniform(lo, hi, size=(4 * (num_samples - done), 2))
-        z = z[contains(domain, z)]
-        if len(z) == 0:
-            continue
-        z = z[: num_samples - done]
-        s = rng.exponential(scale=scale, size=len(z))
-        uz = _dense_plane(sites, psi, z)[1]
-        lhs = (z - x) @ nrm[:2] + (uz + s - ux) * nrm[2]
-        if np.any(lhs > 1e-10):
-            return False
-        done += len(z)
-    return True
 
 
 def _grid_atoms(domain, K, target, grid_m):
@@ -345,9 +281,9 @@ def _overlap_table(domain, diagram, squares, area):
     i holds a positive-area part of atom j's grid piece, the part of the
     grid square squares[j] inside the domain, of area area[j]. Each part is
     the square cut by cell i's bisectors against its neighbours
-    (_neighbour_table) and then by the domain (laguerre.cell_cutter), the
-    way the brute route of laguerre_diagram builds cell i, so the parts of
-    one atom tile its piece exactly; all parts are cut in one cutter call,
+    (_neighbour_table) and then by the domain (laguerre.cell_cutter). Cell
+    i is the domain cut by those half-planes, so the parts of one atom
+    tile its piece exactly; all parts are cut in one cutter call,
     and one ring_area_centroid call gives every part's area. A square whose
     box misses cell i's box (_cell_boxes) by more than the clip eps has no
     part in cell i and is not cut."""

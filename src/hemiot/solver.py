@@ -9,8 +9,9 @@ from itertools import islice
 
 import numpy as np
 
-from .chart import c_exp, c_exp_rows
-from .domains import domain_circle
+from .chart import c_exp_rows
+from .domains import (clip_eps, contains, domain_circle, inradius_point,
+                      total_mass)
 from .geometry import QuadratureError, ring_arcs
 from .laguerre import compute_measures, edge_weights, laguerre_diagram
 
@@ -85,7 +86,6 @@ def _radial_profile_psi(domain, sites, nu):
     <y_i, q_j> - Phi(q_j) for every site j != i. So x_i = xc + y_i lies in
     the open cell of site i, and |y_i| <= f_i < rin puts it inside the
     domain."""
-    from .domains import inradius_point
     xc, rin = inradius_point(domain)
     s = np.hypot(*(sites - nu @ sites / nu.sum()).T)
     order = np.argsort(s, kind="stable")
@@ -193,9 +193,8 @@ def solve(domain, K, target, tol=1e-6, max_iter=100):
     if total <= 0:
         raise MassBalanceError("target carries no mass")
 
-    from .domains import total_mass as _total_mass
     qtol = mass_quadrature_tol(tol, total)
-    src, _ = _total_mass(domain, K, tol=qtol)
+    src, _ = total_mass(domain, K, tol=qtol)
     slack = 1e-12 * total + (0.0 if K.is_constant else 10.0 * qtol)
     if abs(src - total) > slack:
         raise MassBalanceError(
@@ -309,7 +308,6 @@ class _Locator:
     def __init__(self, solution):
         from scipy.spatial import cKDTree
 
-        from .domains import clip_eps
         dg = solution.diagram
         self.domain, self.psi = dg.domain, solution.psi
         self.sites = np.asarray(solution.sites, dtype=float)
@@ -345,7 +343,6 @@ class _Locator:
 
     def _locate(self, pts):
         """(idx, u) for one block of points."""
-        from .domains import contains
         idx, u = np.empty(len(pts), dtype=np.intp), np.empty(len(pts))
         dense = np.ones(len(pts), dtype=bool)
         todo = np.flatnonzero(contains(self.domain, pts, -self.margin))
@@ -413,9 +410,8 @@ def gauss_map(solution, x):
     """Image of x on the lower hemisphere: the contact direction of the
     supporting plane active at x."""
     x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        return c_exp(solution.sites[active_site(solution, x)])
-    return c_exp_rows(solution.sites[active_site(solution, x)])
+    y = c_exp_rows(solution.sites[supporting_plane(solution, x)[0]])
+    return y[0] if x.ndim == 1 else y
 
 
 def _cell_rings(diagram, max_step=2.0 * math.pi / 256):

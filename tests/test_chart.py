@@ -4,59 +4,47 @@ import numpy as np
 import pytest
 
 from hemiot.chart import (
-    HemispherePoint,
-    c_exp,
     c_exp_rows,
     chart,
     chart_density,
     cost,
-    gauss_curvature,
-    graph_area_jacobian,
     great_circle_deviation,
-    hemisphere_point,
-    is_geodesically_convex,
     metric_in_chart,
     ring_chart_mass,
 )
 from hemiot.domains import domain_circle, grid_cells
 from hemiot.geometry import ARC_EDGE, integrate_ring_cells
-from hemiot.targets import chart_disk, chart_polygon
+from hemiot.targets import chart_disk
 
 from .ragged import one_by_one, pieces
-
-
-def test_hemisphere_point_validation():
-    with pytest.raises(ValueError):
-        HemispherePoint(np.array([1.0, 0.0]), -0.5)  # not unit
-    with pytest.raises(ValueError):
-        HemispherePoint(np.array([1.0, 0.0]), 0.0)   # equator
-    with pytest.raises(ValueError):
-        hemisphere_point([0.0, 0.0, 1.0])            # upper hemisphere
+from .reference import gauss_curvature
 
 
 def test_chart_roundtrip():
-    rng = np.random.default_rng(5)
-    for p in rng.normal(0.0, 3.0, size=(50, 2)):
-        q = chart(c_exp(p))
-        assert np.allclose(q, p, rtol=1e-13, atol=1e-13)
+    p = np.random.default_rng(5).normal(0.0, 3.0, size=(50, 2))
+    for y, q in zip(c_exp_rows(p), p):
+        assert np.allclose(chart(y), q, rtol=1e-13, atol=1e-13)
 
 
 def test_c_exp_rows_is_c_exp_bit_for_bit():
-    # near the origin, far out, the origin itself and a tiny row
+    # the one-point formula p -> (p, -1) / sqrt(1 + p @ p) row by row, near
+    # the origin, far out, the origin itself and a tiny row
+    def c_exp(q):
+        s = 1.0 / math.sqrt(1.0 + float(q @ q))
+        return np.append(q * s, -s)
+
     rng = np.random.default_rng(5)
     p = np.concatenate([rng.normal(0.0, 1.0, (500, 2)),
                         rng.normal(0.0, 100.0, (500, 2)),
                         [[0.0, 0.0], [1e-300, -0.0]]])
-    want = np.stack([c_exp(q).as_array() for q in p])
+    want = np.stack([c_exp(q) for q in p])
     assert c_exp_rows(p).tobytes() == want.tobytes()
 
 
 def test_c_exp_values():
-    y = c_exp(np.array([0.0, 0.0]))
-    assert np.allclose(y.as_array(), [0.0, 0.0, -1.0])
-    y = c_exp(np.array([1.0, 0.0]))
     s = 1.0 / math.sqrt(2.0)
-    assert np.allclose(y.as_array(), [s, 0.0, -s])
+    assert np.allclose(c_exp_rows(np.array([[0.0, 0.0], [1.0, 0.0]])),
+                       [[0.0, 0.0, -1.0], [s, 0.0, -s]])
 
 
 def test_cost_is_linear_and_matches_pairing():
@@ -65,9 +53,10 @@ def test_cost_is_linear_and_matches_pairing():
         x = rng.normal(size=2)
         p = rng.normal(0.0, 2.0, size=2)
         # <x, y>/y_last with y = (p, -1)/sqrt(1+|p|^2) collapses to -<x, p>
-        assert cost(x, c_exp(p)) == pytest.approx(-float(x @ p), rel=1e-12, abs=1e-12)
+        assert cost(x, c_exp_rows(p[None])[0]) == pytest.approx(
+            -float(x @ p), rel=1e-12, abs=1e-12)
     x1, x2 = rng.normal(size=2), rng.normal(size=2)
-    y = c_exp(rng.normal(size=2))
+    y = c_exp_rows(rng.normal(size=(1, 2)))[0]
     assert cost(x1 + x2, y) == pytest.approx(cost(x1, y) + cost(x2, y), rel=1e-12)
 
 
@@ -94,10 +83,6 @@ def test_metric_eigenvalues_and_determinant():
             chart_density(p), rel=1e-12)
 
 
-def test_graph_area_jacobian():
-    assert graph_area_jacobian(np.array([3.0, 4.0])) == pytest.approx(math.sqrt(26.0))
-
-
 def test_gauss_curvature_of_the_sphere_graph():
     # u = -sqrt(1-|x|^2) has curvature one; frozen hand-computed jets at x=(0.3, 0)
     grad = np.array([0.3144854510165755, 0.0])
@@ -122,15 +107,6 @@ def test_chart_segments_lie_on_great_circles():
         p1 = rng.normal(0.0, 2.0, size=2)
         t = rng.uniform()
         assert great_circle_deviation(p0, p1, t) <= 1e-12
-
-
-def test_geodesic_convexity_of_regions():
-    assert is_geodesically_convex(chart_disk(np.zeros(2), 1.0))
-    assert is_geodesically_convex(
-        chart_polygon(np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0]])))
-    far_apart = [chart_disk(np.array([-3.0, 0.0]), 0.5),
-                 chart_disk(np.array([3.0, 0.0]), 0.5)]
-    assert not is_geodesically_convex(far_apart)
 
 
 def _assert_masses_match_quadrature(cells, circle=None, tol=0.0):

@@ -584,7 +584,6 @@ def _cell_polyline(cell, circle, max_step=2.0 * math.pi / 256):
 
 def _per_cell_mesh(sol):
     # the OBJ surface written cell by cell from diagram.cells
-    from hemiot.chart import c_exp
     circle = domain_circle(sol.domain)
     verts, faces, normals = {}, [], []
     for c in sol.diagram.cells:
@@ -598,7 +597,8 @@ def _per_cell_mesh(sol):
             ids.append(verts.setdefault(key, len(verts) + 1))
         ids = [i for k, i in enumerate(ids) if i != ids[k - 1]]
         if len(ids) >= 3:
-            normals.append(c_exp(p).as_array())
+            s = 1.0 / math.sqrt(1.0 + float(p @ p))
+            normals.append(np.append(p * s, -s))
             faces.append(ids)
     lines = ["# piecewise-planar graph of the dual potential"]
     lines += ["v {:.12g} {:.12g} {:.12g}".format(*key) for key in verts]

@@ -20,7 +20,6 @@ from hemiot.domains import (
     domain_area,
     domain_circle,
     domain_clipper,
-    erode,
     grid_cells,
     inradius_point,
     lambda_constant,
@@ -30,7 +29,6 @@ from hemiot.domains import (
     total_mass,
     unit_ball_volume,
 )
-from hemiot.chart import HemispherePoint
 from hemiot.geometry import ARC_EDGE, ring_area_centroid
 from hemiot.targets import DiscreteTarget, full_hemisphere
 
@@ -131,14 +129,10 @@ def test_grid_cells_match_clipping_every_square(domain, m):
     assert grid.area.sum() == pytest.approx(domain_area(domain), rel=1e-13)
 
 
-def test_inradius_point_and_erode():
+def test_inradius_point():
     c, r_in = inradius_point(UNIT_SQUARE)
     assert distance_to_boundary(UNIT_SQUARE, c) == pytest.approx(r_in, abs=1e-9)
     assert r_in == pytest.approx(0.5, abs=1e-9)
-    inner = erode(UNIT_SQUARE, 0.1)
-    assert domain_area(inner) == pytest.approx(0.64, rel=1e-12)
-    inner_disk = erode(UNIT_DISK, 0.25)
-    assert inner_disk.radius == pytest.approx(0.75)
 
 
 def test_total_mass_regimes():
@@ -257,11 +251,9 @@ def test_make_cone_spec_geometry():
     lambda: UNIT_SQUARE,
     lambda: full_hemisphere(10.0),
     lambda: make_cone_spec(UNIT_DISK, np.array([0.9, 0.0])),
-    lambda: HemispherePoint(np.zeros(2), -1.0),
     lambda: DiscreteTarget(np.array([[0.0, 0.0], [0.5, 0.0]]),
                            np.array([1.0, 2.0])),
-], ids=["disk", "polygon", "hemisphere", "cone_spec", "hemisphere_point",
-        "discrete_target"])
+], ids=["disk", "polygon", "hemisphere", "cone_spec", "discrete_target"])
 def test_array_holding_records_compare_by_identity(make):
     # field-wise == would compare ndarrays and raise; identity does not
     a, b = make(), make()

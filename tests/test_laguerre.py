@@ -6,9 +6,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hemiot.domains import (ConvexPolygonDomain, DiskDomain, SourceDensity,
-                            constant_density, domain_area)
+                            constant_density, domain_area, domain_ring)
 from hemiot.laguerre import (component_labels, compute_measures, edge_weights,
-                             laguerre_diagram, pairwise_overlap_area)
+                             laguerre_diagram)
+
+from .reference import brute_diagram, pairwise_overlap_area
 
 SQUARE = ConvexPolygonDomain(np.array([[-0.5, -0.5], [0.5, -0.5],
                                        [0.5, 0.5], [-0.5, 0.5]]))
@@ -33,13 +35,27 @@ def test_single_site_covers_domain():
     assert diag.cells[0].area == pytest.approx(math.pi, rel=1e-12)
 
 
-@pytest.mark.parametrize("method", ["auto", "brute"])
-@pytest.mark.parametrize("domain", [SQUARE, DISK], ids=["square", "disk"])
-def test_single_site_takes_the_brute_route_for_every_method(domain, method):
-    # one site's cell is the domain, exactly
-    diag = laguerre_diagram(domain, np.array([[0.3, -0.2]]), np.array([0.7]),
-                            method=method)
-    assert diag.route == "brute"
+_QUADRILATERAL = ConvexPolygonDomain(np.array([[-0.4, -0.3], [0.7, -0.1],
+                                               [0.2, 0.6], [-0.5, 0.3]]))
+
+
+@pytest.mark.parametrize("domain", [SQUARE, DISK, _QUADRILATERAL],
+                         ids=["square", "disk", "quadrilateral"])
+def test_single_site_cell_is_the_domain_ring(domain):
+    # one site's cell is the domain, exactly: its ring bit for bit, which
+    # on the disk and the axis-aligned square is the brute cut's too; on
+    # the quadrilateral the polygon's own vertices
+    diag = laguerre_diagram(domain, np.array([[0.3, -0.2]]), np.array([0.7]))
+    ring, sizes, labels = domain_ring(domain)
+    assert diag.verts.tobytes() == ring.tobytes()
+    assert np.array_equal(diag.sizes, sizes)
+    assert np.array_equal(diag.labels, labels)
+    if domain is _QUADRILATERAL:
+        assert diag.verts.tobytes() == domain.vertices.tobytes()
+    else:
+        brute = brute_diagram(domain, diag.sites, diag.psi)
+        assert diag.verts.tobytes() == brute.verts.tobytes()
+        assert np.array_equal(diag.labels, brute.labels)
     assert diag.area[0] == pytest.approx(domain_area(domain), rel=1e-12)
     assert diag.centroid[0] == pytest.approx(domain.centroid, abs=1e-12)
     assert diag.cells[0].neighbors == []
@@ -80,14 +96,14 @@ def test_gauge_invariance():
 
 
 def _assert_matches_brute(a):
-    """A diagram of the hull route against the brute route on the same
-    instance: equal areas, centroids and neighbour lists, every bisector
-    edge against a real site, and the areas summing to the domain's."""
-    b = laguerre_diagram(a.domain, a.sites, a.psi, method="brute")
-    assert (a.route, b.route) == ("hull", "brute")
+    """A diagram of the hull route against the brute reference on the same
+    instance (reference.brute_diagram): equal areas, centroids and
+    neighbour lists, every bisector edge against a real site, and the areas
+    summing to the domain's."""
+    b = brute_diagram(a.domain, a.sites, a.psi)
     n = len(a.sites)
     assert (a.labels < n).all()
-    assert a.total_area() == pytest.approx(domain_area(a.domain), rel=1e-12)
+    assert a.area.sum() == pytest.approx(domain_area(a.domain), rel=1e-12)
     for ca, cb in zip(a.cells, b.cells):
         assert ca.area == pytest.approx(cb.area, abs=1e-12)
         if not ca.is_empty:
@@ -197,9 +213,8 @@ def test_hull_route_keeps_areas_on_nearly_collinear_sites():
             + 1e-4 * np.outer(rng.normal(size=n), [-u[1], u[0]])
         psi = rng.normal(0.0, 0.3, size=n)
         a = laguerre_diagram(domain, sites, psi)
-        b = laguerre_diagram(domain, sites, psi, method="brute")
+        b = brute_diagram(domain, sites, psi)
         assert np.abs(a.area - b.area).max() <= 1e-13 * domain_area(domain)
-        assert a.route == "hull"
 
 
 @pytest.mark.parametrize("domain", [DiskDomain(np.zeros(2), 0.5), SQUARE],
@@ -219,10 +234,9 @@ def test_lattice_lift_merges_coincident_power_vertices(domain):
 
 def _count_domain_clips(monkeypatch):
     """Patch laguerre's domain clipper to record, for each cut, the cells
-    it does not keep whole (a changed size or a changed vertex), and its
-    cell cutter to record each call, which the hull route must not make."""
+    it does not keep whole (a changed size or a changed vertex)."""
     import hemiot.laguerre as lag
-    make, make_cutter, calls = lag.domain_clipper, lag.cell_cutter, []
+    make, calls = lag.domain_clipper, []
 
     def counted(domain):
         clip = make(domain)
@@ -237,12 +251,7 @@ def _count_domain_clips(monkeypatch):
             calls.append(int((~whole).sum()))
             return out
         return count
-
-    def no_cutter(*args):
-        calls.append("cell_cutter")
-        return make_cutter(*args)
     monkeypatch.setattr(lag, "domain_clipper", counted)
-    monkeypatch.setattr(lag, "cell_cutter", no_cutter)
     return calls
 
 
@@ -254,13 +263,12 @@ def test_hull_route_clips_only_cells_that_cross_the_boundary(monkeypatch):
     sites, psi = _voronoi_like_instance(domain, 500, seed=0, reach=0.5)
     calls = _count_domain_clips(monkeypatch)
     diag = laguerre_diagram(domain, sites, psi)
-    assert diag.route == "hull"
     assert not any(c.is_empty for c in diag.cells)
     crossing = sum(any(lab < 0 for lab in c.labels) for c in diag.cells)
     bound = crossing + len(ConvexHull(sites).vertices)
     assert bound < 0.4 * len(sites)
     assert len(calls) == 1 and crossing <= calls[0] <= bound
-    assert diag.total_area() == pytest.approx(domain_area(domain), rel=1e-12)
+    assert diag.area.sum() == pytest.approx(domain_area(domain), rel=1e-12)
 
 
 def test_flat_lift_clips_only_against_hull_neighbours(monkeypatch):
@@ -273,10 +281,9 @@ def test_flat_lift_clips_only_against_hull_neighbours(monkeypatch):
     h = len(ConvexHull(target.sites).vertices)
     calls = _count_domain_clips(monkeypatch)
     diag = laguerre_diagram(domain, target.sites, np.zeros(n))
-    assert diag.route == "hull"
     assert calls == [h]
     assert sum(c.is_empty for c in diag.cells) == n - h
-    assert diag.total_area() == pytest.approx(domain_area(domain), rel=1e-12)
+    assert diag.area.sum() == pytest.approx(domain_area(domain), rel=1e-12)
 
 
 @pytest.mark.parametrize("domain", [SQUARE, DISK], ids=["square", "disk"])
@@ -288,22 +295,13 @@ def test_collinear_sites_take_the_hull_route(domain):
 
 def test_collinear_sites_cost_no_all_pairs_clipping(monkeypatch):
     # all-pairs bisector clipping is O(N^2) in the sites; the hull route
-    # cuts its rings by the domain only, with no cell cutter
+    # cuts its rings by the domain only, in one cut
     calls = _count_domain_clips(monkeypatch)
     sites = np.column_stack([np.linspace(-1.0, 1.0, 800), np.zeros(800)])
     diag = laguerre_diagram(SQUARE, sites, 0.25 * sites[:, 0] ** 2)
-    assert diag.route == "hull" and len(calls) == 1
-    assert "cell_cutter" not in calls
+    assert len(calls) == 1
     assert diag.nonempty.sum() == 800
-    assert diag.total_area() == pytest.approx(1.0, rel=1e-12)
-
-
-def test_unknown_methods_are_rejected():
-    # "hull" is a route, not a method: "auto" takes it for two or more sites
-    domain, sites, _ = _random_instance(4, n=12)
-    for method in ("hull", "fast"):
-        with pytest.raises(ValueError, match="unknown method"):
-            laguerre_diagram(domain, sites, np.zeros(12), method=method)
+    assert diag.area.sum() == pytest.approx(1.0, rel=1e-12)
 
 
 def test_coplanar_lift_falls_back_cleanly():
@@ -448,7 +446,6 @@ def test_adjacency_is_mutual_for_closely_spaced_sites(domain, h, span, checker):
     psi = 0.5 * a * ((sites - p0) ** 2).sum(axis=1) \
         + checker * ((ix + iy).ravel() % 2)
     diag = laguerre_diagram(domain, sites, psi)
-    assert diag.route == "hull"
     live = [c for c in diag.cells if not c.is_empty]
     assert sum(any(lab < 0 for lab in c.labels) for c in live) >= 40
     nbrs = {c.site_index: set(c.neighbors) for c in live}

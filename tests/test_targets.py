@@ -60,9 +60,6 @@ def test_region_mass_of_a_square_is_closed_form(a, monkeypatch):
     from scipy.integrate import quad
 
     import hemiot.chart
-    import hemiot.geometry
-    monkeypatch.setattr(hemiot.geometry, "integrate_ring_cells",
-                        _no_quadrature)
     monkeypatch.setattr(hemiot.chart, "integrate_panels", _no_quadrature)
 
     def F(y, c2):
