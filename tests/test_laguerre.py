@@ -35,6 +35,24 @@ def test_single_site_covers_domain():
     assert diag.cells[0].area == pytest.approx(math.pi, rel=1e-12)
 
 
+@pytest.mark.parametrize("build", [laguerre_diagram, brute_diagram],
+                         ids=["auto", "brute"])
+@pytest.mark.parametrize("domain", [SQUARE, DISK], ids=["square", "disk"])
+def test_single_site_takes_the_brute_route_for_every_method(domain, build):
+    # one site's cell is the domain, exactly, and the same bit for bit
+    # whichever builder makes it: the package's diagram ("auto") or the
+    # brute bisector cut of the reference ("brute")
+    sites, psi = np.array([[0.3, -0.2]]), np.array([0.7])
+    diag = build(domain, sites, psi)
+    brute = brute_diagram(domain, sites, psi)
+    assert diag.verts.tobytes() == brute.verts.tobytes()
+    assert np.array_equal(diag.sizes, brute.sizes)
+    assert np.array_equal(diag.labels, brute.labels)
+    assert diag.area[0] == pytest.approx(domain_area(domain), rel=1e-12)
+    assert diag.centroid[0] == pytest.approx(domain.centroid, abs=1e-12)
+    assert diag.cells[0].neighbors == []
+
+
 _QUADRILATERAL = ConvexPolygonDomain(np.array([[-0.4, -0.3], [0.7, -0.1],
                                                [0.2, 0.6], [-0.5, 0.3]]))
 
