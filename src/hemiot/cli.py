@@ -16,9 +16,9 @@ from dataclasses import MISSING, dataclass, field, fields
 import numpy as np
 
 from .domains import (ConvexPolygonDomain, DiskDomain, QuadratureError,
-                      SourceDensity, boundary_geometry, constant_density,
-                      d0_threshold, distance_to_boundary, domain_area,
-                      make_cone_spec, total_mass)
+                      SourceDensity, _sample_nodes, boundary_geometry,
+                      constant_density, d0_threshold, distance_to_boundary,
+                      domain_area, make_cone_spec, total_mass)
 from .experiments import (blowup_experiment, cone_inclusion_check,
                           estar_volume_check, slice_estimate_check,
                           sphere_benchmark)
@@ -132,6 +132,16 @@ def _get(spec, key, path, kind=None, default=KeyError):
     return v
 
 
+def _params(cfg, *keys):
+    """cfg.params, once every key in it is one of keys, the ones the
+    command reads."""
+    for key in cfg.params:
+        if key not in keys:
+            raise ConfigError(f"config.params.{key}: unknown parameter of "
+                              f"{cfg.command}")
+    return cfg.params
+
+
 def _numbers(params, key, default):
     """params[key] as a list of floats, or default when it is absent."""
     v = _get(params, key, "config.params", list, default=None)
@@ -237,7 +247,6 @@ def build_density(spec, domain, path="density"):
 
 def _check_density(dens, domain, path):
     """Reject densities that go negative or non-finite on sample nodes."""
-    from .domains import _sample_nodes
     nodes = _sample_nodes(domain)
     vals = dens(nodes)
     if not np.all(np.isfinite(vals)):
@@ -372,6 +381,7 @@ def _diagram_counts(sol):
 
 
 def _solve_instance(cfg, out):
+    _params(cfg)
     if cfg.domain is None:
         raise ConfigError("config.domain: required for this command")
     if cfg.density is None:
@@ -435,7 +445,7 @@ def _cmd_export(cfg, out):
 
 
 def _cmd_sphere(cfg, out):
-    p = cfg.params
+    p = _params(cfg, "r", "n_eval")
     r = _get(p, "r", "config.params", float, default=0.6)
     if not 0 < r < 1:
         raise ConfigError("config.params.r: must lie in (0, 1)")
@@ -472,7 +482,7 @@ def _cmd_sphere(cfg, out):
 
 
 def _cmd_blowup(cfg, out):
-    p = cfg.params
+    p = _params(cfg, "samples", "delta", "C0", "tail_epsilon")
     domain = build_domain(cfg.domain) if cfg.domain is not None \
         else DiskDomain(np.zeros(2), 1.0)
     K = build_density(cfg.density, domain) if cfg.density is not None \
@@ -530,7 +540,7 @@ def _cmd_blowup(cfg, out):
 
 
 def _cmd_oracle(cfg, out):
-    p = cfg.params
+    p = _params(cfg, "grid_m", "threshold")
     grid_m = _get(p, "grid_m", "config.params", int, default=15)
     if grid_m < 1 or grid_m ** 2 > 1000:
         raise ConfigError(
@@ -578,7 +588,8 @@ def _cmd_oracle(cfg, out):
 
 
 def _cmd_lemmas(cfg, out):
-    p = cfg.params
+    p = _params(cfg, "trials", "n_points", "thetas", "t_values",
+                "estar_samples", "dimension")
     domain = build_domain(cfg.domain) if cfg.domain is not None \
         else DiskDomain(np.zeros(2), 1.0)
     if not isinstance(domain, DiskDomain):

@@ -6,9 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import (DiskDomain, boundary_geometry, constant_density,
-                      d0_threshold, lambda_constant, make_cone_spec,
-                      total_mass, unit_ball_volume)
+from .domains import (ConeSpec, DiskDomain, boundary_geometry,
+                      constant_density, d0_threshold, lambda_constant,
+                      make_cone_spec, total_mass, unit_ball_volume)
 from .solver import (_EVAL_BLOCK, active_site, potential, solve,
                      supporting_plane)
 from .targets import (chart_disk, discretize, full_hemisphere,
@@ -236,7 +236,6 @@ def cone_inclusion_check(domain, trials, n_points=10000, seed=0):
     d0 = d_cap / 2.0
     x0 = c + (R - d0) * np.array([1.0, 0.0])
     spec = make_cone_spec(domain, x0, geo)
-    from .domains import ConeSpec
     spec2 = ConeSpec(x0=spec.x0, v0=spec.v0, d0=spec.d0,
                      theta=2.0 * spec.theta)
     xb = spec.x0 + spec.d0 * spec.v0

@@ -8,7 +8,9 @@
 # clip_eps), made once for all rings; a single site's cell is the domain's
 # own ring (domains.domain_ring). cell_cutter cuts given pieces by
 # bisectors and then by the same clipper. A diagram holds all its cells in
-# one ragged vertex array.
+# one ragged vertex array, and builds its neighbour graph once, on first
+# use: the Newton order, connectivity, point location and the oracle's cuts
+# all read it.
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -83,59 +85,79 @@ class LaguerreDiagram:
                                     float(self.area[i]), self.centroid[i].copy()))
         return out
 
-    def bisector_edges(self):
-        """(i, j, a, b): every bisector edge a -> b, of cell i against j."""
+    @cached_property
+    def _graph(self):
+        """(k, pair, pairs, indptr, nbrs): the neighbour graph, built once.
+        k lists the positive-length bisector edges, pairs is the sorted
+        (E, 2) array of the distinct pairs i < j of cells that share one,
+        and pair[e] is the row of edge k[e]'s pair. The same graph as CSR
+        rows: cell i's neighbours are nbrs[indptr[i]:indptr[i + 1]],
+        ascending."""
+        n = len(self.sites)
         k = np.flatnonzero(self.labels >= 0)
-        return (self.owner[k], self.labels[k], self.verts[k],
-                self.verts[self.nxt[k]])
+        k = k[(self.verts[k] != self.verts[self.nxt[k]]).any(axis=1)]
+        i, j = self.owner[k], self.labels[k]
+        keys, pair = np.unique(np.minimum(i, j) * n + np.maximum(i, j),
+                               return_inverse=True)
+        pairs = np.column_stack([keys // n, keys % n])
+        return k, pair, pairs, *_rows(n, pairs)
 
     def adjacency_edges(self):
         """Sorted (E, 2) array of the pairs i < j of cells that share a
         positive-length edge."""
-        i, j, _, _ = self.bisector_edges()
-        return _sorted_pairs(i, j, len(self.sites))[0]
+        return self._graph[2]
+
+    def neighbour_rows(self):
+        """(indptr, nbrs): the graph of adjacency_edges() as CSR rows, cell
+        i's neighbours nbrs[indptr[i]:indptr[i + 1]] in ascending order."""
+        return self._graph[3:]
 
     def is_connected(self):
         """Whether the nonempty cells form one component of the graph of
-        adjacency_edges()."""
+        adjacency_edges(): the breadth-first search from the first nonempty
+        cell reaches every nonempty cell."""
         live = self.nonempty
-        if live.sum() <= 1:
-            return True
-        comp = component_labels(len(self.sites), self.adjacency_edges())[live]
-        return bool((comp == comp[0]).all())
+        reached = level_order(*self.neighbour_rows(), int(live.argmax()))
+        return bool(live[reached].sum() == live.sum())
 
 
-def component_labels(n, pairs):
-    """Each of the n nodes' smallest node index in its connected component
-    of the undirected graph with edges pairs, an (E, 2) int array: hooking
-    and pointer jumping (Shiloach and Vishkin 1982). Each round hooks every
-    root onto the smallest root across its edges, so that a node's parent
-    never exceeds it, and then jumps pointers until every node points at a
-    root. A round that finds an edge between two roots hooks at least one
-    of them, so the rounds end; the minimum of a component is the root
-    that every node of it reaches."""
-    parent = np.arange(n)
-    i, j = np.asarray(pairs, dtype=np.intp).T
-    while True:
-        ri, rj = parent[i], parent[j]
-        cross = ri != rj
-        if not cross.any():
-            return parent
-        lo, hi = np.minimum(ri, rj)[cross], np.maximum(ri, rj)[cross]
-        np.minimum.at(parent, hi, lo)
-        while True:
-            up = parent[parent]
-            if (up == parent).all():
-                break
-            parent = up
+def _rows(n, pairs):
+    """(indptr, nbrs): the graph of n nodes with edges pairs, a sorted
+    (E, 2) array of pairs i < j, as CSR rows, each row ascending. The pairs
+    are sorted, so a stable sort by node keeps the lower neighbours (j's
+    rows) ahead of the higher ones (i's rows), each run ascending."""
+    i, j = pairs.T
+    node = np.concatenate([j, i])
+    nbrs = np.concatenate([i, j])[np.argsort(node, kind="stable")]
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(node, minlength=n))])
+    return indptr, nbrs
 
 
-def _sorted_pairs(i, j, n):
-    """The distinct pairs (min, max) of i and j, sorted, as an (E, 2) array,
-    and the index of each input's pair."""
-    keys, inv = np.unique(np.minimum(i, j) * n + np.maximum(i, j),
-                          return_inverse=True)
-    return np.column_stack([keys // n, keys % n]), inv
+def level_order(indptr, nbrs, start=0):
+    """The nodes of the graph of CSR rows (indptr, nbrs), each row
+    ascending, in breadth-first order from node start: each level lists its
+    nodes in the order of their first parent, each parent's children in
+    index order (Cuthill and McKee 1969). Nodes that start does not reach
+    are left out. A level is its candidates' first occurrences, picked in
+    one pass: first[v] is the least position of node v among the
+    candidates, and a node is a candidate of one level only."""
+    cnt = np.diff(indptr)
+    seen = np.zeros(len(cnt), dtype=bool)
+    seen[start] = True
+    first = np.full(len(cnt), len(nbrs))
+    level = np.array([start], dtype=np.intp)
+    levels = [level]
+    while len(level):
+        c = cnt[level]
+        head = np.cumsum(c) - c
+        kids = nbrs[np.arange(c.sum()) + np.repeat(indptr[level] - head, c)]
+        kids = kids[~seen[kids]]
+        pos = np.arange(len(kids))
+        np.minimum.at(first, kids, pos)
+        level = kids[first[kids] == pos]
+        seen[level] = True
+        levels.append(level)
+    return np.concatenate(levels)
 
 
 def _validate_sites(sites):
@@ -344,16 +366,16 @@ _EDGE_NODES = 16
 
 def edge_weights(diagram, K):
     """Hessian edge weights w_ij = ∫_(shared edge) K dH¹ / |p_i - p_j| for all
-    adjacent pairs: (pairs, w), the sorted (E, 2) array of pairs i < j and
-    their weights. Each edge is seen from both of its cells and w_ij is the
-    mean of the two; for a non-constant K all edges' Gauss nodes go through
-    one density call."""
-    i, j, a, b = diagram.bisector_edges()
+    adjacent pairs: (pairs, w), the diagram's adjacency_edges() and their
+    weights. Each edge is seen from both of its cells and w_ij is the mean
+    of the two; for a non-constant K all edges' Gauss nodes go through one
+    density call."""
+    k, pair, pairs = diagram._graph[:3]
+    if not len(k):
+        return pairs, np.zeros(0)
+    i, j = diagram.owner[k], diagram.labels[k]
+    a, b = diagram.verts[k], diagram.verts[diagram.nxt[k]]
     lengths = np.hypot(*(b - a).T)
-    keep = lengths > 0.0
-    i, j, a, b, lengths = i[keep], j[keep], a[keep], b[keep], lengths[keep]
-    if not len(i):
-        return np.zeros((0, 2), dtype=int), np.zeros(0)
     if K.is_constant:
         line = K.constant * lengths
     else:
@@ -361,6 +383,5 @@ def edge_weights(diagram, K):
         pts = a[:, None] + xs[:, None] * (b - a)[:, None]
         line = (K(pts.reshape(-1, 2)).reshape(len(a), -1) @ ws) * lengths
     w = line / np.hypot(*(diagram.sites[i] - diagram.sites[j]).T)
-    pairs, inv = _sorted_pairs(i, j, len(diagram.sites))
-    return pairs, (np.bincount(inv, w, len(pairs))
-                   / np.bincount(inv, minlength=len(pairs)))
+    return pairs, (np.bincount(pair, w, len(pairs))
+                   / np.bincount(pair, minlength=len(pairs)))

@@ -265,14 +265,13 @@ def _cell_boxes(diagram):
 
 
 def _neighbour_table(diagram):
-    """(N, T) array: row i holds the sites across cell i's bisector edges in
-    the diagram's labels, sorted, padded with -1."""
-    n = len(diagram.sites)
-    k = diagram.labels >= 0
-    i, j = np.divmod(np.unique(diagram.owner[k] * n + diagram.labels[k]), n)
-    count = np.bincount(i, minlength=n)
-    table = np.full((n, count.max(initial=0)), -1)
-    table[i, np.arange(len(i)) - (np.cumsum(count) - count)[i]] = j
+    """(N, T) array: row i holds cell i's neighbours, the diagram's
+    neighbour_rows() row i, ascending, padded with -1."""
+    indptr, nbrs = diagram.neighbour_rows()
+    count = np.diff(indptr)
+    i = np.repeat(np.arange(len(count)), count)
+    table = np.full((len(count), count.max(initial=0)), -1)
+    table[i, np.arange(len(nbrs)) - indptr[i]] = nbrs
     return table
 
 

@@ -13,7 +13,8 @@ from .chart import c_exp_rows
 from .domains import (clip_eps, contains, domain_circle, inradius_point,
                       total_mass)
 from .geometry import QuadratureError, ring_arcs
-from .laguerre import compute_measures, edge_weights, laguerre_diagram
+from .laguerre import (compute_measures, edge_weights, laguerre_diagram,
+                       level_order)
 
 
 class MassBalanceError(ValueError):
@@ -103,52 +104,19 @@ def _phi_value(sites, psi, nu, G, M):
     return float((sites * M).sum() + psi @ (nu - G))
 
 
-def _level_order(n, pairs):
-    """The n sites in breadth-first order from site 0 over the graph with
-    edges pairs, the sorted (E, 2) array of pairs i < j: each level lists
-    its sites in the order of their first parent, each parent's children
-    in index order (Cuthill and McKee 1969). Sites that site 0 does not
-    reach are left out. A level is its candidates' first occurrences,
-    picked in one pass: first[s] is the least position of site s among the
-    candidates, and a site is a candidate of one level only."""
-    i, j = pairs.T
-    # each site's neighbours as one CSR row, in index order: the pairs are
-    # sorted, so a stable sort by site keeps the lower neighbours (j's
-    # rows) ahead of the higher ones (i's rows), each run ascending
-    site = np.concatenate([j, i])
-    nbrs = np.concatenate([i, j])[np.argsort(site, kind="stable")]
-    cnt = np.bincount(site, minlength=n)
-    start = np.cumsum(cnt) - cnt
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
-    first = np.full(n, len(nbrs))
-    level = np.zeros(1, dtype=np.intp)
-    levels = [level]
-    while len(level):
-        c = cnt[level]
-        head = np.cumsum(c) - c
-        kids = nbrs[np.arange(c.sum()) + np.repeat(start[level] - head, c)]
-        kids = kids[~seen[kids]]
-        pos = np.arange(len(kids))
-        np.minimum.at(first, kids, pos)
-        level = kids[first[kids] == pos]
-        seen[level] = True
-        levels.append(level)
-    return np.concatenate(levels)
-
-
 def _newton_step(diagram, K, G, nu):
     """Solve (D - W) d = G - nu with the gauge d[0] = 0. On a connected cell
     graph the gauge-fixed Laplacian L[1:, 1:] is an irreducibly diagonally
     dominant M-matrix, so it is positive definite: in the breadth-first
-    order of _level_order it is a band matrix, factored by LAPACK's banded
+    order of level_order over the diagram's neighbour graph, whose edges
+    edge_weights weighs, it is a band matrix, factored by LAPACK's banded
     Cholesky without pivoting. Raises ConvergenceError when the cell graph
     is not connected."""
     from scipy.linalg import solveh_banded
 
     n = len(nu)
     pairs, w = edge_weights(diagram, K)
-    order = _level_order(n, pairs)
+    order = level_order(*diagram.neighbour_rows())
     if len(order) < n:
         raise ConvergenceError(
             f"the cell graph is not connected: the breadth-first order from "
@@ -317,15 +285,8 @@ class _Locator:
         self.psi_size = float(np.abs(self.psi).max())
         self.live = np.flatnonzero(dg.nonempty)
         self.tree = cKDTree(dg.centroid[self.live])
-        # bisector neighbours of each cell, both ways round, as CSR rows
-        k = np.flatnonzero(dg.labels >= 0)
-        n = len(self.sites)
-        i = np.concatenate([dg.owner[k], dg.labels[k]])
-        j = np.concatenate([dg.labels[k], dg.owner[k]])
-        key = np.unique(i * n + j)
-        i, self.nbrs = key // n, key % n
-        self.indptr = np.concatenate([[0],
-                                      np.cumsum(np.bincount(i, minlength=n))])
+        self.indptr, self.nbrs = dg.neighbour_rows()
+        i = np.repeat(np.arange(len(self.sites)), np.diff(self.indptr))
         self.gap = self.margin * np.hypot(*(self.sites[i]
                                             - self.sites[self.nbrs]).T)
 

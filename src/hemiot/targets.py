@@ -5,6 +5,7 @@
 # domains.DiskDomain or ConvexPolygonDomain, and it shares the source
 # domain's clipper, membership test, grid and exact cell.
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,7 +129,6 @@ def discretize(region, N, source_mass):
     out = DiscreteTarget(sites=sites, masses=masses, total=source_mass,
                          rescale_factor=factor, pre_rescale_mismatch=abs(pre - source_mass))
     if not 0.5 <= factor <= 2.0:
-        import warnings
         warnings.warn(f"discretization rescale factor {factor:.3g} is far from 1; "
                       "the grid is too coarse for the requested mass", RuntimeWarning)
     return out

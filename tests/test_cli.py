@@ -531,6 +531,20 @@ def test_region_shape_errors_name_their_field(tmp_path, capsys, field, domain,
                  id="blowup-tail_epsilon"),
     pytest.param("sphere-benchmark", "n_eval", {"n_eval": 0},
                  id="sphere-n_eval"),
+    # a key the command does not read, where it was ignored and the command
+    # ran with its defaults
+    pytest.param("solve", "tol", {"tol": 1e-3}, id="solve-unknown"),
+    pytest.param("export", "max_step", {"max_step": 0.1},
+                 id="export-unknown"),
+    pytest.param("sphere-benchmark", "neval",
+                 {"r": 0.6, "n_eval": 100, "neval": 100},
+                 id="sphere-unknown"),
+    pytest.param("blowup", "sample", {"samples": 50, "sample": 50},
+                 id="blowup-unknown"),
+    pytest.param("oracle-compare", "grid", {"grid": 8}, id="oracle-unknown"),
+    pytest.param("lemmas", "trails",
+                 {"trials": 5, "n_points": 400, "estar_samples": 1000,
+                  "thetas": [0.1], "trails": 1}, id="lemmas-unknown"),
 ])
 def test_params_errors_name_their_field(tmp_path, capsys, command, field,
                                         params):

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import strategies as st
 
 from hemiot.domains import (ConvexPolygonDomain, DiskDomain, SourceDensity,
                             constant_density, domain_area, domain_ring)
-from hemiot.laguerre import (component_labels, compute_measures, edge_weights,
-                             laguerre_diagram)
+from hemiot.laguerre import (LaguerreDiagram, _rows, compute_measures,
+                             edge_weights, laguerre_diagram, level_order)
 
 from .reference import brute_diagram, pairwise_overlap_area
 
@@ -212,24 +213,28 @@ _HEXAGON = np.array([10.0, 5.0]) + np.column_stack(
     [np.cos(np.pi / 3 * np.arange(6)), np.sin(np.pi / 3 * np.arange(6))])
 
 
+def _nearly_collinear_instance(seed):
+    # 3 to 29 sites spread 1e-4 across a line, in one of four domains
+    rng = np.random.default_rng(seed)
+    domain = [ConvexPolygonDomain(np.array([[0.0, 0.0], [1.0, 0.1],
+                                            [0.3, 0.9]])),
+              ConvexPolygonDomain(_HEXAGON), DISK,
+              DiskDomain(np.array([0.5, -0.3]), 0.3)][seed % 4]
+    n = int(rng.integers(3, 30))
+    u = rng.normal(size=2)
+    u /= np.hypot(*u)
+    sites = rng.normal(size=2) + np.outer(rng.normal(size=n), u) \
+        + 1e-4 * np.outer(rng.normal(size=n), [-u[1], u[0]])
+    return domain, sites, rng.normal(0.0, 0.3, size=n)
+
+
 def test_hull_route_keeps_areas_on_nearly_collinear_sites():
     # sites spread 1e-4 across a line have power vertices 1e4 and more
     # away unless the sentinels cut them off; a wall crossing interpolated
     # between two of them would carry their rounding, up to 1e-11 of the
     # domain area
-    domains = [ConvexPolygonDomain(np.array([[0.0, 0.0], [1.0, 0.1],
-                                             [0.3, 0.9]])),
-               ConvexPolygonDomain(_HEXAGON), DISK,
-               DiskDomain(np.array([0.5, -0.3]), 0.3)]
     for seed in range(200):
-        rng = np.random.default_rng(seed)
-        domain = domains[seed % 4]
-        n = int(rng.integers(3, 30))
-        u = rng.normal(size=2)
-        u /= np.hypot(*u)
-        sites = rng.normal(size=2) + np.outer(rng.normal(size=n), u) \
-            + 1e-4 * np.outer(rng.normal(size=n), [-u[1], u[0]])
-        psi = rng.normal(0.0, 0.3, size=n)
+        domain, sites, psi = _nearly_collinear_instance(seed)
         a = laguerre_diagram(domain, sites, psi)
         b = brute_diagram(domain, sites, psi)
         assert np.abs(a.area - b.area).max() <= 1e-13 * domain_area(domain)
@@ -484,6 +489,58 @@ def test_adjacency_is_mutual():
     assert diag.is_connected()
 
 
+def _assert_one_graph(diag):
+    # every bisector edge a -> b of cell i against j has positive length,
+    # and cell j has one edge against i, from b to a (to clipping rounding):
+    # the graph reads the same from either side, and edge_weights weighs
+    # exactly its pairs; its CSR rows are each cell's labelled neighbours
+    n = len(diag.sites)
+    k = np.flatnonzero(diag.labels >= 0)
+    i, j = diag.owner[k], diag.labels[k]
+    a, b = diag.verts[k], diag.verts[diag.nxt[k]]
+    assert (np.hypot(*(b - a).T) > 0.0).all()
+    key = i * n + j
+    order = np.argsort(key)
+    assert (np.diff(key[order]) > 0).all()
+    twin = order[np.searchsorted(key[order], j * n + i).clip(0, len(k) - 1)]
+    assert np.array_equal(key[twin], j * n + i)
+    scale = max(1.0, float(np.abs(diag.verts).max()))
+    assert np.abs(a[twin] - b).max(initial=0.0) <= 1e-12 * scale
+    assert np.abs(b[twin] - a).max(initial=0.0) <= 1e-12 * scale
+    pairs = diag.adjacency_edges()
+    assert np.array_equal(edge_weights(diag, K1)[0], pairs)
+    assert np.array_equal(pairs, np.unique(
+        np.column_stack([np.minimum(i, j), np.maximum(i, j)]), axis=0)
+        .reshape(-1, 2))
+    indptr, nbrs = diag.neighbour_rows()
+    for c in range(n):
+        row = nbrs[indptr[c]:indptr[c + 1]].tolist()
+        labels = diag.labels[diag.offsets[c]:diag.offsets[c + 1]]
+        assert row == sorted(labels[labels >= 0].tolist())
+
+
+def _blowup_start_diagram():
+    # the first diagram of the blowup benchmark's solve: 1988 sites of the
+    # full hemisphere, polar layout out to |p| = 100, over the unit disk
+    from hemiot.solver import _radial_profile_psi
+    from hemiot.targets import (discretize, full_hemisphere,
+                                truncation_radius_for)
+    target = discretize(full_hemisphere(truncation_radius_for(
+        math.pi * 1e-4)), 2000, math.pi)
+    psi = _radial_profile_psi(DISK, target.sites, target.masses)
+    return laguerre_diagram(DISK, target.sites, psi - psi[0])
+
+
+def test_neighbour_graph_is_one_graph():
+    for seed in range(12):
+        _assert_one_graph(laguerre_diagram(*_random_instance(seed, n=40)))
+    for seed in range(40):
+        _assert_one_graph(laguerre_diagram(*_nearly_collinear_instance(seed)))
+    diag = _blowup_start_diagram()
+    assert diag.nonempty.all() and diag.is_connected()
+    _assert_one_graph(diag)
+
+
 def _bfs_components(n, pairs):
     # each node's component as the smallest node reached by breadth-first
     # search from it, over adjacency lists
@@ -504,15 +561,31 @@ def _bfs_components(n, pairs):
     return np.array(comp)
 
 
+def _is_connected(live, rows):
+    # LaguerreDiagram.is_connected on a graph given as CSR rows
+    diag = SimpleNamespace(nonempty=live, neighbour_rows=lambda: rows)
+    return LaguerreDiagram.is_connected(diag)
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_component_labels_match_breadth_first_search(seed):
-    # random sparse graphs, from nearly edgeless to one component, with
-    # repeated edges and self-loops
+    # random sparse graphs, from nearly edgeless to one component: the
+    # breadth-first order from each node covers its component, and
+    # is_connected holds exactly when the live nodes share one
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 300))
-    pairs = rng.integers(0, n, size=(int(rng.integers(0, 2 * n)), 2))
-    assert np.array_equal(component_labels(n, pairs),
-                          _bfs_components(n, pairs))
+    i, j = rng.integers(0, n, size=(2, int(rng.integers(0, 2 * n))))
+    pairs = np.unique(np.column_stack([np.minimum(i, j), np.maximum(i, j)])
+                      [i != j], axis=0).reshape(-1, 2)
+    rows = _rows(n, pairs)
+    comp = _bfs_components(n, pairs)
+    for s in range(n):
+        assert sorted(level_order(*rows, s).tolist()) \
+            == np.flatnonzero(comp == comp[s]).tolist()
+    part = comp == comp[rng.integers(n)]
+    for live in (np.ones(n, dtype=bool), rng.random(n) < 0.5, part,
+                 part & (rng.random(n) < 0.5)):
+        assert _is_connected(live, rows) == (len(set(comp[live])) <= 1)
 
 
 def test_component_labels_of_two_components():
@@ -521,18 +594,24 @@ def test_component_labels_of_two_components():
     a, b = np.arange(0, n, 2)[::-1], np.arange(1, n, 2)[::-1]
     pairs = np.concatenate([np.column_stack([a[:-1], a[1:]]),
                             np.column_stack([b[:-1], b[1:]])])
-    labels = component_labels(n, pairs)
-    assert np.array_equal(labels, np.arange(n) % 2)
-    assert np.array_equal(labels, _bfs_components(n, pairs))
-    assert np.array_equal(component_labels(3, np.empty((0, 2), int)),
-                          np.arange(3))
+    pairs = np.unique(np.sort(pairs, axis=1), axis=0)
+    rows = _rows(n, pairs)
+    assert np.array_equal(_bfs_components(n, pairs), np.arange(n) % 2)
+    assert level_order(*rows, 0).tolist() == list(range(0, n, 2))
+    assert level_order(*rows, 1).tolist() == list(range(1, n, 2))
+    assert not _is_connected(np.ones(n, dtype=bool), rows)
+    assert _is_connected(np.arange(n) % 2 == 1, rows)
+    rows = _rows(3, np.empty((0, 2), int))
+    assert [level_order(*rows, s).tolist() for s in range(3)] \
+        == [[0], [1], [2]]
+    assert not _is_connected(np.ones(3, dtype=bool), rows)
+    assert _is_connected(np.arange(3) == 2, rows)
 
 
 def test_connectivity_skips_empty_cells(monkeypatch):
     # sites with large weights have empty cells: they are nodes with no
     # edge, which must not split the live cells; dropping the edges across
     # the line x1 = 0 splits them
-    from hemiot.laguerre import LaguerreDiagram
     sites = np.random.default_rng(5).uniform(-0.5, 0.5, size=(40, 2))
     psi = 0.5 * (sites ** 2).sum(axis=1)
     psi[:6] += 50.0
@@ -545,7 +624,8 @@ def test_connectivity_skips_empty_cells(monkeypatch):
     assert diag.is_connected()
     side = diag.centroid[:, 0] < 0.0
     cut = pairs[side[pairs[:, 0]] == side[pairs[:, 1]]]
-    monkeypatch.setattr(LaguerreDiagram, "adjacency_edges", lambda self: cut)
+    monkeypatch.setattr(LaguerreDiagram, "neighbour_rows",
+                        lambda self: _rows(len(sites), cut))
     comp = _bfs_components(len(sites), cut)
     assert len(set(comp[live].tolist())) == 2
     assert not diag.is_connected()

@@ -10,11 +10,11 @@ from hemiot.chart import c_exp_rows
 from hemiot.domains import (ConvexPolygonDomain, DiskDomain, SourceDensity,
                             constant_density, contains, domain_area,
                             total_mass)
-from hemiot.laguerre import compute_measures, edge_weights, laguerre_diagram
-from hemiot.solver import (ConvergenceError, MassBalanceError, _level_order,
-                           _newton_step, _radial_profile_psi, active_site,
-                           export_mesh, gauss_map, potential, solution_to_csv,
-                           solve)
+from hemiot.laguerre import (_rows, compute_measures, edge_weights,
+                             laguerre_diagram, level_order)
+from hemiot.solver import (ConvergenceError, MassBalanceError, _newton_step,
+                           _radial_profile_psi, active_site, export_mesh,
+                           gauss_map, potential, solution_to_csv, solve)
 from hemiot.targets import (DiscreteTarget, chart_disk, chart_polygon,
                             discretize, full_hemisphere, region_mass,
                             truncation_radius_for)
@@ -481,9 +481,10 @@ def test_level_order_is_breadth_first_by_first_parent():
     # site 0's children 2 and 3 form level 1; in level 2, 2's children 1
     # and 5 come before 3's child 4: a level follows its first parents
     pairs = np.array([[0, 2], [0, 3], [1, 2], [2, 5], [3, 4], [4, 5]])
-    assert _level_order(6, pairs).tolist() == [0, 2, 3, 1, 5, 4]
+    assert level_order(*_rows(6, pairs)).tolist() == [0, 2, 3, 1, 5, 4]
     # a site that site 0 does not reach is left out
-    assert _level_order(4, np.array([[0, 1], [2, 3]])).tolist() == [0, 1]
+    assert level_order(*_rows(4, np.array([[0, 1], [2, 3]]))).tolist() \
+        == [0, 1]
 
 
 def _breadth_first(n, pairs):
@@ -516,7 +517,7 @@ def test_level_order_matches_a_plain_breadth_first_search(seed, degree):
     i, j = rng.integers(0, n, (2, int(degree * n / 2)))
     pairs = np.unique(np.column_stack([np.minimum(i, j), np.maximum(i, j)])
                       [i != j], axis=0).reshape(-1, 2)
-    order = _level_order(n, pairs)
+    order = level_order(*_rows(n, pairs))
     assert order.tolist() == _breadth_first(n, pairs)
     if degree < 1.0:
         assert len(order) < n
@@ -540,7 +541,7 @@ def test_level_order_bandwidth_stays_under_its_bound(domain, region, N, n,
     assert len(target) == n
     diagram, _, _ = _start_system(domain, target)
     pairs, _ = edge_weights(diagram, K1)
-    order = _level_order(n, pairs)
+    order = level_order(*diagram.neighbour_rows())
     assert sorted(order.tolist()) == list(range(n))
     assert _bandwidth(order, pairs) <= bound
 
@@ -568,14 +569,15 @@ def test_newton_step_matches_a_dense_solve(domain, target):
 
 
 def test_newton_step_on_a_disconnected_graph_raises(monkeypatch):
-    # two separate edges: no factorization is tried, and the message counts
-    # the sites that the order from site 0 did not reach
-    import hemiot.solver as solver_mod
-    monkeypatch.setattr(solver_mod, "edge_weights", lambda diagram, K: (
-        np.array([[0, 1], [2, 3]]), np.array([1.0, 2.0])))
+    # sites 2 and 3 have empty cells, so the graph is the one edge 0-1: no
+    # factorization is tried, and the message counts the sites that the
+    # order from site 0 did not reach
+    sites = np.array([[-0.3, 0.0], [0.3, 0.0], [0.0, 0.3], [0.0, -0.3]])
+    diagram = laguerre_diagram(SQUARE, sites, np.array([0.0, 0.0, 50.0, 50.0]))
+    assert diagram.adjacency_edges().tolist() == [[0, 1]]
     monkeypatch.setattr("scipy.linalg.solveh_banded", None)
     with pytest.raises(ConvergenceError, match="did not reach 2 of 4 sites"):
-        _newton_step(None, K1, np.full(4, 0.3), np.full(4, 0.25))
+        _newton_step(diagram, K1, np.full(4, 0.3), np.full(4, 0.25))
 
 
 def test_one_band_solve_per_newton_step(monkeypatch):
