@@ -30,10 +30,6 @@ from .solver import (CellMeasureError, ConvergenceError, MassBalanceError,
 from .targets import (DiscreteTarget, discretize, full_hemisphere,
                       truncation_radius_for)
 
-COMMANDS = ("solve", "sphere-benchmark", "blowup", "oracle-compare",
-            "lemmas", "export")
-
-
 class ConfigError(ValueError):
     """Invalid configuration; the message starts with the field path."""
 
@@ -127,29 +123,15 @@ def _get(spec, key, path, kind=None, default=KeyError):
         if isinstance(v, bool) or not isinstance(v, int):
             raise ConfigError(f"{path}.{key}: expected an integer")
         return v
+    if kind == [float]:
+        if not isinstance(v, list) or any(
+                isinstance(x, bool) or not isinstance(x, (int, float))
+                for x in v):
+            raise ConfigError(f"{path}.{key}: expected a list of numbers")
+        return [float(x) for x in v]
     if kind is not None and not isinstance(v, kind):
         raise ConfigError(f"{path}.{key}: expected {kind.__name__}")
     return v
-
-
-def _params(cfg, *keys):
-    """cfg.params, once every key in it is one of keys, the ones the
-    command reads."""
-    for key in cfg.params:
-        if key not in keys:
-            raise ConfigError(f"config.params.{key}: unknown parameter of "
-                              f"{cfg.command}")
-    return cfg.params
-
-
-def _numbers(params, key, default):
-    """params[key] as a list of floats, or default when it is absent."""
-    v = _get(params, key, "config.params", list, default=None)
-    if v is None:
-        return default
-    if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in v):
-        raise ConfigError(f"config.params.{key}: expected a list of numbers")
-    return [float(x) for x in v]
 
 
 def _finite(values):
@@ -306,6 +288,8 @@ def build_target(spec, N, source_mass, path="target"):
             raise ConfigError(f"{path}.sites: {exc}")
     else:
         raise ConfigError(f"{path}.kind: unknown target kind {kind!r}")
+    if N is None:
+        raise ConfigError("config.N: required for this command")
     return discretize(region, N, source_mass)
 
 
@@ -338,10 +322,10 @@ class ExperimentConfig:
             if key not in known:
                 raise ConfigError(f"config.{key}: unknown field")
         command = _get(raw, "command", "config", str)
-        if command not in COMMANDS:
+        if command not in _PIPELINES:
             raise ConfigError(
                 f"config.command: unknown command {command!r} "
-                f"(choose from {', '.join(COMMANDS)})")
+                f"(choose from {', '.join(_PIPELINES)})")
         cfg = cls(command=command, **{
             f.name: _get(raw, f.name, "config", f.type,
                          default=(f.default if f.default_factory is MISSING
@@ -370,8 +354,38 @@ class ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# pipelines; each checks its params before any work, writes its CSV
-# artifacts through write_csv and returns (verdicts, measurements, timings)
+# pipelines.  Each is declared beside its function: a dict of the top-level
+# fields and params keys it reads, name -> (kind, default, *rules), a rule a
+# (holds, message) pair.  _read checks a config against it before any work;
+# the pipeline gets the values, writes its CSV artifacts through write_csv
+# and returns (verdicts, measurements, timings).
+
+_REQUIRED = KeyError  # _get's default for a field that has none
+
+
+def _at_least(k):
+    return (lambda n: n >= k, f"must be at least {k}")
+
+
+def _read(cfg, decl):
+    """The values of the fields decl declares, checked, keyed by field or
+    params key, with tol, max_iter and seed, which every config sets.  Any
+    other params key, or top-level field whose unset value is None, must be
+    unset."""
+    given = {f.name: v for f in fields(cfg)
+             if f.default is None and (v := getattr(cfg, f.name)) is not None}
+    given.update(("params." + key, v) for key, v in cfg.params.items())
+    for name in given:
+        if name not in decl:
+            raise ConfigError(f"config.{name}: not read by {cfg.command}")
+    values = {"tol": cfg.tol, "max_iter": cfg.max_iter, "seed": cfg.seed}
+    for name, (kind, default, *rules) in decl.items():
+        v = _get(given, name, "config", kind, default)
+        for holds, why in rules:
+            if v is not None and not holds(v):
+                raise ConfigError(f"config.{name}: {why}")
+        values[name.removeprefix("params.")] = v
+    return values
 
 
 def _diagram_counts(sol):
@@ -380,39 +394,36 @@ def _diagram_counts(sol):
             "start_residual": sol.report.start_residual}
 
 
-def _solve_instance(cfg, out):
-    _params(cfg)
-    if cfg.domain is None:
-        raise ConfigError("config.domain: required for this command")
-    if cfg.density is None:
-        raise ConfigError("config.density: required for this command")
-    if cfg.target is None:
-        raise ConfigError("config.target: required for this command")
-    # an explicit target is its own sites; only a region needs N
-    if cfg.N is None and not (isinstance(cfg.target, dict)
-                              and cfg.target.get("kind") == "explicit"):
-        raise ConfigError("config.N: required for this command")
-    domain = build_domain(cfg.domain)
-    K = build_density(cfg.density, domain)
+_SOLVE = {
+    "domain": (dict, _REQUIRED),
+    "density": (dict, _REQUIRED),
+    "target": (dict, _REQUIRED),
+    "N": (int, None),  # read by a target that discretizes a region
+}
+
+
+def _solve_instance(v, out):
+    domain = build_domain(v["domain"])
+    K = build_density(v["density"], domain)
     mass, regime = total_mass(domain, K, tol=1e-8)
     if not K.is_constant:
         # Re-quadrate at the tolerance the solver itself will use for its
         # mass-balance precondition, so the two values agree within its slack.
         mass, regime = total_mass(domain, K,
-                                  tol=mass_quadrature_tol(cfg.tol, mass))
+                                  tol=mass_quadrature_tol(v["tol"], mass))
     if regime == "infeasible":
         raise ConfigError(
             f"config.density: total source mass {mass:.6g} exceeds the "
             f"hemisphere mass pi; no admissible target remains")
-    target = build_target(cfg.target, cfg.N, mass)
-    sol = solve(domain, K, target, tol=cfg.tol, max_iter=cfg.max_iter)
+    target = build_target(v["target"], v["N"], mass)
+    sol = solve(domain, K, target, tol=v["tol"], max_iter=v["max_iter"])
     solution_to_csv(sol, os.path.join(out, "solution.csv"))
     export_mesh(sol, os.path.join(out, "mesh.obj"))
     area_err = abs(sum(sol.diagram.area.tolist())
                    - domain_area(domain)) / domain_area(domain)
     verdicts = {
         "converged": bool(sol.report.converged),
-        "mass_balance": bool(sol.report.final_residual <= cfg.tol),
+        "mass_balance": bool(sol.report.final_residual <= v["tol"]),
         "area_identity": bool(area_err <= 1e-9),
     }
     meas = {
@@ -427,13 +438,13 @@ def _solve_instance(cfg, out):
     return sol, verdicts, meas, {"solve_s": sol.report.runtime}
 
 
-def _cmd_solve(cfg, out):
-    _, verdicts, meas, times = _solve_instance(cfg, out)
+def _cmd_solve(v, out):
+    _, verdicts, meas, times = _solve_instance(v, out)
     return verdicts, meas, times
 
 
-def _cmd_export(cfg, out):
-    sol, verdicts, meas, times = _solve_instance(cfg, out)
+def _cmd_export(v, out):
+    sol, verdicts, meas, times = _solve_instance(v, out)
     cells, sizes, ring = _cell_rings(sol.diagram)
     ends = np.cumsum(sizes).tolist()
     write_csv(os.path.join(out, "cells.csv"), ("site", "k", "x1", "x2"),
@@ -444,18 +455,18 @@ def _cmd_export(cfg, out):
     return verdicts, meas, times
 
 
-def _cmd_sphere(cfg, out):
-    p = _params(cfg, "r", "n_eval")
-    r = _get(p, "r", "config.params", float, default=0.6)
-    if not 0 < r < 1:
-        raise ConfigError("config.params.r: must lie in (0, 1)")
-    n_eval = _get(p, "n_eval", "config.params", int, default=20000)
-    if n_eval < 1:
-        raise ConfigError("config.params.n_eval: must be at least 1")
-    N = cfg.N if cfg.N is not None else 2000
+_SPHERE = {
+    "N": (int, 2000),
+    "params.r": (float, 0.6, (lambda r: 0 < r < 1, "must lie in (0, 1)")),
+    "params.n_eval": (int, 20000, _at_least(1)),
+}
+
+
+def _cmd_sphere(v, out):
     t0 = time.perf_counter()
-    rep, sol = sphere_benchmark(r, N, tol=cfg.tol, max_iter=cfg.max_iter,
-                                n_eval=n_eval, seed=cfg.seed)
+    rep, sol = sphere_benchmark(v["r"], v["N"], tol=v["tol"],
+                                max_iter=v["max_iter"], n_eval=v["n_eval"],
+                                seed=v["seed"])
     write_csv(os.path.join(out, "samples.csv"), rep.sample_header,
               rep.samples)
     # the sample rows and the cached point locator are done with: free them
@@ -481,12 +492,21 @@ def _cmd_sphere(cfg, out):
                             "benchmark_s": time.perf_counter() - t0}
 
 
-def _cmd_blowup(cfg, out):
-    p = _params(cfg, "samples", "delta", "C0", "tail_epsilon")
-    domain = build_domain(cfg.domain) if cfg.domain is not None \
-        else DiskDomain(np.zeros(2), 1.0)
-    K = build_density(cfg.density, domain) if cfg.density is not None \
-        else constant_density(1.0)
+_BLOWUP = {
+    "domain": (dict, {"kind": "disk", "radius": 1.0}),
+    "density": (dict, {"kind": "constant", "value": 1.0}),
+    "N": (int, 4000),
+    "params.samples": (int, 1000, _at_least(1)),
+    "params.delta": (float, 0.5, (lambda d: 0 < d < 1, "must lie in (0, 1)")),
+    "params.C0": (float, 1.0, (lambda c: c > 0, "must be positive")),
+    "params.tail_epsilon": (float, math.pi * 1e-4,
+                            (lambda e: 0 < e < math.pi, "must lie in (0, pi)")),
+}
+
+
+def _cmd_blowup(v, out):
+    domain = build_domain(v["domain"])
+    K = build_density(v["density"], domain)
     # the unit disk with K = 1 carries mass pi, the whole hemisphere's: the
     # critical case, and the only one the closed-form bound is set up for
     if not (isinstance(domain, DiskDomain)
@@ -498,28 +518,15 @@ def _cmd_blowup(cfg, out):
         raise ConfigError(
             "config.density: the blowup pipeline supports constant "
             "curvature 1")
-    samples = _get(p, "samples", "config.params", int, default=1000)
-    delta = _get(p, "delta", "config.params", float, default=0.5)
-    C0 = _get(p, "C0", "config.params", float, default=1.0)
-    eps = _get(p, "tail_epsilon", "config.params", float,
-               default=math.pi * 1e-4)
-    if samples < 1:
-        raise ConfigError("config.params.samples: must be at least 1")
-    if not 0 < delta < 1:
-        raise ConfigError("config.params.delta: must lie in (0, 1)")
-    if C0 <= 0:
-        raise ConfigError("config.params.C0: must be positive")
-    if not 0 < eps < math.pi:
-        raise ConfigError("config.params.tail_epsilon: must lie in (0, pi)")
-    N = cfg.N if cfg.N is not None else 4000
     t0 = time.perf_counter()
-    rep, sol = blowup_experiment(samples, delta=delta, N=N, C0=C0,
-                                 tail_epsilon=eps, seed=cfg.seed,
-                                 tol=cfg.tol, max_iter=cfg.max_iter)
+    rep, sol = blowup_experiment(v["samples"], delta=v["delta"], N=v["N"],
+                                 C0=v["C0"], tail_epsilon=v["tail_epsilon"],
+                                 seed=v["seed"], tol=v["tol"],
+                                 max_iter=v["max_iter"])
     solution_to_csv(sol, os.path.join(out, "solution.csv"))
     write_csv(os.path.join(out, "samples.csv"), rep.sample_header,
               rep.samples)
-    trunc_frac = rep.truncation_excluded / max(samples, 1)
+    trunc_frac = rep.truncation_excluded / v["samples"]
     verdicts = {
         "converged": bool(rep.converged),
         "no_bound_violations": not rep.violations,
@@ -539,30 +546,27 @@ def _cmd_blowup(cfg, out):
     return verdicts, meas, {"blowup_s": time.perf_counter() - t0}
 
 
-def _cmd_oracle(cfg, out):
-    p = _params(cfg, "grid_m", "threshold")
-    grid_m = _get(p, "grid_m", "config.params", int, default=15)
-    if grid_m < 1 or grid_m ** 2 > 1000:
-        raise ConfigError(
-            "config.params.grid_m: grid_m^2 must lie in [1, 1000]")
-    threshold = _get(p, "threshold", "config.params", float, default=0.95)
-    if not 0.0 < threshold <= 1.0:
-        raise ConfigError("config.params.threshold: must lie in (0, 1]")
-    if cfg.domain is None:
-        raise ConfigError("config.domain: required for this command")
-    domain = build_domain(cfg.domain)
-    K = build_density(cfg.density, domain) if cfg.density is not None \
-        else constant_density(1.0)
+_ORACLE = {
+    "domain": (dict, _REQUIRED),
+    "density": (dict, {"kind": "constant", "value": 1.0}),
+    "target": (dict, _REQUIRED),
+    "N": (int, 20, (lambda n: n <= 1000,
+                    "the discrete oracle handles at most 1000")),
+    "params.grid_m": (int, 15, (lambda m: m >= 1 and m * m <= 1000,
+                                "grid_m^2 must lie in [1, 1000]")),
+    "params.threshold": (float, 0.95,
+                         (lambda t: 0.0 < t <= 1.0, "must lie in (0, 1]")),
+}
+
+
+def _cmd_oracle(v, out):
+    domain = build_domain(v["domain"])
+    K = build_density(v["density"], domain)
     mass, _ = total_mass(domain, K, tol=1e-8 if K.is_constant else 1e-10)
-    N = cfg.N if cfg.N is not None else 20
-    if N > 1000:
-        raise ConfigError("config.N: the discrete oracle handles at most 1000")
-    if cfg.target is None:
-        raise ConfigError("config.target: required for this command")
-    target = build_target(cfg.target, N, mass)
+    target = build_target(v["target"], v["N"], mass)
     t0 = time.perf_counter()
     fraction, plan, sol, member = semidiscrete_agreement(
-        domain, K, target, grid_m, tol=cfg.tol, max_iter=cfg.max_iter)
+        domain, K, target, v["grid_m"], tol=v["tol"], max_iter=v["max_iter"])
     ceiling = agreement_ceiling(plan, member, target)
     cert = monotonicity_certificate(plan)
     write_csv(os.path.join(out, "samples.csv"), ("source", "target", "mass"),
@@ -570,14 +574,14 @@ def _cmd_oracle(cfg, out):
     solution_to_csv(sol, os.path.join(out, "solution.csv"))
     verdicts = {
         "converged": bool(sol.report.converged),
-        "agreement": bool(fraction >= threshold),
+        "agreement": bool(fraction >= v["threshold"]),
         "monotonicity": bool(cert >= -1e-10),
         "dual_feasibility": bool(plan.min_reduced_cost >= -1e-10),
     }
     meas = {
         "agreement_fraction": fraction, "agreement_ceiling": ceiling,
-        "threshold": threshold, "monotonicity_certificate": cert,
-        "plan_cost": plan.cost, "grid_m": grid_m,
+        "threshold": v["threshold"], "monotonicity_certificate": cert,
+        "plan_cost": plan.cost, "grid_m": v["grid_m"],
         "max_support_slack": plan.max_support_slack,
         "min_reduced_cost": plan.min_reduced_cost,
         "n_plan_entries": len(plan.entries),
@@ -587,37 +591,30 @@ def _cmd_oracle(cfg, out):
     return verdicts, meas, {"oracle_s": time.perf_counter() - t0}
 
 
-def _cmd_lemmas(cfg, out):
-    p = _params(cfg, "trials", "n_points", "thetas", "t_values",
-                "estar_samples", "dimension")
-    domain = build_domain(cfg.domain) if cfg.domain is not None \
-        else DiskDomain(np.zeros(2), 1.0)
+_LEMMAS = {
+    "domain": (dict, {"kind": "disk", "radius": 1.0}),
+    "params.trials": (int, 100, _at_least(1)),
+    "params.n_points": (int, 4000, _at_least(2)),
+    "params.thetas": ([float], [0.05, 0.1, 0.2, 0.4],
+                      (bool, "expected a nonempty list"),
+                      (lambda ths: all(0 < th < 1 / math.sqrt(6.0)
+                                       for th in ths),
+                       "each theta must lie in (0, 1/sqrt(6))")),
+    "params.t_values": ([float], None),  # checked against 2 d0 below
+    "params.estar_samples": (int, 2000000, _at_least(1)),
+    "params.dimension": (int, 2, _at_least(2)),
+}
+
+
+def _cmd_lemmas(v, out):
+    domain = build_domain(v["domain"])
     if not isinstance(domain, DiskDomain):
         raise ConfigError("config.domain: the lemma checks run on a disk")
-    trials = _get(p, "trials", "config.params", int, default=100)
-    n_points = _get(p, "n_points", "config.params", int, default=4000)
-    thetas = _numbers(p, "thetas", default=[0.05, 0.1, 0.2, 0.4])
-    t_values = _numbers(p, "t_values", default=None)
-    estar_samples = _get(p, "estar_samples", "config.params", int,
-                         default=2000000)
-    dim = _get(p, "dimension", "config.params", int, default=2)
-    if trials < 1:
-        raise ConfigError("config.params.trials: must be at least 1")
-    if n_points < 2:
-        raise ConfigError("config.params.n_points: must be at least 2")
-    if not thetas:
-        raise ConfigError("config.params.thetas: expected a nonempty list")
-    if not all(0 < th < 1 / math.sqrt(6.0) for th in thetas):
-        raise ConfigError(
-            "config.params.thetas: each theta must lie in (0, 1/sqrt(6))")
-    if estar_samples < 1:
-        raise ConfigError("config.params.estar_samples: must be at least 1")
-    if dim < 2:
-        raise ConfigError("config.params.dimension: must be at least 2")
     geo = boundary_geometry(domain)
     d0 = d0_threshold(geo)
     spec = make_cone_spec(
         domain, domain.center + np.array([domain.radius - d0, 0.0]), geo)
+    t_values = v["t_values"]
     if t_values is None:
         t_values = [f * d0 for f in (0.25, 0.5, 1.0, 1.5, 1.99)]
     # a t the slice check would skip scores nothing; NaN fails the test too
@@ -626,11 +623,12 @@ def _cmd_lemmas(cfg, out):
                           f"of t in (0, 2 d0), d0 = {spec.d0:.6g}")
 
     t0 = time.perf_counter()
-    cone = cone_inclusion_check(domain, trials, n_points=n_points,
-                                seed=cfg.seed)
+    cone = cone_inclusion_check(domain, v["trials"], n_points=v["n_points"],
+                                seed=v["seed"])
     sl = slice_estimate_check(domain, t_values, spec)
-    estar = [estar_volume_check(th, dim, estar_samples, seed=cfg.seed)
-             for th in thetas]
+    estar = [estar_volume_check(th, v["dimension"], v["estar_samples"],
+                                seed=v["seed"])
+             for th in v["thetas"]]
     write_csv(os.path.join(out, "samples.csv"), cone.sample_header,
               cone.samples)
     verdicts = {
@@ -641,7 +639,7 @@ def _cmd_lemmas(cfg, out):
                                  for r in estar)),
     }
     meas = {
-        "trials": trials, "cone_max_excess": cone.max_excess,
+        "trials": v["trials"], "cone_max_excess": cone.max_excess,
         "cone_negative_control_excess": cone.negative_control_excess,
         "cone_worst_trial": cone.worst_trial,
         "slice_bound": sl.bound, "d0": sl.d0,
@@ -653,13 +651,14 @@ def _cmd_lemmas(cfg, out):
     return verdicts, meas, {"lemmas_s": time.perf_counter() - t0}
 
 
+# command -> (pipeline, declaration)
 _PIPELINES = {
-    "solve": _cmd_solve,
-    "sphere-benchmark": _cmd_sphere,
-    "blowup": _cmd_blowup,
-    "oracle-compare": _cmd_oracle,
-    "lemmas": _cmd_lemmas,
-    "export": _cmd_export,
+    "solve": (_cmd_solve, _SOLVE),
+    "sphere-benchmark": (_cmd_sphere, _SPHERE),
+    "blowup": (_cmd_blowup, _BLOWUP),
+    "oracle-compare": (_cmd_oracle, _ORACLE),
+    "lemmas": (_cmd_lemmas, _LEMMAS),
+    "export": (_cmd_export, _SOLVE),
 }
 
 
@@ -705,15 +704,15 @@ def run(config):
     """Execute one configured pipeline.  Returns the process exit code and
     leaves report.json plus the command's artifacts in the output
     directory; partial artifacts survive a failed run."""
-    cfg = config if isinstance(config, ExperimentConfig) \
-        else ExperimentConfig.from_dict(config)
+    cfg = ExperimentConfig.from_dict(
+        config.to_dict() if isinstance(config, ExperimentConfig) else config)
+    pipeline, decl = _PIPELINES[cfg.command]
+    values = _read(cfg, decl)
     out = cfg.out
     os.makedirs(out, exist_ok=True)
     t0 = time.perf_counter()
     try:
-        verdicts, meas, times = _PIPELINES[cfg.command](cfg, out)
-    except ConfigError:
-        raise
+        verdicts, meas, times = pipeline(values, out)
     except MassBalanceError as exc:
         raise ConfigError(f"config.target: {exc}")
     except CellMeasureError as exc:
@@ -744,9 +743,6 @@ def main(argv=None):
                     "JSON config.")
     ap.add_argument("--config", required=True, help="path to a JSON config")
     ap.add_argument("--out", help="output directory (overrides config)")
-    ap.add_argument("--threads", type=int,
-                    help="accepted and echoed into report.json, but unused: "
-                         "every pipeline runs in one thread")
     ap.add_argument("--seed", type=int, help="seed override")
     ap.add_argument("--tol", type=float, help="solver tolerance override")
     args = ap.parse_args(argv)
@@ -770,8 +766,8 @@ def main(argv=None):
     # a config that is not an object is run's to reject, flags or not
     if isinstance(raw, dict):
         raw.update((key, value) for key, value in (
-            ("out", args.out), ("threads", args.threads), ("seed", args.seed),
-            ("tol", args.tol)) if value is not None)
+            ("out", args.out), ("seed", args.seed), ("tol", args.tol))
+            if value is not None)
 
     try:
         return run(raw)

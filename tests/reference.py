@@ -107,12 +107,3 @@ def gauss_map_image_check(solution, target):
     h_live_to_all = float(cKDTree(pts_all).query(pts_live)[0].max())
     h_all_to_live = float(cKDTree(pts_live).query(pts_all)[0].max())
     return h_live_to_all, h_all_to_live, int(n_empty_required)
-
-
-def gauss_curvature(hessian, grad):
-    """Curvature of the graph of u: det(D^2 u) / (1+|grad u|^2)^((n+2)/2)."""
-    hessian = np.asarray(hessian, dtype=float)
-    grad = np.asarray(grad, dtype=float)
-    n = len(grad)
-    return float(np.linalg.det(hessian)) \
-        / (1.0 + float(grad @ grad)) ** ((n + 2) / 2.0)

@@ -17,7 +17,6 @@ from hemiot.geometry import ARC_EDGE, integrate_ring_cells
 from hemiot.targets import chart_disk
 
 from .ragged import one_by_one, pieces
-from .reference import gauss_curvature
 
 
 def test_chart_roundtrip():
@@ -81,23 +80,6 @@ def test_metric_eigenvalues_and_determinant():
         y_last = -1.0 / math.sqrt(q)
         assert (-y_last) * math.sqrt(np.linalg.det(g)) == pytest.approx(
             chart_density(p), rel=1e-12)
-
-
-def test_gauss_curvature_of_the_sphere_graph():
-    # u = -sqrt(1-|x|^2) has curvature one; frozen hand-computed jets at x=(0.3, 0)
-    grad = np.array([0.3144854510165755, 0.0])
-    hess = np.diag([1.151961359035075, 1.0482848367219182])
-    x = np.array([0.3, 0.0])
-    w = 1.0 - float(x @ x)
-    assert np.allclose(grad, x / math.sqrt(w), rtol=1e-14)
-    assert gauss_curvature(hess, grad) == pytest.approx(1.0, rel=1e-12)
-    rng = np.random.default_rng(8)
-    for _ in range(20):
-        x = rng.uniform(-0.6, 0.6, size=2)
-        w = 1.0 - float(x @ x)
-        grad = x / math.sqrt(w)
-        hess = (np.eye(2) * w + np.outer(x, x)) / w ** 1.5
-        assert gauss_curvature(hess, grad) == pytest.approx(1.0, rel=1e-10)
 
 
 def test_chart_segments_lie_on_great_circles():

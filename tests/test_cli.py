@@ -1,14 +1,17 @@
 import ast
+import inspect
 import json
 import math
 import os
 import subprocess
 import sys
 import time
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+import hemiot.cli as cli
 from hemiot.cli import (ConfigError, ExperimentConfig, build_density,
                         build_domain, build_target, compile_expression, main,
                         run)
@@ -139,12 +142,11 @@ def test_flag_overrides(tmp_path):
     cfg = _write(tmp_path, "c.json", SOLVE_DOC)
     out = str(tmp_path / "flagged")
     assert main(["--config", cfg, "--out", out, "--seed", "9",
-                 "--tol", "1e-5", "--threads", "2"]) == 0
+                 "--tol", "1e-5"]) == 0
     with open(os.path.join(out, "report.json")) as fh:
         report = json.load(fh)
     assert report["config"]["seed"] == 9
     assert report["config"]["tol"] == 1e-5
-    assert report["config"]["threads"] == 2
 
 
 def test_missing_and_invalid_config(tmp_path, capsys):
@@ -167,7 +169,7 @@ def test_unreadable_and_non_object_configs_are_validation_errors(tmp_path,
     assert f"config: cannot read {raw}" in capsys.readouterr().err
     # an array or a string is no config, with or without a flag
     flags = [[], ["--out", str(tmp_path / "o")], ["--seed", "3"],
-             ["--tol", "1e-6"], ["--threads", "2"]]
+             ["--tol", "1e-6"]]
     for name, doc in (("list.json", [SOLVE_DOC]), ("str.json", "solve")):
         for extra in flags:
             assert main(["--config", _write(tmp_path, name, doc)]
@@ -556,6 +558,62 @@ def test_params_errors_name_their_field(tmp_path, capsys, command, field,
     assert not out.exists() or os.listdir(out) == []
 
 
+def _keys_read(fn, arg=0):
+    # the keys fn reads off its values dict, its positional argument arg,
+    # and off that dict in each cli function it hands it to; the dict may
+    # be used in no other way
+    func = ast.parse(inspect.getsource(fn)).body[0]
+    name = func.args.args[arg].arg
+    keys, uses = set(), 0
+    for node in ast.walk(func):
+        if isinstance(node, ast.Subscript) and isinstance(
+                node.value, ast.Name) and node.value.id == name:
+            keys.add(node.slice.value)
+            uses += 1
+        if isinstance(node, ast.Call):
+            for k, a in enumerate(node.args):
+                if isinstance(a, ast.Name) and a.id == name:
+                    keys |= _keys_read(getattr(cli, node.func.id), k)
+                    uses += 1
+    assert uses == sum(isinstance(node, ast.Name) and node.id == name
+                       for node in ast.walk(func))
+    return keys
+
+
+@pytest.mark.parametrize("command", sorted(cli._PIPELINES))
+def test_a_pipeline_reads_only_what_it_declares(tmp_path, capsys, command):
+    pipeline, decl = cli._PIPELINES[command]
+    # it reads each declared field, with tol, max_iter and seed, and no other
+    assert _keys_read(pipeline) - {"tol", "max_iter", "seed"} == {
+        name.removeprefix("params.") for name in decl}
+    # any other field a config can leave unset, and an unknown params key,
+    # is rejected before any work
+    unread = [(f.name, {f.name: SOLVE_DOC[f.name]})
+              for f in fields(ExperimentConfig)
+              if f.default is None and f.name not in decl]
+    unread.append(("params.unknown", {"params": {"unknown": 1}}))
+    for name, setting in unread:
+        out = tmp_path / name
+        doc = dict(setting, command=command, out=str(out))
+        assert main(["--config", _write(tmp_path, "c.json", doc)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"validation error: config.{name}: ")
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("field, given", [
+    ("seed", {"command": "lemmas", "seed": -3}),
+    ("tol", {"command": "lemmas", "tol": "small"}),
+    ("command", {"command": "fit"}),
+], ids=["seed", "tol", "command"])
+def test_run_checks_a_config_object_as_it_checks_a_dict(tmp_path, field,
+                                                        given):
+    out = tmp_path / "o"
+    with pytest.raises(ConfigError, match=rf"^config\.{field}: "):
+        run(ExperimentConfig(out=str(out), **given))
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("threshold", [1.5, -1.0])
 def test_oracle_compare_rejects_threshold_out_of_range(tmp_path, threshold):
     # 1.5 would fail every run and -1 pass every run
@@ -639,7 +697,6 @@ def test_export_files_match_the_per_cell_writer(tmp_path, monkeypatch, doc):
     # cells.csv and mesh.obj, read off the diagram's arrays, equal the
     # per-cell writer byte for byte, on disks, where cells have arcs, and on
     # a polygon
-    import hemiot.cli as cli
     from hemiot.solver import solve, write_csv
     solved = []
     monkeypatch.setattr(cli, "solve", lambda *a, **k: solved.append(
