@@ -11,7 +11,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -53,11 +52,13 @@ _NAMES = ("x1", "x2", "d")
 
 def compile_expression(formula, path="density.formula"):
     """Compile the restricted density grammar to a vectorized evaluator
-    taking an environment {x1, x2, d} of equal-length arrays."""
+    taking an environment {x1, x2, d} of equal-length arrays.  Returns the
+    evaluator and whether the formula reads d."""
     try:
         tree = ast.parse(formula, mode="eval")
     except SyntaxError as exc:
         raise ConfigError(f"{path}: cannot parse {formula!r} ({exc.msg})")
+    names = set()
 
     def build(node):
         if isinstance(node, ast.Expression):
@@ -73,6 +74,7 @@ def compile_expression(formula, path="density.formula"):
                 raise ConfigError(
                     f"{path}: unknown name {node.id!r} (allowed: x1, x2, d)")
             name = node.id
+            names.add(name)
             return lambda env: env[name]
         if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
             op = _BINOPS[type(node.op)]
@@ -97,187 +99,224 @@ def compile_expression(formula, path="density.formula"):
         raise ConfigError(
             f"{path}: disallowed syntax {type(node).__name__}")
 
-    return build(tree)
-
-
-def _needs_distance(formula):
-    return any(isinstance(n, ast.Name) and n.id == "d"
-               for n in ast.walk(ast.parse(formula, mode="eval")))
+    ev = build(tree)
+    return ev, "d" in names
 
 
 # ---------------------------------------------------------------------------
-# config -> objects
+# config -> values.  Every object in a config is declared: a dict of the keys
+# it may hold, name -> (kind, default, *rules), a rule a (holds, message)
+# pair.  _read checks an object against its declaration before any work.  A
+# rule is written once: here, or in the class that owns the value, whose
+# error the caller relays under the field's name.
+
+_REQUIRED = KeyError  # the default of a key that has none
 
 
-def _get(spec, key, path, kind=None, default=KeyError):
-    if key not in spec:
-        if default is KeyError:
-            raise ConfigError(f"{path}.{key}: required field is missing")
-        return default
-    v = spec[key]
+def _number(x):
+    """True for a number that is a finite float (a bool is not one; NaN
+    and an integer too large for a float fail the comparison)."""
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and abs(x) <= sys.float_info.max)
+
+
+def _typed(v, kind, where):
     if kind is float:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError(f"{path}.{key}: expected a number")
+        if not _number(v):
+            raise ConfigError(f"{where}: expected a finite number")
         return float(v)
     if kind is int:
         if isinstance(v, bool) or not isinstance(v, int):
-            raise ConfigError(f"{path}.{key}: expected an integer")
+            raise ConfigError(f"{where}: expected an integer")
         return v
     if kind == [float]:
-        if not isinstance(v, list) or any(
-                isinstance(x, bool) or not isinstance(x, (int, float))
-                for x in v):
-            raise ConfigError(f"{path}.{key}: expected a list of numbers")
+        if not (isinstance(v, list) and all(map(_number, v))):
+            raise ConfigError(f"{where}: expected a list of finite numbers")
         return [float(x) for x in v]
-    if kind is not None and not isinstance(v, kind):
-        raise ConfigError(f"{path}.{key}: expected {kind.__name__}")
+    if not isinstance(v, kind):
+        names = {str: "a string", list: "a list", dict: "a JSON object"}
+        raise ConfigError(f"{where}: expected {names[kind]}")
     return v
 
 
-def _finite(values):
-    """True when every value is a finite number (a bool is not one)."""
-    return all(isinstance(x, (int, float)) and not isinstance(x, bool)
-               and math.isfinite(x) for x in values)
+def _read(spec, decl, path):
+    """The values of the object spec at path, checked against decl and keyed
+    by name.  A kind that is itself a declaration is a nested object, whose
+    values join these.  A missing key without a default, or a key decl does
+    not name, is an error."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{path}: expected a JSON object")
+    values = {}
+    for key, (kind, default, *rules) in decl.items():
+        where = f"{path}.{key}"
+        if isinstance(kind, dict):
+            values.update(_read(spec.get(key, default), kind, where))
+            continue
+        if key in spec:
+            v = _typed(spec[key], kind, where)
+        elif default is _REQUIRED:
+            raise ConfigError(f"{where}: required field is missing")
+        else:
+            v = default
+        for holds, why in rules:
+            if v is not None and not holds(v):
+                raise ConfigError(f"{where}: {why}")
+        values[key] = v
+    for key in spec:
+        if key not in decl:
+            raise ConfigError(f"{path}.{key}: unknown field; {path} reads "
+                              f"{', '.join(decl)}")
+    return values
+
+
+def _read_kind(spec, kinds, path, default=_REQUIRED):
+    """_read against the declaration that kinds gives the object's kind,
+    with the kind itself, which must be one of kinds."""
+    kind = spec.get("kind", default) if isinstance(spec, dict) else None
+    decl = {"kind": (str, default, (lambda k: k in kinds,
+                                    f"unknown {path} kind {kind!r}"))}
+    # found by comparison: a kind that is a list or an object is no key
+    decl.update(next((d for k, d in kinds.items() if k == kind), {}))
+    return _read(spec, decl, path)
+
+
+def _params(**decl):
+    """The declaration of a pipeline's params object."""
+    return decl, {}
+
+
+def _at_least(k):
+    return (lambda n: n >= k, f"must be at least {k}")
+
+
+_POSITIVE = (lambda x: x > 0, "must be positive")
+_TAIL_EPSILON = (float, math.pi * 1e-4,
+                 (lambda e: 0 < e < math.pi, "must lie in (0, pi)"))
+
+_DISK = {"center": (list, [0.0, 0.0]), "radius": (float, _REQUIRED)}
+_POLYGON = {"vertices": (list, _REQUIRED)}
 
 
 def build_domain(spec, path="domain"):
-    if not isinstance(spec, dict):
-        raise ConfigError(f"{path}: expected an object")
-    kind = _get(spec, "kind", path, str)
-    if kind == "disk":
-        return _disk(spec, path)
-    if kind == "polygon":
-        return _polygon(spec, path)
-    raise ConfigError(f"{path}.kind: unknown domain kind {kind!r}")
+    v = _read_kind(spec, {"disk": _DISK, "polygon": _POLYGON}, path)
+    return _disk(v, path) if v["kind"] == "disk" else _polygon(v, path)
 
 
-def _disk(spec, path):
-    """The DiskDomain of spec (a source domain or a chart disk target); the
+def _disk(v, path):
+    """The DiskDomain of v (a source domain or a chart disk target); the
     disk's own shape check names the field that fails."""
-    center = _get(spec, "center", path, list, default=[0.0, 0.0])
-    radius = _get(spec, "radius", path, float)
     try:
-        return DiskDomain(center, radius)
+        return DiskDomain(v["center"], v["radius"])
     except ValueError as exc:
         raise ConfigError(f"{path}.{exc}")
 
 
-def _polygon(spec, path):
-    verts = _get(spec, "vertices", path, list)
+def _polygon(v, path):
     try:
-        return ConvexPolygonDomain(verts)
+        return ConvexPolygonDomain(v["vertices"])
     except ValueError as exc:
         raise ConfigError(f"{path}.vertices: {exc}")
 
 
+_BOUNDS = {"lower": (float, None), "upper": (float, None)}
+_DENSITIES = {
+    "constant": {"value": (float, _REQUIRED, _POSITIVE), **_BOUNDS},
+    "expression": {"formula": (str, _REQUIRED), **_BOUNDS},
+    # SourceDensity checks C0, delta and r0
+    "decay": {"C0": (float, _REQUIRED), "delta": (float, _REQUIRED),
+              "r0": (float, None), **_BOUNDS},
+}
+
+
 def build_density(spec, domain, path="density"):
-    if not isinstance(spec, dict):
-        raise ConfigError(f"{path}: expected an object")
-    kind = _get(spec, "kind", path, str, default="constant")
-    lower = _get(spec, "lower", path, float, default=None)
-    upper = _get(spec, "upper", path, float, default=None)
-
-    if kind == "constant":
-        value = _get(spec, "value", path, float)
-        if value <= 0:
-            raise ConfigError(f"{path}.value: must be positive")
-        return constant_density(value, lower_bound=lower, upper_bound=upper)
-
-    if kind == "expression":
-        formula = _get(spec, "formula", path, str)
-        ev = compile_expression(formula, f"{path}.formula")
-        wants_d = _needs_distance(formula)
+    v = _read_kind(spec, _DENSITIES, path, default="constant")
+    bounds = {"lower_bound": v["lower"], "upper_bound": v["upper"]}
+    if v["kind"] == "constant":
+        dens = constant_density(v["value"], **bounds)
+    elif v["kind"] == "expression":
+        ev, reads_d = compile_expression(v["formula"], f"{path}.formula")
 
         def fn(pts):
             env = {"x1": pts[:, 0], "x2": pts[:, 1]}
-            if wants_d:
+            if reads_d:
                 env["d"] = distance_to_boundary(domain, pts)
             return np.asarray(ev(env), dtype=float) * np.ones(len(pts))
 
-        dens = SourceDensity(fn=fn, lower_bound=lower, upper_bound=upper)
-        _check_density(dens, domain, path)
-        return dens
-
-    if kind == "decay":
-        C0 = _get(spec, "C0", path, float)
-        delta = _get(spec, "delta", path, float)
-        r0 = _get(spec, "r0", path, float, default=None)
-        if C0 <= 0:
-            raise ConfigError(f"{path}.C0: must be positive")
-        if not 0 < delta < 1:
-            raise ConfigError(f"{path}.delta: must lie in (0, 1)")
+        dens = SourceDensity(fn=fn, **bounds)
+    else:
+        C0, delta, r0 = v["C0"], v["delta"], v["r0"]
         if r0 is None:
             if not isinstance(domain, DiskDomain):
                 raise ConfigError(
                     f"{path}.r0: required on a polygon domain; the default, "
                     f"the boundary chart radius, exists for disks only")
             r0 = boundary_geometry(domain).rho
-        if r0 <= 0:
-            raise ConfigError(f"{path}.r0: must be positive")
 
         def fn(pts):
             d = np.maximum(distance_to_boundary(domain, pts), 1e-14)
             return C0 * d ** (-delta)
 
-        dens = SourceDensity(fn=fn, lower_bound=lower, upper_bound=upper,
-                             decay=(C0, delta, r0))
-        _check_density(dens, domain, path)
-        return dens
-
-    raise ConfigError(f"{path}.kind: unknown density kind {kind!r}")
+        try:
+            dens = SourceDensity(fn=fn, decay=(C0, delta, r0), **bounds)
+        except ValueError as exc:
+            raise ConfigError(f"{path}.{exc}")
+    _check_density(dens, domain, path)
+    return dens
 
 
 def _check_density(dens, domain, path):
-    """Reject densities that go negative or non-finite on sample nodes."""
-    nodes = _sample_nodes(domain)
-    vals = dens(nodes)
-    if not np.all(np.isfinite(vals)):
-        raise ConfigError(f"{path}: non-finite values on the domain")
+    """Reject densities that go negative or non-finite, or break a declared
+    bound or decay profile, on sample nodes."""
     try:
-        dens.validate(domain, nodes)
+        dens.validate(domain, _sample_nodes(domain))
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}")
 
 
+_TARGETS = {
+    "chart_disk": _DISK,
+    "chart_polygon": _POLYGON,
+    # the tail mass fixes the radius unless the radius is given
+    "hemisphere": {"truncation_radius": (float, None),
+                   "tail_epsilon": _TAIL_EPSILON},
+    "explicit": {
+        "sites": (list, _REQUIRED,
+                  (lambda s: s and all(isinstance(p, list) and len(p) == 2
+                                       and all(map(_number, p)) for p in s),
+                   "expected a nonempty list of [p1, p2], each a finite "
+                   "number")),
+        # checked before the rescale, which would flip all-negative masses
+        "masses": ([float], _REQUIRED,
+                   (lambda ms: all(m > 0 for m in ms),
+                    "all masses must be positive")),
+    },
+}
+
+
 def build_target(spec, N, source_mass, path="target"):
-    if not isinstance(spec, dict):
-        raise ConfigError(f"{path}: expected an object")
-    kind = _get(spec, "kind", path, str)
+    v = _read_kind(spec, _TARGETS, path)
+    kind = v["kind"]
     if kind == "chart_disk":
-        region = _disk(spec, path)
+        region = _disk(v, path)
     elif kind == "chart_polygon":
-        region = _polygon(spec, path)
+        region = _polygon(v, path)
     elif kind == "hemisphere":
-        if "truncation_radius" in spec:
-            P_max = _get(spec, "truncation_radius", path, float)
-        else:
-            eps = _get(spec, "tail_epsilon", path, float,
-                       default=math.pi * 1e-4)
-            if not 0 < eps < math.pi:
-                raise ConfigError(f"{path}.tail_epsilon: must lie in (0, pi)")
-            P_max = truncation_radius_for(eps)
+        P_max = v["truncation_radius"]
+        if P_max is None:
+            P_max = truncation_radius_for(v["tail_epsilon"])
+        elif "tail_epsilon" in spec:
+            raise ConfigError(f"{path}.tail_epsilon: give truncation_radius "
+                              f"or tail_epsilon, not both")
         try:
             region = full_hemisphere(P_max)
         except ValueError:
             raise ConfigError(
                 f"{path}.truncation_radius: must be finite and positive")
-    elif kind == "explicit":
-        sites = _get(spec, "sites", path, list)
-        masses = _get(spec, "masses", path, list)
-        if not sites or not all(isinstance(p, list) and len(p) == 2
-                                and _finite(p) for p in sites):
-            raise ConfigError(f"{path}.sites: expected a nonempty list of "
-                              f"[p1, p2], each a finite number")
-        if not _finite(masses):
-            raise ConfigError(
-                f"{path}.masses: expected a list of finite numbers")
+    else:
+        sites = np.array(v["sites"], dtype=float)
+        masses = np.array(v["masses"])
         if len(masses) != len(sites):
-            raise ConfigError(
-                f"{path}.masses: length must match sites")
-        if min(masses) <= 0:
-            raise ConfigError(f"{path}.masses: all masses must be positive")
-        sites = np.array(sites, dtype=float)
-        masses = np.array(masses, dtype=float)
+            raise ConfigError(f"{path}.masses: length must match sites")
         raw = float(masses.sum())
         try:
             return DiscreteTarget(sites, masses * (source_mass / raw),
@@ -286,106 +325,16 @@ def build_target(spec, N, source_mass, path="target"):
                                   pre_rescale_mismatch=abs(raw - source_mass))
         except ValueError as exc:
             raise ConfigError(f"{path}.sites: {exc}")
-    else:
-        raise ConfigError(f"{path}.kind: unknown target kind {kind!r}")
     if N is None:
         raise ConfigError("config.N: required for this command")
     return discretize(region, N, source_mass)
 
 
 # ---------------------------------------------------------------------------
-# the config document
-
-@dataclass
-class ExperimentConfig:
-    """Normalized, JSON-native experiment description.  to_dict/from_dict
-    round-trip exactly, so a config survives serialization unchanged."""
-    command: str
-    domain: dict = None
-    density: dict = None
-    target: dict = None
-    N: int = None
-    tol: float = 1e-6
-    max_iter: int = 100
-    seed: int = 0
-    threads: int = 1
-    out: str = "out"
-    params: dict = field(default_factory=dict)
-
-    @classmethod
-    def from_dict(cls, raw):
-        if not isinstance(raw, dict):
-            raise ConfigError("config: expected a JSON object")
-        fs = fields(cls)
-        known = {f.name for f in fs}
-        for key in raw:
-            if key not in known:
-                raise ConfigError(f"config.{key}: unknown field")
-        command = _get(raw, "command", "config", str)
-        if command not in _PIPELINES:
-            raise ConfigError(
-                f"config.command: unknown command {command!r} "
-                f"(choose from {', '.join(_PIPELINES)})")
-        cfg = cls(command=command, **{
-            f.name: _get(raw, f.name, "config", f.type,
-                         default=(f.default if f.default_factory is MISSING
-                                  else f.default_factory()))
-            for f in fs if f.name != "command"})
-        cfg.validate()
-        return cfg
-
-    def to_dict(self):
-        return {f.name: v for f in fields(self)
-                if (v := getattr(self, f.name)) is not None}
-
-    def validate(self):
-        if not 0 < self.tol <= 1e-2:
-            raise ConfigError("config.tol: must lie in (0, 1e-2]")
-        if self.max_iter < 1:
-            raise ConfigError("config.max_iter: must be at least 1")
-        if self.seed < 0:
-            raise ConfigError("config.seed: must be nonnegative")
-        if self.threads < 1:
-            raise ConfigError("config.threads: must be at least 1")
-        if self.N is not None and self.N < 1:
-            raise ConfigError("config.N: must be at least 1")
-        if not isinstance(self.params, dict):
-            raise ConfigError("config.params: expected an object")
-
-
-# ---------------------------------------------------------------------------
-# pipelines.  Each is declared beside its function: a dict of the top-level
-# fields and params keys it reads, name -> (kind, default, *rules), a rule a
-# (holds, message) pair.  _read checks a config against it before any work;
-# the pipeline gets the values, writes its CSV artifacts through write_csv
-# and returns (verdicts, measurements, timings).
-
-_REQUIRED = KeyError  # _get's default for a field that has none
-
-
-def _at_least(k):
-    return (lambda n: n >= k, f"must be at least {k}")
-
-
-def _read(cfg, decl):
-    """The values of the fields decl declares, checked, keyed by field or
-    params key, with tol, max_iter and seed, which every config sets.  Any
-    other params key, or top-level field whose unset value is None, must be
-    unset."""
-    given = {f.name: v for f in fields(cfg)
-             if f.default is None and (v := getattr(cfg, f.name)) is not None}
-    given.update(("params." + key, v) for key, v in cfg.params.items())
-    for name in given:
-        if name not in decl:
-            raise ConfigError(f"config.{name}: not read by {cfg.command}")
-    values = {"tol": cfg.tol, "max_iter": cfg.max_iter, "seed": cfg.seed}
-    for name, (kind, default, *rules) in decl.items():
-        v = _get(given, name, "config", kind, default)
-        for holds, why in rules:
-            if v is not None and not holds(v):
-                raise ConfigError(f"config.{name}: {why}")
-        values[name.removeprefix("params.")] = v
-    return values
+# pipelines.  Each is declared beside its function: the top-level fields and
+# params keys it reads beyond _CONFIG's.  The pipeline gets the values read
+# against both, writes its CSV artifacts through write_csv and returns
+# (verdicts, measurements, timings).
 
 
 def _diagram_counts(sol):
@@ -398,23 +347,31 @@ _SOLVE = {
     "domain": (dict, _REQUIRED),
     "density": (dict, _REQUIRED),
     "target": (dict, _REQUIRED),
-    "N": (int, None),  # read by a target that discretizes a region
+    # read by a target that discretizes a region
+    "N": (int, None, _at_least(1)),
 }
 
 
-def _solve_instance(v, out):
+def _source(v):
+    """The domain, density, total mass and mass regime of the source that v
+    declares.  A varying density is re-quadrated at the tolerance the
+    solver uses for its mass-balance precondition, so the two values agree
+    within its slack."""
     domain = build_domain(v["domain"])
     K = build_density(v["density"], domain)
     mass, regime = total_mass(domain, K, tol=1e-8)
     if not K.is_constant:
-        # Re-quadrate at the tolerance the solver itself will use for its
-        # mass-balance precondition, so the two values agree within its slack.
         mass, regime = total_mass(domain, K,
                                   tol=mass_quadrature_tol(v["tol"], mass))
     if regime == "infeasible":
         raise ConfigError(
             f"config.density: total source mass {mass:.6g} exceeds the "
             f"hemisphere mass pi; no admissible target remains")
+    return domain, K, mass, regime
+
+
+def _solve_instance(v, out):
+    domain, K, mass, regime = _source(v)
     target = build_target(v["target"], v["N"], mass)
     sol = solve(domain, K, target, tol=v["tol"], max_iter=v["max_iter"])
     solution_to_csv(sol, os.path.join(out, "solution.csv"))
@@ -456,9 +413,10 @@ def _cmd_export(v, out):
 
 
 _SPHERE = {
-    "N": (int, 2000),
-    "params.r": (float, 0.6, (lambda r: 0 < r < 1, "must lie in (0, 1)")),
-    "params.n_eval": (int, 20000, _at_least(1)),
+    "N": (int, 2000, _at_least(1)),
+    "params": _params(
+        r=(float, 0.6, (lambda r: 0 < r < 1, "must lie in (0, 1)")),
+        n_eval=(int, 20000, _at_least(1))),
 }
 
 
@@ -495,12 +453,12 @@ def _cmd_sphere(v, out):
 _BLOWUP = {
     "domain": (dict, {"kind": "disk", "radius": 1.0}),
     "density": (dict, {"kind": "constant", "value": 1.0}),
-    "N": (int, 4000),
-    "params.samples": (int, 1000, _at_least(1)),
-    "params.delta": (float, 0.5, (lambda d: 0 < d < 1, "must lie in (0, 1)")),
-    "params.C0": (float, 1.0, (lambda c: c > 0, "must be positive")),
-    "params.tail_epsilon": (float, math.pi * 1e-4,
-                            (lambda e: 0 < e < math.pi, "must lie in (0, pi)")),
+    "N": (int, 4000, _at_least(1)),
+    "params": _params(
+        samples=(int, 1000, _at_least(1)),
+        delta=(float, 0.5, (lambda d: 0 < d < 1, "must lie in (0, 1)")),
+        C0=(float, 1.0, _POSITIVE),
+        tail_epsilon=_TAIL_EPSILON),
 }
 
 
@@ -550,19 +508,18 @@ _ORACLE = {
     "domain": (dict, _REQUIRED),
     "density": (dict, {"kind": "constant", "value": 1.0}),
     "target": (dict, _REQUIRED),
-    "N": (int, 20, (lambda n: n <= 1000,
-                    "the discrete oracle handles at most 1000")),
-    "params.grid_m": (int, 15, (lambda m: m >= 1 and m * m <= 1000,
-                                "grid_m^2 must lie in [1, 1000]")),
-    "params.threshold": (float, 0.95,
-                         (lambda t: 0.0 < t <= 1.0, "must lie in (0, 1]")),
+    "N": (int, 20, _at_least(1),
+          (lambda n: n <= 1000, "the discrete oracle handles at most 1000")),
+    "params": _params(
+        grid_m=(int, 15, (lambda m: m >= 1 and m * m <= 1000,
+                          "grid_m^2 must lie in [1, 1000]")),
+        threshold=(float, 0.95,
+                   (lambda t: 0.0 < t <= 1.0, "must lie in (0, 1]"))),
 }
 
 
 def _cmd_oracle(v, out):
-    domain = build_domain(v["domain"])
-    K = build_density(v["density"], domain)
-    mass, _ = total_mass(domain, K, tol=1e-8 if K.is_constant else 1e-10)
+    domain, K, mass, _ = _source(v)
     target = build_target(v["target"], v["N"], mass)
     t0 = time.perf_counter()
     fraction, plan, sol, member = semidiscrete_agreement(
@@ -593,16 +550,16 @@ def _cmd_oracle(v, out):
 
 _LEMMAS = {
     "domain": (dict, {"kind": "disk", "radius": 1.0}),
-    "params.trials": (int, 100, _at_least(1)),
-    "params.n_points": (int, 4000, _at_least(2)),
-    "params.thetas": ([float], [0.05, 0.1, 0.2, 0.4],
-                      (bool, "expected a nonempty list"),
-                      (lambda ths: all(0 < th < 1 / math.sqrt(6.0)
-                                       for th in ths),
-                       "each theta must lie in (0, 1/sqrt(6))")),
-    "params.t_values": ([float], None),  # checked against 2 d0 below
-    "params.estar_samples": (int, 2000000, _at_least(1)),
-    "params.dimension": (int, 2, _at_least(2)),
+    "params": _params(
+        trials=(int, 100, _at_least(1)),
+        n_points=(int, 4000, _at_least(2)),
+        thetas=([float], [0.05, 0.1, 0.2, 0.4],
+                (bool, "expected a nonempty list"),
+                (lambda ths: all(0 < th < 1 / math.sqrt(6.0) for th in ths),
+                 "each theta must lie in (0, 1/sqrt(6))")),
+        t_values=([float], None),  # checked against 2 d0 below
+        estar_samples=(int, 2000000, _at_least(1)),
+        dimension=(int, 2, _at_least(2))),
 }
 
 
@@ -617,7 +574,7 @@ def _cmd_lemmas(v, out):
     t_values = v["t_values"]
     if t_values is None:
         t_values = [f * d0 for f in (0.25, 0.5, 1.0, 1.5, 1.99)]
-    # a t the slice check would skip scores nothing; NaN fails the test too
+    # a t the slice check would skip scores nothing
     if not (t_values and all(0 < t < 2 * spec.d0 for t in t_values)):
         raise ConfigError("config.params.t_values: expected a nonempty list "
                           f"of t in (0, 2 d0), d0 = {spec.d0:.6g}")
@@ -661,6 +618,19 @@ _PIPELINES = {
     "export": (_cmd_export, _SOLVE),
 }
 
+# the top-level fields of every config, which its pipeline's declaration
+# extends; params holds no key unless the pipeline declares some
+_CONFIG = {
+    "command": (str, _REQUIRED, (lambda c: c in _PIPELINES,
+                                 f"expected one of {', '.join(_PIPELINES)}")),
+    "tol": (float, 1e-6, (lambda t: 0 < t <= 1e-2, "must lie in (0, 1e-2]")),
+    "max_iter": (int, 100, _at_least(1)),
+    "seed": (int, 0, _at_least(0)),
+    "threads": (int, 1, _at_least(1)),
+    "out": (str, "out"),
+    "params": _params(),
+}
+
 
 # ---------------------------------------------------------------------------
 # report emission
@@ -674,7 +644,7 @@ def _sha256(path):
     return h.hexdigest()
 
 
-def _write_report(out, cfg, verdicts, measurements, timings, error=None):
+def _write_report(out, config, verdicts, measurements, timings, error=None):
     artifacts = {}
     for name in sorted(os.listdir(out)):
         path = os.path.join(out, name)
@@ -683,8 +653,8 @@ def _write_report(out, cfg, verdicts, measurements, timings, error=None):
         artifacts[name] = {"sha256": _sha256(path),
                            "bytes": os.path.getsize(path)}
     report = {
-        "command": cfg.command,
-        "config": cfg.to_dict(),
+        "command": config["command"],
+        "config": config,
         "verdicts": verdicts,
         "passed": bool(verdicts) and all(verdicts.values()),
         "measurements": measurements,
@@ -703,12 +673,16 @@ def _write_report(out, cfg, verdicts, measurements, timings, error=None):
 def run(config):
     """Execute one configured pipeline.  Returns the process exit code and
     leaves report.json plus the command's artifacts in the output
-    directory; partial artifacts survive a failed run."""
-    cfg = ExperimentConfig.from_dict(
-        config.to_dict() if isinstance(config, ExperimentConfig) else config)
-    pipeline, decl = _PIPELINES[cfg.command]
-    values = _read(cfg, decl)
-    out = cfg.out
+    directory; partial artifacts survive a failed run.  The config is a
+    dict, checked against _CONFIG and its command's declaration before
+    any work, and echoed into the report with the defaults it left out."""
+    command = config.get("command") if isinstance(config, dict) else None
+    pipeline, decl = next((p for c, p in _PIPELINES.items() if c == command),
+                          (None, {}))
+    values = _read(config, {**_CONFIG, **decl}, "config")
+    echo = {key: default for key, (_, default, *_) in _CONFIG.items()
+            if default is not _REQUIRED} | config
+    out = values["out"]
     os.makedirs(out, exist_ok=True)
     t0 = time.perf_counter()
     try:
@@ -721,14 +695,14 @@ def run(config):
         raise ConfigError(f"config.density: {exc}")
     except ConvergenceError as exc:
         times = {"total_s": time.perf_counter() - t0}
-        _write_report(out, cfg, {"converged": False}, {}, times,
+        _write_report(out, echo, {"converged": False}, {}, times,
                       error=str(exc))
-        print(f"{cfg.command}: NO CONVERGENCE ({exc})", file=sys.stderr)
+        print(f"{command}: NO CONVERGENCE ({exc})", file=sys.stderr)
         return 3
     times["total_s"] = time.perf_counter() - t0
-    report = _write_report(out, cfg, verdicts, meas, times)
+    report = _write_report(out, echo, verdicts, meas, times)
     status = "PASS" if report["passed"] else "FAIL"
-    print(f"{cfg.command}: {status} "
+    print(f"{command}: {status} "
           f"({os.path.join(out, 'report.json')})")
     if not verdicts.get("converged", True):
         return 3

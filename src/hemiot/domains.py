@@ -279,8 +279,12 @@ class SourceDensity:
             raise ValueError("give exactly one of fn= or constant=")
         if self.decay is not None:
             C0, delta, r0 = self.decay
-            if not (C0 > 0 and 0 < delta < 1 and r0 > 0):
-                raise ValueError("decay must be (C0 > 0, delta in (0,1), r0 > 0)")
+            if not C0 > 0:
+                raise ValueError("C0: must be positive")
+            if not 0 < delta < 1:
+                raise ValueError("delta: must lie in (0, 1)")
+            if not r0 > 0:
+                raise ValueError("r0: must be positive")
 
     @property
     def is_constant(self):
@@ -299,6 +303,8 @@ class SourceDensity:
     def validate(self, domain, nodes):
         """Check the declared bounds/decay at the given quadrature nodes."""
         vals = self(nodes)
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("non-finite values on the domain")
         if np.any(vals < -1e-12):
             raise ValueError("density is negative at a quadrature node")
         if self.lower_bound is not None and np.any(vals < self.lower_bound - 1e-12):

@@ -6,15 +6,13 @@ import os
 import subprocess
 import sys
 import time
-from dataclasses import fields
 
 import numpy as np
 import pytest
 
 import hemiot.cli as cli
-from hemiot.cli import (ConfigError, ExperimentConfig, build_density,
-                        build_domain, build_target, compile_expression, main,
-                        run)
+from hemiot.cli import (ConfigError, build_density, build_domain, build_target,
+                        compile_expression, main, run)
 from hemiot.domains import DiskDomain, domain_circle
 from hemiot.geometry import ARC_EDGE
 
@@ -35,28 +33,37 @@ SOLVE_DOC = {
 }
 
 
-def test_config_roundtrip():
-    cfg = ExperimentConfig.from_dict(dict(SOLVE_DOC, out="x"))
-    again = ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
-    assert again == cfg
-    assert again.to_dict() == cfg.to_dict()
+def test_config_validation_errors(tmp_path):
+    out = tmp_path / "o"
+    for field, doc in (("command", {"command": "fit"}),
+                       ("command", {"command": ["solve"]}),
+                       ("tol", dict(SOLVE_DOC, tol=0.5)),
+                       ("tol", dict(SOLVE_DOC, tol=float("nan"))),
+                       ("tol", {"command": "lemmas", "tol": "small"}),
+                       ("threads", dict(SOLVE_DOC, threads=0)),
+                       ("banana", dict(SOLVE_DOC, banana=1)),
+                       ("seed", dict(SOLVE_DOC, seed=-1)),
+                       ("seed", {"command": "lemmas", "seed": True}),
+                       ("out", dict(SOLVE_DOC, out=3)),
+                       ("params", dict(SOLVE_DOC, params=[]))):
+        with pytest.raises(ConfigError, match=rf"^config\.{field}: "):
+            run(dict({"out": str(out)}, **doc))
+        assert not out.exists()
 
 
-def test_config_validation_errors():
-    with pytest.raises(ConfigError, match="config.command"):
-        ExperimentConfig.from_dict({"command": "fit"})
-    with pytest.raises(ConfigError, match="config.tol"):
-        ExperimentConfig.from_dict({"command": "solve", "tol": 0.5})
-    with pytest.raises(ConfigError, match="config.threads"):
-        ExperimentConfig.from_dict({"command": "solve", "threads": 0})
-    with pytest.raises(ConfigError, match="config.banana"):
-        ExperimentConfig.from_dict({"command": "solve", "banana": 1})
-    with pytest.raises(ConfigError, match="config.seed"):
-        ExperimentConfig.from_dict({"command": "solve", "seed": -1})
+def test_report_echoes_the_config_with_the_common_defaults(tmp_path):
+    out = str(tmp_path / "o")
+    assert run(dict(SOLVE_DOC, out=out)) == 0
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert report["config"] == dict(SOLVE_DOC, out=out, tol=1e-6,
+                                    max_iter=100, threads=1, params={})
 
 
 def test_expression_grammar_evaluates():
-    ev = compile_expression("1.0 + 0.5*sin(x1)*cos(x2) + max(d, 0.1)")
+    ev, reads_d = compile_expression(
+        "1.0 + 0.5*sin(x1)*cos(x2) + max(d, 0.1)")
+    assert reads_d
+    assert compile_expression("exp(x1) - x2")[1] is False
     env = {"x1": np.array([0.0, 1.0]), "x2": np.array([0.0, 0.5]),
            "d": np.array([0.3, 0.01])}
     out = ev(env)
@@ -467,6 +474,10 @@ SQUARE_VERTS = [[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]]
     pytest.param("target.truncation_radius", None,
                  {"kind": "hemisphere", "truncation_radius": INF},
                  id="inf-truncation-radius"),
+    # a hemisphere takes its radius or its tail mass, not both
+    pytest.param("target.tail_epsilon", None,
+                 {"kind": "hemisphere", "truncation_radius": 50.0,
+                  "tail_epsilon": 0.01}, id="radius-and-tail"),
     # chart polygons follow the domain polygons' rule: strictly convex
     pytest.param("target.vertices", None, {"kind": "chart_polygon", "vertices":
                                            SQUARE_VERTS[:2] + [[0.5, -0.5]]
@@ -558,6 +569,90 @@ def test_params_errors_name_their_field(tmp_path, capsys, command, field,
     assert not out.exists() or os.listdir(out) == []
 
 
+@pytest.mark.parametrize("field, spec", [
+    # each was ignored, and the run solved another instance than the config
+    # states: the disk about the origin, or K without its declared bound
+    pytest.param("domain.centre", {"kind": "disk", "radius": 0.5,
+                                   "centre": [5.0, 5.0]}, id="disk"),
+    pytest.param("domain.closed", {"kind": "polygon", "vertices": SQUARE_VERTS,
+                                   "closed": True}, id="polygon"),
+    pytest.param("density.uper", {"kind": "constant", "value": 1.0,
+                                  "uper": 0.5}, id="constant"),
+    pytest.param("density.vars", {"kind": "expression", "formula": "1 + x1",
+                                  "vars": ["x1"]}, id="expression"),
+    pytest.param("density.r_0", {"kind": "decay", "C0": 0.2, "delta": 0.5,
+                                 "r_0": 0.1}, id="decay"),
+    pytest.param("target.centre", {"kind": "chart_disk", "radius": 0.8,
+                                   "centre": [0.3, 0.0]}, id="chart_disk"),
+    pytest.param("target.vertex", {"kind": "chart_polygon",
+                                   "vertices": SQUARE_VERTS,
+                                   "vertex": [0.0, 0.0]}, id="chart_polygon"),
+    pytest.param("target.epsilon", {"kind": "hemisphere", "epsilon": 0.1},
+                 id="hemisphere"),
+    pytest.param("target.weights", {"kind": "explicit",
+                                    "sites": [[0.1, 0.2], [0.3, 0.0]],
+                                    "masses": [1.0, 1.0], "weights": [1, 1]},
+                 id="explicit"),
+])
+def test_an_unknown_key_of_any_kind_is_rejected(tmp_path, capsys, field,
+                                                 spec):
+    out = tmp_path / "bad"
+    doc = dict(SOLVE_DOC, out=str(out), **{field.split(".")[0]: spec})
+    assert main(["--config", _write(tmp_path, "bad.json", doc)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"validation error: {field}: unknown field")
+    assert not out.exists() or os.listdir(out) == []
+
+
+@pytest.mark.parametrize("field, density", [
+    ("density.value", {"kind": "constant", "value": NAN}),
+    ("density.value", {"kind": "constant", "value": 10 ** 400}),
+    ("density.upper", {"kind": "constant", "value": 1.0, "upper": NAN}),
+    ("density.lower", {"kind": "expression", "formula": "1 + x1 * x1",
+                       "lower": INF}),
+    ("density.C0", {"kind": "decay", "C0": -1.0, "delta": 0.5}),
+    ("density.delta", {"kind": "decay", "C0": 0.2, "delta": 1.5}),
+    ("density.r0", {"kind": "decay", "C0": 0.2, "delta": 0.5, "r0": 0.0}),
+], ids=["nan-value", "huge-int-value", "nan-upper", "inf-lower", "C0",
+        "delta", "r0"])
+def test_density_field_errors_name_their_field(tmp_path, capsys, field,
+                                               density):
+    # the reader takes finite numbers only; the decay profile's ranges are
+    # SourceDensity's, relayed under the field's name
+    doc = dict(SOLVE_DOC, density=density, out=str(tmp_path / "bad"))
+    assert main(["--config", _write(tmp_path, "bad.json", doc)]) == 2
+    assert capsys.readouterr().err.startswith(f"validation error: {field}: ")
+
+
+def test_a_constant_density_is_checked_against_its_bounds(tmp_path, capsys,
+                                                          monkeypatch):
+    # as an expression is, before any quadrature
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("total_mass ran")
+    monkeypatch.setattr(cli, "total_mass", no_quadrature)
+    doc = dict(SOLVE_DOC, density={"kind": "constant", "value": 1.0,
+                                   "lower": 2.0}, out=str(tmp_path / "lo"))
+    assert main(["--config", _write(tmp_path, "lo.json", doc)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "validation error: density: density drops below its declared lower "
+        "bound")
+
+
+@pytest.mark.parametrize("command", ["solve", "oracle-compare"])
+def test_an_infeasible_source_is_rejected_by_every_pipeline(tmp_path, capsys,
+                                                             command):
+    # K = 3 on the disk of radius 0.6 carries mass 3.39, more than the
+    # hemisphere's pi
+    doc = {"command": command, "domain": {"kind": "disk", "radius": 0.6},
+           "density": {"kind": "constant", "value": 3.0},
+           "target": {"kind": "chart_disk", "radius": 0.75}, "N": 6,
+           "out": str(tmp_path / "inf")}
+    assert main(["--config", _write(tmp_path, "inf.json", doc)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "validation error: config.density: total source mass 3.39292 "
+        "exceeds the hemisphere mass pi")
+
+
 def _keys_read(fn, arg=0):
     # the keys fn reads off its values dict, its positional argument arg,
     # and off that dict in each cli function it hands it to; the dict may
@@ -583,14 +678,16 @@ def _keys_read(fn, arg=0):
 @pytest.mark.parametrize("command", sorted(cli._PIPELINES))
 def test_a_pipeline_reads_only_what_it_declares(tmp_path, capsys, command):
     pipeline, decl = cli._PIPELINES[command]
-    # it reads each declared field, with tol, max_iter and seed, and no other
-    assert _keys_read(pipeline) - {"tol", "max_iter", "seed"} == {
-        name.removeprefix("params.") for name in decl}
-    # any other field a config can leave unset, and an unknown params key,
-    # is rejected before any work
-    unread = [(f.name, {f.name: SOLVE_DOC[f.name]})
-              for f in fields(ExperimentConfig)
-              if f.default is None and f.name not in decl]
+    params, _ = decl.get("params", cli._CONFIG["params"])
+    # it reads each declared field and params key, with tol, max_iter and
+    # seed, and no other
+    assert _keys_read(pipeline) - {"tol", "max_iter", "seed"} == (
+        set(decl) - {"params"}) | set(params)
+    # a field the common declaration leaves out and another pipeline reads,
+    # and an unknown params key, are rejected before any work
+    others = {name for _, d in cli._PIPELINES.values() for name in d}
+    unread = [(name, {name: SOLVE_DOC[name]})
+              for name in sorted(others - set(cli._CONFIG) - set(decl))]
     unread.append(("params.unknown", {"params": {"unknown": 1}}))
     for name, setting in unread:
         out = tmp_path / name
@@ -599,19 +696,6 @@ def test_a_pipeline_reads_only_what_it_declares(tmp_path, capsys, command):
         assert capsys.readouterr().err.startswith(
             f"validation error: config.{name}: ")
         assert not out.exists()
-
-
-@pytest.mark.parametrize("field, given", [
-    ("seed", {"command": "lemmas", "seed": -3}),
-    ("tol", {"command": "lemmas", "tol": "small"}),
-    ("command", {"command": "fit"}),
-], ids=["seed", "tol", "command"])
-def test_run_checks_a_config_object_as_it_checks_a_dict(tmp_path, field,
-                                                        given):
-    out = tmp_path / "o"
-    with pytest.raises(ConfigError, match=rf"^config\.{field}: "):
-        run(ExperimentConfig(out=str(out), **given))
-    assert not out.exists()
 
 
 @pytest.mark.parametrize("threshold", [1.5, -1.0])
