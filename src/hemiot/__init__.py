@@ -5,8 +5,7 @@ from .chart import (c_exp_rows, chart_density, cost,
                     great_circle_deviation, metric_in_chart)
 from .domains import (BoundaryGeometry, ConeSpec, ConvexPolygonDomain,
                       DiskDomain, SourceDensity, boundary_geometry,
-                      cone_memberships, constant_density, contains,
-                      d0_threshold, distance_to_boundary, domain_area,
+                      cone_memberships, constant_density, d0_threshold,
                       inradius_point, lambda_constant, make_cone_spec,
                       theta_of, total_mass)
 from .experiments import (BlowupReport, ConeInclusionReport,

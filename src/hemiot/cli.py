@@ -15,9 +15,8 @@ import time
 import numpy as np
 
 from .domains import (ConvexPolygonDomain, DiskDomain, QuadratureError,
-                      SourceDensity, _sample_nodes, boundary_geometry,
-                      constant_density, d0_threshold, distance_to_boundary,
-                      domain_area, make_cone_spec, total_mass)
+                      SourceDensity, boundary_geometry, constant_density,
+                      d0_threshold, make_cone_spec, total_mass)
 from .experiments import (blowup_experiment, cone_inclusion_check,
                           estar_volume_check, slice_estimate_check,
                           sphere_benchmark)
@@ -193,8 +192,12 @@ _POSITIVE = (lambda x: x > 0, "must be positive")
 _TAIL_EPSILON = (float, math.pi * 1e-4,
                  (lambda e: 0 < e < math.pi, "must lie in (0, pi)"))
 
-_DISK = {"center": (list, [0.0, 0.0]), "radius": (float, _REQUIRED)}
-_POLYGON = {"vertices": (list, _REQUIRED)}
+# a polygon's vertices and an explicit target's sites
+_POINTS = (lambda s: s and all(isinstance(p, list) and len(p) == 2
+                               and all(map(_number, p)) for p in s),
+           "expected a nonempty list of [a, b], each a finite number")
+_DISK = {"center": ([float], [0.0, 0.0]), "radius": (float, _REQUIRED)}
+_POLYGON = {"vertices": (list, _REQUIRED, _POINTS)}
 
 
 def build_domain(spec, path="domain"):
@@ -239,7 +242,7 @@ def build_density(spec, domain, path="density"):
         def fn(pts):
             env = {"x1": pts[:, 0], "x2": pts[:, 1]}
             if reads_d:
-                env["d"] = distance_to_boundary(domain, pts)
+                env["d"] = domain.distance(pts)
             return np.asarray(ev(env), dtype=float) * np.ones(len(pts))
 
         dens = SourceDensity(fn=fn, **bounds)
@@ -253,7 +256,7 @@ def build_density(spec, domain, path="density"):
             r0 = boundary_geometry(domain).rho
 
         def fn(pts):
-            d = np.maximum(distance_to_boundary(domain, pts), 1e-14)
+            d = np.maximum(domain.distance(pts), 1e-14)
             return C0 * d ** (-delta)
 
         try:
@@ -266,9 +269,9 @@ def build_density(spec, domain, path="density"):
 
 def _check_density(dens, domain, path):
     """Reject densities that go negative or non-finite, or break a declared
-    bound or decay profile, on sample nodes."""
+    bound or decay profile, on the domain's sample nodes."""
     try:
-        dens.validate(domain, _sample_nodes(domain))
+        dens.validate(domain)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}")
 
@@ -280,11 +283,7 @@ _TARGETS = {
     "hemisphere": {"truncation_radius": (float, None),
                    "tail_epsilon": _TAIL_EPSILON},
     "explicit": {
-        "sites": (list, _REQUIRED,
-                  (lambda s: s and all(isinstance(p, list) and len(p) == 2
-                                       and all(map(_number, p)) for p in s),
-                   "expected a nonempty list of [p1, p2], each a finite "
-                   "number")),
+        "sites": (list, _REQUIRED, _POINTS),
         # checked before the rescale, which would flip all-negative masses
         "masses": ([float], _REQUIRED,
                    (lambda ms: all(m > 0 for m in ms),
@@ -360,6 +359,10 @@ def _source(v):
     domain = build_domain(v["domain"])
     K = build_density(v["density"], domain)
     mass, regime = total_mass(domain, K, tol=1e-8)
+    if not mass > 0:
+        raise ConfigError(
+            f"config.density: total source mass {mass:.6g} is not positive; "
+            f"no target can balance it")
     if not K.is_constant:
         mass, regime = total_mass(domain, K,
                                   tol=mass_quadrature_tol(v["tol"], mass))
@@ -377,7 +380,7 @@ def _solve_instance(v, out):
     solution_to_csv(sol, os.path.join(out, "solution.csv"))
     export_mesh(sol, os.path.join(out, "mesh.obj"))
     area_err = abs(sum(sol.diagram.area.tolist())
-                   - domain_area(domain)) / domain_area(domain)
+                   - domain.area) / domain.area
     verdicts = {
         "converged": bool(sol.report.converged),
         "mass_balance": bool(sol.report.final_residual <= v["tol"]),

@@ -14,8 +14,6 @@ from .geometry import (  # QuadratureError is re-exported for the CLI
     SIDE,
     WALL,
     QuadratureError,
-    _PATCH_NODES,
-    _TRI_NODES,
     clip_to_circle,
     clip_to_halfplanes,
     integrate_ring_cells,
@@ -31,7 +29,11 @@ def unit_ball_volume(n):
 
 
 # ---------------------------------------------------------------------------
-# domains: the convex source domains, and the chart target regions too
+# domains: the convex source domains, and the chart target regions too. Each
+# kind answers for itself, on (m, 2) arrays of points: ring() and circle (the
+# domain as a one-cell ragged array, and the circle of its ARC_EDGE edges),
+# clip (the cut of a ragged array to the domain), contains, distance, nearest
+# and sample.
 
 def _floats(x):
     """x as a float array, or None when it is not numbers."""
@@ -45,6 +47,7 @@ def _floats(x):
 class ConvexPolygonDomain:
     """Strictly convex polygon, vertices in counterclockwise order."""
     vertices: np.ndarray
+    circle = None  # a polygon cuts no arc
 
     def __post_init__(self):
         v = _floats(self.vertices)
@@ -65,11 +68,11 @@ class ConvexPolygonDomain:
 
     @property
     def area(self):
-        return float(ring_area_centroid(*domain_ring(self))[0][0])
+        return float(ring_area_centroid(*self.ring())[0][0])
 
     @property
     def centroid(self):
-        return ring_area_centroid(*domain_ring(self))[1][0]
+        return ring_area_centroid(*self.ring())[1][0]
 
     def edge_normals(self):
         """Outward unit normals and offsets: edge i is {x : n_i . x = b_i}."""
@@ -78,6 +81,65 @@ class ConvexPolygonDomain:
     def bounding_box(self):
         v = self.vertices
         return v.min(axis=0), v.max(axis=0)
+
+    def ring(self):
+        """The polygon as a one-cell ragged array (ring, sizes, labels),
+        edge k labelled WALL - k."""
+        v = self.vertices
+        return v, np.array([len(v)]), WALL - np.arange(len(v))
+
+    def clip(self, ring, sizes, labels):
+        """Cut every cell of a straight-edged convex ragged array (see
+        geometry.clip_halfplane) by the walls, at the domain's clip eps."""
+        return clip_to_halfplanes(ring, sizes, labels, *self.edge_normals(),
+                                  clip_eps(self))
+
+    def contains(self, pts, tol=1e-12):
+        """Membership of each point; a negative tol asks for points inside
+        by more than -tol."""
+        n, b = self.edge_normals()
+        return np.all(pts @ n.T <= b + tol, axis=1)
+
+    def distance(self, pts):
+        """Euclidean distance of each point to the boundary, negative
+        outside."""
+        n, b = self.edge_normals()
+        slack = b - pts @ n.T  # inward distance to each edge line
+        out = slack.min(axis=1)
+        outside = ~np.all(slack >= 0.0, axis=1)
+        x = pts[outside]
+        out[outside] = -np.linalg.norm(x - self.nearest(x), axis=1)
+        return out
+
+    def nearest(self, pts):
+        """The nearest boundary point to each point; a point equally near
+        two edges takes the first."""
+        v = self.vertices
+        best = np.empty_like(pts)
+        d = np.full(len(pts), np.inf)
+        for a, b in zip(v, np.roll(v, -1, axis=0)):
+            e = b - a
+            tt = np.clip(((pts - a) @ e) / (e @ e), 0.0, 1.0)
+            proj = a[None, :] + tt[:, None] * e[None, :]
+            dist = np.linalg.norm(pts - proj, axis=1)
+            closer = dist < d
+            best[closer], d[closer] = proj[closer], dist[closer]
+        return best
+
+    def sample(self, rng, m):
+        """m points drawn uniformly from the polygon, however thin: its fan
+        triangles about vertex 0, each drawn with probability proportional
+        to its area."""
+        u, w = rng.random((2, m))
+        v = self.vertices
+        a, b = v[1:-1] - v[0], v[2:] - v[0]
+        area = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+        k = rng.choice(len(area), m, p=area / area.sum())
+        # a point of the unit square beyond the diagonal folds back into the
+        # triangle u, w >= 0, u + w <= 1
+        fold = u + w > 1.0
+        u[fold], w[fold] = 1.0 - u[fold], 1.0 - w[fold]
+        return v[0] + u[:, None] * a[k] + w[:, None] * b[k]
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,33 +164,55 @@ class DiskDomain:
     def centroid(self):
         return self.center.copy()
 
+    @property
+    def circle(self):
+        """(center, radius): the circle of every ARC_EDGE edge the disk
+        cuts."""
+        return self.center, self.radius
+
     def bounding_box(self):
         r = self.radius
         return self.center - r, self.center + r
 
+    def ring(self):
+        """The disk as a one-cell ragged array (ring, sizes, labels): two
+        half-disk ARC_EDGE arcs of its circle."""
+        (cx, cy), R = self.center, self.radius
+        return (np.array([[cx + R, cy], [cx - R, cy]]), np.array([2]),
+                np.full(2, ARC_EDGE))
 
-def domain_area(domain):
-    return domain.area
+    def clip(self, ring, sizes, labels):
+        """Cut every cell of a straight-edged convex ragged array (see
+        geometry.clip_halfplane) by the circle, at the domain's clip eps."""
+        return clip_to_circle(ring, sizes, labels, self.center, self.radius,
+                              clip_eps(self))
 
+    def contains(self, pts, tol=1e-12):
+        """Membership of each point; a negative tol asks for points inside
+        by more than -tol."""
+        return np.linalg.norm(pts - self.center, axis=1) <= self.radius + tol
 
-def domain_ring(domain):
-    """The domain as a one-cell ragged array (ring, sizes, labels): the
-    polygon with edge k labelled WALL - k, or the disk as two half-disk
-    ARC_EDGE arcs of its circle (domain_circle)."""
-    if isinstance(domain, ConvexPolygonDomain):
-        v = domain.vertices
-        return v, np.array([len(v)]), WALL - np.arange(len(v))
-    (cx, cy), R = domain.center, domain.radius
-    return (np.array([[cx + R, cy], [cx - R, cy]]), np.array([2]),
-            np.full(2, ARC_EDGE))
+    def distance(self, pts):
+        """Euclidean distance of each point to the boundary, negative
+        outside."""
+        return self.radius - np.linalg.norm(pts - self.center, axis=1)
 
+    def nearest(self, pts):
+        """The nearest boundary point to each point; the center takes the
+        point on the positive x1 axis."""
+        v = pts - self.center
+        # each point's norm as np.linalg.norm takes it of one vector, a dot
+        # product, which an axis=1 norm does not round alike
+        r = np.sqrt(np.vecdot(v, v))
+        at_center = r < 1e-14
+        v[at_center], r[at_center] = (1.0, 0.0), 1.0
+        return self.center + self.radius * v / r[:, None]
 
-def domain_circle(domain):
-    """(center, radius) of a disk domain, the circle of every ARC_EDGE edge
-    that it cuts; None for a polygon, which cuts none."""
-    if isinstance(domain, DiskDomain):
-        return domain.center, domain.radius
-    return None
+    def sample(self, rng, m):
+        """m points drawn uniformly from the disk, in polar form."""
+        u, w = rng.random((2, m))
+        r, t = self.radius * np.sqrt(u), 2.0 * math.pi * w
+        return self.center + np.column_stack([r * np.cos(t), r * np.sin(t)])
 
 
 def clip_eps(domain):
@@ -136,19 +220,6 @@ def clip_eps(domain):
     of its bounding box's longer side."""
     lo, hi = domain.bounding_box()
     return 1e-12 * float(np.max(hi - lo))
-
-
-def domain_clipper(domain):
-    """Cut every cell of a straight-edged convex ragged array (ring, sizes,
-    labels) (see geometry.clip_halfplane) to the domain: the disk's circle,
-    or the polygon's walls, at the domain's clip eps."""
-    eps, circle = clip_eps(domain), domain_circle(domain)
-    if circle is not None:
-        return lambda ring, sizes, labels: clip_to_circle(ring, sizes, labels,
-                                                          *circle, eps)
-    normals, offsets = domain.edge_normals()
-    return lambda ring, sizes, labels: clip_to_halfplanes(
-        ring, sizes, labels, normals, offsets, eps)
 
 
 class GridCells(NamedTuple):
@@ -166,7 +237,7 @@ class GridCells(NamedTuple):
 
 def grid_cells(domain, m):
     """The m×m grid squares over the domain's bounding box, column by
-    column, all cut to the domain in one domain_clipper call, for the pieces
+    column, all cut to the domain in one domain.clip call, for the pieces
     of area above (10 eps)². Every piece's area and centroid come from one
     ring_area_centroid call."""
     lo, hi = domain.bounding_box()
@@ -178,86 +249,21 @@ def grid_cells(domain, m):
     # corners (S, 4, 2), counterclockwise from (x0, y0)
     v = np.stack([np.column_stack(c) for c in
                   ((x0, y0), (x1, y0), (x1, y1), (x0, y1))], axis=1)
-    ring, sizes, labels = domain_clipper(domain)(
+    ring, sizes, labels = domain.clip(
         v.reshape(-1, 2), np.full(m * m, 4), np.full(4 * m * m, SIDE))
-    area, centroid = ring_area_centroid(ring, sizes, labels,
-                                        domain_circle(domain))
+    area, centroid = ring_area_centroid(ring, sizes, labels, domain.circle)
     keep = area > (10 * eps) ** 2
     rows = np.repeat(keep, sizes)
     return GridCells(ring[rows], sizes[keep], labels[rows], area[keep],
                      centroid[keep], v[keep])
 
 
-def contains(domain, x, tol=1e-12):
-    """Membership test; x is a 2-vector or an (m, 2) array. A negative tol
-    asks for points inside by more than -tol."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = x[None, :] if single else x
-    if isinstance(domain, DiskDomain):
-        r = np.linalg.norm(pts - domain.center, axis=1)
-        out = r <= domain.radius + tol
-    else:
-        n, b = domain.edge_normals()
-        out = np.all(pts @ n.T <= b[None, :] + tol, axis=1)
-    return bool(out[0]) if single else out
-
-
-def distance_to_boundary(domain, x):
-    """Euclidean distance to the domain boundary, signed negative outside.
-    x is a 2-vector or an (m, 2) array."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = x[None, :] if single else x
-    if isinstance(domain, DiskDomain):
-        out = domain.radius - np.linalg.norm(pts - domain.center, axis=1)
-    else:
-        n, b = domain.edge_normals()
-        slack = b[None, :] - pts @ n.T  # inward distance to each edge line
-        inside = np.all(slack >= 0.0, axis=1)
-        out = slack.min(axis=1)
-        if not inside.all():
-            out[~inside] = -_nearest_on_polygon(domain.vertices,
-                                                pts[~inside])[1]
-    return float(out[0]) if single else out
-
-
-def _nearest_on_polygon(verts, pts):
-    """Nearest points on the closed polygon boundary to pts (m, 2), and their
-    distances; a point equally near two edges takes the first."""
-    w = np.roll(verts, -1, axis=0)
-    best = np.empty_like(pts)
-    d = np.full(len(pts), np.inf)
-    for a, b in zip(verts, w):
-        e = b - a
-        tt = np.clip(((pts - a) @ e) / (e @ e), 0.0, 1.0)
-        proj = a[None, :] + tt[:, None] * e[None, :]
-        dist = np.linalg.norm(pts - proj, axis=1)
-        closer = dist < d
-        best[closer], d[closer] = proj[closer], dist[closer]
-    return best, d
-
-
-def nearest_boundary_point(domain, x):
-    x = np.asarray(x, dtype=float)
-    if isinstance(domain, DiskDomain):
-        v = x - domain.center
-        r = np.linalg.norm(v)
-        if r < 1e-14:
-            v = np.array([1.0, 0.0])
-            r = 1.0
-        return domain.center + domain.radius * v / r
-    return _nearest_on_polygon(domain.vertices, x[None, :])[0][0]
-
-
 def inradius_point(domain):
-    """An interior point together with the radius of a ball around it inside
-    the domain (used to seed dual weights)."""
-    if isinstance(domain, DiskDomain):
-        return domain.center.copy(), domain.radius
+    """An interior point, the centroid, with its distance to the boundary:
+    the radius of a ball around it inside the domain (used to seed dual
+    weights)."""
     c = domain.centroid
-    n, b = domain.edge_normals()
-    return c, float(np.min(b - n @ c))
+    return c, float(domain.distance(c[None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +306,12 @@ class SourceDensity:
             out = np.asarray(self.fn(p), dtype=float)
         return float(out[0]) if single else out
 
-    def validate(self, domain, nodes):
-        """Check the declared bounds/decay at the given quadrature nodes."""
+    def validate(self, domain, nodes=None):
+        """Check the declared bounds/decay at the given nodes, by default 400
+        drawn uniformly from the domain (seed 711); returns the density's
+        values there."""
+        if nodes is None:
+            nodes = domain.sample(np.random.default_rng(711), 400)
         vals = self(nodes)
         if not np.all(np.isfinite(vals)):
             raise ValueError("non-finite values on the domain")
@@ -313,10 +323,11 @@ class SourceDensity:
             raise ValueError("density exceeds its declared upper bound")
         if self.decay is not None:
             C0, delta, r0 = self.decay
-            d = distance_to_boundary(domain, nodes)
+            d = domain.distance(nodes)
             near = (d < r0) & (d > 0)
             if np.any(vals[near] > C0 * d[near] ** (-delta) + 1e-9):
                 raise ValueError("density violates its declared decay profile")
+        return vals
 
 
 def constant_density(c, **kw):
@@ -332,26 +343,16 @@ def total_mass(domain, K, tol=1e-8):
 
     Returns (mass, regime) with regime in {"subcritical", "critical",
     "infeasible"}. Raises QuadratureError when the error estimate cannot be
-    brought under tol (non-integrable or wildly singular densities)."""
+    brought under tol (non-integrable or wildly singular densities). A
+    varying density is validated on the domain's sample nodes, and warns
+    when it vanishes at one of them."""
     if K.is_constant:
         mass = K.constant * domain.area
-        nodes = domain.centroid[None, :]
-        K.validate(domain, nodes)
+        K.validate(domain, domain.centroid[None, :])
         return mass, _classify(mass, tol)
-    # a polygon integrates as fan triangles, a disk as two arc patches
-    panel_nodes = _PATCH_NODES if isinstance(domain, DiskDomain) else _TRI_NODES
-    zero_panel = [False]
-
-    def f(pts):
-        v = K(pts)
-        if not zero_panel[0] and np.any(v.reshape(-1, panel_nodes).max(axis=1) == 0.0):
-            zero_panel[0] = True
-        return v
-
-    mass = float(integrate_ring_cells(*domain_ring(domain), f, tol,
-                                      domain_circle(domain))[0, 0])
-    K.validate(domain, _sample_nodes(domain))
-    if zero_panel[0]:
+    mass = float(integrate_ring_cells(*domain.ring(), K, tol,
+                                      domain.circle)[0, 0])
+    if np.any(K.validate(domain) == 0.0):
         warnings.warn("density vanishes on part of the domain; empty cells may "
                       "appear in the transport problem", RuntimeWarning)
     return mass, _classify(mass, tol)
@@ -363,26 +364,6 @@ def _classify(mass, tol):
     if mass > OMEGA_2 + tol:
         return "infeasible"
     return "subcritical"
-
-
-def _sample_nodes(domain, m=400, seed=711):
-    """m points drawn uniformly from the domain, however thin: a disk in
-    polar form, a polygon as its fan triangles about vertex 0, each drawn
-    with probability proportional to its area."""
-    rng = np.random.default_rng(seed)
-    u, w = rng.random((2, m))
-    if isinstance(domain, DiskDomain):
-        r, t = domain.radius * np.sqrt(u), 2.0 * math.pi * w
-        return domain.center + np.column_stack([r * np.cos(t), r * np.sin(t)])
-    v = domain.vertices
-    a, b = v[1:-1] - v[0], v[2:] - v[0]
-    area = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
-    k = rng.choice(len(area), m, p=area / area.sum())
-    # a point of the unit square beyond the diagonal folds back into the
-    # triangle u, w >= 0, u + w <= 1
-    fold = u + w > 1.0
-    u[fold], w[fold] = 1.0 - u[fold], 1.0 - w[fold]
-    return v[0] + u[:, None] * a[k] + w[:, None] * b[k]
 
 
 # ---------------------------------------------------------------------------
@@ -482,10 +463,10 @@ def make_cone_spec(domain, x0, geo=None):
     d0 is the boundary distance, theta comes from the domain's R0."""
     geo = geo or boundary_geometry(domain)
     x0 = np.asarray(x0, dtype=float)
-    d0 = distance_to_boundary(domain, x0)
+    d0 = domain.distance(x0[None])[0]
     if d0 <= 0:
         raise ValueError("x0 must be interior")
-    xb = nearest_boundary_point(domain, x0)
+    xb = domain.nearest(x0[None])[0]
     v0 = (xb - x0) / np.linalg.norm(xb - x0)
     spec = ConeSpec(x0=x0, v0=v0, d0=float(d0), theta=theta_of(d0, geo.R0))
     if abs(np.linalg.norm(spec.x0 + spec.d0 * spec.v0 - xb)) > 1e-10:

@@ -6,9 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import (ConeSpec, DiskDomain, boundary_geometry,
-                      constant_density, d0_threshold, lambda_constant,
-                      make_cone_spec, total_mass, unit_ball_volume)
+from .domains import (DiskDomain, boundary_geometry, constant_density,
+                      d0_threshold, lambda_constant, make_cone_spec,
+                      total_mass, unit_ball_volume)
 from .solver import (_EVAL_BLOCK, active_site, potential, solve,
                      supporting_plane)
 from .targets import (chart_disk, discretize, full_hemisphere,
@@ -198,15 +198,14 @@ def cone_inclusion_check(domain, trials, n_points=10000, seed=0):
     rng = np.random.default_rng(seed)
     R = domain.radius
     c = domain.center
-    max_excess = 0.0
-    worst = -1
-    rows = []
 
-    def sample_cone(spec, theta, m):
-        # polar sweep of E_theta ∩ Ω from its apex: directions u with
-        # <u, -v0> <= theta, radii up to the exact exit distance of the disk;
-        # half the points sit exactly on the exit arc, where the supremum of
-        # |x - x_boundary| lives
+    def excess(spec, theta, d0):
+        # how far E_theta ∩ Ω escapes the ball of radius sqrt((1 + 4 R0) d0)
+        # around the boundary anchor, on a polar sweep from its apex:
+        # directions u with <u, -v0> <= theta, radii up to the exact exit
+        # distance of the disk; half the points sit exactly on the exit
+        # arc, where the supremum of |x - x_boundary| lives
+        m = n_points
         alpha = 0.5 * math.pi + math.asin(min(1.0, theta))
         ang = np.concatenate([rng.uniform(-alpha, alpha, m - 2),
                               [-alpha, alpha]])
@@ -214,34 +213,28 @@ def cone_inclusion_check(domain, trials, n_points=10000, seed=0):
         u = np.outer(np.cos(ang), spec.v0) + np.outer(np.sin(ang), tau)
         q = spec.x0 - c
         qu = u @ q
-        t_exit = -qu + np.sqrt(np.maximum(R * R - q @ q + qu ** 2, 0.0))
-        t = t_exit.copy()
+        t = -qu + np.sqrt(np.maximum(R * R - q @ q + qu ** 2, 0.0))
         t[: m // 2] *= np.sqrt(rng.uniform(0.0, 1.0, m // 2))
-        return spec.x0 + t[:, None] * u
+        pts = spec.x0 + t[:, None] * u
+        xb = spec.x0 + spec.d0 * spec.v0
+        w = math.sqrt((1.0 + 4.0 * geo.R0) * d0)
+        return max(0.0, float(np.linalg.norm(pts - xb, axis=1).max()) - w)
 
-    for t in range(trials):
+    max_excess, worst, rows = 0.0, -1, []
+    for k in range(trials):
         d0 = math.exp(rng.uniform(math.log(1e-6), math.log(d_cap)))
         a = rng.uniform(0.0, 2.0 * math.pi)
-        x0 = c + (R - d0) * np.array([math.cos(a), math.sin(a)])
-        spec = make_cone_spec(domain, x0, geo)
-        xb = spec.x0 + spec.d0 * spec.v0
-        pts = sample_cone(spec, spec.theta, n_points)
-        w = math.sqrt((1.0 + 4.0 * geo.R0) * spec.d0)
-        excess = max(0.0, float(np.linalg.norm(pts - xb, axis=1).max()) - w)
-        rows.append((float(spec.d0), float(spec.theta), excess))
-        if excess > max_excess:
-            max_excess, worst = excess, t
+        spec = make_cone_spec(
+            domain, c + (R - d0) * np.array([math.cos(a), math.sin(a)]), geo)
+        ex = excess(spec, spec.theta, spec.d0)
+        rows.append((float(spec.d0), float(spec.theta), ex))
+        if ex > max_excess:
+            max_excess, worst = ex, k
 
     # negative control: theta doubled
     d0 = d_cap / 2.0
-    x0 = c + (R - d0) * np.array([1.0, 0.0])
-    spec = make_cone_spec(domain, x0, geo)
-    spec2 = ConeSpec(x0=spec.x0, v0=spec.v0, d0=spec.d0,
-                     theta=2.0 * spec.theta)
-    xb = spec.x0 + spec.d0 * spec.v0
-    pts = sample_cone(spec2, spec2.theta, n_points)
-    w = math.sqrt((1.0 + 4.0 * geo.R0) * d0)
-    neg = max(0.0, float(np.linalg.norm(pts - xb, axis=1).max()) - w)
+    spec = make_cone_spec(domain, c + (R - d0) * np.array([1.0, 0.0]), geo)
+    neg = excess(spec, 2.0 * spec.theta, d0)
 
     return ConeInclusionReport(trials, max_excess, neg, worst, rows)
 

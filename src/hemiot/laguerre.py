@@ -4,10 +4,10 @@
 # regular triangulation of the lifted sites and three sentinels that enclose
 # them (Aurenhammer 1987), cut by the domain, exactly, including
 # circular-arc boundaries on disk domains, when it reaches the boundary. The
-# cut and its tolerance are the domain's own (domains.domain_clipper and
-# clip_eps), made once for all rings; a single site's cell is the domain's
-# own ring (domains.domain_ring). cell_cutter cuts given pieces by
-# bisectors and then by the same clipper. A diagram holds all its cells in
+# cut and its tolerance are the domain's own (its clip method and
+# domains.clip_eps), one call for all rings; a single site's cell is the
+# domain's own ring (its ring method). cell_cutter cuts given pieces by
+# bisectors and then by the same clip. A diagram holds all its cells in
 # one ragged vertex array, and builds its neighbour graph once, on first
 # use: the Newton order, connectivity, point location and the oracle's cuts
 # all read it.
@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .domains import clip_eps, domain_circle, domain_clipper, domain_ring
+from .domains import clip_eps
 from .geometry import (
     clip_halfplane,
     gauss_legendre,
@@ -290,30 +290,28 @@ def laguerre_diagram(domain, sites, psi):
     keeps a ring inside the domain whole and removes every vertex and edge
     that involves a sentinel. Collinear sites and affine psi (psi = 0
     included) take the same route. A single site's cell is the domain's own
-    ring (domains.domain_ring), so it is the domain exactly."""
+    ring (domain.ring()), so it is the domain exactly."""
     sites = _validate_sites(sites)
     psi = np.asarray(psi, dtype=float)
     if len(psi) != len(sites):
         raise ValueError("psi length mismatch")
     n = len(sites)
     if n == 1:
-        return _assemble(domain, sites, psi, *domain_ring(domain))
+        return _assemble(domain, sites, psi, *domain.ring())
     ring_site, ring_verts, ring_nbr = _rings(n, *_regular_triangulation(
         *_with_sentinels(domain, sites, psi)), clip_eps(domain))
     count = np.bincount(ring_site, minlength=n)
     # a ring of fewer than two vertices is an empty cell
     closed = (count >= 2)[ring_site]
-    cut = domain_clipper(domain)(ring_verts[closed],
-                                 np.where(count >= 2, count, 0),
-                                 ring_nbr[closed])
+    cut = domain.clip(ring_verts[closed], np.where(count >= 2, count, 0),
+                      ring_nbr[closed])
     return _assemble(domain, sites, psi, *cut)
 
 
 def _assemble(domain, sites, psi, ring, sizes, labels):
     """The LaguerreDiagram of the cells of a ragged array cut by the domain,
     one per site. Areas and centroids are geometry.ring_area_centroid's."""
-    area, centroid = ring_area_centroid(ring, sizes, labels,
-                                        domain_circle(domain))
+    area, centroid = ring_area_centroid(ring, sizes, labels, domain.circle)
     # an empty cell's centroid is its site
     centroid[sizes == 0] = sites[sizes == 0]
     return LaguerreDiagram(domain, sites, psi, ring,
@@ -327,12 +325,12 @@ def cell_cutter(domain, sites, psi):
     each convex start piece k of a ragged array, cut by the bisector
     half-planes {x : <x, p_j - p_i> <= psi_j - psi_i} of site i = cell[k]
     against the sites j in row k of nbrs (padded with -1), new edges
-    labelled j, and then by the domain (domain_clipper), at the domain's
+    labelled j, and then by the domain (domain.clip), at the domain's
     clip eps. Pass t cuts the pieces that have a t-th neighbour, all in
     one clip_halfplane call; each normal is scaled to unit length, so eps
     is a distance, as on ring cells. With every other site in its row and
     a start piece that holds the domain, a part is cell i itself."""
-    eps, clip = clip_eps(domain), domain_clipper(domain)
+    eps = clip_eps(domain)
 
     def cut(ring, sizes, labels, cell, nbrs):
         for t in range(nbrs.shape[1]):
@@ -343,7 +341,7 @@ def cell_cutter(domain, sites, psi):
             ring, sizes, labels = clip_halfplane(
                 ring, sizes, labels, d / h[:, None], (psi[j] - psi[i]) / h,
                 j, eps, k)
-        return clip(ring, sizes, labels)
+        return domain.clip(ring, sizes, labels)
     return cut
 
 
@@ -356,7 +354,7 @@ def compute_measures(diagram, K, tol=1e-10):
         G = K.constant * diagram.area
         return G, G[:, None] * diagram.centroid
     out = integrate_ring_cells(diagram.verts, diagram.sizes, diagram.labels,
-                               K, tol, domain_circle(diagram.domain))
+                               K, tol, diagram.domain.circle)
     return out[:, 0], out[:, 1:]
 
 

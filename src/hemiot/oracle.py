@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import clip_eps, domain_circle, grid_cells
+from .domains import clip_eps, grid_cells
 from .geometry import SIDE, integrate_ring_cells, ring_arcs, ring_area_centroid
 from .laguerre import cell_cutter
 from .solver import solve
@@ -226,7 +226,7 @@ def _grid_atoms(domain, K, target, grid_m):
         mass = K.constant * grid.area
     else:
         mass = integrate_ring_cells(grid.ring, grid.sizes, grid.labels, K,
-                                    circle=domain_circle(domain))[:, 0]
+                                    circle=domain.circle)[:, 0]
     keep = mass > 0
     # the atomization quadrature and the target share the same total up to
     # rounding; bridge the difference with one common rescale
@@ -250,7 +250,7 @@ def _cell_boxes(diagram):
     lo, hi = np.full((n, 2), np.inf), np.full((n, 2), -np.inf)
     np.minimum.at(lo, diagram.owner, diagram.verts)
     np.maximum.at(hi, diagram.owner, diagram.verts)
-    circle = domain_circle(diagram.domain)
+    circle = diagram.domain.circle
     _, cell, _, _, ta, tb = ring_arcs(diagram.verts, diagram.sizes,
                                       diagram.labels, circle)
     if len(cell):
@@ -299,7 +299,7 @@ def _overlap_table(domain, diagram, squares, area):
         np.full(4 * len(j), SIDE), cell, _neighbour_table(diagram)[cell])
     overlap = np.zeros((len(squares), len(diagram.sites)))
     overlap[j, cell] = ring_area_centroid(ring, sizes, labels,
-                                          domain_circle(domain))[0]
+                                          domain.circle)[0]
     return overlap > OVERLAP_SHARE * area[:, None]
 
 

@@ -10,8 +10,7 @@ from itertools import islice
 import numpy as np
 
 from .chart import c_exp_rows
-from .domains import (clip_eps, contains, domain_circle, inradius_point,
-                      total_mass)
+from .domains import clip_eps, inradius_point, total_mass
 from .geometry import QuadratureError, ring_arcs
 from .laguerre import (compute_measures, edge_weights, laguerre_diagram,
                        level_order)
@@ -306,7 +305,7 @@ class _Locator:
         """(idx, u) for one block of points."""
         idx, u = np.empty(len(pts), dtype=np.intp), np.empty(len(pts))
         dense = np.ones(len(pts), dtype=bool)
-        todo = np.flatnonzero(contains(self.domain, pts, -self.margin))
+        todo = np.flatnonzero(self.domain.contains(pts, -self.margin))
         if not len(todo):
             return _dense_plane(self.sites, self.psi, pts)
         ulps = 16.0 * np.finfo(float).eps * (
@@ -380,7 +379,7 @@ def _cell_rings(diagram, max_step=2.0 * math.pi / 256):
     order, as one ragged array; cell cells[c] owns the sizes[c] points after
     those of the cells before it. Each arc edge is cut into n chords of at
     most max_step radians, its n - 1 chord points after its start vertex."""
-    circle = domain_circle(diagram.domain)
+    circle = diagram.domain.circle
     rows, cell, _, _, a0, a1 = ring_arcs(diagram.verts, diagram.sizes,
                                          diagram.labels, circle)
     points, sizes = diagram.verts, diagram.sizes

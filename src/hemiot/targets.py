@@ -11,8 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chart import ring_chart_mass
-from .domains import (ConvexPolygonDomain, DiskDomain, domain_circle,
-                      domain_ring, grid_cells)
+from .domains import ConvexPolygonDomain, DiskDomain, grid_cells
 from .geometry import has_duplicate_points
 
 
@@ -46,13 +45,13 @@ _REGION_TOL = 1e-13
 
 
 def region_mass(region):
-    """Chart-density mass of the region: ring_chart_mass of domain_ring.
+    """Chart-density mass of the region: ring_chart_mass of its ring().
     That is closed form for a polygon and for a disk about the origin, the
     truncated hemisphere among them (pi s^2/(1+s^2)); a disk off the origin
     is its two half-disk patches integrated by the adaptive engine to an
     absolute error estimate of _REGION_TOL."""
-    return float(ring_chart_mass(*domain_ring(region), _REGION_TOL,
-                                 domain_circle(region))[0])
+    return float(ring_chart_mass(*region.ring(), _REGION_TOL,
+                                 region.circle)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,7 +145,7 @@ def _bbox_grid(region, N, mass):
     region's, which scales the quadrature tolerance)."""
     grid = grid_cells(region, int(math.floor(math.sqrt(N))))
     nu = ring_chart_mass(grid.ring, grid.sizes, grid.labels, _GRID_TOL * mass,
-                         domain_circle(region))
+                         region.circle)
     keep = nu > 0
     return grid.centroid[keep], nu[keep]
 

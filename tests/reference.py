@@ -5,7 +5,7 @@
 import numpy as np
 
 from hemiot.chart import c_exp_rows
-from hemiot.domains import clip_eps, contains, domain_circle, domain_clipper
+from hemiot.domains import clip_eps
 from hemiot.geometry import (ARC_EDGE, SIDE, clip_to_halfplanes,
                              polygon_halfplanes, ring_area_centroid)
 from hemiot.laguerre import _assemble, cell_cutter
@@ -57,8 +57,7 @@ def pairwise_overlap_area(diagram, i, j):
         straight = np.array(cell.labels) != ARC_EDGE
         piece = clip_to_halfplanes(*piece, normals[straight],
                                    offsets[straight], eps)
-    area, _ = ring_area_centroid(*domain_clipper(domain)(*piece),
-                                 domain_circle(domain))
+    area, _ = ring_area_centroid(*domain.clip(*piece), domain.circle)
     return float(area[0])
 
 
@@ -70,7 +69,7 @@ def normal_cone_check(domain, sites, psi, x, num_samples, seed=0):
     sites = np.asarray(sites, dtype=float)
     psi = np.asarray(psi, dtype=float)
     x = np.asarray(x, dtype=float)
-    if not contains(domain, x):
+    if not domain.contains(x[None])[0]:
         raise ValueError("x must lie in the domain")
     (k,), (ux,) = _dense_plane(sites, psi, x[None, :])
     nrm = c_exp_rows(sites[k:k + 1])[0]
@@ -80,7 +79,7 @@ def normal_cone_check(domain, sites, psi, x, num_samples, seed=0):
     done = 0
     while done < num_samples:
         z = rng.uniform(lo, hi, size=(4 * (num_samples - done), 2))
-        z = z[contains(domain, z)]
+        z = z[domain.contains(z)]
         if len(z) == 0:
             continue
         z = z[: num_samples - done]

@@ -22,7 +22,7 @@ from hemiot.chart import chart_density, great_circle_deviation, metric_in_chart
 from hemiot.cli import run
 from hemiot.domains import (ConvexPolygonDomain, DiskDomain, SourceDensity,
                             boundary_geometry, constant_density, d0_threshold,
-                            domain_area, make_cone_spec, total_mass)
+                            make_cone_spec, total_mass)
 from hemiot.experiments import (blowup_experiment, cone_inclusion_check,
                                 estar_volume_check, slice_estimate_check,
                                 sphere_benchmark)
@@ -92,7 +92,7 @@ def test_criterion_2_mass_balance():
         assert sol.report.converged, f"instance {k} did not converge"
         assert sol.report.final_residual <= 1e-6, f"instance {k}"
         area = sum(c.area for c in sol.diagram.cells)
-        rel = abs(area - domain_area(domain)) / domain_area(domain)
+        rel = abs(area - domain.area) / domain.area
         assert rel <= 1e-9, f"instance {k}: cell areas miss the domain area"
         worst_resid = max(worst_resid, sol.report.final_residual)
         worst_area = max(worst_area, rel)

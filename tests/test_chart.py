@@ -12,7 +12,7 @@ from hemiot.chart import (
     metric_in_chart,
     ring_chart_mass,
 )
-from hemiot.domains import domain_circle, grid_cells
+from hemiot.domains import grid_cells
 from hemiot.geometry import ARC_EDGE, integrate_ring_cells
 from hemiot.targets import chart_disk
 
@@ -109,14 +109,14 @@ def test_chart_masses_of_the_sphere_target_match_quadrature():
     assert len(grid.sizes) == 1600
     arc_cells = np.repeat(np.arange(1600), grid.sizes)[grid.labels == ARC_EDGE]
     assert len(np.unique(arc_cells)) == 172
-    _assert_masses_match_quadrature(grid[:3], domain_circle(region))
+    _assert_masses_match_quadrature(grid[:3], region.circle)
 
 
 def test_chart_masses_of_an_offcenter_disk_match_quadrature():
     # arcs off the origin: the parts between chord and arc by quadrature
     region = chart_disk(np.array([0.6, -0.3]), 0.8)
     grid = grid_cells(region, 12)
-    _assert_masses_match_quadrature(grid[:3], domain_circle(region), 1e-16)
+    _assert_masses_match_quadrature(grid[:3], region.circle, 1e-16)
 
 
 # far out, quadrature cannot certify 1e-13 on smaller cells: the rounding of
@@ -140,5 +140,5 @@ def test_chart_masses_of_a_disk_about_the_origin_sum_to_its_closed_form(s, m):
     region = chart_disk(np.zeros(2), s)
     grid = grid_cells(region, m)
     total = ring_chart_mass(grid.ring, grid.sizes, grid.labels, 0.0,
-                            domain_circle(region)).sum()
+                            region.circle).sum()
     assert total == pytest.approx(math.pi * s * s / (1.0 + s * s), rel=1e-14)

@@ -13,7 +13,7 @@ import pytest
 import hemiot.cli as cli
 from hemiot.cli import (ConfigError, build_density, build_domain, build_target,
                         compile_expression, main, run)
-from hemiot.domains import DiskDomain, domain_circle
+from hemiot.domains import DiskDomain
 from hemiot.geometry import ARC_EDGE
 
 
@@ -505,6 +505,27 @@ SQUARE_VERTS = [[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]]
                                          "sites": [[0.1, 0.2], [0.3, 0.0]],
                                          "masses": [3.0, -1.0]},
                  id="negative-explicit-mass"),
+    # region coordinates are finite numbers, as every other number read
+    pytest.param("domain.center", {"kind": "disk", "center": ["0", False],
+                                   "radius": 0.5}, None,
+                 id="string-and-bool-center"),
+    pytest.param("domain.vertices", {"kind": "polygon", "vertices":
+                                     [["-0.5", -0.5]] + SQUARE_VERTS[1:]},
+                 None, id="string-vertex"),
+    pytest.param("target.center", None, {"kind": "chart_disk", "radius": 0.8,
+                                         "center": [True, 0.0]},
+                 id="bool-chart-center"),
+    pytest.param("target.vertices", None, {"kind": "chart_polygon", "vertices":
+                                           SQUARE_VERTS[:3] + [[False, 0.5]]},
+                 id="bool-chart-vertex"),
+    pytest.param("target.vertices", None, {"kind": "chart_polygon",
+                                           "vertices": SQUARE_VERTS[:3]
+                                           + [[-0.5, 0.5, 0.0]]},
+                 id="3d-chart-vertex"),
+    pytest.param("target.sites", None, {"kind": "explicit",
+                                        "sites": [[0.1, "0.2"], [0.3, 0.0]],
+                                        "masses": [1.0, 1.0]},
+                 id="string-explicit-site"),
 ])
 def test_region_shape_errors_name_their_field(tmp_path, capsys, field, domain,
                                               target):
@@ -638,19 +659,29 @@ def test_a_constant_density_is_checked_against_its_bounds(tmp_path, capsys,
         "bound")
 
 
-@pytest.mark.parametrize("command", ["solve", "oracle-compare"])
-def test_an_infeasible_source_is_rejected_by_every_pipeline(tmp_path, capsys,
-                                                             command):
-    # K = 3 on the disk of radius 0.6 carries mass 3.39, more than the
-    # hemisphere's pi
+# K = 3 on the disk of radius 0.6 carries mass 3.39, more than the
+# hemisphere's pi; K = 0 carries none, and no target balances it
+_INFEASIBLE = ({"kind": "constant", "value": 3.0},
+               "total source mass 3.39292 exceeds the hemisphere mass pi")
+_MASSLESS = ({"kind": "expression", "formula": "0*x1"},
+             "total source mass 0 is not positive")
+
+
+@pytest.mark.parametrize("command, density, message", [
+    *(pytest.param(c, *_INFEASIBLE, id=c) for c in ("solve", "oracle-compare")),
+    *(pytest.param(c, *_MASSLESS, id=f"{c}-massless")
+      for c in ("solve", "oracle-compare", "export")),
+])
+@pytest.mark.filterwarnings("ignore:density vanishes")
+def test_an_infeasible_source_is_rejected_by_every_pipeline(
+        tmp_path, capsys, command, density, message):
     doc = {"command": command, "domain": {"kind": "disk", "radius": 0.6},
-           "density": {"kind": "constant", "value": 3.0},
+           "density": density,
            "target": {"kind": "chart_disk", "radius": 0.75}, "N": 6,
            "out": str(tmp_path / "inf")}
     assert main(["--config", _write(tmp_path, "inf.json", doc)]) == 2
     assert capsys.readouterr().err.startswith(
-        "validation error: config.density: total source mass 3.39292 "
-        "exceeds the hemisphere mass pi")
+        f"validation error: config.density: {message}")
 
 
 def _keys_read(fn, arg=0):
@@ -740,7 +771,7 @@ def _cell_polyline(cell, circle, max_step=2.0 * math.pi / 256):
 
 def _per_cell_mesh(sol):
     # the OBJ surface written cell by cell from diagram.cells
-    circle = domain_circle(sol.domain)
+    circle = sol.domain.circle
     verts, faces, normals = {}, [], []
     for c in sol.diagram.cells:
         if c.is_empty:
@@ -790,7 +821,7 @@ def test_export_files_match_the_per_cell_writer(tmp_path, monkeypatch, doc):
     sol, = solved
     assert bool((sol.diagram.labels == ARC_EDGE).any()) \
         == (doc["domain"]["kind"] == "disk")
-    circle = domain_circle(sol.domain)
+    circle = sol.domain.circle
     ref = write_csv(str(tmp_path / "ref.csv"), ("site", "k", "x1", "x2"),
                     ((c.site_index, k, float(x), float(y))
                      for c in sol.diagram.cells if not c.is_empty

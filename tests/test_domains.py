@@ -14,17 +14,11 @@ from hemiot.domains import (
     clip_eps,
     cone_memberships,
     constant_density,
-    contains,
     d0_threshold,
-    distance_to_boundary,
-    domain_area,
-    domain_circle,
-    domain_clipper,
     grid_cells,
     inradius_point,
     lambda_constant,
     make_cone_spec,
-    nearest_boundary_point,
     theta_of,
     total_mass,
     unit_ball_volume,
@@ -48,36 +42,36 @@ def test_polygon_validation():
 
 
 def test_area_and_centroid():
-    assert domain_area(UNIT_SQUARE) == pytest.approx(1.0)
-    assert domain_area(UNIT_DISK) == pytest.approx(math.pi)
+    assert UNIT_SQUARE.area == pytest.approx(1.0)
+    assert UNIT_DISK.area == pytest.approx(math.pi)
     assert np.allclose(UNIT_SQUARE.centroid, 0.0)
 
 
 def test_contains_and_distance():
-    assert contains(UNIT_SQUARE, np.array([0.49, 0.0]))
-    assert not contains(UNIT_SQUARE, np.array([0.51, 0.0]))
-    assert distance_to_boundary(UNIT_SQUARE, np.array([0.0, 0.0])) == pytest.approx(0.5)
-    assert distance_to_boundary(UNIT_SQUARE, np.array([0.3, 0.1])) == pytest.approx(0.2)
-    assert distance_to_boundary(UNIT_DISK, np.array([0.25, 0.0])) == pytest.approx(0.75)
+    assert UNIT_SQUARE.contains(np.array([[0.49, 0.0]]))[0]
+    assert not UNIT_SQUARE.contains(np.array([[0.51, 0.0]]))[0]
+    assert UNIT_SQUARE.distance(np.array([[0.0, 0.0]]))[0] == pytest.approx(0.5)
+    assert UNIT_SQUARE.distance(np.array([[0.3, 0.1]]))[0] == pytest.approx(0.2)
+    assert UNIT_DISK.distance(np.array([[0.25, 0.0]]))[0] == pytest.approx(0.75)
     pts = np.array([[0.0, 0.0], [0.9, 0.0], [2.0, 0.0]])
-    d = distance_to_boundary(UNIT_DISK, pts)
+    d = UNIT_DISK.distance(pts)
     assert np.allclose(d, [1.0, 0.1, -1.0])
 
 
 def test_nearest_boundary_point():
-    q = nearest_boundary_point(UNIT_DISK, np.array([0.2, 0.0]))
+    q = UNIT_DISK.nearest(np.array([[0.2, 0.0]]))[0]
     assert np.allclose(q, [1.0, 0.0])
-    q = nearest_boundary_point(UNIT_SQUARE, np.array([0.3, 0.1]))
+    q = UNIT_SQUARE.nearest(np.array([[0.3, 0.1]]))[0]
     assert np.allclose(q, [0.5, 0.1])
     # the centre is equally near all four edges: the first edge wins
-    q = nearest_boundary_point(UNIT_SQUARE, np.array([0.0, 0.0]))
+    q = UNIT_SQUARE.nearest(np.array([[0.0, 0.0]]))[0]
     assert np.array_equal(q, [0.0, -0.5])
 
 
 def test_polygon_distance_outside_is_to_the_nearest_point():
     outside = np.array([[0.9, 0.1], [0.8, 0.7], [-0.6, -0.9], [0.0, 2.0]])
-    d = distance_to_boundary(UNIT_SQUARE, outside)
-    near = np.array([nearest_boundary_point(UNIT_SQUARE, x) for x in outside])
+    d = UNIT_SQUARE.distance(outside)
+    near = UNIT_SQUARE.nearest(outside)
     assert np.allclose(near, [[0.5, 0.1], [0.5, 0.5], [-0.5, -0.5],
                               [0.0, 0.5]])
     assert np.allclose(-d, np.linalg.norm(outside - near, axis=1))
@@ -86,7 +80,7 @@ def test_polygon_distance_outside_is_to_the_nearest_point():
 def _clipped_squares(domain, m):
     # every grid square through the domain's clipper, one at a time
     lo, hi = domain.bounding_box()
-    clip, eps = domain_clipper(domain), clip_eps(domain)
+    clip, eps = domain.clip, clip_eps(domain)
     hx, hy = (hi - lo) / m
     out = []
     for i in range(m):
@@ -96,7 +90,7 @@ def _clipped_squares(domain, m):
                       (x0, y0 + hy)]
             ring, sizes, labels = clip(*pieces(square))
             area, cen = ring_area_centroid(ring, sizes, labels,
-                                           domain_circle(domain))
+                                           domain.circle)
             if area[0] > (10 * eps) ** 2:
                 out.append((square, ring.tolist(),
                             np.flatnonzero(labels == ARC_EDGE).tolist(),
@@ -126,12 +120,12 @@ def test_grid_cells_match_clipping_every_square(domain, m):
             == want_arcs
         assert grid.area[k] == area
         assert np.array_equal(grid.centroid[k], centroid)
-    assert grid.area.sum() == pytest.approx(domain_area(domain), rel=1e-13)
+    assert grid.area.sum() == pytest.approx(domain.area, rel=1e-13)
 
 
 def test_inradius_point():
     c, r_in = inradius_point(UNIT_SQUARE)
-    assert distance_to_boundary(UNIT_SQUARE, c) == pytest.approx(r_in, abs=1e-9)
+    assert UNIT_SQUARE.distance(c[None])[0] == pytest.approx(r_in, abs=1e-9)
     assert r_in == pytest.approx(0.5, abs=1e-9)
 
 

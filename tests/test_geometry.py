@@ -5,8 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from hemiot.chart import ring_chart_mass
-from hemiot.domains import (ConvexPolygonDomain, DiskDomain, domain_circle,
-                            domain_clipper, grid_cells)
+from hemiot.domains import ConvexPolygonDomain, DiskDomain, grid_cells
 from hemiot.geometry import (
     ARC_EDGE,
     WALL,
@@ -93,7 +92,7 @@ def _assert_matches_shoelace(cells, areas, centroids, circle):
                                    [0.1, 0.9]])), 22),
 ], ids=["disk", "chart-disk", "quadrilateral"])
 def test_ring_area_centroid_is_the_shoelace_bit_for_bit(domain, m):
-    grid, circle = grid_cells(domain, m), domain_circle(domain)
+    grid, circle = grid_cells(domain, m), domain.circle
     cells = cell_list(grid.ring, grid.sizes, grid.labels)
     assert any(lab == ARC_EDGE for _, labels in cells for lab in labels) \
         == isinstance(domain, DiskDomain)
@@ -119,7 +118,7 @@ def test_solved_disk_diagram_cells_are_the_shoelace_bit_for_bit():
     assert len(cells) == len(diagram.sites)
     assert sum(lab == ARC_EDGE for _, labels in cells for lab in labels) > 10
     _assert_matches_shoelace(cells, diagram.area, diagram.centroid,
-                             domain_circle(domain))
+                             domain.circle)
 
 
 def test_clip_halfplane_splits_square():
@@ -263,8 +262,8 @@ def test_clipper_output_feeds_every_kernel(region):
     squares = np.stack([np.column_stack(c) for c in
                         ((x0, y0), (x0 + hx, y0), (x0 + hx, y0 + hy),
                          (x0, y0 + hy))], axis=1)
-    cut = domain_clipper(region)(*pieces(*squares))
-    circle = domain_circle(region)
+    cut = region.clip(*pieces(*squares))
+    circle = region.circle
     assert (cut[2] == ARC_EDGE).any() == (circle is not None)
     if circle is None:
         v = region.vertices

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hemiot.domains import (ConvexPolygonDomain, DiskDomain, SourceDensity,
-                            constant_density, domain_area, domain_ring)
+                            constant_density)
 from hemiot.laguerre import (LaguerreDiagram, _rows, compute_measures,
                              edge_weights, laguerre_diagram, level_order)
 
@@ -49,7 +49,7 @@ def test_single_site_takes_the_brute_route_for_every_method(domain, build):
     assert diag.verts.tobytes() == brute.verts.tobytes()
     assert np.array_equal(diag.sizes, brute.sizes)
     assert np.array_equal(diag.labels, brute.labels)
-    assert diag.area[0] == pytest.approx(domain_area(domain), rel=1e-12)
+    assert diag.area[0] == pytest.approx(domain.area, rel=1e-12)
     assert diag.centroid[0] == pytest.approx(domain.centroid, abs=1e-12)
     assert diag.cells[0].neighbors == []
 
@@ -65,7 +65,7 @@ def test_single_site_cell_is_the_domain_ring(domain):
     # on the disk and the axis-aligned square is the brute cut's too; on
     # the quadrilateral the polygon's own vertices
     diag = laguerre_diagram(domain, np.array([[0.3, -0.2]]), np.array([0.7]))
-    ring, sizes, labels = domain_ring(domain)
+    ring, sizes, labels = domain.ring()
     assert diag.verts.tobytes() == ring.tobytes()
     assert np.array_equal(diag.sizes, sizes)
     assert np.array_equal(diag.labels, labels)
@@ -75,7 +75,7 @@ def test_single_site_cell_is_the_domain_ring(domain):
         brute = brute_diagram(domain, diag.sites, diag.psi)
         assert diag.verts.tobytes() == brute.verts.tobytes()
         assert np.array_equal(diag.labels, brute.labels)
-    assert diag.area[0] == pytest.approx(domain_area(domain), rel=1e-12)
+    assert diag.area[0] == pytest.approx(domain.area, rel=1e-12)
     assert diag.centroid[0] == pytest.approx(domain.centroid, abs=1e-12)
     assert diag.cells[0].neighbors == []
 
@@ -122,7 +122,7 @@ def _assert_matches_brute(a):
     b = brute_diagram(a.domain, a.sites, a.psi)
     n = len(a.sites)
     assert (a.labels < n).all()
-    assert a.area.sum() == pytest.approx(domain_area(a.domain), rel=1e-12)
+    assert a.area.sum() == pytest.approx(a.domain.area, rel=1e-12)
     for ca, cb in zip(a.cells, b.cells):
         assert ca.area == pytest.approx(cb.area, abs=1e-12)
         if not ca.is_empty:
@@ -160,7 +160,7 @@ def _voronoi_like_instance(domain, n, seed, reach):
     cells lie inside a domain of about that size."""
     from hemiot.targets import chart_disk, discretize
     sites = discretize(chart_disk(np.zeros(2), 0.9), n,
-                       domain_area(domain)).sites
+                       domain.area).sites
     a = np.hypot(*sites.T).max() / reach
     noise = np.random.default_rng(seed).normal(0.0, 1e-4, size=len(sites))
     return sites, (sites ** 2).sum(axis=1) / (2.0 * a) + noise
@@ -237,7 +237,7 @@ def test_hull_route_keeps_areas_on_nearly_collinear_sites():
         domain, sites, psi = _nearly_collinear_instance(seed)
         a = laguerre_diagram(domain, sites, psi)
         b = brute_diagram(domain, sites, psi)
-        assert np.abs(a.area - b.area).max() <= 1e-13 * domain_area(domain)
+        assert np.abs(a.area - b.area).max() <= 1e-13 * domain.area
 
 
 @pytest.mark.parametrize("domain", [DiskDomain(np.zeros(2), 0.5), SQUARE],
@@ -256,16 +256,12 @@ def test_lattice_lift_merges_coincident_power_vertices(domain):
 
 
 def _count_domain_clips(monkeypatch):
-    """Patch laguerre's domain clipper to record, for each cut, the cells
-    it does not keep whole (a changed size or a changed vertex)."""
-    import hemiot.laguerre as lag
-    make, calls = lag.domain_clipper, []
-
-    def counted(domain):
-        clip = make(domain)
-
-        def count(ring, sizes, labels):
-            out = clip(ring, sizes, labels)
+    """Patch both domain kinds' clip to record, for each cut, the cells it
+    does not keep whole (a changed size or a changed vertex)."""
+    calls = []
+    for kind in (DiskDomain, ConvexPolygonDomain):
+        def count(domain, ring, sizes, labels, clip=kind.clip):
+            out = clip(domain, ring, sizes, labels)
             whole = out[1] == sizes
             moved = (ring[np.repeat(whole, sizes)]
                      != out[0][np.repeat(whole, out[1])]).any(axis=1)
@@ -273,8 +269,7 @@ def _count_domain_clips(monkeypatch):
             whole[owner[moved]] = False
             calls.append(int((~whole).sum()))
             return out
-        return count
-    monkeypatch.setattr(lag, "domain_clipper", counted)
+        monkeypatch.setattr(kind, "clip", count)
     return calls
 
 
@@ -291,7 +286,7 @@ def test_hull_route_clips_only_cells_that_cross_the_boundary(monkeypatch):
     bound = crossing + len(ConvexHull(sites).vertices)
     assert bound < 0.4 * len(sites)
     assert len(calls) == 1 and crossing <= calls[0] <= bound
-    assert diag.area.sum() == pytest.approx(domain_area(domain), rel=1e-12)
+    assert diag.area.sum() == pytest.approx(domain.area, rel=1e-12)
 
 
 def test_flat_lift_clips_only_against_hull_neighbours(monkeypatch):
@@ -299,14 +294,14 @@ def test_flat_lift_clips_only_against_hull_neighbours(monkeypatch):
     from hemiot.targets import chart_disk, discretize
     domain = DiskDomain(np.zeros(2), 0.6)
     target = discretize(chart_disk(np.zeros(2), 0.9), 500,
-                        domain_area(domain))
+                        domain.area)
     n = len(target.sites)
     h = len(ConvexHull(target.sites).vertices)
     calls = _count_domain_clips(monkeypatch)
     diag = laguerre_diagram(domain, target.sites, np.zeros(n))
     assert calls == [h]
     assert sum(c.is_empty for c in diag.cells) == n - h
-    assert diag.area.sum() == pytest.approx(domain_area(domain), rel=1e-12)
+    assert diag.area.sum() == pytest.approx(domain.area, rel=1e-12)
 
 
 @pytest.mark.parametrize("domain", [SQUARE, DISK], ids=["square", "disk"])
@@ -347,7 +342,7 @@ def test_partition_property(seed):
     domain, sites, psi = _random_instance(seed)
     diag = laguerre_diagram(domain, sites, psi)
     total = sum(c.area for c in diag.cells)
-    assert abs(total - domain_area(domain)) <= 1e-9 * domain_area(domain)
+    assert abs(total - domain.area) <= 1e-9 * domain.area
     assert all(c.area >= 0.0 for c in diag.cells)
 
 
@@ -385,7 +380,7 @@ def test_compute_measures_constant_density():
         if not c.is_empty:
             assert np.allclose(M[c.site_index], 2.0 * c.area * c.centroid,
                                atol=1e-13)
-    assert G.sum() == pytest.approx(2.0 * domain_area(domain), rel=1e-9)
+    assert G.sum() == pytest.approx(2.0 * domain.area, rel=1e-9)
 
 
 def test_compute_measures_smooth_density_matches_total():

@@ -333,7 +333,6 @@ def test_overlap_agreement_rejects_wrong_partitions():
 def _all_pairs_table(domain, sol, squares, atom_area):
     # the overlap table with every atom's square cut against every nonempty
     # cell, each with the neighbours its LaguerreCell lists
-    from hemiot.domains import domain_circle
     from hemiot.geometry import ring_area_centroid
     from hemiot.laguerre import cell_cutter
     from hemiot.oracle import OVERLAP_SHARE
@@ -348,7 +347,7 @@ def _all_pairs_table(domain, sol, squares, atom_area):
         np.repeat(nbrs, len(squares), axis=0))
     area = np.zeros((len(squares), len(sol.sites)))
     area[np.tile(np.arange(len(squares)), len(cells)), cell] = \
-        ring_area_centroid(ring, sizes, labels, domain_circle(domain))[0]
+        ring_area_centroid(ring, sizes, labels, domain.circle)[0]
     return area > OVERLAP_SHARE * atom_area[:, None]
 
 
@@ -364,9 +363,8 @@ def test_overlap_table_box_test_keeps_the_all_pairs_table(monkeypatch, domain,
     # the one of all pairs; on 9 cells and a 31 x 31 grid, squares lie in
     # an arc's bulge beyond the box of its cell's vertices
     import hemiot.oracle as oracle
-    from hemiot.domains import domain_area
     K = constant_density(1.0)
-    target = discretize(chart_disk(np.zeros(2), 0.75), N, domain_area(domain))
+    target = discretize(chart_disk(np.zeros(2), 0.75), N, domain.area)
     sol = solve(domain, K, target, tol=1e-7)
     squares, area = oracle._grid_atoms(domain, K, target, grid_m)[2:]
     cuts, cutter = [], oracle.cell_cutter

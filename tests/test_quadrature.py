@@ -10,7 +10,7 @@ import pytest
 from hemiot import domains, geometry
 from hemiot.cli import ConfigError, run
 from hemiot.domains import (ConvexPolygonDomain, DiskDomain, SourceDensity,
-                            domain_circle, domain_ring, total_mass)
+                            total_mass)
 from hemiot.geometry import (ARC_EDGE, QuadratureError, arc_patches,
                              clip_to_circle, integrate_panels,
                              integrate_ring_cells)
@@ -35,8 +35,8 @@ def test_triangles_and_patches_integrate_the_same_disk():
     # two half-disk patches around the centre, and a square fan plus four
     # arc patches
     domain = DiskDomain(np.array([0.1, -0.2]), 0.7)
-    circle = domain_circle(domain)
-    disk = arc_patches(*domain_ring(domain), circle)[1]
+    circle = domain.circle
+    disk = arc_patches(*domain.ring(), circle)[1]
     assert len(disk) == 2
     whole = integrate_panels(_smooth, np.zeros((0, 3, 2)), disk, 1e-12)
     ring = np.array([(0.1 + 0.7 * math.cos(t), -0.2 + 0.7 * math.sin(t))
@@ -66,7 +66,7 @@ def test_one_call_over_all_cells_matches_per_cell_calls():
     diag = laguerre_diagram(domain, rng.normal(0.0, 1.0, size=(30, 2)),
                             rng.normal(0.0, 0.3, size=30))
     cells = (diag.verts, diag.sizes, diag.labels)
-    circle, tol = domain_circle(domain), 1e-10
+    circle, tol = domain.circle, 1e-10
     batch = integrate_ring_cells(*cells, _smooth, tol, circle)
     assert batch.shape == (30, 3)
     for cell, row in zip(one_by_one(*cells), batch):

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from hemiot.chart import c_exp_rows
 from hemiot.domains import (ConvexPolygonDomain, DiskDomain, SourceDensity,
-                            constant_density, contains, domain_area,
-                            total_mass)
+                            constant_density, total_mass)
 from hemiot.laguerre import (_rows, compute_measures, edge_weights,
                              laguerre_diagram, level_order)
 from hemiot.solver import (ConvergenceError, MassBalanceError, _newton_step,
@@ -55,7 +54,7 @@ def test_one_site_target_takes_the_whole_domain(domain, region):
     sol = solve(domain, K1, target)
     assert sol.report.converged and sol.report.iterations == 0
     assert sol.report.final_residual == 0.0
-    assert sol.diagram.area[0] == pytest.approx(domain_area(domain),
+    assert sol.diagram.area[0] == pytest.approx(domain.area,
                                                 rel=1e-15)
 
 
@@ -72,14 +71,14 @@ def test_random_instances_converge():
         n = int(rng.integers(5, 30))
         domain = SQUARE if k % 2 else DiskDomain(np.zeros(2), 0.8)
         region = chart_disk(np.zeros(2), 0.9)
-        target = discretize(region, n, domain_area(domain))
+        target = discretize(region, n, domain.area)
         sol = solve(domain, K1, target, tol=1e-8)
         assert sol.report.converged
         assert sol.report.final_residual <= 1e-8
         assert sol.psi[0] == 0.0
         assert sol.masses.min() > 0.0
         area = sum(c.area for c in sol.diagram.cells)
-        assert area == pytest.approx(domain_area(domain), rel=1e-9)
+        assert area == pytest.approx(domain.area, rel=1e-9)
 
 
 def test_smooth_density_instance():
@@ -146,13 +145,13 @@ def test_supporting_plane_matches_the_dense_scan(monkeypatch, domain, N):
     # tie), and on points outside or within clip eps of the boundary
     import hemiot.solver as solver_mod
     from hemiot.domains import clip_eps
-    target = discretize(chart_disk(np.zeros(2), 0.75), N, domain_area(domain))
+    target = discretize(chart_disk(np.zeros(2), 0.75), N, domain.area)
     sol = solve(domain, K1, target)
     dg = sol.diagram
     rng = np.random.default_rng(N)
     lo, hi = domain.bounding_box()
     inner = rng.uniform(lo, hi, size=(5000, 2))
-    inner = inner[contains(domain, inner, -0.01)]
+    inner = inner[domain.contains(inner, -0.01)]
     # the boundary, pushed out and in by multiples of clip eps
     eps = clip_eps(domain)
     ang = rng.uniform(0.0, 2.0 * math.pi, 200)
@@ -192,7 +191,7 @@ def test_blocked_locator_is_bit_identical_in_bounded_memory():
     from hemiot.solver import _EVAL_BLOCK, _dense_plane, supporting_plane
     domain = DiskDomain(np.zeros(2), 0.6)
     target = discretize(chart_disk(np.zeros(2), 0.75), 2000,
-                        domain_area(domain))
+                        domain.area)
     sol = solve(domain, K1, target)
     rng = np.random.default_rng(0)
     rad = 0.6 * 0.999 * np.sqrt(rng.uniform(0.0, 1.0, 20000))
@@ -333,7 +332,7 @@ def test_report_counts_built_and_discarded_diagrams(monkeypatch):
     # its centre of mass, not its shape, and the first steps reject trials
     domain = DiskDomain(np.zeros(2), 0.8)
     target = discretize(chart_disk(np.array([1.0, 0.5]), 2.0), 80,
-                        domain_area(domain))
+                        domain.area)
     rep = solve(domain, K1, target, tol=1e-8).report
     assert rep.converged and rep.diagrams_discarded
     assert rep.diagrams_built == len(built)
@@ -444,7 +443,7 @@ def test_blowup_start_needs_few_diagrams():
 def test_newton_step_solves_its_system_to_rounding(domain, N):
     # the first step from the start weights: (D - W) d = G - nu holds to
     # rounding on rows 1..n-1, in the gauge d[0] = 0
-    target = discretize(chart_disk(np.zeros(2), 0.75), N, domain_area(domain))
+    target = discretize(chart_disk(np.zeros(2), 0.75), N, domain.area)
     psi = _radial_profile_psi(domain, target.sites, target.masses)
     diagram = laguerre_diagram(domain, target.sites, psi - psi[0])
     G, _ = compute_measures(diagram, K1, 1e-12)
@@ -537,7 +536,7 @@ def test_level_order_bandwidth_stays_under_its_bound(domain, region, N, n,
     # the first Newton systems of the smooth, sphere and blowup benchmark
     # solves bw measured 32, 72 and 56, about 1.3-1.8 sqrt(n); the bounds
     # allow 25% more
-    target = discretize(region, N, domain_area(domain))
+    target = discretize(region, N, domain.area)
     assert len(target) == n
     diagram, _, _ = _start_system(domain, target)
     pairs, _ = edge_weights(diagram, K1)
@@ -593,7 +592,7 @@ def test_one_band_solve_per_newton_step(monkeypatch):
     monkeypatch.setattr(scipy.linalg, "solveh_banded", counted)
     domain = DiskDomain(np.zeros(2), 0.8)
     target = discretize(chart_disk(np.array([1.0, 0.5]), 2.0), 80,
-                        domain_area(domain))
+                        domain.area)
     rep = solve(domain, K1, target, tol=1e-8).report
     # rejected trials build diagrams but solve nothing
     assert rep.converged and rep.diagrams_discarded

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from hemiot.domains import contains
 from hemiot.targets import (
     DiscreteTarget,
     chart_disk,
@@ -95,11 +94,11 @@ def test_grid_cell_masses_sum_to_the_closed_form(N):
 
 def test_region_contains():
     disk = chart_disk(np.zeros(2), 1.0)
-    assert contains(disk, np.array([0.5, 0.0]))
-    assert not contains(disk, np.array([1.5, 0.0]))
+    assert disk.contains(np.array([[0.5, 0.0]]))[0]
+    assert not disk.contains(np.array([[1.5, 0.0]]))[0]
     hemi = full_hemisphere(5.0)
-    assert contains(hemi, np.array([4.9, 0.0]))
-    assert not contains(hemi, np.array([5.1, 0.0]))
+    assert hemi.contains(np.array([[4.9, 0.0]]))[0]
+    assert not hemi.contains(np.array([[5.1, 0.0]]))[0]
 
 
 def test_discretize_disk_region():
@@ -109,7 +108,7 @@ def test_discretize_disk_region():
     assert np.all(t.masses > 0)
     assert float(t.masses.sum()) == pytest.approx(1.7, abs=1e-15)
     assert t.total == pytest.approx(1.7)
-    assert all(contains(region, p, tol=1e-9) for p in t.sites)
+    assert region.contains(t.sites, tol=1e-9).all()
     # grid discretization of a well-resolved region needs only a mild rescale
     assert 0.5 <= t.rescale_factor <= 2.0
 
