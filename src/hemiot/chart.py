@@ -124,7 +124,7 @@ def ring_chart_mass(ring, sizes, labels, tol, circle=None):
     cell, patches = arc_patches(ring, sizes, labels, circle)
     owners = (np.zeros(0, dtype=int), cell)
     return mass + integrate_panels(chart_density, np.zeros((0, 3, 2)),
-                                   patches, tol, owners, n)[:, 0]
+                                   patches, tol, owners, n)
 
 
 def metric_in_chart(p):

@@ -351,7 +351,7 @@ def total_mass(domain, K, tol=1e-8):
         K.validate(domain, domain.centroid[None, :])
         return mass, _classify(mass, tol)
     mass = float(integrate_ring_cells(*domain.ring(), K, tol,
-                                      domain.circle)[0, 0])
+                                      domain.circle)[0])
     if np.any(K.validate(domain) == 0.0):
         warnings.warn("density vanishes on part of the domain; empty cells may "
                       "appear in the transport problem", RuntimeWarning)

@@ -355,12 +355,11 @@ def _tri_areas(tris):
 
 
 def _tri_rule(f, tris):
-    """(∫f, ∫f·x, ∫f·y) over each triangle with the 7-point rule; (k, 3)."""
+    """∫f over each triangle with the 7-point rule; (k,)."""
     pts = _TRI_PTS @ tris  # (k, 7, 2)
     w = f(pts.reshape(-1, 2)).reshape(len(tris), -1) * _TRI_WTS \
         * _tri_areas(tris)[:, None]
-    return np.stack([w.sum(axis=1), (w * pts[..., 0]).sum(axis=1),
-                     (w * pts[..., 1]).sum(axis=1)], axis=1)
+    return w.sum(axis=1)
 
 
 # A polar patch is a row (cx, cy, R, e, tm, t0, t1, s0, s1): the points
@@ -406,7 +405,7 @@ def _patch_split(patches):
 
 
 def _patch_rule(f, patches):
-    """(∫f, ∫f·x, ∫f·y) over each patch with the tensor Gauss rule; (k, 3)."""
+    """∫f over each patch with the tensor Gauss rule; (k,)."""
     xs, ws = gauss_legendre(_PATCH_N)
     cx, cy, R, e, tm, t0, t1, s0, s1 = (col[:, None] for col in patches.T)
     th = t0 + (t1 - t0) * xs  # (k, n)
@@ -418,8 +417,7 @@ def _patch_rule(f, patches):
     y = cy[..., None] + rr * np.sin(th)[..., None]
     vals = f(np.stack([x.ravel(), y.ravel()], axis=1)).reshape(rr.shape)
     w = vals * rr * (dr[..., None] * ws) * (ws * (t1 - t0))[..., None]
-    return np.stack([w.sum(axis=(1, 2)), (w * x).sum(axis=(1, 2)),
-                     (w * y).sum(axis=(1, 2))], axis=1)
+    return w.sum(axis=(1, 2))
 
 
 class _Leaves:
@@ -431,7 +429,7 @@ class _Leaves:
         k = len(panels)
         vals = self._values(np.concatenate([panels, split(panels)]))
         self.panels, self.owner, self.coarse = panels, owner, vals[:k]
-        self.subs = vals[k:].reshape(k, 4, 3)
+        self.subs = vals[k:].reshape(k, 4)
 
     def _values(self, panels):
         """Rule values of panels, at most _CALL_NODES nodes per density call."""
@@ -440,7 +438,7 @@ class _Leaves:
                                for s in range(0, len(panels), step)])
 
     def errors(self):
-        return np.abs(self.subs[:, :, 0].sum(axis=1) - self.coarse[:, 0])
+        return np.abs(self.subs.sum(axis=1) - self.coarse)
 
     def refine(self, m):
         """Split the leaves m: their sub-panels become leaves with the same
@@ -451,15 +449,13 @@ class _Leaves:
         new = self.split(self.panels[m])
         self.panels = np.concatenate([self.panels[~m], new])
         self.owner = np.concatenate([self.owner[~m], np.repeat(self.owner[m], 4)])
-        self.coarse = np.concatenate([self.coarse[~m], self.subs[m].reshape(-1, 3)])
+        self.coarse = np.concatenate([self.coarse[~m], self.subs[m].ravel()])
         self.subs = np.concatenate(
-            [self.subs[~m], self._values(self.split(new)).reshape(-1, 4, 3)])
+            [self.subs[~m], self._values(self.split(new)).reshape(-1, 4)])
 
     def sums(self, k):
-        """The leaves' refined values added up per owner; (k, 3)."""
-        vals = self.subs.sum(axis=1)
-        return np.stack([np.bincount(self.owner, vals[:, c], k) for c in range(3)],
-                        axis=1)
+        """The leaves' refined values added up per owner; (k,)."""
+        return np.bincount(self.owner, self.subs.sum(axis=1), k)
 
 
 _KINDS = ((_tri_rule, _tri_split, _TRI_NODES),
@@ -467,10 +463,10 @@ _KINDS = ((_tri_rule, _tri_split, _TRI_NODES),
 
 
 def integrate_panels(f, tris, patches, tol, owners=None, k=1):
-    """Per-owner (∫f, ∫f·x, ∫f·y), a (k, 3) array, of a vectorized density f
-    over triangles ((t, 3, 2) array) and polar patches ((q, 9) rows, see
-    arc_patches). owners is a pair of int arrays, the owner in range(k) of each
-    triangle and of each patch; by default every panel belongs to owner 0.
+    """Per-owner ∫f, a (k,) array, of a vectorized density f over triangles
+    ((t, 3, 2) array) and polar patches ((q, 9) rows, see arc_patches).
+    owners is a pair of int arrays, the owner in range(k) of each triangle
+    and of each patch; by default every panel belongs to owner 0.
 
     Globally adaptive: a leaf panel's error estimate is |Σ sub-panels − own
     rule|. A round splits the leaves with the largest estimates, of any
@@ -491,7 +487,7 @@ def integrate_panels(f, tris, patches, tol, owners=None, k=1):
         errs = np.concatenate([leaves.errors() for leaves in kinds] or [[]])
         err = float(errs.sum())
         if err <= tol:
-            return sum((leaves.sums(k) for leaves in kinds), np.zeros((k, 3)))
+            return sum((leaves.sums(k) for leaves in kinds), np.zeros(k))
         if rounds == _MAX_ROUNDS or sum(sizes) > start + _MAX_LEAVES:
             raise QuadratureError(
                 f"adaptive quadrature stalled after {rounds} rounds and "
@@ -509,9 +505,9 @@ def integrate_panels(f, tris, patches, tol, owners=None, k=1):
 
 
 def integrate_ring_cells(ring, sizes, labels, f, tol=1e-10, circle=None):
-    """(mass, ∫f·x, ∫f·y) of a vectorized density f over each cell of a
-    ragged array whose ARC_EDGE edges lie on circle; a (len(sizes), 3)
-    array, zero rows for empty cells.
+    """∫f of a vectorized density f over each cell of a ragged array whose
+    ARC_EDGE edges lie on circle; a (len(sizes),) array, zero for empty
+    cells.
 
     Panels: each cell's straight part fanned around its vertex mean, and one
     polar patch between each arc edge's chord and its circle (arc_patches);

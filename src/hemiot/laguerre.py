@@ -346,16 +346,16 @@ def cell_cutter(domain, sites, psi):
 
 
 def compute_measures(diagram, K, tol=1e-10):
-    """Per-cell masses G_i = ∫_cell K dx and K-weighted first moments, exact
-    for constant densities (areas and centroids are closed-form). Otherwise
-    every nonempty cell is integrated in one adaptive call, and tol bounds
-    the error estimates summed over all cells, so the l1 error of G."""
+    """(G, None): the per-cell masses G_i = ∫_cell K dx, exact for constant
+    densities (K times the closed-form areas). Otherwise every nonempty cell
+    is integrated in one adaptive call, and tol bounds the error estimates
+    summed over all cells, so the l1 error of G. The second value is always
+    None: callers outside the package (the benchmark's checks) unpack a
+    pair."""
     if K.is_constant:
-        G = K.constant * diagram.area
-        return G, G[:, None] * diagram.centroid
-    out = integrate_ring_cells(diagram.verts, diagram.sizes, diagram.labels,
-                               K, tol, diagram.domain.circle)
-    return out[:, 0], out[:, 1:]
+        return K.constant * diagram.area, None
+    return integrate_ring_cells(diagram.verts, diagram.sizes, diagram.labels,
+                                K, tol, diagram.domain.circle), None
 
 
 # Gauss-Legendre nodes per shared edge in edge_weights

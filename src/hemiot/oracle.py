@@ -226,7 +226,7 @@ def _grid_atoms(domain, K, target, grid_m):
         mass = K.constant * grid.area
     else:
         mass = integrate_ring_cells(grid.ring, grid.sizes, grid.labels, K,
-                                    circle=domain.circle)[:, 0]
+                                    circle=domain.circle)
     keep = mass > 0
     # the atomization quadrature and the target share the same total up to
     # rounding; bridge the difference with one common rescale

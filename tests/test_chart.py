@@ -97,7 +97,7 @@ def _assert_masses_match_quadrature(cells, circle=None, tol=0.0):
     masses = ring_chart_mass(*cells, tol, circle)
     for cell, mass in zip(one_by_one(*cells), masses):
         quad = integrate_ring_cells(*cell, chart_density, 1e-13 * mass,
-                                    circle)[0, 0]
+                                    circle)[0]
         assert mass == pytest.approx(quad, rel=1e-12, abs=0.0)
 
 

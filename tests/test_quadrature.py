@@ -46,7 +46,7 @@ def test_triangles_and_patches_integrate_the_same_disk():
     arcs = arc_patches(ring, np.array([4]), np.full(4, ARC_EDGE), circle)[1]
     pieces = integrate_panels(_smooth, tris, arcs, 1e-12)
     assert pieces == pytest.approx(whole, rel=1e-11, abs=1e-12)
-    assert pieces[0, 0] == pytest.approx(total_mass(
+    assert pieces[0] == pytest.approx(total_mass(
         DiskDomain(np.array([0.1, -0.2]), 0.7), SourceDensity(fn=_smooth),
         tol=1e-12)[0], rel=1e-11)
 
@@ -68,11 +68,11 @@ def test_one_call_over_all_cells_matches_per_cell_calls():
     cells = (diag.verts, diag.sizes, diag.labels)
     circle, tol = domain.circle, 1e-10
     batch = integrate_ring_cells(*cells, _smooth, tol, circle)
-    assert batch.shape == (30, 3)
+    assert batch.shape == (30,)
     for cell, row in zip(one_by_one(*cells), batch):
         alone = integrate_ring_cells(*cell, _smooth, tol, circle)[0]
-        assert np.abs(row - alone).max() <= tol
-    assert batch[:, 0].sum() == pytest.approx(
+        assert abs(row - alone) <= tol
+    assert batch.sum() == pytest.approx(
         total_mass(domain, SourceDensity(fn=_smooth), tol=tol)[0], abs=2 * tol)
     assert batch.tobytes() == integrate_ring_cells(*cells, _smooth, tol,
                                                    circle).tobytes()

@@ -92,6 +92,23 @@ def test_smooth_density_instance():
     assert float(np.abs(sol.masses - target.masses).sum()) <= 1e-7 * mass
 
 
+def test_kinked_density_onto_a_pentagon_converges():
+    # K = 1 + 0.5|x1| has a kink along x1 = 0; the line search accepts a
+    # step on the eps0 floor and the residual decrease alone, and converges
+    # in a few Newton steps
+    domain = DiskDomain(np.zeros(2), 0.6)
+    K = SourceDensity(fn=lambda p: 1.0 + 0.5 * np.abs(p[:, 0]))
+    mass, _ = total_mass(domain, K, tol=1e-9)
+    region = chart_polygon(np.array([[0.4, 0.0], [0.12, 0.38], [-0.32, 0.24],
+                                     [-0.32, -0.24], [0.12, -0.38]]))
+    with pytest.warns(RuntimeWarning, match="rescale factor"):
+        target = discretize(region, 200, mass)
+    tol = 1e-6
+    rep = solve(domain, K, target, tol=tol).report
+    assert rep.converged
+    assert rep.final_residual <= tol
+
+
 def test_potential_and_active_site_agree():
     target = discretize(chart_disk(np.zeros(2), 0.8), 20, 1.0)
     sol = solve(SQUARE, K1, target)
