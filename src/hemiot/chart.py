@@ -125,28 +125,3 @@ def ring_chart_mass(ring, sizes, labels, tol, circle=None):
     owners = (np.zeros(0, dtype=int), cell)
     return mass + integrate_panels(chart_density, np.zeros((0, 3, 2)),
                                    patches, tol, owners, n)
-
-
-def metric_in_chart(p):
-    """Round-metric pullback in the chart: (delta_ij (1+|p|^2) - p_i p_j)/(1+|p|^2)^2."""
-    p = np.asarray(p, dtype=float)
-    n = len(p)
-    q = 1.0 + float(p @ p)
-    return (np.eye(n) * q - np.outer(p, p)) / q ** 2
-
-
-def great_circle_deviation(p0, p1, t):
-    """Distance of the chart inverse (c_exp_rows) of (1-t)p0 + t p1 from the
-    plane spanned by those of p0 and p1: max |<N, .>| over unit normals N
-    of that plane.
-
-    Chart segments map into great circles, so this is ~1e-16 in practice."""
-    p0 = np.asarray(p0, dtype=float)
-    p1 = np.asarray(p1, dtype=float)
-    y0, y1, yt = c_exp_rows(np.stack([p0, p1, (1.0 - t) * p0 + t * p1]))
-    span = np.stack([y0, y1], axis=1)  # (n+1, 2)
-    q, r = np.linalg.qr(span)
-    if abs(r[1, 1]) < 1e-14:
-        return 0.0  # parallel images: every plane through them qualifies
-    resid = yt - q @ (q.T @ yt)
-    return float(np.linalg.norm(resid))

@@ -297,14 +297,11 @@ class SourceDensity:
         return self.constant is not None
 
     def __call__(self, pts):
+        """The density's values at the (m, 2) points pts, an (m,) array."""
         pts = np.asarray(pts, dtype=float)
-        single = pts.ndim == 1
-        p = pts[None, :] if single else pts
         if self.is_constant:
-            out = np.full(len(p), float(self.constant))
-        else:
-            out = np.asarray(self.fn(p), dtype=float)
-        return float(out[0]) if single else out
+            return np.full(len(pts), float(self.constant))
+        return np.asarray(self.fn(pts), dtype=float)
 
     def validate(self, domain, nodes=None):
         """Check the declared bounds/decay at the given nodes, by default 400

@@ -9,8 +9,7 @@ import numpy as np
 from .domains import (DiskDomain, boundary_geometry, constant_density,
                       d0_threshold, lambda_constant, make_cone_spec,
                       total_mass, unit_ball_volume)
-from .solver import (_EVAL_BLOCK, active_site, potential, solve,
-                     supporting_plane)
+from .solver import _EVAL_BLOCK, solve
 from .targets import (chart_disk, discretize, full_hemisphere,
                       truncation_radius_for)
 
@@ -62,7 +61,7 @@ def sphere_benchmark(r, N, tol=1e-6, max_iter=50, n_eval=20000, seed=0):
     rng = np.random.default_rng(seed)
     u = rng.uniform(0.0, 1.0, n_eval)
     ang = rng.uniform(0.0, 2.0 * math.pi, n_eval)
-    shift = -1.0 - potential(sol, np.zeros(2))
+    shift = -1.0 - sol.locate(np.zeros((1, 2)))[1][0]
     # the sample rows and the error sups, _EVAL_BLOCK points at a time: the
     # blocks are the locator's own, so each point is located as in one call
     samples = np.empty((n_eval, 6))
@@ -73,7 +72,7 @@ def sphere_benchmark(r, N, tol=1e-6, max_iter=50, n_eval=20000, seed=0):
         a = ang[s:s + _EVAL_BLOCK]
         pts, p_num, p_true = rows[:, :2], rows[:, 2:4], rows[:, 4:]
         pts[:, 0], pts[:, 1] = rad * np.cos(a), rad * np.sin(a)
-        idx, u_num = supporting_plane(sol, pts)
+        idx, u_num = sol.locate(pts)
         p_num[:] = target.sites[idx]
         denom = np.sqrt(1.0 - (pts ** 2).sum(axis=1))
         np.divide(pts, denom[:, None], out=p_true)
@@ -141,7 +140,7 @@ def blowup_experiment(samples, delta=0.5, N=4000, C0=1.0,
     d = np.exp(rng.uniform(math.log(1e-5), math.log(d_max), samples))
     ang = rng.uniform(0.0, 2.0 * math.pi, samples)
     x = (1.0 - d)[:, None] * np.column_stack([np.cos(ang), np.sin(ang)])
-    grad = np.linalg.norm(target.sites[active_site(sol, x)], axis=1)
+    grad = np.linalg.norm(target.sites[sol.locate(x)[0]], axis=1)
     bound = Lam * d ** (-expo) - 2.0
     capped = bound > P_max - 1.0
     viol = (~capped) & (grad < bound)
@@ -154,7 +153,7 @@ def blowup_experiment(samples, delta=0.5, N=4000, C0=1.0,
     DD, AA = np.meshgrid(da, aa)
     xa = (1.0 - DD.ravel())[:, None] * np.column_stack(
         [np.cos(AA.ravel()), np.sin(AA.ravel())])
-    ga = np.linalg.norm(target.sites[active_site(sol, xa)], axis=1)
+    ga = np.linalg.norm(target.sites[sol.locate(xa)[0]], axis=1)
     gtrue = (1.0 - DD.ravel()) / np.sqrt(2.0 * DD.ravel() - DD.ravel() ** 2)
     agreement = float(np.max(np.abs(ga - gtrue) / gtrue))
 
@@ -163,7 +162,7 @@ def blowup_experiment(samples, delta=0.5, N=4000, C0=1.0,
     backstep = 0.0
     for a in np.linspace(0.0, 2.0 * math.pi, 17)[:-1]:
         xr = (1.0 - dr)[:, None] * np.array([math.cos(a), math.sin(a)])
-        gr = np.linalg.norm(target.sites[active_site(sol, xr)], axis=1)
+        gr = np.linalg.norm(target.sites[sol.locate(xr)[0]], axis=1)
         backstep = max(backstep, float(np.max(gr[:-1] - gr[1:], initial=0.0)))
 
     rep = BlowupReport(

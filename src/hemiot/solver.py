@@ -61,6 +61,18 @@ class Solution:
         """Point location in the diagram, built on first use."""
         return _Locator(self)
 
+    def locate(self, x):
+        """(idx, u) for the (m, 2) points x: idx[r] is the site whose cell of
+        the diagram holds x[r] (see _Locator), and u[r] = <x[r], p_i> - psi_i
+        is that site's score, the potential u = max_i <x, p_i> - psi_i;
+        ties resolve to the lowest site index."""
+        return self._locator(np.asarray(x, dtype=float))
+
+    def gauss_map(self, x):
+        """(m, 3) images of the (m, 2) points x on the lower hemisphere: the
+        contact direction of the supporting plane active at each point."""
+        return c_exp_rows(self.sites[self.locate(x)[0]])
+
 
 def _radial_profile_psi(domain, sites, nu):
     """Start weights psi_i = <xc, p_i> + F(s_i): B(xc, rin) is the domain's
@@ -339,41 +351,16 @@ class _Locator:
         return idx, u
 
 
-def supporting_plane(solution, x):
-    """(active site index, u(x)) for the (m, 2) points x: each point's cell
-    of the solution's diagram (see _Locator), and that site's score
-    <x, p_i> - psi_i; ties resolve to the lowest site index."""
-    pts = np.atleast_2d(np.asarray(x, dtype=float))
-    return solution._locator(pts)
+# longest chord, in radians of the domain's circle, that _cell_rings cuts
+# an arc edge into
+_ARC_STEP = 2.0 * math.pi / 256
 
 
-def potential(solution, x):
-    """u(x) = max_i <x, p_i> - psi_i, the restriction of the solution's
-    support function."""
-    x = np.asarray(x, dtype=float)
-    u = supporting_plane(solution, x)[1]
-    return float(u[0]) if x.ndim == 1 else u
-
-
-def active_site(solution, x):
-    x = np.asarray(x, dtype=float)
-    idx = supporting_plane(solution, x)[0]
-    return int(idx[0]) if x.ndim == 1 else idx
-
-
-def gauss_map(solution, x):
-    """Image of x on the lower hemisphere: the contact direction of the
-    supporting plane active at x."""
-    x = np.asarray(x, dtype=float)
-    y = c_exp_rows(solution.sites[supporting_plane(solution, x)[0]])
-    return y[0] if x.ndim == 1 else y
-
-
-def _cell_rings(diagram, max_step=2.0 * math.pi / 256):
+def _cell_rings(diagram):
     """(cells, sizes, points): the boundaries of the nonempty cells, in site
     order, as one ragged array; cell cells[c] owns the sizes[c] points after
     those of the cells before it. Each arc edge is cut into n chords of at
-    most max_step radians, its n - 1 chord points after its start vertex."""
+    most _ARC_STEP radians, its n - 1 chord points after its start vertex."""
     circle = diagram.domain.circle
     rows, cell, _, _, a0, a1 = ring_arcs(diagram.verts, diagram.sizes,
                                          diagram.labels, circle)
@@ -381,7 +368,7 @@ def _cell_rings(diagram, max_step=2.0 * math.pi / 256):
     if len(rows):
         (cx, cy), r = circle
         sweep = (a1 - a0) % (2.0 * math.pi)
-        n = (sweep / max_step).astype(np.intp) + 1
+        n = (sweep / _ARC_STEP).astype(np.intp) + 1
         # chord point s = 1, ..., n - 1 of each arc, at a0 + sweep * s / n
         at = np.repeat(np.arange(len(rows)), n - 1)
         s = np.arange(len(at)) - np.repeat(np.cumsum(n - 1) - n, n - 1)

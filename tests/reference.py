@@ -1,7 +1,7 @@
 # Independent references the tests compare the package against: the Laguerre
 # diagram built by brute bisector clipping, the overlap of two cells, the
-# normal-cone and Gauss-map-image checks of a solution, and the curvature
-# formula for graphs.
+# normal-cone and Gauss-map-image checks of a solution, the curvature
+# formula for graphs, and the chart's metric and great-circle deviation.
 import numpy as np
 
 from hemiot.chart import c_exp_rows
@@ -65,7 +65,7 @@ def normal_cone_check(domain, sites, psi, x, num_samples, seed=0):
     """Sample points z̄ = (z, u(z) + s) on or above the graph of
     u = max_i <·, p_i> - psi_i and verify they make a nonpositive inner
     product with the hemisphere direction active at x. Every score is the
-    dense scan's (solver._dense_plane), as supporting_plane's are."""
+    dense scan's (solver._dense_plane), as Solution.locate's are."""
     sites = np.asarray(sites, dtype=float)
     psi = np.asarray(psi, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -106,3 +106,28 @@ def gauss_map_image_check(solution, target):
     h_live_to_all = float(cKDTree(pts_all).query(pts_live)[0].max())
     h_all_to_live = float(cKDTree(pts_live).query(pts_all)[0].max())
     return h_live_to_all, h_all_to_live, int(n_empty_required)
+
+
+def metric_in_chart(p):
+    """Round-metric pullback in the chart: (delta_ij (1+|p|^2) - p_i p_j)/(1+|p|^2)^2."""
+    p = np.asarray(p, dtype=float)
+    n = len(p)
+    q = 1.0 + float(p @ p)
+    return (np.eye(n) * q - np.outer(p, p)) / q ** 2
+
+
+def great_circle_deviation(p0, p1, t):
+    """Distance of the chart inverse (c_exp_rows) of (1-t)p0 + t p1 from the
+    plane spanned by those of p0 and p1: max |<N, .>| over unit normals N
+    of that plane.
+
+    Chart segments map into great circles, so this is ~1e-16 in practice."""
+    p0 = np.asarray(p0, dtype=float)
+    p1 = np.asarray(p1, dtype=float)
+    y0, y1, yt = c_exp_rows(np.stack([p0, p1, (1.0 - t) * p0 + t * p1]))
+    span = np.stack([y0, y1], axis=1)  # (n+1, 2)
+    q, r = np.linalg.qr(span)
+    if abs(r[1, 1]) < 1e-14:
+        return 0.0  # parallel images: every plane through them qualifies
+    resid = yt - q @ (q.T @ yt)
+    return float(np.linalg.norm(resid))

@@ -8,8 +8,6 @@ from hemiot.chart import (
     chart,
     chart_density,
     cost,
-    great_circle_deviation,
-    metric_in_chart,
     ring_chart_mass,
 )
 from hemiot.domains import grid_cells
@@ -17,6 +15,7 @@ from hemiot.geometry import ARC_EDGE, integrate_ring_cells
 from hemiot.targets import chart_disk
 
 from .ragged import one_by_one, pieces
+from .reference import great_circle_deviation, metric_in_chart
 
 
 def test_chart_roundtrip():

@@ -40,7 +40,7 @@ def test_sphere_benchmark_blocks_match_the_whole_array_formulas():
     # the samples and error sups, computed in blocks of _EVAL_BLOCK points,
     # equal the formulas over all points at once bit for bit, with a last
     # block that is not full
-    from hemiot.solver import _EVAL_BLOCK, potential, supporting_plane
+    from hemiot.solver import _EVAL_BLOCK
     r, n_eval, seed = 0.6, 2500, 3
     assert n_eval % _EVAL_BLOCK
     rep, sol = sphere_benchmark(r, 250, n_eval=n_eval, seed=seed)
@@ -49,11 +49,11 @@ def test_sphere_benchmark_blocks_match_the_whole_array_formulas():
     ang = rng.uniform(0.0, 2.0 * math.pi, n_eval)
     rad = r * 0.999 * np.sqrt(u)
     pts = np.column_stack([rad * np.cos(ang), rad * np.sin(ang)])
-    idx, u_num = supporting_plane(sol, pts)
+    idx, u_num = sol.locate(pts)
     p_num = sol.sites[idx]
     denom = np.sqrt(1.0 - (pts ** 2).sum(axis=1))
     p_true = pts / denom[:, None]
-    shift = -1.0 - potential(sol, np.zeros(2))
+    shift = -1.0 - sol.locate(np.zeros((1, 2)))[1][0]
     assert rep.samples.shape == (n_eval, 6)
     assert np.array_equal(rep.samples, np.column_stack([pts, p_num, p_true]))
     assert rep.grad_error == np.linalg.norm(p_num - p_true, axis=1).max()

@@ -8,9 +8,6 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # public names kept without a caller, and why
 ALLOWED = {
-    "metric_in_chart": "criterion 4 imports it",
-    "great_circle_deviation": "criterion 4 imports it",
-    "gauss_map": "the README's user API",
     "cone_memberships": "a definition of the paper",
     "cost": "a definition of the paper",
     "chart": "a definition of the paper",

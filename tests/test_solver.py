@@ -12,8 +12,8 @@ from hemiot.domains import (ConvexPolygonDomain, DiskDomain, SourceDensity,
 from hemiot.laguerre import (_rows, compute_measures, edge_weights,
                              laguerre_diagram, level_order)
 from hemiot.solver import (ConvergenceError, MassBalanceError, _newton_step,
-                           _radial_profile_psi, active_site, export_mesh,
-                           gauss_map, potential, solution_to_csv, solve)
+                           _radial_profile_psi, export_mesh, solution_to_csv,
+                           solve)
 from hemiot.targets import (DiscreteTarget, chart_disk, chart_polygon,
                             discretize, full_hemisphere, region_mass,
                             truncation_radius_for)
@@ -114,13 +114,14 @@ def test_potential_and_active_site_agree():
     sol = solve(SQUARE, K1, target)
     rng = np.random.default_rng(0)
     x = rng.uniform(-0.49, 0.49, size=(200, 2))
-    u = potential(sol, x)
-    idx = active_site(sol, x)
+    idx, u = sol.locate(x)
     direct = x @ sol.sites.T - sol.psi
     assert np.allclose(u, direct.max(axis=1), atol=1e-14)
     assert np.array_equal(idx, direct.argmax(axis=1))
-    # single-point call broadcasts the same way
-    assert potential(sol, x[0]) == pytest.approx(float(u[0]))
+    # one (1, 2) row gives the same bits as it does among the others
+    idx0, u0 = sol.locate(x[:1])
+    assert idx0.tolist() == idx[:1].tolist()
+    assert u0.tobytes() == u[:1].tobytes()
 
 
 def test_blockwise_evaluation_matches_the_whole_matrix():
@@ -131,8 +132,9 @@ def test_blockwise_evaluation_matches_the_whole_matrix():
     rng = np.random.default_rng(5)
     x = rng.uniform(-0.5, 0.5, size=(2 * _EVAL_BLOCK + 37, 2))
     whole = _scores(x, sol.sites, sol.psi)
-    assert np.array_equal(potential(sol, x), whole.max(axis=1))
-    assert np.array_equal(active_site(sol, x), whole.argmax(axis=1))
+    idx, u = sol.locate(x)
+    assert np.array_equal(u, whole.max(axis=1))
+    assert np.array_equal(idx, whole.argmax(axis=1))
 
 
 def _scores(x, sites, psi):
@@ -182,7 +184,7 @@ def test_supporting_plane_matches_the_dense_scan(monkeypatch, domain, N):
                           for t in (-8.0, -4.0, -1.0, 0.0, 1.0, 1e6)])
     x = np.concatenate([inner, dg.verts, 0.5 * (dg.verts + dg.verts[dg.nxt]),
                         rim])
-    idx, u = solver_mod.supporting_plane(sol, x)
+    idx, u = sol.locate(x)
     ref_idx, ref_u = _dense_reference(sol, x)
     assert np.array_equal(idx, ref_idx)
     assert np.array_equal(u.view(np.int64), ref_u.view(np.int64))
@@ -195,7 +197,7 @@ def test_supporting_plane_matches_the_dense_scan(monkeypatch, domain, N):
     dense = solver_mod._dense_plane
     monkeypatch.setattr(solver_mod, "_dense_plane",
                         lambda *a: scanned.append(len(a[2])) or dense(*a))
-    assert np.array_equal(active_site(sol, inner), ref_idx[:len(inner)])
+    assert np.array_equal(sol.locate(inner)[0], ref_idx[:len(inner)])
     assert sum(scanned) <= 0.01 * len(inner)
 
 
@@ -205,7 +207,7 @@ def test_blocked_locator_is_bit_identical_in_bounded_memory():
     # neighbour) pairs of one block at a time, not of all points at once
     import tracemalloc
 
-    from hemiot.solver import _EVAL_BLOCK, _dense_plane, supporting_plane
+    from hemiot.solver import _EVAL_BLOCK, _dense_plane
     domain = DiskDomain(np.zeros(2), 0.6)
     target = discretize(chart_disk(np.zeros(2), 0.75), 2000,
                         domain.area)
@@ -215,10 +217,10 @@ def test_blocked_locator_is_bit_identical_in_bounded_memory():
     ang = rng.uniform(0.0, 2.0 * math.pi, 20000)
     x = np.column_stack([rad * np.cos(ang), rad * np.sin(ang)])
     assert len(x) > 10 * _EVAL_BLOCK
-    supporting_plane(sol, x[:1])          # builds the locator
+    sol.locate(x[:1])                     # builds the locator
     tracemalloc.start()
     try:
-        idx, u = supporting_plane(sol, x)
+        idx, u = sol.locate(x)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -249,15 +251,16 @@ def test_write_csv_of_an_array_writes_its_python_floats(tmp_path):
 def test_gauss_map_lands_on_hemisphere():
     target = discretize(chart_disk(np.zeros(2), 0.8), 12, 1.0)
     sol = solve(SQUARE, K1, target)
-    x = np.array([0.1, -0.2])
-    y = gauss_map(sol, x)
-    k = active_site(sol, x)
-    assert y.tobytes() == c_exp_rows(sol.sites)[k].tobytes()
-    assert np.linalg.norm(y) == pytest.approx(1.0, abs=1e-12)
-    assert y[-1] < 0
-    xs = np.array([x, [0.3, 0.2], [-0.4, 0.45]])
-    assert gauss_map(sol, xs).tobytes() == c_exp_rows(
-        sol.sites[active_site(sol, xs)]).tobytes()
+    x = np.array([[0.1, -0.2]])
+    y = sol.gauss_map(x)
+    (k,), _ = sol.locate(x)
+    assert y.shape == (1, 3)
+    assert y[0].tobytes() == c_exp_rows(sol.sites)[k].tobytes()
+    assert np.linalg.norm(y[0]) == pytest.approx(1.0, abs=1e-12)
+    assert y[0, -1] < 0
+    xs = np.array([x[0], [0.3, 0.2], [-0.4, 0.45]])
+    assert sol.gauss_map(xs).tobytes() == c_exp_rows(
+        sol.sites[sol.locate(xs)[0]]).tobytes()
 
 
 @settings(max_examples=10, deadline=None)
@@ -270,7 +273,7 @@ def test_c_monotonicity_of_cells(seed):
                         int(rng.integers(4, 16)), 1.0)
     sol = solve(SQUARE, K1, target, tol=1e-9)
     x = rng.uniform(-0.5, 0.5, size=(60, 2))
-    idx = active_site(sol, x)
+    idx, _ = sol.locate(x)
     p = sol.sites[idx]
     for a in range(0, 60, 7):
         diff = ((x - x[a]) * (p - p[a])).sum(axis=1)
