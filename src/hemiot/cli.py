@@ -524,6 +524,10 @@ _ORACLE = {
 def _cmd_oracle(v, out):
     domain, K, mass, _ = _source(v)
     target = build_target(v["target"], v["N"], mass)
+    # N's rule bounds a discretized target; an explicit one brings its sites
+    if len(target.sites) > 1000:
+        raise ConfigError(f"config.target.sites: the discrete oracle handles "
+                          f"at most 1000, got {len(target.sites)}")
     t0 = time.perf_counter()
     fraction, plan, sol, member = semidiscrete_agreement(
         domain, K, target, v["grid_m"], tol=v["tol"], max_iter=v["max_iter"])

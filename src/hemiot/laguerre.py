@@ -247,30 +247,24 @@ def _rings(n, tri, across, power, eps):
     at_corner = np.full(tri.size, -1)
     at_corner[corner] = np.arange(len(corner))
     succ = at_corner[3 * g + np.argmax(tri[g] == site[:, None], axis=1)]
-    # each corner's distance along its ring from the ring's head (its first
-    # corner in corner order), by pointer jumping along predecessors:
-    # O(log of the longest ring) passes
-    k = np.arange(len(corner))
-    head = np.zeros(len(corner), dtype=bool)
-    head[np.unique(site, return_index=True)[1]] = True
-    pred = k.copy()
-    pred[succ] = k
-    pred[head] = k[head]
-    dist = (~head).astype(int)
-    for _ in range(int(np.log2(max(len(k), 1))) + 1):
-        if (pred[pred] == pred).all():
-            break
-        dist += dist[pred]
-        pred = pred[pred]
+    # each ring starts at its head (its first corner in corner order) and
+    # advances one successor per pass; ring s fills rows start[s] onward
     count = np.bincount(site, minlength=n)
-    at = np.cumsum(count)[site] - count[site] + dist
-    if not ((dist < count[site]).all() and (np.bincount(at) == 1).all()):
+    start = np.cumsum(count) - count
+    ring, cur = np.unique(site, return_index=True)
+    order = np.empty(len(corner), dtype=np.intp)
+    for t in range(count.max(initial=0)):
+        on = count[ring] > t
+        ring, cur = ring[on], cur[on]
+        order[start[ring] + t] = cur
+        cur = succ[cur]
+    # every corner is placed exactly once (a walk off the real corners
+    # places -1)
+    if not (np.bincount(order[order >= 0], minlength=len(corner)) == 1).all():
         raise RuntimeError("the lower hull's facets do not form one ring "
                            "around each site")
-    order = np.empty_like(k)
-    order[at] = k
     verts = power[corner[order] // 3]
-    nxt = np.where(dist == count[site] - 1, at - dist, at + 1)[order]
+    nxt = ring_next(count)
     apart = (np.abs(verts - verts[nxt]) > eps).any(axis=1)
     order = order[apart]
     return (site[order], verts[apart],
@@ -321,21 +315,24 @@ def _assemble(domain, sites, psi, ring, sizes, labels):
 
 
 def cell_cutter(domain, sites, psi):
-    """cut(ring, sizes, labels, cell, nbrs): the part in cell cell[k] of
-    each convex start piece k of a ragged array, cut by the bisector
+    """cut(ring, sizes, labels, cell, indptr, nbrs): the part in cell cell[k]
+    of each convex start piece k of a ragged array, cut by the bisector
     half-planes {x : <x, p_j - p_i> <= psi_j - psi_i} of site i = cell[k]
-    against the sites j in row k of nbrs (padded with -1), new edges
-    labelled j, and then by the domain (domain.clip), at the domain's
-    clip eps. Pass t cuts the pieces that have a t-th neighbour, all in
-    one clip_halfplane call; each normal is scaled to unit length, so eps
-    is a distance, as on ring cells. With every other site in its row and
-    a start piece that holds the domain, a part is cell i itself."""
+    against the sites j in row i of the CSR rows (indptr, nbrs), cell i's
+    row nbrs[indptr[i]:indptr[i + 1]], new edges labelled j, and then by the
+    domain (domain.clip), at the domain's clip eps. Pass t, one for each
+    entry of the longest row, cuts the pieces whose row has a t-th entry,
+    all in one clip_halfplane call; each normal is scaled to unit length,
+    so eps is a distance, as on ring cells. With every other site in its
+    row and a start piece that holds the domain, a part is cell i itself."""
     eps = clip_eps(domain)
 
-    def cut(ring, sizes, labels, cell, nbrs):
-        for t in range(nbrs.shape[1]):
-            k = np.flatnonzero(nbrs[:, t] >= 0)
-            i, j = cell[k], nbrs[k, t]
+    def cut(ring, sizes, labels, cell, indptr, nbrs):
+        count = np.diff(indptr)
+        for t in range(count.max(initial=0)):
+            k = np.flatnonzero(count[cell] > t)
+            i = cell[k]
+            j = nbrs[indptr[i] + t]
             d = sites[j] - sites[i]
             h = np.hypot(d[:, 0], d[:, 1])
             ring, sizes, labels = clip_halfplane(

@@ -4,15 +4,14 @@
 # semi-discrete solver before trusting it at scale. The cross-check scores
 # the LP plan on grid atoms by the exact overlap of each atom's grid piece
 # with the solver's Laguerre cells.
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .domains import clip_eps, grid_cells
-from .geometry import SIDE, integrate_ring_cells, ring_arcs, ring_area_centroid
+from .geometry import SIDE, integrate_ring_cells, ring_area_centroid
 from .laguerre import cell_cutter
-from .solver import solve
+from .solver import _dense_plane, solve
 
 
 @dataclass
@@ -243,49 +242,35 @@ OVERLAP_SHARE = 1e-9
 
 def _cell_boxes(diagram):
     """(lo, hi), the (N, 2) corners of each nonempty cell's bounding box:
-    the box of its vertices in the diagram's ragged arrays, widened on each
-    arc edge by the points of the circle at angles 0, pi/2, pi and 3 pi/2
-    that the arc passes."""
+    the box of its vertices in the diagram's ragged arrays, widened on a
+    disk domain by those of the circle's points at angles 0, pi/2, pi and
+    3 pi/2 that the cell holds (solver._dense_plane). Between two of these
+    points an arc is monotone in both coordinates, so these points and the
+    arc's ends bound it."""
     n = len(diagram.sites)
     lo, hi = np.full((n, 2), np.inf), np.full((n, 2), -np.inf)
     np.minimum.at(lo, diagram.owner, diagram.verts)
     np.maximum.at(hi, diagram.owner, diagram.verts)
-    circle = diagram.domain.circle
-    _, cell, _, _, ta, tb = ring_arcs(diagram.verts, diagram.sizes,
-                                      diagram.labels, circle)
-    if len(cell):
-        (cx, cy), r = circle
-        sweep = (tb - ta) % (2.0 * math.pi)
-        for k, q in enumerate(((cx + r, cy), (cx, cy + r), (cx - r, cy),
-                               (cx, cy - r))):
-            on = (0.5 * math.pi * k - ta) % (2.0 * math.pi) <= sweep
-            np.minimum.at(lo, cell[on], q)
-            np.maximum.at(hi, cell[on], q)
+    if diagram.domain.circle is not None:
+        (cx, cy), r = diagram.domain.circle
+        q = np.array([[cx + r, cy], [cx, cy + r], [cx - r, cy], [cx, cy - r]])
+        cell = _dense_plane(diagram.sites, diagram.psi, q)[0]
+        np.minimum.at(lo, cell, q)
+        np.maximum.at(hi, cell, q)
     return lo, hi
-
-
-def _neighbour_table(diagram):
-    """(N, T) array: row i holds cell i's neighbours, the diagram's
-    neighbour_rows() row i, ascending, padded with -1."""
-    indptr, nbrs = diagram.neighbour_rows()
-    count = np.diff(indptr)
-    i = np.repeat(np.arange(len(count)), count)
-    table = np.full((len(count), count.max(initial=0)), -1)
-    table[i, np.arange(len(nbrs)) - indptr[i]] = nbrs
-    return table
 
 
 def _overlap_table(domain, diagram, squares, area):
     """Boolean (atoms × sites) table: True where the diagram's Laguerre cell
     i holds a positive-area part of atom j's grid piece, the part of the
     grid square squares[j] inside the domain, of area area[j]. Each part is
-    the square cut by cell i's bisectors against its neighbours
-    (_neighbour_table) and then by the domain (laguerre.cell_cutter). Cell
-    i is the domain cut by those half-planes, so the parts of one atom
-    tile its piece exactly; all parts are cut in one cutter call,
-    and one ring_area_centroid call gives every part's area. A square whose
-    box misses cell i's box (_cell_boxes) by more than the clip eps has no
-    part in cell i and is not cut."""
+    the square cut by cell i's bisectors against its neighbours, its row
+    of the diagram's neighbour_rows(), and then by the domain
+    (laguerre.cell_cutter). Cell i is the domain cut by those half-planes,
+    so the parts of one atom tile its piece exactly; all parts are cut in
+    one cutter call, and one ring_area_centroid call gives every part's
+    area. A square whose box misses cell i's box (_cell_boxes) by more than
+    the clip eps has no part in cell i and is not cut."""
     eps = clip_eps(domain)
     sq_lo, sq_hi = squares.min(axis=1) - eps, squares.max(axis=1) + eps
     lo, hi = _cell_boxes(diagram)
@@ -296,7 +281,7 @@ def _overlap_table(domain, diagram, squares, area):
     cell = live[cell]
     ring, sizes, labels = cell_cutter(domain, diagram.sites, diagram.psi)(
         squares[j].reshape(-1, 2), np.full(len(j), 4),
-        np.full(4 * len(j), SIDE), cell, _neighbour_table(diagram)[cell])
+        np.full(4 * len(j), SIDE), cell, *diagram.neighbour_rows())
     overlap = np.zeros((len(squares), len(diagram.sites)))
     overlap[j, cell] = ring_area_centroid(ring, sizes, labels,
                                           domain.circle)[0]

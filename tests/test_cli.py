@@ -741,6 +741,27 @@ def test_oracle_compare_rejects_threshold_out_of_range(tmp_path, threshold):
         run(doc)
 
 
+def test_oracle_compare_rejects_an_explicit_target_of_over_1000_sites(
+        tmp_path, capsys, monkeypatch):
+    # N's rule bounds a discretized target only; the LP takes at most 1000
+    # sites, so a larger explicit target is refused before the solve
+    import hemiot.oracle as oracle
+
+    def solve(*args, **kwargs):
+        raise AssertionError("solve called")
+    monkeypatch.setattr(oracle, "solve", solve)
+    g = np.linspace(-0.5, 0.5, 32)
+    sites = [[x, y] for x in g for y in g][:1001]
+    doc = {"command": "oracle-compare",
+           "domain": {"kind": "disk", "radius": 0.6},
+           "target": {"kind": "explicit", "sites": sites,
+                      "masses": [1.0] * len(sites)},
+           "params": {"grid_m": 5}, "out": str(tmp_path / "oc"), "seed": 0}
+    assert main(["--config", _write(tmp_path, "oc.json", doc)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "validation error: config.target.sites: ")
+
+
 def test_export_command(tmp_path):
     doc = dict(SOLVE_DOC, command="export", out=str(tmp_path / "ex"))
     assert main(["--config", _write(tmp_path, "ex.json", doc)]) == 0

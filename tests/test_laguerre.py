@@ -7,8 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hemiot.domains import (ConvexPolygonDomain, DiskDomain, SourceDensity,
-                            constant_density)
-from hemiot.laguerre import (LaguerreDiagram, _rows, compute_measures,
+                            clip_eps, constant_density)
+from hemiot.laguerre import (LaguerreDiagram, _regular_triangulation, _rings,
+                             _rows, _with_sentinels, compute_measures,
                              edge_weights, laguerre_diagram, level_order)
 
 from .reference import brute_diagram, pairwise_overlap_area
@@ -334,6 +335,48 @@ def test_coplanar_lift_falls_back_cleanly():
 def test_duplicate_sites_rejected():
     with pytest.raises(ValueError):
         laguerre_diagram(SQUARE, np.array([[0.1, 0.0], [0.1, 0.0]]), np.zeros(2))
+
+
+def _ring_of(tri, across, v):
+    """Site v's facets in CCW order round it, and the column of across that
+    links each to the next."""
+    f = int(np.flatnonzero((tri == v).any(axis=1))[0])
+    facets, cols = [], []
+    while f not in facets:
+        col = (int(np.argmax(tri[f] == v)) + 1) % 3
+        facets.append(f)
+        cols.append(col)
+        f = int(across[f, col])
+    return facets, cols
+
+
+def _triangulation(n=12):
+    domain, sites, psi = _random_instance(3, n=n, domain=DISK)
+    tri, across, power = _regular_triangulation(
+        *_with_sentinels(domain, sites, psi))
+    # a site whose ring has at least four facets
+    v = int(np.argmax(np.bincount(tri[tri < n], minlength=n)))
+    return n, tri, across, power, clip_eps(domain), v
+
+
+def test_rings_reject_a_site_on_the_outer_boundary():
+    n, tri, across, power, eps, v = _triangulation()
+    facets, cols = _ring_of(tri, across, v)
+    across[facets[0], cols[0]] = -1
+    with pytest.raises(RuntimeError, match="the sentinels do not enclose it"):
+        _rings(n, tri, across, power, eps)
+
+
+def test_rings_reject_a_site_whose_corners_form_two_cycles():
+    n, tri, across, power, eps, v = _triangulation()
+    facets, cols = _ring_of(tri, across, v)
+    assert len(facets) >= 4
+    # re-link facet 1 into a ring of its own: facet 0 skips it, and it
+    # links to itself
+    across[facets[0], cols[0]] = facets[2]
+    across[facets[1], cols[1]] = facets[1]
+    with pytest.raises(RuntimeError, match="do not form one ring"):
+        _rings(n, tri, across, power, eps)
 
 
 @settings(max_examples=40, deadline=None)

@@ -336,15 +336,14 @@ def _all_pairs_table(domain, sol, squares, atom_area):
     from hemiot.geometry import ring_area_centroid
     from hemiot.laguerre import cell_cutter
     from hemiot.oracle import OVERLAP_SHARE
+    rows = [c.neighbors for c in sol.diagram.cells]
+    indptr = np.concatenate([[0], np.cumsum([len(r) for r in rows])])
+    nbrs = np.array([j for r in rows for j in r], dtype=int)
     cells = [c for c in sol.diagram.cells if not c.is_empty]
-    nbrs = np.full((len(cells), max(len(c.neighbors) for c in cells)), -1)
-    for row, c in zip(nbrs, cells):
-        row[:len(c.neighbors)] = c.neighbors
     cell = np.repeat([c.site_index for c in cells], len(squares))
     ring, sizes, labels = cell_cutter(domain, sol.diagram.sites,
                                       sol.diagram.psi)(
-        *pieces(*np.tile(squares, (len(cells), 1, 1))), cell,
-        np.repeat(nbrs, len(squares), axis=0))
+        *pieces(*np.tile(squares, (len(cells), 1, 1))), cell, indptr, nbrs)
     area = np.zeros((len(squares), len(sol.sites)))
     area[np.tile(np.arange(len(squares)), len(cells)), cell] = \
         ring_area_centroid(ring, sizes, labels, domain.circle)[0]
