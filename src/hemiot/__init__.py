@@ -1,12 +1,12 @@
 # Semi-discrete optimal transport on the hemisphere chart: solve the
 # prescribed-curvature mass balance on a convex planar domain and verify
 # the structural estimates the construction rests on.
-from .chart import c_exp_rows, chart_density, cost
+from .chart import c_exp_rows, chart_density
 from .domains import (BoundaryGeometry, ConeSpec, ConvexPolygonDomain,
                       DiskDomain, SourceDensity, boundary_geometry,
-                      cone_memberships, constant_density, d0_threshold,
-                      inradius_point, lambda_constant, make_cone_spec,
-                      theta_of, total_mass)
+                      constant_density, d0_threshold, inradius_point,
+                      lambda_constant, make_cone_spec, theta_of,
+                      total_mass)
 from .experiments import (BlowupReport, ConeInclusionReport,
                           EstarVolumeResult, SliceEstimateReport,
                           SphereBenchmarkReport, blowup_experiment,

@@ -1,6 +1,5 @@
-# Pointwise geometry of the lower-hemisphere target: the transport cost, the
-# gradient-plane chart and its inverse, the induced metric and densities, and
-# closed-form target masses.
+# Pointwise geometry of the lower-hemisphere target: the gradient-plane
+# chart's inverse, the chart density, and closed-form target masses.
 #
 # Conventions: a hemisphere point is (y, y_last) in S^n with y_last < 0 (the
 # open lower hemisphere); the chart sends it to p = -y / y_last in R^n. The
@@ -12,13 +11,6 @@ import numpy as np
 from .geometry import arc_patches, integrate_panels, ring_arcs, ring_next
 
 
-def cost(x, ybar):
-    """Transport cost <x, y> / y_last of a lower-hemisphere point
-    ybar = (y, y_last), an (n+1)-vector. Linear in x."""
-    x = np.asarray(x, dtype=float)
-    return float(x @ ybar[:-1]) / ybar[-1]
-
-
 def c_exp_rows(p):
     """Chart inverse of each row of an (m, n) array: p -> (p, -1) /
     sqrt(1+|p|^2), the lower-hemisphere point whose chart image is p, as an
@@ -26,12 +18,6 @@ def c_exp_rows(p):
     q = (p[:, None, :] @ p[:, :, None])[:, 0, 0]
     s = 1.0 / np.sqrt(1.0 + q)
     return np.column_stack([p * s[:, None], -s])
-
-
-def chart(ybar):
-    """Gradient-plane coordinates of a lower-hemisphere point ybar =
-    (y, y_last): -y / y_last."""
-    return -ybar[:-1] / ybar[-1]
 
 
 def chart_density(p):

@@ -320,8 +320,7 @@ def build_target(spec, N, source_mass, path="target"):
         try:
             return DiscreteTarget(sites, masses * (source_mass / raw),
                                   total=source_mass,
-                                  rescale_factor=source_mass / raw,
-                                  pre_rescale_mismatch=abs(raw - source_mass))
+                                  rescale_factor=source_mass / raw)
         except ValueError as exc:
             raise ConfigError(f"{path}.sites: {exc}")
     if N is None:
@@ -405,11 +404,11 @@ def _cmd_solve(v, out):
 
 def _cmd_export(v, out):
     sol, verdicts, meas, times = _solve_instance(v, out)
-    cells, sizes, ring = _cell_rings(sol.diagram)
+    sizes, ring = _cell_rings(sol.diagram)
     ends = np.cumsum(sizes).tolist()
     write_csv(os.path.join(out, "cells.csv"), ("site", "k", "x1", "x2"),
-              ((i, k, x, y) for i, e, m in zip(cells.tolist(), ends,
-                                               sizes.tolist())
+              ((i, k, x, y) for i, (e, m) in enumerate(zip(ends,
+                                                           sizes.tolist()))
                for k, (x, y) in enumerate(ring[e - m:e].tolist())))
     verdicts = {"converged": verdicts["converged"]}
     return verdicts, meas, times

@@ -469,24 +469,3 @@ def make_cone_spec(domain, x0, geo=None):
     if abs(np.linalg.norm(spec.x0 + spec.d0 * spec.v0 - xb)) > 1e-10:
         raise ValueError("inconsistent cone anchor")
     return spec
-
-
-def cone_memberships(spec, x, p, p0):
-    """Literal evaluation of the two cone inequalities.
-
-    E_theta (source side): <x - x0, -v0> <= theta * |x - x0|.
-    E*_theta (gradient side): |(p-p0)/|p-p0| - v0| <= theta and |p-p0| <= 1;
-    p = p0 has no direction and is excluded by convention."""
-    x = np.asarray(x, dtype=float)
-    p = np.asarray(p, dtype=float)
-    p0 = np.asarray(p0, dtype=float)
-    dx = x - spec.x0
-    in_e = float(dx @ (-spec.v0)) <= spec.theta * float(np.linalg.norm(dx)) + 1e-15
-    dp = p - p0
-    norm = float(np.linalg.norm(dp))
-    if norm == 0.0:
-        in_estar = False
-    else:
-        in_estar = (norm <= 1.0 + 1e-15
-                    and float(np.linalg.norm(dp / norm - spec.v0)) <= spec.theta + 1e-15)
-    return in_e, in_estar

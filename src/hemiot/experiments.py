@@ -83,8 +83,7 @@ def sphere_benchmark(r, N, tol=1e-6, max_iter=50, n_eval=20000, seed=0):
 
     spacing = site_spacing(target.sites)
 
-    live = sol.diagram.nonempty
-    y3 = -1.0 / np.sqrt(1.0 + (target.sites[live] ** 2).sum(axis=1))
+    y3 = -1.0 / np.sqrt(1.0 + (target.sites ** 2).sum(axis=1))
     cap_excess = float((y3 + math.sqrt(1.0 - r * r)).max())
 
     rep = SphereBenchmarkReport(
@@ -299,6 +298,10 @@ class EstarVolumeResult:
     n: int
 
 
+# Monte Carlo rows drawn and counted at a time by estar_volume_check
+_VOLUME_BLOCK = 65536
+
+
 def estar_volume_check(theta, n, samples, seed=0):
     """Monte Carlo volume of the gradient-side cone piece (p0 = 0, v0 = e1)
     against its closed-form lower bound."""
@@ -310,12 +313,15 @@ def estar_volume_check(theta, n, samples, seed=0):
     v0 = np.zeros(n)
     v0[0] = 1.0
     m = int(samples)
-    p = rng.uniform(-1.0, 1.0, size=(m, n))
-    r = np.linalg.norm(p, axis=1)
-    inside = r <= 1.0
-    dirs = p[inside] / r[inside][:, None]
-    hit = np.linalg.norm(dirs - v0, axis=1) <= theta
-    hits = int(hit.sum())
+    hits = 0
+    # one stream drawn _VOLUME_BLOCK rows at a time gives the draws of one
+    # (m, n) array
+    for s in range(0, m, _VOLUME_BLOCK):
+        p = rng.uniform(-1.0, 1.0, size=(min(_VOLUME_BLOCK, m - s), n))
+        r = np.linalg.norm(p, axis=1)
+        inside = r <= 1.0
+        dirs = p[inside] / r[inside][:, None]
+        hits += int((np.linalg.norm(dirs - v0, axis=1) <= theta).sum())
     frac = hits / m
     cube = 2.0 ** n
     measured = frac * cube

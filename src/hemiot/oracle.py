@@ -241,12 +241,13 @@ OVERLAP_SHARE = 1e-9
 
 
 def _cell_boxes(diagram):
-    """(lo, hi), the (N, 2) corners of each nonempty cell's bounding box:
-    the box of its vertices in the diagram's ragged arrays, widened on a
-    disk domain by those of the circle's points at angles 0, pi/2, pi and
-    3 pi/2 that the cell holds (solver._dense_plane). Between two of these
-    points an arc is monotone in both coordinates, so these points and the
-    arc's ends bound it."""
+    """(lo, hi), the (N, 2) corners of each cell's bounding box (inf and
+    -inf for a cell with no vertices, which meets no square): the box of
+    its vertices in the diagram's ragged arrays, widened on a disk domain
+    by those of the circle's points at angles 0, pi/2, pi and 3 pi/2 that
+    the cell holds (solver._dense_plane). Between two of these points an
+    arc is monotone in both coordinates, so these points and the arc's ends
+    bound it."""
     n = len(diagram.sites)
     lo, hi = np.full((n, 2), np.inf), np.full((n, 2), -np.inf)
     np.minimum.at(lo, diagram.owner, diagram.verts)
@@ -274,11 +275,8 @@ def _overlap_table(domain, diagram, squares, area):
     eps = clip_eps(domain)
     sq_lo, sq_hi = squares.min(axis=1) - eps, squares.max(axis=1) + eps
     lo, hi = _cell_boxes(diagram)
-    live = np.flatnonzero(diagram.nonempty)
-    near = ((sq_lo[:, None] <= hi[live]) & (sq_hi[:, None] >= lo[live])) \
-        .all(axis=2)
+    near = ((sq_lo[:, None] <= hi) & (sq_hi[:, None] >= lo)).all(axis=2)
     cell, j = np.nonzero(near.T)
-    cell = live[cell]
     ring, sizes, labels = cell_cutter(domain, diagram.sites, diagram.psi)(
         squares[j].reshape(-1, 2), np.full(len(j), 4),
         np.full(4 * len(j), SIDE), cell, *diagram.neighbour_rows())

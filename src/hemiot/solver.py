@@ -44,6 +44,11 @@ class SolveReport:
 
 @dataclass
 class Solution:
+    """What solve returns: the weights psi, their Laguerre diagram and its
+    cell masses. No cell of the diagram is empty: the start is rejected
+    when a cell has mass 0, a trial is accepted only when every cell keeps
+    mass >= eps0 > 0, and a cell with fewer than two vertices has mass 0.
+    So the code that reads a solution's cells filters none out."""
     domain: object
     density: object
     target: object
@@ -266,8 +271,9 @@ class _Locator:
     domain lies in cell i once i's score beats that of every bisector
     neighbour of i: the other sites' half-planes are redundant in the domain
     (Aurenhammer 1987). A candidate cell comes from a k-d tree over the
-    centroids of the nonempty cells and is checked against its neighbours;
-    a point that fails walks to its best neighbour and is checked again.
+    cells' centroids (a solution has no empty cell) and is checked against
+    its neighbours; a point that fails walks to its best neighbour and is
+    checked again.
 
     A candidate is accepted only when it beats each neighbour j by more
     than 4 clip eps times |p_i - p_j| plus 16 ulps of the largest score
@@ -289,8 +295,7 @@ class _Locator:
         self.margin = 4.0 * clip_eps(dg.domain)
         self.p_size = float(np.abs(self.sites).sum(axis=1).max())
         self.psi_size = float(np.abs(self.psi).max())
-        self.live = np.flatnonzero(dg.nonempty)
-        self.tree = cKDTree(dg.centroid[self.live])
+        self.tree = cKDTree(dg.centroid)
         self.indptr, self.nbrs = dg.neighbour_rows()
         i = np.repeat(np.arange(len(self.sites)), np.diff(self.indptr))
         self.gap = self.margin * np.hypot(*(self.sites[i]
@@ -317,7 +322,7 @@ class _Locator:
             return _dense_plane(self.sites, self.psi, pts)
         ulps = 16.0 * np.finfo(float).eps * (
             float(np.abs(pts[todo]).max()) * self.p_size + self.psi_size)
-        cand = self.live[self.tree.query(pts[todo])[1]]
+        cand = self.tree.query(pts[todo])[1]
         for _ in range(_WALK_ROUNDS):
             x = pts[todo]
             own = self.scores(x, cand)
@@ -357,10 +362,10 @@ _ARC_STEP = 2.0 * math.pi / 256
 
 
 def _cell_rings(diagram):
-    """(cells, sizes, points): the boundaries of the nonempty cells, in site
-    order, as one ragged array; cell cells[c] owns the sizes[c] points after
-    those of the cells before it. Each arc edge is cut into n chords of at
-    most _ARC_STEP radians, its n - 1 chord points after its start vertex."""
+    """(sizes, points): the boundaries of the cells, in site order, as one
+    ragged array; cell i owns the sizes[i] points after those of the cells
+    before it. Each arc edge is cut into n chords of at most _ARC_STEP
+    radians, its n - 1 chord points after its start vertex."""
     circle = diagram.domain.circle
     rows, cell, _, _, a0, a1 = ring_arcs(diagram.verts, diagram.sizes,
                                          diagram.labels, circle)
@@ -376,10 +381,7 @@ def _cell_rings(diagram):
         points = np.insert(points, np.repeat(rows + 1, n - 1), np.column_stack(
             [cx + r * np.cos(t), cy + r * np.sin(t)]), axis=0)
         np.add.at(sizes, cell, n - 1)
-    live = diagram.nonempty
-    if not live.all():
-        points = points[np.repeat(live, sizes)]
-    return np.flatnonzero(live), sizes[live], points
+    return sizes, points
 
 
 def _first_seen_ids(rows):
@@ -408,16 +410,16 @@ def export_mesh(solution, path):
     planar polygon per nonempty cell, with per-face normals set to the
     hemisphere image of the cell's site. The lines are written
     _EVAL_BLOCK vertices or faces at a time."""
-    cells, sizes, xy = _cell_rings(solution.diagram)
+    sizes, xy = _cell_rings(solution.diagram)
     keys = np.empty((len(xy), 3))
     keys[:, :2] = xy
     del xy
     # z = p0 x0 + p1 x1 - psi of each point's site, in place
     z = keys[:, 2]
-    p0, p1 = solution.sites[cells].T
+    p0, p1 = solution.sites.T
     np.multiply(np.repeat(p0, sizes), keys[:, 0], out=z)
     z += np.repeat(p1, sizes) * keys[:, 1]
-    z -= np.repeat(solution.psi[cells], sizes)
+    z -= np.repeat(solution.psi, sizes)
     # one vertex per point rounded to 9 decimals (np.round), numbered in
     # order of first appearance and printed as first seen
     np.round(keys, 9, out=keys)
@@ -435,7 +437,7 @@ def export_mesh(solution, path):
     n_kept = kept[start + sizes] - kept[start]
     face = n_kept >= 3
     ids = ids[new & np.repeat(face, sizes)]
-    cells, n_kept = cells[face], n_kept[face]
+    cells, n_kept = np.flatnonzero(face), n_kept[face]
     head = np.cumsum(n_kept) - n_kept
     with open(path, "w") as fh:
         fh.write("# piecewise-planar graph of the dual potential\n")

@@ -62,7 +62,6 @@ class DiscreteTarget:
     masses: np.ndarray
     total: float = None
     rescale_factor: float = 1.0
-    pre_rescale_mismatch: float = 0.0
 
     def __post_init__(self):
         sites = np.asarray(self.sites, dtype=float)
@@ -112,8 +111,8 @@ def discretize(region, N, source_mass):
     if N == 1:
         site = region.centroid
         return DiscreteTarget(sites=site[None, :], masses=np.array([source_mass]),
-                              total=source_mass, rescale_factor=source_mass / cap,
-                              pre_rescale_mismatch=abs(cap - source_mass))
+                              total=source_mass,
+                              rescale_factor=source_mass / cap)
     if isinstance(region, FullHemisphere):
         sites, masses = _polar_grid(region.truncation_radius, N)
     else:
@@ -126,7 +125,7 @@ def discretize(region, N, source_mass):
     # pin the total exactly (one representative absorbs the last ulp)
     masses[-1] += source_mass - masses.sum()
     out = DiscreteTarget(sites=sites, masses=masses, total=source_mass,
-                         rescale_factor=factor, pre_rescale_mismatch=abs(pre - source_mass))
+                         rescale_factor=factor)
     if not 0.5 <= factor <= 2.0:
         warnings.warn(f"discretization rescale factor {factor:.3g} is far from 1; "
                       "the grid is too coarse for the requested mass", RuntimeWarning)

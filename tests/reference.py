@@ -1,7 +1,9 @@
 # Independent references the tests compare the package against: the Laguerre
 # diagram built by brute bisector clipping, the overlap of two cells, the
 # normal-cone and Gauss-map-image checks of a solution, the curvature
-# formula for graphs, and the chart's metric and great-circle deviation.
+# formula for graphs, the chart's metric and great-circle deviation, and the
+# paper's definitions that no pipeline evaluates: the transport cost, the
+# chart itself and the two cone memberships.
 import numpy as np
 
 from hemiot.chart import c_exp_rows
@@ -132,3 +134,38 @@ def great_circle_deviation(p0, p1, t):
         return 0.0  # parallel images: every plane through them qualifies
     resid = yt - q @ (q.T @ yt)
     return float(np.linalg.norm(resid))
+
+
+def cost(x, ybar):
+    """Transport cost <x, y> / y_last of a lower-hemisphere point
+    ybar = (y, y_last), an (n+1)-vector. Linear in x."""
+    x = np.asarray(x, dtype=float)
+    return float(x @ ybar[:-1]) / ybar[-1]
+
+
+def chart(ybar):
+    """Gradient-plane coordinates of a lower-hemisphere point ybar =
+    (y, y_last): -y / y_last."""
+    return -ybar[:-1] / ybar[-1]
+
+
+def cone_memberships(spec, x, p, p0):
+    """Literal evaluation of the two cone inequalities of a
+    domains.ConeSpec.
+
+    E_theta (source side): <x - x0, -v0> <= theta * |x - x0|.
+    E*_theta (gradient side): |(p-p0)/|p-p0| - v0| <= theta and |p-p0| <= 1;
+    p = p0 has no direction and is excluded by convention."""
+    x = np.asarray(x, dtype=float)
+    p = np.asarray(p, dtype=float)
+    p0 = np.asarray(p0, dtype=float)
+    dx = x - spec.x0
+    in_e = float(dx @ (-spec.v0)) <= spec.theta * float(np.linalg.norm(dx)) + 1e-15
+    dp = p - p0
+    norm = float(np.linalg.norm(dp))
+    if norm == 0.0:
+        in_estar = False
+    else:
+        in_estar = (norm <= 1.0 + 1e-15
+                    and float(np.linalg.norm(dp / norm - spec.v0)) <= spec.theta + 1e-15)
+    return in_e, in_estar

@@ -3,19 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from hemiot.chart import (
-    c_exp_rows,
-    chart,
-    chart_density,
-    cost,
-    ring_chart_mass,
-)
+from hemiot.chart import c_exp_rows, chart_density, ring_chart_mass
 from hemiot.domains import grid_cells
 from hemiot.geometry import ARC_EDGE, integrate_ring_cells
 from hemiot.targets import chart_disk
 
 from .ragged import one_by_one, pieces
-from .reference import great_circle_deviation, metric_in_chart
+from .reference import chart, cost, great_circle_deviation, metric_in_chart
 
 
 def test_chart_roundtrip():

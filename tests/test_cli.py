@@ -71,6 +71,20 @@ def test_expression_grammar_evaluates():
     assert out[1] == pytest.approx(1.0 + 0.5 * math.sin(1.0) * math.cos(0.5) + 0.1)
 
 
+
+def test_expression_grammar_unary_signs():
+    ev, reads_d = compile_expression("-x1 + +x2 - -(2.0*x1)")
+    assert not reads_d
+    env = {"x1": np.array([0.25, -1.0]), "x2": np.array([3.0, 0.5])}
+    assert ev(env).tolist() == [-0.25 + 3.0 + 0.5, 1.0 + 0.5 - 2.0]
+
+
+def test_an_expression_density_reads_the_boundary_distance():
+    dens = build_density({"kind": "expression", "formula": "1.0 + d"},
+                         build_domain({"kind": "disk", "radius": 2.0}))
+    pts = np.array([[0.0, 0.0], [1.5, 0.0], [0.0, -2.0]])
+    assert dens(pts) == pytest.approx([3.0, 1.5, 1.0], abs=1e-15)
+
 def test_expression_grammar_rejections():
     for bad in ("__import__('os')", "x1.real", "lambda: 1", "x3 + 1",
                 "min(x1)", "x1 if d else x2", "f(x1)", "[1,2]"):
@@ -118,6 +132,24 @@ def test_build_target_guards():
     assert t.total == pytest.approx(2.0)
     assert t.masses == pytest.approx([0.5, 1.5])
 
+
+
+def test_an_explicit_target_needs_a_mass_per_site():
+    with pytest.raises(ConfigError,
+                       match=r"^target\.masses: length must match sites$"):
+        build_target({"kind": "explicit", "sites": [[0.5, 0.0], [-0.5, 0.0]],
+                      "masses": [1.0, 2.0, 3.0]}, None, 1.0)
+
+
+def test_a_hemisphere_target_from_its_tail_mass_alone():
+    # tail_epsilon alone sets the truncation radius P with pi/(1+P^2) = eps
+    from hemiot.targets import discretize, full_hemisphere
+    got = build_target({"kind": "hemisphere", "tail_epsilon": 0.01}, 50,
+                       math.pi)
+    want = discretize(full_hemisphere(math.sqrt(math.pi / 0.01 - 1.0)), 50,
+                      math.pi)
+    assert got.sites.tobytes() == want.sites.tobytes()
+    assert got.masses.tobytes() == want.masses.tobytes()
 
 def test_solve_run_exit_zero(tmp_path):
     cfg = _write(tmp_path, "c.json", dict(SOLVE_DOC, out=str(tmp_path / "o")))
@@ -277,6 +309,24 @@ def test_nonconvergence_exit_code(tmp_path, capsys):
     assert "solution.csv" in report["artifacts"]
 
 
+
+def test_an_empty_start_cell_exits_3_with_its_cause(tmp_path, capsys):
+    # the density vanishes on x1 <= -0.3, so the start leaves a cell with no
+    # mass: solve raises ConvergenceError, and the report names it
+    doc = dict(SOLVE_DOC, N=500, domain={"kind": "disk", "radius": 0.6},
+               density={"kind": "expression",
+                        "formula": "3*max(0, x1 + 0.3)"},
+               target={"kind": "chart_disk", "radius": 0.9},
+               out=str(tmp_path / "e"))
+    with pytest.warns(RuntimeWarning, match="density vanishes"):
+        code = main(["--config", _write(tmp_path, "e.json", doc)])
+    assert code == 3
+    report = json.loads((tmp_path / "e" / "report.json").read_text())
+    assert report["error"] == "initialization left an empty cell"
+    assert report["verdicts"] == {"converged": False}
+    assert report["passed"] is False
+    assert "NO CONVERGENCE" in capsys.readouterr().err
+
 def test_cell_measure_stall_names_config_tol(tmp_path, capsys):
     # the cell-measure tolerance is min(1e-10, 1e-3 * tol * mass), so a
     # quadrature stall there is a config.tol fault, not the density's
@@ -351,6 +401,22 @@ def test_oracle_compare_command(tmp_path):
     assert m["agreement_fraction"] <= m["agreement_ceiling"] + 1e-12
     assert report["verdicts"]["monotonicity"] is True
 
+
+
+def test_oracle_compare_with_a_varying_density(tmp_path):
+    # a nonconstant density sends the grid atoms' masses through the
+    # quadrature engine
+    doc = {"command": "oracle-compare",
+           "domain": {"kind": "disk", "radius": 0.6},
+           "density": {"kind": "expression",
+                       "formula": "1.0 + 0.2*sin(3.0*x1)"},
+           "target": {"kind": "chart_disk", "radius": 0.9},
+           "N": 20, "out": str(tmp_path / "oc"), "seed": 0}
+    assert main(["--config", _write(tmp_path, "oc.json", doc)]) == 0
+    report = json.loads((tmp_path / "oc" / "report.json").read_text())
+    assert report["verdicts"] == {"agreement": True, "converged": True,
+                                  "dual_feasibility": True,
+                                  "monotonicity": True}
 
 def test_oracle_compare_reports_lp_pivots(tmp_path):
     # criterion 3's instance: Bland's entering rule alone took 4362 pivots

@@ -12,7 +12,6 @@ from hemiot.domains import (
     SourceDensity,
     boundary_geometry,
     clip_eps,
-    cone_memberships,
     constant_density,
     d0_threshold,
     grid_cells,
@@ -27,6 +26,7 @@ from hemiot.geometry import ARC_EDGE, ring_area_centroid
 from hemiot.targets import DiscreteTarget, full_hemisphere
 
 from .ragged import cell_list, pieces
+from .reference import cone_memberships
 
 UNIT_SQUARE = ConvexPolygonDomain(np.array([[-0.5, -0.5], [0.5, -0.5],
                                             [0.5, 0.5], [-0.5, 0.5]]))

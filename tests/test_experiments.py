@@ -235,6 +235,29 @@ def test_estar_volume_dimension_three():
     assert res.bound == pytest.approx(math.pi * 0.2 ** 2 / 12.0, rel=1e-12)
 
 
+def test_estar_volume_draws_in_bounded_memory():
+    # the samples are drawn and counted in blocks of rows from one stream:
+    # the count is that of one (samples, n) draw, and the CLI's default of
+    # 2 000 000 samples peaks far below the 32 MB of that draw
+    import tracemalloc
+
+    for theta, n, m in ((0.2, 2, 150001), (0.35, 3, 131072)):
+        p = np.random.default_rng(4).uniform(-1.0, 1.0, size=(m, n))
+        r = np.linalg.norm(p, axis=1)
+        dirs = p[r <= 1.0] / r[r <= 1.0][:, None]
+        hits = int((np.linalg.norm(dirs - np.eye(n)[0], axis=1)
+                    <= theta).sum())
+        res = estar_volume_check(theta, n, m, seed=4)
+        assert res.measured == hits / m * 2.0 ** n
+    tracemalloc.start()
+    try:
+        estar_volume_check(0.2, 2, 2_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+
+
 def test_estar_volume_validation():
     with pytest.raises(ValueError):
         estar_volume_check(0.5, 2, 1000)  # theta >= 1/sqrt(6)

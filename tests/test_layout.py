@@ -6,13 +6,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# public names kept without a caller, and why
-ALLOWED = {
-    "cone_memberships": "a definition of the paper",
-    "cost": "a definition of the paper",
-    "chart": "a definition of the paper",
-}
-
 
 def _root(node):
     # the name an attribute chain a.b.c starts from, or None
@@ -63,6 +56,4 @@ def test_every_public_definition_has_a_caller():
                 names.discard(node.name)
             used |= names
     unused = set(defined) - used
-    assert unused == set(ALLOWED), (
-        sorted(f"{defined[k]}: {k}" for k in unused - set(ALLOWED)),
-        sorted(set(ALLOWED) - unused))
+    assert not unused, sorted(f"{defined[k]}: {k}" for k in unused)

@@ -77,6 +77,7 @@ def test_random_instances_converge():
         assert sol.report.final_residual <= 1e-8
         assert sol.psi[0] == 0.0
         assert sol.masses.min() > 0.0
+        assert sol.diagram.nonempty.all()
         area = sum(c.area for c in sol.diagram.cells)
         assert area == pytest.approx(domain.area, rel=1e-9)
 
@@ -90,12 +91,13 @@ def test_smooth_density_instance():
     sol = solve(SQUARE, K, target, tol=1e-7)
     assert sol.report.converged
     assert float(np.abs(sol.masses - target.masses).sum()) <= 1e-7 * mass
+    assert sol.diagram.nonempty.all()
 
 
 def test_kinked_density_onto_a_pentagon_converges():
     # K = 1 + 0.5|x1| has a kink along x1 = 0; the line search accepts a
     # step on the eps0 floor and the residual decrease alone, and converges
-    # in a few Newton steps
+    # in a few Newton steps, and, as every solution, has no empty cell
     domain = DiskDomain(np.zeros(2), 0.6)
     K = SourceDensity(fn=lambda p: 1.0 + 0.5 * np.abs(p[:, 0]))
     mass, _ = total_mass(domain, K, tol=1e-9)
@@ -104,9 +106,10 @@ def test_kinked_density_onto_a_pentagon_converges():
     with pytest.warns(RuntimeWarning, match="rescale factor"):
         target = discretize(region, 200, mass)
     tol = 1e-6
-    rep = solve(domain, K, target, tol=tol).report
-    assert rep.converged
-    assert rep.final_residual <= tol
+    sol = solve(domain, K, target, tol=tol)
+    assert sol.report.converged
+    assert sol.report.final_residual <= tol
+    assert sol.diagram.nonempty.all()
 
 
 def test_potential_and_active_site_agree():

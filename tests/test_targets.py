@@ -89,7 +89,7 @@ def test_grid_cell_masses_sum_to_the_closed_form(N):
     region = chart_disk(np.zeros(2), 0.9)
     mass = region_mass(region)
     t = discretize(region, N, mass)
-    assert t.pre_rescale_mismatch <= 1e-12 * mass
+    assert abs(t.rescale_factor - 1) <= 1e-12
 
 
 def test_region_contains():
