@@ -4,8 +4,6 @@
 # Conventions: a hemisphere point is (y, y_last) in S^n with y_last < 0 (the
 # open lower hemisphere); the chart sends it to p = -y / y_last in R^n. The
 # equator is reachable only as the limit |p| -> inf.
-import math
-
 import numpy as np
 
 from .geometry import arc_patches, integrate_panels, ring_arcs, ring_next
@@ -87,8 +85,8 @@ def ring_chart_mass(ring, sizes, labels, tol, circle=None):
     chord and its arc: for a circle of radius s about the origin, the plane
     circle segment ½ s^2/(1+s^2) (psi - sin psi), psi the sweep, less the
     chord's bulge; for any other circle, adaptive quadrature of the chart
-    density over the polar patch between chord and arc, the error
-    estimates of all those patches summing to at most tol."""
+    density over the panels between chord and arc (arc_patches), the error
+    estimates of all those panels summing to at most tol."""
     n = len(sizes)
     owner = np.repeat(np.arange(n), sizes)
     first = ring[np.repeat(np.cumsum(sizes) - sizes, sizes)]
@@ -96,18 +94,14 @@ def ring_chart_mass(ring, sizes, labels, tol, circle=None):
     to_a, step = _lift_step(first, ring), _lift_step(ring, b)
     cross = to_a[:, 0] * step[:, 1] - to_a[:, 1] * step[:, 0]
     mass = np.bincount(owner, 0.5 * cross + _great_circle_bulge(ring, step), n)
-    _, cell, a, b, _, _ = ring_arcs(ring, sizes, labels, circle)
+    _, cell, a, b, _, psi = ring_arcs(ring, sizes, labels, circle)
     if not len(cell):
         return mass
     if tuple(circle[0]) == (0.0, 0.0):
         s2 = circle[1] ** 2
-        psi = np.arctan2(a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0],
-                         np.einsum("ij,ij->i", a, b))
-        psi[psi <= 0.0] += 2.0 * math.pi
         lens = 0.5 * s2 / (1.0 + s2) * _minus_sin(psi) \
             - _great_circle_bulge(a, _lift_step(a, b))
         return mass + np.bincount(cell, lens, n)
-    cell, patches = arc_patches(ring, sizes, labels, circle)
-    owners = (np.zeros(0, dtype=int), cell)
-    return mass + integrate_panels(chart_density, np.zeros((0, 3, 2)),
-                                   patches, tol, owners, n)
+    tris, patches, owners = arc_patches(ring, sizes, labels, circle)
+    return mass + integrate_panels(chart_density, tris, patches, tol, owners,
+                                   n)

@@ -20,7 +20,7 @@ from .domains import (ConvexPolygonDomain, DiskDomain, QuadratureError,
 from .experiments import (blowup_experiment, cone_inclusion_check,
                           estar_volume_check, slice_estimate_check,
                           sphere_benchmark)
-from .oracle import (agreement_ceiling, monotonicity_certificate,
+from .oracle import (MAX_POINTS, agreement_ceiling, monotonicity_certificate,
                      semidiscrete_agreement)
 from .solver import (CellMeasureError, ConvergenceError, MassBalanceError,
                      _cell_rings, export_mesh, mass_quadrature_tol,
@@ -511,10 +511,11 @@ _ORACLE = {
     "density": (dict, {"kind": "constant", "value": 1.0}),
     "target": (dict, _REQUIRED),
     "N": (int, 20, _at_least(1),
-          (lambda n: n <= 1000, "the discrete oracle handles at most 1000")),
+          (lambda n: n <= MAX_POINTS,
+           f"the discrete oracle handles at most {MAX_POINTS}")),
     "params": _params(
-        grid_m=(int, 15, (lambda m: m >= 1 and m * m <= 1000,
-                          "grid_m^2 must lie in [1, 1000]")),
+        grid_m=(int, 15, (lambda m: m >= 1 and m * m <= MAX_POINTS,
+                          f"grid_m^2 must lie in [1, {MAX_POINTS}]")),
         threshold=(float, 0.95,
                    (lambda t: 0.0 < t <= 1.0, "must lie in (0, 1]"))),
 }
@@ -524,9 +525,9 @@ def _cmd_oracle(v, out):
     domain, K, mass, _ = _source(v)
     target = build_target(v["target"], v["N"], mass)
     # N's rule bounds a discretized target; an explicit one brings its sites
-    if len(target.sites) > 1000:
+    if len(target.sites) > MAX_POINTS:
         raise ConfigError(f"config.target.sites: the discrete oracle handles "
-                          f"at most 1000, got {len(target.sites)}")
+                          f"at most {MAX_POINTS}, got {len(target.sites)}")
     t0 = time.perf_counter()
     fraction, plan, sol, member = semidiscrete_agreement(
         domain, K, target, v["grid_m"], tol=v["tol"], max_iter=v["max_iter"])

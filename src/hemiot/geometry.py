@@ -40,28 +40,28 @@ def _atan2_rows(d):
 
 def ring_arcs(ring, sizes, labels, circle):
     """The ARC_EDGE edges a -> b of a ragged array, in row order, as arrays
-    (rows, cell, a, b, ta, tb): each edge's row, its cell, its ends, and
-    their polar angles about the centre of circle. circle may be None only
-    when there are no ARC_EDGE edges."""
+    (rows, cell, a, b, ta, sweep): each edge's row, its cell, its ends, the
+    polar angle of a about the centre of circle, and the arc's CCW sweep in
+    (0, 2 pi], b's polar angle less ta, plus 2 pi when that is not positive.
+    circle may be None only when there are no ARC_EDGE edges."""
     rows = np.flatnonzero(labels == ARC_EDGE)
     if len(rows) and circle is None:
         raise ValueError("ARC_EDGE edges need the circle they lie on")
     cell = np.repeat(np.arange(len(sizes)), sizes)[rows]
     a, b = ring[rows], ring[ring_next(sizes)[rows]]
     c = np.zeros(2) if circle is None else np.asarray(circle[0], dtype=float)
-    return rows, cell, a, b, _atan2_rows(a - c), _atan2_rows(b - c)
+    ta = _atan2_rows(a - c)
+    sweep = _atan2_rows(b - c) - ta
+    sweep[sweep <= 0.0] += 2.0 * math.pi
+    return rows, cell, a, b, ta, sweep
 
 
-def _segment_area_moment(circle, ta, tb):
+def _segment_area_moment(circle, ta, sweep):
     """Area and first moment ((k,) and (k, 2) arrays) of the circular
-    segment between each chord and its CCW arc of circle from angle ta to
-    tb. The cube of a sine is np.float_power's, which matches math's pow,
-    as np.power does not in the last bit."""
+    segment between each chord and its CCW arc of circle from angle ta
+    through sweep. The cube of a sine is np.float_power's, which matches
+    math's pow, as np.power does not in the last bit."""
     (cx, cy), R = circle
-    sweep = tb - ta
-    while (low := sweep <= 0.0).any():
-        sweep[low] += 2.0 * math.pi
-    # cells are convex, so sweeps stay <= pi (+ rounding)
     area = 0.5 * R * R * (sweep - np.sin(sweep))
     pos = area > 0.0
     area[~pos] = 0.0
@@ -89,9 +89,9 @@ def ring_area_centroid(ring, sizes, labels, circle=None):
     area = 0.5 * np.bincount(owner, cross, n)
     mom = np.column_stack([np.bincount(owner, (a[:, c] + b[:, c]) * cross, n)
                            for c in range(2)]) / 6.0
-    _, cell, _, _, ta, tb = ring_arcs(ring, sizes, labels, circle)
+    _, cell, _, _, ta, sweep = ring_arcs(ring, sizes, labels, circle)
     if len(cell):
-        s_area, s_mom = _segment_area_moment(circle, ta, tb)
+        s_area, s_mom = _segment_area_moment(circle, ta, sweep)
         # ufunc.at adds repeated cells one term at a time, in row order
         np.add.at(area, cell, s_area)
         np.add.at(mom, cell, s_mom)
@@ -370,26 +370,26 @@ _T0, _T1, _S0, _S1 = 5, 6, 7, 8
 
 
 def arc_patches(ring, sizes, labels, circle):
-    """(cell, patches): the polar patch between each ARC_EDGE edge's chord
-    and its CCW arc of circle, a (q, 9) array in row order, and the cell
-    each one belongs to."""
-    _, cell, a, b, ta, tb = ring_arcs(ring, sizes, labels, circle)
+    """(tris, patches, (tri_cell, patch_cell)): the panels between each
+    ARC_EDGE edge's chord and its CCW arc of circle, in row order, and the
+    cell each belongs to, as integrate_panels takes them. Each arc has one
+    polar patch ((q, 9) rows). An arc of sweep pi or more (to 1e-9) has the
+    sector from the centre as its patch, plus the signed triangle
+    (b, a, centre), left out when its area is zero."""
+    _, cell, a, b, ta, sweep = ring_arcs(ring, sizes, labels, circle)
     if not len(cell):
-        return cell, np.zeros((0, 9))
+        return np.zeros((0, 3, 2)), np.zeros((0, 9)), (cell, cell)
     (cx, cy), R = circle
-    tb = tb.copy()
-    while (low := tb <= ta).any():
-        tb[low] += 2.0 * math.pi
-    tm = 0.5 * (ta + tb)
-    # a sweep of pi or more: the chord passes (numerically) through the
-    # centre, e = 0
-    e = np.where(tb - ta < math.pi - 1e-9,
-                 (0.5 * (a[:, 0] + b[:, 0]) - cx) * np.cos(tm)
-                 + (0.5 * (a[:, 1] + b[:, 1]) - cy) * np.sin(tm), 0.0)
-    k = len(cell)
-    return cell, np.column_stack([np.full(k, cx), np.full(k, cy),
-                                  np.full(k, R), e, tm, ta, tb,
-                                  np.zeros(k), np.ones(k)])
+    tm = ta + 0.5 * sweep
+    # a wide arc's chord passes (numerically) through or beyond the centre
+    wide = sweep >= math.pi - 1e-9
+    e = np.where(wide, 0.0, (0.5 * (a[:, 0] + b[:, 0]) - cx) * np.cos(tm)
+                 + (0.5 * (a[:, 1] + b[:, 1]) - cy) * np.sin(tm))
+    tris = np.stack([b, a, np.broadcast_to(circle[0], b.shape)], axis=1)
+    tri = wide & (np.abs(_tri_areas(tris)) > 1e-300)
+    patches = np.column_stack(np.broadcast_arrays(
+        cx, cy, R, e, tm, ta, ta + sweep, 0.0, 1.0))
+    return tris[tri], patches, (cell[tri], cell)
 
 
 def _patch_split(patches):
@@ -509,11 +509,12 @@ def integrate_ring_cells(ring, sizes, labels, f, tol=1e-10, circle=None):
     ARC_EDGE edges lie on circle; a (len(sizes),) array, zero for empty
     cells.
 
-    Panels: each cell's straight part fanned around its vertex mean, and one
-    polar patch between each arc edge's chord and its circle (arc_patches);
-    one globally adaptive integration over all of them, so tol bounds the
-    error estimates summed over every cell."""
-    patch_owner, patches = arc_patches(ring, sizes, labels, circle)
+    Panels: each cell's straight part fanned around its vertex mean, and the
+    panels between each arc edge's chord and its circle (arc_patches); one
+    globally adaptive integration over all of them, so tol bounds the error
+    estimates summed over every cell."""
+    arc_tris, patches, (arc_owner, patch_owner) = arc_patches(
+        ring, sizes, labels, circle)
     tris, tri_owner = np.zeros((0, 3, 2)), np.zeros(0, dtype=int)
     poly = sizes >= 3
     if poly.any():
@@ -526,5 +527,6 @@ def integrate_ring_cells(ring, sizes, labels, f, tol=1e-10, circle=None):
         tri_owner = np.repeat(np.flatnonzero(poly), sizes)
         keep = np.abs(_tri_areas(tris)) > 1e-300
         tris, tri_owner = tris[keep], tri_owner[keep]
-    return integrate_panels(f, tris, patches, tol, (tri_owner, patch_owner),
-                            len(poly))
+    return integrate_panels(f, np.concatenate([tris, arc_tris]), patches, tol,
+                            (np.concatenate([tri_owner, arc_owner]),
+                             patch_owner), len(poly))

@@ -314,32 +314,30 @@ def _assemble(domain, sites, psi, ring, sizes, labels):
                            ring_next(sizes), area, centroid)
 
 
-def cell_cutter(domain, sites, psi):
-    """cut(ring, sizes, labels, cell, indptr, nbrs): the part in cell cell[k]
-    of each convex start piece k of a ragged array, cut by the bisector
-    half-planes {x : <x, p_j - p_i> <= psi_j - psi_i} of site i = cell[k]
-    against the sites j in row i of the CSR rows (indptr, nbrs), cell i's
-    row nbrs[indptr[i]:indptr[i + 1]], new edges labelled j, and then by the
+def cell_cutter(domain, sites, psi, ring, sizes, labels, cell, indptr, nbrs):
+    """The part in cell cell[k] of each convex start piece k of a ragged
+    array (ring, sizes, labels), cut by the bisector half-planes
+    {x : <x, p_j - p_i> <= psi_j - psi_i} of site i = cell[k] against the
+    sites j in row i of the CSR rows (indptr, nbrs), cell i's row
+    nbrs[indptr[i]:indptr[i + 1]], new edges labelled j, and then by the
     domain (domain.clip), at the domain's clip eps. Pass t, one for each
     entry of the longest row, cuts the pieces whose row has a t-th entry,
     all in one clip_halfplane call; each normal is scaled to unit length,
     so eps is a distance, as on ring cells. With every other site in its
-    row and a start piece that holds the domain, a part is cell i itself."""
+    row and a start piece that holds the domain, a part is cell i itself.
+    Returns the ragged array of the parts."""
     eps = clip_eps(domain)
-
-    def cut(ring, sizes, labels, cell, indptr, nbrs):
-        count = np.diff(indptr)
-        for t in range(count.max(initial=0)):
-            k = np.flatnonzero(count[cell] > t)
-            i = cell[k]
-            j = nbrs[indptr[i] + t]
-            d = sites[j] - sites[i]
-            h = np.hypot(d[:, 0], d[:, 1])
-            ring, sizes, labels = clip_halfplane(
-                ring, sizes, labels, d / h[:, None], (psi[j] - psi[i]) / h,
-                j, eps, k)
-        return domain.clip(ring, sizes, labels)
-    return cut
+    count = np.diff(indptr)
+    for t in range(count.max(initial=0)):
+        k = np.flatnonzero(count[cell] > t)
+        i = cell[k]
+        j = nbrs[indptr[i] + t]
+        d = sites[j] - sites[i]
+        h = np.hypot(d[:, 0], d[:, 1])
+        ring, sizes, labels = clip_halfplane(
+            ring, sizes, labels, d / h[:, None], (psi[j] - psi[i]) / h, j,
+            eps, k)
+    return domain.clip(ring, sizes, labels)
 
 
 def compute_measures(diagram, K, tol=1e-10):

@@ -13,6 +13,10 @@ from .geometry import SIDE, integrate_ring_cells, ring_area_centroid
 from .laguerre import cell_cutter
 from .solver import _dense_plane, solve
 
+# the most points on either side of the discrete oracle's transport problem:
+# grid atoms as sources, sites as targets
+MAX_POINTS = 1000
+
 
 @dataclass
 class DiscretePlan:
@@ -180,7 +184,7 @@ def lp_transport(sources, targets):
     ps = np.asarray([t[0] for t in targets], dtype=float)
     nu = np.asarray([t[1] for t in targets], dtype=float)
     m, n = len(mu), len(nu)
-    if m > 1000 or n > 1000:
+    if m > MAX_POINTS or n > MAX_POINTS:
         raise ValueError("instance too large")
     if np.any(mu <= 0) or np.any(nu <= 0):
         raise ValueError("marginal masses must be positive")
@@ -218,7 +222,7 @@ def _grid_atoms(domain, K, target, grid_m):
     centroid, where its atom sits, the atom's mass rescaled to the target
     total, the corners of the grid square the piece was cut from, and the
     piece's area."""
-    if grid_m ** 2 > 1000:
+    if grid_m ** 2 > MAX_POINTS:
         raise ValueError("grid too fine for the discrete oracle")
     grid = grid_cells(domain, grid_m)
     if K.is_constant:
@@ -277,9 +281,10 @@ def _overlap_table(domain, diagram, squares, area):
     lo, hi = _cell_boxes(diagram)
     near = ((sq_lo[:, None] <= hi) & (sq_hi[:, None] >= lo)).all(axis=2)
     cell, j = np.nonzero(near.T)
-    ring, sizes, labels = cell_cutter(domain, diagram.sites, diagram.psi)(
-        squares[j].reshape(-1, 2), np.full(len(j), 4),
-        np.full(4 * len(j), SIDE), cell, *diagram.neighbour_rows())
+    ring, sizes, labels = cell_cutter(
+        domain, diagram.sites, diagram.psi, squares[j].reshape(-1, 2),
+        np.full(len(j), 4), np.full(4 * len(j), SIDE), cell,
+        *diagram.neighbour_rows())
     overlap = np.zeros((len(squares), len(diagram.sites)))
     overlap[j, cell] = ring_area_centroid(ring, sizes, labels,
                                           domain.circle)[0]

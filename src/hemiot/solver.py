@@ -367,12 +367,11 @@ def _cell_rings(diagram):
     before it. Each arc edge is cut into n chords of at most _ARC_STEP
     radians, its n - 1 chord points after its start vertex."""
     circle = diagram.domain.circle
-    rows, cell, _, _, a0, a1 = ring_arcs(diagram.verts, diagram.sizes,
-                                         diagram.labels, circle)
+    rows, cell, _, _, a0, sweep = ring_arcs(diagram.verts, diagram.sizes,
+                                            diagram.labels, circle)
     points, sizes = diagram.verts, diagram.sizes
     if len(rows):
         (cx, cy), r = circle
-        sweep = (a1 - a0) % (2.0 * math.pi)
         n = (sweep / _ARC_STEP).astype(np.intp) + 1
         # chord point s = 1, ..., n - 1 of each arc, at a0 + sweep * s / n
         at = np.repeat(np.arange(len(rows)), n - 1)

@@ -35,9 +35,8 @@ def brute_diagram(domain, sites, psi):
     n = len(sites)
     t = np.arange(n - 1)
     others = t + (t >= np.arange(n)[:, None])
-    cut = cell_cutter(domain, sites, psi)(*_boxes(domain, n), np.arange(n),
-                                           (n - 1) * np.arange(n + 1),
-                                           others.ravel())
+    cut = cell_cutter(domain, sites, psi, *_boxes(domain, n), np.arange(n),
+                      (n - 1) * np.arange(n + 1), others.ravel())
     return _assemble(domain, sites, psi, *cut)
 
 

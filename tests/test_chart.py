@@ -5,8 +5,8 @@ import pytest
 
 from hemiot.chart import c_exp_rows, chart_density, ring_chart_mass
 from hemiot.domains import grid_cells
-from hemiot.geometry import ARC_EDGE, integrate_ring_cells
-from hemiot.targets import chart_disk
+from hemiot.geometry import ARC_EDGE, clip_to_circle, integrate_ring_cells
+from hemiot.targets import chart_disk, region_mass
 
 from .ragged import one_by_one, pieces
 from .reference import chart, cost, great_circle_deviation, metric_in_chart
@@ -110,6 +110,17 @@ def test_chart_masses_of_an_offcenter_disk_match_quadrature():
     region = chart_disk(np.array([0.6, -0.3]), 0.8)
     grid = grid_cells(region, 12)
     _assert_masses_match_quadrature(grid[:3], region.circle, 1e-16)
+
+
+@pytest.mark.parametrize("cut", [0.45, 0.1, 0.3])
+def test_chart_masses_of_an_offcenter_disk_cut_in_two_sum_to_its_mass(cut):
+    # the line x1 = cut leaves the larger piece an arc past half a turn
+    c, s = np.array([0.3, 0.2]), 0.5
+    halves = pieces([(-0.3, -0.4), (cut, -0.4), (cut, 0.8), (-0.3, 0.8)],
+                    [(cut, -0.4), (0.9, -0.4), (0.9, 0.8), (cut, 0.8)])
+    cells = clip_to_circle(*halves, c, s, 1e-12)
+    total = ring_chart_mass(*cells, 1e-13, (c, s)).sum()
+    assert total == pytest.approx(region_mass(chart_disk(c, s)), abs=1e-12)
 
 
 # far out, quadrature cannot certify 1e-13 on smaller cells: the rounding of

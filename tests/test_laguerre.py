@@ -7,7 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hemiot.domains import (ConvexPolygonDomain, DiskDomain, SourceDensity,
-                            clip_eps, constant_density)
+                            clip_eps, constant_density, total_mass)
+from hemiot.geometry import ring_arcs
 from hemiot.laguerre import (LaguerreDiagram, _regular_triangulation, _rings,
                              _rows, _with_sentinels, compute_measures,
                              edge_weights, laguerre_diagram, level_order)
@@ -431,6 +432,21 @@ def test_compute_measures_smooth_density_matches_total():
     G, _ = compute_measures(diag, K, tol=1e-11)
     ref, _ = total_mass(domain, K, tol=1e-11)
     assert G.sum() == pytest.approx(ref, rel=1e-9)
+
+
+@pytest.mark.parametrize("psi1", [0.0, 0.3, 0.6, -0.4])
+def test_compute_measures_of_an_arc_past_half_a_turn_sum_to_the_total(psi1):
+    # two sites whose bisector misses the centre: one cell's arc sweeps
+    # more than half a turn, and its masses still add up to the domain's
+    domain = DiskDomain(np.array([0.1, -0.2]), 1.0)
+    K = SourceDensity(fn=lambda p: 1.0 + 0.3 * p[:, 0] + 0.2 * p[:, 1] ** 2)
+    diag = laguerre_diagram(domain, np.array([[-0.5, 0.0], [0.5, 0.1]]),
+                            np.array([0.0, psi1]))
+    sweep = ring_arcs(diag.verts, diag.sizes, diag.labels, domain.circle)[5]
+    assert sweep.max() > math.pi + 0.1
+    G, _ = compute_measures(diag, K, tol=1e-12)
+    assert G.sum() == pytest.approx(total_mass(domain, K, tol=1e-12)[0],
+                                    abs=1e-11)
 
 
 def test_edge_weights_two_cell_instance():

@@ -13,7 +13,7 @@ from hemiot.domains import (ConvexPolygonDomain, DiskDomain, SourceDensity,
                             total_mass)
 from hemiot.geometry import (ARC_EDGE, QuadratureError, arc_patches,
                              clip_to_circle, integrate_panels,
-                             integrate_ring_cells)
+                             integrate_ring_cells, ring_area_centroid)
 from hemiot.laguerre import compute_measures, laguerre_diagram
 
 from .ragged import one_by_one, pieces
@@ -49,6 +49,27 @@ def test_triangles_and_patches_integrate_the_same_disk():
     assert pieces[0] == pytest.approx(total_mass(
         DiskDomain(np.array([0.1, -0.2]), 0.7), SourceDensity(fn=_smooth),
         tol=1e-12)[0], rel=1e-11)
+
+
+@pytest.mark.parametrize("sweep", [0.5, math.pi - 1e-10, math.pi + 0.4,
+                                   1.5 * math.pi, 1.9 * math.pi])
+def test_arc_panels_integrate_the_circular_segment(sweep):
+    # one cell of two vertices, an arc a -> b and its chord back: on either
+    # side of a half turn, a unit density integrates to the segment's area
+    # and x1 to its first moment, ring_area_centroid's closed forms
+    c, R, t0 = np.array([0.1, -0.2]), 0.7, 0.4
+    ends = c + R * np.array([[math.cos(t0), math.sin(t0)],
+                             [math.cos(t0 + sweep), math.sin(t0 + sweep)]])
+    cell = (ends, np.array([2]), np.array([ARC_EDGE, 0]))
+    area, centroid = ring_area_centroid(*cell, (c, R))
+    assert area[0] == pytest.approx(0.5 * R * R * (sweep - math.sin(sweep)),
+                                    rel=1e-12)
+    one = integrate_ring_cells(*cell, lambda p: np.ones(len(p)), 1e-13,
+                               (c, R))
+    x1 = integrate_ring_cells(*cell, lambda p: p[:, 0], 1e-13, (c, R))
+    assert one[0] == pytest.approx(area[0], rel=1e-12, abs=1e-15)
+    assert x1[0] == pytest.approx(area[0] * centroid[0, 0], rel=1e-12,
+                                  abs=1e-15)
 
 
 def test_same_cell_gives_identical_bytes():

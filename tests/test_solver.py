@@ -369,6 +369,38 @@ def test_report_counts_built_and_discarded_diagrams(monkeypatch):
     assert rep.start_residual > rep.final_residual
 
 
+def test_newton_gives_up_when_no_trial_is_accepted(monkeypatch):
+    # a zero Newton direction leaves the residual where it is, so each
+    # trial from tau = 1 down to 2^-11 is rejected and the solve stops
+    import hemiot.solver as solver_mod
+    monkeypatch.setattr(solver_mod, "_newton_step",
+                        lambda diagram, K, G, nu: np.zeros(len(nu)))
+    target = DiscreteTarget(np.array([[1.0, 0.0], [-1.0, 0.0]]),
+                            np.array([0.25, 0.75]))
+    rep = solve(SQUARE, K1, target, tol=1e-12).report
+    assert not rep.converged
+    assert rep.iterations == 1
+    assert rep.diagrams_built == 13
+    assert rep.diagrams_discarded == 12
+    assert rep.final_residual == rep.start_residual > 0.0
+
+
+@pytest.mark.parametrize("share", [0.5, 0.7, 0.9])
+def test_two_sites_with_an_arc_past_half_a_turn_converge(share):
+    # the bisector misses the centre, so the larger cell's arc sweeps more
+    # than half a turn; its mass must count the triangle between the
+    # chord and the centre for Newton to converge
+    domain = DiskDomain(np.zeros(2), 0.6)
+    K = SourceDensity(fn=lambda p: 1.0 + 0.5 * p[:, 0])
+    mass = total_mass(domain, K, tol=1e-13)[0]
+    target = DiscreteTarget(np.array([[-0.3, 0.1], [0.4, -0.2]]),
+                            np.array([share * mass, (1.0 - share) * mass]),
+                            total=mass)
+    rep = solve(domain, K, target, tol=1e-8).report
+    assert rep.converged
+    assert rep.iterations <= 4
+
+
 @pytest.mark.parametrize("domain, target", [
     (SQUARE, DiscreteTarget(np.array([[1.0, 0.2], [-1.0, 0.0], [0.1, 0.7]]),
                             np.array([0.3, 0.3, 0.4]))),
