@@ -338,7 +338,8 @@ def build_target(spec, N, source_mass, path="target"):
 def _diagram_counts(sol):
     return {"diagrams_built": sol.report.diagrams_built,
             "diagrams_discarded": sol.report.diagrams_discarded,
-            "start_residual": sol.report.start_residual}
+            "start_residual": sol.report.start_residual,
+            "stop": sol.report.stop}
 
 
 _SOLVE = {
@@ -405,11 +406,10 @@ def _cmd_solve(v, out):
 def _cmd_export(v, out):
     sol, verdicts, meas, times = _solve_instance(v, out)
     sizes, ring = _cell_rings(sol.diagram)
-    ends = np.cumsum(sizes).tolist()
+    head = np.repeat(np.cumsum(sizes) - sizes, sizes)
     write_csv(os.path.join(out, "cells.csv"), ("site", "k", "x1", "x2"),
-              ((i, k, x, y) for i, (e, m) in enumerate(zip(ends,
-                                                           sizes.tolist()))
-               for k, (x, y) in enumerate(ring[e - m:e].tolist())))
+              (np.repeat(np.arange(len(sizes)), sizes),
+               np.arange(len(ring)) - head, *ring.T))
     verdicts = {"converged": verdicts["converged"]}
     return verdicts, meas, times
 
@@ -428,7 +428,7 @@ def _cmd_sphere(v, out):
                                 max_iter=v["max_iter"], n_eval=v["n_eval"],
                                 seed=v["seed"])
     write_csv(os.path.join(out, "samples.csv"), rep.sample_header,
-              rep.samples)
+              rep.samples.T)
     # the sample rows and the cached point locator are done with: free them
     # before the solution table and the mesh are written
     rep.samples = None
@@ -485,7 +485,7 @@ def _cmd_blowup(v, out):
                                  max_iter=v["max_iter"])
     solution_to_csv(sol, os.path.join(out, "solution.csv"))
     write_csv(os.path.join(out, "samples.csv"), rep.sample_header,
-              rep.samples)
+              rep.samples.T)
     trunc_frac = rep.truncation_excluded / v["samples"]
     verdicts = {
         "converged": bool(rep.converged),
@@ -534,7 +534,7 @@ def _cmd_oracle(v, out):
     ceiling = agreement_ceiling(plan, member, target)
     cert = monotonicity_certificate(plan)
     write_csv(os.path.join(out, "samples.csv"), ("source", "target", "mass"),
-              plan.entries)
+              (plan.source, plan.target, plan.mass))
     solution_to_csv(sol, os.path.join(out, "solution.csv"))
     verdicts = {
         "converged": bool(sol.report.converged),
@@ -548,7 +548,7 @@ def _cmd_oracle(v, out):
         "plan_cost": plan.cost, "grid_m": v["grid_m"],
         "max_support_slack": plan.max_support_slack,
         "min_reduced_cost": plan.min_reduced_cost,
-        "n_plan_entries": len(plan.entries),
+        "n_plan_entries": len(plan.mass),
         "lp_pivots": plan.pivots,
         **_diagram_counts(sol),
     }
@@ -594,7 +594,7 @@ def _cmd_lemmas(v, out):
                                 seed=v["seed"])
              for th in v["thetas"]]
     write_csv(os.path.join(out, "samples.csv"), cone.sample_header,
-              cone.samples)
+              cone.samples.T)
     verdicts = {
         "cone_inclusion": bool(cone.max_excess == 0.0),
         "cone_negative_control": bool(cone.negative_control_excess > 0.0),

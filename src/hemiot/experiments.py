@@ -182,7 +182,7 @@ class ConeInclusionReport:
     max_excess: float
     negative_control_excess: float
     worst_trial: int
-    samples: list              # rows of sample_header, one per trial
+    samples: np.ndarray        # (trials, 3) float rows of sample_header
 
 
 def cone_inclusion_check(domain, trials, n_points=10000, seed=0):
@@ -218,14 +218,14 @@ def cone_inclusion_check(domain, trials, n_points=10000, seed=0):
         w = math.sqrt((1.0 + 4.0 * geo.R0) * d0)
         return max(0.0, float(np.linalg.norm(pts - xb, axis=1).max()) - w)
 
-    max_excess, worst, rows = 0.0, -1, []
+    max_excess, worst, samples = 0.0, -1, np.empty((trials, 3))
     for k in range(trials):
         d0 = math.exp(rng.uniform(math.log(1e-6), math.log(d_cap)))
         a = rng.uniform(0.0, 2.0 * math.pi)
         spec = make_cone_spec(
             domain, c + (R - d0) * np.array([math.cos(a), math.sin(a)]), geo)
         ex = excess(spec, spec.theta, spec.d0)
-        rows.append((float(spec.d0), float(spec.theta), ex))
+        samples[k] = spec.d0, spec.theta, ex
         if ex > max_excess:
             max_excess, worst = ex, k
 
@@ -234,7 +234,7 @@ def cone_inclusion_check(domain, trials, n_points=10000, seed=0):
     spec = make_cone_spec(domain, c + (R - d0) * np.array([1.0, 0.0]), geo)
     neg = excess(spec, 2.0 * spec.theta, d0)
 
-    return ConeInclusionReport(trials, max_excess, neg, worst, rows)
+    return ConeInclusionReport(trials, max_excess, neg, worst, samples)
 
 
 @dataclass

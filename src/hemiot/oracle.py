@@ -16,13 +16,17 @@ from .solver import _dense_plane, solve
 # the most points on either side of the discrete oracle's transport problem:
 # grid atoms as sources, sites as targets
 MAX_POINTS = 1000
+# the most pivots the transportation simplex takes before it gives up
+_MAX_PIVOTS = 200000
 
 
 @dataclass
 class DiscretePlan:
-    """Support of a transport plan between weighted point clouds, with the
-    recovered duals and optimality certificates."""
-    entries: list                 # (source_index, target_index, mass)
+    """Support of a transport plan between weighted point clouds, sorted by
+    (source, target), with the recovered duals and optimality certificates."""
+    source: np.ndarray            # source index of each support entry
+    target: np.ndarray            # target index of each support entry
+    mass: np.ndarray              # mass of each support entry
     sources: np.ndarray           # (m, 2) positions
     source_masses: np.ndarray
     targets: np.ndarray           # (n, 2) positions
@@ -108,7 +112,7 @@ def _simplex(C, mu, nu):
     _hang(rows, m, adj, pot, parent, depth, 0, -1)
     duals = np.array(pot)           # u = duals[:m], v = duals[m:]
     bland = False
-    for pivots in range(200000):
+    for pivots in range(_MAX_PIVOTS):
         rc = C - duals[:m, None] - duals[None, m:]
         rc[basic] = 0.0
         first = int((rc < -1e-12).argmax() if bland else rc.argmin())
@@ -163,15 +167,16 @@ def _simplex(C, mu, nu):
 
 def _transport_basis(C, mu, nu):
     """Optimal basic plan of the transportation problem (C, mu, nu) as
-    sorted (source, target, mass) entries, with the duals and the number of
-    simplex pivots. The roundoff between the two totals is absorbed into
-    the largest source."""
+    (source, target, mass) arrays of its support, sorted by (source, target),
+    with the duals and the number of simplex pivots. The roundoff between
+    the two totals is absorbed into the largest source."""
     mu = mu.copy()
     mu[int(np.argmax(mu))] += nu.sum() - mu.sum()
     flows, u, v, pivots = _simplex(C, list(mu), list(nu))
-    entries = sorted((j, i, float(f)) for (j, i), f in flows.items()
-                     if f > 1e-15)
-    return entries, u, v, pivots
+    (j, i), f = np.array(list(flows)).T, np.array(list(flows.values()))
+    keep = np.lexsort((i, j))
+    keep = keep[f[keep] > 1e-15]
+    return j[keep], i[keep], f[keep], u, v, pivots
 
 
 def lp_transport(sources, targets):
@@ -191,11 +196,11 @@ def lp_transport(sources, targets):
     if abs(mu.sum() - nu.sum()) > 1e-12 * max(mu.sum(), nu.sum()):
         raise ValueError("marginals are infeasible (total masses differ)")
     Cf = -(xs @ ps.T)
-    entries, u, v, pivots = _transport_basis(Cf, mu, nu)
-    cost = sum(Cf[j, i] * f for j, i, f in entries)
-    slack = max((abs(Cf[j, i] - u[j] - v[i]) for j, i, f in entries), default=0.0)
+    j, i, f, u, v, pivots = _transport_basis(Cf, mu, nu)
+    cost = sum((Cf[j, i] * f).tolist())
+    slack = np.abs(Cf[j, i] - u[j] - v[i]).max(initial=0.0)
     rc = (Cf - u[:, None] - v[None, :]).min()
-    return DiscretePlan(entries, xs, mu, ps, nu, u, v, float(cost),
+    return DiscretePlan(j, i, f, xs, mu, ps, nu, u, v, float(cost),
                         float(slack), float(rc), pivots)
 
 
@@ -203,12 +208,11 @@ def monotonicity_certificate(plan):
     """min <x - x', p - p'> over pairs of supported couplings; nonnegative
     (to roundoff) exactly when the support is monotone."""
     floor = 1e-15 * max(plan.source_masses.sum(), 1e-300)
-    pairs = np.array([(j, i) for j, i, m in plan.entries if m > floor],
-                     dtype=int).reshape(-1, 2)
-    if len(pairs) < 2:
+    keep = plan.mass > floor
+    if keep.sum() < 2:
         return 0.0
-    x, p = plan.sources[pairs[:, 0]], plan.targets[pairs[:, 1]]
-    a, b = np.triu_indices(len(pairs), 1)
+    x, p = plan.sources[plan.source[keep]], plan.targets[plan.target[keep]]
+    a, b = np.triu_indices(len(x), 1)
     dx, dp = x[a], p[a]
     dx -= x[b]
     dp -= p[b]
@@ -293,7 +297,7 @@ def _overlap_table(domain, diagram, squares, area):
 
 def _overlap_agreement(plan, member):
     """Share of the plan's mass on atom/site pairs that overlap."""
-    agree = sum(m for j, i, m in plan.entries if member[j, i])
+    agree = sum(plan.mass[member[plan.source, plan.target]].tolist())
     return float(agree / plan.source_masses.sum())
 
 
@@ -330,8 +334,8 @@ def agreement_ceiling(plan, member, target):
     true maximum. It scores with the same table, so the measured fraction
     exceeds it by rounding at most; a gap between the two is the LP's
     choice among plans of equal cost."""
-    entries = _transport_basis(-member.astype(float), plan.source_masses,
-                               plan.target_masses)[0]
-    agree = sum(m for j, i, m in entries if member[j, i])
+    j, i, f = _transport_basis(-member.astype(float), plan.source_masses,
+                               plan.target_masses)[:3]
+    agree = sum(f[member[j, i]].tolist())
     return float(agree / target.total)
 

@@ -40,6 +40,8 @@ class SolveReport:
     diagrams_built: int            # Laguerre diagrams the solve built
     diagrams_discarded: int        # rejected line-search trials
     start_residual: float          # ||G - nu||_1 / total mass at the start
+    stop: str                      # why the loop ended: "tol", "line_search"
+                                   # (no tau >= 2^-11 accepted) or "max_iter"
 
 
 @dataclass
@@ -166,9 +168,10 @@ def solve(domain, K, target, tol=1e-6, max_iter=100):
     mass at least eps0 (half the least target or start mass) and the l1
     residual falls by the factor 1 - tau/2.
 
-    Returns a Solution whose report records convergence; the residual is the
-    l1 mass mismatch relative to the total. Raises MassBalanceError when the
-    target total does not match the source mass."""
+    Returns a Solution whose report records convergence and why the loop
+    stopped; the residual is the l1 mass mismatch relative to the total.
+    Raises MassBalanceError when the target total does not match the source
+    mass."""
     t_start = time.perf_counter()
     sites = np.asarray(target.sites, dtype=float)
     nu = np.asarray(target.masses, dtype=float)
@@ -207,9 +210,13 @@ def solve(domain, K, target, tol=1e-6, max_iter=100):
     history = [float(G.min())]
     discarded = 0
     it = 0
-    converged = resid <= tol * total
-
-    while not converged and it < max_iter:
+    while True:
+        if resid <= tol * total:
+            stop = "tol"
+            break
+        if it >= max_iter:
+            stop = "max_iter"
+            break
         it += 1
         d = _newton_step(diagram, K, G, nu)
         tau = 1.0
@@ -229,20 +236,20 @@ def solve(domain, K, target, tol=1e-6, max_iter=100):
             tau *= 0.5
             discarded += 1
         if not accepted:
+            stop = "line_search"
             break
         history.append(float(G.min()))
-        converged = resid <= tol * total
 
-    rep = SolveReport(bool(converged), it, resid / total, history,
+    rep = SolveReport(stop == "tol", it, resid / total, history,
                       diagram.is_connected(), time.perf_counter() - t_start,
-                      built, discarded, start_resid)
+                      built, discarded, start_resid, stop)
     return Solution(domain, K, target, psi, diagram, G, rep)
 
 
-# rows per block wherever points or sample rows are worked through in turn:
+# rows per block wherever points or table rows are worked through in turn:
 # the dense scan's scores take 1024 * N * 8 bytes instead of a points x
 # sites matrix, the locator's (point, neighbour) pairs 1024 * degree, and
-# write_csv turns 1024 array rows at a time into Python floats
+# write_csv and export_mesh turn 1024 rows at a time into Python scalars
 _EVAL_BLOCK = 1024
 # rounds of the neighbour walk before a point goes to the dense scan
 _WALK_ROUNDS = 8
@@ -454,29 +461,26 @@ def export_mesh(solution, path):
     return path
 
 
-def write_csv(path, header, rows):
-    """Write a header line and one line per row, each value as its repr.
-    rows is an (m, k) float ndarray, turned into Python floats _EVAL_BLOCK
-    rows at a time, or an iterable of rows of Python scalars
+def write_csv(path, header, columns):
+    """Write a header line and one line per row of columns, equal-length 1-D
+    int or float arrays, each value as the repr of its Python scalar: the
+    columns are turned into Python scalars _EVAL_BLOCK rows at a time
     (ndarray.tolist()), since a numpy scalar's repr names its type."""
-    if isinstance(rows, np.ndarray):
-        arr = rows
-        rows = (row for s in range(0, len(arr), _EVAL_BLOCK)
-                for row in arr[s:s + _EVAL_BLOCK].tolist())
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(map(repr, row)) + "\n")
+        for s in range(0, len(columns[0]), _EVAL_BLOCK):
+            block = [col[s:s + _EVAL_BLOCK].tolist() for col in columns]
+            fh.writelines(",".join(map(repr, row)) + "\n"
+                          for row in zip(*block))
     return path
 
 
 def solution_to_csv(solution, path):
     """Deterministic per-site table: weights, achieved and target masses,
     cell areas and centroids."""
-    table = np.column_stack([solution.sites, solution.psi,
-                             solution.target.masses, solution.masses,
-                             solution.diagram.area, solution.diagram.centroid])
-    rows = ([i, *row] for s in range(0, len(table), _EVAL_BLOCK)
-            for i, row in enumerate(table[s:s + _EVAL_BLOCK].tolist(), s))
+    dg = solution.diagram
     return write_csv(path, ("site", "p1", "p2", "psi", "nu", "mass", "area",
-                            "centroid1", "centroid2"), rows)
+                            "centroid1", "centroid2"),
+                     (np.arange(len(solution.psi)), *solution.sites.T,
+                      solution.psi, solution.target.masses, solution.masses,
+                      dg.area, *dg.centroid.T))

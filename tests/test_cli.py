@@ -429,6 +429,7 @@ def test_oracle_compare_reports_lp_pivots(tmp_path):
     assert run(doc) == 0
     report = json.loads((tmp_path / "oc" / "report.json").read_text())
     assert 0 < report["measurements"]["lp_pivots"] < 500
+    assert report["measurements"]["stop"] == "tol"
 
 
 def test_oracle_compare_keeps_max_iter(tmp_path, capsys):
@@ -444,6 +445,7 @@ def test_oracle_compare_keeps_max_iter(tmp_path, capsys):
     assert main(["--config", _write(tmp_path, "oc.json", doc)]) == 3
     report = json.loads((tmp_path / "oc" / "report.json").read_text())
     assert report["verdicts"]["converged"] is False
+    assert report["measurements"]["stop"] == "max_iter"
     assert report["measurements"]["diagrams_built"] <= 2
 
 
@@ -899,7 +901,7 @@ def test_export_files_match_the_per_cell_writer(tmp_path, monkeypatch, doc):
     # cells.csv and mesh.obj, read off the diagram's arrays, equal the
     # per-cell writer byte for byte, on disks, where cells have arcs, and on
     # a polygon
-    from hemiot.solver import solve, write_csv
+    from hemiot.solver import solve
     solved = []
     monkeypatch.setattr(cli, "solve", lambda *a, **k: solved.append(
         solve(*a, **k)) or solved[-1])
@@ -909,13 +911,13 @@ def test_export_files_match_the_per_cell_writer(tmp_path, monkeypatch, doc):
     assert bool((sol.diagram.labels == ARC_EDGE).any()) \
         == (doc["domain"]["kind"] == "disk")
     circle = sol.domain.circle
-    ref = write_csv(str(tmp_path / "ref.csv"), ("site", "k", "x1", "x2"),
-                    ((c.site_index, k, float(x), float(y))
-                     for c in sol.diagram.cells if not c.is_empty
-                     for k, (x, y) in enumerate(_cell_polyline(c, circle))))
+    rows = [(c.site_index, k, float(x), float(y))
+            for c in sol.diagram.cells if not c.is_empty
+            for k, (x, y) in enumerate(_cell_polyline(c, circle))]
+    ref = "site,k,x1,x2\n" + "".join(",".join(map(repr, row)) + "\n"
+                                     for row in rows)
     out = tmp_path / "ex"
-    with open(ref, "rb") as fh:
-        assert (out / "cells.csv").read_bytes() == fh.read()
+    assert (out / "cells.csv").read_bytes() == ref.encode()
     assert (out / "mesh.obj").read_text() == _per_cell_mesh(sol)
 
 

@@ -23,9 +23,14 @@ SQUARE = ConvexPolygonDomain(np.array([[-0.5, -0.5], [0.5, -0.5],
 
 def _marginals(plan):
     """The plan's row and column sums, each added up in entry order."""
-    j, i, m = np.array(plan.entries).T
-    return (np.bincount(j.astype(int), m, len(plan.source_masses)),
-            np.bincount(i.astype(int), m, len(plan.target_masses)))
+    return (np.bincount(plan.source, plan.mass, len(plan.source_masses)),
+            np.bincount(plan.target, plan.mass, len(plan.target_masses)))
+
+
+def _support(plan, floor):
+    """The (source, target) pairs that carry more than floor."""
+    keep = plan.mass > floor
+    return set(zip(plan.source[keep].tolist(), plan.target[keep].tolist()))
 
 
 def _random_lp(seed, m, n):
@@ -41,8 +46,8 @@ def _random_lp(seed, m, n):
 def test_one_by_one():
     plan = lp_transport([(np.array([0.3, 0.1]), 2.0)],
                         [(np.array([1.0, -1.0]), 2.0)])
-    assert len(plan.entries) == 1
-    assert plan.entries[0][2] == pytest.approx(2.0)
+    assert len(plan.mass) == 1
+    assert plan.mass[0] == pytest.approx(2.0)
     assert plan.cost == pytest.approx(-(0.3 - 0.1) * 2.0)
 
 
@@ -51,11 +56,11 @@ def test_two_by_two_monotone_matching():
     sources = [(np.array([-1.0, 0.0]), 1.0), (np.array([1.0, 0.0]), 1.0)]
     targets = [(np.array([-2.0, 0.0]), 1.0), (np.array([2.0, 0.0]), 1.0)]
     plan = lp_transport(sources, targets)
-    support = {(j, i) for j, i, m in plan.entries if m > 1e-12}
-    assert support == {(0, 0), (1, 1)}
+    assert _support(plan, 1e-12) == {(0, 0), (1, 1)}
     assert monotonicity_certificate(plan) >= -1e-10
     # an anti-monotone rearrangement certifies as such
-    bad = DiscretePlan(entries=[(0, 1, 1.0), (1, 0, 1.0)],
+    bad = DiscretePlan(source=np.array([0, 1]), target=np.array([1, 0]),
+                       mass=np.array([1.0, 1.0]),
                        sources=plan.sources, source_masses=plan.source_masses,
                        targets=plan.targets, target_masses=plan.target_masses,
                        duals_source=plan.duals_source,
@@ -78,8 +83,7 @@ def test_matches_brute_force_on_square_instances():
         C = -(xs @ ps.T)
         rows, perm = linear_sum_assignment(C)
         assert plan.cost == pytest.approx(C[rows, perm].sum(), abs=1e-12)
-        support = {(j, i) for j, i, m in plan.entries if m > 1e-9}
-        assert support == {(j, perm[j]) for j in range(n)}
+        assert _support(plan, 1e-9) == {(j, perm[j]) for j in range(n)}
 
 
 def test_marginals_and_duals():
@@ -90,6 +94,9 @@ def test_marginals_and_duals():
     rows, cols = _marginals(plan)
     assert np.abs(rows - mu).max() <= 1e-12 * mu.max()
     assert np.abs(cols - nu).max() <= 1e-12 * nu.max()
+    # the support is sorted by (source, target)
+    assert np.array_equal(np.lexsort((plan.target, plan.source)),
+                          np.arange(len(plan.mass)))
     # complementary slackness and dual feasibility of the recovered prices
     assert plan.max_support_slack <= 1e-10
     assert plan.min_reduced_cost >= -1e-10
@@ -187,7 +194,7 @@ def test_degenerate_instances_terminate_at_the_optimum():
         C = -(xs @ ps.T)
         rows, cols = linear_sum_assignment(C)
         assert plan.cost == pytest.approx(C[rows, cols].sum(), abs=1e-11), n
-        assert sorted(f for _, _, f in plan.entries) == [1.0] * n
+        assert sorted(plan.mass.tolist()) == [1.0] * n
         assert plan.max_support_slack <= 1e-10
         assert plan.min_reduced_cost >= -1e-10
 
@@ -376,3 +383,51 @@ def test_overlap_table_box_test_keeps_the_all_pairs_table(monkeypatch, domain,
     assert np.array_equal(table, _all_pairs_table(domain, sol, squares, area))
     assert len(cuts) == 1
     assert 0 < cuts[0] <= 0.2 * len(squares) * sol.diagram.nonempty.sum()
+
+
+def _two_by_two_lp():
+    # the northwest-corner start pairs x_0 with p_0 and x_1 with p_1, the
+    # anti-monotone coupling: one pivot is needed to reach the optimum
+    return ([(np.array([-1.0, 0.0]), 1.0), (np.array([1.0, 0.0]), 1.0)],
+            [(np.array([2.0, 0.0]), 1.0), (np.array([-2.0, 0.0]), 1.0)])
+
+
+def test_simplex_reports_its_pivot_cap(monkeypatch):
+    import hemiot.oracle as oracle
+    assert lp_transport(*_two_by_two_lp()).pivots == 1
+    monkeypatch.setattr(oracle, "_MAX_PIVOTS", 1)
+    with pytest.raises(RuntimeError, match="simplex did not terminate after "
+                                           "1 pivots on an 2×2 problem"):
+        lp_transport(*_two_by_two_lp())
+
+
+def _final_root_walk(monkeypatch, final):
+    # run final(nodes, pot) on what the simplex's last walk of the whole
+    # tree from row 0 returns; the first walk from row 0 builds the start
+    import hemiot.oracle as oracle
+    hang, roots = oracle._hang, []
+
+    def wrapped(rows, m, adj, pot, parent, depth, s, t):
+        nodes = hang(rows, m, adj, pot, parent, depth, s, t)
+        if t < 0:
+            roots.append(s)
+            if len(roots) == 2:
+                return final(nodes, pot)
+        return nodes
+    monkeypatch.setattr(oracle, "_hang", wrapped)
+
+
+def test_simplex_rejects_a_disconnected_basis_tree(monkeypatch):
+    _final_root_walk(monkeypatch, lambda nodes, pot: [0])
+    with pytest.raises(RuntimeError, match="^disconnected basis tree$"):
+        lp_transport(*_two_by_two_lp())
+
+
+def test_simplex_rejects_drifted_duals(monkeypatch):
+    def shifted(nodes, pot):
+        pot[:] = [x + 1.0 for x in pot]
+        return nodes
+    _final_root_walk(monkeypatch, shifted)
+    with pytest.raises(RuntimeError, match="incremental duals drifted 1 from "
+                                           "those of the basis tree"):
+        lp_transport(*_two_by_two_lp())

@@ -234,21 +234,24 @@ def test_blocked_locator_is_bit_identical_in_bounded_memory():
 
 
 def test_write_csv_of_an_array_writes_its_python_floats(tmp_path):
-    # an (m, k) float array, across a block boundary, writes the bytes of
-    # its tolist() rows
+    # an int column and the columns of an (m, k) float array, across a block
+    # boundary, write the bytes of the reprs of their tolist() rows
     from hemiot.solver import _EVAL_BLOCK, write_csv
     rng = np.random.default_rng(3)
     arr = rng.standard_normal((2500, 3)) * 10.0 ** rng.integers(-300, 300,
                                                                  (2500, 3))
     arr[0] = [-0.0, 0.0, 1e-320]
     assert len(arr) > 2 * _EVAL_BLOCK
-    header = ("a", "b", "c")
-    a = write_csv(str(tmp_path / "a.csv"), header, arr)
-    b = write_csv(str(tmp_path / "b.csv"), header, arr.tolist())
-    with open(a, "rb") as fa, open(b, "rb") as fb:
+    site = np.arange(len(arr))
+    a = write_csv(str(tmp_path / "a.csv"), ("site", "a", "b", "c"),
+                  (site, *arr.T))
+    with open(a, "rb") as fa:
         text = fa.read()
-        assert text == fb.read()
-    assert text.splitlines()[1] == b"-0.0,0.0,1e-320"
+    ref = "site,a,b,c\n" + "".join(
+        ",".join(map(repr, [i, *row])) + "\n"
+        for i, row in zip(site.tolist(), arr.tolist()))
+    assert text == ref.encode()
+    assert text.splitlines()[1] == b"0,-0.0,0.0,1e-320"
 
 
 def test_gauss_map_lands_on_hemisphere():
@@ -358,6 +361,7 @@ def test_report_counts_built_and_discarded_diagrams(monkeypatch):
                         domain.area)
     rep = solve(domain, K1, target, tol=1e-8).report
     assert rep.converged and rep.diagrams_discarded
+    assert rep.stop == "tol"
     assert rep.diagrams_built == len(built)
     # every rejected trial is discarded; the start and one diagram per
     # accepted step are kept
@@ -379,10 +383,24 @@ def test_newton_gives_up_when_no_trial_is_accepted(monkeypatch):
                             np.array([0.25, 0.75]))
     rep = solve(SQUARE, K1, target, tol=1e-12).report
     assert not rep.converged
+    assert rep.stop == "line_search"
     assert rep.iterations == 1
     assert rep.diagrams_built == 13
     assert rep.diagrams_discarded == 12
     assert rep.final_residual == rep.start_residual > 0.0
+
+
+def test_newton_stops_when_its_steps_run_out():
+    # the off-centre cap of test_report_counts_built_and_discarded_diagrams
+    # needs more than one step; with one allowed the solve stops there
+    domain = DiskDomain(np.zeros(2), 0.8)
+    target = discretize(chart_disk(np.array([1.0, 0.5]), 2.0), 80,
+                        domain.area)
+    rep = solve(domain, K1, target, tol=1e-8, max_iter=1).report
+    assert rep.stop == "max_iter"
+    assert not rep.converged
+    assert rep.iterations == 1
+    assert rep.final_residual > 1e-8
 
 
 @pytest.mark.parametrize("share", [0.5, 0.7, 0.9])
