@@ -118,7 +118,7 @@ class LaguerreDiagram:
         cell reaches every nonempty cell."""
         live = self.nonempty
         reached = level_order(*self.neighbour_rows(), int(live.argmax()))
-        return bool(live[reached].sum() == live.sum())
+        return bool(reached[live].all())
 
 
 def _rows(n, pairs):
@@ -134,30 +134,20 @@ def _rows(n, pairs):
 
 
 def level_order(indptr, nbrs, start=0):
-    """The nodes of the graph of CSR rows (indptr, nbrs), each row
-    ascending, in breadth-first order from node start: each level lists its
-    nodes in the order of their first parent, each parent's children in
-    index order (Cuthill and McKee 1969). Nodes that start does not reach
-    are left out. A level is its candidates' first occurrences, picked in
-    one pass: first[v] is the least position of node v among the
-    candidates, and a node is a candidate of one level only."""
+    """Boolean mask of the nodes that a breadth-first search from node start
+    reaches in the graph of CSR rows (indptr, nbrs): its connected
+    component. Each pass gathers the rows of the last level at once."""
     cnt = np.diff(indptr)
     seen = np.zeros(len(cnt), dtype=bool)
     seen[start] = True
-    first = np.full(len(cnt), len(nbrs))
     level = np.array([start], dtype=np.intp)
-    levels = [level]
     while len(level):
         c = cnt[level]
         head = np.cumsum(c) - c
         kids = nbrs[np.arange(c.sum()) + np.repeat(indptr[level] - head, c)]
-        kids = kids[~seen[kids]]
-        pos = np.arange(len(kids))
-        np.minimum.at(first, kids, pos)
-        level = kids[first[kids] == pos]
+        level = np.unique(kids[~seen[kids]])
         seen[level] = True
-        levels.append(level)
-    return np.concatenate(levels)
+    return seen
 
 
 def _validate_sites(sites):

@@ -120,36 +120,33 @@ def _radial_profile_psi(domain, sites, nu):
 def _newton_step(diagram, K, G, nu):
     """Solve (D - W) d = G - nu with the gauge d[0] = 0. On a connected cell
     graph the gauge-fixed Laplacian L[1:, 1:] is an irreducibly diagonally
-    dominant M-matrix, so it is positive definite: in the breadth-first
-    order of level_order over the diagram's neighbour graph, whose edges
-    edge_weights weighs, it is a band matrix, factored by LAPACK's banded
-    Cholesky without pivoting. Raises ConvergenceError when the cell graph
-    is not connected."""
-    from scipy.linalg import solveh_banded
+    dominant M-matrix, so it is positive definite: assembled as a sparse
+    matrix from the pairs that edge_weights weighs, it is factored once by
+    SuperLU in symmetric mode (minimum-degree order on its pattern, pivots
+    kept on the diagonal) and solved once. Raises ConvergenceError when the
+    cell graph is not connected."""
+    from scipy.sparse import csc_matrix
+    from scipy.sparse.linalg import splu
 
     n = len(nu)
     pairs, w = edge_weights(diagram, K)
-    order = level_order(*diagram.neighbour_rows())
-    if len(order) < n:
+    reached = level_order(*diagram.neighbour_rows())
+    if not reached.all():
         raise ConvergenceError(
-            f"the cell graph is not connected: the breadth-first order from "
-            f"site 0 did not reach {n - len(order)} of {n} sites")
+            f"the cell graph is not connected: the breadth-first search from "
+            f"site 0 did not reach {n - reached.sum()} of {n} sites")
     i, j = pairs.T
     deg = np.bincount(i, w, n) + np.bincount(j, w, n)
-    # each site's unknown in the order; site 0 is the gauge and drops out
-    pos = np.empty(n, dtype=np.intp)
-    pos[order] = np.arange(-1, n - 1)
-    r, c = pos[i], pos[j]
-    inner = (r >= 0) & (c >= 0)
-    hi, span = np.maximum(r, c)[inner], np.abs(r - c)[inner]
-    bw = int(span.max(initial=0))
-    # LAPACK upper band storage: ab[bw + r - c, c] = L[r, c] for r <= c
-    ab = np.zeros((bw + 1, n - 1), order="F")
-    ab[bw - span, hi] = -w[inner]
-    ab[bw] = deg[order[1:]]
+    # site 0 is the gauge and drops out: the pairs i < j that remain have
+    # i > 0, and site k's unknown is row k - 1
+    inner, diag = i > 0, np.arange(1, n)
+    r = np.concatenate([i[inner], j[inner], diag]) - 1
+    c = np.concatenate([j[inner], i[inner], diag]) - 1
+    L = csc_matrix((np.concatenate([-w[inner], -w[inner], deg[1:]]), (r, c)),
+                   shape=(n - 1, n - 1))
     d = np.zeros(n)
-    d[order[1:]] = solveh_banded(ab, (G - nu)[order[1:]], overwrite_ab=True,
-                                 check_finite=False)
+    d[1:] = splu(L, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                 options={"SymmetricMode": True}).solve((G - nu)[1:])
     return d
 
 

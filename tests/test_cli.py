@@ -279,10 +279,8 @@ def test_importing_the_package_loads_no_scipy():
 
 
 def test_solve_loads_no_sparse_graph_module():
-    # the connectivity check labels components with numpy and the Newton
-    # step solves through scipy.linalg's band solver, so a solve loads
-    # neither scipy.sparse.csgraph (about 1 MB of resident memory) nor
-    # scipy.sparse.linalg (about 2 MB)
+    # the connectivity check searches the cell graph with numpy, so a solve
+    # does not load scipy.sparse.csgraph (about 1 MB of resident memory)
     loaded = _scipy_modules_after(
         "import math\nimport numpy as np\n"
         "from hemiot.domains import DiskDomain, constant_density\n"
@@ -292,8 +290,7 @@ def test_solve_loads_no_sparse_graph_module():
         "            discretize(chart_disk(np.zeros(2), 0.8), 30,\n"
         "                       math.pi * 0.25))\n"
         "assert sol.report.converged and sol.report.connected")
-    assert not [m for m in loaded if m.startswith(("scipy.sparse.linalg",
-                                                   "scipy.sparse.csgraph"))]
+    assert not [m for m in loaded if m.startswith("scipy.sparse.csgraph")]
 
 
 def test_nonconvergence_exit_code(tmp_path, capsys):

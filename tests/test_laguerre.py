@@ -621,7 +621,7 @@ def _is_connected(live, rows):
 @pytest.mark.parametrize("seed", range(8))
 def test_component_labels_match_breadth_first_search(seed):
     # random sparse graphs, from nearly edgeless to one component: the
-    # breadth-first order from each node covers its component, and
+    # breadth-first search from each node reaches its component, and
     # is_connected holds exactly when the live nodes share one
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 300))
@@ -631,8 +631,7 @@ def test_component_labels_match_breadth_first_search(seed):
     rows = _rows(n, pairs)
     comp = _bfs_components(n, pairs)
     for s in range(n):
-        assert sorted(level_order(*rows, s).tolist()) \
-            == np.flatnonzero(comp == comp[s]).tolist()
+        assert np.array_equal(level_order(*rows, s), comp == comp[s])
     part = comp == comp[rng.integers(n)]
     for live in (np.ones(n, dtype=bool), rng.random(n) < 0.5, part,
                  part & (rng.random(n) < 0.5)):
@@ -648,13 +647,13 @@ def test_component_labels_of_two_components():
     pairs = np.unique(np.sort(pairs, axis=1), axis=0)
     rows = _rows(n, pairs)
     assert np.array_equal(_bfs_components(n, pairs), np.arange(n) % 2)
-    assert level_order(*rows, 0).tolist() == list(range(0, n, 2))
-    assert level_order(*rows, 1).tolist() == list(range(1, n, 2))
+    assert np.array_equal(level_order(*rows, 0), np.arange(n) % 2 == 0)
+    assert np.array_equal(level_order(*rows, 1), np.arange(n) % 2 == 1)
     assert not _is_connected(np.ones(n, dtype=bool), rows)
     assert _is_connected(np.arange(n) % 2 == 1, rows)
     rows = _rows(3, np.empty((0, 2), int))
-    assert [level_order(*rows, s).tolist() for s in range(3)] \
-        == [[0], [1], [2]]
+    assert np.array_equal([level_order(*rows, s) for s in range(3)],
+                          np.eye(3, dtype=bool))
     assert not _is_connected(np.ones(3, dtype=bool), rows)
     assert _is_connected(np.arange(3) == 2, rows)
 

@@ -1,5 +1,7 @@
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -15,8 +17,7 @@ from hemiot.solver import (ConvergenceError, MassBalanceError, _newton_step,
                            _radial_profile_psi, export_mesh, solution_to_csv,
                            solve)
 from hemiot.targets import (DiscreteTarget, chart_disk, chart_polygon,
-                            discretize, full_hemisphere, region_mass,
-                            truncation_radius_for)
+                            discretize, full_hemisphere, region_mass)
 
 SQUARE = ConvexPolygonDomain(np.array([[-0.5, -0.5], [0.5, -0.5],
                                        [0.5, 0.5], [-0.5, 0.5]]))
@@ -540,94 +541,68 @@ def _start_system(domain, target):
     return diagram, G, target.masses
 
 
-def _bandwidth(order, pairs):
-    # the half-bandwidth of L[1:, 1:] with its rows in the given order
-    pos = np.empty(len(order), dtype=np.intp)
-    pos[order] = np.arange(len(order))
-    r, c = pos[pairs].T
-    inner = (r > 0) & (c > 0)
-    return int(np.abs(r - c)[inner].max(initial=0))
+def _wheel_system(m):
+    # the Voronoi wheel on the unit disk: site 0 at the origin and m sites
+    # on the circle of radius 0.5, at psi = |p|^2 / 2, so cell 0 borders
+    # all m rim cells; its cell masses, and equal target masses
+    a = 2.0 * math.pi * np.arange(m) / m
+    sites = np.concatenate([np.zeros((1, 2)),
+                            0.5 * np.column_stack([np.cos(a), np.sin(a)])])
+    diagram = laguerre_diagram(DiskDomain(np.zeros(2), 1.0), sites,
+                               0.5 * (sites ** 2).sum(axis=1))
+    G, _ = compute_measures(diagram, K1, 1e-12)
+    return diagram, G, np.full(m + 1, G.sum() / (m + 1))
 
 
 def test_level_order_is_breadth_first_by_first_parent():
-    # site 0's children 2 and 3 form level 1; in level 2, 2's children 1
-    # and 5 come before 3's child 4: a level follows its first parents
-    pairs = np.array([[0, 2], [0, 3], [1, 2], [2, 5], [3, 4], [4, 5]])
-    assert level_order(*_rows(6, pairs)).tolist() == [0, 2, 3, 1, 5, 4]
     # a site that site 0 does not reach is left out
     assert level_order(*_rows(4, np.array([[0, 1], [2, 3]]))).tolist() \
-        == [0, 1]
+        == [True, True, False, False]
 
 
 def _breadth_first(n, pairs):
-    # plain-Python breadth-first search from site 0: each level's sites in
-    # the order of their first parent, each parent's children in index order
+    # plain-Python breadth-first search from site 0: the sites it reaches
     adj = [[] for _ in range(n)]
     for i, j in pairs.tolist():
         adj[i].append(j)
         adj[j].append(i)
-    order, seen, level = [0], {0}, [0]
-    while level:
-        nxt = []
-        for v in level:
-            for w in sorted(adj[v]):
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        order += nxt
-        level = nxt
-    return order
+    queue, seen = [0], {0}
+    for v in queue:
+        for w in adj[v]:
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return sorted(queue)
 
 
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("degree", [0.3, 0.9, 2.0, 6.0])
 def test_level_order_matches_a_plain_breadth_first_search(seed, degree):
     # random graphs of n sites and about degree * n / 2 edges: below one
-    # edge per site they fall apart, and the order covers site 0's part
+    # edge per site they fall apart, and the search reaches site 0's part
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 400))
     i, j = rng.integers(0, n, (2, int(degree * n / 2)))
     pairs = np.unique(np.column_stack([np.minimum(i, j), np.maximum(i, j)])
                       [i != j], axis=0).reshape(-1, 2)
-    order = level_order(*_rows(n, pairs))
-    assert order.tolist() == _breadth_first(n, pairs)
+    reached = level_order(*_rows(n, pairs))
+    assert np.flatnonzero(reached).tolist() == _breadth_first(n, pairs)
     if degree < 1.0:
-        assert len(order) < n
+        assert not reached.all()
 
 
-@pytest.mark.parametrize("domain, region, N, n, bound", [
-    (DiskDomain(np.zeros(2), 0.6), chart_disk(np.zeros(2), 0.9), 500, 416,
-     40),
-    (DiskDomain(np.zeros(2), 0.6), chart_disk(np.zeros(2), 0.75), 2000,
-     1600, 90),
-    (DiskDomain(np.zeros(2), 1.0),
-     full_hemisphere(truncation_radius_for(math.pi * 1e-4)), 2000, 1988, 70),
-], ids=["smooth-416", "sphere-1600", "blowup-1988"])
-def test_level_order_bandwidth_stays_under_its_bound(domain, region, N, n,
-                                                     bound):
-    # the band solve costs about n bw^2 flops and (bw + 1) n doubles; on
-    # the first Newton systems of the smooth, sphere and blowup benchmark
-    # solves bw measured 32, 72 and 56, about 1.3-1.8 sqrt(n); the bounds
-    # allow 25% more
-    target = discretize(region, N, domain.area)
-    assert len(target) == n
-    diagram, _, _ = _start_system(domain, target)
-    pairs, _ = edge_weights(diagram, K1)
-    order = level_order(*diagram.neighbour_rows())
-    assert sorted(order.tolist()) == list(range(n))
-    assert _bandwidth(order, pairs) <= bound
-
-
-@pytest.mark.parametrize("domain, target", [
-    (SQUARE, DiscreteTarget(np.array([[0.3, 0.1], [-0.4, 0.2]]),
-                            np.array([0.4, 0.6]))),
-    (DiskDomain(np.zeros(2), 0.6),
-     discretize(chart_disk(np.zeros(2), 0.75), 40, math.pi * 0.36)),
-], ids=["two-sites", "disk-36"])
-def test_newton_step_matches_a_dense_solve(domain, target):
-    # the band solve against numpy's dense LU on L[1:, 1:], to rounding;
-    # two sites give a 1 x 1 system of bandwidth 0
-    diagram, G, nu = _start_system(domain, target)
+@pytest.mark.parametrize("system", [
+    lambda: _start_system(SQUARE, DiscreteTarget(
+        np.array([[0.3, 0.1], [-0.4, 0.2]]), np.array([0.4, 0.6]))),
+    lambda: _start_system(DiskDomain(np.zeros(2), 0.6), discretize(
+        chart_disk(np.zeros(2), 0.75), 40, math.pi * 0.36)),
+    lambda: _wheel_system(200),
+], ids=["two-sites", "disk-36", "wheel-201"])
+def test_newton_step_matches_a_dense_solve(system):
+    # the sparse factor against numpy's dense LU on L[1:, 1:], to rounding;
+    # two sites give a 1 x 1 system, and the wheel's hub cell borders all
+    # 200 others, so its row of L is full
+    diagram, G, nu = system()
     d = _newton_step(diagram, K1, G, nu)
     n = len(nu)
     pairs, w = edge_weights(diagram, K1)
@@ -643,26 +618,53 @@ def test_newton_step_matches_a_dense_solve(domain, target):
 def test_newton_step_on_a_disconnected_graph_raises(monkeypatch):
     # sites 2 and 3 have empty cells, so the graph is the one edge 0-1: no
     # factorization is tried, and the message counts the sites that the
-    # order from site 0 did not reach
+    # search from site 0 did not reach
     sites = np.array([[-0.3, 0.0], [0.3, 0.0], [0.0, 0.3], [0.0, -0.3]])
     diagram = laguerre_diagram(SQUARE, sites, np.array([0.0, 0.0, 50.0, 50.0]))
     assert diagram.adjacency_edges().tolist() == [[0, 1]]
-    monkeypatch.setattr("scipy.linalg.solveh_banded", None)
+    monkeypatch.setattr("scipy.sparse.linalg.splu", None)
     with pytest.raises(ConvergenceError, match="did not reach 2 of 4 sites"):
         _newton_step(diagram, K1, np.full(4, 0.3), np.full(4, 0.25))
 
 
+def test_newton_step_on_a_hub_cell_stays_sparse():
+    # the hub of a 4001-site wheel borders every other cell, so no order
+    # narrows a band of L[1:, 1:] below n: 128 MB of doubles. The sparse
+    # factor of this arrow matrix keeps O(n) entries. Run in a fresh
+    # interpreter with its imports done first, and read the peak resident
+    # set (VmHWM), since SuperLU allocates outside Python's allocator
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.join(root, "src")
+    code = (
+        "import numpy as np, scipy.spatial, scipy.sparse.linalg\n"
+        "from hemiot.solver import _newton_step\n"
+        "from tests.test_solver import K1, _wheel_system\n"
+        "def peak():\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        return next(int(line.split()[1]) for line in fh\n"
+        "                    if line.startswith('VmHWM:'))\n"
+        "diagram, G, nu = _wheel_system(4000)\n"
+        "assert np.diff(diagram.neighbour_rows()[0])[0] == 4000\n"
+        "before = peak()\n"
+        "_newton_step(diagram, K1, G, nu)\n"
+        "print(peak() - before)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, root]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert int(out.split()[-1]) < 32 * 1024
+
+
 def test_one_band_solve_per_newton_step(monkeypatch):
-    # the Newton step calls scipy.linalg.solveh_banded once, looked up at
-    # call time, so a span wrapped around it sees every linear solve
-    import scipy.linalg
-    band_solve = scipy.linalg.solveh_banded
+    # the Newton step factors once, through scipy.sparse.linalg.splu looked
+    # up at call time, so a span wrapped around it sees every linear solve
+    import scipy.sparse.linalg
+    factor = scipy.sparse.linalg.splu
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(args[0].shape)
-        return band_solve(*args, **kwargs)
-    monkeypatch.setattr(scipy.linalg, "solveh_banded", counted)
+        return factor(*args, **kwargs)
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counted)
     domain = DiskDomain(np.zeros(2), 0.8)
     target = discretize(chart_disk(np.array([1.0, 0.5]), 2.0), 80,
                         domain.area)
@@ -670,4 +672,4 @@ def test_one_band_solve_per_newton_step(monkeypatch):
     # rejected trials build diagrams but solve nothing
     assert rep.converged and rep.diagrams_discarded
     assert len(calls) == rep.iterations
-    assert all(shape[1] == len(target) - 1 for shape in calls)
+    assert all(shape == (len(target) - 1,) * 2 for shape in calls)
