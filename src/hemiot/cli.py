@@ -332,14 +332,9 @@ def build_target(spec, N, source_mass, path="target"):
 # pipelines.  Each is declared beside its function: the top-level fields and
 # params keys it reads beyond _CONFIG's.  The pipeline gets the values read
 # against both, writes its CSV artifacts through write_csv and returns
-# (verdicts, measurements, timings).
-
-
-def _diagram_counts(sol):
-    return {"diagrams_built": sol.report.diagrams_built,
-            "diagrams_discarded": sol.report.diagrams_discarded,
-            "start_residual": sol.report.start_residual,
-            "stop": sol.report.stop}
+# (solution, verdicts, measurements): the Solution of its solve, or None,
+# and its own verdicts and measurements.  run adds the solve's verdict,
+# record and time (_solve_record).
 
 
 _SOLVE = {
@@ -373,7 +368,7 @@ def _source(v):
     return domain, K, mass, regime
 
 
-def _solve_instance(v, out):
+def _cmd_solve(v, out):
     domain, K, mass, regime = _source(v)
     target = build_target(v["target"], v["N"], mass)
     sol = solve(domain, K, target, tol=v["tol"], max_iter=v["max_iter"])
@@ -382,36 +377,22 @@ def _solve_instance(v, out):
     area_err = abs(sum(sol.diagram.area.tolist())
                    - domain.area) / domain.area
     verdicts = {
-        "converged": bool(sol.report.converged),
         "mass_balance": bool(sol.report.final_residual <= v["tol"]),
         "area_identity": bool(area_err <= 1e-9),
     }
-    meas = {
-        "n_sites": len(target), "source_mass": mass, "regime": regime,
-        "residual": sol.report.final_residual,
-        "iterations": sol.report.iterations,
-        **_diagram_counts(sol),
-        "area_error": area_err,
-        "connected": bool(sol.report.connected),
-        "rescale_factor": target.rescale_factor,
-    }
-    return sol, verdicts, meas, {"solve_s": sol.report.runtime}
-
-
-def _cmd_solve(v, out):
-    _, verdicts, meas, times = _solve_instance(v, out)
-    return verdicts, meas, times
+    meas = {"source_mass": mass, "regime": regime, "area_error": area_err,
+            "rescale_factor": target.rescale_factor}
+    return sol, verdicts, meas
 
 
 def _cmd_export(v, out):
-    sol, verdicts, meas, times = _solve_instance(v, out)
+    sol, _, meas = _cmd_solve(v, out)
     sizes, ring = _cell_rings(sol.diagram)
     head = np.repeat(np.cumsum(sizes) - sizes, sizes)
     write_csv(os.path.join(out, "cells.csv"), ("site", "k", "x1", "x2"),
               (np.repeat(np.arange(len(sizes)), sizes),
                np.arange(len(ring)) - head, *ring.T))
-    verdicts = {"converged": verdicts["converged"]}
-    return verdicts, meas, times
+    return sol, {}, meas
 
 
 _SPHERE = {
@@ -423,7 +404,6 @@ _SPHERE = {
 
 
 def _cmd_sphere(v, out):
-    t0 = time.perf_counter()
     rep, sol = sphere_benchmark(v["r"], v["N"], tol=v["tol"],
                                 max_iter=v["max_iter"], n_eval=v["n_eval"],
                                 seed=v["seed"])
@@ -436,20 +416,16 @@ def _cmd_sphere(v, out):
     solution_to_csv(sol, os.path.join(out, "solution.csv"))
     export_mesh(sol, os.path.join(out, "mesh.obj"))
     verdicts = {
-        "converged": bool(rep.converged),
         "gradient_sup_error": bool(rep.grad_error <= 5e-2),
         "height_sup_error": bool(rep.height_error <= 5e-2),
         "cap_inclusion": bool(rep.cap_excess <= 1e-9),
     }
     meas = {
-        "r": rep.r, "n_sites": rep.n_sites,
-        "site_spacing": rep.site_spacing, "grad_error": rep.grad_error,
-        "height_error": rep.height_error, "cap_excess": rep.cap_excess,
-        "residual": rep.residual, "iterations": rep.iterations,
-        **_diagram_counts(sol),
+        "r": rep.r, "site_spacing": rep.site_spacing,
+        "grad_error": rep.grad_error, "height_error": rep.height_error,
+        "cap_excess": rep.cap_excess,
     }
-    return verdicts, meas, {"solve_s": rep.runtime,
-                            "benchmark_s": time.perf_counter() - t0}
+    return sol, verdicts, meas
 
 
 _BLOWUP = {
@@ -478,7 +454,6 @@ def _cmd_blowup(v, out):
         raise ConfigError(
             "config.density: the blowup pipeline supports constant "
             "curvature 1")
-    t0 = time.perf_counter()
     rep, sol = blowup_experiment(v["samples"], delta=v["delta"], N=v["N"],
                                  C0=v["C0"], tail_epsilon=v["tail_epsilon"],
                                  seed=v["seed"], tol=v["tol"],
@@ -488,22 +463,20 @@ def _cmd_blowup(v, out):
               rep.samples.T)
     trunc_frac = rep.truncation_excluded / v["samples"]
     verdicts = {
-        "converged": bool(rep.converged),
         "no_bound_violations": not rep.violations,
         "truncation_fraction": bool(trunc_frac < 0.05),
         "gradient_agreement": bool(rep.agreement_max_rel_err <= 0.10),
     }
     meas = {
         "Lambda": rep.Lambda, "d_max": rep.d_max, "P_max": rep.P_max,
-        "n_sites": rep.n_sites, "n_violations": len(rep.violations),
+        "n_violations": len(rep.violations),
         "truncation_excluded": rep.truncation_excluded,
         "agreement_max_rel_err": rep.agreement_max_rel_err,
         "max_ray_backstep": rep.max_ray_backstep,
-        "iterations": rep.iterations, "delta": rep.delta, "C0": rep.C0,
+        "delta": rep.delta, "C0": rep.C0,
         "L": rep.L, "R0": rep.R0, "violations": rep.violations,
-        **_diagram_counts(sol),
     }
-    return verdicts, meas, {"blowup_s": time.perf_counter() - t0}
+    return sol, verdicts, meas
 
 
 _ORACLE = {
@@ -528,7 +501,6 @@ def _cmd_oracle(v, out):
     if len(target.sites) > MAX_POINTS:
         raise ConfigError(f"config.target.sites: the discrete oracle handles "
                           f"at most {MAX_POINTS}, got {len(target.sites)}")
-    t0 = time.perf_counter()
     fraction, plan, sol, member = semidiscrete_agreement(
         domain, K, target, v["grid_m"], tol=v["tol"], max_iter=v["max_iter"])
     ceiling = agreement_ceiling(plan, member, target)
@@ -537,7 +509,6 @@ def _cmd_oracle(v, out):
               (plan.source, plan.target, plan.mass))
     solution_to_csv(sol, os.path.join(out, "solution.csv"))
     verdicts = {
-        "converged": bool(sol.report.converged),
         "agreement": bool(fraction >= v["threshold"]),
         "monotonicity": bool(cert >= -1e-10),
         "dual_feasibility": bool(plan.min_reduced_cost >= -1e-10),
@@ -550,9 +521,8 @@ def _cmd_oracle(v, out):
         "min_reduced_cost": plan.min_reduced_cost,
         "n_plan_entries": len(plan.mass),
         "lp_pivots": plan.pivots,
-        **_diagram_counts(sol),
     }
-    return verdicts, meas, {"oracle_s": time.perf_counter() - t0}
+    return sol, verdicts, meas
 
 
 _LEMMAS = {
@@ -586,7 +556,6 @@ def _cmd_lemmas(v, out):
         raise ConfigError("config.params.t_values: expected a nonempty list "
                           f"of t in (0, 2 d0), d0 = {spec.d0:.6g}")
 
-    t0 = time.perf_counter()
     cone = cone_inclusion_check(domain, v["trials"], n_points=v["n_points"],
                                 seed=v["seed"])
     sl = slice_estimate_check(domain, t_values, spec)
@@ -612,7 +581,7 @@ def _cmd_lemmas(v, out):
         "estar": [{"theta": r.theta, "measured": r.measured,
                    "bound": r.bound, "stderr": r.stderr} for r in estar],
     }
-    return verdicts, meas, {"lemmas_s": time.perf_counter() - t0}
+    return None, verdicts, meas
 
 
 # command -> (pipeline, declaration)
@@ -649,6 +618,19 @@ def _sha256(path):
         for chunk in iter(lambda: fh.read(1 << 16), b""):
             h.update(chunk)
     return h.hexdigest()
+
+
+def _solve_record(sol):
+    """(verdicts, record, timings): what a report says of the solve that
+    produced sol.  The record holds only figures that repeat from run to
+    run; the time goes to the timings."""
+    rep = sol.report
+    record = {"n_sites": len(sol.target), "residual": rep.final_residual,
+              "iterations": rep.iterations, "connected": bool(rep.connected),
+              "diagrams_built": rep.diagrams_built,
+              "diagrams_discarded": rep.diagrams_discarded,
+              "start_residual": rep.start_residual, "stop": rep.stop}
+    return {"converged": bool(rep.converged)}, record, {"solve_s": rep.runtime}
 
 
 def _write_report(out, config, verdicts, measurements, timings, error=None):
@@ -693,7 +675,7 @@ def run(config):
     os.makedirs(out, exist_ok=True)
     t0 = time.perf_counter()
     try:
-        verdicts, meas, times = pipeline(values, out)
+        sol, verdicts, meas = pipeline(values, out)
     except MassBalanceError as exc:
         raise ConfigError(f"config.target: {exc}")
     except CellMeasureError as exc:
@@ -706,6 +688,10 @@ def run(config):
                       error=str(exc))
         print(f"{command}: NO CONVERGENCE ({exc})", file=sys.stderr)
         return 3
+    times = {}
+    if sol is not None:
+        solved, record, times = _solve_record(sol)
+        verdicts, meas = solved | verdicts, meas | record
     times["total_s"] = time.perf_counter() - t0
     report = _write_report(out, echo, verdicts, meas, times)
     status = "PASS" if report["passed"] else "FAIL"

@@ -387,27 +387,6 @@ def _cell_rings(diagram):
     return sizes, points
 
 
-def _first_seen_ids(rows):
-    """(ids, first) for an (m, k) array: ids[r] numbers row r's value from
-    1 in order of first appearance, and first lists the row where each
-    value first appears, in that order. Rows are equal when their entries
-    compare equal, so -0.0 and 0.0 are one value, as they are one dict
-    key. A stable sort of the rows puts each value's first row first."""
-    perm = np.lexsort(rows.T[::-1])
-    new = np.zeros(len(rows), dtype=bool)
-    new[:1] = True
-    for col in rows.T:
-        col = col[perm]
-        new[1:] |= col[1:] != col[:-1]
-    first = perm[new]
-    order = np.argsort(first)
-    rank = np.empty(len(first), dtype=np.intp)
-    rank[order] = np.arange(1, len(first) + 1)
-    ids = np.empty(len(rows), dtype=np.intp)
-    ids[perm] = rank[np.cumsum(new) - 1]
-    return ids, first[order]
-
-
 def export_mesh(solution, path):
     """Write the graph of the potential as a watertight OBJ surface, one
     planar polygon per nonempty cell, with per-face normals set to the
@@ -423,11 +402,18 @@ def export_mesh(solution, path):
     np.multiply(np.repeat(p0, sizes), keys[:, 0], out=z)
     z += np.repeat(p1, sizes) * keys[:, 1]
     z -= np.repeat(solution.psi, sizes)
-    # one vertex per point rounded to 9 decimals (np.round), numbered in
-    # order of first appearance and printed as first seen
+    # one vertex per point rounded to 9 decimals (np.round), numbered from 1
+    # in order of first appearance and printed as first seen; np.unique
+    # compares rows entry by entry, so -0.0 and 0.0 are one vertex
     np.round(keys, 9, out=keys)
-    ids, first = _first_seen_ids(keys)
-    verts = keys[first]
+    _, first, inverse = np.unique(keys, axis=0, return_index=True,
+                                  return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty(len(first), dtype=np.intp)
+    rank[order] = np.arange(1, len(first) + 1)
+    # NumPy 2.0.0 gives inverse a trailing axis
+    ids = rank[inverse.reshape(-1)]
+    verts = keys[first[order]]
     del keys, z
     # a face drops each point that repeats the id of the point before it in
     # its ring (the last point before the first), and is kept with three or

@@ -38,16 +38,17 @@ UNIT_DISK = DiskDomain(np.zeros(2), 1.0)
 
 def test_criterion_1_sphere_benchmark():
     t0 = time.time()
-    rep, _ = sphere_benchmark(0.6, 2000, tol=1e-6, max_iter=50, seed=0)
+    rep, sol = sphere_benchmark(0.6, 2000, tol=1e-6, max_iter=50, seed=0)
     wall = time.time() - t0
-    assert rep.converged
-    assert rep.residual <= 1e-6          # already relative to total mass
-    assert rep.iterations <= 50
+    solved = sol.report
+    assert solved.converged
+    assert solved.final_residual <= 1e-6  # already relative to total mass
+    assert solved.iterations <= 50
     assert rep.grad_error <= 5e-2
     assert rep.height_error <= 5e-2
     assert wall <= 60.0
-    print(f"criterion 1: PASS — residual {rep.residual:.3g}, "
-          f"{rep.iterations} iterations, grad sup {rep.grad_error:.3g}, "
+    print(f"criterion 1: PASS — residual {solved.final_residual:.3g}, "
+          f"{solved.iterations} iterations, grad sup {rep.grad_error:.3g}, "
           f"height sup {rep.height_error:.3g}, {wall:.1f} s")
 
 
@@ -208,8 +209,8 @@ def test_criterion_4_chart_identities():
 
 
 def test_criterion_5_blowup():
-    rep, _ = blowup_experiment(1000, delta=0.5, N=4000, C0=1.0, seed=0)
-    assert rep.converged
+    rep, sol = blowup_experiment(1000, delta=0.5, N=4000, C0=1.0, seed=0)
+    assert sol.report.converged
     assert all(d <= rep.d_max for d, *_ in rep.samples)
     assert rep.violations == []
     trunc_frac = rep.truncation_excluded / len(rep.samples)

@@ -464,41 +464,60 @@ def test_oracle_compare_builds_the_overlap_table_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-# one small config per pipeline, each with the timing keys it reports
-CLOCK_DOCS = {
-    "solve": (SOLVE_DOC, {"solve_s", "total_s"}),
-    "sphere-benchmark": ({"command": "sphere-benchmark", "N": 60,
-                          "params": {"r": 0.6, "n_eval": 500}},
-                         {"solve_s", "benchmark_s", "total_s"}),
-    "blowup": ({"command": "blowup", "N": 400, "params": {"samples": 50}},
-               {"blowup_s", "total_s"}),
-    "oracle-compare": ({"command": "oracle-compare",
-                        "domain": {"kind": "disk", "radius": 0.6},
-                        "target": {"kind": "chart_disk", "radius": 0.75},
-                        "N": 6, "params": {"grid_m": 8, "threshold": 0.6}},
-                       {"oracle_s", "total_s"}),
-    "lemmas": ({"command": "lemmas",
-                "params": {"trials": 5, "n_points": 400,
-                           "estar_samples": 1000, "thetas": [0.1]}},
-               {"lemmas_s", "total_s"}),
+# one small config per pipeline; every command but lemmas solves
+RUN_DOCS = {
+    "solve": SOLVE_DOC,
+    "export": dict(SOLVE_DOC, command="export"),
+    "sphere-benchmark": {"command": "sphere-benchmark", "N": 60,
+                         "params": {"r": 0.6, "n_eval": 500}},
+    "blowup": {"command": "blowup", "N": 400, "params": {"samples": 50}},
+    "oracle-compare": {"command": "oracle-compare",
+                       "domain": {"kind": "disk", "radius": 0.6},
+                       "target": {"kind": "chart_disk", "radius": 0.75},
+                       "N": 6, "params": {"grid_m": 8, "threshold": 0.6}},
+    "lemmas": {"command": "lemmas",
+               "params": {"trials": 5, "n_points": 400,
+                          "estar_samples": 1000, "thetas": [0.1]}},
 }
+SOLVE_RECORD = {"n_sites", "residual", "iterations", "connected",
+                "diagrams_built", "diagrams_discarded", "start_residual",
+                "stop"}
 
 
-@pytest.mark.parametrize("command", sorted(CLOCK_DOCS))
+@pytest.mark.parametrize("command", sorted(RUN_DOCS))
 def test_timings_are_durations_on_a_monotonic_clock(tmp_path, monkeypatch,
                                                      command):
-    # a wall clock that is set back during the run, here on every read,
-    # must not make a duration negative
+    # a solving command's report carries the solve record, the converged
+    # verdict and the timings solve_s and total_s; lemmas only total_s.  A
+    # wall clock that is set back during the run, here on every read, must
+    # not make a duration negative
     wall = [2e9]
 
     def stepping_back():
         wall[0] -= 1.0
         return wall[0]
     monkeypatch.setattr(time, "time", stepping_back)
-    doc, keys = CLOCK_DOCS[command]
-    run(dict(doc, out=str(tmp_path / "o"), seed=0))
-    timings = json.loads((tmp_path / "o" / "report.json").read_text())["timings"]
-    assert set(timings) == keys
+    records = []
+    solve_record = cli._solve_record
+
+    def recorded(sol):
+        records.append(solve_record(sol))
+        return records[-1]
+    monkeypatch.setattr(cli, "_solve_record", recorded)
+    run(dict(RUN_DOCS[command], out=str(tmp_path / "o"), seed=0))
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    timings = report["timings"]
+    if command == "lemmas":
+        assert records == []
+        assert "converged" not in report["verdicts"]
+        assert not SOLVE_RECORD & set(report["measurements"])
+        assert set(timings) == {"total_s"}
+    else:
+        (verdicts, record, _), = records
+        assert set(record) == SOLVE_RECORD
+        assert record.items() <= report["measurements"].items()
+        assert report["verdicts"]["converged"] is verdicts["converged"]
+        assert set(timings) == {"solve_s", "total_s"}
     assert all(t >= 0.0 for t in timings.values())
 
 

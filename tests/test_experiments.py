@@ -18,8 +18,8 @@ UNIT_DISK = DiskDomain(np.zeros(2), 1.0)
 
 def test_sphere_benchmark_small():
     rep, sol = sphere_benchmark(0.6, 250, seed=0)
-    assert rep.converged
-    assert rep.residual <= 1e-6
+    assert sol.report.converged
+    assert sol.report.final_residual <= 1e-6
     assert rep.grad_error < 0.12
     assert rep.height_error < 0.02
     # live cells stay below the spherical cap plane
@@ -29,8 +29,8 @@ def test_sphere_benchmark_small():
 def test_sphere_benchmark_refines():
     errs = []
     for N in (250, 500, 1000):
-        rep, _ = sphere_benchmark(0.6, N, seed=0)
-        assert rep.converged
+        rep, sol = sphere_benchmark(0.6, N, seed=0)
+        assert sol.report.converged
         errs.append(rep.grad_error)
     assert errs[2] < errs[0]
     assert errs[2] < 0.05
@@ -117,7 +117,7 @@ def test_gauss_map_image_check_matches_a_dense_reference():
 
 def test_blowup_structure_and_constants():
     rep, sol = blowup_experiment(samples=150, N=400, seed=0)
-    assert rep.converged
+    assert sol.report.converged
     assert rep.Lambda == pytest.approx(0.27483519595189988, rel=1e-12)
     assert rep.d_max == pytest.approx(1.0 / 640.0, rel=1e-12)
     assert rep.P_max == pytest.approx(99.99499987499375, rel=1e-12)

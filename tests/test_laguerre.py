@@ -619,7 +619,7 @@ def _is_connected(live, rows):
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_component_labels_match_breadth_first_search(seed):
+def test_level_order_and_is_connected_match_breadth_first_search(seed):
     # random sparse graphs, from nearly edgeless to one component: the
     # breadth-first search from each node reaches its component, and
     # is_connected holds exactly when the live nodes share one
@@ -638,7 +638,7 @@ def test_component_labels_match_breadth_first_search(seed):
         assert _is_connected(live, rows) == (len(set(comp[live])) <= 1)
 
 
-def test_component_labels_of_two_components():
+def test_level_order_and_is_connected_on_two_interleaved_paths():
     # two paths whose nodes interleave, numbered against their order
     n = 40
     a, b = np.arange(0, n, 2)[::-1], np.arange(1, n, 2)[::-1]

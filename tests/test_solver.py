@@ -554,7 +554,7 @@ def _wheel_system(m):
     return diagram, G, np.full(m + 1, G.sum() / (m + 1))
 
 
-def test_level_order_is_breadth_first_by_first_parent():
+def test_level_order_leaves_out_sites_not_reached():
     # a site that site 0 does not reach is left out
     assert level_order(*_rows(4, np.array([[0, 1], [2, 3]]))).tolist() \
         == [True, True, False, False]
@@ -654,7 +654,7 @@ def test_newton_step_on_a_hub_cell_stays_sparse():
     assert int(out.split()[-1]) < 32 * 1024
 
 
-def test_one_band_solve_per_newton_step(monkeypatch):
+def test_one_sparse_factor_per_newton_step(monkeypatch):
     # the Newton step factors once, through scipy.sparse.linalg.splu looked
     # up at call time, so a span wrapped around it sees every linear solve
     import scipy.sparse.linalg
