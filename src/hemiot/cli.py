@@ -472,7 +472,6 @@ def _cmd_blowup(v, out):
         "n_violations": len(rep.violations),
         "truncation_excluded": rep.truncation_excluded,
         "agreement_max_rel_err": rep.agreement_max_rel_err,
-        "max_ray_backstep": rep.max_ray_backstep,
         "delta": rep.delta, "C0": rep.C0,
         "L": rep.L, "R0": rep.R0, "violations": rep.violations,
     }

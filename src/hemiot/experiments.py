@@ -101,7 +101,6 @@ class BlowupReport:
     truncation_excluded: int
     P_max: float
     agreement_max_rel_err: float   # vs (1-d)/sqrt(2d-d^2) on d in [0.05, 0.3]
-    max_ray_backstep: float        # worst decrease of |grad| toward the boundary
 
 
 def blowup_experiment(samples, delta=0.5, N=4000, C0=1.0,
@@ -146,22 +145,12 @@ def blowup_experiment(samples, delta=0.5, N=4000, C0=1.0,
     gtrue = (1.0 - DD.ravel()) / np.sqrt(2.0 * DD.ravel() - DD.ravel() ** 2)
     agreement = float(np.max(np.abs(ga - gtrue) / gtrue))
 
-    # monotonicity of |grad| toward the boundary along 16 rays of 60 points,
-    # located in one call
-    dr = np.exp(np.linspace(math.log(0.3), math.log(1e-4), 60))
-    rays = np.array([[math.cos(a), math.sin(a)] for a in
-                     np.linspace(0.0, 2.0 * math.pi, 17)[:-1].tolist()])
-    xr = (1.0 - dr)[None, :, None] * rays[:, None, :]
-    gr = np.linalg.norm(target.sites[sol.locate(xr.reshape(-1, 2))[0]],
-                        axis=1).reshape(len(rays), len(dr))
-    backstep = float(np.max(gr[:, :-1] - gr[:, 1:], initial=0.0))
-
     rep = BlowupReport(
         samples=np.column_stack([d, grad, bound]),
         delta=float(delta), C0=float(C0), L=geo.L, R0=geo.R0,
         Lambda=Lam, d_max=float(d_max), violations=violations,
         truncation_excluded=int(capped.sum()), P_max=float(P_max),
-        agreement_max_rel_err=agreement, max_ray_backstep=backstep)
+        agreement_max_rel_err=agreement)
     return rep, sol
 
 

@@ -37,21 +37,18 @@ class DiscretePlan:
     max_support_slack: float      # max |C - u - v| over support
     min_reduced_cost: float       # min (C - u - v) over all pairs
     pivots: int = 0               # simplex pivots that reached the plan
+    basis: dict | None = None     # final basis: (source, target) -> flow
+                                  # of all m + n - 1 cells, zeros included
 
 
-def _hang(rows, m, adj, pot, parent, depth, s, t):
-    """Hang the part of the basis tree reached from node s without passing
-    through node t below t (t = -1: s is the root): set each reached node's
-    parent, depth and dual, u_j + v_i = C_ji on every tree edge. Returns the
-    nodes reached, s first."""
-    parent[s] = t
-    if t < 0:
-        depth[s], pot[s] = 0, 0.0
-    else:
-        depth[s] = depth[t] + 1
-        pot[s] = (rows[t][s - m] if t < m else rows[s][t - m]) - pot[t]
-    nodes, seen = [s], {s, t}
-    for x in nodes:                 # breadth first: grows while it is read
+def _hang(rows, m, adj):
+    """Hang the basis tree from row 0, breadth first: each reached node's
+    dual, with u_0 = 0 and u_j + v_i = C_ji on every tree edge, its parent
+    and its depth. Returns (nodes, duals, parent, depth), nodes in the order
+    reached; a tree that does not span leaves nodes short."""
+    pot, parent, depth = [0.0] * len(adj), [-1] * len(adj), [0] * len(adj)
+    nodes, seen = [0], {0}
+    for x in nodes:                 # grows while it is read
         for y in adj[x]:
             if y not in seen:
                 seen.add(y)
@@ -60,13 +57,42 @@ def _hang(rows, m, adj, pot, parent, depth, s, t):
                 pot[y] = (rows[x][y - m] if x < m
                           else rows[y][x - m]) - pot[x]
                 nodes.append(y)
-    return nodes
+    return nodes, pot, parent, depth
 
 
-def _simplex(C, mu, nu):
-    """Transportation simplex on the cost array C; returns the basis flows,
-    the duals and the number of pivots. Stops once no reduced cost is below
-    -1e-12.
+def _least_cost_start(C, mu, nu):
+    """Basic feasible flows of the least-cost start: the cheapest cell whose
+    row and column are both open, the first in row-major order on ties,
+    takes as much flow as both lines allow, and then exactly one line
+    closes: the row if it is used up and another row is still open,
+    otherwise the column. The last open column stays open while another
+    row is, even when roundoff leaves its row a remainder. The m + n - 1
+    cells, zero flows included, form a spanning tree."""
+    m, n = len(mu), len(nu)
+    a, b = list(mu), list(nu)
+    rows, cols = set(range(m)), set(range(n))     # the open lines
+    flows = {}
+    for k in np.argsort(C, axis=None, kind="stable").tolist():
+        j, i = divmod(k, n)
+        if j not in rows or i not in cols:
+            continue
+        flows[(j, i)] = t = min(a[j], b[i])
+        a[j] -= t
+        b[i] -= t
+        if len(flows) == m + n - 1:
+            break
+        if (a[j] == 0.0 or len(cols) == 1) and len(rows) > 1:
+            rows.remove(j)
+        else:
+            cols.remove(i)
+    return flows
+
+
+def _simplex(C, mu, nu, start=None):
+    """Transportation simplex on the cost array C from the basis `start`, a
+    dict of the m + n - 1 basic cells' flows (None: the least-cost start);
+    returns the final basis in that form, the duals and the number of
+    pivots. Stops once no reduced cost is below -1e-12.
 
     The entering cell has the most negative reduced cost (Dantzig's rule),
     except after a degenerate pivot (step 0), where it is the first negative
@@ -75,44 +101,29 @@ def _simplex(C, mu, nu):
     degenerate pivots only, so from its second pivot on, round after round,
     it would be one Bland run, and Bland's rule cannot cycle.
 
-    The basis is a spanning tree on rows 0..m-1 and columns m..m+n-1, with
-    each node's parent, depth and dual. The entering cell's cycle is the
-    tree path between its row and its column, read off the parent
-    pointers. The leaving cell cuts off one subtree; only that subtree is
-    walked again, hung from the entering cell (Ahuja, Magnanti and Orlin
-    1993, Network Flows, ch. 11). Once the simplex stops, the tree is
-    walked whole from row 0 to check that it spans every node and gives the
-    same duals."""
+    The basis is a spanning tree on rows 0..m-1 and columns m..m+n-1. Each
+    pivot walks it whole from row 0 for the duals and each node's parent
+    and depth (Ahuja, Magnanti and Orlin 1993, Network Flows, ch. 11); the
+    entering cell's cycle is the tree path between its row and its column,
+    read off the parent pointers. Each dual is a sum along the node's one
+    path to the root. A walk that misses a node found a basis that does
+    not span, and the simplex stops with an error."""
     m, n = len(mu), len(nu)
-    # northwest-corner start
-    flows = {}
+    flows = _least_cost_start(C, mu, nu) if start is None else dict(start)
     basic = np.zeros((m, n), dtype=bool)
     adj = [[] for _ in range(m + n)]    # tree neighbours of each node
-    j = i = 0
-    a, b = mu[0], nu[0]
-    while True:
-        t = a if a <= b else b
-        flows[(j, i)] = t
+    for j, i in flows:
         basic[j, i] = True
         adj[j].append(m + i)
         adj[m + i].append(j)
-        a = a - t
-        b = b - t
-        if j == m - 1 and i == n - 1:
-            break
-        if a == 0.0 and j < m - 1:
-            j += 1
-            a = mu[j]
-        else:
-            i += 1
-            b = nu[i]
 
     rows = C.tolist()
-    pot, parent, depth = [0.0] * (m + n), [-1] * (m + n), [0] * (m + n)
-    _hang(rows, m, adj, pot, parent, depth, 0, -1)
-    duals = np.array(pot)           # u = duals[:m], v = duals[m:]
     bland = False
     for pivots in range(_MAX_PIVOTS):
+        nodes, pot, parent, depth = _hang(rows, m, adj)
+        if len(nodes) < m + n:
+            raise RuntimeError("disconnected basis tree")
+        duals = np.array(pot)           # u = duals[:m], v = duals[m:]
         rc = C - duals[:m, None] - duals[None, m:]
         rc[basic] = 0.0
         first = int((rc < -1e-12).argmax() if bland else rc.argmin())
@@ -146,44 +157,36 @@ def _simplex(C, mu, nu):
         adj[m + leave[1]].remove(leave[0])
         adj[je].append(m + ie)
         adj[m + ie].append(je)
-        # an arc on the column's path up to the common ancestor cuts off the
-        # column's side of the entering cell, any other arc the row's side
-        s, t = (m + ie, je) if cyc.index(leave) <= len(up) else (je, m + ie)
-        sub = _hang(rows, m, adj, pot, parent, depth, s, t)
-        duals[sub] = [pot[x] for x in sub]
     else:
         raise RuntimeError(f"simplex did not terminate after {pivots + 1} "
                            f"pivots on an {m}×{n} problem")
-    fresh = [0.0] * (m + n)
-    if len(_hang(rows, m, adj, fresh, [-1] * (m + n), [0] * (m + n),
-                 0, -1)) < m + n:
-        raise RuntimeError("disconnected basis tree")
-    drift = float(np.abs(np.array(fresh) - duals).max())
-    if drift > 1e-12 * float(np.abs(C).max()):
-        raise RuntimeError(f"incremental duals drifted {drift:.3g} from "
-                           f"those of the basis tree")
     return flows, duals[:m], duals[m:], pivots
 
 
-def _transport_basis(C, mu, nu):
-    """Optimal basic plan of the transportation problem (C, mu, nu) as
+def _transport_basis(C, mu, nu, start=None):
+    """Optimal basic plan of the transportation problem (C, mu, nu), by the
+    simplex from the basis `start` (None: the least-cost start), as
     (source, target, mass) arrays of its support, sorted by (source, target),
-    with the duals and the number of simplex pivots. The roundoff between
-    the two totals is absorbed into the largest source."""
+    with the duals, the number of simplex pivots and the final basis. The
+    roundoff between the two totals is absorbed into the largest source, so
+    two calls on the same marginals solve over the same feasible plans and
+    one's basis can start the other. The support keeps flows above 1e-15 of
+    the total mass."""
     mu = mu.copy()
     mu[int(np.argmax(mu))] += nu.sum() - mu.sum()
-    flows, u, v, pivots = _simplex(C, list(mu), list(nu))
+    flows, u, v, pivots = _simplex(C, list(mu), list(nu), start)
     (j, i), f = np.array(list(flows)).T, np.array(list(flows.values()))
     keep = np.lexsort((i, j))
-    keep = keep[f[keep] > 1e-15]
-    return j[keep], i[keep], f[keep], u, v, pivots
+    keep = keep[f[keep] > 1e-15 * nu.sum()]
+    return j[keep], i[keep], f[keep], u, v, pivots, flows
 
 
 def lp_transport(sources, targets):
     """Optimal plan between (x_j, mu_j) and (p_i, nu_i) for the linear
     surplus cost -<x, p>, by the float transportation simplex: optimal up to
     its stopping rule, no reduced cost below -1e-12. The plan's `pivots`
-    counts the simplex pivots from the northwest-corner start."""
+    counts the simplex pivots from the least-cost start, and its `basis`
+    holds the final basis, which starts agreement_ceiling's simplex."""
     xs = np.asarray([s[0] for s in sources], dtype=float)
     mu = np.asarray([s[1] for s in sources], dtype=float)
     ps = np.asarray([t[0] for t in targets], dtype=float)
@@ -196,12 +199,12 @@ def lp_transport(sources, targets):
     if abs(mu.sum() - nu.sum()) > 1e-12 * max(mu.sum(), nu.sum()):
         raise ValueError("marginals are infeasible (total masses differ)")
     Cf = -(xs @ ps.T)
-    j, i, f, u, v, pivots = _transport_basis(Cf, mu, nu)
+    j, i, f, u, v, pivots, basis = _transport_basis(Cf, mu, nu)
     cost = sum((Cf[j, i] * f).tolist())
     slack = np.abs(Cf[j, i] - u[j] - v[i]).max(initial=0.0)
     rc = (Cf - u[:, None] - v[None, :]).min()
     return DiscretePlan(j, i, f, xs, mu, ps, nu, u, v, float(cost),
-                        float(slack), float(rc), pivots)
+                        float(slack), float(rc), pivots, basis)
 
 
 def monotonicity_certificate(plan):
@@ -333,9 +336,11 @@ def agreement_ceiling(plan, member, target):
     stopping rule (no reduced cost below -1e-12), so within 1e-12 of the
     true maximum. It scores with the same table, so the measured fraction
     exceeds it by rounding at most; a gap between the two is the LP's
-    choice among plans of equal cost."""
+    choice among plans of equal cost. The simplex starts from the plan's
+    own final basis, which is feasible here: both LPs share the
+    marginals."""
     j, i, f = _transport_basis(-member.astype(float), plan.source_masses,
-                               plan.target_masses)[:3]
+                               plan.target_masses, plan.basis)[:3]
     agree = sum(f[member[j, i]].tolist())
     return float(agree / target.total)
 

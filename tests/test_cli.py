@@ -418,6 +418,7 @@ def test_oracle_compare_with_a_varying_density(tmp_path):
 def test_oracle_compare_reports_lp_pivots(tmp_path):
     # criterion 3's instance: Bland's entering rule alone took 4362 pivots
     # here, Dantzig's rule with its Bland runs after degenerate pivots 298
+    # from the northwest-corner start and 68 from the least-cost start
     doc = {"command": "oracle-compare",
            "domain": {"kind": "disk", "radius": 0.6},
            "target": {"kind": "chart_disk", "radius": 0.75},
@@ -425,8 +426,25 @@ def test_oracle_compare_reports_lp_pivots(tmp_path):
            "out": str(tmp_path / "oc"), "seed": 0}
     assert run(doc) == 0
     report = json.loads((tmp_path / "oc" / "report.json").read_text())
-    assert 0 < report["measurements"]["lp_pivots"] < 500
+    assert 0 < report["measurements"]["lp_pivots"] < 100
     assert report["measurements"]["stop"] == "tol"
+
+
+def test_oracle_compare_keeps_the_plan_of_a_small_source(tmp_path):
+    # a disk of radius 1e-7 carries mass 3e-14, and each grid atom's flow
+    # is below 1e-15: the plan's support floor scales with the total mass
+    doc = {"command": "oracle-compare",
+           "domain": {"kind": "disk", "radius": 1e-7},
+           "target": {"kind": "chart_disk", "radius": 0.75},
+           "N": 20, "tol": 1e-7, "params": {"grid_m": 15},
+           "out": str(tmp_path / "oc"), "seed": 0}
+    with pytest.warns(RuntimeWarning, match="rescale factor 2.78e-14"):
+        assert run(doc) == 0
+    m = json.loads((tmp_path / "oc" / "report.json").read_text())[
+        "measurements"]
+    assert m["n_plan_entries"] == 216
+    assert m["agreement_fraction"] == pytest.approx(1.0, abs=1e-12)
+    assert m["agreement_ceiling"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_oracle_compare_keeps_max_iter(tmp_path, capsys):

@@ -123,7 +123,6 @@ def test_blowup_structure_and_constants():
     assert rep.P_max == pytest.approx(99.99499987499375, rel=1e-12)
     assert all(d <= rep.d_max for d, *_ in rep.samples)
     assert rep.truncation_excluded <= 0.05 * 150
-    assert rep.max_ray_backstep >= 0.0
     # the closed-form bound is numerically vacuous until d ~ 1e-7, so even a
     # coarse run cannot violate it inside the sampled band
     assert rep.violations == []

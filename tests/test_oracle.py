@@ -185,6 +185,7 @@ def test_degenerate_instances_terminate_at_the_optimum():
         assert np.abs(cols - nu).max() == 0.0
         assert plan.max_support_slack <= 1e-10
         assert plan.min_reduced_cost >= -1e-10
+        assert len(plan.basis) == len(mu) + len(nu) - 1
     # unit-mass assignment: every basis has n - 1 flows at zero
     for n in (5, 10, 20, 30, 40):
         rng = np.random.default_rng(n)
@@ -197,6 +198,7 @@ def test_degenerate_instances_terminate_at_the_optimum():
         assert sorted(plan.mass.tolist()) == [1.0] * n
         assert plan.max_support_slack <= 1e-10
         assert plan.min_reduced_cost >= -1e-10
+        assert len(plan.basis) == 2 * n - 1
 
 
 def test_optimality_against_random_feasible_plans():
@@ -386,48 +388,72 @@ def test_overlap_table_box_test_keeps_the_all_pairs_table(monkeypatch, domain,
 
 
 def _two_by_two_lp():
-    # the northwest-corner start pairs x_0 with p_0 and x_1 with p_1, the
-    # anti-monotone coupling: one pivot is needed to reach the optimum
-    return ([(np.array([-1.0, 0.0]), 1.0), (np.array([1.0, 0.0]), 1.0)],
-            [(np.array([2.0, 0.0]), 1.0), (np.array([-2.0, 0.0]), 1.0)])
+    # C = [[-10, -9], [-9, 0]] with unit masses: the least-cost start takes
+    # the cheapest cell (0, 0) and ends on the plan of cost -10, so one
+    # pivot is needed to reach the anti-diagonal, of cost -18
+    return ([(np.array([1.0, 0.0]), 1.0), (np.array([0.0, 1.0]), 1.0)],
+            [(np.array([10.0, 9.0]), 1.0), (np.array([9.0, 0.0]), 1.0)])
 
 
 def test_simplex_reports_its_pivot_cap(monkeypatch):
     import hemiot.oracle as oracle
-    assert lp_transport(*_two_by_two_lp()).pivots == 1
+    plan = lp_transport(*_two_by_two_lp())
+    assert plan.pivots == 1
+    assert plan.cost == -18.0
     monkeypatch.setattr(oracle, "_MAX_PIVOTS", 1)
     with pytest.raises(RuntimeError, match="simplex did not terminate after "
                                            "1 pivots on an 2×2 problem"):
         lp_transport(*_two_by_two_lp())
 
 
-def _final_root_walk(monkeypatch, final):
-    # run final(nodes, pot) on what the simplex's last walk of the whole
-    # tree from row 0 returns; the first walk from row 0 builds the start
-    import hemiot.oracle as oracle
-    hang, roots = oracle._hang, []
-
-    def wrapped(rows, m, adj, pot, parent, depth, s, t):
-        nodes = hang(rows, m, adj, pot, parent, depth, s, t)
-        if t < 0:
-            roots.append(s)
-            if len(roots) == 2:
-                return final(nodes, pot)
-        return nodes
-    monkeypatch.setattr(oracle, "_hang", wrapped)
-
-
 def test_simplex_rejects_a_disconnected_basis_tree(monkeypatch):
-    _final_root_walk(monkeypatch, lambda nodes, pot: [0])
+    # the first pivot's walk of the tree from row 0 reaches row 0 alone
+    import hemiot.oracle as oracle
+    hang = oracle._hang
+
+    def truncated(rows, m, adj):
+        nodes, *rest = hang(rows, m, adj)
+        return (nodes[:1], *rest)
+    monkeypatch.setattr(oracle, "_hang", truncated)
     with pytest.raises(RuntimeError, match="^disconnected basis tree$"):
         lp_transport(*_two_by_two_lp())
 
 
-def test_simplex_rejects_drifted_duals(monkeypatch):
-    def shifted(nodes, pot):
-        pot[:] = [x + 1.0 for x in pot]
-        return nodes
-    _final_root_walk(monkeypatch, shifted)
-    with pytest.raises(RuntimeError, match="incremental duals drifted 1 from "
-                                           "those of the basis tree"):
-        lp_transport(*_two_by_two_lp())
+def _cold_ceiling(plan, member, target):
+    # the ceiling LP solved from the least-cost start, not the plan's basis
+    from hemiot.oracle import _transport_basis
+    j, i, f = _transport_basis(-member.astype(float), plan.source_masses,
+                               plan.target_masses)[:3]
+    return sum(f[member[j, i]].tolist()) / target.total
+
+
+def test_ceiling_starts_from_the_plan_basis_without_pivots(monkeypatch):
+    # on criterion 3 the plan's final basis is optimal for the ceiling LP
+    # too, and the warm start reaches the cold start's maximum
+    import hemiot.oracle as oracle
+    simplex, pivots = oracle._simplex, []
+
+    def counted(*args):
+        out = simplex(*args)
+        pivots.append(out[-1])
+        return out
+    monkeypatch.setattr(oracle, "_simplex", counted)
+    domain, K, target = _criterion_3_instance()
+    frac, plan, sol, member = semidiscrete_agreement(domain, K, target, 15,
+                                                     tol=1e-7)
+    ceiling = agreement_ceiling(plan, member, target)
+    assert pivots[0] > 0 and pivots[1] == 0
+    assert ceiling == pytest.approx(_cold_ceiling(plan, member, target),
+                                    abs=1e-12)
+
+
+def test_warm_started_ceiling_matches_a_cold_start():
+    # a random overlap table on the tie-heavy instance: the plan's basis
+    # is feasible but not optimal for the ceiling LP
+    from types import SimpleNamespace
+    plan = lp_transport(*_tie_heavy_lp())
+    target = SimpleNamespace(total=plan.target_masses.sum())
+    for seed in range(5):
+        member = np.random.default_rng(seed).random((12, 8)) < 0.3
+        assert agreement_ceiling(plan, member, target) == pytest.approx(
+            _cold_ceiling(plan, member, target), abs=1e-12), seed
